@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from repro.cluster.costmodel import CollectiveCostModel
 from repro.cluster.device import VirtualGPU
@@ -10,6 +11,42 @@ from repro.cluster.process_group import ProcessGroup
 from repro.cluster.timeline import NULL_INJECTOR, Timeline
 from repro.cluster.topology import FrontierTopology, LinkSpec
 from repro.obs.tracer import NULL_TRACER
+
+
+class GroupAllocation:
+    """``nbytes`` tagged ``tag`` held on each device of a rank group.
+
+    Only the ranks the timeline currently tracks are registered: all of
+    them on the exact timeline, the class representatives on a folded
+    one.  The representatives' devices see the full allocation pattern,
+    so per-device *maxima* are unchanged.  :meth:`fill` is idempotent —
+    it registers whichever tracked ranks do not hold the allocation yet
+    — so calling it again once the run has unfolded back-fills the
+    skipped members and leaves every tracker as a never-folded run
+    would have it.
+    """
+
+    def __init__(self, cluster: "VirtualCluster", ranks: Sequence[int],
+                 nbytes: int, tag: str):
+        self._cluster = cluster
+        self.ranks = ranks
+        self.nbytes = nbytes
+        self.tag = tag
+        self._held: dict = {}
+        self.fill()
+
+    def fill(self) -> None:
+        """Allocate on every tracked rank that holds nothing yet."""
+        cluster, held = self._cluster, self._held
+        for rank in cluster.timeline.tracked_ranks(self.ranks):
+            if rank not in held:
+                held[rank] = cluster.device(rank).memory.allocate(self.nbytes, tag=self.tag)
+
+    def release(self) -> None:
+        """Free every registered allocation."""
+        for rank, alloc in self._held.items():
+            self._cluster.device(rank).memory.free(alloc)
+        self._held = {}
 
 
 class VirtualCluster:
@@ -31,6 +68,12 @@ class VirtualCluster:
         Optional :class:`~repro.obs.tracer.Tracer` receiving one span
         per recorded compute/communication event.  Defaults to the
         no-op tracer (zero events, no overhead).
+    timeline:
+        Optional ready-made timeline (e.g. a
+        :class:`~repro.cluster.timeline.FoldedTimeline`) to start with
+        instead of the exact per-rank :class:`Timeline` — a builder that
+        already knows it will fold never pays for ``num_gpus`` ledgers
+        it would throw away.
 
     Examples
     --------
@@ -49,6 +92,7 @@ class VirtualCluster:
         intra_node: LinkSpec | None = None,
         inter_node: LinkSpec | None = None,
         tracer=None,
+        timeline: Timeline | None = None,
     ):
         topo_kwargs = {}
         if intra_node is not None:
@@ -58,25 +102,60 @@ class VirtualCluster:
         self.topology = FrontierTopology(num_gpus, gpus_per_node, **topo_kwargs)
         self.cost_model = CollectiveCostModel(self.topology)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.timeline = Timeline(num_gpus, tracer=self.tracer)
         self.injector = NULL_INJECTOR
-        device_kwargs = {}
-        if gpu_memory_bytes is not None:
-            device_kwargs["memory_capacity"] = gpu_memory_bytes
-        self.devices = [VirtualGPU(rank, **device_kwargs) for rank in range(num_gpus)]
-        if not track_device_memory:
-            for device in self.devices:
-                device.memory.capacity_bytes = None
-        self.world = ProcessGroup(self, range(num_gpus))
+        if timeline is None:
+            timeline = Timeline(num_gpus)
+        elif timeline.num_ranks != num_gpus:
+            raise ValueError(
+                f"timeline covers {timeline.num_ranks} ranks, cluster has {num_gpus}"
+            )
+        self.install_timeline(timeline)
+        self._gpu_memory_bytes = gpu_memory_bytes
+        self._track_device_memory = track_device_memory
+        self._devices: dict[int, VirtualGPU] = {}
 
     @property
     def world_size(self) -> int:
         """Total number of GPUs."""
         return self.topology.num_gpus
 
+    @cached_property
+    def world(self) -> ProcessGroup:
+        """The group of every rank (built on first use)."""
+        return ProcessGroup(self, range(self.world_size))
+
     def device(self, rank: int) -> VirtualGPU:
-        """Device hosting ``rank``."""
-        return self.devices[rank]
+        """Device hosting ``rank``, created on first use.
+
+        A folded run only ever asks for the class representatives'
+        devices, so a 49,152-GCD cluster holds a few dozen
+        :class:`VirtualGPU` objects, not 49,152.
+        """
+        try:
+            return self._devices[rank]
+        except KeyError:
+            device = self._devices[rank] = self._create_device(rank)
+            return device
+
+    def _create_device(self, rank: int) -> VirtualGPU:
+        if not 0 <= rank < self.world_size:
+            raise IndexError(f"rank {rank} outside world of size {self.world_size}")
+        if self._gpu_memory_bytes is None:
+            device = VirtualGPU(rank)
+        else:
+            device = VirtualGPU(rank, memory_capacity=self._gpu_memory_bytes)
+        if not self._track_device_memory:
+            device.memory.capacity_bytes = None
+        return device
+
+    def touched_devices(self) -> Iterator[VirtualGPU]:
+        """The devices created so far, in rank order.
+
+        A device nobody asked for holds nothing and peaked at zero, so
+        maxima and threshold scans over the touched ones equal the same
+        scan over the whole world.
+        """
+        return (self._devices[rank] for rank in sorted(self._devices))
 
     def new_group(self, ranks: Sequence[int]) -> ProcessGroup:
         """Create a process group over the given global ranks."""
@@ -105,7 +184,7 @@ class VirtualCluster:
         """Clear the timeline, trace, and device memory (between runs)."""
         self.timeline.reset()
         self.tracer.clear()
-        for device in self.devices:
+        for device in self.touched_devices():
             device.memory.free_all()
             device.memory.reset_peak()
 

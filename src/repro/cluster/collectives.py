@@ -27,6 +27,8 @@ Semantics mirror mpi4py/RCCL:
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import is_
 from typing import Sequence
 
 import numpy as np
@@ -37,16 +39,48 @@ from repro.meta import MetaArray, is_meta, nbytes_of
 _REDUCE_OPS = ("sum", "mean", "max", "min")
 
 
-def _check_buffers(group: ProcessGroup, buffers: Sequence) -> bool:
-    """Validate one-buffer-per-member; return True when in meta mode."""
+def distinct_buffers(buffers: Sequence) -> list:
+    """The distinct objects among ``buffers`` (by identity, first-seen order).
+
+    A folded engine pads its per-member lists by repeating one object;
+    work that depends on the object alone (validation, flattening) then
+    runs once per entry here — one, when folded — not once per member.
+    """
+    first = buffers[0]
+    if all(map(is_, buffers, repeat(first))):
+        return [first]
+    return list(dict(zip(map(id, buffers), buffers)).values())
+
+
+def _check_buffers(group: ProcessGroup, buffers: Sequence) -> tuple[bool, list]:
+    """Validate one-buffer-per-member.
+
+    Returns ``(meta, distinct)``: whether the call is in meta mode, and
+    the :func:`distinct_buffers` the per-buffer checks below walk.
+    """
     if len(buffers) != group.size:
         raise ValueError(
             f"expected {group.size} buffers (one per group member), got {len(buffers)}"
         )
-    metas = [is_meta(b) for b in buffers]
-    if any(metas) and not all(metas):
+    distinct = distinct_buffers(buffers)
+    meta = is_meta(distinct[0])
+    if any(is_meta(b) is not meta for b in distinct):
         raise TypeError("cannot mix MetaArray and ndarray buffers in one collective")
-    return metas[0]
+    return meta, distinct
+
+
+def _member_sum(buffers: Sequence, distinct: list, value) -> int:
+    """``sum(value(b) for b in buffers)``, in O(1) when one object repeats."""
+    if len(distinct) == 1:
+        return value(distinct[0]) * len(buffers)
+    return sum(value(b) for b in buffers)
+
+
+def _common_shape(distinct: list, what: str) -> tuple:
+    shapes = {tuple(b.shape) for b in distinct}
+    if len(shapes) != 1:
+        raise ValueError(f"{what} buffers must share a shape, got {shapes}")
+    return shapes.pop()
 
 
 def _reduce(stack: np.ndarray, op: str) -> np.ndarray:
@@ -76,17 +110,16 @@ def all_gather(
     overlappable: bool = False,
 ) -> list:
     """Concatenate per-member shards; every member receives the result."""
-    meta = _check_buffers(group, shards)
-    total_bytes = sum(nbytes_of(s) for s in shards)
+    meta, distinct = _check_buffers(group, shards)
+    total_bytes = _member_sum(shards, distinct, nbytes_of)
     seconds = group.cluster.cost_model.all_gather(group.ranks, total_bytes)
     _record(group, seconds, total_bytes, overlappable, "all_gather")
     if group.size == 1:
         return [shards[0]]
     if meta:
         first = shards[0]
-        gather_dim = sum(s.shape[axis] for s in shards)
         shape = list(first.shape)
-        shape[axis] = gather_dim
+        shape[axis] = _member_sum(shards, distinct, lambda s: s.shape[axis])
         out = MetaArray(tuple(shape), first.dtype)
         return [out] * group.size
     gathered = np.concatenate([np.asarray(s) for s in shards], axis=axis)
@@ -101,11 +134,8 @@ def reduce_scatter(
     overlappable: bool = False,
 ) -> list:
     """Reduce full buffers elementwise, then scatter equal shards along ``axis``."""
-    meta = _check_buffers(group, buffers)
-    shapes = {tuple(b.shape) for b in buffers}
-    if len(shapes) != 1:
-        raise ValueError(f"reduce_scatter buffers must share a shape, got {shapes}")
-    shape = shapes.pop()
+    meta, distinct = _check_buffers(group, buffers)
+    shape = _common_shape(distinct, "reduce_scatter")
     if shape[axis] % group.size:
         raise ValueError(
             f"axis {axis} of shape {shape} not divisible by group size {group.size}"
@@ -133,10 +163,8 @@ def all_reduce(
     overlappable: bool = False,
 ) -> list:
     """Elementwise reduction delivered to every member."""
-    meta = _check_buffers(group, buffers)
-    shapes = {tuple(b.shape) for b in buffers}
-    if len(shapes) != 1:
-        raise ValueError(f"all_reduce buffers must share a shape, got {shapes}")
+    meta, distinct = _check_buffers(group, buffers)
+    _common_shape(distinct, "all_reduce")
     total_bytes = nbytes_of(buffers[0])
     seconds = group.cluster.cost_model.all_reduce(group.ranks, total_bytes)
     _record(group, seconds, total_bytes, overlappable, "all_reduce")
@@ -183,16 +211,16 @@ def gather(
     overlappable: bool = False,
 ) -> list:
     """Collect shards onto the root; non-root members receive ``None``."""
-    meta = _check_buffers(group, shards)
+    meta, distinct = _check_buffers(group, shards)
     if not 0 <= root < group.size:
         raise ValueError(f"root {root} outside group of size {group.size}")
-    total_bytes = sum(nbytes_of(s) for s in shards)
+    total_bytes = _member_sum(shards, distinct, nbytes_of)
     seconds = group.cluster.cost_model.gather(group.ranks, total_bytes)
     _record(group, seconds, total_bytes, overlappable, "gather")
     if meta:
         first = shards[0]
         shape = list(first.shape)
-        shape[axis] = sum(s.shape[axis] for s in shards)
+        shape[axis] = _member_sum(shards, distinct, lambda s: s.shape[axis])
         result = MetaArray(tuple(shape), first.dtype)
     else:
         result = np.concatenate([np.asarray(s) for s in shards], axis=axis)

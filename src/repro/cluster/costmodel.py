@@ -17,7 +17,7 @@ so NIC contention between co-located groups is already folded in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.cluster.topology import FrontierTopology, LinkKind, LinkSpec
@@ -25,12 +25,25 @@ from repro.cluster.topology import FrontierTopology, LinkKind, LinkSpec
 
 @dataclass(frozen=True)
 class CollectiveCostModel:
-    """Maps (collective, group, bytes) to seconds on a topology."""
+    """Maps (collective, group, bytes) to seconds on a topology.
+
+    The effective link spec of a rank group is priced once per distinct
+    group and read from the memo by every later collective over it.
+    That is safe because the topology is frozen; faults stretch the
+    *seconds* afterwards (``injector.on_comm``), never the link spec.
+    """
 
     topology: FrontierTopology
+    _specs: dict[tuple[int, ...], LinkSpec] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def _spec(self, ranks: Sequence[int]) -> LinkSpec:
-        return self.topology.effective_bandwidth(ranks)
+        key = tuple(ranks)
+        spec = self._specs.get(key)
+        if spec is None:
+            spec = self._specs[key] = self.topology.effective_bandwidth(key)
+        return spec
 
     @staticmethod
     def _steps(alpha: float, beta: float, steps: int, bytes_per_step: float) -> float:

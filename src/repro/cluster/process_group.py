@@ -22,7 +22,7 @@ class ProcessGroup:
             raise ValueError("a process group needs at least one rank")
         if len(set(ranks)) != len(ranks):
             raise ValueError(f"duplicate ranks in group: {ranks}")
-        for rank in ranks:
+        for rank in (min(ranks), max(ranks)):
             if not 0 <= rank < cluster.world_size:
                 raise ValueError(f"rank {rank} outside world of size {cluster.world_size}")
         self.cluster = cluster

@@ -157,17 +157,22 @@ def _effective_specs(topology: FrontierTopology,
 
     ``rows`` is an (n_groups, group_size) rank matrix; returns per-row
     (latency_s, bandwidth_Bps) arrays that match the scalar method
-    float-for-float.
+    float-for-float (pinned by the property test in
+    ``tests/cluster/test_topology.py``).
     """
     rows = np.asarray(rows)
     n, g = rows.shape
     if g <= 1:  # SELF links
         return np.zeros(n), np.full(n, np.inf)
-    nodes = rows // topology.gpus_per_node
-    inter = nodes.max(axis=1) > nodes.min(axis=1)
-    # max ranks sharing one node, per group (mirrors the per_node dict)
-    eq = nodes[:, :, None] == nodes[:, None, :]
-    sharers = eq.sum(axis=2).max(axis=1)
+    nodes = np.sort(rows // topology.gpus_per_node, axis=1)
+    inter = nodes[:, -1] > nodes[:, 0]
+    # max ranks sharing one node, per group (mirrors the per_node dict):
+    # the longest run of equal ids in each sorted row — O(n*g) memory,
+    # where an all-pairs comparison would need n*g*g.
+    position = np.arange(g)
+    run_start = np.maximum.accumulate(
+        np.where(np.diff(nodes, axis=1, prepend=-1) != 0, position, 0), axis=1)
+    sharers = (position - run_start).max(axis=1) + 1
     occupancy = min(topology.gpus_per_node, topology.num_gpus)
     contention = np.maximum(1, occupancy // sharers)
     lat = np.where(inter, topology.inter_node.latency_s,
@@ -249,7 +254,10 @@ def decide_fold(spec, topology: FrontierTopology,
 
     ``fold="off"`` never folds; ``"on"``/``"auto"`` fold whenever the
     run is eligible and silently fall back to exact mode otherwise
-    (numeric runs, skewed compute, asymmetric topologies).
+    (numeric runs, skewed compute, asymmetric topologies).  A Session
+    decides before its cluster (and so its compute model) exists —
+    ``spec.compute_skew`` is the only rank-dependent model it builds;
+    callers bringing their own model pass it as ``compute_model``.
     """
     if spec.fold == "off":
         return FoldDecision(False, "fold=off")

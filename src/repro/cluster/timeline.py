@@ -24,7 +24,7 @@ the untraced path allocation-free.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.obs.tracer import NULL_TRACER
@@ -86,7 +86,8 @@ class Timeline:
     def __init__(self, num_ranks: int, tracer=None):
         if num_ranks < 1:
             raise ValueError("num_ranks must be positive")
-        self._ledgers = [RankLedger() for _ in range(num_ranks)]
+        self._num_ranks = num_ranks
+        self._ledgers = self._fresh_ledgers()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Fault-injection hook; every event consults it before recording.
         self.injector = NULL_INJECTOR
@@ -98,7 +99,11 @@ class Timeline:
 
     @property
     def num_ranks(self) -> int:
-        return len(self._ledgers)
+        return self._num_ranks
+
+    def _fresh_ledgers(self) -> list[RankLedger]:
+        """One zeroed ledger per rank (construction and :meth:`reset`)."""
+        return [RankLedger() for _ in range(self._num_ranks)]
 
     def ledger(self, rank: int) -> RankLedger:
         """Ledger for one rank."""
@@ -206,7 +211,7 @@ class Timeline:
 
     def reset(self) -> None:
         """Zero every ledger and restart the collective-id sequence."""
-        self._ledgers = [RankLedger() for _ in self._ledgers]
+        self._ledgers = self._fresh_ledgers()
         self._collective_ids = itertools.count()
 
 
@@ -314,6 +319,12 @@ class FoldedTimeline(Timeline):
         self._seg_stack: list[str] = []
         self._log: list[tuple] = []
         self._covered_cache: dict[tuple, list] = {}
+        self._tracked_cache: dict[tuple, tuple] = {}
+
+    def _fresh_ledgers(self) -> list[RankLedger]:
+        """Empty: :meth:`unfold` builds the per-rank ledgers, so a run
+        that stays folded never pays for ``num_ranks`` of them."""
+        return []
 
     # -- mode --------------------------------------------------------------
     @property
@@ -386,7 +397,12 @@ class FoldedTimeline(Timeline):
     def tracked_ranks(self, ranks):
         if not self._folded:
             return ranks
-        return [r for r in ranks if r in self._rep_set]
+        key = tuple(ranks)
+        tracked = self._tracked_cache.get(key)
+        if tracked is None:
+            tracked = self._tracked_cache[key] = tuple(
+                r for r in key if r in self._rep_set)
+        return tracked
 
     # -- recording ---------------------------------------------------------
     def record_compute(self, rank, seconds, flops=0.0, op="compute"):
@@ -506,9 +522,9 @@ class FoldedTimeline(Timeline):
         """
         if not self._folded:
             return
-        for rank in range(self.num_ranks):
-            self._ledgers[rank] = _copy_ledger(
-                self._class_ledgers[self.partition.class_of(rank)])
+        class_of = self.partition.class_of
+        self._ledgers = [_copy_ledger(self._class_ledgers[class_of(rank)])
+                         for rank in range(self.num_ranks)]
         self._folded = False
 
     def try_refold(self) -> bool:

@@ -10,28 +10,32 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.cluster.collectives import all_gather, all_reduce, reduce_scatter
+from repro.cluster.cluster import GroupAllocation
+from repro.cluster.collectives import (
+    all_gather,
+    all_reduce,
+    distinct_buffers,
+    reduce_scatter,
+)
 from repro.cluster.process_group import ProcessGroup
-from repro.core.sharding import ShardedParameter, flat_pad_shard, flat_unshard
+from repro.core.sharding import ShardedParameter, flat_pad, flat_unshard
 from repro.meta import nbytes_of
-from repro.nn import ops
 
 
 class GatheredParam:
     """A transiently materialized full parameter.
 
-    Holds the reassembled array plus the per-device allocations backing
+    Holds the reassembled array plus the per-device allocation backing
     it; call :meth:`release` (or use as a context manager) when the
     layer is done with it (layer wrapping frees after every layer).
     Releases are marked on the owning cluster's tracer so a trace shows
     the gathered-shard lifetime, not just the gather.
     """
 
-    def __init__(self, data, allocations, devices, *, tracer=None, timeline=None,
+    def __init__(self, data, allocation=None, *, tracer=None, timeline=None,
                  ranks=(), name="param", nbytes=0.0):
         self.data = data
-        self._allocations = allocations
-        self._devices = devices
+        self._allocation = allocation
         self._tracer = tracer
         self._timeline = timeline
         self._ranks = tuple(ranks)
@@ -42,8 +46,8 @@ class GatheredParam:
     def release(self) -> None:
         if self.released:
             return
-        for device, alloc in zip(self._devices, self._allocations):
-            device.memory.free(alloc)
+        if self._allocation is not None:
+            self._allocation.release()
         self.released = True
         if self._timeline is not None:
             # Routed through the timeline so a folded run logs the
@@ -82,17 +86,15 @@ def gather_param(
     with tracer.scope("gather", param.name, kind="gather"):
         gathered = all_gather(group, param.shards, overlappable=overlappable)
     nbytes = nbytes_of(gathered[0])
-    devices, allocations = [], []
+    allocation = None
     if track_memory:
-        tracked = group.cluster.timeline.tracked_ranks(group.ranks)
-        devices = [group.cluster.device(r) for r in tracked]
-        allocations = [
-            device.memory.allocate(nbytes, tag=f"gathered.{param.name}") for device in devices
-        ]
+        allocation = GroupAllocation(
+            group.cluster, group.ranks, nbytes, f"gathered.{param.name}"
+        )
     # All ranks receive identical gathered content; one array is shared.
     full = flat_unshard([gathered[0]], param.logical_shape)
     return GatheredParam(
-        full, allocations, devices,
+        full, allocation,
         tracer=tracer, timeline=group.cluster.timeline, ranks=group.ranks,
         name=param.name, nbytes=nbytes,
     )
@@ -118,20 +120,15 @@ def reduce_scatter_grads(
     # A folded engine pads its gradient list by repeating one object;
     # flatten each distinct buffer once (id-keyed, so numeric runs with
     # per-rank arrays are untouched).
-    flat_cache: dict[int, object] = {}
-    flat_per_rank = []
-    for grad in per_rank_grads:
-        flat = flat_cache.get(id(grad))
-        if flat is None:
-            if tuple(grad.shape) != param.logical_shape:
-                raise ValueError(
-                    f"{param.name}: gradient shape {tuple(grad.shape)} != logical "
-                    f"{param.logical_shape}"
-                )
-            shards = flat_pad_shard(grad, group.size)
-            flat = ops.concat(shards, axis=0)
-            flat_cache[id(grad)] = flat
-        flat_per_rank.append(flat)
+    flat_of: dict[int, object] = {}
+    for grad in distinct_buffers(per_rank_grads):
+        if tuple(grad.shape) != param.logical_shape:
+            raise ValueError(
+                f"{param.name}: gradient shape {tuple(grad.shape)} != logical "
+                f"{param.logical_shape}"
+            )
+        flat_of[id(grad)] = flat_pad(grad, group.size)
+    flat_per_rank = list(map(flat_of.__getitem__, map(id, per_rank_grads)))
     with group.cluster.tracer.scope("grad", param.name):
         shard_lists = reduce_scatter(group, flat_per_rank, op="sum", overlappable=overlappable)
     param.set_grad_shards(shard_lists)

@@ -103,13 +103,13 @@ class HybridSTOPAttention(HybridModuleBase):
             b_shards = column_shards(bias, K)
             self._params[pname] = [
                 ShardedParameter(
-                    w_shards[k], F_, f"{name}.{pname}{k}", devices=plan.fsdp_devices(ddp_index, k)
+                    w_shards[k], F_, f"{name}.{pname}{k}", group=plan.fsdp_group(ddp_index, k)
                 )
                 for k in range(K)
             ]
             self._params[f"{pname}_bias"] = [
                 ShardedParameter(
-                    b_shards[k], F_, f"{name}.{pname}_b{k}", devices=plan.fsdp_devices(ddp_index, k)
+                    b_shards[k], F_, f"{name}.{pname}_b{k}", group=plan.fsdp_group(ddp_index, k)
                 )
                 for k in range(K)
             ]
@@ -120,25 +120,25 @@ class HybridSTOPAttention(HybridModuleBase):
                 ops.swapaxes(wo_rows[k], -1, -2),
                 F_,
                 f"{name}.wo{k}",
-                devices=plan.fsdp_devices(ddp_index, k),
+                group=plan.fsdp_group(ddp_index, k),
             )
             for k in range(K)
         ]
         self.wo_bias = ShardedParameter(
-            serial.wo.bias.data, F_, f"{name}.wo_bias", devices=plan.fsdp_devices(ddp_index, 0)
+            serial.wo.bias.data, F_, f"{name}.wo_bias", group=plan.fsdp_group(ddp_index, 0)
         )
         if self.qk_layernorm:
             self.ln_q_gamma = ShardedParameter(
-                serial.ln_q.gamma.data, F_, f"{name}.lnq_g", devices=plan.fsdp_devices(ddp_index, 0)
+                serial.ln_q.gamma.data, F_, f"{name}.lnq_g", group=plan.fsdp_group(ddp_index, 0)
             )
             self.ln_q_beta = ShardedParameter(
-                serial.ln_q.beta.data, F_, f"{name}.lnq_b", devices=plan.fsdp_devices(ddp_index, 0)
+                serial.ln_q.beta.data, F_, f"{name}.lnq_b", group=plan.fsdp_group(ddp_index, 0)
             )
             self.ln_k_gamma = ShardedParameter(
-                serial.ln_k.gamma.data, F_, f"{name}.lnk_g", devices=plan.fsdp_devices(ddp_index, 0)
+                serial.ln_k.gamma.data, F_, f"{name}.lnk_g", group=plan.fsdp_group(ddp_index, 0)
             )
             self.ln_k_beta = ShardedParameter(
-                serial.ln_k.beta.data, F_, f"{name}.lnk_b", devices=plan.fsdp_devices(ddp_index, 0)
+                serial.ln_k.beta.data, F_, f"{name}.lnk_b", group=plan.fsdp_group(ddp_index, 0)
             )
         self.ln_eps = serial.ln_q.eps if self.qk_layernorm else 1e-5
         self._subhead_groups: dict[int, object] = {}

@@ -25,6 +25,7 @@ toggles:
 
 from __future__ import annotations
 
+from repro.cluster.cluster import GroupAllocation
 from repro.core.base import HybridModuleBase
 from repro.core.fsdp_ops import reduce_scatter_grads
 from repro.core.hybrid_attention import HybridSTOPAttention
@@ -44,11 +45,11 @@ class _ShardedLayerNorm(HybridModuleBase):
         self.eps = serial_ln.eps
         self.gamma = ShardedParameter(
             serial_ln.gamma.data, plan.fsdp_size, f"{name}.gamma",
-            devices=plan.fsdp_devices(ddp_index, 0),
+            group=plan.fsdp_group(ddp_index, 0),
         )
         self.beta = ShardedParameter(
             serial_ln.beta.data, plan.fsdp_size, f"{name}.beta",
-            devices=plan.fsdp_devices(ddp_index, 0),
+            group=plan.fsdp_group(ddp_index, 0),
         )
 
     def sharded_parameters(self):
@@ -202,7 +203,7 @@ class HybridSTOPTrunk(HybridModuleBase):
             )
             for i, block in enumerate(serial.blocks)
         ]
-        self._wholesale_allocs: list = []
+        self._wholesale_alloc: GroupAllocation | None = None
         if not layer_wrapping:
             for block in self.blocks:
                 block.set_track_gather_memory(False)
@@ -216,22 +217,20 @@ class HybridSTOPTrunk(HybridModuleBase):
 
     def _acquire_all_layers(self) -> None:
         """No-layer-wrapping: every device holds all layers' gathered shards."""
-        if self._wholesale_allocs:
+        if self._wholesale_alloc is not None:
             return
         per_device = sum(block.gathered_param_bytes() for block in self.blocks)
         replica_ranks = [
             self.rank(f, k) for f in range(self.fsdp_size) for k in range(self.tp_size)
         ]
-        for rank in replica_ranks:
-            device = self.plan.cluster.device(rank)
-            self._wholesale_allocs.append(
-                (device, device.memory.allocate(per_device, tag="gathered.all_layers"))
-            )
+        self._wholesale_alloc = GroupAllocation(
+            self.plan.cluster, replica_ranks, per_device, "gathered.all_layers"
+        )
 
     def _release_all_layers(self) -> None:
-        for device, alloc in self._wholesale_allocs:
-            device.memory.free(alloc)
-        self._wholesale_allocs = []
+        if self._wholesale_alloc is not None:
+            self._wholesale_alloc.release()
+            self._wholesale_alloc = None
 
     def forward(self, xs: list) -> list:
         if not self.layer_wrapping:

@@ -64,19 +64,19 @@ class HybridSTOPMLP(HybridModuleBase):
         b1_cols = column_shards(serial.fc1.bias.data, K)
         b_rows = row_shards(serial.fc2.weight.data, K)
         self.a = [
-            ShardedParameter(a_cols[k], F_, f"{name}.a{k}", devices=plan.fsdp_devices(ddp_index, k))
+            ShardedParameter(a_cols[k], F_, f"{name}.a{k}", group=plan.fsdp_group(ddp_index, k))
             for k in range(K)
         ]
         self.b1 = [
-            ShardedParameter(b1_cols[k], F_, f"{name}.b1_{k}", devices=plan.fsdp_devices(ddp_index, k))
+            ShardedParameter(b1_cols[k], F_, f"{name}.b1_{k}", group=plan.fsdp_group(ddp_index, k))
             for k in range(K)
         ]
         self.b = [
-            ShardedParameter(b_rows[k], F_, f"{name}.b{k}", devices=plan.fsdp_devices(ddp_index, k))
+            ShardedParameter(b_rows[k], F_, f"{name}.b{k}", group=plan.fsdp_group(ddp_index, k))
             for k in range(K)
         ]
         self.b2 = ShardedParameter(
-            serial.fc2.bias.data, F_, f"{name}.b2", devices=plan.fsdp_devices(ddp_index, 0)
+            serial.fc2.bias.data, F_, f"{name}.b2", group=plan.fsdp_group(ddp_index, 0)
         )
 
     # -- parameter access (tests / optimizer) ----------------------------------

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from repro.cluster.cluster import GroupAllocation
 from repro.meta import MetaArray, is_meta, nbytes_of
 
 
@@ -43,20 +44,28 @@ def row_shards(matrix, num_shards: int) -> list:
     return [np.ascontiguousarray(s) for s in np.split(np.asarray(matrix), num_shards, axis=-2)]
 
 
-def flat_pad_shard(array, num_shards: int) -> list:
-    """Flatten, zero-pad to a multiple of ``num_shards``, split evenly.
-
-    The inverse is :func:`flat_unshard` with the original shape.
-    """
+def flat_pad(array, num_shards: int):
+    """Flatten and zero-pad to a multiple of ``num_shards`` elements."""
     if num_shards < 1:
         raise ValueError("num_shards must be positive")
     size = int(array.size)
     padded = math.ceil(size / num_shards) * num_shards if size else num_shards
     if is_meta(array):
-        return [MetaArray((padded // num_shards,), array.dtype)] * num_shards
+        return MetaArray((padded,), array.dtype)
     flat = np.asarray(array).reshape(-1)
     if padded != size:
         flat = np.concatenate([flat, np.zeros(padded - size, flat.dtype)])
+    return flat
+
+
+def flat_pad_shard(array, num_shards: int) -> list:
+    """Flatten, zero-pad to a multiple of ``num_shards``, split evenly.
+
+    The inverse is :func:`flat_unshard` with the original shape.
+    """
+    flat = flat_pad(array, num_shards)
+    if is_meta(flat):
+        return [MetaArray((flat.size // num_shards,), flat.dtype)] * num_shards
     return [np.ascontiguousarray(s) for s in np.split(flat, num_shards)]
 
 
@@ -75,8 +84,8 @@ class ShardedParameter:
     """One logical matrix stored as flat shards over an FSDP group.
 
     Tracks the logical (unsharded) shape so gathers can restore it, and
-    registers the per-rank shard bytes with each owning device's memory
-    tracker.
+    registers the per-rank shard bytes with the owning devices' memory
+    trackers.
 
     Parameters
     ----------
@@ -86,28 +95,28 @@ class ShardedParameter:
         FSDP group size.
     name:
         Used for memory-tracker tags and error messages.
-    devices:
-        Optional per-shard devices; when given, persistent shard memory
-        is allocated on each (tag ``params.<name>``).
+    group:
+        Optional FSDP :class:`~repro.cluster.process_group.ProcessGroup`
+        owning the shards (member ``j`` holds shard ``j``).  When given,
+        persistent shard memory is allocated (tag ``params.<name>``) on
+        the members the timeline tracks — see
+        :class:`~repro.cluster.cluster.GroupAllocation`.
     """
 
-    def __init__(self, full, num_shards: int, name: str = "param", devices=None):
+    def __init__(self, full, num_shards: int, name: str = "param", group=None):
         self.logical_shape = tuple(full.shape)
         self.dtype = full.dtype
         self.name = name
         self.shards = flat_pad_shard(full, num_shards)
         self.grad_shards: list | None = None
-        self._allocations = []
-        if devices is not None:
-            if len(devices) != num_shards:
-                raise ValueError(f"need {num_shards} devices, got {len(devices)}")
-            for device, shard in zip(devices, self.shards):
-                self._allocations.append(
-                    device.memory.allocate(nbytes_of(shard), tag=f"params.{name}")
-                )
-            self.devices = list(devices)
-        else:
-            self.devices = None
+        self.group = group
+        self._allocation = None
+        if group is not None:
+            if group.size != num_shards:
+                raise ValueError(f"need a group of {num_shards} ranks, got {group.size}")
+            self._allocation = GroupAllocation(
+                group.cluster, group.ranks, self.shard_nbytes, f"params.{name}"
+            )
 
     @property
     def num_shards(self) -> int:
@@ -143,13 +152,16 @@ class ShardedParameter:
             return None
         return flat_unshard(self.grad_shards, self.logical_shape)
 
+    def register_untracked(self) -> None:
+        """Back-fill the shard registrations a folded construction skipped."""
+        if self._allocation is not None:
+            self._allocation.fill()
+
     def free(self) -> None:
         """Release the persistent shard allocations (simulated)."""
-        if self.devices is not None:
-            for device, alloc in zip(self.devices, self._allocations):
-                device.memory.free(alloc)
-            self._allocations = []
-            self.devices = None
+        if self._allocation is not None:
+            self._allocation.release()
+            self._allocation = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

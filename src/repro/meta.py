@@ -16,36 +16,40 @@ uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class MetaArray:
-    """An array with a shape and dtype but no data."""
+    """An array with a shape and dtype but no data.
+
+    ``size`` and ``nbytes`` are derived once at construction (the
+    instance is frozen), so the per-event byte accounting of the
+    collectives reads an attribute instead of re-multiplying the shape.
+    """
 
     shape: tuple[int, ...]
     dtype: np.dtype
+    size: int = field(init=False, compare=False)
+    nbytes: int = field(init=False, compare=False)
 
     def __init__(self, shape: tuple[int, ...] | list[int], dtype=np.float32):
-        object.__setattr__(self, "shape", tuple(int(s) for s in shape))
-        object.__setattr__(self, "dtype", np.dtype(dtype))
-        if any(s < 0 for s in self.shape):
-            raise ValueError(f"negative dimension in shape {self.shape}")
+        shape = tuple(map(int, shape))
+        if shape and min(shape) < 0:
+            raise ValueError(f"negative dimension in shape {shape}")
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "dtype", dtype)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "nbytes", size * dtype.itemsize)
 
     # -- ndarray-compatible surface ---------------------------------------
     @property
     def ndim(self) -> int:
         return len(self.shape)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape) if self.shape else 1
-
-    @property
-    def nbytes(self) -> int:
-        return self.size * self.dtype.itemsize
 
     @property
     def T(self) -> "MetaArray":

@@ -281,8 +281,8 @@ def check_overlap_budget(analysis: TraceAnalysis, thresholds: HealthThresholds) 
 def check_memory_watermark(cluster, thresholds: HealthThresholds) -> list[Finding]:
     """Peak device allocations close to capacity (pre-OOM warning)."""
     findings = []
-    for rank in range(cluster.world_size):
-        tracker = cluster.device(rank).memory
+    for device in cluster.touched_devices():
+        rank, tracker = device.rank, device.memory
         fraction = tracker.peak_fraction
         if fraction is None:
             continue

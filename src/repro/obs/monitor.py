@@ -163,10 +163,9 @@ class RunMonitor:
         return getattr(loop, "step", 0)
 
     def _peak_memory_fraction(self):
-        cluster = self._session.cluster
         best = None
-        for rank in range(cluster.world_size):
-            fraction = cluster.device(rank).memory.peak_fraction
+        for device in self._session.cluster.touched_devices():
+            fraction = device.memory.peak_fraction
             if fraction is not None and (best is None or fraction > best):
                 best = fraction
         return best

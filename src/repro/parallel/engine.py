@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.cluster import GroupAllocation
 from repro.cluster.collectives import all_reduce
 from repro.meta import is_meta, nbytes_of
 from repro.models.climax_vit import ClimaXViT
@@ -193,33 +194,35 @@ class HybridSTOPEngine:
         # stage); with a pipeline the front lives on stage 0 and the
         # head on the last stage.
         if S == 1:
-            dense_bytes = front.parameter_bytes() + head.parameter_bytes()
-            for f in range(F):
-                for k in range(K):
-                    device = plan.cluster.device(plan.rank(d, f, k))
-                    self._dense_allocs.append(
-                        (device, device.memory.allocate(dense_bytes, tag="params.dense"))
-                    )
+            dense = [(plan, front.parameter_bytes() + head.parameter_bytes())]
         else:
-            first, last = plan.stage_plan(0), plan.stage_plan(S - 1)
-            for stage_plan, nbytes in (
-                (first, front.parameter_bytes()), (last, head.parameter_bytes()),
-            ):
-                for f in range(F):
-                    for k in range(K):
-                        device = plan.cluster.device(stage_plan.rank(d, f, k))
-                        self._dense_allocs.append(
-                            (device, device.memory.allocate(nbytes, tag="params.dense"))
-                        )
+            dense = [(plan.stage_plan(0), front.parameter_bytes()),
+                     (plan.stage_plan(S - 1), head.parameter_bytes())]
+        for stage_plan, nbytes in dense:
+            replica_ranks = [
+                stage_plan.rank(d, f, k) for f in range(F) for k in range(K)
+            ]
+            self._dense_allocs.append(
+                GroupAllocation(plan.cluster, replica_ranks, nbytes, "params.dense")
+            )
 
     def materialize_replicas(self) -> None:
         """Build the DDP replicas a folded construction skipped.
 
         Called when a folded run drops to exact mode (fault window): the
         per-replica module structure must exist for every ``d`` before
-        the next unfolded step executes.  Construction is pure
-        bookkeeping — it records no timeline events.
+        the next unfolded step executes, and the memory registrations of
+        the replicas that do exist — narrowed to the class
+        representatives while folded — are back-filled onto every member
+        device, so the trackers end up as a never-folded run leaves
+        them.  Construction is pure bookkeeping — it records no timeline
+        events.
         """
+        for alloc in self._dense_allocs:
+            alloc.fill()
+        for trunk in self.trunks:
+            for param in trunk.sharded_parameters():
+                param.register_untracked()
         for d in range(len(self.trunks), self.plan.ddp_size):
             self._build_replica(d, clone_module(self._model_template))
 
@@ -455,8 +458,7 @@ class HybridSTOPEngine:
             for params in zip(*per_replica):
                 num_shards = params[0].num_shards
                 for j in range(num_shards):
-                    ranks = [p.devices[j].rank for p in params]
-                    group = self.plan.cluster.new_group(ranks)
+                    group = self._ddp_group_of(params[0].group.ranks[j])
                     grads = [p.grad_shards[j] for p in params]
                     reduced = all_reduce(group, grads, op="sum")
                     for p, grad in zip(params, reduced):
@@ -465,9 +467,7 @@ class HybridSTOPEngine:
             # (front leads on stage 0, head leads on the last stage —
             # one merged group and dict at pp=1).
             for plan, dense_per_replica in self._dense_reduction_sets():
-                lead_group = self.plan.cluster.new_group(
-                    [plan.rank(d, 0, 0) for d in range(D)]
-                )
+                lead_group = plan.ddp_group(0, 0)
                 for name in dense_per_replica[0]:
                     grads = [dense_per_replica[d][name].grad for d in range(D)]
                     if any(g is None for g in grads):
@@ -478,6 +478,12 @@ class HybridSTOPEngine:
                         dense_per_replica[d][name].grad = (
                             grad if is_meta(grad) else np.array(grad, copy=True)
                         )
+
+    def _ddp_group_of(self, rank: int):
+        """The plan's (cached) DDP group through ``rank``: its replica-0
+        member plus the same grid position of every other replica."""
+        stage, _, fsdp, tp = self.plan.stage_coords(rank)
+        return self.plan.stage_plan(stage).ddp_group(fsdp, tp)
 
     def _dense_reduction_sets(self):
         """``(plan, per-replica param dicts)`` per dense reduction group.
@@ -507,29 +513,22 @@ class HybridSTOPEngine:
     def _allreduce_gradients_folded(self) -> None:
         """DDP reduction with only replica 0 materialized.
 
-        Every replica's event stream is identical, so the per-shard
-        groups are synthesized arithmetically (replica stride
-        ``fsdp_size * tp_size``) and the shard-``j`` loop folds on the
-        FSDP axis: in exact mode each rank participates in exactly the
-        ``j == f`` reduction, which is what one folded event per
-        parameter replays to.
+        Every replica's event stream is identical, so replica 0's
+        gradient stands in for all ``D`` members of the plan's DDP group,
+        and the shard-``j`` loop folds on the FSDP axis: in exact mode
+        each rank participates in exactly the ``j == f`` reduction, which
+        is what one folded event per parameter replays to.
         """
-        plan = self.plan
-        D = plan.ddp_size
-        timeline = plan.cluster.timeline
-        ddp_stride = plan.fsdp_size * plan.tp_size
+        D = self.plan.ddp_size
+        timeline = self.plan.cluster.timeline
         for p0 in self.trunks[0].sharded_parameters():
             for j in timeline.fold_iter("fsdp", range(p0.num_shards)):
-                base = p0.devices[j].rank
-                ranks = [base + d * ddp_stride for d in range(D)]
-                group = plan.cluster.new_group(ranks)
+                group = self._ddp_group_of(p0.group.ranks[j])
                 reduced = all_reduce(group, [p0.grad_shards[j]] * D, op="sum")
                 grad = reduced[0]
                 p0.grad_shards[j] = grad if is_meta(grad) else np.array(grad, copy=True)
         for module_plan, dense_per_replica in self._dense_reduction_sets():
-            lead_group = plan.cluster.new_group(
-                [module_plan.rank(d, 0, 0) for d in range(D)]
-            )
+            lead_group = module_plan.ddp_group(0, 0)
             for name, param in dense_per_replica[0].items():
                 if param.grad is None:
                     raise RuntimeError(f"dense parameter {name} missing a replica gradient")

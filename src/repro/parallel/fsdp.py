@@ -56,12 +56,11 @@ class FSDPModule:
         self.prefetch = prefetch
         self.compute_model = compute_model
         self.tracer = group.cluster.tracer
-        devices = [group.cluster.device(r) for r in group.ranks]
         self.params: dict[str, ShardedParameter] = {}
         self._units: list[list[str]] = []
         unit_map: dict[str, list[str]] = {}
         for name, param in serial.named_parameters():
-            self.params[name] = ShardedParameter(param.data, group.size, name, devices=devices)
+            self.params[name] = ShardedParameter(param.data, group.size, name, group=group)
             param.data = None  # materialized transiently during execution
             unit = name.split(".", 1)[0]
             unit_map.setdefault(unit, []).append(name)

@@ -186,10 +186,6 @@ class HybridParallelPlan:
             self._ddp_groups[key] = self.cluster.new_group(ranks)
         return self._ddp_groups[key]
 
-    def fsdp_devices(self, ddp: int, tp: int) -> list:
-        """Devices hosting one FSDP group, in group order."""
-        return [self.cluster.device(r) for r in self.fsdp_group(ddp, tp).ranks]
-
     def __repr__(self) -> str:
         pp = f"pp={self.pp_size}, " if self.pp_size > 1 else ""
         return (

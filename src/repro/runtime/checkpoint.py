@@ -79,12 +79,19 @@ def save_archive(path, arrays: dict[str, np.ndarray], metadata: dict,
                  tracer=None) -> Path:
     """Write namespaced arrays + JSON metadata to one ``.npz``.
 
+    Returns the path of the file written: NumPy appends ``.npz`` to a
+    name that lacks it, so the suffix is normalized here once and the
+    returned path always exists and can be handed straight to
+    :func:`load_archive`.
+
     An attached tracer receives ``checkpoint``/``io`` markers mirroring
     the serial model-checkpoint path, so checkpoint cost shows up on
     the same timeline as compute and collectives.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
     if _META_KEY in arrays:
         raise ValueError(f"array key {_META_KEY!r} is reserved")

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.cluster.cluster import VirtualCluster
 from repro.cluster.timeline import FoldedTimeline
+from repro.cluster.topology import FrontierTopology
 from repro.obs.tracer import Tracer
 from repro.runtime.spec import RunSpec
 
@@ -36,6 +37,7 @@ def build_cluster(
     tracer=None,
     gpu_memory_bytes: int | None = None,
     track_device_memory: bool = True,
+    timeline=None,
 ) -> VirtualCluster:
     """The single :class:`VirtualCluster` construction site.
 
@@ -50,6 +52,7 @@ def build_cluster(
         gpu_memory_bytes=gpu_memory_bytes,
         track_device_memory=track_device_memory,
         tracer=tracer,
+        timeline=timeline,
     )
 
 
@@ -122,11 +125,21 @@ class Session:
         self.spec = spec
         self.config = spec.config
         self.tracer = tracer if tracer is not None else Tracer()
+        #: Why this session folds (or doesn't); see repro.cluster.symmetry.
+        #: Decided before the cluster exists, so a folded session starts
+        #: on its FoldedTimeline instead of replacing an exact one.
+        self.fold_decision = decide_fold(
+            spec, FrontierTopology(spec.num_gpus, spec.gpus_per_node)
+        )
         self.cluster = build_cluster(
             spec.num_gpus,
             spec.gpus_per_node,
             tracer=self.tracer,
             track_device_memory=spec.track_device_memory,
+            timeline=(
+                FoldedTimeline(spec.num_gpus, self.fold_decision.partition)
+                if self.fold_decision.folded else None
+            ),
         )
         self.plan = HybridParallelPlan(
             self.cluster,
@@ -140,14 +153,6 @@ class Session:
         if spec.compute_skew:
             compute_model = SkewedCompute(compute_model, dict(spec.compute_skew))
         self.compute_model = compute_model
-        #: Why this session folds (or doesn't); see repro.cluster.symmetry.
-        self.fold_decision = decide_fold(
-            spec, self.cluster.topology, compute_model=compute_model
-        )
-        if self.fold_decision.folded:
-            self.cluster.install_timeline(
-                FoldedTimeline(spec.num_gpus, self.fold_decision.partition)
-            )
         if spec.meta:
             self.model = build_model(self.config, meta=True)
         else:
@@ -344,8 +349,8 @@ class Session:
     def peak_memory_bytes(self) -> int:
         """Per-device high-watermark across the cluster."""
         return int(max(
-            self.cluster.device(rank).memory.peak_bytes
-            for rank in range(self.cluster.world_size)
+            (device.memory.peak_bytes for device in self.cluster.touched_devices()),
+            default=0,
         ))
 
     # -- sharded checkpoint-resume --------------------------------------------

@@ -330,7 +330,7 @@ class AnalyticEstimator:
         backward = _filter_events(self._recorder.events, reps)
         self._recorder.events.clear()
         shard_columns = tuple(
-            (plan.coords(param.devices[0].rank)[2], param.shard_nbytes)
+            (plan.coords(param.group.ranks[0])[2], param.shard_nbytes)
             for param in block.sharded_parameters()
         )
         probe = _BlockProbe(plan, forward, backward, shard_columns)

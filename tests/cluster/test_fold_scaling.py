@@ -1,0 +1,126 @@
+"""Scaling contract of the folded meta path: counts, not seconds.
+
+A folded run must do work proportional to its symmetry *classes*, not
+to group size or world size: every rank group's link spec is priced
+once, memory is registered on the class representatives only, and
+devices exist only once somebody asks for them.  The same code serves
+exact mode (``tracked_ranks == ranks``), so a run that unfolds mid-way
+must leave every tracker exactly as a never-folded run does.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.cluster.topology import FrontierTopology
+from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.memory.tracker import MemoryTracker
+from repro.models import PAPER_MODELS
+from repro.runtime import RunSpec
+from tests.cluster.test_fold_parity import _assert_bitwise_equal, _run
+
+#: (pp, tp, fsdp, ddp) on whole 8-GCD nodes; the pipelined grid cuts
+#: its stages at node boundaries (fold eligibility).
+GRIDS = {"3d": (1, 4, 4, 2), "pp2": (2, 4, 2, 2)}
+
+
+def _spec(grid, fold="on", num_steps=1):
+    pp, tp, fsdp, ddp = grid
+    return RunSpec(
+        config=PAPER_MODELS["orbit-1b"], num_gpus=pp * tp * fsdp * ddp,
+        gpus_per_node=8, pp_size=pp, tp_size=tp, fsdp_size=fsdp,
+        ddp_size=ddp, micro_batch=2, fold=fold, num_steps=num_steps,
+    )
+
+
+def _touched(session) -> int:
+    return sum(1 for _ in session.cluster.touched_devices())
+
+
+@pytest.fixture
+def allocate_calls(monkeypatch):
+    """Counts every ``MemoryTracker.allocate`` call while installed."""
+    calls = Counter()
+    original = MemoryTracker.allocate
+
+    def counting(self, nbytes, tag="untagged"):
+        calls["allocate"] += 1
+        return original(self, nbytes, tag)
+
+    monkeypatch.setattr(MemoryTracker, "allocate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+def test_link_spec_priced_once_per_distinct_group(monkeypatch, grid):
+    priced = Counter()
+    original = FrontierTopology.effective_bandwidth
+
+    def counting(self, ranks):
+        priced[tuple(ranks)] += 1
+        return original(self, ranks)
+
+    monkeypatch.setattr(FrontierTopology, "effective_bandwidth", counting)
+    session, modes = _run(_spec(grid, num_steps=2))
+    assert all(modes)
+    collectives = sum(
+        1 for entry in session.cluster.timeline._log if entry[0] == "comm")
+    assert priced and max(priced.values()) == 1
+    # Thousands of collectives, a handful of distinct groups.
+    assert len(priced) * 20 < collectives
+
+
+@pytest.mark.parametrize("base", [(1, 4, 2, 2), (2, 4, 2, 1)],
+                         ids=["3d", "pp2"])
+def test_memory_work_is_class_sized(allocate_calls, base):
+    """Allocations and devices depend on the class count alone:
+    doubling the DDP or the FSDP extent changes neither."""
+    pp, tp, fsdp, ddp = base
+    counts = {}
+    for label, grid in {
+        "base": base,
+        "ddp x2": (pp, tp, fsdp, 2 * ddp),
+        "fsdp x2": (pp, tp, 2 * fsdp, ddp),
+    }.items():
+        allocate_calls.clear()
+        session, modes = _run(_spec(grid))
+        assert all(modes)
+        classes = len(session.cluster.timeline.partition.keys)
+        assert classes == 2 * tp * pp
+        assert _touched(session) == classes <= session.cluster.world_size
+        counts[label] = (allocate_calls["allocate"], _touched(session))
+    assert counts["ddp x2"] == counts["base"]
+    assert counts["fsdp x2"] == counts["base"]
+
+
+@pytest.mark.parametrize("kind", [FaultKind.STRAGGLER, FaultKind.GRAD_CORRUPTION],
+                         ids=["stays-exact", "refolds"])
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+def test_unfold_backfills_trackers_to_the_never_folded_state(grid, kind):
+    """A fault at step 1 of 3 unfolds the run; from then on every
+    device's tracker must read as if the run had never folded."""
+    plan = FaultPlan(faults=(FaultSpec(kind, step=1, rank=5, factor=2.0),))
+    exact, _ = _run(_spec(grid, fold="off", num_steps=3), plan)
+    folded, modes = _run(_spec(grid, fold="on", num_steps=3), plan)
+    assert modes[:2] == [True, False]
+    assert modes[2] is (kind is FaultKind.GRAD_CORRUPTION)
+    for rank in range(exact.cluster.world_size):
+        want = exact.cluster.device(rank).memory
+        got = folded.cluster.device(rank).memory
+        assert got.category_current("params") == want.category_current("params"), rank
+        assert got.peak_bytes == want.peak_bytes, rank
+        assert got.live_allocations == want.live_allocations, rank
+    _assert_bitwise_equal(exact, folded)
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+def test_folded_results_stay_bitwise_equal_to_exact(grid):
+    """Sparse devices/ledgers and narrowed registration move no number:
+    ledgers, ``expand()`` spans, walltime and peak memory stay ``==``."""
+    exact, _ = _run(_spec(grid, fold="off", num_steps=2))
+    folded, modes = _run(_spec(grid, fold="on", num_steps=2))
+    assert all(modes)
+    _assert_bitwise_equal(exact, folded)
+    # Folded, no per-rank ledger was built and most devices never asked for.
+    assert not folded.cluster.timeline._ledgers
+    assert _touched(folded) < _touched(exact) == exact.cluster.world_size

@@ -1,8 +1,12 @@
 """Tests for the Frontier-like topology model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import FrontierTopology, LinkKind
+from repro.cluster.symmetry import _effective_specs
 
 
 class TestStructure:
@@ -78,3 +82,32 @@ class TestEffectiveBandwidth:
         topo = FrontierTopology(num_gpus=16, gpus_per_node=8)
         spec = topo.effective_bandwidth([0, 8])
         assert spec.latency_s == topo.inter_node.latency_s
+
+
+class TestVectorizedMirror:
+    """One NIC-contention rule: ``symmetry._effective_specs`` (the
+    fold-eligibility sweep) must price every group exactly as the scalar
+    ``effective_bandwidth`` the cost model charges it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_effective_specs_equal_effective_bandwidth(self, data):
+        gpus_per_node = data.draw(st.integers(1, 8), label="gpus_per_node")
+        if data.draw(st.booleans(), label="partial_node"):
+            num_gpus = data.draw(st.integers(1, gpus_per_node), label="num_gpus")
+        else:
+            num_gpus = gpus_per_node * data.draw(st.integers(1, 6), label="nodes")
+        topo = FrontierTopology(num_gpus=num_gpus, gpus_per_node=gpus_per_node)
+        group_size = data.draw(st.integers(1, num_gpus), label="group_size")
+        rows = data.draw(
+            st.lists(
+                st.permutations(range(num_gpus)).map(lambda p: p[:group_size]),
+                min_size=1, max_size=6,
+            ),
+            label="rows",
+        )
+        lat, bw = _effective_specs(topo, np.array(rows))
+        for row, row_lat, row_bw in zip(rows, lat, bw):
+            spec = topo.effective_bandwidth(row)
+            assert (float(row_lat), float(row_bw)) == \
+                (spec.latency_s, spec.bandwidth_Bps)

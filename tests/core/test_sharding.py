@@ -84,16 +84,15 @@ class TestShardedParameter:
 
     def test_device_allocation_and_free(self):
         cluster = VirtualCluster(num_gpus=2)
-        devices = [cluster.device(0), cluster.device(1)]
-        param = ShardedParameter(np.zeros((4, 4), np.float32), 2, "w", devices=devices)
+        param = ShardedParameter(np.zeros((4, 4), np.float32), 2, "w", group=cluster.world)
         assert cluster.device(0).memory.current_bytes == 32  # 8 floats
         param.free()
         assert cluster.device(0).memory.current_bytes == 0
 
-    def test_wrong_device_count_rejected(self):
+    def test_wrong_group_size_rejected(self):
         cluster = VirtualCluster(num_gpus=2)
         with pytest.raises(ValueError):
-            ShardedParameter(np.zeros(4), 2, "w", devices=[cluster.device(0)])
+            ShardedParameter(np.zeros(4), 2, "w", group=cluster.new_group([0]))
 
     def test_wrong_grad_shard_count_rejected(self):
         param = ShardedParameter(np.zeros(4), 2, "w")

@@ -36,6 +36,15 @@ class TestArchive:
             np.testing.assert_array_equal(loaded[key], value)
             assert loaded[key].dtype == value.dtype
 
+    @pytest.mark.parametrize("name", ["a", "a.ckpt"])
+    def test_suffixless_path_returns_the_file_written(self, tmp_path, name):
+        """NumPy appends ``.npz``; the returned path must be that file."""
+        path = save_archive(tmp_path / name, {"x": np.arange(3)}, {"kind": "t"})
+        assert path == tmp_path / f"{name}.npz"
+        assert path.exists() and not (tmp_path / name).exists()
+        loaded, _ = load_archive(path)
+        np.testing.assert_array_equal(loaded["x"], np.arange(3))
+
     def test_unknown_schema_rejected(self, tmp_path):
         path = save_archive(tmp_path / "a.npz", {}, {"schema": 99})
         with pytest.raises(ValueError, match="schema"):
@@ -90,6 +99,17 @@ class TestShardedSessionCheckpoint:
         assert opt_after["scalars"] == opt_before["scalars"]
         for key, value in opt_before["arrays"].items():
             np.testing.assert_array_equal(opt_after["arrays"][key], value)
+
+    def test_resume_from_path_returned_for_suffixless_save(self, tmp_path):
+        """Regression: ``save("ckpt")`` wrote ``ckpt.npz`` but returned
+        ``ckpt``, so resuming from the returned path failed."""
+        session = Session(_numeric_spec())
+        StepLoop(session.numeric_step).run(1)
+        path = session.save(tmp_path / "ckpt")
+        assert path.exists()
+        resumed = Session(_numeric_spec())
+        resumed.resume(path)
+        assert resumed.numeric_step(1) == session.numeric_step(1)
 
     def test_spec_identity_mismatch_rejected(self, tmp_path):
         session = Session(_numeric_spec())
