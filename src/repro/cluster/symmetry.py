@@ -248,16 +248,14 @@ def symmetry_blockers(spec, topology: FrontierTopology) -> list[str]:
     return blockers
 
 
-def decide_fold(spec, topology: FrontierTopology,
-                compute_model=None) -> FoldDecision:
+def decide_fold(spec, topology: FrontierTopology) -> FoldDecision:
     """Should this run fold ranks into equivalence classes?
 
     ``fold="off"`` never folds; ``"on"``/``"auto"`` fold whenever the
     run is eligible and silently fall back to exact mode otherwise
     (numeric runs, skewed compute, asymmetric topologies).  A Session
     decides before its cluster (and so its compute model) exists —
-    ``spec.compute_skew`` is the only rank-dependent model it builds;
-    callers bringing their own model pass it as ``compute_model``.
+    ``spec.compute_skew`` is the only rank-dependent model it builds.
     """
     if spec.fold == "off":
         return FoldDecision(False, "fold=off")
@@ -265,9 +263,6 @@ def decide_fold(spec, topology: FrontierTopology,
         return FoldDecision(False, "numeric runs always use exact mode")
     if spec.compute_skew:
         return FoldDecision(False, "compute_skew breaks rank symmetry")
-    if compute_model is not None and \
-            not getattr(compute_model, "rank_invariant", False):
-        return FoldDecision(False, "compute model is rank-dependent")
     blockers = symmetry_blockers(spec, topology)
     if blockers:
         return FoldDecision(False, "; ".join(blockers))

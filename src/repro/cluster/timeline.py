@@ -19,15 +19,25 @@ time passes through :meth:`Timeline.record_compute` or
 exact pre-record busy clock and the hidden/exposed split.  The default
 handle is the no-op :data:`~repro.obs.tracer.NULL_TRACER`, which keeps
 the untraced path allocation-free.
+
+Being the choke point also makes the timeline the one place an event
+stream can be *captured* and *replayed*: :meth:`Timeline.capture`
+collects the ``record_*`` calls made inside a ``with`` block and
+:meth:`Timeline.replay` makes them again — shifted, renamed — through
+the same entry points.  :meth:`FoldedTimeline.expand`, the trunk's
+depth replay (:mod:`repro.core.hybrid_block`) and the tuner's
+estimator (:mod:`repro.tune.estimator`) all run on that one replayer.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 class _NullInjector:
@@ -96,6 +106,8 @@ class Timeline:
         #: can reconstruct cross-rank dependency edges (which rank's
         #: arrival gated each collective).
         self._collective_ids = itertools.count()
+        #: Sink of the open :meth:`capture`, if any.
+        self._capture: list[tuple] | None = None
 
     @property
     def num_ranks(self) -> int:
@@ -120,6 +132,9 @@ class Timeline:
         """
         if seconds < 0:
             raise ValueError("compute seconds must be non-negative")
+        if self._capture is not None:
+            self._capture.append(("compute", rank, seconds, flops, op,
+                                  self.tracer.current_scope))
         seconds = self.injector.on_compute(rank, seconds, op)
         led = self._ledgers[rank]
         t0 = led.walltime_s
@@ -150,6 +165,10 @@ class Timeline:
         if seconds < 0:
             raise ValueError("comm seconds must be non-negative")
         ranks = tuple(ranks)
+        if self._capture is not None:
+            self._capture.append(("comm", ranks, seconds, nbytes, overlappable,
+                                  op, self.tracer.current_scope,
+                                  self.tracer.current_comm_kind))
         seconds = self.injector.on_comm(ranks, seconds, op)
         cid = next(self._collective_ids)
         for rank in ranks:
@@ -167,8 +186,111 @@ class Timeline:
             self.tracer.on_comm(rank, t0, seconds, hidden, nbytes, op, ranks, cid=cid)
 
     def record_free(self, ranks: Iterable[int], name: str, nbytes: float) -> None:
-        """Log a zero-duration release marker (freed gathered shards)."""
-        self.tracer.mark_free(self, tuple(ranks), name, nbytes)
+        """Log a zero-duration release marker (freed gathered shards).
+
+        The marker exists for the tracer alone, so an untraced exact
+        timeline neither emits nor captures it (replaying it here would
+        do nothing; a :class:`FoldedTimeline` always logs it).
+        """
+        if not self.tracer.enabled:
+            return
+        ranks = tuple(ranks)
+        if self._capture is not None:
+            self._capture.append(("free", ranks, name, nbytes,
+                                  self.tracer.current_scope))
+        self.tracer.mark_free(self, ranks, name, nbytes)
+
+    # -- event streams: capture and replay ---------------------------------
+    @contextmanager
+    def capture(self, ranks=None):
+        """Collect the event stream recorded inside the ``with`` block.
+
+        Yields a list that fills with one entry per ``record_*`` call
+        and per folded-segment marker, in the layout of
+        :attr:`FoldedTimeline._log`.  An entry is what the caller asked
+        to record — seconds as priced, *before* the fault injector
+        stretches them — plus the tracer scope and collective kind in
+        force, so :meth:`replay` of the list repeats the calls
+        themselves.  ``ranks`` narrows the finished stream to the
+        accounting that touches those ranks (an estimator simulating
+        only class representatives).
+        """
+        if self._capture is not None:
+            raise RuntimeError("a timeline capture is already open")
+        events: list[tuple] = []
+        self._capture = events
+        try:
+            yield events
+        finally:
+            self._capture = None
+            if ranks is not None:
+                events[:] = _restrict(events, ranks)
+
+    def replay(self, events, offset: int = 0, renames: tuple = ()) -> None:
+        """Record a captured (or logged) event stream on this timeline.
+
+        Every entry goes back through :meth:`record_compute` /
+        :meth:`record_comm` / :meth:`record_free`, so the injector, the
+        ledgers' overlap budgets, the collective-id sequence, the tracer
+        and a folded timeline's event log see the call sequence the
+        original code made — with ranks shifted by ``offset`` and every
+        ``(old, new)`` pair of ``renames`` substituted in op names and
+        scopes.  A segment marker re-enters :meth:`fold_iter`: a folded
+        timeline replays the body once inside the same segment, an
+        exact one unrolls it over the folded axis (rank stride and
+        per-iteration rename come from the marker).  For the duration
+        the tracer labels spans from the recorded scope and kind
+        instead of its live scope stack.
+        """
+        try:
+            self._replay(events, 0, len(events), offset, renames)
+        finally:
+            self.tracer.set_context(None)
+
+    def _replay(self, events, start, end, offset, renames):
+        # An untraced run has no scope to restore (NullTracer reads "").
+        set_context = self.tracer.set_context if self.tracer.enabled else None
+        i = start
+        while i < end:
+            entry = events[i]
+            tag = entry[0]
+            if tag == "push":
+                _, axis, count, stride, rename = entry
+                depth, j = 1, i + 1
+                while depth:
+                    t = events[j][0]
+                    depth += (t == "push") - (t == "pop")
+                    j += 1
+                for it in self.fold_iter(axis, range(count)):
+                    sub = renames
+                    if rename is not None and it > 0:
+                        sub = renames + ((rename[0], rename[1].format(it)),)
+                    self._replay(events, i + 1, j - 1, offset + it * stride, sub)
+                i = j
+                continue
+            if tag == "compute":
+                _, rank, seconds, flops, name, scope = entry
+                kind = "compute"
+            elif tag == "comm":
+                _, ranks, seconds, nbytes, overlappable, name, scope, kind = entry
+            else:  # "free"
+                _, ranks, name, nbytes, scope = entry
+                kind = "gather"
+            if renames:
+                name = _apply_renames(name, renames)
+                scope = _apply_renames(scope, renames)
+            if set_context is not None:
+                set_context(scope, kind)
+            if tag == "compute":
+                self.record_compute(rank + offset, seconds, flops, name)
+            else:
+                if offset:
+                    ranks = tuple(r + offset for r in ranks)
+                if tag == "comm":
+                    self.record_comm(ranks, seconds, nbytes, overlappable, name)
+                else:
+                    self.record_free(ranks, name, nbytes)
+            i += 1
 
     # -- symmetry folding hooks (no-ops on the exact timeline) -------------
     def fold_iter(self, axis: str, iterable):
@@ -230,49 +352,21 @@ def _apply_renames(text: str, renames: tuple) -> str:
     return text
 
 
-class _ReplayTracer:
-    """Span sink for :meth:`FoldedTimeline.expand`.
-
-    Mirrors the span construction of :class:`~repro.obs.tracer.Tracer`
-    field-for-field, but takes scope/kind from the event log (set via
-    :meth:`set_context` before each replayed event) instead of from a
-    live scope stack.
-    """
-
-    __slots__ = ("spans", "_scope", "_kind")
-
-    def __init__(self):
-        self.spans = []
-        self._scope = ""
-        self._kind = "collective"
-
-    def set_context(self, scope: str, kind: str | None) -> None:
-        self._scope = scope
-        self._kind = kind or "collective"
-
-    def on_compute(self, rank, t0, seconds, flops, op, members=None):
-        from repro.obs.tracer import Span
-
-        self.spans.append(Span("compute", op, rank, t0, seconds,
-                               flops=flops, scope=self._scope))
-
-    def on_comm(self, rank, t0, seconds, hidden_s, nbytes, op, group,
-                cid=None, members=None):
-        from repro.obs.tracer import Span
-
-        attrs = {} if cid is None else {"cid": cid}
-        self.spans.append(Span(self._kind, op, rank, t0, seconds,
-                               hidden_s=hidden_s, nbytes=nbytes,
-                               group=tuple(group), scope=self._scope,
-                               attrs=attrs))
-
-    def mark_free(self, timeline, ranks, name, nbytes):
-        from repro.obs.tracer import Span
-
-        for rank in ranks:
-            self.spans.append(Span("gather", f"free.{name}", rank,
-                                   timeline.ledger(rank).walltime_s, 0.0,
-                                   nbytes=nbytes, scope=self._scope))
+def _restrict(events, ranks) -> list[tuple]:
+    """``events`` cut down to the accounting that touches ``ranks``."""
+    kept = []
+    for event in events:
+        tag = event[0]
+        if tag == "compute":
+            if event[1] in ranks:
+                kept.append(event)
+        elif tag in ("comm", "free"):
+            touched = tuple(r for r in event[1] if r in ranks)
+            if touched:
+                kept.append((tag, touched, *event[2:]))
+        else:  # segment markers
+            kept.append(event)
+    return kept
 
 
 class FoldedTimeline(Timeline):
@@ -289,10 +383,10 @@ class FoldedTimeline(Timeline):
     the same arithmetic a member rank's ledger would see — and emits one
     class-annotated compact span at the representative rank.
 
-    :meth:`expand` replays the log through a fresh exact
-    :class:`Timeline`, unrolling segments with rank offsets (and the
-    ``trunk{d}`` rename on the DDP axis), reproducing the full per-rank
-    ledgers and span list float-for-float.
+    :meth:`expand` runs the log through :meth:`~Timeline.replay` on a
+    fresh exact :class:`Timeline`, unrolling segments with rank offsets
+    (and the ``trunk{d}`` rename on the DDP axis), reproducing the full
+    per-rank ledgers and span list float-for-float.
 
     :meth:`unfold` drops to exact per-rank recording mid-run (fault
     windows); :meth:`try_refold` returns to folded mode once every
@@ -353,14 +447,20 @@ class FoldedTimeline(Timeline):
         first = next(iter(iterable), None)
         if first is None:
             return
-        self._log.append(("push", axis, self._axis_count(axis),
-                          self._axis_stride(axis), self._RENAMES.get(axis)))
+        self._mark(("push", axis, self._axis_count(axis),
+                    self._axis_stride(axis), self._RENAMES.get(axis)))
         self._seg_stack.append(axis)
         try:
             yield first
         finally:
-            self._log.append(("pop",))
+            self._mark(("pop",))
             self._seg_stack.pop()
+
+    def _mark(self, marker: tuple) -> None:
+        """Log a segment marker, and hand it to an open capture."""
+        self._log.append(marker)
+        if self._capture is not None:
+            self._capture.append(marker)
 
     def fold_pad(self, axis: str, items: list, size: int) -> list:
         if not self._folded or len(items) >= size:
@@ -408,9 +508,11 @@ class FoldedTimeline(Timeline):
     def record_compute(self, rank, seconds, flops=0.0, op="compute"):
         if seconds < 0:
             raise ValueError("compute seconds must be non-negative")
+        scope = self.tracer.current_scope
+        if self._capture is not None:
+            self._capture.append(("compute", rank, seconds, flops, op, scope))
         seconds = self.injector.on_compute(rank, seconds, op)
-        self._log.append(("compute", rank, seconds, flops, op,
-                          self.tracer.current_scope))
+        self._log.append(("compute", rank, seconds, flops, op, scope))
         if not self._folded:
             led = self._ledgers[rank]
             t0 = led.walltime_s
@@ -432,10 +534,13 @@ class FoldedTimeline(Timeline):
         if seconds < 0:
             raise ValueError("comm seconds must be non-negative")
         ranks = tuple(ranks)
+        scope, kind = self.tracer.current_scope, self.tracer.current_comm_kind
+        if self._capture is not None:
+            self._capture.append(("comm", ranks, seconds, nbytes, overlappable,
+                                  op, scope, kind))
         seconds = self.injector.on_comm(ranks, seconds, op)
         self._log.append(("comm", ranks, seconds, nbytes, overlappable, op,
-                          self.tracer.current_scope,
-                          self.tracer.current_comm_kind))
+                          scope, kind))
         cid = next(self._collective_ids)
         if not self._folded:
             for rank in ranks:
@@ -470,8 +575,10 @@ class FoldedTimeline(Timeline):
 
     def record_free(self, ranks, name, nbytes):
         ranks = tuple(ranks)
-        self._log.append(("free", ranks, name, nbytes,
-                          self.tracer.current_scope))
+        entry = ("free", ranks, name, nbytes, self.tracer.current_scope)
+        if self._capture is not None:
+            self._capture.append(entry)
+        self._log.append(entry)
         if not self._folded:
             self.tracer.mark_free(self, ranks, name, nbytes)
             return
@@ -556,45 +663,7 @@ class FoldedTimeline(Timeline):
         list bitwise equal to what an exact-mode run of the same
         workload records (same floats, same order, same collective ids).
         """
-        tracer = _ReplayTracer()
-        replay = Timeline(self.num_ranks, tracer=tracer)
-        self._replay(self._log, 0, len(self._log), replay, tracer, 0, ())
-        return replay._ledgers, tracer.spans
-
-    def _replay(self, log, start, end, replay, tracer, offset, renames):
-        i = start
-        while i < end:
-            entry = log[i]
-            tag = entry[0]
-            if tag == "push":
-                _, axis, count, stride, rename = entry
-                depth, j = 1, i + 1
-                while depth:
-                    t = log[j][0]
-                    depth += (t == "push") - (t == "pop")
-                    j += 1
-                for it in range(count):
-                    sub = renames
-                    if rename is not None and it > 0:
-                        sub = renames + ((rename[0], rename[1].format(it)),)
-                    self._replay(log, i + 1, j - 1, replay, tracer,
-                                 offset + it * stride, sub)
-                i = j
-                continue
-            if tag == "compute":
-                _, rank, seconds, flops, op, scope = entry
-                tracer.set_context(_apply_renames(scope, renames), "compute")
-                replay.record_compute(rank + offset, seconds, flops,
-                                      op=_apply_renames(op, renames))
-            elif tag == "comm":
-                _, ranks, seconds, nbytes, overlappable, op, scope, kind = entry
-                tracer.set_context(_apply_renames(scope, renames), kind)
-                replay.record_comm(tuple(r + offset for r in ranks), seconds,
-                                   nbytes, overlappable=overlappable,
-                                   op=_apply_renames(op, renames))
-            elif tag == "free":
-                _, ranks, name, nbytes, scope = entry
-                tracer.set_context(_apply_renames(scope, renames), "gather")
-                replay.record_free(tuple(r + offset for r in ranks),
-                                   _apply_renames(name, renames), nbytes)
-            i += 1
+        tracer = Tracer(metrics=NULL_METRICS)
+        exact = Timeline(self.num_ranks, tracer=tracer)
+        exact.replay(self._log)
+        return exact._ledgers, tracer.spans

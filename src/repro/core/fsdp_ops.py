@@ -32,11 +32,10 @@ class GatheredParam:
     the gathered-shard lifetime, not just the gather.
     """
 
-    def __init__(self, data, allocation=None, *, tracer=None, timeline=None,
+    def __init__(self, data, allocation=None, *, timeline=None,
                  ranks=(), name="param", nbytes=0.0):
         self.data = data
         self._allocation = allocation
-        self._tracer = tracer
         self._timeline = timeline
         self._ranks = tuple(ranks)
         self._name = name
@@ -53,8 +52,6 @@ class GatheredParam:
             # Routed through the timeline so a folded run logs the
             # release for replay; lands on Tracer.mark_free either way.
             self._timeline.record_free(self._ranks, self._name, self._nbytes)
-        elif self._tracer is not None:
-            self._tracer.mark_free(self._timeline, self._ranks, self._name, self._nbytes)
 
     def __enter__(self):
         return self
@@ -82,8 +79,7 @@ def gather_param(
         raise ValueError(
             f"{param.name}: {param.num_shards} shards but group size {group.size}"
         )
-    tracer = group.cluster.tracer
-    with tracer.scope("gather", param.name, kind="gather"):
+    with group.cluster.tracer.scope("gather", param.name, kind="gather"):
         gathered = all_gather(group, param.shards, overlappable=overlappable)
     nbytes = nbytes_of(gathered[0])
     allocation = None
@@ -95,7 +91,7 @@ def gather_param(
     full = flat_unshard([gathered[0]], param.logical_shape)
     return GatheredParam(
         full, allocation,
-        tracer=tracer, timeline=group.cluster.timeline, ranks=group.ranks,
+        timeline=group.cluster.timeline, ranks=group.ranks,
         name=param.name, nbytes=nbytes,
     )
 

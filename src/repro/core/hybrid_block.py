@@ -21,6 +21,19 @@ toggles:
   each block's input; the backward pass re-runs the block forward —
   re-gathering its shards and re-paying its compute — before
   backpropagating through it, the Table I "+ckpt" policy.
+
+**Depth replay.**  The blocks of a trunk are identical, so on shape-only
+(:class:`~repro.meta.MetaArray`) inputs every block records the same
+event stream under a different name.  The trunk then *executes* only
+the first block it reaches in each direction, with the timeline
+capturing that block's ``record_*`` calls, and makes them again for
+the other blocks (:meth:`~repro.cluster.timeline.Timeline.replay`)
+with the ``blockI -> blockJ`` rename — same ledgers, spans,
+collective ids and injector calls, without the shape math above the
+timeline.  Numeric inputs execute every block;
+:meth:`HybridSTOPTrunk.forward_every_block` /
+:meth:`~HybridSTOPTrunk.backward_every_block` do so on any input and
+are the oracle the replay is tested against.
 """
 
 from __future__ import annotations
@@ -31,9 +44,10 @@ from repro.core.fsdp_ops import reduce_scatter_grads
 from repro.core.hybrid_attention import HybridSTOPAttention
 from repro.core.hybrid_linear import HybridSTOPMLP
 from repro.core.sharding import ShardedParameter
-from repro.meta import nbytes_of
+from repro.meta import is_meta, nbytes_of
 from repro.nn import functional as F
 from repro.nn import ops
+from repro.nn.context import ExecutionContext, execution_context, record_flops
 from repro.nn.transformer import TransformerBlock, TransformerStack
 
 
@@ -160,6 +174,23 @@ class HybridSTOPBlock(HybridModuleBase):
         ]
         return grad_x
 
+    def mirror(self, executed: "HybridSTOPBlock") -> None:
+        """Take on the state an identical block's forward/backward left.
+
+        Depth replay records this block's events without running it.
+        What later code reads from a block — the cache that pairs a
+        backward with its forward, the reduced gradient shards the DDP
+        reduction walks — is shape-only in meta mode and the same for
+        every block, so the ``executed`` block's objects stand in.
+        """
+        self._cache = executed._cache
+        for mine, theirs in zip(self.submodules, executed.submodules):
+            mine._cache = theirs._cache
+        for mine, theirs in zip(self.sharded_parameters(),
+                                executed.sharded_parameters()):
+            shards = theirs.grad_shards
+            mine.grad_shards = None if shards is None else list(shards)
+
     def gathered_param_bytes(self) -> int:
         """Bytes a device holds when this layer's shards are materialized."""
         total = 0
@@ -207,6 +238,12 @@ class HybridSTOPTrunk(HybridModuleBase):
         if not layer_wrapping:
             for block in self.blocks:
                 block.set_track_gather_memory(False)
+        #: Depth replay stands block 0's event stream in for every
+        #: block's, which holds when they all shard the same shapes (a
+        #: hand-built template need not).
+        shapes = [[p.logical_shape for p in block.sharded_parameters()]
+                  for block in self.blocks]
+        self._uniform = all(s == shapes[0] for s in shapes[1:])
 
     def sharded_parameters(self):
         return [p for block in self.blocks for p in block.sharded_parameters()]
@@ -233,30 +270,92 @@ class HybridSTOPTrunk(HybridModuleBase):
             self._wholesale_alloc = None
 
     def forward(self, xs: list) -> list:
+        return self._forward(xs, replay=self._replayable(xs))
+
+    def backward(self, grad_ys: list) -> list:
+        return self._backward(grad_ys, replay=self._replayable(grad_ys))
+
+    def forward_every_block(self, xs: list) -> list:
+        """:meth:`forward` without depth replay — its oracle."""
+        return self._forward(xs, replay=False)
+
+    def backward_every_block(self, grad_ys: list) -> list:
+        """:meth:`backward` without depth replay — its oracle."""
+        return self._backward(grad_ys, replay=False)
+
+    def _replayable(self, arrays: list) -> bool:
+        """Shape-only inputs: every block would record block 0's stream."""
+        return (len(self.blocks) > 1 and self._uniform
+                and all(map(is_meta, arrays)))
+
+    def _forward(self, xs: list, replay: bool) -> list:
         if not self.layer_wrapping:
             self._acquire_all_layers()
-        self._saved_inputs = []
-        for block in self.blocks:
-            if self.recompute:
-                self._saved_inputs.append(xs)
-            xs = block.forward(xs)
+        blocks = self.blocks
+        if replay:
+            # A block preserves its input's shape, so block 0's input
+            # and output stand in for every later block's.
+            self._saved_inputs = [xs] * len(blocks) if self.recompute else []
+            first = blocks[0]
+            xs = self._run_and_replay(
+                first, blocks[1:], lambda: first.forward(xs))
+        else:
+            self._saved_inputs = []
+            for block in blocks:
+                if self.recompute:
+                    self._saved_inputs.append(xs)
+                xs = block.forward(xs)
         self._cache = True
         return xs
 
-    def backward(self, grad_ys: list) -> list:
+    def _backward(self, grad_ys: list, replay: bool) -> list:
         self._require_cache()
         self._cache = None
-        for index in reversed(range(len(self.blocks))):
-            block = self.blocks[index]
-            if self.recompute:
-                # Checkpointing re-runs the block forward from its saved
-                # input, re-gathering shards and re-paying the compute.
-                block.forward(self._saved_inputs[index])
-            grad_ys = block.backward(grad_ys)
+        blocks = self.blocks
+        if replay:
+            last = len(blocks) - 1
+            grad_ys = self._run_and_replay(
+                blocks[last], blocks[-2::-1],
+                lambda: self._block_backward(blocks[last], last, grad_ys))
+        else:
+            for index in reversed(range(len(blocks))):
+                grad_ys = self._block_backward(blocks[index], index, grad_ys)
         self._saved_inputs = []
         if not self.layer_wrapping:
             self._release_all_layers()
         return grad_ys
+
+    def _block_backward(self, block, index: int, grad_ys: list) -> list:
+        if self.recompute:
+            # Checkpointing re-runs the block forward from its saved
+            # input, re-gathering shards and re-paying the compute.
+            block.forward(self._saved_inputs[index])
+        return block.backward(grad_ys)
+
+    def _run_and_replay(self, executed, others, run):
+        """``run`` one block for real and replay its event stream for ``others``.
+
+        The captured stream holds what the block asked the timeline to
+        record (pre-injector seconds, scope, kind, fold segments), so
+        replaying it — ``executed``'s name swapped for each other
+        block's — is the call sequence those blocks would have made.
+        Not replayed: the transient gather allocations, which every
+        block makes and frees identically against the same persistent
+        bytes, so the executed block alone sets each device's peak.
+        """
+        timeline = self.plan.cluster.timeline
+        flops = ExecutionContext()
+        with timeline.capture() as events, execution_context(flops):
+            out = run()
+        other_flops = flops.flops - flops.matmul_flops
+        for block in others:
+            timeline.replay(
+                events, renames=((f"{executed.name}.", f"{block.name}."),))
+            block.mirror(executed)
+            # Enclosing profilers see the replayed blocks' FLOPs too.
+            record_flops(flops.matmul_flops, matmul=True)
+            record_flops(other_flops)
+        return out
 
     def gathered_grads(self) -> dict:
         grads = {}

@@ -131,6 +131,8 @@ class Tracer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._scope_parts: list[str] = []
         self._kind_override: list[str] = []
+        #: ``(scope, comm kind)`` of the event being replayed, if any.
+        self._context: tuple[str, str] | None = None
 
     # -- scoping ------------------------------------------------------------
     @contextmanager
@@ -166,13 +168,27 @@ class Tracer:
                 phase = part
         return {"step": step, "phase": phase}
 
+    def set_context(self, scope: str | None, kind: str | None = None) -> None:
+        """Label spans from a *recorded* scope and collective kind.
+
+        :meth:`~repro.cluster.timeline.Timeline.replay` sets this before
+        each event it re-records, so the spans (and a folded timeline's
+        log) carry the scope the original call was made under;
+        ``scope=None`` returns to the live scope stack.
+        """
+        self._context = None if scope is None else (scope, kind)
+
     @property
     def current_scope(self) -> str:
+        if self._context is not None:
+            return self._context[0]
         return "/".join(self._scope_parts)
 
     @property
     def current_comm_kind(self) -> str:
         """Span kind the active scope assigns to collectives."""
+        if self._context is not None:
+            return self._context[1]
         return self._kind_override[-1] if self._kind_override else "collective"
 
     # -- recording ----------------------------------------------------------
@@ -303,6 +319,9 @@ class NullTracer:
 
     def scope(self, *parts, kind: str | None = None):
         return _NULL_SCOPE
+
+    def set_context(self, scope, kind=None) -> None:
+        pass
 
     @property
     def current_scope(self) -> str:

@@ -25,12 +25,6 @@ class PeakFractionCompute:
     checkpointing row of Table I.
     """
 
-    #: Same FLOPs -> same seconds on every rank (Frontier GCDs are
-    #: homogeneous); the symmetry-folding eligibility check keys off
-    #: this.  Wrappers that break it (SkewedCompute) simply lack the
-    #: attribute.
-    rank_invariant = True
-
     def __init__(
         self,
         cluster: VirtualCluster,

@@ -15,14 +15,17 @@ structural facts that make this exact rather than approximate:
   shapes), so one block is probed and replayed ``depth`` times.
 
 The probe runs the *real* :class:`~repro.core.hybrid_block.HybridSTOPBlock`
-code path on shape-only meta arrays against a recording timeline: FLOP
-counts come from the meta op layer and collective seconds from the
-alpha-beta :class:`~repro.cluster.costmodel.CollectiveCostModel` along
-the plan's true group layout.  The captured per-block stream — plus
-closed-form events for the dense front/head, the replicated-dense
-gradient sync, and the DDP shard reductions — is replayed through a
-fresh timeline, reproducing the engine's overlap accounting (prefetch
-hiding, budget resets) exactly.  Cost: one block's events instead of
+code path on shape-only meta arrays inside a
+:meth:`~repro.cluster.timeline.Timeline.capture`: FLOP counts come from
+the meta op layer and collective seconds from the alpha-beta
+:class:`~repro.cluster.costmodel.CollectiveCostModel` along the plan's
+true group layout.  The captured per-block stream — plus closed-form
+events for the dense front/head, the replicated-dense gradient sync,
+and the DDP shard reductions — goes through
+:meth:`~repro.cluster.timeline.Timeline.replay` on a fresh timeline (the
+replayer the trunk's own depth replay and ``FoldedTimeline.expand`` run
+on), reproducing the engine's overlap accounting (prefetch hiding,
+budget resets) exactly.  Cost: one block's events instead of
 ``ddp * depth`` blocks plus engine construction, roughly two orders of
 magnitude cheaper than the simulation it predicts.
 
@@ -34,7 +37,6 @@ optimizer states, activations), which is what prunes OOM candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.cluster.timeline import Timeline
 from repro.memory.estimator import MemoryModel, Parallelism, TrainingSetup
@@ -136,23 +138,6 @@ def _class_representative(candidate: Candidate, rank: int) -> int:
     return stage * stage_size + rep
 
 
-class _RecordingTimeline(Timeline):
-    """Timeline that also captures every event for later replay."""
-
-    def __init__(self, num_ranks: int):
-        super().__init__(num_ranks)
-        self.events: list[tuple] = []
-
-    def record_compute(self, rank, seconds, flops=0.0, op="compute"):
-        self.events.append(("compute", rank, seconds, flops, op))
-        super().record_compute(rank, seconds, flops, op)
-
-    def record_comm(self, ranks, seconds, nbytes, overlappable=False, op="comm"):
-        ranks = tuple(ranks)
-        self.events.append(("comm", ranks, seconds, nbytes, overlappable, op))
-        super().record_comm(ranks, seconds, nbytes, overlappable=overlappable, op=op)
-
-
 @dataclass(frozen=True)
 class _BlockProbe:
     """One trunk block's event stream, pre-filtered to the rank classes."""
@@ -185,20 +170,6 @@ class _DenseProbe:
         return sum(self.param_nbytes)
 
 
-def _filter_events(events: Iterable[tuple], reps: frozenset[int]) -> tuple[tuple, ...]:
-    """Keep only the accounting that touches a representative rank."""
-    kept = []
-    for event in events:
-        if event[0] == "compute":
-            if event[1] in reps:
-                kept.append(event)
-        else:
-            ranks = tuple(r for r in event[1] if r in reps)
-            if ranks:
-                kept.append(("comm", ranks, *event[2:]))
-    return tuple(kept)
-
-
 class AnalyticEstimator:
     """Scores candidates of one (model, topology) request analytically."""
 
@@ -215,12 +186,10 @@ class AnalyticEstimator:
         self.gpus_per_node = gpus_per_node
         self.memory_model = memory_model if memory_model is not None else MemoryModel()
         # One shared probe cluster: all candidates factorize the same
-        # world, and the recording timeline is reset per probe.
+        # world, and its timeline is reset per probe.
         self._cluster = build_cluster(
             num_gpus, gpus_per_node, track_device_memory=False
         )
-        self._recorder = _RecordingTimeline(num_gpus)
-        self._cluster.timeline = self._recorder
         self._compute_model = PeakFractionCompute(self._cluster, efficiency=efficiency)
         self._model = None
         self._block_probes: dict[tuple, _BlockProbe] = {}
@@ -321,19 +290,17 @@ class AnalyticEstimator:
             (candidate.micro_batch, cfg.num_patches, cfg.embed_dim),
             fsdp_size=candidate.fsdp_size,
         )
-        self._recorder.reset()
-        self._recorder.events.clear()
-        ys = block.forward(xs)
-        forward = _filter_events(self._recorder.events, reps)
-        self._recorder.events.clear()
-        block.backward([MetaArray(y.shape) for y in ys])
-        backward = _filter_events(self._recorder.events, reps)
-        self._recorder.events.clear()
+        timeline = self._cluster.timeline
+        timeline.reset()
+        with timeline.capture(ranks=reps) as forward:
+            ys = block.forward(xs)
+        with timeline.capture(ranks=reps) as backward:
+            block.backward([MetaArray(y.shape) for y in ys])
         shard_columns = tuple(
             (plan.coords(param.group.ranks[0])[2], param.shard_nbytes)
             for param in block.sharded_parameters()
         )
-        probe = _BlockProbe(plan, forward, backward, shard_columns)
+        probe = _BlockProbe(plan, tuple(forward), tuple(backward), shard_columns)
         self._block_probes[key] = probe
         return probe
 
@@ -385,16 +352,6 @@ class AnalyticEstimator:
         reps = [plan.rank(0, 0, k) for k in range(candidate.tp_size)]
         lead = reps[0]
 
-        def replay(events: tuple[tuple, ...]) -> None:
-            for event in events:
-                if event[0] == "compute":
-                    timeline.record_compute(*event[1:])
-                else:
-                    _, ranks, seconds, nbytes, overlappable, op = event
-                    timeline.record_comm(
-                        ranks, seconds, nbytes, overlappable=overlappable, op=op
-                    )
-
         def dense_compute(flops: float, op: str) -> None:
             timeline.record_compute(
                 lead, self._compute_model.seconds_for(flops, lead), flops, op=op
@@ -403,7 +360,7 @@ class AnalyticEstimator:
         # Forward: per-FSDP dense front, depth trunk blocks, dense head.
         dense_compute(dense.front_fwd_flops, "dense.front")
         for _ in range(cfg.depth):
-            replay(probe.forward)
+            timeline.replay(probe.forward)
         dense_compute(dense.head_fwd_flops, "dense.head")
         # Backward (reverse order); checkpointing re-runs each block's
         # forward — re-gathering and re-paying compute — before its
@@ -411,8 +368,8 @@ class AnalyticEstimator:
         dense_compute(dense.head_bwd_flops, "dense.head")
         for _ in range(cfg.depth):
             if candidate.recompute:
-                replay(probe.forward)
-            replay(probe.backward)
+                timeline.replay(probe.forward)
+            timeline.replay(probe.backward)
         dense_compute(dense.front_bwd_flops, "dense.front")
 
         cost_model = self._cluster.cost_model
@@ -491,18 +448,6 @@ class AnalyticEstimator:
         def stage_reps(s: int) -> list[int]:
             return [s * stage_size + plan.rank(0, 0, k) for k in range(K)]
 
-        def replay(events: tuple[tuple, ...], offset: int) -> None:
-            for event in events:
-                if event[0] == "compute":
-                    _, rank, seconds, flops, op = event
-                    timeline.record_compute(rank + offset, seconds, flops, op)
-                else:
-                    _, ranks, seconds, nbytes, overlappable, op = event
-                    timeline.record_comm(
-                        [r + offset for r in ranks], seconds, nbytes,
-                        overlappable=overlappable, op=op,
-                    )
-
         def dense_compute(rank: int, flops: float, op: str) -> None:
             timeline.record_compute(
                 rank, self._compute_model.seconds_for(flops, rank), flops, op=op
@@ -530,7 +475,7 @@ class AnalyticEstimator:
                               dense.front_fwd_flops, "dense.front")
             start, end = bounds[s]
             for _ in range(end - start):
-                replay(probe.forward, offset)
+                timeline.replay(probe.forward, offset)
             if s + 1 < S:
                 boundary(s, s + 1, "pipeline.send")
             if s == S - 1:
@@ -545,8 +490,8 @@ class AnalyticEstimator:
             start, end = bounds[s]
             for _ in range(end - start):
                 if candidate.recompute:
-                    replay(probe.forward, offset)
-                replay(probe.backward, offset)
+                    timeline.replay(probe.forward, offset)
+                timeline.replay(probe.backward, offset)
             if s > 0:
                 boundary(s, s - 1, "pipeline.grad_send")
             if s == 0:

@@ -108,7 +108,7 @@ class TestFoldedExactParity:
     @given(
         grid=st.sampled_from(LEGAL_GRIDS),
         micro_batch=st.integers(min_value=1, max_value=3),
-        depth=st.integers(min_value=1, max_value=2),
+        depth=st.integers(min_value=1, max_value=4),
         prefetch=st.booleans(),
         recompute=st.booleans(),
         num_steps=st.integers(min_value=1, max_value=2),
