@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -129,6 +129,10 @@ class BenchRecord:
     peak_memory_bytes: int
     bound_resource: str
     spans: int
+    #: The :func:`~repro.obs.critical_path.analyze_trace` result the
+    #: numbers above were read from, kept for callers that explain the
+    #: step (the tuner's report); not part of :meth:`as_dict`.
+    decomposition: object = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         from repro.runtime import policy_field_names
@@ -182,6 +186,7 @@ def run_case(case: BenchCase, config=None, tracer=None,
         peak_memory_bytes=session.peak_memory_bytes(),
         bound_resource=decomposition.bound_resource,
         spans=len(tracer.spans),
+        decomposition=decomposition,
     )
     _LOG.info(
         "bench %s: step %.6f s, %s-bound, exposed-comm %.3f, peak %.2f GiB",

@@ -213,7 +213,9 @@ class Timeline:
         force, so :meth:`replay` of the list repeats the calls
         themselves.  ``ranks`` narrows the finished stream to the
         accounting that touches those ranks (an estimator simulating
-        only class representatives).
+        only class representatives) and flattens it: a folded segment
+        is resolved into the iterations that touch ``ranks``, so the
+        narrowed capture of a folded run ``==`` that of an exact one.
         """
         if self._capture is not None:
             raise RuntimeError("a timeline capture is already open")
@@ -224,7 +226,7 @@ class Timeline:
         finally:
             self._capture = None
             if ranks is not None:
-                events[:] = _restrict(events, ranks)
+                events[:] = _restrict(events, ranks, self.tracer.enabled)
 
     def replay(self, events, offset: int = 0, renames: tuple = ()) -> None:
         """Record a captured (or logged) event stream on this timeline.
@@ -256,16 +258,10 @@ class Timeline:
             tag = entry[0]
             if tag == "push":
                 _, axis, count, stride, rename = entry
-                depth, j = 1, i + 1
-                while depth:
-                    t = events[j][0]
-                    depth += (t == "push") - (t == "pop")
-                    j += 1
+                j = _segment_end(events, i)
                 for it in self.fold_iter(axis, range(count)):
-                    sub = renames
-                    if rename is not None and it > 0:
-                        sub = renames + ((rename[0], rename[1].format(it)),)
-                    self._replay(events, i + 1, j - 1, offset + it * stride, sub)
+                    self._replay(events, i + 1, j - 1, offset + it * stride,
+                                 _iteration_renames(renames, rename, it))
                 i = j
                 continue
             if tag == "compute":
@@ -352,20 +348,74 @@ def _apply_renames(text: str, renames: tuple) -> str:
     return text
 
 
-def _restrict(events, ranks) -> list[tuple]:
-    """``events`` cut down to the accounting that touches ``ranks``."""
+#: Where each kind of entry keeps its op name and its tracer scope.
+_NAME_AND_SCOPE = {"compute": (4, 5), "comm": (5, 6), "free": (2, 4)}
+
+
+def _segment_end(events, push: int) -> int:
+    """Index just past the ``pop`` that closes the segment opened at ``push``."""
+    depth, j = 1, push + 1
+    while depth:
+        tag = events[j][0]
+        depth += (tag == "push") - (tag == "pop")
+        j += 1
+    return j
+
+
+def _iteration_renames(renames: tuple, rename, it: int) -> tuple:
+    """``renames`` plus a segment's own rename for its iteration ``it``."""
+    if rename is None or it == 0:
+        return renames
+    return renames + ((rename[0], rename[1].format(it)),)
+
+
+def _restrict(events, ranks, keep_free, start=0, end=None, offset=0,
+              renames=()) -> list[tuple]:
+    """``events`` cut down to the accounting that touches ``ranks``.
+
+    The result is flat.  A folded segment stands for ``count``
+    iterations at a rank stride, and passing its markers through would
+    have a replay unroll every one of them — the work the caller asked
+    to exclude — so each iteration is narrowed on its own, with the
+    shift and rename :meth:`Timeline.replay` would apply, and only what
+    still touches ``ranks`` is kept.  ``keep_free`` is whether the
+    capturing timeline was traced: an untraced exact timeline never
+    records a release marker, an untraced folded one logs them for
+    :meth:`FoldedTimeline.expand` alone.
+    """
     kept = []
-    for event in events:
+    i = start
+    end = len(events) if end is None else end
+    while i < end:
+        event = events[i]
         tag = event[0]
+        if tag == "push":
+            _, _, count, stride, rename = event
+            j = _segment_end(events, i)
+            for it in range(count):
+                kept += _restrict(
+                    events, ranks, keep_free, i + 1, j - 1,
+                    offset + it * stride,
+                    _iteration_renames(renames, rename, it))
+            i = j
+            continue
+        i += 1
+        if tag == "free" and not keep_free:
+            continue
         if tag == "compute":
-            if event[1] in ranks:
-                kept.append(event)
-        elif tag in ("comm", "free"):
-            touched = tuple(r for r in event[1] if r in ranks)
-            if touched:
-                kept.append((tag, touched, *event[2:]))
-        else:  # segment markers
-            kept.append(event)
+            touched = event[1] + offset
+            if touched not in ranks:
+                continue
+        else:
+            group = [r + offset for r in event[1]] if offset else event[1]
+            touched = tuple(r for r in group if r in ranks)
+            if not touched:
+                continue
+        if renames:
+            event = list(event)
+            for at in _NAME_AND_SCOPE[tag]:
+                event[at] = _apply_renames(event[at], renames)
+        kept.append((tag, touched, *event[2:]))
     return kept
 
 

@@ -25,9 +25,19 @@ and the DDP shard reductions — goes through
 :meth:`~repro.cluster.timeline.Timeline.replay` on a fresh timeline (the
 replayer the trunk's own depth replay and ``FoldedTimeline.expand`` run
 on), reproducing the engine's overlap accounting (prefetch hiding,
-budget resets) exactly.  Cost: one block's events instead of
-``ddp * depth`` blocks plus engine construction, roughly two orders of
-magnitude cheaper than the simulation it predicts.
+budget resets) exactly.
+
+Cost is class-sized.  The probe block runs on a
+:class:`~repro.cluster.timeline.FoldedTimeline`, so its per-shard loops
+execute ``f = 0`` only — ``tp`` iterations, not ``tp * fsdp`` — and the
+narrowed capture keeps exactly the representatives' events (iteration 0
+and the FSDP collectives around it are theirs on any layout, so no
+fold-eligibility check is involved).  Probes are memoized per
+``(tp, fsdp, tp_innermost, prefetch, micro_batch)``: the stage-0,
+replica-0 ranks the block runs on do not depend on how the rest of the
+machine splits into DDP x PP, and ``recompute`` is replay-only.  A
+candidate then costs ``depth`` replays of a ``tp``-rank stream instead
+of ``ddp * depth`` executed blocks plus engine construction.
 
 Peak memory comes from the closed-form
 :class:`~repro.memory.estimator.MemoryModel` (real-machine bytes:
@@ -38,7 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.timeline import Timeline
+from repro.cluster.symmetry import RankClassPartition
+from repro.cluster.timeline import FoldedTimeline, Timeline
 from repro.memory.estimator import MemoryModel, Parallelism, TrainingSetup
 from repro.meta import MetaArray, nbytes_of
 from repro.models.climax_vit import build_model
@@ -114,6 +125,14 @@ class _DegradedReplayTimeline(Timeline):
         )
 
 
+def _grid(candidate: Candidate) -> RankClassPartition:
+    """Rank arithmetic of ``candidate``'s (PP, DDP, FSDP, TP) layout."""
+    return RankClassPartition(
+        candidate.tp_size, candidate.fsdp_size, candidate.ddp_size,
+        candidate.tp_innermost, candidate.pp_size,
+    )
+
+
 def _class_representative(candidate: Candidate, rank: int) -> int:
     """The estimator's replay rank standing in for physical ``rank``.
 
@@ -125,24 +144,15 @@ def _class_representative(candidate: Candidate, rank: int) -> int:
     can only overstate the current plan's degradation, never invent a
     difference between candidates) otherwise.
     """
-    tp, fsdp = candidate.tp_size, candidate.fsdp_size
-    stage_size = tp * fsdp * candidate.ddp_size
-    stage, within = divmod(rank, stage_size)
-    per_replica = tp * fsdp
-    if candidate.tp_innermost:
-        k = within % tp
-        rep = k
-    else:
-        k = (within % per_replica) // fsdp
-        rep = k * fsdp
-    return stage * stage_size + rep
+    grid = _grid(candidate)
+    _, _, k = grid.coords(rank)
+    return grid.stage_of(rank) * grid.stage_size + grid.rank(0, 0, k)
 
 
 @dataclass(frozen=True)
 class _BlockProbe:
     """One trunk block's event stream, pre-filtered to the rank classes."""
 
-    plan: HybridParallelPlan
     forward: tuple[tuple, ...]
     backward: tuple[tuple, ...]
     #: (tensor-parallel column, shard bytes) of each sharded parameter —
@@ -255,54 +265,77 @@ class AnalyticEstimator:
         return probe
 
     def _block_probe(self, candidate: Candidate) -> _BlockProbe:
-        """Run one real trunk block in meta mode and capture its events."""
+        """The memoized probe of ``candidate``'s block shape and group layout.
+
+        The block runs on the stage-0, replica-0 ranks ``rank(0, f, k)``,
+        which do not depend on how the rest of the machine splits into
+        DDP x PP — so neither does the key.
+        """
         key = (
-            candidate.tp_size, candidate.fsdp_size, candidate.ddp_size,
-            candidate.tp_innermost, candidate.prefetch, candidate.micro_batch,
+            candidate.tp_size, candidate.fsdp_size, candidate.tp_innermost,
+            candidate.prefetch, candidate.micro_batch,
         )
-        if key in self._block_probes:
-            return self._block_probes[key]
+        probe = self._block_probes.get(key)
+        if probe is None:
+            probe = self._block_probes[key] = self._probe_block(
+                candidate,
+                FoldedTimeline(self.num_gpus, self._probe_grid(candidate)),
+            )
+        return probe
+
+    def _probe_grid(self, candidate: Candidate) -> RankClassPartition:
+        """``candidate``'s (TP, FSDP) layout, the rest of the machine
+        on the DDP axis: the grid every probe sharing its key runs on."""
+        per_replica = candidate.tp_size * candidate.fsdp_size
+        return RankClassPartition(
+            candidate.tp_size, candidate.fsdp_size,
+            self.num_gpus // per_replica, candidate.tp_innermost,
+        )
+
+    def _probe_block(self, candidate: Candidate, timeline: Timeline) -> _BlockProbe:
+        """Run one real trunk block in meta mode on ``timeline`` and
+        capture the representatives' events.
+
+        A :class:`~repro.cluster.timeline.FoldedTimeline` executes shard
+        0 of each ``f`` loop only; an exact ``Timeline(num_gpus)``
+        executes them all and is the oracle — the narrowed captures are
+        ``==`` on any layout, fold-eligible or not (module docstring).
+        """
         from repro.core.hybrid_block import HybridSTOPBlock
 
         cfg = self.config
+        grid = self._probe_grid(candidate)
+        self._cluster.install_timeline(timeline)
         plan = HybridParallelPlan(
             self._cluster,
-            tp_size=candidate.tp_size,
-            fsdp_size=candidate.fsdp_size,
-            ddp_size=candidate.ddp_size,
-            tp_innermost=candidate.tp_innermost,
-            pp_size=candidate.pp_size,
+            tp_size=grid.tp_size,
+            fsdp_size=grid.fsdp_size,
+            ddp_size=grid.ddp_size,
+            tp_innermost=grid.tp_innermost,
         )
         serial = TransformerBlock(
             cfg.embed_dim, cfg.num_heads, mlp_ratio=cfg.mlp_ratio,
             qk_layernorm=cfg.qk_layernorm, meta=True,
         )
-        # The probe always runs on stage 0's sub-grid (the whole plan at
-        # pp=1): every stage is a rank-offset copy, so the captured
-        # stream replays at any stage by shifting ranks.
         block = HybridSTOPBlock(
-            serial, plan.stage_plan(0), ddp_index=0, prefetch=candidate.prefetch,
+            serial, plan, ddp_index=0, prefetch=candidate.prefetch,
             compute_model=self._compute_model, name="probe",
         )
         block.set_track_gather_memory(False)
-        reps = frozenset(plan.rank(0, 0, k) for k in range(candidate.tp_size))
+        reps = frozenset(grid.rank(0, 0, k) for k in range(grid.tp_size))
         xs = fabricate_batch(
             (candidate.micro_batch, cfg.num_patches, cfg.embed_dim),
             fsdp_size=candidate.fsdp_size,
         )
-        timeline = self._cluster.timeline
-        timeline.reset()
         with timeline.capture(ranks=reps) as forward:
             ys = block.forward(xs)
         with timeline.capture(ranks=reps) as backward:
             block.backward([MetaArray(y.shape) for y in ys])
         shard_columns = tuple(
-            (plan.coords(param.group.ranks[0])[2], param.shard_nbytes)
+            (grid.coords(param.group.ranks[0])[2], param.shard_nbytes)
             for param in block.sharded_parameters()
         )
-        probe = _BlockProbe(plan, tuple(forward), tuple(backward), shard_columns)
-        self._block_probes[key] = probe
-        return probe
+        return _BlockProbe(tuple(forward), tuple(backward), shard_columns)
 
     # -- replay -----------------------------------------------------------------
     def _replay_timeline(self, candidate: Candidate, degradation) -> Timeline:
@@ -346,10 +379,10 @@ class AnalyticEstimator:
                                             degradation=degradation)
         probe = self._block_probe(candidate)
         dense = self._dense_probe(candidate.micro_batch)
-        plan = probe.plan
+        grid = _grid(candidate)
         cfg = self.config
         timeline = self._replay_timeline(candidate, degradation)
-        reps = [plan.rank(0, 0, k) for k in range(candidate.tp_size)]
+        reps = [grid.rank(0, 0, k) for k in range(candidate.tp_size)]
         lead = reps[0]
 
         def dense_compute(flops: float, op: str) -> None:
@@ -374,7 +407,7 @@ class AnalyticEstimator:
 
         cost_model = self._cluster.cost_model
         replica_ranks = [
-            plan.rank(0, f, k)
+            grid.rank(0, f, k)
             for f in range(candidate.fsdp_size)
             for k in range(candidate.tp_size)
         ]
@@ -391,16 +424,16 @@ class AnalyticEstimator:
             # depth separate events.
             for column, shard_nbytes in probe.shard_columns:
                 group = [
-                    plan.rank(d, 0, column) for d in range(candidate.ddp_size)
+                    grid.rank(d, 0, column) for d in range(candidate.ddp_size)
                 ]
                 seconds = cost_model.all_reduce(group, shard_nbytes)
                 timeline.record_comm(
-                    [plan.rank(0, 0, column)],
+                    [grid.rank(0, 0, column)],
                     seconds * cfg.depth,
                     shard_nbytes * cfg.depth,
                     op="all_reduce",
                 )
-            lead_group = [plan.rank(d, 0, 0) for d in range(candidate.ddp_size)]
+            lead_group = [grid.rank(d, 0, 0) for d in range(candidate.ddp_size)]
             for param_nbytes in dense.param_nbytes:
                 seconds = cost_model.all_reduce(lead_group, param_nbytes)
                 timeline.record_comm([lead], seconds, param_nbytes, op="all_reduce")
@@ -437,16 +470,16 @@ class AnalyticEstimator:
 
         probe = self._block_probe(candidate)
         dense = self._dense_probe(candidate.micro_batch)
-        plan = probe.plan
+        grid = _grid(candidate)
         cfg = self.config
         S, M, K = candidate.pp_size, candidate.micro_batch, candidate.tp_size
-        stage_size = plan.stage_size
+        stage_size = grid.stage_size
         bounds = partition_blocks(cfg.depth, S)
         timeline = self._replay_timeline(candidate, degradation)
         cost_model = self._cluster.cost_model
 
         def stage_reps(s: int) -> list[int]:
-            return [s * stage_size + plan.rank(0, 0, k) for k in range(K)]
+            return [s * stage_size + grid.rank(0, 0, k) for k in range(K)]
 
         def dense_compute(rank: int, flops: float, op: str) -> None:
             timeline.record_compute(
@@ -461,8 +494,8 @@ class AnalyticEstimator:
             # (0, 0, k) class ranks can be critical, so those suffice.
             per_micro = token_nbytes / M
             for k in range(K):
-                src = src_stage * stage_size + plan.rank(0, 0, k)
-                dst = dst_stage * stage_size + plan.rank(0, 0, k)
+                src = src_stage * stage_size + grid.rank(0, 0, k)
+                dst = dst_stage * stage_size + grid.rank(0, 0, k)
                 seconds = M * cost_model.point_to_point(src, dst, per_micro)
                 timeline.record_comm([src, dst], seconds, token_nbytes, op=op)
 
@@ -471,7 +504,7 @@ class AnalyticEstimator:
         for s in range(S):
             offset = s * stage_size
             if s == 0:
-                dense_compute(offset + plan.rank(0, 0, 0),
+                dense_compute(offset + grid.rank(0, 0, 0),
                               dense.front_fwd_flops, "dense.front")
             start, end = bounds[s]
             for _ in range(end - start):
@@ -479,13 +512,13 @@ class AnalyticEstimator:
             if s + 1 < S:
                 boundary(s, s + 1, "pipeline.send")
             if s == S - 1:
-                dense_compute(offset + plan.rank(0, 0, 0),
+                dense_compute(offset + grid.rank(0, 0, 0),
                               dense.head_fwd_flops, "dense.head")
         # Backward: mirror order, gradient sends toward stage 0.
         for s in reversed(range(S)):
             offset = s * stage_size
             if s == S - 1:
-                dense_compute(offset + plan.rank(0, 0, 0),
+                dense_compute(offset + grid.rank(0, 0, 0),
                               dense.head_bwd_flops, "dense.head")
             start, end = bounds[s]
             for _ in range(end - start):
@@ -495,7 +528,7 @@ class AnalyticEstimator:
             if s > 0:
                 boundary(s, s - 1, "pipeline.grad_send")
             if s == 0:
-                dense_compute(offset + plan.rank(0, 0, 0),
+                dense_compute(offset + grid.rank(0, 0, 0),
                               dense.front_bwd_flops, "dense.front")
 
         # 1F1B makespan: stages overlap across micro-batches, so the
@@ -516,7 +549,7 @@ class AnalyticEstimator:
         def dense_sync(stage: int, nbytes: int) -> None:
             offset = stage * stage_size
             replica_ranks = [
-                offset + plan.rank(0, f, k)
+                offset + grid.rank(0, f, k)
                 for f in range(candidate.fsdp_size) for k in range(K)
             ]
             if len(replica_ranks) > 1 and nbytes:
@@ -533,12 +566,12 @@ class AnalyticEstimator:
                 stage_depth = end - start
                 for column, shard_nbytes in probe.shard_columns:
                     group = [
-                        offset + plan.rank(d, 0, column)
+                        offset + grid.rank(d, 0, column)
                         for d in range(candidate.ddp_size)
                     ]
                     seconds = cost_model.all_reduce(group, shard_nbytes)
                     timeline.record_comm(
-                        [offset + plan.rank(0, 0, column)],
+                        [offset + grid.rank(0, 0, column)],
                         seconds * stage_depth,
                         shard_nbytes * stage_depth,
                         op="all_reduce",
@@ -547,7 +580,7 @@ class AnalyticEstimator:
             def dense_reduce(stage: int, nbytes_list: tuple[int, ...]) -> None:
                 offset = stage * stage_size
                 lead_group = [
-                    offset + plan.rank(d, 0, 0)
+                    offset + grid.rank(d, 0, 0)
                     for d in range(candidate.ddp_size)
                 ]
                 for param_nbytes in nbytes_list:

@@ -5,9 +5,10 @@ Stage one scores every legal candidate with the
 engine's cost accounting, so the ranking *is* the simulated ranking)
 and prunes candidates the memory model says will not fit.  Stage two
 runs the top-k survivors through the real meta-mode engine via the
-bench harness — the same code path the regression gate measures — both
-as a belt-and-braces check on the analytic numbers and to capture the
-winner's trace for the critical-path explanation in the report.
+bench harness — the same code path the regression gate measures,
+symmetry-folded wherever the candidate is eligible and exact per rank
+otherwise — both as a belt-and-braces check on the analytic numbers
+and to keep the winner's critical-path summary for the report.
 
 Validation results are cached in a JSON file keyed by
 ``(model structure, topology, candidate)``, so re-tuning after an
@@ -158,12 +159,27 @@ def simulate_candidate(request: TuneRequest, candidate: Candidate) -> dict:
     Runs through :func:`repro.bench.harness.run_case` — the exact
     harness the regression gate measures — and keeps a compact
     critical-path summary of the trace for the report.
-    """
-    from repro.bench.harness import BenchCase, run_case
-    from repro.obs.critical_path import analyze_trace
-    from repro.obs.tracer import Tracer
 
-    case = BenchCase(
+    The step is symmetry-folded wherever
+    :func:`~repro.cluster.symmetry.decide_fold` finds the candidate
+    eligible (an exact per-rank step otherwise).  The same case run
+    with ``fold="off"`` is the oracle: every field of the dict is
+    ``==`` except ``exposed_comm_fraction``, which may differ in the
+    last bits (≤ 1e-12 relative) because the folded trace sums
+    members-weighted class spans where the exact one sums per-rank
+    spans — so cache entries written by either kind of step stay valid.
+    """
+    from repro.bench.harness import run_case
+
+    return _validation_summary(
+        run_case(_validation_case(request, candidate), config=request.config)
+    )
+
+
+def _validation_case(request: TuneRequest, candidate: Candidate):
+    from repro.bench.harness import BenchCase
+
+    return BenchCase(
         name=candidate.label(),
         model=request.config.name,
         num_gpus=request.num_gpus,
@@ -176,10 +192,13 @@ def simulate_candidate(request: TuneRequest, candidate: Candidate) -> dict:
         prefetch=candidate.prefetch,
         recompute=candidate.recompute,
         tp_innermost=candidate.tp_innermost,
+        fold="auto",
     )
-    tracer = Tracer()
-    record = run_case(case, config=request.config, tracer=tracer)
-    overall = analyze_trace(tracer).overall
+
+
+def _validation_summary(record) -> dict:
+    """The cached dict of one validated step, from its bench record."""
+    overall = record.decomposition.overall
     critical = overall.ranks[overall.critical_rank]
     by_op = sorted(
         ((op, s) for op, s in overall.exposed_comm_by_op.items() if s > 0),

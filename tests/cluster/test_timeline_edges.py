@@ -1,11 +1,16 @@
 """Timeline edge cases: overlap-budget safety as a property, boundary
-inputs, and the bulk-synchronous walltime definition."""
+inputs, the bulk-synchronous walltime definition, and narrowed captures
+of folded runs."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Timeline
+from repro.cluster.symmetry import RankClassPartition
+from repro.cluster.timeline import FoldedTimeline, RankLedger
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.tracer import Tracer
 
 # One timeline event: either compute or a collective with an overlap flag.
 _EVENTS = st.lists(
@@ -106,3 +111,72 @@ class TestWalltimeSemantics:
 
     def test_empty_rank_selection(self):
         assert Timeline(2).walltime_s(ranks=[]) == 0.0
+
+
+# -- capture(ranks=...) on a folded timeline ---------------------------------
+_PART = RankClassPartition(tp_size=2, fsdp_size=3, ddp_size=2)
+_RANK_SETS = {
+    "representatives": frozenset(_PART.rank(0, 0, k) for k in range(2)),
+    # Reached only by iterations > 0 of the outer *and* the inner segment.
+    "non-representatives": frozenset({_PART.rank(1, 2, 1), _PART.rank(0, 1, 0)}),
+    "every-rank": frozenset(range(_PART.num_gpus)),
+}
+
+
+def _engine_shaped(timeline):
+    """A replica loop around per-column shard loops — a segment nested
+    in a segment on a folded timeline — with FSDP-group collectives and
+    release markers outside the shard loop, as the sharded layers do."""
+    part = _PART
+    for d in timeline.fold_iter("ddp", range(part.ddp_size)):
+        for k in range(part.tp_size):
+            shards = [part.rank(d, f, k) for f in range(part.fsdp_size)]
+            timeline.record_comm(shards, 0.25 + k, 64.0, overlappable=True,
+                                 op=f"trunk{d}.gather")
+            for f in timeline.fold_iter("fsdp", range(part.fsdp_size)):
+                timeline.record_compute(part.rank(d, f, k), 1.0 + k, 10.0,
+                                        op=f"trunk{d}.matmul")
+                timeline.record_comm(
+                    [part.rank(d, f, j) for j in range(part.tp_size)],
+                    0.5, 8.0, op=f"trunk{d}.all_reduce")
+            timeline.record_free(shards, f"trunk{d}.weight", 64.0)
+
+
+def _narrowed(timeline, ranks):
+    with timeline.capture(ranks=ranks) as events:
+        _engine_shaped(timeline)
+    return events
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("ranks", _RANK_SETS.values(), ids=_RANK_SETS.keys())
+def test_narrowed_folded_capture_is_the_narrowed_exact_capture(ranks, traced):
+    """Narrowing resolves folded segments instead of passing their
+    markers through: the stream is flat, ``==`` the one an exact
+    timeline captures, and a replay of it touches ``ranks`` alone."""
+    def tracer():
+        return Tracer(metrics=NULL_METRICS) if traced else None
+
+    world = _PART.num_gpus
+    exact = _narrowed(Timeline(world, tracer=tracer()), ranks)
+    folded = _narrowed(FoldedTimeline(world, _PART, tracer=tracer()), ranks)
+    assert {event[0] for event in folded} == (
+        {"compute", "comm", "free"} if traced else {"compute", "comm"})
+    assert folded == exact
+
+    replayed, reference = Timeline(world), Timeline(world)
+    replayed.replay(folded)
+    _engine_shaped(reference)
+    for rank in range(world):
+        want = reference.ledger(rank) if rank in ranks else RankLedger()
+        assert replayed.ledger(rank) == want, rank
+
+
+def test_narrowing_leaves_the_folded_log_alone():
+    """``expand()`` reads ``_log``; a narrowed capture must not edit it."""
+    plain = FoldedTimeline(_PART.num_gpus, _PART)
+    _engine_shaped(plain)
+    narrowed = FoldedTimeline(_PART.num_gpus, _PART)
+    _narrowed(narrowed, _RANK_SETS["representatives"])
+    assert narrowed._log == plain._log
+    assert {"push", "pop", "free"} <= {entry[0] for entry in plain._log}

@@ -23,6 +23,7 @@ def _simulated_step(candidate: Candidate) -> float:
         ddp_size=candidate.ddp_size, micro_batch=candidate.micro_batch,
         prefetch=candidate.prefetch, recompute=candidate.recompute,
         tp_innermost=candidate.tp_innermost,
+        fold="off",  # the exact per-rank engine step is the oracle
     )
     return run_case(case, config=ORBIT_115M).step_time_s
 
@@ -84,3 +85,12 @@ class TestValidation:
         before = len(estimator._block_probes)
         estimator.estimate(Candidate(4, 2, 2, 2, recompute=True))
         assert len(estimator._block_probes) == before
+        # So is the DDP x PP split of what (TP, FSDP) leave over: the
+        # stage-0 stream over rank(0, f, k) is the same under each.
+        estimator.estimate(Candidate(4, 2, 1, 2, pp_size=2))
+        assert len(estimator._block_probes) == before
+        estimator.estimate(Candidate(4, 1, 4, 2))
+        assert len(estimator._block_probes) == before + 1
+        estimator.estimate(Candidate(4, 1, 2, 2, pp_size=2))
+        estimator.estimate(Candidate(4, 1, 1, 2, pp_size=4))
+        assert len(estimator._block_probes) == before + 1

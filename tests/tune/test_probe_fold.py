@@ -1,0 +1,183 @@
+"""The estimator's block probe on the fold.
+
+The probe runs its one block on a ``FoldedTimeline``: the ``f`` loops
+execute shard 0 only and the narrowed capture keeps what touches the
+representatives ``rank(0, 0, k)``.  That needs no eligibility gate —
+iteration 0 *is* the representatives' stream and the collectives
+outside the ``f`` loops are priced for their own groups — and this file
+is where that is tested rather than assumed: against the same probe on
+an exact ``Timeline`` (the oracle, all ``tp * fsdp`` ranks executed) on
+layouts ``decide_fold`` would refuse as readily as on ones it accepts.
+The count tests pin the point of it: probe work is class-sized.
+"""
+
+from collections import Counter
+from dataclasses import asdict
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.symmetry import symmetry_blockers
+from repro.cluster.timeline import FoldedTimeline, Timeline
+from repro.cluster.topology import FrontierTopology
+from repro.meta import MetaArray
+from repro.models.configs import ORBIT_115M, OrbitConfig
+from repro.replan import DegradationProfile
+from repro.tune import AnalyticEstimator, Candidate, TuneRequest, enumerate_space
+
+#: ``num_heads=4`` puts tp 8 and 16 in the sub-head regime (relaxed
+#: mode; needs ``qk_layernorm`` off).
+_TINY = OrbitConfig(
+    name="probe-tiny", embed_dim=64, depth=4, num_heads=4,
+    in_vars=3, out_vars=3, img_height=32, img_width=64,
+    patch_size=8, mlp_ratio=4.0, qk_layernorm=False,
+)
+
+
+class _ExactProbeEstimator(AnalyticEstimator):
+    """The oracle: every probe runs on an exact per-rank timeline."""
+
+    def _block_probe(self, candidate):
+        return self._probe_block(candidate, Timeline(self.num_gpus))
+
+
+@st.composite
+def _layouts(draw):
+    """(gpus_per_node, candidate) on 8-64 GPUs.  ``gpus_per_node=4``
+    and tp up to 16 draw node-spanning tensor-parallel groups and
+    sub-head sharding — relaxed-mode layouts no engine step can take."""
+    world = draw(st.sampled_from([8, 16, 32, 64]))
+    sizes = [1, 2, 4, 8, 16]
+    tp = draw(st.sampled_from([n for n in sizes if n <= world]))
+    fsdp = draw(st.sampled_from([n for n in sizes if tp * n <= world]))
+    pp = draw(st.sampled_from(
+        [n for n in (1, 2, 4) if tp * fsdp * n <= world and n <= _TINY.depth]))
+    candidate = Candidate(
+        tp, fsdp, world // (tp * fsdp * pp),
+        micro_batch=draw(st.sampled_from([1, 2, 3])),
+        recompute=draw(st.booleans()),
+        prefetch=draw(st.booleans()),
+        tp_innermost=draw(st.booleans()),
+        pp_size=pp,
+    )
+    return draw(st.sampled_from([4, 8])), candidate
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=_layouts())
+def test_folded_probe_is_the_exact_timeline_probe(layout):
+    gpus_per_node, candidate = layout
+    estimator = AnalyticEstimator(_TINY, candidate.world_size, gpus_per_node)
+    folded = estimator._block_probe(candidate)
+    assert isinstance(estimator._cluster.timeline, FoldedTimeline)
+    exact = estimator._probe_block(candidate, Timeline(candidate.world_size))
+    assert folded.forward == exact.forward
+    assert folded.backward == exact.backward
+    assert folded.shard_columns == exact.shard_columns
+    assert {event[0] for event in folded.forward + folded.backward} <= \
+        {"compute", "comm"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=_layouts(), data=st.data())
+def test_estimates_equal_field_for_field(layout, data):
+    gpus_per_node, candidate = layout
+    world = candidate.world_size
+    ranks = st.integers(0, world - 1)
+    factors = st.floats(1.5, 4.0)
+    profile = DegradationProfile(
+        compute=data.draw(st.lists(st.tuples(ranks, factors), max_size=2)),
+        links=data.draw(st.lists(st.tuples(ranks, factors), max_size=2)),
+        remaining_steps=3,
+    )
+    folded = AnalyticEstimator(_TINY, world, gpus_per_node)
+    exact = _ExactProbeEstimator(_TINY, world, gpus_per_node)
+    for degradation in (None, profile):
+        assert folded.estimate(candidate, degradation) == \
+            exact.estimate(candidate, degradation)
+
+
+#: Layouts ``decide_fold`` refuses, by (gpus_per_node, candidate).
+_REFUSED = {
+    "sub-head, node-spanning tp": (8, Candidate(16, 2, 1, 2)),
+    "gpus_per_node=4": (4, Candidate(8, 2, 2, 2, tp_innermost=False)),
+    "stage cuts inside and across nodes": (8, Candidate(2, 2, 1, 2, pp_size=4)),
+}
+
+
+@pytest.mark.parametrize("layout", _REFUSED.values(), ids=_REFUSED.keys())
+def test_the_probe_needs_no_eligibility_gate(layout):
+    gpus_per_node, candidate = layout
+    world = candidate.world_size
+    assert symmetry_blockers(
+        SimpleNamespace(**asdict(candidate), config=_TINY),
+        FrontierTopology(world, gpus_per_node),
+    )
+    folded = AnalyticEstimator(_TINY, world, gpus_per_node)
+    exact = _ExactProbeEstimator(_TINY, world, gpus_per_node)
+    assert folded._block_probe(candidate) == exact._block_probe(candidate)
+    assert folded.estimate(candidate) == exact.estimate(candidate)
+
+
+# -- counts, not seconds ------------------------------------------------------
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts ``record_compute`` calls and ``MetaArray`` constructions."""
+    counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counter[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        MetaArray, "__init__", counted("MetaArray", MetaArray.__init__))
+    # FoldedTimeline overrides record_compute without calling up.
+    for cls in (Timeline, FoldedTimeline):
+        monkeypatch.setattr(
+            cls, "record_compute",
+            counted("record_compute", cls.record_compute))
+    return counter
+
+
+def test_probe_work_does_not_grow_with_the_fsdp_extent(calls):
+    """A probe executes ``tp`` shard iterations, not ``tp * fsdp``."""
+    estimator = AnalyticEstimator(ORBIT_115M, num_gpus=64)
+    counts = {}
+    for fsdp in (2, 16):
+        calls.clear()
+        estimator._block_probe(Candidate(4, fsdp, 64 // (4 * fsdp), 2))
+        counts[fsdp] = dict(calls)
+    assert counts[2]["record_compute"] > 0 and counts[2]["MetaArray"] > 0
+    assert counts[16]["record_compute"] == counts[2]["record_compute"]
+    # Outside its f loops the block still builds a handful of arrays per
+    # shard (residual adds, bias-gradient sums): O(fsdp), not O(tp * fsdp).
+    extra = counts[16]["MetaArray"] - counts[2]["MetaArray"]
+    assert 0 <= extra <= 10 * (16 - 2)
+    # ... where the exact-timeline probe pays per (column, shard).
+    calls.clear()
+    estimator._probe_block(Candidate(4, 16, 1, 2), Timeline(64))
+    assert calls["record_compute"] > 4 * counts[16]["record_compute"]
+    assert calls["MetaArray"] > 4 * counts[16]["MetaArray"]
+
+
+def test_4d_sweep_builds_one_probe_per_shape_and_group_layout():
+    request = TuneRequest(
+        ORBIT_115M, num_gpus=32, micro_batches=(2, 4), pp_sizes=(1, 2, 4),
+    )
+    candidates = enumerate_space(request).candidates
+    estimator = AnalyticEstimator(request.config, request.num_gpus)
+    for candidate in candidates:
+        estimator.estimate(candidate)
+    shapes = {
+        (c.tp_size, c.fsdp_size, c.tp_innermost, c.prefetch, c.micro_batch)
+        for c in candidates
+    }
+    assert len(estimator._block_probes) == len(shapes)
+    # The DDP x PP split of the remaining factor is not part of the key.
+    splits = {(c.tp_size, c.fsdp_size, c.ddp_size, c.pp_size,
+               c.tp_innermost, c.prefetch, c.micro_batch) for c in candidates}
+    assert len(shapes) < len(splits)

@@ -1,17 +1,25 @@
 """Tests for the two-stage search and its result cache."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.bench.harness import run_case
+from repro.cluster.symmetry import decide_fold
+from repro.cluster.topology import FrontierTopology
 from repro.models.configs import ORBIT_113B, ORBIT_115M
+from repro.runtime import RunSpec
 from repro.tune import (
     AnalyticEstimator,
+    Candidate,
     InfeasibleRequest,
     TuneCache,
     TuneRequest,
     run_search,
+    simulate_candidate,
 )
+from repro.tune.search import _validation_case, _validation_summary
 
 
 def _request(**overrides):
@@ -120,3 +128,56 @@ class TestTuneCache:
         path = tmp_path / "cache.json"
         path.write_text(json.dumps({"schema": 99, "entries": {"x": {}}}))
         assert len(TuneCache(path)) == 0
+
+
+class TestFoldedValidation:
+    """``simulate_candidate`` steps on the fold; the same case with
+    ``fold="off"`` — an exact per-rank step — is its oracle."""
+
+    CANDIDATES = {
+        "3d": Candidate(4, 2, 2, 2),
+        "3d-ckpt-fsdp-inner": Candidate(
+            2, 4, 2, 2, recompute=True, prefetch=False, tp_innermost=False),
+        "tp1": Candidate(1, 1, 16, 2),
+        "pp2": Candidate(2, 2, 2, 2, pp_size=2),
+        # Stages of 4 GCDs cut 8-GCD nodes: decide_fold refuses, the
+        # validation falls back to the exact step.
+        "pp4-refused": Candidate(2, 1, 2, 2, pp_size=4),
+    }
+
+    @pytest.mark.parametrize("candidate", CANDIDATES.values(),
+                             ids=CANDIDATES.keys())
+    def test_matches_the_exact_step(self, candidate):
+        request = _request(pp_sizes=(1, 2, 4))
+        case = _validation_case(request, candidate)
+        refused = not decide_fold(
+            RunSpec.from_case(case, config=request.config),
+            FrontierTopology(request.num_gpus, request.gpus_per_node),
+        ).folded
+        assert refused == (candidate.pp_size == 4)
+
+        simulated = simulate_candidate(request, candidate)
+        exact = _validation_summary(
+            run_case(replace(case, fold="off"), config=request.config))
+        if refused:
+            assert simulated == exact
+        # The one field that may move: a members-weighted sum over class
+        # spans against a per-rank sum, in a different order.
+        assert simulated.pop("exposed_comm_fraction") == pytest.approx(
+            exact.pop("exposed_comm_fraction"), rel=1e-12, abs=0.0)
+        assert simulated == exact
+
+    def test_crossover_front_runners_unchanged(self):
+        """``repro crossover`` validates through ``simulate_candidate``;
+        its pinned EXPERIMENTS.md numbers must not move."""
+        from repro.experiments import pipeline_crossover
+
+        result = pipeline_crossover.run()
+        pipelined, flat = result.best(True), result.best(False)
+        assert pipelined.candidate.label() == "pp2.tp1.f1.d8.mb32+pf"
+        assert flat.candidate.label() == "tp2.f4.d2.mb32+ckpt+pf"
+        assert f"{pipelined.estimate.time_per_obs_s:.6f}" == "0.025288"
+        assert f"{flat.estimate.time_per_obs_s:.6f}" == "0.028819"
+        for row in (pipelined, flat):
+            assert row.simulated_step_s == pytest.approx(
+                row.estimate.step_time_s, rel=1e-9)
