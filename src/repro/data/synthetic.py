@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,11 @@ STEPS_PER_YEAR = 1460
 HOURS_PER_STEP = 6.0
 
 _CHECKPOINT_INTERVAL = 256
+#: How many recently produced latent states :meth:`ClimateSystemModel.
+#: latents_at` keeps besides the checkpoints (under 1.3 KiB each).  One
+#: checkpoint interval: the longest cold walk fits, and a working set
+#: of a few hundred time steps is integrated once.
+_MEMO_STATES = 256
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,11 @@ class ClimateSystemModel:
         self._static_fields = {
             v.name: self._make_static_field(v) for v in registry if v.is_static
         }
-        self._checkpoints: dict[int, np.ndarray] = {0: self._initial_latents()}
+        initial = self._initial_latents()
+        initial.setflags(write=False)
+        self._checkpoints: dict[int, np.ndarray] = {0: initial}
+        #: The last ``_MEMO_STATES`` states ``latents_at`` produced, oldest first.
+        self._memo: OrderedDict[int, np.ndarray] = OrderedDict()
 
     # -- construction helpers ---------------------------------------------------
     def _complex_normal(self, rng: np.random.Generator, shape) -> np.ndarray:
@@ -159,16 +169,33 @@ class ClimateSystemModel:
         return out
 
     def latents_at(self, t: int) -> np.ndarray:
-        """Latent state at step ``t`` (deterministic given the seed)."""
+        """Latent state at step ``t`` (deterministic given the seed).
+
+        Cost: one :meth:`_evolve` per step from the nearest retained
+        state at or below ``t`` — none when ``t`` itself is memoized or
+        a checkpoint, at most ``_CHECKPOINT_INTERVAL`` once a walk has
+        passed ``t``, and ``t`` on a fresh system.  Every state the walk
+        produces is retained: multiples of ``_CHECKPOINT_INTERVAL`` for
+        good, the others until ``_MEMO_STATES`` newer ones have been
+        produced.  The returned array is the retained object itself and
+        read-only; whichever state a walk starts from, the chain of
+        float operations to ``t`` is the same, so the bits are too.
+        """
         if t < 0:
             raise ValueError("time step must be non-negative")
-        anchor = max(c for c in self._checkpoints if c <= t)
-        state = self._checkpoints[anchor]
-        for step in range(anchor, t):
-            state = self._evolve(state, step)
-            nxt = step + 1
-            if nxt % _CHECKPOINT_INTERVAL == 0 and nxt not in self._checkpoints:
-                self._checkpoints[nxt] = state
+        for start in range(t, -1, -1):
+            state = self._memo.get(start, self._checkpoints.get(start))
+            if state is not None:
+                break
+        for step in range(start + 1, t + 1):
+            state = self._evolve(state, step - 1)
+            state.setflags(write=False)
+            if step % _CHECKPOINT_INTERVAL == 0:
+                self._checkpoints[step] = state
+            else:
+                self._memo[step] = state
+                if len(self._memo) > _MEMO_STATES:
+                    self._memo.popitem(last=False)
         return state
 
     # -- field synthesis --------------------------------------------------------

@@ -13,11 +13,15 @@ from the initial condition.
 The rollout is exposed **incrementally**: :meth:`~RolloutForecaster.
 iter_states` yields the normalized state after each base-lead model
 application, so a consumer that wants many leads from the same
-initialization (the serving layer's rollout prefix cache,
-:mod:`repro.serve.cache`) pays for each autoregressive step exactly
-once.  :meth:`~RolloutForecaster.forecast` is a thin loop over the same
-iterator, so the chain of float operations — and therefore the result —
-is bitwise identical whichever door a lead is computed through.
+initialization pays for each autoregressive step exactly once, and
+:meth:`~RolloutForecaster.advance_many` applies one step to a *stack*
+of states — the serving layer's rollout prefix cache
+(:mod:`repro.serve.cache`) advances all the windows of a micro-batch
+through it together.  There is one model call site: ``advance`` is the
+one-state stack and :meth:`~RolloutForecaster.forecast` a thin loop
+over ``iter_states``, so the chain of float operations — and therefore
+the result — is bitwise identical whichever door a lead is computed
+through.
 """
 
 from __future__ import annotations
@@ -64,26 +68,46 @@ class RolloutForecaster:
         """The normalized initial condition (state after zero steps)."""
         return self.normalizer.normalize(dataset.snapshot(index))
 
-    def advance(self, state: np.ndarray, static_indices) -> np.ndarray:
-        """One base-lead model application; returns a *fresh* array.
+    def advance_many(self, states, static_indices) -> list[np.ndarray]:
+        """One base-lead application to every state, through one forward.
 
-        The model's returned buffer is never written: static channels
-        (orography etc.) are pinned on a copy, so a model that hands
-        back a cached or shared array keeps it intact.
+        The states are stacked along the batch axis, so ``B`` rollouts
+        — at whatever depth each one stands; the model does not see
+        depth — cost one model call.  Element ``i`` is bitwise-equal
+        to ``advance(states[i])``: that is measured, not assumed (see
+        DESIGN.md, "The serving data plane"), and held by
+        ``tests/eval/test_rollout.py`` and ``repro serve --smoke``.
+
+        Each returned state is a *fresh* array owning its memory — not
+        a view of the stacked output, which would stay alive as long
+        as any sibling is cached.  The model's returned buffer is never
+        written: static channels (orography etc.) are pinned on the
+        copy, from that state's own input, so a model that hands back
+        a cached or shared array keeps it intact.
         """
-        lead_hours = np.asarray([self.base_lead_steps * HOURS_PER_STEP], np.float32)
-        prediction = self.model(state[None].astype(np.float32), lead_hours)[0]
+        batch = np.stack(states).astype(np.float32, copy=False)
+        lead_hours = np.full(
+            len(batch), self.base_lead_steps * HOURS_PER_STEP, np.float32
+        )
+        predictions = self.model(batch, lead_hours)
         clear_cache = getattr(self.model, "clear_cache", None)
         if clear_cache is not None:
             clear_cache()
-        if prediction.shape != state.shape:
+        if predictions.shape != batch.shape:
             raise ValueError(
                 "rollout needs a model predicting all input channels: "
-                f"got {prediction.shape}, state is {state.shape}"
+                f"got {predictions.shape[1:]}, state is {batch.shape[1:]}"
             )
-        prediction = np.array(prediction)
-        prediction[static_indices] = state[static_indices]
-        return prediction
+        advanced = []
+        for state, prediction in zip(states, predictions):
+            prediction = np.array(prediction)
+            prediction[static_indices] = state[static_indices]
+            advanced.append(prediction)
+        return advanced
+
+    def advance(self, state: np.ndarray, static_indices) -> np.ndarray:
+        """One base-lead model application: the one-state stack."""
+        return self.advance_many([state], static_indices)[0]
 
     def iter_states(
         self, dataset: ClimateDataset, index: int

@@ -7,10 +7,16 @@ deterministic event loop:
   and enter the :class:`~repro.serve.batcher.MicroBatcher`;
 * flushed batches queue in arrival order and are dispatched to the
   lowest-id idle replica (deterministic tie-break);
-* dispatch computes every response **through the rollout prefix
-  cache** — the arrays handed back are bitwise-equal to direct
-  :meth:`~repro.eval.rollout.RolloutForecaster.forecast` results — and
-  occupies the replica for the modeled service time;
+* dispatch hands the whole micro-batch to the rollout prefix cache in
+  **one call** (:meth:`~repro.serve.cache.RolloutPrefixCache.
+  forecast_batch`: plan, stacked execute, finalize), so the batch the
+  cost model prices as one invocation also *runs* as one — its windows
+  advance together through one model forward per step.  The arrays
+  handed back are bitwise-equal to direct
+  :meth:`~repro.eval.rollout.RolloutForecaster.forecast` results, and
+  each response's ``model_steps`` / ``cache_hit`` are what serving its
+  batch one request at a time would report; the replica is occupied
+  for the modeled service time;
 * completions stamp latencies, feed the autoscaler's sliding window,
   and pull more batches;
 * a fixed-cadence autoscaler tick reads queue depth / p99 /
@@ -169,6 +175,7 @@ class ForecastServer:
         )
         self.latency_window = LatencyWindow()
         self._ready: deque[Batch] = deque()
+        self._ready_requests = 0  # sum of batch sizes in ``_ready``
         self._responses: list[ForecastResponse] = []
         self._outstanding = 0
         self._arrivals_remaining = 0
@@ -178,7 +185,7 @@ class ForecastServer:
     @property
     def queue_depth(self) -> int:
         """Admitted requests not yet dispatched (batcher + ready batches)."""
-        return self.batcher.waiting + sum(b.size for b in self._ready)
+        return self.batcher.waiting + self._ready_requests
 
     # -- the run -------------------------------------------------------------
     def serve(self, requests: list[ForecastRequest]) -> ServeReport:
@@ -243,6 +250,7 @@ class ForecastServer:
 
     def _on_batch(self, batch: Batch) -> None:
         self._ready.append(batch)
+        self._ready_requests += batch.size
         self.metrics.histogram("serve.batch_size").observe(batch.size)
         self._drain()
 
@@ -251,20 +259,22 @@ class ForecastServer:
             replica = self.pool.acquire_idle(self.loop.now)
             if replica is None:
                 return
-            self._dispatch(self._ready.popleft(), replica)
+            batch = self._ready.popleft()
+            self._ready_requests -= batch.size
+            self._dispatch(batch, replica)
 
     def _dispatch(self, batch: Batch, replica) -> None:
         now = self.loop.now
+        served, stack_widths = self.cache.forecast_batch(
+            self.forecaster, self.dataset, batch.requests
+        )
+        self.metrics.counter("serve.forward_calls").inc(len(stack_widths))
+        stack_width = self.metrics.histogram("serve.stack_width")
+        for width in stack_widths:
+            stack_width.observe(width)
         responses: list[ForecastResponse] = []
         batch_steps = 0
-        for request in batch.requests:
-            result, new_steps, hit = self.cache.forecast(
-                self.forecaster,
-                self.dataset,
-                request.init_index,
-                request.lead_steps,
-                request.out_vars,
-            )
+        for request, (result, new_steps, hit) in zip(batch.requests, served):
             batch_steps += new_steps
             if hit:
                 self.metrics.counter("serve.cache_hits").inc()

@@ -1,9 +1,15 @@
 """Tests for the latent-dynamics climate generator."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import ClimateSystemModel, LatentSpec, LatLonGrid, default_registry
+from repro.data import synthetic
+from repro.data.dataset import ClimateDataset
 
 GRID = LatLonGrid(16, 32)
 REG = default_registry(91).subset([
@@ -36,6 +42,109 @@ class TestDeterminism:
         for t in range(0, 300):
             seq.latents_at(t)
         np.testing.assert_allclose(far, seq.latents_at(300), rtol=1e-12)
+
+
+#: Steps the memo tests draw from: past two checkpoints and far enough
+#: for a sweep to wrap the memo.
+_HORIZON = 2 * synthetic._CHECKPOINT_INTERVAL + synthetic._MEMO_STATES + 40
+
+
+@pytest.fixture(scope="module")
+def reference_latents():
+    """The oracle: the AR(1) chain integrated step by step from the
+    initial state, by ``_evolve`` alone — no checkpoint, no memo."""
+    system = ClimateSystemModel(GRID, REG, seed=7)
+    states = [system._initial_latents()]
+    for t in range(_HORIZON):
+        states.append(system._evolve(states[-1], t))
+    return states
+
+
+@pytest.fixture
+def evolve_calls(monkeypatch):
+    """Counts every ``ClimateSystemModel._evolve`` call while installed."""
+    calls = Counter()
+    original = ClimateSystemModel._evolve
+
+    def counting(self, state, t, noise=True):
+        calls["evolve"] += 1
+        return original(self, state, t, noise)
+
+    monkeypatch.setattr(ClimateSystemModel, "_evolve", counting)
+    return calls
+
+
+class TestLatentMemo:
+    """``latents_at`` answers from retained states; whichever state a
+    walk starts from, the bits are those of the plain chain."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(order=st.lists(st.integers(0, _HORIZON), min_size=1, max_size=40),
+           wrapped=st.booleans())
+    def test_any_access_order_matches_the_plain_chain(self, reference_latents,
+                                                      order, wrapped):
+        warmed = ClimateSystemModel(GRID, REG, seed=7)
+        if wrapped:  # the memo has turned over at least once
+            warmed.latents_at(_HORIZON)
+            assert 0 < min(warmed._memo) - synthetic._MEMO_STATES
+        for t in order:
+            np.testing.assert_array_equal(warmed.latents_at(t),
+                                          reference_latents[t])
+        assert len(warmed._memo) <= synthetic._MEMO_STATES
+
+    def test_warmed_snapshots_equal_a_fresh_systems(self):
+        warmed = ClimateSystemModel(GRID, REG, seed=7)
+        for t in (300, 40, 299, 300, 0, 256, 41):
+            warmed.snapshot(t)
+        for t in (300, 41, 256, 0, 17):
+            fresh = ClimateSystemModel(GRID, REG, seed=7)
+            np.testing.assert_array_equal(warmed.snapshot(t), fresh.snapshot(t))
+            np.testing.assert_array_equal(
+                warmed.field("temperature_850", t),
+                ClimateSystemModel(GRID, REG, seed=7).field("temperature_850", t))
+            np.testing.assert_array_equal(
+                warmed.numerical_forecast(t, 6),
+                ClimateSystemModel(GRID, REG, seed=7).numerical_forecast(t, 6))
+
+    def test_retained_latents_are_read_only(self):
+        """Memoized and checkpointed arrays are shared with every later
+        caller, so an aliasing write must fail loudly."""
+        system = ClimateSystemModel(GRID, REG, seed=7)
+        interval = synthetic._CHECKPOINT_INTERVAL
+        for t in (0, 5, interval, interval + 5):
+            latents = system.latents_at(t)
+            assert system.latents_at(t) is latents
+            with pytest.raises(ValueError, match="read-only"):
+                latents[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                latents *= 2.0
+
+    def test_a_window_is_integrated_once(self, evolve_calls):
+        """200 random ``forecast_sample(i, 8)`` over a 64-step window:
+        after the walk to the window, at most one ``_evolve`` per step
+        of window + lead (38,712 calls before the memo)."""
+        system = ClimateSystemModel(GRID, REG, seed=7)
+        dataset = ClimateDataset(system, start_step=2624, num_steps=72)
+        dataset.snapshot(0)
+        assert evolve_calls["evolve"] == 2624
+        rng = np.random.default_rng(0)
+        for index in rng.integers(0, 64, size=200):
+            dataset.forecast_sample(int(index), 8)
+        assert evolve_calls["evolve"] - 2624 <= 64 + 8
+
+    def test_memo_never_exceeds_its_bound(self, evolve_calls):
+        system = ClimateSystemModel(GRID, REG, seed=7)
+        bound = synthetic._MEMO_STATES
+        for t in range(0, 10 * bound, 7):
+            system.latents_at(t)
+            assert len(system._memo) <= bound
+        assert len(system._memo) == bound
+        # the sweep was one walk: no step integrated twice
+        assert evolve_calls["evolve"] == max(range(0, 10 * bound, 7))
+        # cold random access stays within one checkpoint interval
+        system.latents_at(3 * synthetic._CHECKPOINT_INTERVAL - 1)
+        assert evolve_calls["evolve"] - max(range(0, 10 * bound, 7)) \
+            < synthetic._CHECKPOINT_INTERVAL
 
 
 class TestStatistics:

@@ -104,6 +104,81 @@ class TestRollout:
             RolloutForecaster(model, norm, base_lead_steps=0)
 
 
+class _SharedBufferModel:
+    """Hands back one reused array per batch width (no ``clear_cache``)."""
+
+    def __init__(self, model):
+        self._model = model
+        self._buffers = {}
+
+    def __call__(self, x, lead_hours):
+        out = self._model(x, lead_hours)
+        buffer = self._buffers.setdefault(len(x), np.empty_like(out))
+        buffer[...] = out
+        return buffer
+
+
+#: (embed_dim, depth, num_heads, vars, height, width, patch_size)
+_STACK_GEOMETRIES = [
+    (16, 1, 2, 4, 8, 16, 4),   # the serve bench world
+    (16, 2, 4, 7, 8, 16, 2),
+    (32, 1, 4, 4, 16, 32, 4),
+    (48, 2, 2, 7, 16, 32, 2),
+    (64, 2, 4, 4, 16, 32, 4),
+    (96, 1, 2, 7, 32, 64, 4),
+]
+
+
+class TestStackedAdvance:
+    """The named oracle of the serving data plane: a state advanced in a
+    stack of ``B`` is bitwise the state advanced alone.  Nothing in the
+    code falls back if a BLAS build breaks this; this test fails."""
+
+    @pytest.mark.parametrize("shared_buffer", [False, True],
+                             ids=["plain", "shared-buffer"])
+    @pytest.mark.parametrize("geometry", _STACK_GEOMETRIES,
+                             ids=lambda g: "x".join(map(str, g)))
+    def test_stack_elements_equal_single_advances(self, geometry,
+                                                  shared_buffer):
+        embed, depth, heads, num_vars, height, width, patch = geometry
+        model = build_model(OrbitConfig(
+            "stack-oracle", embed_dim=embed, depth=depth, num_heads=heads,
+            in_vars=num_vars, out_vars=num_vars, img_height=height,
+            img_width=width, patch_size=patch), rng=embed + depth)
+        if shared_buffer:
+            model = _SharedBufferModel(model)
+        rollout = RolloutForecaster(model, normalizer=None)
+        rng = np.random.default_rng(num_vars)
+        static = [0, num_vars - 1]
+        for width_b in (2, 3, 5, 8, 16):
+            states = list(rng.normal(
+                size=(width_b, num_vars, height, width)).astype(np.float32))
+            alone = [rollout.advance(state, static) for state in states]
+            stacked = rollout.advance_many(states, static)
+            assert len(stacked) == width_b
+            for state, one, many in zip(states, alone, stacked):
+                np.testing.assert_array_equal(many, one)
+                np.testing.assert_array_equal(many[static], state[static])
+                # a fresh array owning its memory: not a view of the
+                # stacked output, not the model's buffer
+                assert many.flags.owndata and many.flags.writeable
+
+    def test_two_steps_stacked_equal_two_steps_alone(self, trained_world):
+        """Chains at different depths share a forward: window 0 at step
+        2 and window 3 at step 1 advance together."""
+        _, _, test, norm, model = trained_world
+        rollout = RolloutForecaster(model, norm)
+        static = test.registry.static_indices
+        deep = rollout.advance(rollout.initial_state(test, 0), static)
+        shallow = rollout.initial_state(test, 3)
+        stacked = rollout.advance_many([deep, shallow], static)
+        np.testing.assert_array_equal(stacked[0], rollout.advance(deep, static))
+        np.testing.assert_array_equal(stacked[1],
+                                      rollout.advance(shallow, static))
+        np.testing.assert_array_equal(
+            rollout.finalize(stacked[0], test), rollout.forecast(test, 0, 2))
+
+
 class TestEngineCheckpointExport:
     def test_gathered_state_dict_loads_into_serial(self):
         from repro.cluster import VirtualCluster

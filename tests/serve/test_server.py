@@ -153,3 +153,44 @@ class TestReportShape:
         assert spans
         assert metrics.counter("serve.requests").value == len(requests)
         assert metrics.counter("serve.cache_hits").value > 0
+
+    def test_stacking_ratio_is_readable_from_a_run(self, forecaster, dataset,
+                                                   requests):
+        """Self-metrics: how many forwards the model steps cost, and how
+        wide each one was — in the registry and ``cache.stats()``, not
+        in the bench-facing ``ServeReport.stats()``."""
+        metrics = MetricsRegistry()
+        report = ForecastServer(forecaster, dataset,
+                                metrics=metrics).serve(requests)
+        forwards = metrics.counter("serve.forward_calls").value
+        widths = metrics.histogram("serve.stack_width")
+        assert forwards == widths.count == report.cache_stats["forward_calls"]
+        assert widths.sum == report.cache_stats["steps_computed"]
+        assert 0 < forwards < report.cache_stats["steps_computed"]
+        assert widths.min >= 1
+        assert widths.max <= metrics.histogram("serve.batch_size").max
+        assert "forward_calls" not in report.stats()
+
+
+class TestQueueDepth:
+    def test_running_count_is_the_walked_sum(self, forecaster, dataset):
+        """``queue_depth`` keeps a count of the requests in ready
+        batches; at every arrival it must equal a walk over them."""
+        policy = ServePolicy(max_batch=2, batch_window_s=0.001,
+                             max_replicas=1, queue_limit=64)
+        burst = LoadSpec(rate_rps=2000.0, duration_s=0.1, seed=2,
+                         num_windows=16, num_hot=2, hot_fraction=0.2)
+        server = ForecastServer(forecaster, dataset, policy)
+        arrive, ready_batches = server._arrive, []
+
+        def checked_arrive(request):
+            assert server.queue_depth == server.batcher.waiting + sum(
+                batch.size for batch in server._ready)
+            ready_batches.append(len(server._ready))
+            arrive(request)
+
+        server._arrive = checked_arrive
+        report = server.serve(generate_requests(burst))
+        assert max(ready_batches) > 4  # batches did pile up behind the replica
+        assert server.queue_depth == 0
+        assert len(report.responses) == len(ready_batches)
