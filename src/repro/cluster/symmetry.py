@@ -208,10 +208,11 @@ def symmetry_blockers(spec, topology: FrontierTopology) -> list[str]:
     share one effective link spec, so one representative's alpha-beta
     costs are bitwise valid for every member.  Each pipeline stage is a
     rank-offset copy of the 3D grid, so stage ``s``'s families are the
-    stage-0 rows plus ``s * stage_size``; at ``pp_size > 1`` the dense
-    front lives on stage 0 and the head on the last stage (separate
-    replica groups), and the stage-boundary activation/gradient sends
-    add a family of 2-wide point-to-point rows.
+    stage-0 rows plus ``s * stage_size``; the dense front lives on
+    stage 0 and the head on the last stage (separate replica groups
+    unless those are one stage), and the stage-boundary
+    activation/gradient sends add a family of 2-wide point-to-point
+    rows (none for one stage).
     """
     blockers: list[str] = []
     S = getattr(spec, "pp_size", 1)
@@ -225,16 +226,12 @@ def symmetry_blockers(spec, topology: FrontierTopology) -> list[str]:
         "tensor-parallel": grid4.reshape(S * D * F, K),
         "fsdp-shard": grid4.transpose(0, 1, 3, 2).reshape(S * D * K, F),
         "ddp-replica-sync": grid4.transpose(0, 2, 3, 1).reshape(S * F * K, D),
-    }
-    if S == 1:
-        families["dense-replica"] = grid.reshape(D, F * K)
-    else:
         # Front embeddings sync on stage 0, the head on the last stage.
-        families["dense-replica"] = np.concatenate(
-            [grid4[0].reshape(D, F * K), grid4[-1].reshape(D, F * K)])
+        "dense-replica": grid4[sorted({0, S - 1})].reshape(-1, F * K),
         # Activation/gradient sends pair rank (s,d,f,k) with (s+1,d,f,k).
-        families["pipeline-boundary"] = np.stack(
-            [grid4[:-1].reshape(-1), grid4[1:].reshape(-1)], axis=1)
+        "pipeline-boundary": np.stack(
+            [grid4[:-1].reshape(-1), grid4[1:].reshape(-1)], axis=1),
+    }
     for name, rows in families.items():
         if not _family_uniform(topology, rows):
             blockers.append(f"{name} groups have non-uniform link specs")

@@ -71,6 +71,18 @@ class _NullInjector:
 NULL_INJECTOR = _NullInjector()
 
 
+def stretch_compute(seconds: float, factor: float, op: str) -> float:
+    """``seconds`` of compute ``op`` on a rank running ``factor`` times slower.
+
+    The one rule every degradation injector's ``on_compute`` applies.
+    ``pipeline.stall`` is exempt: the engine derives that filler from
+    the stages' busy times, which the slowdown has already stretched —
+    it is idle time up to the 1F1B makespan, not work, and stretching it
+    again would push the step past the makespan it pads to.
+    """
+    return seconds if op == "pipeline.stall" else seconds * factor
+
+
 @dataclass
 class RankLedger:
     """Accumulated times (seconds) and counters for one rank."""

@@ -24,8 +24,7 @@ walltime on:
   :class:`~repro.faults.report.RecoveryReport` the CLI prints and CI
   archives;
 * :mod:`repro.faults.degradation` — non-crash degradations
-  (:class:`~repro.faults.degradation.SkewedCompute` stragglers),
-  promoted here from ``repro.parallel.compute``.
+  (:class:`~repro.faults.degradation.SkewedCompute` stragglers).
 """
 
 from repro.faults.degradation import SkewedCompute, seeded_skew_profile

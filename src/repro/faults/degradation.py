@@ -1,7 +1,7 @@
 """Non-crash degradations: stragglers as a first-class fault kind.
 
-:class:`SkewedCompute` (previously ``repro.parallel.compute``) wraps
-any compute-time model with per-rank slowdown multipliers — the
+:class:`SkewedCompute` wraps any compute-time model
+(:mod:`repro.parallel.compute`) with per-rank slowdown multipliers — the
 whole-run form of straggler injection, used by ``repro trace --skew``
 and the health-monitor tests.  The step-windowed form lives in the
 :class:`~repro.faults.injector.FaultInjector`

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+from repro.cluster.timeline import stretch_compute
 from repro.faults.errors import (
     CollectiveTimeoutError,
     GpuCrashError,
@@ -87,7 +88,8 @@ class FaultInjector:
     # -- timeline protocol ---------------------------------------------------
     def on_compute(self, rank: int, seconds: float, op: str) -> float:
         self._maybe_raise((rank,), op, comm=False)
-        return seconds * self._factor(FaultKind.STRAGGLER, (rank,))
+        return stretch_compute(
+            seconds, self._factor(FaultKind.STRAGGLER, (rank,)), op)
 
     def on_comm(self, ranks: Sequence[int], seconds: float, op: str) -> float:
         self._maybe_raise(tuple(ranks), op, comm=True)

@@ -22,7 +22,8 @@ class PeakFractionCompute:
     The sustained fraction of peak for large GEMMs on MI250X-class GCDs
     is ~40-55%; the perf model (:mod:`repro.perf.model`) refines this
     with batch-dependent efficiency, which matters for the activation-
-    checkpointing row of Table I.
+    checkpointing row of Table I.  Per-rank slowdowns (stragglers) wrap
+    it in :class:`repro.faults.degradation.SkewedCompute`.
     """
 
     def __init__(
@@ -41,21 +42,3 @@ class PeakFractionCompute:
         peak = self.cluster.device(rank).peak_flops_for(self.dtype)
         return flops / (peak * self.efficiency)
 
-
-def __getattr__(name):
-    # SkewedCompute moved to repro.faults.degradation (straggler
-    # injection is a fault-model concern); this shim keeps the old
-    # import path working with a warning.
-    if name == "SkewedCompute":
-        import warnings
-
-        from repro.faults.degradation import SkewedCompute
-
-        warnings.warn(
-            "repro.parallel.compute.SkewedCompute has moved to "
-            "repro.faults.degradation.SkewedCompute; update the import",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SkewedCompute
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,4 @@
-"""Adapter: extract a trunk template from a built ClimaXViT model."""
+"""Adapter: extract per-stage trunk templates from a built ClimaXViT model."""
 
 from __future__ import annotations
 
@@ -13,23 +13,16 @@ class _TrunkTemplate:
         self.blocks = blocks
 
 
-def make_trunk_template(model: ClimaXViT) -> _TrunkTemplate:
-    """The serial transformer blocks of a model, as a trunk template.
-
-    The blocks' parameters are *consumed* by the Hybrid-STOP trunk
-    (sharded); the serial model should not be executed afterwards.
-    """
-    blocks = []
-    for block in model.blocks:
-        if not isinstance(block, TransformerBlock):
-            raise TypeError(f"expected plain TransformerBlock, got {type(block)!r}")
-        blocks.append(block)
-    return _TrunkTemplate(blocks)
-
-
 def make_stage_templates(
     model: ClimaXViT, bounds: list[tuple[int, int]]
 ) -> list[_TrunkTemplate]:
-    """Per-stage trunk templates for a contiguous pipeline partition."""
-    template = make_trunk_template(model)
-    return [_TrunkTemplate(template.blocks[start:end]) for start, end in bounds]
+    """The serial transformer blocks of a model, as one trunk template
+    per stage of a contiguous pipeline partition.
+
+    The blocks' parameters are *consumed* by the Hybrid-STOP trunks
+    (sharded); the serial model should not be executed afterwards.
+    """
+    for block in model.blocks:
+        if not isinstance(block, TransformerBlock):
+            raise TypeError(f"expected plain TransformerBlock, got {type(block)!r}")
+    return [_TrunkTemplate(model.blocks[start:end]) for start, end in bounds]

@@ -13,16 +13,24 @@ Composes the three orthogonal axes of paper Fig 4 around a
   parameters, so micro-batch gradients accumulate naturally;
 * DDP replicas are deep copies trained on different data subsets whose
   gradients are summed once per step (:meth:`allreduce_gradients`);
-* with ``plan.pp_size > 1`` the trunk is additionally partitioned
-  contiguously into pipeline stages (stage-outermost ranks): each stage
-  is a :class:`~repro.core.hybrid_block.HybridSTOPTrunk` over its own
-  3D sub-plan, activations/gradients cross stage boundaries as
+* the trunk is partitioned contiguously into ``plan.pp_size`` pipeline
+  stages (stage-outermost ranks): each stage is a
+  :class:`~repro.core.hybrid_block.HybridSTOPTrunk` over its own 3D
+  sub-plan, activations/gradients cross stage boundaries as
   cost-accounted point-to-point sends, and a 1F1B micro-batch schedule
   is accounted by recording each stage's bubble stall
   (``(M+S-1) * slot - busy``) after the pipeline drains.  Numerics are
   exact at any depth — micro-batches traverse the same blocks in the
-  same order as the serial model — and ``pp_size == 1`` takes the
-  original code path unchanged (bitwise-neutral).
+  same order as the serial model.
+
+The paper's 3D layout is the one-stage pipeline, run by the same code:
+``plan.stage_plan(0)`` is the plan itself, the stage list holds one
+trunk and no boundary exists to send across.  Two facts set one stage
+apart.  The dense front and head share it, so what each holds there is
+one allocation, one gradient sync and one DDP reduction list
+(:func:`~repro.parallel.stages.dense_by_stage`); and a one-stage
+schedule has no bubble, so no stage clock is read and no
+``pipeline.stall`` recorded.
 """
 
 from __future__ import annotations
@@ -37,10 +45,11 @@ from repro.nn.checkpoint import CheckpointWrapper
 from repro.nn.context import ExecutionContext, execution_context
 from repro.nn.module import Module
 from repro.nn.transformer import TransformerBlock
-from repro.parallel.core_trunk import make_stage_templates, make_trunk_template
+from repro.parallel.core_trunk import make_stage_templates
 from repro.parallel.ddp import clone_module, clone_module_shared_params
 from repro.parallel.plan import HybridParallelPlan
 from repro.parallel.stages import (
+    dense_by_stage,
     partition_blocks,
     record_boundary_send,
     schedule_walltime,
@@ -136,11 +145,8 @@ class HybridSTOPEngine:
         self.config = model.config
         D = plan.ddp_size
         #: Contiguous block bounds per pipeline stage (raises
-        #: PipelineLimitError past one stage per layer); None at pp=1.
-        self._stage_bounds = (
-            partition_blocks(len(model.blocks), plan.pp_size)
-            if plan.pp_size > 1 else None
-        )
+        #: PipelineLimitError past one stage per layer).
+        self._stage_bounds = partition_blocks(len(model.blocks), plan.pp_size)
         self._stall_t0: dict[int, float] = {}
         self._num_micro = 1
 
@@ -157,7 +163,7 @@ class HybridSTOPEngine:
 
     def _build_replica(self, d: int, replica_model: ClimaXViT) -> None:
         plan = self.plan
-        F, K, S = plan.fsdp_size, plan.tp_size, plan.pp_size
+        F = plan.fsdp_size
         front = _DenseFront(replica_model)
         head = _DenseHead(replica_model)
         self.fronts.append(
@@ -176,35 +182,22 @@ class HybridSTOPEngine:
             compute_model=self.compute_model,
             name=f"trunk{d}",
         )
-        if S == 1:
-            self.trunks.append(
-                HybridSTOPTrunk(make_trunk_template(replica_model), plan, **trunk_kwargs)
+        templates = make_stage_templates(replica_model, self._stage_bounds)
+        self.trunks.append(_PipelinedTrunk([
+            HybridSTOPTrunk(
+                template, plan.stage_plan(s),
+                block_offset=self._stage_bounds[s][0], **trunk_kwargs,
             )
-        else:
-            templates = make_stage_templates(replica_model, self._stage_bounds)
-            self.trunks.append(_PipelinedTrunk([
-                HybridSTOPTrunk(
-                    template, plan.stage_plan(s),
-                    block_offset=self._stage_bounds[s][0], **trunk_kwargs,
-                )
-                for s, template in enumerate(templates)
-            ]))
+            for s, template in enumerate(templates)
+        ]))
         # Dense parameters are fully replicated on every rank of the
-        # replica — on every stage's ranks at pp=1 (there is only one
-        # stage); with a pipeline the front lives on stage 0 and the
-        # head on the last stage.
-        if S == 1:
-            dense = [(plan, front.parameter_bytes() + head.parameter_bytes())]
-        else:
-            dense = [(plan.stage_plan(0), front.parameter_bytes()),
-                     (plan.stage_plan(S - 1), head.parameter_bytes())]
-        for stage_plan, nbytes in dense:
-            replica_ranks = [
-                stage_plan.rank(d, f, k) for f in range(F) for k in range(K)
-            ]
-            self._dense_allocs.append(
-                GroupAllocation(plan.cluster, replica_ranks, nbytes, "params.dense")
-            )
+        # replica's stage that holds them.
+        for stage, nbytes in dense_by_stage(
+            plan.pp_size, front.parameter_bytes(), head.parameter_bytes()
+        ):
+            self._dense_allocs.append(GroupAllocation(
+                plan.cluster, self._stage_ranks(stage, d), nbytes, "params.dense"
+            ))
 
     def materialize_replicas(self) -> None:
         """Build the DDP replicas a folded construction skipped.
@@ -232,31 +225,20 @@ class HybridSTOPEngine:
         return _RankedCompute(self, plan.rank(d, f, 0), op)
 
     def _record_dense_grad_sync(self, d: int) -> None:
-        """Cost of reducing replicated dense grads across the replica.
-
-        With a pipeline the front and head live on different stages, so
-        their syncs are two collectives over disjoint rank sets.
-        """
-        if self.plan.pp_size == 1:
-            dense_bytes = self.fronts[d][0].parameter_bytes() + self.heads[d][0].parameter_bytes()
-            self._record_module_grad_sync(d, self.plan, dense_bytes)
-            return
-        first = self.plan.stage_plan(0)
-        last = self.plan.stage_plan(self.plan.pp_size - 1)
-        self._record_module_grad_sync(d, first, self.fronts[d][0].parameter_bytes())
-        self._record_module_grad_sync(d, last, self.heads[d][0].parameter_bytes())
-
-    def _record_module_grad_sync(self, d: int, plan, dense_bytes: int) -> None:
-        replica_ranks = [
-            plan.rank(d, f, k)
-            for f in range(plan.fsdp_size)
-            for k in range(plan.tp_size)
-        ]
-        if len(replica_ranks) > 1:
-            seconds = self.plan.cluster.cost_model.all_reduce(replica_ranks, dense_bytes)
-            self.plan.cluster.timeline.record_comm(
-                replica_ranks, seconds, dense_bytes, op="dense_grad_sync"
-            )
+        """Cost of reducing replicated dense grads across the replica:
+        one all-reduce per stage that holds dense parameters."""
+        cluster = self.plan.cluster
+        for stage, dense_bytes in dense_by_stage(
+            self.plan.pp_size,
+            self.fronts[d][0].parameter_bytes(),
+            self.heads[d][0].parameter_bytes(),
+        ):
+            replica_ranks = self._stage_ranks(stage, d)
+            if len(replica_ranks) > 1:
+                seconds = cluster.cost_model.all_reduce(replica_ranks, dense_bytes)
+                cluster.timeline.record_comm(
+                    replica_ranks, seconds, dense_bytes, op="dense_grad_sync"
+                )
 
     # -- execution -----------------------------------------------------------------
     def forward(self, xs: list, lead_times: list) -> list:
@@ -264,12 +246,15 @@ class HybridSTOPEngine:
 
         Returns predictions with the same nesting.
         """
-        D, F = self.plan.ddp_size, self.plan.fsdp_size
+        plan = self.plan
+        D, F, S = plan.ddp_size, plan.fsdp_size, plan.pp_size
         if len(xs) != D or any(len(batch) != F for batch in xs):
             raise ValueError(f"expected xs nested as [{D}][{F}]")
-        if self.plan.pp_size > 1:
-            return self._forward_pipelined(xs, lead_times)
-        timeline = self.plan.cluster.timeline
+        timeline = plan.cluster.timeline
+        last = plan.stage_plan(S - 1)
+        self._num_micro = max(1, int(xs[0][0].shape[0]))
+        if S > 1:  # a one-stage schedule has no bubble to measure
+            self._snapshot_stage_clocks()
         ys = []
         with self.tracer.scope("engine.forward"):
             for d in timeline.fold_iter("ddp", range(D)):
@@ -277,39 +262,47 @@ class HybridSTOPEngine:
                 for f in timeline.fold_iter("fsdp", range(F)):
                     with self._ranked(d, f, op="dense.front"):
                         tokens.append(self.fronts[d][f](xs[d][f], lead_times[d][f]))
-                tokens = self.trunks[d].forward(
-                    timeline.fold_pad("fsdp", tokens, F))
+                tokens = timeline.fold_pad("fsdp", tokens, F)
+                for s, trunk in enumerate(self.trunks[d].stage_trunks):
+                    tokens = trunk.forward(tokens)
+                    if s + 1 < S:
+                        self._record_boundary_sends(d, s, tokens, backward=False)
                 preds = []
                 for f in timeline.fold_iter("fsdp", range(F)):
-                    with self._ranked(d, f, op="dense.head"):
+                    with self._ranked(d, f, op="dense.head", plan=last):
                         preds.append(self.heads[d][f](tokens[f]))
                 ys.append(timeline.fold_pad("fsdp", preds, F))
         return timeline.fold_pad("ddp", ys, D)
 
     def backward(self, grad_ys: list) -> list:
         """Backprop; returns per-micro-batch input gradients."""
-        D, F = self.plan.ddp_size, self.plan.fsdp_size
-        if self.plan.pp_size > 1:
-            return self._backward_pipelined(grad_ys)
-        timeline = self.plan.cluster.timeline
+        plan = self.plan
+        D, F, S = plan.ddp_size, plan.fsdp_size, plan.pp_size
+        timeline = plan.cluster.timeline
+        last = plan.stage_plan(S - 1)
         grad_xs = []
         with self.tracer.scope("engine.backward"):
             for d in timeline.fold_iter("ddp", range(D)):
                 grads = []
                 for f in timeline.fold_iter("fsdp", range(F)):
-                    with self._ranked(d, f, op="dense.head"):
+                    with self._ranked(d, f, op="dense.head", plan=last):
                         grads.append(self.heads[d][f].backward(grad_ys[d][f]))
-                grads = self.trunks[d].backward(
-                    timeline.fold_pad("fsdp", grads, F))
+                grads = timeline.fold_pad("fsdp", grads, F)
+                for s in reversed(range(S)):
+                    grads = self.trunks[d].stage_trunks[s].backward(grads)
+                    if s > 0:
+                        self._record_boundary_sends(d, s, grads, backward=True)
                 replica_grad_xs = []
                 for f in timeline.fold_iter("fsdp", range(F)):
                     with self._ranked(d, f, op="dense.front"):
                         replica_grad_xs.append(self.fronts[d][f].backward(grads[f]))
                 grad_xs.append(timeline.fold_pad("fsdp", replica_grad_xs, F))
+                if S > 1:  # one stage: no bubble to pad
+                    self._record_pipeline_stall(d)
                 self._record_dense_grad_sync(d)
         return timeline.fold_pad("ddp", grad_xs, D)
 
-    # -- pipelined execution (pp_size > 1) ----------------------------------------
+    # -- pipeline stages ----------------------------------------------------------
     def _stage_ranks(self, stage: int, d: int) -> list[int]:
         sp = self.plan.stage_plan(stage)
         return [
@@ -389,95 +382,47 @@ class HybridSTOPEngine:
                         total - busy[s], 0.0, op="pipeline.stall",
                     )
 
-    def _forward_pipelined(self, xs: list, lead_times: list) -> list:
-        plan = self.plan
-        D, F, S = plan.ddp_size, plan.fsdp_size, plan.pp_size
-        timeline = plan.cluster.timeline
-        last = plan.stage_plan(S - 1)
-        self._num_micro = max(1, int(xs[0][0].shape[0]))
-        self._snapshot_stage_clocks()
-        ys = []
-        with self.tracer.scope("engine.forward"):
-            for d in timeline.fold_iter("ddp", range(D)):
-                tokens = []
-                for f in timeline.fold_iter("fsdp", range(F)):
-                    with self._ranked(d, f, op="dense.front"):
-                        tokens.append(self.fronts[d][f](xs[d][f], lead_times[d][f]))
-                tokens = timeline.fold_pad("fsdp", tokens, F)
-                for s, trunk in enumerate(self.trunks[d].stage_trunks):
-                    tokens = trunk.forward(tokens)
-                    if s + 1 < S:
-                        self._record_boundary_sends(d, s, tokens, backward=False)
-                preds = []
-                for f in timeline.fold_iter("fsdp", range(F)):
-                    with self._ranked(d, f, op="dense.head", plan=last):
-                        preds.append(self.heads[d][f](tokens[f]))
-                ys.append(timeline.fold_pad("fsdp", preds, F))
-        return timeline.fold_pad("ddp", ys, D)
-
-    def _backward_pipelined(self, grad_ys: list) -> list:
-        plan = self.plan
-        D, F, S = plan.ddp_size, plan.fsdp_size, plan.pp_size
-        timeline = plan.cluster.timeline
-        last = plan.stage_plan(S - 1)
-        grad_xs = []
-        with self.tracer.scope("engine.backward"):
-            for d in timeline.fold_iter("ddp", range(D)):
-                grads = []
-                for f in timeline.fold_iter("fsdp", range(F)):
-                    with self._ranked(d, f, op="dense.head", plan=last):
-                        grads.append(self.heads[d][f].backward(grad_ys[d][f]))
-                grads = timeline.fold_pad("fsdp", grads, F)
-                for s in reversed(range(S)):
-                    grads = self.trunks[d].stage_trunks[s].backward(grads)
-                    if s > 0:
-                        self._record_boundary_sends(d, s, grads, backward=True)
-                replica_grad_xs = []
-                for f in timeline.fold_iter("fsdp", range(F)):
-                    with self._ranked(d, f, op="dense.front"):
-                        replica_grad_xs.append(self.fronts[d][f].backward(grads[f]))
-                grad_xs.append(timeline.fold_pad("fsdp", replica_grad_xs, F))
-                self._record_pipeline_stall(d)
-                self._record_dense_grad_sync(d)
-        return timeline.fold_pad("ddp", grad_xs, D)
-
     # -- gradient synchronization ----------------------------------------------------
     def allreduce_gradients(self) -> None:
-        """DDP reduction: sum gradients across replicas (trunk shards + dense)."""
+        """DDP reduction: sum gradients across replicas (trunk shards + dense).
+
+        Written with the primitives :meth:`forward` and :meth:`backward`
+        use, so the exact reduction is the unfolded fold.  A folded run
+        builds replica 0 only; every replica records the same stream, so
+        ``fold_pad`` stands its gradient in for the ``D`` members of the
+        DDP group and the result goes back to the replicas that exist.
+        The shard loop folds on the FSDP axis: each rank takes part in
+        exactly the ``j == f`` reduction, which is what one folded event
+        per parameter replays to.
+        """
         D = self.plan.ddp_size
         if D == 1:
             return
         timeline = self.plan.cluster.timeline
-        if timeline.folds_axis("ddp"):
-            with self.tracer.scope("engine.grad_sync"):
-                self._allreduce_gradients_folded()
-            return
         with self.tracer.scope("engine.grad_sync"):
             # Trunk: reduce shard-by-shard over the matching device positions.
             per_replica = [trunk.sharded_parameters() for trunk in self.trunks]
             for params in zip(*per_replica):
-                num_shards = params[0].num_shards
-                for j in range(num_shards):
-                    group = self._ddp_group_of(params[0].group.ranks[j])
+                first = params[0]
+                for j in timeline.fold_iter("fsdp", range(first.num_shards)):
+                    group = self._ddp_group_of(first.group.ranks[j])
                     grads = [p.grad_shards[j] for p in params]
-                    reduced = all_reduce(group, grads, op="sum")
+                    reduced = all_reduce(
+                        group, timeline.fold_pad("ddp", grads, D), op="sum")
                     for p, grad in zip(params, reduced):
                         p.grad_shards[j] = grad if is_meta(grad) else np.array(grad, copy=True)
-            # Dense modules: reduce each parameter across replica leads
-            # (front leads on stage 0, head leads on the last stage —
-            # one merged group and dict at pp=1).
-            for plan, dense_per_replica in self._dense_reduction_sets():
-                lead_group = plan.ddp_group(0, 0)
-                for name in dense_per_replica[0]:
-                    grads = [dense_per_replica[d][name].grad for d in range(D)]
+            # Dense modules: reduce each parameter across the replica
+            # leads of the stage that holds it.
+            for stage, rows in self._dense_reduction_sets():
+                lead_group = self.plan.stage_plan(stage).ddp_group(0, 0)
+                for name, params in rows:
+                    grads = [p.grad for p in params]
                     if any(g is None for g in grads):
                         raise RuntimeError(f"dense parameter {name} missing a replica gradient")
-                    reduced = all_reduce(lead_group, grads, op="sum")
-                    for d in range(D):
-                        grad = reduced[d]
-                        dense_per_replica[d][name].grad = (
-                            grad if is_meta(grad) else np.array(grad, copy=True)
-                        )
+                    reduced = all_reduce(
+                        lead_group, timeline.fold_pad("ddp", grads, D), op="sum")
+                    for p, grad in zip(params, reduced):
+                        p.grad = grad if is_meta(grad) else np.array(grad, copy=True)
 
     def _ddp_group_of(self, rank: int):
         """The plan's (cached) DDP group through ``rank``: its replica-0
@@ -485,56 +430,16 @@ class HybridSTOPEngine:
         stage, _, fsdp, tp = self.plan.stage_coords(rank)
         return self.plan.stage_plan(stage).ddp_group(fsdp, tp)
 
-    def _dense_reduction_sets(self):
-        """``(plan, per-replica param dicts)`` per dense reduction group.
+    def _dense_reduction_sets(self) -> list[tuple[int, list]]:
+        """``(stage, rows)`` per dense reduction group; a row is one
+        parameter's name (the head's ``head.``-prefixed) and its holder
+        in every replica built so far."""
+        def rows(modules: list, prefix: str = "") -> list:
+            named = zip(*(replica[0].named_parameters(prefix) for replica in modules))
+            return [(holders[0][0], [p for _, p in holders]) for holders in named]
 
-        At ``pp_size == 1`` this is the single merged front+head dict
-        reduced over the stage-0 leads (the original layout); with a
-        pipeline the front and head reduce over their own stages' leads.
-        """
-        D = self.plan.ddp_size
-        replicas = range(min(D, len(self.trunks)))
-        if self.plan.pp_size == 1:
-            merged = [
-                dict(self.fronts[d][0].named_parameters())
-                | {f"head.{n}": p for n, p in self.heads[d][0].named_parameters()}
-                for d in replicas
-            ]
-            return [(self.plan, merged)]
-        first = self.plan.stage_plan(0)
-        last = self.plan.stage_plan(self.plan.pp_size - 1)
-        fronts = [dict(self.fronts[d][0].named_parameters()) for d in replicas]
-        heads = [
-            {f"head.{n}": p for n, p in self.heads[d][0].named_parameters()}
-            for d in replicas
-        ]
-        return [(first, fronts), (last, heads)]
-
-    def _allreduce_gradients_folded(self) -> None:
-        """DDP reduction with only replica 0 materialized.
-
-        Every replica's event stream is identical, so replica 0's
-        gradient stands in for all ``D`` members of the plan's DDP group,
-        and the shard-``j`` loop folds on the FSDP axis: in exact mode
-        each rank participates in exactly the ``j == f`` reduction, which
-        is what one folded event per parameter replays to.
-        """
-        D = self.plan.ddp_size
-        timeline = self.plan.cluster.timeline
-        for p0 in self.trunks[0].sharded_parameters():
-            for j in timeline.fold_iter("fsdp", range(p0.num_shards)):
-                group = self._ddp_group_of(p0.group.ranks[j])
-                reduced = all_reduce(group, [p0.grad_shards[j]] * D, op="sum")
-                grad = reduced[0]
-                p0.grad_shards[j] = grad if is_meta(grad) else np.array(grad, copy=True)
-        for module_plan, dense_per_replica in self._dense_reduction_sets():
-            lead_group = module_plan.ddp_group(0, 0)
-            for name, param in dense_per_replica[0].items():
-                if param.grad is None:
-                    raise RuntimeError(f"dense parameter {name} missing a replica gradient")
-                reduced = all_reduce(lead_group, [param.grad] * D, op="sum")
-                grad = reduced[0]
-                param.grad = grad if is_meta(grad) else np.array(grad, copy=True)
+        return dense_by_stage(
+            self.plan.pp_size, rows(self.fronts), rows(self.heads, "head."))
 
     # -- checkpoint interoperability ---------------------------------------------
     def gathered_state_dict(self, replica: int = 0) -> dict:
@@ -578,14 +483,14 @@ class HybridSTOPEngine:
 
 
 class _PipelinedTrunk:
-    """One DDP replica's trunk, sliced into pipeline-stage sub-trunks.
+    """One DDP replica's trunk: the list of its pipeline-stage sub-trunks.
 
-    Presents the same surface as a single
+    Presents the surface of a single
     :class:`~repro.core.hybrid_block.HybridSTOPTrunk` — ``blocks``,
     ``sharded_parameters`` and ``gathered_grads`` concatenate the
     stages in order, so gathered state dicts, checkpoint shard keys and
-    gradient names are identical to a ``pp_size == 1`` run of the same
-    ``(tp, fsdp)`` shape (per-stage shards are contiguous key ranges).
+    gradient names do not depend on where the stages are cut (per-stage
+    shards are contiguous key ranges).
     """
 
     def __init__(self, stage_trunks: list):

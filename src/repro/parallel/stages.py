@@ -12,6 +12,8 @@ micro-batches.  This module holds the arithmetic both consumers share:
 * :func:`bubble_fraction` / :func:`schedule_walltime` — the 1F1B
   schedule model: S stages drain M micro-batches in ``(M + S - 1)``
   slots of the slowest stage's per-micro-batch busy time;
+* :func:`dense_by_stage` — where the dense front and head live, and
+  that on one stage they are one;
 * :func:`record_boundary_send` — a cost-accounted point-to-point
   activation/gradient transfer at a stage boundary (M latency hits,
   one payload's worth of bytes);
@@ -72,12 +74,31 @@ def schedule_walltime(
     ``stage_busy_s[s]`` is stage ``s``'s total (forward + backward)
     busy seconds over all M micro-batches; the schedule finishes in
     ``(M + S - 1)`` slots of the slowest stage's per-micro-batch time.
+    One stage finishes in exactly its busy time.
     """
     if num_micro_batches < 1:
         raise ValueError("num_micro_batches must be positive")
     num_stages = len(stage_busy_s)
-    slot = max(stage_busy_s) / num_micro_batches
-    return (num_micro_batches + num_stages - 1) * slot
+    slowest = max(stage_busy_s)
+    if num_stages == 1:
+        # No schedule, no bubble — and no rounding: M * (b / M) != b
+        # for about one (b, M) in sixteen.
+        return slowest
+    return (num_micro_batches + num_stages - 1) * (slowest / num_micro_batches)
+
+
+def dense_by_stage(num_stages: int, front, head) -> list[tuple]:
+    """``(stage, value)`` of something the dense front and head each hold.
+
+    The embedding front lives on stage 0 and the prediction head on the
+    last stage.  One stage holds both, and there the two values are one
+    — ``front + head``: parameter bytes become one allocation and one
+    gradient all-reduce of the sum (one alpha term, one collective id,
+    one span), reduction lists concatenate front first.
+    """
+    if num_stages == 1:
+        return [(0, front + head)]
+    return [(0, front), (num_stages - 1, head)]
 
 
 def record_boundary_send(

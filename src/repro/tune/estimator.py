@@ -12,7 +12,11 @@ structural facts that make this exact rather than approximate:
   the slowest rank (class k=0 additionally carries the layer-norm /
   bias / dense work);
 * every trunk block produces the same event sequence (identical
-  shapes), so one block is probed and replayed ``depth`` times.
+  shapes), so one block is probed and replayed ``depth`` times;
+* pipeline stages are rank-offset copies of one 3D grid, so the same
+  probe replays at each stage's offset over its slice of the blocks —
+  one :meth:`AnalyticEstimator.estimate` body for every pipeline
+  degree, a 3D candidate being the one-stage case.
 
 The probe runs the *real* :class:`~repro.core.hybrid_block.HybridSTOPBlock`
 code path on shape-only meta arrays inside a
@@ -49,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.symmetry import RankClassPartition
-from repro.cluster.timeline import FoldedTimeline, Timeline
+from repro.cluster.timeline import FoldedTimeline, Timeline, stretch_compute
 from repro.memory.estimator import MemoryModel, Parallelism, TrainingSetup
 from repro.meta import MetaArray, nbytes_of
 from repro.models.climax_vit import build_model
@@ -58,6 +62,12 @@ from repro.nn.context import ExecutionContext, execution_context
 from repro.nn.transformer import TransformerBlock
 from repro.parallel.compute import PeakFractionCompute
 from repro.parallel.plan import HybridParallelPlan
+from repro.parallel.stages import (
+    bubble_fraction,
+    dense_by_stage,
+    partition_blocks,
+    schedule_walltime,
+)
 from repro.runtime.session import build_cluster, fabricate_batch
 from repro.tune.space import Candidate
 
@@ -79,7 +89,7 @@ class Estimate:
     fits: bool
     #: Pipeline-bubble cost: idle seconds the 1F1B schedule adds beyond
     #: the slowest stage's busy time, and the schedule's idle fraction
-    #: ``(S - 1) / (M + S - 1)``.  Zero for 3D (``pp_size == 1``) plans.
+    #: ``(S - 1) / (M + S - 1)``.  Both exactly zero for one stage.
     bubble_s: float = 0.0
     bubble_fraction: float = 0.0
 
@@ -93,36 +103,29 @@ class Estimate:
         return self.exposed_comm_s / busy if busy > 0 else 0.0
 
 
-class _DegradedReplayTimeline(Timeline):
-    """Replay timeline that applies per-rank degradation factors.
+class _ProfileInjector:
+    """Timeline injector pricing a projected degradation profile.
 
-    Mirrors the :class:`~repro.faults.injector.FaultInjector` timeline
-    protocol: compute events on a degraded rank are multiplied by its
-    straggler factor, and collective events by the product of the link
-    factors of every degraded participant — so an estimate replayed
-    through this timeline predicts what the *injected* engine run would
-    measure.  ``pipeline.stall`` filler is exempt: stalls are derived
-    from already-degraded busy times, not physical work.
+    The :class:`~repro.faults.injector.FaultInjector`'s two degradation
+    hooks without its schedule: compute events on a degraded rank are
+    stretched by its straggler factor (:func:`stretch_compute`, so stall
+    filler stays exempt), collectives by the link factor of every
+    degraded participant, one after the other — an estimate replayed
+    under it predicts what the *injected* engine run would measure.
     """
 
-    def __init__(self, num_ranks: int, compute_factors: dict[int, float],
+    def __init__(self, compute_factors: dict[int, float],
                  link_factors: dict[int, float]):
-        super().__init__(num_ranks)
         self._compute_factors = compute_factors
         self._link_factors = link_factors
 
-    def record_compute(self, rank, seconds, flops=0.0, op="compute"):
-        if op != "pipeline.stall":
-            seconds = seconds * self._compute_factors.get(rank, 1.0)
-        super().record_compute(rank, seconds, flops, op)
+    def on_compute(self, rank, seconds, op):
+        return stretch_compute(seconds, self._compute_factors.get(rank, 1.0), op)
 
-    def record_comm(self, ranks, seconds, nbytes, overlappable=False, op="comm"):
-        ranks = tuple(ranks)
+    def on_comm(self, ranks, seconds, op):
         for rank in ranks:
             seconds = seconds * self._link_factors.get(rank, 1.0)
-        super().record_comm(
-            ranks, seconds, nbytes, overlappable=overlappable, op=op
-        )
+        return seconds
 
 
 def _grid(candidate: Candidate) -> RankClassPartition:
@@ -170,14 +173,6 @@ class _DenseProbe:
     front_bwd_flops: float
     front_param_nbytes: tuple[int, ...]
     head_param_nbytes: tuple[int, ...]
-
-    @property
-    def param_nbytes(self) -> tuple[int, ...]:
-        return self.front_param_nbytes + self.head_param_nbytes
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.param_nbytes)
 
 
 class AnalyticEstimator:
@@ -339,11 +334,12 @@ class AnalyticEstimator:
 
     # -- replay -----------------------------------------------------------------
     def _replay_timeline(self, candidate: Candidate, degradation) -> Timeline:
-        """A fresh replay timeline — degradation-aware when a profile
-        with compute/link factors is given."""
+        """A fresh replay timeline — with the profile's compute/link
+        factors, projected onto the replay ranks, as its injector."""
+        timeline = Timeline(self.num_gpus)
         if degradation is None or (not degradation.compute
                                    and not degradation.links):
-            return Timeline(self.num_gpus)
+            return timeline
 
         def project(pairs) -> dict[int, float]:
             factors: dict[int, float] = {}
@@ -352,122 +348,40 @@ class AnalyticEstimator:
                 factors[rep] = max(factors.get(rep, 1.0), factor)
             return factors
 
-        return _DegradedReplayTimeline(
-            self.num_gpus, project(degradation.compute),
-            project(degradation.links),
-        )
+        timeline.injector = _ProfileInjector(
+            project(degradation.compute), project(degradation.links))
+        return timeline
 
     def estimate(self, candidate: Candidate, degradation=None) -> Estimate:
         """Predicted step time and memory for one candidate.
 
+        A per-stage replay mirroring the engine: each stage replays its
+        own slice of blocks at its rank offset (stages are rank-offset
+        copies of the probe grid), with the dense front on stage 0, the
+        head on the last stage, and fused point-to-point boundary sends
+        in between.  Per-rank ledgers are event-order independent, so
+        the 1F1B makespan is reconstructed from the per-stage busy times
+        via the closed-form ``(M + S - 1) * max(busy) / M`` — the same
+        post-hoc accounting :class:`~repro.parallel.engine.HybridSTOPEngine`
+        applies — and the remainder shows up as ``pipeline.stall``
+        compute, followed by the epilogue reductions.  A 3D candidate is
+        the one-stage case: no boundary, no bubble, and the front and
+        head share the stage (:func:`~repro.parallel.stages.dense_by_stage`).
+
         ``degradation`` (a :class:`~repro.replan.DegradationProfile`)
         re-prices the candidate on a degraded machine: the captured
-        event stream is replayed through a timeline that applies the
-        profile's per-rank compute and link slowdown factors, exactly
-        as the fault injector would scale the live engine's events.
-        The probes themselves are degradation-independent (they record
-        clean base costs), so one estimator serves any profile.
+        event stream is replayed through a timeline whose injector
+        applies the profile's per-rank compute and link slowdown
+        factors, exactly as the fault injector would scale the live
+        engine's events.  The probes themselves are
+        degradation-independent (they record clean base costs), so one
+        estimator serves any profile.
         """
         if candidate.world_size != self.num_gpus:
             raise ValueError(
                 f"candidate world {candidate.world_size} != {self.num_gpus} GPUs"
             )
         peak = self.peak_memory_bytes(candidate)
-        fits = peak <= self.memory_model.gpu_memory_bytes
-        if candidate.pp_size > 1:
-            return self._estimate_pipelined(candidate, peak, fits,
-                                            degradation=degradation)
-        probe = self._block_probe(candidate)
-        dense = self._dense_probe(candidate.micro_batch)
-        grid = _grid(candidate)
-        cfg = self.config
-        timeline = self._replay_timeline(candidate, degradation)
-        reps = [grid.rank(0, 0, k) for k in range(candidate.tp_size)]
-        lead = reps[0]
-
-        def dense_compute(flops: float, op: str) -> None:
-            timeline.record_compute(
-                lead, self._compute_model.seconds_for(flops, lead), flops, op=op
-            )
-
-        # Forward: per-FSDP dense front, depth trunk blocks, dense head.
-        dense_compute(dense.front_fwd_flops, "dense.front")
-        for _ in range(cfg.depth):
-            timeline.replay(probe.forward)
-        dense_compute(dense.head_fwd_flops, "dense.head")
-        # Backward (reverse order); checkpointing re-runs each block's
-        # forward — re-gathering and re-paying compute — before its
-        # backward, exactly as the trunk does.
-        dense_compute(dense.head_bwd_flops, "dense.head")
-        for _ in range(cfg.depth):
-            if candidate.recompute:
-                timeline.replay(probe.forward)
-            timeline.replay(probe.backward)
-        dense_compute(dense.front_bwd_flops, "dense.front")
-
-        cost_model = self._cluster.cost_model
-        replica_ranks = [
-            grid.rank(0, f, k)
-            for f in range(candidate.fsdp_size)
-            for k in range(candidate.tp_size)
-        ]
-        if len(replica_ranks) > 1:
-            seconds = cost_model.all_reduce(replica_ranks, dense.total_bytes)
-            timeline.record_comm(
-                reps, seconds, dense.total_bytes, op="dense_grad_sync"
-            )
-        if candidate.ddp_size > 1:
-            # Each representative joins the shard-0 reduction group of
-            # every sharded parameter on its column, once per block; the
-            # reductions are non-overlappable, so recording depth-scaled
-            # seconds once per parameter leaves the ledger identical to
-            # depth separate events.
-            for column, shard_nbytes in probe.shard_columns:
-                group = [
-                    grid.rank(d, 0, column) for d in range(candidate.ddp_size)
-                ]
-                seconds = cost_model.all_reduce(group, shard_nbytes)
-                timeline.record_comm(
-                    [grid.rank(0, 0, column)],
-                    seconds * cfg.depth,
-                    shard_nbytes * cfg.depth,
-                    op="all_reduce",
-                )
-            lead_group = [grid.rank(d, 0, 0) for d in range(candidate.ddp_size)]
-            for param_nbytes in dense.param_nbytes:
-                seconds = cost_model.all_reduce(lead_group, param_nbytes)
-                timeline.record_comm([lead], seconds, param_nbytes, op="all_reduce")
-
-        critical = max((timeline.ledger(r) for r in reps), key=lambda l: l.walltime_s)
-        return Estimate(
-            candidate=candidate,
-            step_time_s=critical.walltime_s,
-            compute_s=critical.compute_s,
-            comm_s=critical.comm_s,
-            exposed_comm_s=critical.exposed_comm_s,
-            peak_memory_bytes=peak,
-            fits=fits,
-        )
-
-    def _estimate_pipelined(self, candidate: Candidate, peak: float,
-                            fits: bool, degradation=None) -> Estimate:
-        """Per-stage replay of a 4D candidate, mirroring the engine.
-
-        Each stage replays its own slice of blocks at its rank offset
-        (stages are rank-offset copies of the probe grid), with the
-        dense front on stage 0, the head on the last stage, and fused
-        point-to-point boundary sends in between.  Per-rank ledgers are
-        event-order independent, so the 1F1B makespan is reconstructed
-        from the per-stage busy times via the closed-form
-        ``(M + S - 1) * max(busy) / M`` — the same post-hoc accounting
-        :class:`~repro.parallel.engine.HybridSTOPEngine` applies — and
-        the remainder shows up as ``pipeline.stall`` compute, followed
-        by the epilogue reductions.
-        """
-        from repro.parallel.stages import (
-            bubble_fraction, partition_blocks, schedule_walltime,
-        )
-
         probe = self._block_probe(candidate)
         dense = self._dense_probe(candidate.micro_batch)
         grid = _grid(candidate)
@@ -477,11 +391,13 @@ class AnalyticEstimator:
         bounds = partition_blocks(cfg.depth, S)
         timeline = self._replay_timeline(candidate, degradation)
         cost_model = self._cluster.cost_model
+        #: reps[s][k]: stage s's class representative of tp column k
+        #: (column 0 additionally carries the stage's dense work).
+        reps = [[s * stage_size + grid.rank(0, 0, k) for k in range(K)]
+                for s in range(S)]
 
-        def stage_reps(s: int) -> list[int]:
-            return [s * stage_size + grid.rank(0, 0, k) for k in range(K)]
-
-        def dense_compute(rank: int, flops: float, op: str) -> None:
+        def dense_compute(stage: int, flops: float, op: str) -> None:
+            rank = reps[stage][0]
             timeline.record_compute(
                 rank, self._compute_model.seconds_for(flops, rank), flops, op=op
             )
@@ -493,9 +409,7 @@ class AnalyticEstimator:
             # The engine records one fused event per (d, f, k); only the
             # (0, 0, k) class ranks can be critical, so those suffice.
             per_micro = token_nbytes / M
-            for k in range(K):
-                src = src_stage * stage_size + grid.rank(0, 0, k)
-                dst = dst_stage * stage_size + grid.rank(0, 0, k)
+            for src, dst in zip(reps[src_stage], reps[dst_stage]):
                 seconds = M * cost_model.point_to_point(src, dst, per_micro)
                 timeline.record_comm([src, dst], seconds, token_nbytes, op=op)
 
@@ -504,22 +418,22 @@ class AnalyticEstimator:
         for s in range(S):
             offset = s * stage_size
             if s == 0:
-                dense_compute(offset + grid.rank(0, 0, 0),
-                              dense.front_fwd_flops, "dense.front")
+                dense_compute(s, dense.front_fwd_flops, "dense.front")
             start, end = bounds[s]
             for _ in range(end - start):
                 timeline.replay(probe.forward, offset)
             if s + 1 < S:
                 boundary(s, s + 1, "pipeline.send")
             if s == S - 1:
-                dense_compute(offset + grid.rank(0, 0, 0),
-                              dense.head_fwd_flops, "dense.head")
-        # Backward: mirror order, gradient sends toward stage 0.
+                dense_compute(s, dense.head_fwd_flops, "dense.head")
+        # Backward: mirror order, gradient sends toward stage 0;
+        # checkpointing re-runs each block's forward — re-gathering and
+        # re-paying compute — before its backward, exactly as the trunk
+        # does.
         for s in reversed(range(S)):
             offset = s * stage_size
             if s == S - 1:
-                dense_compute(offset + grid.rank(0, 0, 0),
-                              dense.head_bwd_flops, "dense.head")
+                dense_compute(s, dense.head_bwd_flops, "dense.head")
             start, end = bounds[s]
             for _ in range(end - start):
                 if candidate.recompute:
@@ -528,38 +442,40 @@ class AnalyticEstimator:
             if s > 0:
                 boundary(s, s - 1, "pipeline.grad_send")
             if s == 0:
-                dense_compute(offset + grid.rank(0, 0, 0),
-                              dense.front_bwd_flops, "dense.front")
+                dense_compute(s, dense.front_bwd_flops, "dense.front")
 
         # 1F1B makespan: stages overlap across micro-batches, so the
         # drained walltime is (M + S - 1) / M of the slowest stage; the
         # surplus over each stage's own busy time is its bubble stall.
-        busy = [
-            max(timeline.ledger(r).walltime_s for r in stage_reps(s))
-            for s in range(S)
-        ]
+        busy = [max(timeline.ledger(r).walltime_s for r in stage)
+                for stage in reps]
         total = schedule_walltime(busy, M)
-        for s in range(S):
-            for rank in stage_reps(s):
-                timeline.record_compute(rank, total - busy[s], 0.0,
-                                        op="pipeline.stall")
+        if S > 1:  # a one-stage schedule has no bubble
+            for stage, stage_busy in zip(reps, busy):
+                for rank in stage:
+                    timeline.record_compute(rank, total - stage_busy, 0.0,
+                                            op="pipeline.stall")
 
-        # Epilogue: the dense front syncs over stage 0's replica, the
-        # head over the last stage's.
-        def dense_sync(stage: int, nbytes: int) -> None:
+        # Epilogue: each stage that holds dense parameters syncs them
+        # over its replica.
+        for stage, nbytes in dense_by_stage(
+            S, sum(dense.front_param_nbytes), sum(dense.head_param_nbytes)
+        ):
             offset = stage * stage_size
             replica_ranks = [
                 offset + grid.rank(0, f, k)
                 for f in range(candidate.fsdp_size) for k in range(K)
             ]
-            if len(replica_ranks) > 1 and nbytes:
+            if len(replica_ranks) > 1:
                 seconds = cost_model.all_reduce(replica_ranks, nbytes)
-                timeline.record_comm(stage_reps(stage), seconds, nbytes,
+                timeline.record_comm(reps[stage], seconds, nbytes,
                                      op="dense_grad_sync")
-
-        dense_sync(0, sum(dense.front_param_nbytes))
-        dense_sync(S - 1, sum(dense.head_param_nbytes))
         if candidate.ddp_size > 1:
+            # Each representative joins the shard-0 reduction group of
+            # every sharded parameter on its column, once per block; the
+            # reductions are non-overlappable, so recording depth-scaled
+            # seconds once per parameter leaves the ledger identical to
+            # one event per block.
             for s in range(S):
                 offset = s * stage_size
                 start, end = bounds[s]
@@ -571,13 +487,14 @@ class AnalyticEstimator:
                     ]
                     seconds = cost_model.all_reduce(group, shard_nbytes)
                     timeline.record_comm(
-                        [offset + grid.rank(0, 0, column)],
+                        [reps[s][column]],
                         seconds * stage_depth,
                         shard_nbytes * stage_depth,
                         op="all_reduce",
                     )
-
-            def dense_reduce(stage: int, nbytes_list: tuple[int, ...]) -> None:
+            for stage, nbytes_list in dense_by_stage(
+                S, dense.front_param_nbytes, dense.head_param_nbytes
+            ):
                 offset = stage * stage_size
                 lead_group = [
                     offset + grid.rank(d, 0, 0)
@@ -588,12 +505,9 @@ class AnalyticEstimator:
                     timeline.record_comm([lead_group[0]], seconds,
                                          param_nbytes, op="all_reduce")
 
-            dense_reduce(0, dense.front_param_nbytes)
-            dense_reduce(S - 1, dense.head_param_nbytes)
-
-        all_reps = [r for s in range(S) for r in stage_reps(s)]
         critical = max(
-            (timeline.ledger(r) for r in all_reps), key=lambda l: l.walltime_s
+            (timeline.ledger(r) for stage in reps for r in stage),
+            key=lambda l: l.walltime_s,
         )
         return Estimate(
             candidate=candidate,
@@ -602,7 +516,7 @@ class AnalyticEstimator:
             comm_s=critical.comm_s,
             exposed_comm_s=critical.exposed_comm_s,
             peak_memory_bytes=peak,
-            fits=fits,
+            fits=peak <= self.memory_model.gpu_memory_bytes,
             bubble_s=total - max(busy),
             bubble_fraction=bubble_fraction(S, M),
         )

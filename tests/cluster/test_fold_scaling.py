@@ -12,10 +12,12 @@ from collections import Counter
 
 import pytest
 
+from repro.cluster.timeline import FoldedTimeline, Timeline
 from repro.cluster.topology import FrontierTopology
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.memory.tracker import MemoryTracker
 from repro.models import PAPER_MODELS
+from repro.parallel.engine import HybridSTOPEngine
 from repro.runtime import RunSpec
 from tests.cluster.test_fold_parity import _assert_bitwise_equal, _run
 
@@ -124,3 +126,43 @@ def test_folded_results_stay_bitwise_equal_to_exact(grid):
     # Folded, no per-rank ledger was built and most devices never asked for.
     assert not folded.cluster.timeline._ledgers
     assert _touched(folded) < _touched(exact) == exact.cluster.world_size
+
+
+#: (pp, tp, fsdp, ddp), fold -> ``record_comm`` calls per step, counted
+#: at the commit before pp = 1 became the one-stage pipeline.
+ONE_STAGE_PINS = {
+    "folded-1024": ((1, 4, 16, 16), "on", 1508),
+    "exact-16": ((1, 4, 2, 2), "off", 3125),
+}
+
+
+@pytest.mark.parametrize("grid, fold, comms_per_step", ONE_STAGE_PINS.values(),
+                         ids=ONE_STAGE_PINS.keys())
+def test_one_stage_pays_no_pipeline_bookkeeping(monkeypatch, grid, fold,
+                                                comms_per_step):
+    """pp = 1 runs the pipelined engine with one stage: it must not
+    read stage clocks (a walk over every rank of every replica), record
+    a stall, or emit one collective more than the 3D engine did."""
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(HybridSTOPEngine, "_snapshot_stage_clocks")
+    counted(HybridSTOPEngine, "_record_pipeline_stall")
+    # FoldedTimeline overrides record_comm without calling up.
+    counted(Timeline, "record_comm")
+    counted(FoldedTimeline, "record_comm")
+    session, modes = _run(_spec(grid, fold=fold, num_steps=2))
+    assert all(modes) is (fold == "on")
+    assert calls["record_comm"] == 2 * comms_per_step
+    assert not calls["_snapshot_stage_clocks"]
+    assert not calls["_record_pipeline_stall"]
+    assert not session.engine._stall_t0
+    assert not any(s.name.startswith("pipeline.") for s in session.tracer.spans)

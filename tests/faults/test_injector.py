@@ -136,6 +136,49 @@ class TestDegradations:
         assert cluster.timeline.ledger(1).comm_s == pytest.approx(2.0)
         assert cluster.timeline.ledger(2).comm_s == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("rank", [0, 11], ids=["stage-0", "stage-1"])
+    def test_straggler_does_not_stretch_pipeline_stall_filler(self, rank):
+        """``pipeline.stall`` pads a stage up to the 1F1B makespan of
+        busy times the straggler has already stretched; stretching the
+        filler again would put the step past the makespan — and past the
+        estimate replan prices the same degradation with."""
+        from repro.parallel.stages import schedule_walltime
+        from repro.replan import DegradationProfile
+        from repro.runtime import RunSpec, Session
+        from repro.tune import AnalyticEstimator, Candidate
+        from tests.cluster.test_fold_parity import _config
+
+        config, M = _config(depth=4), 4
+        session = Session(RunSpec(
+            config=config, num_gpus=16, gpus_per_node=8, pp_size=2,
+            tp_size=2, fsdp_size=2, ddp_size=2, micro_batch=M,
+        ))
+        injector = FaultInjector(FaultPlan(faults=(
+            FaultSpec(kind="straggler", step=0, rank=rank, factor=3.0),
+        )))
+        session.cluster.attach_injector(injector)
+        injector.begin_step(0)
+        session.meta_step(0)
+
+        estimate = AnalyticEstimator(config, 16).estimate(
+            Candidate(2, 2, 2, M, pp_size=2),
+            DegradationProfile(compute=((rank, 3.0),), remaining_steps=1),
+        )
+        assert session.cluster.timeline.walltime_s() == \
+            pytest.approx(estimate.step_time_s, rel=1e-12, abs=0)
+        # One stall span per rank; its t0 is the rank's busy clock.  A
+        # replica's schedule spans its four ranks of either stage.
+        stalls = {s.rank: s for s in session.tracer.spans
+                  if s.name == "pipeline.stall"}
+        assert sorted(stalls) == list(range(16))
+        for d in (0, 1):
+            stage_ranks = [range(8 * stage + 4 * d, 8 * stage + 4 * d + 4)
+                           for stage in (0, 1)]
+            busy = [max(stalls[r].t0 for r in ranks) for ranks in stage_ranks]
+            makespan = schedule_walltime(busy, M)
+            for ranks, stage_busy in zip(stage_ranks, busy):
+                assert {stalls[r].dur for r in ranks} == {makespan - stage_busy}
+
 
 class TestGradFaults:
     def test_poison_plants_nan_in_first_numeric_grad(self):
@@ -197,12 +240,3 @@ class TestSeededSkew:
             seeded_skew_profile(0, 4, num_stragglers=5)
         with pytest.raises(ValueError):
             seeded_skew_profile(0, 4, min_factor=0.9)
-
-
-class TestDeprecationShim:
-    def test_old_import_path_warns_and_resolves(self):
-        import repro.faults.degradation as degradation
-
-        with pytest.warns(DeprecationWarning, match="repro.faults.degradation"):
-            from repro.parallel.compute import SkewedCompute
-        assert SkewedCompute is degradation.SkewedCompute

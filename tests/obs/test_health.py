@@ -1,7 +1,7 @@
 """Run-health monitor: findings from clean and perturbed simulated runs.
 
 Straggler injection uses the perturbed cost model
-(:class:`repro.parallel.compute.SkewedCompute` via
+(:class:`repro.faults.degradation.SkewedCompute` via
 ``run_traced_step(compute_skew=...)``), exactly as the issue's
 acceptance criterion requires.
 """

@@ -214,12 +214,3 @@ class TestPipelineLimits:
 
         with pytest.raises(PipelineLimitError, match="limited by the number"):
             make_engine(4, 1, 1, 1, depth=3, seed=0)
-
-    def test_legacy_import_path_warns(self):
-        import repro.parallel.pipeline as legacy
-        from repro.parallel.stages import PipelineLimitError, PipelineParallelTrunk
-
-        with pytest.warns(DeprecationWarning):
-            assert legacy.PipelineParallelTrunk is PipelineParallelTrunk
-        with pytest.warns(DeprecationWarning):
-            assert legacy.PipelineLimitError is PipelineLimitError

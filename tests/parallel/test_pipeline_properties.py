@@ -1,12 +1,13 @@
 """Property-based tests for the pipeline engine (random partitions)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import VirtualCluster
 from repro.nn.transformer import TransformerStack
 from repro.parallel import PipelineParallelTrunk
+from repro.parallel.stages import schedule_walltime
 
 
 @st.composite
@@ -76,3 +77,22 @@ def test_property_bubble_fraction_bounds(depth, stages, micro):
     assert pipeline.bubble_fraction(micro + 8) <= bubble
     if stages == 1:
         assert bubble == 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    busy=st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=6),
+    micro=st.integers(1, 64),
+)
+@example(busy=[0.1], micro=11)  # 11 * (0.1 / 11) != 0.1
+def test_property_schedule_walltime(busy, micro):
+    """One stage finishes in exactly its busy time — ``M * (b / M)``
+    is not ``b`` for about one ``(b, M)`` in sixteen — and more stages
+    in the closed-form 1F1B makespan, never before the slowest."""
+    total = schedule_walltime(busy, micro)
+    if len(busy) == 1:
+        assert total == busy[0]
+    else:
+        assert total == (micro + len(busy) - 1) * (max(busy) / micro)
+        assert total >= max(busy)
+
