@@ -167,7 +167,7 @@ def run_case(case: BenchCase, config=None, tracer=None,
     the per-step timeseries — telemetry reads the ledgers without
     writing them, so the measurements are bitwise unaffected.
     """
-    from repro.obs import analysis
+    from repro.obs import SpanColumns, analysis
     from repro.obs.critical_path import analyze_trace
     from repro.runtime import RunSpec, Session, StepLoop
 
@@ -175,17 +175,17 @@ def run_case(case: BenchCase, config=None, tracer=None,
     session = Session(spec, tracer=tracer, monitor=monitor)
     StepLoop(session.meta_step, hooks=session.loop_hooks()).run(1)
 
-    tracer = session.tracer
-    decomposition = analyze_trace(tracer)
+    columns = SpanColumns.of(session.tracer)  # built once, reduced twice
+    decomposition = analyze_trace(columns)
     step_time = decomposition.critical_path_s
     record = BenchRecord(
         case=case,
         step_time_s=step_time,
         time_per_obs_s=step_time / case.observations,
-        exposed_comm_fraction=analysis.exposed_comm_ratio(tracer.spans),
+        exposed_comm_fraction=analysis.exposed_comm_ratio(columns),
         peak_memory_bytes=session.peak_memory_bytes(),
         bound_resource=decomposition.bound_resource,
-        spans=len(tracer.spans),
+        spans=len(columns),
         decomposition=decomposition,
     )
     _LOG.info(

@@ -609,6 +609,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {written} ({label})")
     elif args.command == "analyze":
         from repro.obs import (
+            TraceFormatError,
             analyze_trace,
             check_run,
             critical_path_report,
@@ -619,7 +620,14 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.trace is not None:
             # Offline mode: span-level checks only (no cluster/plan).
-            spans = load_trace_events(args.trace)
+            try:
+                spans = load_trace_events(args.trace)
+            except OSError as exc:
+                print(f"{args.trace}: {exc.strerror.lower()}", file=sys.stderr)
+                return 2
+            except TraceFormatError as exc:
+                print(exc, file=sys.stderr)
+                return 2
             analysis = analyze_trace(spans)
             findings = check_run(spans, analysis=analysis)
         else:

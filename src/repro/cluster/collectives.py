@@ -150,10 +150,10 @@ def reduce_scatter(
         out = MetaArray(tuple(out_shape), buffers[0].dtype)
         return [out] * group.size
     reduced = _reduce(np.stack([np.asarray(b) for b in buffers]), op)
-    return [
-        np.take(reduced, range(i * shard_len, (i + 1) * shard_len), axis=axis)
-        for i in range(group.size)
-    ]
+    # Shards are slices of the one reduction: disjoint, and along axis 0
+    # already contiguous (ascontiguousarray copies only otherwise).
+    return [np.ascontiguousarray(shard)
+            for shard in np.split(reduced, group.size, axis=axis)]
 
 
 def all_reduce(

@@ -210,7 +210,9 @@ class Timeline:
         if self._capture is not None:
             self._capture.append(("free", ranks, name, nbytes,
                                   self.tracer.current_scope))
-        self.tracer.mark_free(self, ranks, name, nbytes)
+        ledgers = self._ledgers
+        self.tracer.mark_free(
+            ranks, [ledgers[rank].walltime_s for rank in ranks], name, nbytes)
 
     # -- event streams: capture and replay ---------------------------------
     @contextmanager
@@ -641,11 +643,16 @@ class FoldedTimeline(Timeline):
         if self._capture is not None:
             self._capture.append(entry)
         self._log.append(entry)
-        if not self._folded:
-            self.tracer.mark_free(self, ranks, name, nbytes)
+        if not self.tracer.enabled:
             return
-        reps = [self._reps[key] for key in self._covered(ranks)]
-        self.tracer.mark_free(self, reps, name, nbytes)
+        if self._folded:
+            covered = self._covered(ranks)
+            ranks = [self._reps[key] for key in covered]
+            ledgers = [self._class_ledgers[key] for key in covered]
+        else:
+            ledgers = [self._ledgers[rank] for rank in ranks]
+        self.tracer.mark_free(
+            ranks, [led.walltime_s for led in ledgers], name, nbytes)
 
     # -- summaries ---------------------------------------------------------
     def ledger(self, rank):

@@ -30,8 +30,17 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetrics,
 )
-from repro.obs.tracer import NULL_TRACER, SPAN_KINDS, NullTracer, Span, Tracer
+from repro.obs.tracer import (
+    NULL_TRACER,
+    SPAN_KINDS,
+    NullTracer,
+    Span,
+    SpanColumns,
+    SpanView,
+    Tracer,
+)
 from repro.obs.export import (
+    TraceFormatError,
     load_trace_events,
     parse_prometheus,
     step_report,
@@ -101,9 +110,12 @@ __all__ = [
     "NullTracer",
     "SPAN_KINDS",
     "Span",
+    "SpanColumns",
+    "SpanView",
     "StepAnalysis",
     "TraceAnalysis",
     "TraceRun",
+    "TraceFormatError",
     "Tracer",
     "analyze_step",
     "analyze_trace",

@@ -1,76 +1,91 @@
-"""Aggregations over recorded spans.
+"""Aggregations over recorded spans, as column reductions.
 
 These back both the plain-text step report and the invariant tests: a
 trace is useful exactly because these sums are *defined* to equal the
 :class:`~repro.cluster.timeline.Timeline` ledgers.
+
+Every function takes a tracer, its ``spans`` view, a list of
+:class:`~repro.obs.tracer.Span` or ready
+:class:`~repro.obs.tracer.SpanColumns` (build them once when calling
+several), and sums with :func:`sums_by`: ``np.bincount`` adds the
+weights in row order in one C loop, which is the ledger's own ``+=``
+walk float for float.  ``np.sum`` and ``np.add.reduceat`` add pairwise
+and round differently; they must not be used here.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.obs.tracer import Span
+import numpy as np
 
-#: Kinds whose spans carry simulated time (markers are excluded).
-TIMED_KINDS = ("compute", "collective", "gather")
-COMM_KINDS = ("collective", "gather")
+from repro.obs.tracer import COLLECTIVE, COMPUTE, GATHER, KIND_NAMES, SpanColumns
 
 
-def compute_seconds_by_rank(spans: Iterable[Span]) -> dict[int, float]:
-    """Per-rank sum of compute span durations, in recorded order.
-
-    Accumulated with ``+=`` exactly as the ledger accumulates, so the
-    result is bitwise-equal to ``ledger.compute_s``.
-    """
-    totals: dict[int, float] = defaultdict(float)
-    for span in spans:
-        if span.kind == "compute":
-            totals[span.rank] += span.dur
-    return dict(totals)
+def is_timed(cols: SpanColumns) -> np.ndarray:
+    """Row mask of the spans that carry simulated time (no markers)."""
+    return cols.kind <= GATHER
 
 
-def exposed_comm_seconds_by_rank(spans: Iterable[Span]) -> dict[int, float]:
+def is_comm(cols: SpanColumns) -> np.ndarray:
+    """Row mask of the collective/gather spans."""
+    return (cols.kind == COLLECTIVE) | (cols.kind == GATHER)
+
+
+def group_ids(labels: Iterable) -> tuple[list, np.ndarray]:
+    """Distinct ``labels`` in order of first appearance, and each
+    label's index into them.  One dict probe per label, no Python-level
+    loop: work per *distinct* label is left to the caller."""
+    first_row: dict = {}
+    firsts = np.fromiter(
+        map(first_row.setdefault, labels, itertools.count()), np.int64)
+    # first rows of the distinct labels ascend, so they index themselves
+    ids = np.searchsorted(np.fromiter(first_row.values(), np.int64), firsts)
+    return list(first_row), ids
+
+
+def sums_by(ids: np.ndarray, values: np.ndarray, size: int) -> list[float]:
+    """Per-id sums of ``values``, accumulated in row order (see above)."""
+    return np.bincount(ids, weights=values, minlength=size).tolist()
+
+
+def _seconds_by_rank(trace, mask, column: str) -> dict[int, float]:
+    cols = SpanColumns.of(trace)
+    rows = np.flatnonzero(mask(cols))
+    ranks, ids = group_ids(cols.rank[rows].tolist())
+    return dict(zip(ranks, sums_by(ids, getattr(cols, column)[rows], len(ranks))))
+
+
+def compute_seconds_by_rank(trace) -> dict[int, float]:
+    """Per-rank sum of compute span durations, in recorded order —
+    bitwise-equal to ``ledger.compute_s``."""
+    return _seconds_by_rank(trace, lambda c: c.kind == COMPUTE, "dur")
+
+
+def exposed_comm_seconds_by_rank(trace) -> dict[int, float]:
     """Per-rank sum of exposed collective/gather time (bitwise-matches
     ``ledger.exposed_comm_s``)."""
-    totals: dict[int, float] = defaultdict(float)
-    for span in spans:
-        if span.kind in COMM_KINDS:
-            totals[span.rank] += span.busy_s
-    return dict(totals)
+    return _seconds_by_rank(trace, is_comm, "busy_s")
 
 
-def comm_seconds_by_rank(spans: Iterable[Span]) -> dict[int, float]:
+def comm_seconds_by_rank(trace) -> dict[int, float]:
     """Per-rank total modeled communication time (hidden + exposed)."""
-    totals: dict[int, float] = defaultdict(float)
-    for span in spans:
-        if span.kind in COMM_KINDS:
-            totals[span.rank] += span.dur
-    return dict(totals)
+    return _seconds_by_rank(trace, is_comm, "dur")
 
 
-def hidden_comm_seconds_by_rank(spans: Iterable[Span]) -> dict[int, float]:
+def hidden_comm_seconds_by_rank(trace) -> dict[int, float]:
     """Per-rank overlap-hidden communication time."""
-    totals: dict[int, float] = defaultdict(float)
-    for span in spans:
-        if span.kind in COMM_KINDS:
-            totals[span.rank] += span.hidden_s
-    return dict(totals)
+    return _seconds_by_rank(trace, is_comm, "hidden_s")
 
 
-def busy_seconds_by_rank(spans: Iterable[Span]) -> dict[int, float]:
+def busy_seconds_by_rank(trace) -> dict[int, float]:
     """Per-rank busy time: compute plus exposed communication."""
-    totals: dict[int, float] = defaultdict(float)
-    for span in spans:
-        if span.kind in TIMED_KINDS:
-            totals[span.rank] += span.busy_s
-    return dict(totals)
+    return _seconds_by_rank(trace, is_timed, "busy_s")
 
 
-def top_operations(
-    spans: Sequence[Span], limit: int = 10, key: str = "exposed"
-) -> list[dict]:
+def top_operations(trace, limit: int = 10, key: str = "exposed") -> list[dict]:
     """Operations ranked by aggregate exposed (or total) time.
 
     Answers "which collective on which path dominated?": spans are
@@ -78,45 +93,40 @@ def top_operations(
     """
     if key not in ("exposed", "total"):
         raise ValueError(f"key must be 'exposed' or 'total', got {key!r}")
-    grouped: dict[tuple[str, str], dict] = {}
-    for span in spans:
-        if span.kind not in TIMED_KINDS:
-            continue
-        entry = grouped.setdefault(
-            (span.kind, span.name),
-            {"kind": span.kind, "name": span.name, "count": 0,
-             "exposed_s": 0.0, "total_s": 0.0, "hidden_s": 0.0, "nbytes": 0.0},
-        )
-        entry["count"] += 1
-        entry["exposed_s"] += span.busy_s
-        entry["total_s"] += span.dur
-        entry["hidden_s"] += span.hidden_s
-        entry["nbytes"] += span.nbytes
+    cols = SpanColumns.of(trace)
+    cols = cols.take(np.flatnonzero(is_timed(cols)))
+    operations, ids = group_ids(zip(cols.kind.tolist(), cols.name.tolist()))
+    size = len(operations)
     ranked = sorted(
-        grouped.values(),
+        (
+            {"kind": KIND_NAMES[kind], "name": name, "count": count,
+             "exposed_s": exposed, "total_s": total, "hidden_s": hidden,
+             "nbytes": nbytes}
+            for (kind, name), count, exposed, total, hidden, nbytes in zip(
+                operations, np.bincount(ids, minlength=size).tolist(),
+                sums_by(ids, cols.busy_s, size), sums_by(ids, cols.dur, size),
+                sums_by(ids, cols.hidden_s, size),
+                sums_by(ids, cols.nbytes, size))
+        ),
         key=lambda e: (e["exposed_s"] if key == "exposed" else e["total_s"]),
         reverse=True,
     )
     return ranked[:limit]
 
 
-def exposed_comm_ratio(spans: Sequence[Span]) -> float:
+def exposed_comm_ratio(trace) -> float:
     """Exposed communication as a fraction of total busy time.
 
     Compact spans from a folded timeline stand for a whole symmetry
-    class; their ``members`` attribute weights them back to the
-    machine-wide ratio.  Exact traces carry no ``members``, and the
-    weight of 1 leaves the per-rank accumulation bitwise unchanged.
+    class; their ``members`` weight them back to the machine-wide
+    ratio.  Exact traces carry no ``members``, and the weight of 1
+    leaves the per-rank accumulation bitwise unchanged.
     """
-    busy_totals: dict[int, float] = defaultdict(float)
-    exposed_totals: dict[int, float] = defaultdict(float)
-    for span in spans:
-        if span.kind not in TIMED_KINDS:
-            continue
-        weighted = span.busy_s * span.attrs.get("members", 1)
-        busy_totals[span.rank] += weighted
-        if span.kind in COMM_KINDS:
-            exposed_totals[span.rank] += weighted
-    busy = math.fsum(busy_totals.values())
-    exposed = math.fsum(exposed_totals.values())
+    cols = SpanColumns.of(trace)
+    timed = np.flatnonzero(is_timed(cols))
+    ranks, ids = group_ids(cols.rank[timed].tolist())
+    weighted = cols.busy_s[timed] * cols.members[timed]
+    comm = cols.kind[timed] != COMPUTE
+    busy = math.fsum(sums_by(ids, weighted, len(ranks)))
+    exposed = math.fsum(sums_by(ids[comm], weighted[comm], len(ranks)))
     return exposed / busy if busy > 0 else 0.0

@@ -20,28 +20,35 @@ module explains *why the step took as long as it did*:
   collective ids the timeline stamps on comm spans).
 
 Bitwise invariants (tested in ``tests/obs/test_critical_path.py``):
-each rank's ``compute_s`` / ``exposed_comm_s`` buckets accumulate with
-``+=`` over spans in recorded order — the same floats in the same order
-as the ledger — so ``busy_s`` equals ``ledger.walltime_s`` exactly, and
-the attribution identity ``exposed_compute + exposed_comm + io ==
-critical_path_seconds`` holds exactly, not approximately.
+each rank's ``compute_s`` / ``exposed_comm_s`` buckets are row-order
+sums over span columns (:func:`~repro.obs.analysis.sums_by`) — the same
+floats in the same order as the ledger — so ``busy_s`` equals
+``ledger.walltime_s`` exactly, and the attribution identity
+``exposed_compute + exposed_comm + io == critical_path_seconds`` holds
+exactly, not approximately.
+
+There is one implementation: a tracer, its ``spans`` view, a loaded
+file or a list of :class:`Span` is analysed as
+:class:`~repro.obs.tracer.SpanColumns`; labels are derived per distinct
+``(scope, name)`` and the chain walk iterates per segment.
+``tests/obs/data/analysis_golden.json`` pins every field.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable
 
-from repro.obs.tracer import Span, Tracer
+import numpy as np
+
+from repro.obs.analysis import group_ids, is_comm, sums_by
+from repro.obs.tracer import COMPUTE, IO, KIND_NAMES, Span, SpanColumns, Tracer
 
 _LAYER = re.compile(r"block(\d+)")
 _STEP_SCOPE = re.compile(r"^step\.\d+$")
-
-#: Span kinds bucketed as communication.
-_COMM_KINDS = ("collective", "gather")
 
 
 @dataclass
@@ -67,22 +74,6 @@ class RankAttribution:
     def busy_s(self) -> float:
         """The rank's contribution to wall time (ledger ``walltime_s``)."""
         return self.compute_s + self.exposed_comm_s + self.io_s
-
-    def add(self, span: Span) -> None:
-        self.spans += 1
-        if span.kind == "compute":
-            self.compute_s += span.dur
-            self.flops += span.flops
-        elif span.kind in _COMM_KINDS:
-            self.comm_s += span.dur
-            self.exposed_comm_s += span.busy_s
-            self.hidden_comm_s += span.hidden_s
-            # shard-free markers carry the bytes *released*, not moved;
-            # only spans with a participant group are real transfers
-            if span.group is not None:
-                self.comm_bytes += span.nbytes
-        elif span.kind == "io":
-            self.io_s += span.dur
 
     def as_dict(self) -> dict:
         return {
@@ -180,159 +171,178 @@ class TraceAnalysis:
         return self.overall.bound_resource
 
 
-def _spans_of(trace: "Tracer | Iterable[Span]") -> list[Span]:
-    spans = getattr(trace, "spans", trace)
-    return list(spans)
-
-
-def _step_label(span: Span) -> str | None:
-    root = span.scope.split("/", 1)[0]
-    return root if _STEP_SCOPE.match(root) else None
-
-
-def _phase_label(span: Span) -> str:
-    for part in span.scope.split("/"):
+def _phase_label(scope: str) -> str:
+    for part in scope.split("/"):
         if not _STEP_SCOPE.match(part):
             return part
     return "(unscoped)"
 
 
-def _layer_label(span: Span) -> str:
-    match = _LAYER.search(span.name) or _LAYER.search(span.scope)
+def _layer_label(scope: str, name: str) -> str:
+    match = _LAYER.search(name) or _LAYER.search(scope)
     if match:
         return f"block{match.group(1)}"
     return "(non-layer)"
 
 
-def _analyze_spans(label: str, spans: Sequence[Span]) -> StepAnalysis:
-    ranks: dict[int, RankAttribution] = defaultdict(RankAttribution)
-    for span in spans:
-        ranks[span.rank].add(span)
-    ranks = dict(ranks)
+def _attribute(cols: SpanColumns, ids: np.ndarray, size: int) -> list[RankAttribution]:
+    """One :class:`RankAttribution` per id: each bucket is the row-order
+    sum (:func:`~repro.obs.analysis.sums_by`) of its kind's rows."""
+    compute = np.flatnonzero(cols.kind == COMPUTE)
+    comm = np.flatnonzero(is_comm(cols))
+    io = np.flatnonzero(cols.kind == IO)
+    # shard-free markers carry the bytes *released*, not moved; only
+    # spans with a participant group are real transfers
+    moved = comm[cols.group_len[comm] >= 0]
 
-    if ranks:
-        critical_rank = max(ranks, key=lambda r: (ranks[r].busy_s, -r))
-        critical_path_s = ranks[critical_rank].busy_s
-    else:
-        critical_rank = 0
-        critical_path_s = 0.0
-        ranks = {0: RankAttribution()}
-    slack = {rank: critical_path_s - attr.busy_s for rank, attr in ranks.items()}
+    def total(rows, values):
+        return sums_by(ids[rows], values[rows], size)
 
-    by_op: dict[str, list] = defaultdict(list)
-    by_kind: dict[str, list] = defaultdict(list)
-    phases: dict[str, RankAttribution] = defaultdict(RankAttribution)
-    layers: dict[str, RankAttribution] = defaultdict(RankAttribution)
-    for span in spans:
-        if span.rank != critical_rank:
-            continue
-        phases[_phase_label(span)].add(span)
-        layers[_layer_label(span)].add(span)
-        if span.kind in _COMM_KINDS:
-            by_op[span.name].append(span.busy_s)
-            by_kind[span.kind].append(span.busy_s)
+    return list(itertools.starmap(RankAttribution, zip(
+        total(compute, cols.dur), total(comm, cols.busy_s),
+        total(comm, cols.hidden_s), total(comm, cols.dur),
+        total(io, cols.dur), total(compute, cols.flops),
+        total(moved, cols.nbytes), np.bincount(ids, minlength=size).tolist(),
+    )))
 
+
+def _fsum_by(labels: list, values: np.ndarray) -> dict[str, float]:
+    """``{label: fsum of its values}``, sorted by label (fsum is exact,
+    so the order it adds in does not matter)."""
+    distinct, ids = group_ids(labels)
+    parts = np.split(values[np.argsort(ids, kind="stable")],
+                     np.cumsum(np.bincount(ids))[:-1])
+    return dict(sorted(zip(distinct, (math.fsum(p.tolist()) for p in parts))))
+
+
+def _analyze_cut(label: str, cols: SpanColumns) -> StepAnalysis:
+    rank_of, rank_ids = group_ids(cols.rank.tolist())
+    if not rank_of:
+        return StepAnalysis(label, {0: RankAttribution()}, 0, 0.0, {0: 0.0},
+                            {}, {}, {}, {})
+    ranks = dict(zip(rank_of, _attribute(cols, rank_ids, len(rank_of))))
+    critical_rank = max(ranks, key=lambda r: (ranks[r].busy_s, -r))
+    critical_path_s = ranks[critical_rank].busy_s
+
+    # Everything below looks at the critical rank alone; labels are
+    # worked out once per distinct (scope, name), not per span.
+    critical = cols.take(np.flatnonzero(cols.rank == critical_rank))
+    pairs, pair_ids = group_ids(zip(critical.scope.tolist(), critical.name.tolist()))
+
+    def split(label_of) -> dict[str, RankAttribution]:
+        labels, ids = group_ids(label_of(*pair) for pair in pairs)
+        return dict(zip(labels, _attribute(critical, ids[pair_ids], len(labels))))
+
+    comm = np.flatnonzero(is_comm(critical))
+    exposed = critical.busy_s[comm]
     return StepAnalysis(
         label=label,
         ranks=ranks,
         critical_rank=critical_rank,
         critical_path_s=critical_path_s,
-        slack_s=slack,
-        exposed_comm_by_op={op: math.fsum(v) for op, v in sorted(by_op.items())},
-        exposed_comm_by_kind={k: math.fsum(v) for k, v in sorted(by_kind.items())},
-        phases=dict(phases),
-        layers=dict(layers),
-        chain=_critical_chain(spans, critical_rank),
+        slack_s={rank: critical_path_s - attr.busy_s for rank, attr in ranks.items()},
+        exposed_comm_by_op=_fsum_by(critical.name[comm].tolist(), exposed),
+        exposed_comm_by_kind=_fsum_by(
+            [KIND_NAMES[kind] for kind in critical.kind[comm].tolist()], exposed),
+        phases=split(lambda scope, name: _phase_label(scope)),
+        layers=split(_layer_label),
+        chain=_critical_chain(cols, rank_of, rank_ids, rank_of.index(critical_rank)),
     )
 
 
-def _critical_chain(spans: Sequence[Span], critical_rank: int) -> list[ChainSegment]:
+def _run_ends(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows that end a run of equal ``keys`` (sorted alike)."""
+    ends = np.ones(len(keys[0]), dtype=bool)
+    ends[:-1] = np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
+    return ends
+
+
+def _critical_chain(cols, rank_of, rank_ids, at) -> list[ChainSegment]:
     """Walk the dependency chain backward from the critical rank's end.
 
     Compute runs stay on their rank; a collective's start is gated by
     the participant that arrived last (largest pre-collective busy
-    clock ``t0`` among the spans sharing its collective id), so the
-    walk jumps there and continues.  The result, reversed, reads
-    forward in time: which rank the step's length was living on, and
-    through which collective responsibility changed hands.
+    clock ``t0`` among the spans sharing its collective id, the later
+    span if a rank carries the id twice), so the walk jumps there and
+    continues.  The result, reversed, reads forward in time: which rank
+    the step's length was living on, and through which collective
+    responsibility changed hands.  ``at`` indexes ``rank_of``.  Which
+    rows jump, and where to, is worked out for all rows at once; the
+    walk then takes one iteration per *segment*.
     """
-    by_rank: dict[int, list[Span]] = defaultdict(list)
-    for span in spans:
-        by_rank[span.rank].append(span)
-    arrivals: dict[int, dict[int, tuple[int, Span]]] = defaultdict(dict)
-    for rank, rank_spans in by_rank.items():
-        for index, span in enumerate(rank_spans):
-            cid = span.attrs.get("cid")
-            if cid is not None:
-                arrivals[cid][rank] = (index, span)
+    n = len(cols)
+    # rows grouped by rank, in recorded order
+    by_rank = np.argsort(rank_ids, kind="stable")
+    starts = np.searchsorted(rank_ids[by_rank], np.arange(len(rank_of) + 1))
+
+    # the arrival of each (collective id, rank): the last such row ...
+    arrivals = np.flatnonzero(~np.isnan(cols.cid))
+    arrivals = arrivals[np.lexsort((rank_ids[arrivals], cols.cid[arrivals]))]
+    arrivals = arrivals[_run_ends(cols.cid[arrivals], rank_ids[arrivals])]
+    # ... and of those, per id, the one with the largest (t0, rank)
+    arrivals = arrivals[np.lexsort(
+        (cols.rank[arrivals], cols.t0[arrivals], cols.cid[arrivals]))]
+    blockers = arrivals[_run_ends(cols.cid[arrivals])]
+    blocker = np.zeros(n, dtype=np.int64)
+    waiting = np.flatnonzero(~np.isnan(cols.cid) & (cols.group_len > 1))
+    blocker[waiting] = blockers[
+        np.searchsorted(cols.cid[blockers], cols.cid[waiting])]
+    jumps = np.zeros(n, dtype=bool)
+    jumps[waiting] = ((rank_ids[blocker[waiting]] != rank_ids[waiting])
+                      & (cols.t0[blocker[waiting]] > cols.t0[waiting]))
 
     segments: list[ChainSegment] = []
-    rank = critical_rank
-    rank_spans = by_rank.get(rank, [])
-    index = len(rank_spans) - 1
-    current: list[Span] = []
-    entered_via: tuple[str | None, int | None] = (None, None)
-    budget = sum(len(v) for v in by_rank.values())
-
-    def flush() -> None:
-        if not current:
-            return
-        # ``current`` was appended walking backward; earliest span last.
-        segments.append(
-            ChainSegment(
-                rank=rank,
-                spans=len(current),
-                busy_s=math.fsum(s.busy_s for s in current),
-                first_op=current[-1].name,
-                last_op=current[0].name,
-                via=entered_via[0],
-                via_cid=entered_via[1],
-            )
-        )
-
-    while index >= 0 and budget > 0:
-        budget -= 1
-        span = rank_spans[index]
-        current.append(span)
-        cid = span.attrs.get("cid")
-        if cid is not None and span.group is not None and len(span.group) > 1:
-            participants = arrivals.get(cid, {})
-            if participants:
-                blocker = max(participants, key=lambda r: (participants[r][1].t0, r))
-                blocker_index, blocker_span = participants[blocker]
-                if blocker != rank and blocker_span.t0 > span.t0:
-                    flush()
-                    entered_via = (span.name, cid)
-                    rank = blocker
-                    rank_spans = by_rank.get(rank, [])
-                    index = blocker_index - 1
-                    current = []
-                    continue
-        index -= 1
-    flush()
+    via, via_cid = None, None
+    last = starts[at + 1] - starts[at] - 1
+    budget = n  # a malformed trace could cycle; n steps is every span once
+    while last >= 0 and budget > 0:
+        rows = by_rank[starts[at]:starts[at] + last + 1]
+        jumping = np.flatnonzero(jumps[rows])
+        first = max(jumping[-1] if jumping.size else 0, len(rows) - budget)
+        run = rows[first:]
+        budget -= run.size
+        segments.append(ChainSegment(
+            rank=rank_of[at],
+            spans=run.size,
+            busy_s=math.fsum(cols.busy_s[run].tolist()),
+            first_op=cols.name[run[0]],
+            last_op=cols.name[run[-1]],
+            via=via,
+            via_cid=via_cid,
+        ))
+        if not jumps[run[0]]:
+            break
+        via, via_cid = cols.name[run[0]], int(cols.cid[run[0]])
+        at = rank_ids[blocker[run[0]]]
+        last = np.searchsorted(by_rank[starts[at]:starts[at + 1]],
+                               blocker[run[0]]) - 1
     segments.reverse()
     return segments
 
 
-def analyze_trace(trace: "Tracer | Iterable[Span]") -> TraceAnalysis:
+def analyze_trace(trace: "Tracer | SpanColumns | Iterable[Span]") -> TraceAnalysis:
     """Full analysis of a trace: overall plus per-``step.N`` cuts.
 
     The *overall* analysis accumulates over every span in recorded
     order, so its per-rank totals are bitwise-equal to the Timeline
     ledgers; per-step analyses partition the same spans by their
     ``step.N`` scope root (spans outside any step — e.g. free-standing
-    markers — appear only in the overall cut).
+    markers — appear only in the overall cut).  A trace that is one
+    step and nothing else is analysed once: its cut is the overall
+    analysis under the step's label, sharing its parts.
     """
-    spans = _spans_of(trace)
-    overall = _analyze_spans("run", spans)
-    grouped: dict[str, list[Span]] = {}
-    for span in spans:
-        label = _step_label(span)
-        if label is not None:
-            grouped.setdefault(label, []).append(span)
+    cols = SpanColumns.of(trace)
+    overall = _analyze_cut("run", cols)
+    scopes, scope_ids = group_ids(cols.scope.tolist())
+    roots, root_ids = group_ids(scope.split("/", 1)[0] for scope in scopes)
+    root_ids = root_ids[scope_ids]
+    labels = sorted((root for root in roots if _STEP_SCOPE.match(root)),
+                    key=lambda root: int(root.split(".")[1]))
+    if len(labels) == len(roots) == 1:
+        return TraceAnalysis(overall, [replace(overall, label=labels[0])])
     steps = [
-        _analyze_spans(label, grouped[label])
-        for label in sorted(grouped, key=lambda s: int(s.split(".")[1]))
+        _analyze_cut(label, cols.take(np.flatnonzero(root_ids == roots.index(label))))
+        for label in labels
     ]
     return TraceAnalysis(overall=overall, steps=steps)
 

@@ -24,7 +24,7 @@ import re
 from pathlib import Path
 
 from repro.obs import analysis
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Span, SpanColumns, SpanView, Tracer, span_row
 
 _LANES = {"compute": "compute", "collective": "comm", "gather": "comm"}
 
@@ -61,19 +61,17 @@ def _event(span: Span) -> dict:
 
 def to_chrome_trace(tracer: Tracer) -> dict:
     """The trace as a ``chrome://tracing``-loadable dict."""
-    events: list[dict] = []
-    ranks = sorted({span.rank for span in tracer.spans})
-    for rank in ranks:
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": rank,
-                "args": {"name": f"rank {rank}"},
-            }
-        )
-    events.extend(_event(span) for span in tracer.spans)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    spans = [_event(span) for span in tracer.spans]
+    events = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": rank,
+            "args": {"name": f"rank {rank}"},
+        }
+        for rank in sorted({event["pid"] for event in spans})
+    ]
+    return {"traceEvents": events + spans, "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(tracer: Tracer, path) -> Path:
@@ -106,27 +104,63 @@ def write_trace_events(tracer: Tracer, path) -> Path:
     return path
 
 
-def load_trace_events(path) -> list[Span]:
-    """Rebuild the span list written by :func:`write_trace_events`."""
-    doc = json.loads(Path(path).read_text())
-    spans = []
-    for entry in doc["spans"]:
-        spans.append(
-            Span(
-                kind=entry["kind"],
-                name=entry["name"],
-                rank=entry["rank"],
-                t0=entry["t0"],
-                dur=entry["dur"],
-                hidden_s=entry.get("hidden_s", 0.0),
-                nbytes=entry.get("nbytes", 0.0),
-                flops=entry.get("flops", 0.0),
-                group=tuple(entry["group"]) if "group" in entry else None,
-                scope=entry.get("scope", ""),
-                attrs=dict(entry.get("attrs", {})),
-            )
-        )
-    return spans
+class TraceFormatError(ValueError):
+    """A ``trace_events.json`` that :func:`load_trace_events` cannot use."""
+
+
+_NUMBER = (int, float)
+#: The fields a span entry may carry (other keys are derived and
+#: ignored) with the type each must have; the first five are required.
+_FIELD_TYPES = {"kind": str, "name": str, "rank": int, "t0": _NUMBER,
+                "dur": _NUMBER, "hidden_s": _NUMBER, "nbytes": _NUMBER,
+                "flops": _NUMBER, "group": list, "scope": str, "attrs": dict}
+_REQUIRED = tuple(_FIELD_TYPES)[:5]
+
+
+def _entry_row(entry, where: str) -> tuple:
+    """The table row of one ``spans`` entry, or :class:`TraceFormatError`."""
+    if not isinstance(entry, dict):
+        raise TraceFormatError(f"{where} is not an object")
+    for name in _REQUIRED:
+        if name not in entry:
+            raise TraceFormatError(f"{where} has no {name!r}")
+    fields = {name: entry[name] for name in _FIELD_TYPES if name in entry}
+    for name, value in fields.items():
+        if not isinstance(value, _FIELD_TYPES[name]) or isinstance(value, bool):
+            raise TraceFormatError(f"{where}: {name!r} cannot be {value!r}")
+    if not fields["dur"] >= 0:
+        raise TraceFormatError(
+            f"{where}: 'dur' must be >= 0, got {fields['dur']!r}")
+    for name in ("cid", "members"):  # the two attrs the analyses read
+        value = fields.get("attrs", {}).get(name)
+        if value is not None and type(value) is not int:
+            raise TraceFormatError(
+                f"{where}: attrs[{name!r}] cannot be {value!r}")
+    if "group" in fields:
+        fields["group"] = tuple(fields["group"])
+    try:
+        return span_row(**fields)
+    except ValueError as exc:  # an unknown kind
+        raise TraceFormatError(f"{where}: {exc}") from exc
+
+
+def load_trace_events(path) -> SpanView:
+    """The spans written by :func:`write_trace_events`, as a table view.
+
+    Raises :class:`TraceFormatError` naming ``path`` — and the entry and
+    field at fault — for anything that is not such a file: torn JSON, no
+    ``spans`` list, a missing or mistyped field, an unknown ``kind`` or
+    a negative ``dur``.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise TraceFormatError(f"{path}: not valid JSON ({exc})") from exc
+    entries = doc.get("spans") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise TraceFormatError(f"{path}: no 'spans' list")
+    return SpanView([_entry_row(entry, f"{path}: spans[{index}]")
+                     for index, entry in enumerate(entries)])
 
 
 # -- Prometheus-style text exposition -----------------------------------------
@@ -261,7 +295,7 @@ def step_report(tracer: Tracer, cluster=None, top: int = 10) -> str:
     """
     from repro.experiments.common import format_table
 
-    spans = tracer.spans
+    spans = SpanColumns.of(tracer)  # one column build for every sum below
     compute = analysis.compute_seconds_by_rank(spans)
     exposed = analysis.exposed_comm_seconds_by_rank(spans)
     hidden = analysis.hidden_comm_seconds_by_rank(spans)

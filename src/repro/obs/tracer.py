@@ -1,4 +1,4 @@
-"""Span-based event tracing keyed to the simulated cluster clock.
+"""The span table: event tracing keyed to the simulated cluster clock.
 
 Every piece of modeled time in the system flows through
 :class:`~repro.cluster.timeline.Timeline` — compute via
@@ -20,6 +20,14 @@ comm-span exposed portions sum to ``ledger.exposed_comm_s`` — float
 for float, since both accumulate the same values in the same order.
 The invariant suite (``tests/obs/test_invariants.py``) asserts this.
 
+The store is a table with two faces.  **Writing**, a :class:`Tracer`
+appends one plain tuple per event (:data:`ROW_FIELDS`) — no object, no
+dict, nothing the cyclic collector has to keep revisiting.  **Reading**,
+``tracer.spans`` is a :class:`SpanView` that builds a :class:`Span` for
+the element asked for and forgets it, and :class:`SpanColumns` turns
+the rows into NumPy columns once per analysis (:mod:`repro.obs.analysis`,
+:mod:`repro.obs.critical_path`).  Only this module knows the row layout.
+
 Call sites annotate, they never branch: code holds a tracer handle
 (the cluster's, or :data:`NULL_TRACER`), and the disabled path is a
 no-op object with the same methods — zero events, no conditionals in
@@ -29,23 +37,42 @@ instrumented code.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import eq
+
+import numpy as np
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.utils.logging import trace_log_context
 
 _STEP_SCOPE = re.compile(r"^step\.(\d+)$")
 
-#: The typed event vocabulary.  ``compute`` and ``collective``/``gather``
-#: carry simulated time; ``optimizer``/``checkpoint``/``io`` are
+#: The typed event vocabulary, in :attr:`SpanColumns.kind` code order.
+#: ``compute`` and ``collective``/``gather`` carry simulated time (codes
+#: up to :data:`GATHER`); ``io`` may; ``optimizer``/``checkpoint`` are
 #: zero-duration markers for control events off the simulated clock;
 #: ``serve`` spans carry simulated *serving* time (one per dispatched
 #: micro-batch, ``rank`` = replica id — see :mod:`repro.serve.server`).
-SPAN_KINDS = frozenset(
-    {"compute", "collective", "gather", "optimizer", "checkpoint", "io",
-     "serve"}
-)
+KIND_NAMES = ("compute", "collective", "gather", "io", "optimizer",
+              "checkpoint", "serve")
+COMPUTE, COLLECTIVE, GATHER, IO = range(4)
+SPAN_KINDS = frozenset(KIND_NAMES)
+_KIND_CODE = {kind: code for code, kind in enumerate(KIND_NAMES)}
+#: ``spans.<kind>`` counter names, so an emit formats nothing.
+_COUNTER = {kind: f"spans.{kind}" for kind in KIND_NAMES}
+
+#: What one row of the table holds, in order.  ``cid`` (collective id)
+#: and ``members`` (class size of a folded span) are ``None`` when
+#: absent; ``attrs`` is ``None`` unless the caller passed extras.
+ROW_FIELDS = ("kind", "name", "rank", "t0", "dur", "hidden_s", "nbytes",
+              "flops", "group", "scope", "cid", "members", "attrs")
+
+
+def _unknown_kind(kind) -> ValueError:
+    return ValueError(
+        f"unknown span kind {kind!r}; expected one of {sorted(SPAN_KINDS)}")
 
 
 @dataclass
@@ -114,11 +141,135 @@ class Span:
         return out
 
 
+def span_row(kind, name, rank, t0, dur, hidden_s=0.0, nbytes=0.0, flops=0.0,
+             group=None, scope="", attrs=None) -> tuple:
+    """A table row from span fields (``attrs`` as :attr:`Span.attrs`)."""
+    if kind not in SPAN_KINDS:
+        raise _unknown_kind(kind)
+    extras = dict(attrs or ())
+    cid, members = extras.pop("cid", None), extras.pop("members", None)
+    return (kind, name, rank, t0, dur, hidden_s, nbytes, flops, group, scope,
+            cid, members, extras or None)
+
+
+def _span_of(row: tuple) -> Span:
+    *fields, cid, members, extras = row
+    # key order is part of the exported bytes: cid, members, then extras
+    attrs = {}
+    if cid is not None:
+        attrs["cid"] = cid
+    if members is not None:
+        attrs["members"] = members
+    if extras:
+        attrs.update(extras)
+    return Span(*fields, attrs)
+
+
+class SpanView(Sequence):
+    """Read-only sequence of :class:`Span` over the rows of a table.
+
+    A span is built for the element asked for and not kept: holding
+    200k of them next to their rows is what the table exists to avoid.
+    Compares equal to another view or a list holding equal spans.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list):
+        self._rows = rows
+
+    @classmethod
+    def of(cls, spans) -> "SpanView":
+        """``spans`` itself if it is a view, else a table filled from
+        its :class:`Span` objects."""
+        if isinstance(spans, cls):
+            return spans
+        return cls([span_row(**vars(span)) for span in spans])
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SpanView(self._rows[index])
+        return _span_of(self._rows[index])
+
+    def __iter__(self):
+        return map(_span_of, self._rows)
+
+    def __eq__(self, other):
+        if isinstance(other, SpanView):
+            return self._rows == other._rows
+        if isinstance(other, list):
+            return len(other) == len(self._rows) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SpanView({len(self._rows)} spans)"
+
+
+class SpanColumns:
+    """The rows of a span table as NumPy columns, one entry per span.
+
+    Built once per analysis (72k rows take ~45 ms); the analyses are
+    reductions over these.  ``kind`` holds :data:`KIND_NAMES` codes,
+    ``busy_s`` is ``dur - hidden_s`` (the same subtraction
+    :attr:`Span.busy_s` does), ``group_len`` is -1 without a group,
+    ``cid`` is NaN without one (ids stay exact in a float up to 2**53)
+    and ``members`` is 1 where a span stands for itself alone.
+    ``name`` and ``scope`` are object arrays of the row's own strings.
+    """
+
+    __slots__ = ("kind", "name", "rank", "t0", "dur", "hidden_s", "busy_s",
+                 "nbytes", "flops", "group_len", "scope", "cid", "members")
+
+    def __init__(self, rows: list):
+        n = len(rows)
+        (kind, name, rank, t0, dur, hidden_s, nbytes, flops, group, scope,
+         cid, members, _) = zip(*rows) if rows else ((),) * len(ROW_FIELDS)
+        self.kind = np.fromiter(map(_KIND_CODE.__getitem__, kind), np.int8, n)
+        self.rank = np.array(rank, dtype=np.int64)
+        self.t0 = np.array(t0, dtype=float)
+        self.dur = np.array(dur, dtype=float)
+        self.hidden_s = np.array(hidden_s, dtype=float)
+        self.busy_s = self.dur - self.hidden_s
+        self.nbytes = np.array(nbytes, dtype=float)
+        self.flops = np.array(flops, dtype=float)
+        self.group_len = np.fromiter(
+            (-1 if g is None else len(g) for g in group), np.int64, n)
+        # a float array turns None into NaN
+        self.cid = np.array(cid, dtype=float)
+        members = np.array(members, dtype=float)
+        self.members = np.where(np.isnan(members), 1.0, members)
+        self.name = np.array(name, dtype=object)
+        self.scope = np.array(scope, dtype=object)
+
+    @classmethod
+    def of(cls, trace) -> "SpanColumns":
+        """Columns of a :class:`Tracer`, a :class:`SpanView` or any
+        iterable of :class:`Span` (``trace`` itself if already columns)."""
+        if isinstance(trace, cls):
+            return trace
+        return cls(SpanView.of(getattr(trace, "spans", trace))._rows)
+
+    def __len__(self) -> int:
+        return len(self.rank)
+
+    def take(self, rows: np.ndarray) -> "SpanColumns":
+        """The columns of the given row indices, in that order."""
+        out = object.__new__(SpanColumns)
+        for column in self.__slots__:
+            setattr(out, column, getattr(self, column)[rows])
+        return out
+
+
 class Tracer:
-    """Records :class:`Span` events and per-kind counters.
+    """Records span rows and per-kind counters.
 
     The tracer is deterministic: given the same seeded simulation it
-    produces the identical span list, so traces double as test
+    produces the identical span table, so traces double as test
     fixtures.  Attach one to a cluster at construction
     (``VirtualCluster(..., tracer=Tracer())``) or later via
     :meth:`~repro.cluster.cluster.VirtualCluster.attach_tracer`.
@@ -127,12 +278,18 @@ class Tracer:
     enabled = True
 
     def __init__(self, metrics: MetricsRegistry | None = None):
-        self.spans: list[Span] = []
+        self._rows: list[tuple] = []
+        #: The recorded spans, as a read-only view of the table.
+        self.spans = SpanView(self._rows)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._scope_parts: list[str] = []
         self._kind_override: list[str] = []
-        #: ``(scope, comm kind)`` of the event being replayed, if any.
-        self._context: tuple[str, str] | None = None
+        #: Whether :meth:`set_context` labels are in force.
+        self._in_context = False
+        #: Scope label new rows carry (read-only for callers).
+        self.current_scope = ""
+        #: Span kind the active scope assigns to collectives.
+        self.current_comm_kind = "collective"
 
     # -- scoping ------------------------------------------------------------
     @contextmanager
@@ -149,6 +306,7 @@ class Tracer:
         self._scope_parts.append(".".join(str(p) for p in parts))
         if kind is not None:
             self._kind_override.append(kind)
+        self._label_from_stack()
         try:
             with trace_log_context(**self._log_fields()):
                 yield self
@@ -156,6 +314,15 @@ class Tracer:
             self._scope_parts.pop()
             if kind is not None:
                 self._kind_override.pop()
+            self._label_from_stack()
+
+    def _label_from_stack(self) -> None:
+        """Point the labels at the live scope stack (a context wins)."""
+        if self._in_context:
+            return
+        self.current_scope = "/".join(self._scope_parts)
+        self.current_comm_kind = (
+            self._kind_override[-1] if self._kind_override else "collective")
 
     def _log_fields(self) -> dict:
         """``step``/``phase`` implied by the current scope stack."""
@@ -176,20 +343,13 @@ class Tracer:
         log) carry the scope the original call was made under;
         ``scope=None`` returns to the live scope stack.
         """
-        self._context = None if scope is None else (scope, kind)
-
-    @property
-    def current_scope(self) -> str:
-        if self._context is not None:
-            return self._context[0]
-        return "/".join(self._scope_parts)
-
-    @property
-    def current_comm_kind(self) -> str:
-        """Span kind the active scope assigns to collectives."""
-        if self._context is not None:
-            return self._context[1]
-        return self._kind_override[-1] if self._kind_override else "collective"
+        if scope is None:
+            self._in_context = False
+            self._label_from_stack()
+        else:
+            self._in_context = True
+            self.current_scope = scope
+            self.current_comm_kind = kind
 
     # -- recording ----------------------------------------------------------
     def span(
@@ -204,30 +364,22 @@ class Tracer:
         nbytes: float = 0.0,
         flops: float = 0.0,
         group: tuple[int, ...] | None = None,
+        cid: int | None = None,
+        members: int | None = None,
         **attrs,
-    ) -> Span:
-        if kind not in SPAN_KINDS:
-            raise ValueError(f"unknown span kind {kind!r}; expected one of {sorted(SPAN_KINDS)}")
-        span = Span(
-            kind=kind,
-            name=name,
-            rank=rank,
-            t0=t0,
-            dur=dur,
-            hidden_s=hidden_s,
-            nbytes=nbytes,
-            flops=flops,
-            group=group,
-            scope=self.current_scope,
-            attrs=attrs,
-        )
-        self.spans.append(span)
-        self.metrics.counter(f"spans.{kind}").inc()
-        return span
+    ) -> None:
+        counter = _COUNTER.get(kind)
+        if counter is None:
+            raise _unknown_kind(kind)
+        self._rows.append((kind, name, rank, t0, dur, hidden_s, nbytes, flops,
+                           group, self.current_scope, cid, members,
+                           attrs or None))
+        self.metrics.counter(counter).inc()
 
-    def instant(self, kind: str, name: str, rank: int = 0, t0: float = 0.0, **attrs) -> Span:
+    def instant(self, kind: str, name: str, rank: int = 0, t0: float = 0.0,
+                **attrs) -> None:
         """A zero-duration marker event (optimizer/checkpoint/io)."""
-        return self.span(kind, name, rank, t0, 0.0, **attrs)
+        self.span(kind, name, rank, t0, 0.0, **attrs)
 
     # -- Timeline hooks -----------------------------------------------------
     def on_compute(
@@ -239,8 +391,9 @@ class Tracer:
         ``members`` marks a class-annotated compact span from a folded
         timeline: the event stands for that many symmetric ranks.
         """
-        attrs = {} if members is None else {"members": members}
-        self.span("compute", op, rank, t0, seconds, flops=flops, **attrs)
+        self._rows.append(("compute", op, rank, t0, seconds, 0.0, 0.0, flops,
+                           None, self.current_scope, None, members, None))
+        self.metrics.counter("spans.compute").inc()
 
     def on_comm(
         self,
@@ -262,29 +415,33 @@ class Tracer:
         marks a class-annotated compact span (folded timeline).
         """
         kind = self.current_comm_kind
-        attrs = {} if cid is None else {"cid": cid}
-        if members is not None:
-            attrs["members"] = members
-        self.span(
-            kind, op, rank, t0, seconds,
-            hidden_s=hidden_s, nbytes=nbytes, group=group, **attrs,
-        )
+        counter = _COUNTER.get(kind)
+        if counter is None:
+            raise _unknown_kind(kind)
+        self._rows.append((kind, op, rank, t0, seconds, hidden_s, nbytes, 0.0,
+                           group, self.current_scope, cid, members, None))
+        self.metrics.counter(counter).inc()
 
-    def mark_free(self, timeline, ranks, name: str, nbytes: float) -> None:
-        """Marker for a gathered shard being released on each rank."""
-        for rank in ranks:
-            self.span(
-                "gather", f"free.{name}", rank, timeline.ledger(rank).walltime_s, 0.0,
-                nbytes=nbytes,
-            )
+    def mark_free(self, ranks, clocks, name: str, nbytes: float) -> None:
+        """Marker for a gathered shard being released on each of
+        ``ranks``, whose busy clocks read ``clocks``."""
+        if not ranks:
+            return
+        name, scope = f"free.{name}", self.current_scope
+        self._rows.extend([
+            ("gather", name, rank, clock, 0.0, 0.0, nbytes, 0.0, None, scope,
+             None, None, None)
+            for rank, clock in zip(ranks, clocks)
+        ])
+        self.metrics.counter("spans.gather").inc(len(ranks))
 
     # -- lifecycle ----------------------------------------------------------
     def clear(self) -> None:
         """Drop recorded spans (e.g. between simulated runs)."""
-        self.spans.clear()
+        self._rows.clear()
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._rows)
 
 
 class _NullScope:
@@ -314,6 +471,8 @@ class NullTracer:
     enabled = False
     spans: tuple = ()
     metrics = NULL_METRICS
+    current_scope = ""
+    current_comm_kind = "collective"
 
     __slots__ = ()
 
@@ -322,14 +481,6 @@ class NullTracer:
 
     def set_context(self, scope, kind=None) -> None:
         pass
-
-    @property
-    def current_scope(self) -> str:
-        return ""
-
-    @property
-    def current_comm_kind(self) -> str:
-        return "collective"
 
     def span(self, *args, **kwargs) -> None:
         return None
@@ -344,7 +495,7 @@ class NullTracer:
                 cid=None, members=None) -> None:
         pass
 
-    def mark_free(self, timeline, ranks, name, nbytes) -> None:
+    def mark_free(self, ranks, clocks, name, nbytes) -> None:
         pass
 
     def clear(self) -> None:

@@ -49,6 +49,47 @@ def test_reduce_scatter_all_gather_round_trip(group_size, chunks, seed):
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    group_size=st.sampled_from([1, 2, 4, 8]),
+    shape=st.lists(st.integers(min_value=1, max_value=3), min_size=1,
+                   max_size=3),
+    axis=st.integers(min_value=-3, max_value=2),
+    op=st.sampled_from(["sum", "mean", "max", "min"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_reduce_scatter_shards_equal_the_take_reference(
+        group_size, shape, axis, op, seed):
+    """The shards are slices of one reduction; they must be what
+    ``np.take`` per member produced, own their memory layout
+    (C-contiguous) and alias neither each other nor an input."""
+    if not -len(shape) <= axis < len(shape):
+        axis = 0
+    shape[axis] *= group_size
+    group = make_group(group_size)
+    rng = np.random.default_rng(seed)
+    buffers = [rng.normal(size=shape) for _ in range(group_size)]
+    inputs = [b.copy() for b in buffers]
+    shards = reduce_scatter(group, buffers, op=op, axis=axis)
+
+    reduced = getattr(np, op)(np.stack(inputs), axis=0)
+    shard_len = shape[axis] // group_size
+    reference = [
+        np.take(reduced, range(i * shard_len, (i + 1) * shard_len), axis=axis)
+        for i in range(group_size)
+    ]
+    assert len(shards) == group_size
+    for shard, want in zip(shards, reference):
+        assert shard.flags.c_contiguous
+        np.testing.assert_array_equal(shard, want)
+    for i, shard in enumerate(shards):
+        shard += 1.0
+        for j, (other, want) in enumerate(zip(shards, reference)):
+            np.testing.assert_array_equal(other, want + (i >= j))
+    for buffer, original in zip(buffers, inputs):
+        np.testing.assert_array_equal(buffer, original)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     group_size=st.sampled_from([1, 2, 4]),

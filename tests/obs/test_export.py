@@ -5,7 +5,16 @@ import json
 import pytest
 
 from repro.cluster import Timeline, VirtualCluster, all_reduce
-from repro.obs import Tracer, step_report, to_chrome_trace, to_dict, write_chrome_trace
+from repro.obs import (
+    TraceFormatError,
+    Tracer,
+    load_trace_events,
+    step_report,
+    to_chrome_trace,
+    to_dict,
+    write_chrome_trace,
+    write_trace_events,
+)
 from repro.obs import analysis
 
 import numpy as np
@@ -78,6 +87,61 @@ class TestDictExport:
         assert len(doc["spans"]) == 5
         assert doc["metrics"]["counters"]["spans.compute"] == 2.0
         json.dumps(doc)  # must be serializable
+
+
+class TestTraceEventsFile:
+    def test_round_trip_is_the_same_table(self, traced_timeline, tmp_path):
+        tracer, _ = traced_timeline
+        loaded = load_trace_events(
+            write_trace_events(tracer, tmp_path / "events.json"))
+        assert loaded == tracer.spans
+        assert [s.to_dict() for s in loaded] == to_dict(tracer)["spans"]
+
+    ENTRY = {"kind": "compute", "name": "mlp", "rank": 0, "t0": 0.0, "dur": 1.0}
+
+    @pytest.mark.parametrize("text,reason", [
+        ('{"spans": [{"kind": "comp', "not valid JSON"),
+        ("", "not valid JSON"),
+        ("[]", "no 'spans' list"),
+        ('{"metrics": {}}', "no 'spans' list"),
+        ('{"spans": {"kind": "compute"}}', "no 'spans' list"),
+        ('{"spans": [3]}', "spans[0] is not an object"),
+    ])
+    def test_unusable_document_is_named(self, tmp_path, text, reason):
+        path = tmp_path / "events.json"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError) as exc:
+            load_trace_events(path)
+        assert str(path) in str(exc.value) and reason in str(exc.value)
+
+    @pytest.mark.parametrize("change,reason", [
+        ({"dur": None}, "spans[1] has no 'dur'"),
+        ({"kind": None}, "spans[1] has no 'kind'"),
+        ({"kind": "bogus"}, "spans[1]: unknown span kind 'bogus'"),
+        ({"dur": -1e-9}, "spans[1]: 'dur' must be >= 0, got -1e-09"),
+        ({"dur": float("nan")}, "spans[1]: 'dur' must be >= 0, got nan"),
+        ({"rank": 1.5}, "spans[1]: 'rank' cannot be 1.5"),
+        ({"t0": "soon"}, "spans[1]: 't0' cannot be 'soon'"),
+        ({"hidden_s": True}, "spans[1]: 'hidden_s' cannot be True"),
+        ({"group": 3}, "spans[1]: 'group' cannot be 3"),
+        ({"attrs": {"cid": "x"}}, "spans[1]: attrs['cid'] cannot be 'x'"),
+    ])
+    def test_unusable_entry_is_named(self, tmp_path, change, reason):
+        """``None`` in ``change`` drops the field."""
+        entry = {k: v for k, v in {**self.ENTRY, **change}.items()
+                 if v is not None}
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps({"spans": [self.ENTRY, entry]}))
+        with pytest.raises(TraceFormatError) as exc:
+            load_trace_events(path)
+        assert str(exc.value).startswith(f"{path}: {reason}")
+
+    def test_format_error_is_a_value_error(self):
+        assert issubclass(TraceFormatError, ValueError)
+
+    def test_missing_file_stays_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_trace_events(tmp_path / "absent.json")
 
 
 class TestStepReport:

@@ -1,9 +1,28 @@
-"""Tracer semantics: spans, scopes, kinds, and the no-op tracer."""
+"""Tracer semantics: spans, scopes, kinds, the span table's view, and
+the no-op tracer."""
+
+import json
+from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.bench import DEFAULT_MATRIX
 from repro.cluster import Timeline, VirtualCluster, all_gather, all_reduce
-from repro.obs import NULL_TRACER, SPAN_KINDS, NullTracer, Span, Tracer
+from repro.obs import (
+    NULL_TRACER,
+    SPAN_KINDS,
+    MetricsRegistry,
+    NullTracer,
+    Span,
+    SpanView,
+    Tracer,
+    analyze_trace,
+    critical_path,
+)
+from repro.obs.analysis import exposed_comm_ratio
+from repro.runtime import RunSpec, Session
 
 import numpy as np
 
@@ -123,7 +142,7 @@ class TestNullTracer:
             null.instant("optimizer", "apply")
             null.on_compute(0, 0.0, 1.0, 0.0, "x")
             null.on_comm(0, 0.0, 1.0, 0.0, 8.0, "all_reduce", (0,))
-            null.mark_free(None, [0], "w", 8.0)
+            null.mark_free([0], [0.0], "w", 8.0)
         assert len(null.spans) == 0
         assert len(null) == 0
         assert null.current_scope == ""
@@ -149,3 +168,217 @@ class TestNullTracer:
             "compute", "collective", "gather", "optimizer", "checkpoint", "io",
             "serve",
         }
+
+
+class EagerRecorder:
+    """The recorder the span table replaced: one :class:`Span` object,
+    with its ``attrs`` dict, built and kept per event.  The reference
+    ``Tracer.spans`` must be indistinguishable from."""
+
+    def __init__(self):
+        self.spans = []
+        self.metrics = MetricsRegistry()
+        self._scope_parts, self._kind_override = [], []
+        self._context = None
+
+    @contextmanager
+    def scope(self, *parts, kind=None):
+        self._scope_parts.append(".".join(str(p) for p in parts))
+        if kind is not None:
+            self._kind_override.append(kind)
+        try:
+            yield self
+        finally:
+            self._scope_parts.pop()
+            if kind is not None:
+                self._kind_override.pop()
+
+    def set_context(self, scope, kind=None):
+        self._context = None if scope is None else (scope, kind)
+
+    @property
+    def current_scope(self):
+        if self._context is not None:
+            return self._context[0]
+        return "/".join(self._scope_parts)
+
+    @property
+    def current_comm_kind(self):
+        if self._context is not None:
+            return self._context[1]
+        return self._kind_override[-1] if self._kind_override else "collective"
+
+    def span(self, kind, name, rank, t0, dur, *, hidden_s=0.0, nbytes=0.0,
+             flops=0.0, group=None, **attrs):
+        self.spans.append(Span(kind, name, rank, t0, dur, hidden_s, nbytes,
+                               flops, group, self.current_scope, attrs))
+        self.metrics.counter(f"spans.{kind}").inc()
+
+    def instant(self, kind, name, rank=0, t0=0.0, **attrs):
+        self.span(kind, name, rank, t0, 0.0, **attrs)
+
+    def on_compute(self, rank, t0, seconds, flops, op, members=None):
+        attrs = {} if members is None else {"members": members}
+        self.span("compute", op, rank, t0, seconds, flops=flops, **attrs)
+
+    def on_comm(self, rank, t0, seconds, hidden_s, nbytes, op, group,
+                cid=None, members=None):
+        attrs = {} if cid is None else {"cid": cid}
+        if members is not None:
+            attrs["members"] = members
+        self.span(self.current_comm_kind, op, rank, t0, seconds,
+                  hidden_s=hidden_s, nbytes=nbytes, group=group, **attrs)
+
+    def mark_free(self, ranks, clocks, name, nbytes):
+        for rank, clock in zip(ranks, clocks):
+            self.span("gather", f"free.{name}", rank, clock, 0.0, nbytes=nbytes)
+
+
+_KINDS = st.sampled_from(sorted(SPAN_KINDS))
+_COMM_KINDS = st.sampled_from(["collective", "gather"])
+_NAMES = st.sampled_from(["attn", "mlp", "all_gather", "block1.w", "save"])
+_RANKS = st.integers(min_value=0, max_value=5)
+_SECONDS = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
+_MAYBE_INT = st.none() | st.integers(min_value=0, max_value=9)
+_EXTRAS = st.dictionaries(st.sampled_from(["size", "steps", "arrays", "tag"]),
+                          st.integers(0, 9) | st.text(max_size=3), max_size=3)
+_GROUPS = st.lists(_RANKS, min_size=1, max_size=3, unique=True).map(tuple)
+
+def _call(method, args=st.just(()), kwargs=st.just({})):
+    return st.tuples(st.just(method), args, kwargs)
+
+
+#: One recorder call each: ``(method name, args, kwargs)``.
+_CALLS = st.one_of(
+    _call("span", st.tuples(_KINDS, _NAMES, _RANKS, _SECONDS, _SECONDS),
+          st.builds(
+              lambda fields, extras: {**fields, **extras},
+              st.fixed_dictionaries({}, optional={
+                  "hidden_s": _SECONDS, "nbytes": _SECONDS, "flops": _SECONDS,
+                  "group": _GROUPS, "cid": st.integers(0, 9)}),
+              _EXTRAS)),
+    _call("instant", st.tuples(_KINDS, _NAMES), _EXTRAS),
+    _call("on_compute", st.tuples(_RANKS, _SECONDS, _SECONDS, _SECONDS,
+                                  _NAMES, _MAYBE_INT)),
+    _call("on_comm", st.tuples(_RANKS, _SECONDS, _SECONDS, _SECONDS, _SECONDS,
+                               _NAMES, _GROUPS, _MAYBE_INT, _MAYBE_INT)),
+    _call("mark_free", st.lists(st.tuples(_RANKS, _SECONDS), max_size=3).flatmap(
+        lambda marks: st.tuples(st.just([rank for rank, _ in marks]),
+                                st.just([clock for _, clock in marks]),
+                                _NAMES, _SECONDS))),
+    _call("set_context",
+          st.tuples(st.none() | st.sampled_from(["step.1/replayed", "x"]),
+                    _COMM_KINDS)),
+    _call("push", st.tuples(st.sampled_from(["step", "engine.forward", "gather"]),
+                            st.integers(0, 3)),
+          st.fixed_dictionaries({}, optional={"kind": _COMM_KINDS})),
+    _call("pop"),
+)
+
+
+class TestSpanView:
+    @given(calls=st.lists(_CALLS, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_view_equals_what_an_eager_recorder_builds(self, calls):
+        tracer, eager = Tracer(), EagerRecorder()
+        for recorder in (tracer, eager):
+            open_scopes = []
+            for method, args, kwargs in calls:
+                if method == "push":
+                    open_scopes.append(recorder.scope(*args, **kwargs))
+                    open_scopes[-1].__enter__()
+                elif method != "pop":
+                    getattr(recorder, method)(*args, **kwargs)
+                elif open_scopes:
+                    open_scopes.pop().__exit__(None, None, None)
+            while open_scopes:
+                open_scopes.pop().__exit__(None, None, None)
+        view, want = tracer.spans, eager.spans
+
+        assert len(view) == len(tracer) == len(want)
+        assert view == want and not view != want
+        # a table filled from Span objects is the same table
+        assert view == SpanView.of(want) and list(view) == want
+        # same bytes out: attrs keep the order cid, members, extras
+        assert json.dumps([s.to_dict() for s in view]) \
+            == json.dumps([s.to_dict() for s in want])
+        assert tracer.metrics.snapshot() == eager.metrics.snapshot()
+        for index in range(-len(want), len(want)):
+            assert view[index] == want[index]
+        assert view[1:] == want[1:] and view[::-2] == want[::-2]
+        assert list(reversed(view)) == want[::-1]
+        if want:
+            assert view != want[:-1] and view != want + want[:1]
+            assert view != [replace(want[0], name="other")] + want[1:]
+            assert want[0] in view and view.count(want[0]) == want.count(want[0])
+        with pytest.raises(IndexError):
+            view[len(want)]
+
+    def test_view_has_no_mutators_and_follows_the_tracer(self):
+        tracer = Tracer()
+        view = tracer.spans
+        assert not hasattr(view, "append") and not hasattr(view, "clear")
+        with pytest.raises(TypeError):
+            view[0] = None
+        tracer.span("compute", "x", 0, 0.0, 1.0)
+        assert len(view) == 1 and view[0].name == "x"
+        tracer.clear()
+        assert len(view) == 0 and view == []
+
+    def test_view_builds_a_span_and_forgets_it(self):
+        tracer = Tracer()
+        tracer.span("serve", "batch.0", 1, 0.0, 1.0, size=3)
+        first = tracer.spans[0]
+        assert first == tracer.spans[0] and first is not tracer.spans[0]
+        first.attrs["size"] = 99  # a caller's copy, not the table
+        assert tracer.spans[0].attrs == {"size": 3}
+
+
+def _stepped(num_steps):
+    """A traced 16-GCD ``orbit-115m-2n`` session after ``num_steps``."""
+    session = Session(RunSpec.from_case(DEFAULT_MATRIX[0]))
+    for step in range(num_steps):
+        session.meta_step(step)
+    return session
+
+
+class TestWorkDone:
+    """Counts of the work the table saves: exact, so they can be pinned."""
+
+    @pytest.mark.parametrize("num_steps", [1, 3])
+    def test_recording_and_analysing_build_no_span(self, monkeypatch, num_steps):
+        """Before the table: one ``Span`` per event, 11,206 a step."""
+        built = []
+        init = Span.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting)
+        session = _stepped(num_steps)
+        analyze_trace(session.tracer)
+        exposed_comm_ratio(session.tracer.spans)
+        assert len(session.tracer.spans) == 11_206 * num_steps
+        assert len(built) == 0
+        session.tracer.spans[0]
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("num_steps,cuts", [(1, 1), (3, 4)])
+    def test_a_lone_step_is_analysed_once(self, monkeypatch, num_steps, cuts):
+        """``run`` and ``step.0`` of a one-step trace are the same rows:
+        one reduction, relabelled.  Three steps: the run and each step."""
+        calls = []
+        analyze_cut = critical_path._analyze_cut
+
+        def counting(label, cols):
+            calls.append(label)
+            return analyze_cut(label, cols)
+
+        monkeypatch.setattr(critical_path, "_analyze_cut", counting)
+        analysis = analyze_trace(_stepped(num_steps).tracer)
+        assert len(calls) == cuts
+        assert [cut.label for cut in analysis.steps] \
+            == [f"step.{n}" for n in range(num_steps)]
+        if num_steps == 1:
+            assert replace(analysis.steps[0], label="run") == analysis.overall

@@ -157,6 +157,22 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--gpus", "16", "--fsdp", "5"]) == 2
         assert "invalid topology" in capsys.readouterr().err
 
+    def test_unusable_trace_file_exits_2_with_the_reason(self, tmp_path, capsys):
+        """No traceback for a torn, wrong or missing ``--trace`` file."""
+        torn = tmp_path / "torn.json"
+        torn.write_text('{"spans": [{"kind": "compute", "na')
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(json.dumps({"spans": [
+            {"kind": "bogus", "name": "x", "rank": 0, "t0": 0.0, "dur": 1.0},
+        ]}))
+        for path, reason in ((torn, "not valid JSON"),
+                             (bogus, "spans[0]: unknown span kind 'bogus'"),
+                             (tmp_path / "absent.json", "no such file")):
+            assert main(["analyze", "--trace", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert str(path) in captured.err and reason in captured.err
+
     def test_bad_skew_rejected(self):
         with pytest.raises(SystemExit):
             main(["analyze", *self.TOPOLOGY, "--skew", "nonsense"])
