@@ -18,10 +18,11 @@ from repro.tune import TuneRequest, run_search
 
 #: Real-seconds budget for the 304-candidate 4D sweep of ORBIT-1B on 32
 #: GCDs with three validated steps — the ``bench_wall`` ``tune-4d``
-#: request — about 2.5x its measured pass.  Probes and validation run
-#: on the fold (class-sized work); per-rank probes alone took longer
-#: than this.
-TUNE_4D_WALL_CEILING_S = 3.0
+#: request — about 3x its measured pass (0.49 s host-normalised, from
+#: 1.05 s: block streams replay as compiled columns and one block is
+#: probed per layout, not per prefetch flag).  Probes and validation
+#: run on the fold (class-sized work); per-rank probes alone took 3 s.
+TUNE_4D_WALL_CEILING_S = 1.5
 
 
 @pytest.mark.quick
@@ -66,7 +67,7 @@ def test_tune_1b_4d_sweep_under_wall_clock_ceiling(once):
     elapsed = time.perf_counter() - start
     assert elapsed < TUNE_4D_WALL_CEILING_S, (
         f"4D sweep took {elapsed:.2f}s real time "
-        f"(ceiling {TUNE_4D_WALL_CEILING_S:.0f}s)"
+        f"(ceiling {TUNE_4D_WALL_CEILING_S:.1f}s)"
     )
     assert len(result.space.candidates) == 304
     assert len(result.validated) == 3

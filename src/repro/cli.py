@@ -702,6 +702,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.tune import (
             InfeasibleRequest,
             TuneCache,
+            TuneCacheError,
             TuneRequest,
             render_report,
             run_search,
@@ -725,7 +726,11 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as error:
             print(f"repro tune: invalid request: {error}", file=sys.stderr)
             return 2
-        cache = TuneCache(args.cache) if args.cache else None
+        try:
+            cache = TuneCache(args.cache) if args.cache else None
+        except TuneCacheError as error:
+            print(f"repro tune: unusable --cache {error}", file=sys.stderr)
+            return 2
         try:
             result = run_search(request, top_k=args.top_k, cache=cache)
         except InfeasibleRequest as error:

@@ -27,14 +27,22 @@ collects the ``record_*`` calls made inside a ``with`` block and
 the same entry points.  :meth:`FoldedTimeline.expand`, the trunk's
 depth replay (:mod:`repro.core.hybrid_block`) and the tuner's
 estimator (:mod:`repro.tune.estimator`) all run on that one replayer.
+
+That event walk is also the oracle of the one shortcut here: a stream
+wrapped as an :class:`EventStream` carries per-rank float columns, and
+a replay that nothing but the ledgers can observe — exact timeline,
+tracer off, no capture open, no injector — adds the columns instead of
+visiting the events (:meth:`Timeline.replay` states the conditions;
+``tests/cluster/test_compiled_replay.py`` holds the two paths ``==``).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -100,6 +108,120 @@ class RankLedger:
     def walltime_s(self) -> float:
         """Busy time of this rank: compute plus non-hidden communication."""
         return self.compute_s + self.exposed_comm_s
+
+
+#: Budget-program opcodes: compute grows a rank's overlap budget, an
+#: overlappable collective hides under it, a blocking one resets it.
+_GROW, _HIDE, _RESET = range(3)
+
+
+class _RankColumns(NamedTuple):
+    """What one rank's ledger sees of a compiled stream, in event order."""
+
+    #: The rank as the stream names it (before a replay's ``offset``).
+    rank: int
+    compute_s: tuple
+    flops: tuple
+    comm_s: tuple
+    comm_bytes: tuple
+    #: ``(opcode, seconds)`` per event of this rank: the only state the
+    #: exposed split of its collectives depends on.
+    budget_program: tuple
+    #: ``{entry budget: (exposed column, exit budget)}``, or ``None``
+    #: when no blocking collective makes an entry budget likely to recur.
+    exposed_memo: dict | None
+
+
+class EventStream(tuple):
+    """An immutable captured event stream that carries its compiled form.
+
+    A rank's ledger sees only its own events, and every ledger field is
+    an independent *sequential* sum over them, so a stream compiles to
+    one float column per field and rank.  The one non-linearity is the
+    overlap budget (``hidden = min(seconds, budget)``): for a fixed
+    stream the exposed seconds of each collective and the exit budget
+    are a pure function of the budget the rank *enters* with, so they
+    are computed by running the rank's budget program once per distinct
+    entry budget and memoized under it.  A trunk's blocks each end on a
+    blocking collective per rank, so copy 2...L of a depth replay enter
+    with the same budget and hit the memo.
+
+    The compiled form is an attribute of the stream, never a module
+    cache, so it is freed with the probe that holds the stream.
+    :meth:`Timeline.replay` applies it only where nothing but the
+    ledgers can observe the difference (see there); the event walk is
+    its oracle.
+    """
+
+    _compiled = None
+
+    def compiled(self) -> tuple:
+        """``(per-rank columns, collective count)``, built on first use;
+        the columns are ``None`` for a stream with folded-segment
+        markers, which only the event walk unrolls.  Seconds are
+        validated here, once: a negative value raises the
+        ``ValueError`` the walk would.
+        """
+        if self._compiled is None:
+            self._compiled = _compile(self)
+        return self._compiled
+
+
+def _compile(events) -> tuple:
+    """:meth:`EventStream.compiled`'s builder."""
+    #: rank -> (compute_s, flops, comm_s, comm_bytes, budget program)
+    columns = defaultdict(lambda: ([], [], [], [], []))
+    collectives = 0
+    for entry in events:
+        tag = entry[0]
+        if tag == "compute":
+            _, rank, seconds, flops = entry[:4]
+            if seconds < 0:
+                raise ValueError("compute seconds must be non-negative")
+            compute_s, flops_column, _, _, program = columns[rank]
+            compute_s.append(seconds)
+            flops_column.append(flops)
+            program.append((_GROW, seconds))
+        elif tag == "comm":
+            _, ranks, seconds, nbytes, overlappable = entry[:5]
+            if seconds < 0:
+                raise ValueError("comm seconds must be non-negative")
+            collectives += 1
+            step = (_HIDE if overlappable else _RESET, seconds)
+            for rank in ranks:
+                _, _, comm_s, comm_bytes, program = columns[rank]
+                comm_s.append(seconds)
+                comm_bytes.append(nbytes)
+                program.append(step)
+        elif tag != "free":  # an untraced exact timeline drops releases
+            return None, 0
+    return (
+        tuple(
+            _RankColumns(
+                rank, *map(tuple, fields),
+                {} if any(op == _RESET for op, _ in fields[-1]) else None)
+            for rank, fields in columns.items()),
+        collectives,
+    )
+
+
+def _run_budget(program, budget) -> tuple:
+    """``(exposed column, exit budget)`` of one rank's budget program
+    entered with ``budget``: the arithmetic of ``record_compute`` /
+    ``record_comm`` on ``overlap_budget_s``, expression for expression."""
+    exposed = []
+    for op, seconds in program:
+        if op == _GROW:
+            budget += seconds
+            continue
+        if op == _HIDE:
+            hidden = min(seconds, budget)
+            budget -= hidden
+        else:
+            hidden = 0.0
+            budget = 0.0
+        exposed.append(seconds - hidden)
+    return tuple(exposed), budget
 
 
 class Timeline:
@@ -257,7 +379,23 @@ class Timeline:
         per-iteration rename come from the marker).  For the duration
         the tracer labels spans from the recorded scope and kind
         instead of its live scope stack.
+
+        An :class:`EventStream` skips that walk and lands as per-rank
+        column sums (:meth:`_apply`) iff all four hold: this is an exact
+        ``Timeline`` (a folded one logs and class-maps every event), the
+        tracer is off, no :meth:`capture` is open and no fault injector
+        is attached — then names, scopes and ``renames`` have no
+        observer and only the ledgers and the collective-id counter
+        can tell, which :meth:`_apply` leaves ``==`` to the walk's.
+        Everything else, and every plain list, takes the walk.
         """
+        if (isinstance(events, EventStream) and type(self) is Timeline
+                and not self.tracer.enabled and self._capture is None
+                and self.injector is NULL_INJECTOR):
+            columns, collectives = events.compiled()
+            if columns is not None:
+                self._apply(columns, collectives, offset)
+                return
         try:
             self._replay(events, 0, len(events), offset, renames)
         finally:
@@ -301,6 +439,48 @@ class Timeline:
                 else:
                     self.record_free(ranks, name, nbytes)
             i += 1
+
+    def _apply(self, columns, collectives: int, offset: int) -> None:
+        """Add a compiled stream's columns to the ledgers it touches.
+
+        Each field is accumulated left to right from the ledger's
+        current value — bitwise the ``+=`` sequence the walk performs
+        on that rank — and the collective-id counter moves on by the
+        stream's collective count.
+        """
+        ledgers = self._ledgers
+        for (rank, compute_s, flops, comm_s, comm_bytes, program,
+             memo) in columns:
+            led = ledgers[rank + offset]
+            acc = led.compute_s
+            for x in compute_s:
+                acc += x
+            led.compute_s = acc
+            acc = led.flops
+            for x in flops:
+                acc += x
+            led.flops = acc
+            acc = led.comm_s
+            for x in comm_s:
+                acc += x
+            led.comm_s = acc
+            acc = led.comm_bytes
+            for x in comm_bytes:
+                acc += x
+            led.comm_bytes = acc
+            budget = led.overlap_budget_s
+            split = memo.get(budget) if memo is not None else None
+            if split is None:
+                split = _run_budget(program, budget)
+                if memo is not None:
+                    memo[budget] = split
+            exposed, led.overlap_budget_s = split
+            acc = led.exposed_comm_s
+            for x in exposed:
+                acc += x
+            led.exposed_comm_s = acc
+        self._collective_ids = itertools.count(
+            next(self._collective_ids) + collectives)
 
     # -- symmetry folding hooks (no-ops on the exact timeline) -------------
     def fold_iter(self, axis: str, iterable):

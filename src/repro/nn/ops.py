@@ -61,7 +61,14 @@ def _binary(a, b, fn, flop_factor: float = 1.0):
     if is_meta(a) or is_meta(b):
         a_shape = tuple(a.shape) if hasattr(a, "shape") else ()
         b_shape = tuple(b.shape) if hasattr(b, "shape") else ()
-        out_shape = np.broadcast_shapes(a_shape, b_shape)
+        # Equal shapes or one scalar — almost every call — need no
+        # broadcasting rules.
+        if a_shape == b_shape or not b_shape:
+            out_shape = a_shape
+        elif not a_shape:
+            out_shape = b_shape
+        else:
+            out_shape = np.broadcast_shapes(a_shape, b_shape)
         dtype = a.dtype if is_meta(a) else b.dtype
         record_flops(flop_factor * math.prod(out_shape))
         return MetaArray(out_shape, dtype)

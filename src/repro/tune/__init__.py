@@ -25,6 +25,7 @@ from repro.tune.search import (
     InfeasibleRequest,
     ScoredCandidate,
     TuneCache,
+    TuneCacheError,
     TuneResult,
     run_search,
     simulate_candidate,
@@ -46,6 +47,7 @@ __all__ = [
     "ScoredCandidate",
     "SearchSpace",
     "TuneCache",
+    "TuneCacheError",
     "TuneRequest",
     "TuneResult",
     "enumerate_space",

@@ -36,12 +36,22 @@ Cost is class-sized.  The probe block runs on a
 execute ``f = 0`` only — ``tp`` iterations, not ``tp * fsdp`` — and the
 narrowed capture keeps exactly the representatives' events (iteration 0
 and the FSDP collectives around it are theirs on any layout, so no
-fold-eligibility check is involved).  Probes are memoized per
-``(tp, fsdp, tp_innermost, prefetch, micro_batch)``: the stage-0,
-replica-0 ranks the block runs on do not depend on how the rest of the
-machine splits into DDP x PP, and ``recompute`` is replay-only.  A
-candidate then costs ``depth`` replays of a ``tp``-rank stream instead
-of ``ddp * depth`` executed blocks plus engine construction.
+fold-eligibility check is involved).  One block is executed per
+``(tp, fsdp, tp_innermost, micro_batch)``: the stage-0, replica-0 ranks
+the block runs on do not depend on how the rest of the machine splits
+into DDP x PP, ``recompute`` is replay-only, and the prefetch flag
+reaches a block's events through one expression (``_gather``'s
+``overlappable=self.prefetch``), so the prefetch-off stream is derived
+from the executed prefetch-on one (:func:`_blocking_twin`).
+
+Each probe stream is an :class:`~repro.cluster.timeline.EventStream`,
+which a fresh untraced ``Timeline`` lands as per-rank column sums
+instead of walking its events.  A clean candidate then costs
+``depth`` column applications of a ``tp``-rank stream plus a few dozen
+closed-form ``record_*`` calls that do not grow with ``depth`` — not
+``ddp * depth`` executed blocks plus engine construction.  Re-pricing
+under a degradation profile attaches an injector, which puts the same
+replays back on the event walk (every event is stretched on its own).
 
 Peak memory comes from the closed-form
 :class:`~repro.memory.estimator.MemoryModel` (real-machine bytes:
@@ -50,10 +60,15 @@ optimizer states, activations), which is what prunes OOM candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.cluster.symmetry import RankClassPartition
-from repro.cluster.timeline import FoldedTimeline, Timeline, stretch_compute
+from repro.cluster.timeline import (
+    EventStream,
+    FoldedTimeline,
+    Timeline,
+    stretch_compute,
+)
 from repro.memory.estimator import MemoryModel, Parallelism, TrainingSetup
 from repro.meta import MetaArray, nbytes_of
 from repro.models.climax_vit import build_model
@@ -156,11 +171,28 @@ def _class_representative(candidate: Candidate, rank: int) -> int:
 class _BlockProbe:
     """One trunk block's event stream, pre-filtered to the rank classes."""
 
-    forward: tuple[tuple, ...]
-    backward: tuple[tuple, ...]
+    forward: EventStream
+    backward: EventStream
     #: (tensor-parallel column, shard bytes) of each sharded parameter —
     #: the DDP gradient reduction schedule of one block.
     shard_columns: tuple[tuple[int, int], ...]
+
+
+def _blocking_twin(stream: EventStream) -> EventStream:
+    """The stream the same block records with prefetch off.
+
+    ``prefetch`` reaches a block's events through one expression,
+    ``gather_param(..., overlappable=self.prefetch)`` in
+    :meth:`repro.core.base.HybridModuleBase._gather`, so the twin is the
+    prefetched stream with that flag cleared on its collectives —
+    ``_probe_block`` of the ``prefetch=False`` candidate is the oracle
+    (``tests/tune/test_probe_fold.py``).
+    """
+    return EventStream(
+        event[:4] + (False,) + event[5:]
+        if event[0] == "comm" and event[4] else event
+        for event in stream
+    )
 
 
 @dataclass(frozen=True)
@@ -197,7 +229,9 @@ class AnalyticEstimator:
         )
         self._compute_model = PeakFractionCompute(self._cluster, efficiency=efficiency)
         self._model = None
-        self._block_probes: dict[tuple, _BlockProbe] = {}
+        #: (tp, fsdp, tp_innermost, micro_batch) -> the block's probes
+        #: without and with prefetch, indexed by the flag.
+        self._block_probes: dict[tuple, tuple[_BlockProbe, _BlockProbe]] = {}
         self._dense_probes: dict[int, _DenseProbe] = {}
 
     # -- memory -----------------------------------------------------------------
@@ -264,19 +298,27 @@ class AnalyticEstimator:
 
         The block runs on the stage-0, replica-0 ranks ``rank(0, f, k)``,
         which do not depend on how the rest of the machine splits into
-        DDP x PP — so neither does the key.
+        DDP x PP — so neither does the key.  Nor does it hold the
+        prefetch flag: one executed block (prefetch on) serves both
+        twins, the other being :func:`_blocking_twin` of its streams.
         """
         key = (
             candidate.tp_size, candidate.fsdp_size, candidate.tp_innermost,
-            candidate.prefetch, candidate.micro_batch,
+            candidate.micro_batch,
         )
-        probe = self._block_probes.get(key)
-        if probe is None:
-            probe = self._block_probes[key] = self._probe_block(
-                candidate,
+        twins = self._block_probes.get(key)
+        if twins is None:
+            prefetched = self._probe_block(
+                replace(candidate, prefetch=True),
                 FoldedTimeline(self.num_gpus, self._probe_grid(candidate)),
             )
-        return probe
+            twins = self._block_probes[key] = (
+                replace(prefetched,
+                        forward=_blocking_twin(prefetched.forward),
+                        backward=_blocking_twin(prefetched.backward)),
+                prefetched,
+            )
+        return twins[candidate.prefetch]
 
     def _probe_grid(self, candidate: Candidate) -> RankClassPartition:
         """``candidate``'s (TP, FSDP) layout, the rest of the machine
@@ -330,7 +372,8 @@ class AnalyticEstimator:
             (grid.coords(param.group.ranks[0])[2], param.shard_nbytes)
             for param in block.sharded_parameters()
         )
-        return _BlockProbe(tuple(forward), tuple(backward), shard_columns)
+        return _BlockProbe(
+            EventStream(forward), EventStream(backward), shard_columns)
 
     # -- replay -----------------------------------------------------------------
     def _replay_timeline(self, candidate: Candidate, degradation) -> Timeline:

@@ -19,6 +19,8 @@ one, which is cheap enough to always recompute.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +33,16 @@ _LOG = get_logger("tune")
 #: Format version of the tune cache file.  Bumped to 2 when the label
 #: schema grew the optional ``pp{S}.`` prefix for pipelined candidates.
 CACHE_SCHEMA = 2
+
+
+#: The fields :func:`_validation_summary` writes into every cache entry.
+_ENTRY_FIELDS = ("step_time_s", "time_per_obs_s", "peak_memory_bytes",
+                 "exposed_comm_fraction", "bound_resource", "critical_path")
+
+
+class TuneCacheError(ValueError):
+    """A tune cache file that :class:`TuneCache` cannot use; the message
+    names the file and, where there is one, the entry and field."""
 
 
 class InfeasibleRequest(RuntimeError):
@@ -94,6 +106,11 @@ class TuneCache:
     and the candidate label, so a cache file can safely serve many
     models and machine sizes at once.  ``path=None`` keeps the cache
     in-memory only (tests, one-shot runs).
+
+    A file that is torn, not a JSON object, or holds an entry
+    :func:`_validation_summary` could not have written raises
+    :class:`TuneCacheError` here, not a ``KeyError`` deep in a search;
+    a file of another schema version is ignored with a warning.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -102,14 +119,41 @@ class TuneCache:
         self.hits = 0
         self.misses = 0
         if self.path is not None and self.path.exists():
+            self._entries = self._load()
+
+    def _load(self) -> dict[str, dict]:
+        try:
             doc = json.loads(self.path.read_text())
-            if doc.get("schema") == CACHE_SCHEMA:
-                self._entries = doc.get("entries", {})
-            else:
-                _LOG.warning(
-                    "ignoring tune cache %s with schema %r",
-                    self.path, doc.get("schema"),
-                )
+        except OSError as error:
+            raise TuneCacheError(
+                f"{self.path}: cannot be read ({error})") from None
+        except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+            raise TuneCacheError(
+                f"{self.path}: not valid JSON ({error})") from None
+        if not isinstance(doc, dict):
+            raise TuneCacheError(f"{self.path}: not a JSON object")
+        if doc.get("schema") != CACHE_SCHEMA:
+            _LOG.warning(
+                "ignoring tune cache %s with schema %r",
+                self.path, doc.get("schema"),
+            )
+            return {}
+        entries = doc.get("entries", {})
+        if not isinstance(entries, dict):
+            raise TuneCacheError(f"{self.path}: 'entries' is not an object")
+        for key, entry in entries.items():
+            where = f"{self.path}: entry {key!r}"
+            if not isinstance(entry, dict):
+                raise TuneCacheError(f"{where} is not an object")
+            for name in _ENTRY_FIELDS:
+                if name not in entry:
+                    raise TuneCacheError(f"{where} has no {name!r}")
+            step = entry["step_time_s"]
+            if (not isinstance(step, (int, float)) or isinstance(step, bool)
+                    or not math.isfinite(step)):
+                raise TuneCacheError(
+                    f"{where}: 'step_time_s' cannot be {step!r}")
+        return entries
 
     @staticmethod
     def key(request: TuneRequest, candidate: Candidate) -> str:
@@ -140,17 +184,23 @@ class TuneCache:
         return len(self._entries)
 
     def save(self) -> None:
+        """Write the file whole or not at all: a temp file in the same
+        directory, renamed over ``path`` — a crash mid-save leaves the
+        previous cache loadable, never a torn one."""
         if self.path is None:
             return
-        if self.path.parent != Path(""):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(
-            json.dumps(
-                {"schema": CACHE_SCHEMA, "entries": self._entries},
-                indent=1, sort_keys=True,
-            )
-            + "\n"
-        )
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        text = json.dumps(
+            {"schema": CACHE_SCHEMA, "entries": self._entries},
+            indent=1, sort_keys=True,
+        ) + "\n"
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, self.path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def simulate_candidate(request: TuneRequest, candidate: Candidate) -> dict:

@@ -1,7 +1,11 @@
 """Tests for the dispatching primitives in repro.nn.ops."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.meta import MetaArray, is_meta
 from repro.nn import ops
@@ -63,6 +67,35 @@ class TestElementwise:
     def test_binary_meta_with_scalar(self):
         out = ops.divide(MetaArray((4,)), 2.0)
         assert out.shape == (4,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_meta_binary_shape_is_numpys_broadcast(self, data):
+        """``_binary`` skips ``np.broadcast_shapes`` for equal shapes
+        and scalars; that function stays the reference for the output
+        shape, the recorded FLOPs and which pairs must raise."""
+        dims = st.lists(st.integers(0, 4), max_size=4).map(tuple)
+        a_shape = data.draw(dims)
+        # Equal, scalar, size-1-axis and arbitrary (mostly incompatible)
+        # partners, each drawn often.
+        b_shape = data.draw(st.one_of(
+            st.just(a_shape), st.just(()), dims,
+            st.tuples(*(st.sampled_from([1, n]) for n in a_shape)),
+        ))
+        b = data.draw(st.sampled_from([MetaArray(b_shape), 2.0])
+                      if not b_shape else st.just(MetaArray(b_shape)))
+        operands = data.draw(st.permutations([MetaArray(a_shape), b]))
+        try:
+            want = np.broadcast_shapes(a_shape, b_shape)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ops.add(*operands)
+            return
+        ctx = ExecutionContext()
+        with execution_context(ctx):
+            out = ops._binary(*operands, np.add, flop_factor=3.0)
+        assert is_meta(out) and out.shape == want
+        assert ctx.flops == 3.0 * math.prod(want)
 
     def test_unary_meta(self):
         assert ops.tanh(MetaArray((3, 3))).shape == (3, 3)

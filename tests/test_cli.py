@@ -209,6 +209,25 @@ class TestTuneCommand:
         assert main(argv) == 0
         assert "cache: 1 hits / 0 misses" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, complaint", [
+        ('{"schema": 2, "entries": {"k": {"step_ti', "not valid JSON"),
+        ("[]", "not a JSON object"),
+        ('{"schema": 2, "entries": {"k": {"time_per_obs_s": 1.0}}}',
+         "entry 'k' has no 'step_time_s'"),
+    ], ids=["torn", "list", "missing-field"])
+    def test_unusable_cache_file_exits_2_with_stderr(self, tmp_path, capsys,
+                                                     text, complaint):
+        cache = tmp_path / "tune_cache.json"
+        cache.write_text(text)
+        code = main(["tune", "--micro-batches", "2", "--top-k", "1",
+                     "--cache", str(cache)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(cache) in captured.err and complaint in captured.err
+        assert "Traceback" not in captured.err
+        assert cache.read_text() == text  # left for the user to inspect
+
     def test_infeasible_request_exits_2_with_stderr(self, capsys):
         # 113B cannot fit on a single node under any factorization.
         code = main(["tune", "--model", "orbit-113b", "--gpus", "8"])

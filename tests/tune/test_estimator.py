@@ -9,11 +9,17 @@ structurally distinct paths: DDP reductions, checkpointed replay,
 prefetch off, and the flipped rank layout.)
 """
 
+import json
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.harness import BenchCase, run_case
+from repro.cluster.timeline import Timeline
+from repro.models import PAPER_MODELS
 from repro.models.configs import ORBIT_115M
-from repro.tune import AnalyticEstimator, Candidate
+from repro.tune import AnalyticEstimator, Candidate, TuneRequest, enumerate_space
 
 
 def _simulated_step(candidate: Candidate) -> float:
@@ -85,6 +91,9 @@ class TestValidation:
         before = len(estimator._block_probes)
         estimator.estimate(Candidate(4, 2, 2, 2, recompute=True))
         assert len(estimator._block_probes) == before
+        # ... and so is prefetch: one executed block serves both twins.
+        estimator.estimate(Candidate(4, 2, 2, 2, prefetch=False))
+        assert len(estimator._block_probes) == before
         # So is the DDP x PP split of what (TP, FSDP) leave over: the
         # stage-0 stream over rank(0, f, k) is the same under each.
         estimator.estimate(Candidate(4, 2, 1, 2, pp_size=2))
@@ -94,3 +103,87 @@ class TestValidation:
         estimator.estimate(Candidate(4, 1, 2, 2, pp_size=2))
         estimator.estimate(Candidate(4, 1, 1, 2, pp_size=4))
         assert len(estimator._block_probes) == before + 1
+
+
+# -- counts, not seconds ------------------------------------------------------
+_ORBIT_1B = PAPER_MODELS["orbit-1b"]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts exact-``Timeline`` ``record_*`` calls and executed probes."""
+    counter = Counter()
+
+    def counted(owner, name, label):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counter[label] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Timeline, "record_compute", "record")
+    counted(Timeline, "record_comm", "record")
+    counted(AnalyticEstimator, "_probe_block", "_probe_block")
+    return counter
+
+
+def _warm_estimate_records(calls, config, candidate) -> int:
+    estimator = AnalyticEstimator(config, candidate.world_size)
+    estimate = estimator.estimate(candidate)      # warms both probes
+    calls.clear()
+    assert estimator.estimate(candidate) == estimate
+    assert not calls["_probe_block"]
+    return calls["record"]
+
+
+@pytest.mark.parametrize("candidate", [
+    Candidate(4, 2, 4, 2, recompute=True),
+    Candidate(4, 2, 2, 2, pp_size=2),
+], ids=lambda c: c.label())
+def test_a_warm_estimate_records_closed_form_events_only(calls, candidate):
+    """The block streams land as column sums, so what still goes through
+    ``record_*`` is the dense/boundary/stall/epilogue events — a number
+    that does not grow with the trunk's depth."""
+    assert _ORBIT_1B.depth == 8
+    shallow = _warm_estimate_records(calls, _ORBIT_1B, candidate)
+    deep = _warm_estimate_records(
+        calls, replace(_ORBIT_1B, depth=16), candidate)
+    assert 0 < shallow == deep
+
+
+def test_the_tune_4d_sweep_executes_one_block_per_layout(calls):
+    request = TuneRequest(_ORBIT_1B, 32, micro_batches=(2, 4),
+                          pp_sizes=(1, 2))
+    candidates = enumerate_space(request).candidates
+    estimator = AnalyticEstimator(request.config, request.num_gpus)
+    for candidate in candidates:
+        estimator.estimate(candidate)
+    twins = {(c.tp_size, c.fsdp_size, c.tp_innermost, c.micro_batch,
+              c.prefetch) for c in candidates}
+    assert len(twins) == 84
+    assert calls["_probe_block"] == len({twin[:4] for twin in twins}) == 42
+
+
+def test_a_degraded_estimate_still_walks_every_event(calls):
+    """Re-pricing runs through the profile injector, so it stays on the
+    event walk — depth times the block streams — and on its golden."""
+    from tests.tune.test_estimates_golden import GOLDEN, PROFILE, _hexes
+
+    candidate = enumerate_space(TuneRequest(
+        _ORBIT_1B, 32, micro_batches=(2, 4), pp_sizes=(1, 2))).candidates[7]
+    estimator = AnalyticEstimator(_ORBIT_1B, 32)
+    estimator.estimate(candidate)
+    calls.clear()
+    clean = estimator.estimate(candidate)
+    closed_form = calls["record"]
+    calls.clear()
+    degraded = estimator.estimate(candidate, PROFILE)
+    probe = estimator._block_probe(candidate)
+    per_block = len(probe.backward) + (
+        1 + candidate.recompute) * len(probe.forward)
+    assert calls["record"] == closed_form + _ORBIT_1B.depth * per_block
+    assert degraded != clean
+    golden = json.loads(GOLDEN.read_text())["degraded"]
+    assert _hexes(degraded) == golden[candidate.label()]

@@ -12,7 +12,7 @@ The count tests pin the point of it: probe work is class-sized.
 """
 
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +23,7 @@ from repro.cluster.symmetry import symmetry_blockers
 from repro.cluster.timeline import FoldedTimeline, Timeline
 from repro.cluster.topology import FrontierTopology
 from repro.meta import MetaArray
+from repro.models import PAPER_MODELS
 from repro.models.configs import ORBIT_115M, OrbitConfig
 from repro.replan import DegradationProfile
 from repro.tune import AnalyticEstimator, Candidate, TuneRequest, enumerate_space
@@ -121,6 +122,47 @@ def test_the_probe_needs_no_eligibility_gate(layout):
     assert folded.estimate(candidate) == exact.estimate(candidate)
 
 
+# -- the prefetch twin --------------------------------------------------------
+#: The ``tune-4d`` request, and a 16-GCD one whose space is all pp = 2.
+_TWIN_REQUESTS = {
+    "tune-4d": TuneRequest(PAPER_MODELS["orbit-1b"], 32,
+                           micro_batches=(2, 4), pp_sizes=(1, 2)),
+    "16-gcd-pp2": TuneRequest(ORBIT_115M, 16, micro_batches=(2, 3),
+                              pp_sizes=(2,)),
+}
+
+
+@pytest.mark.parametrize("request_", _TWIN_REQUESTS.values(),
+                         ids=_TWIN_REQUESTS.keys())
+def test_derived_blocking_twin_is_the_executed_non_prefetch_probe(request_):
+    """One block is executed per layout, with prefetch on; the stream
+    of its prefetch-off twin is derived, and ``==`` — entry by entry —
+    what that block records when it really runs without prefetch on an
+    exact timeline."""
+    estimator = AnalyticEstimator(
+        request_.config, request_.num_gpus, request_.gpus_per_node)
+    layouts = {}
+    for c in enumerate_space(request_).candidates:
+        layouts.setdefault(
+            (c.tp_size, c.fsdp_size, c.tp_innermost, c.micro_batch), c)
+    assert len(layouts) > 8
+    for candidate in layouts.values():
+        blocking = replace(candidate, prefetch=False)
+        derived = estimator._block_probe(blocking)
+        executed = estimator._probe_block(
+            blocking, Timeline(request_.num_gpus))
+        for got, want in ((derived.forward, executed.forward),
+                          (derived.backward, executed.backward)):
+            assert len(got) == len(want)
+            for at, (event, oracle) in enumerate(zip(got, want)):
+                assert event == oracle, (candidate.label(), at)
+        assert derived.shard_columns == executed.shard_columns
+        # (every layout gathers, so the twins are never one stream)
+        assert derived != estimator._block_probe(
+            replace(candidate, prefetch=True))
+    assert len(estimator._block_probes) == len(layouts)
+
+
 # -- counts, not seconds ------------------------------------------------------
 @pytest.fixture
 def calls(monkeypatch):
@@ -173,11 +215,12 @@ def test_4d_sweep_builds_one_probe_per_shape_and_group_layout():
     for candidate in candidates:
         estimator.estimate(candidate)
     shapes = {
-        (c.tp_size, c.fsdp_size, c.tp_innermost, c.prefetch, c.micro_batch)
+        (c.tp_size, c.fsdp_size, c.tp_innermost, c.micro_batch)
         for c in candidates
     }
-    assert len(estimator._block_probes) == len(shapes)
-    # The DDP x PP split of the remaining factor is not part of the key.
+    assert set(estimator._block_probes) == shapes
+    # Neither the prefetch flag (one executed block serves both twins)
+    # nor the DDP x PP split of the remaining factor is part of the key.
     splits = {(c.tp_size, c.fsdp_size, c.ddp_size, c.pp_size,
                c.tp_innermost, c.prefetch, c.micro_batch) for c in candidates}
     assert len(shapes) < len(splits)

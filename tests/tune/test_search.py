@@ -1,6 +1,7 @@
 """Tests for the two-stage search and its result cache."""
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from repro.tune import (
     Candidate,
     InfeasibleRequest,
     TuneCache,
+    TuneCacheError,
     TuneRequest,
     run_search,
     simulate_candidate,
@@ -128,6 +130,109 @@ class TestTuneCache:
         path = tmp_path / "cache.json"
         path.write_text(json.dumps({"schema": 99, "entries": {"x": {}}}))
         assert len(TuneCache(path)) == 0
+
+
+#: A cache entry as ``_validation_summary`` writes it.
+_ENTRY = {
+    "step_time_s": 0.5, "time_per_obs_s": 0.125, "peak_memory_bytes": 1e9,
+    "exposed_comm_fraction": 0.1, "bound_resource": "compute",
+    "critical_path": {},
+}
+
+
+def _cache_text(entries, schema=2) -> str:
+    return json.dumps({"schema": schema, "entries": entries})
+
+
+class TestHostileCacheFile:
+    """A cache file the search cannot use fails at ``TuneCache(path)``,
+    naming the file and the entry — not as a ``KeyError`` mid-search."""
+
+    @pytest.mark.parametrize("text, complaint", [
+        (_cache_text({"k": _ENTRY})[:40], "not valid JSON"),
+        ("", "not valid JSON"),
+        ("[1, 2]", "not a JSON object"),
+        (_cache_text([_ENTRY]), "'entries' is not an object"),
+        (_cache_text({"k": [1]}), "entry 'k' is not an object"),
+        (_cache_text({"k": {**_ENTRY, "step_time_s": "fast"}}),
+         "entry 'k': 'step_time_s' cannot be 'fast'"),
+        (_cache_text({"k": {**_ENTRY, "step_time_s": True}}),
+         "entry 'k': 'step_time_s' cannot be True"),
+        (_cache_text({"k": {**_ENTRY, "step_time_s": float("nan")}}),
+         "entry 'k': 'step_time_s' cannot be nan"),
+        (_cache_text({"k": {**_ENTRY, "step_time_s": float("inf")}}),
+         "entry 'k': 'step_time_s' cannot be inf"),
+    ] + [
+        (_cache_text({"ok": _ENTRY,
+                      "k": {n: v for n, v in _ENTRY.items() if n != field}}),
+         f"entry 'k' has no '{field}'")
+        for field in _ENTRY
+    ])
+    def test_unusable_file_names_the_path_and_the_entry(
+            self, tmp_path, text, complaint):
+        path = tmp_path / "cache.json"
+        path.write_text(text)
+        with pytest.raises(TuneCacheError) as exc:
+            TuneCache(path)
+        assert str(path) in str(exc.value)
+        assert complaint in str(exc.value)
+
+    def test_entry_fields_are_what_a_validation_writes(self):
+        summary = simulate_candidate(_request(), Candidate(4, 2, 2, 2))
+        assert set(summary) == set(_ENTRY)
+
+    def test_binary_garbage_is_a_cache_error(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        with pytest.raises(TuneCacheError, match="not valid JSON"):
+            TuneCache(path)
+
+    def test_an_unreadable_path_is_a_cache_error(self, tmp_path):
+        with pytest.raises(TuneCacheError, match="cannot be read"):
+            TuneCache(tmp_path)  # a directory
+
+    def test_a_well_formed_file_loads(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text(_cache_text({"k": _ENTRY}))
+        assert len(TuneCache(path)) == 1
+
+
+class TestAtomicSave:
+    def _cache(self, path, **entries):
+        cache = TuneCache(path)
+        cache._entries.update(entries)
+        return cache
+
+    def test_interrupted_save_leaves_the_previous_cache_loadable(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.json"
+        self._cache(path, first=_ENTRY).save()
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise KeyboardInterrupt("killed before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(KeyboardInterrupt):
+            self._cache(path, second=_ENTRY).save()
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(TuneCache(path)._entries) == ["first"]
+        # ... and no temp file is left beside it.
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+    def test_save_replaces_the_file_and_creates_its_directory(self, tmp_path):
+        path = tmp_path / "nested" / "cache.json"
+        self._cache(path, first=_ENTRY).save()
+        self._cache(path, second=_ENTRY).save()
+        assert sorted(TuneCache(path)._entries) == ["first", "second"]
+        assert [p.name for p in path.parent.iterdir()] == ["cache.json"]
+
+    def test_relative_path_in_the_working_directory(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self._cache("cache.json", first=_ENTRY).save()
+        assert len(TuneCache("cache.json")) == 1
 
 
 class TestFoldedValidation:
