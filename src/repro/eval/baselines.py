@@ -27,6 +27,7 @@ from repro.data.climatology import Climatology
 from repro.data.dataset import ClimateDataset
 from repro.data.normalization import Normalizer
 from repro.data.synthetic import HOURS_PER_STEP
+from repro.nn import ForwardTape
 
 
 class PersistenceForecaster:
@@ -120,12 +121,12 @@ class ModelForecaster:
 
     def __init__(self, model, normalizer: Normalizer, name: str = "model"):
         self.model = model
+        self.infer = ForwardTape(model)
         self.normalizer = normalizer
         self.name = name
 
     def forecast(self, dataset: ClimateDataset, index: int, lead_steps: int) -> np.ndarray:
         x = self.normalizer.normalize(dataset.snapshot(index))[None]
         lead = np.asarray([lead_steps * HOURS_PER_STEP], dtype=np.float32)
-        pred = self.model(x.astype(np.float32), lead)[0]
-        self.model.clear_cache()
+        pred = self.infer(x.astype(np.float32), lead)[0]
         return self.normalizer.denormalize(pred, names=dataset.out_names)

@@ -17,7 +17,9 @@ initialization pays for each autoregressive step exactly once, and
 :meth:`~RolloutForecaster.advance_many` applies one step to a *stack*
 of states — the serving layer's rollout prefix cache
 (:mod:`repro.serve.cache`) advances all the windows of a micro-batch
-through it together.  There is one model call site: ``advance`` is the
+through it together.  There is one model call site (``self.infer``, a
+:class:`~repro.nn.tape.ForwardTape`: once a stack width has been seen,
+its forward is replayed from the recorded kernel list): ``advance`` is the
 one-state stack and :meth:`~RolloutForecaster.forecast` a thin loop
 over ``iter_states``, so the chain of float operations — and therefore
 the result — is bitwise identical whichever door a lead is computed
@@ -33,6 +35,7 @@ import numpy as np
 from repro.data.dataset import ClimateDataset
 from repro.data.normalization import Normalizer
 from repro.data.synthetic import HOURS_PER_STEP
+from repro.nn import ForwardTape
 
 
 class RolloutForecaster:
@@ -59,6 +62,7 @@ class RolloutForecaster:
         if base_lead_steps < 1:
             raise ValueError("base_lead_steps must be positive")
         self.model = model
+        self.infer = ForwardTape(model)
         self.normalizer = normalizer
         self.base_lead_steps = base_lead_steps
         self.name = name
@@ -89,10 +93,7 @@ class RolloutForecaster:
         lead_hours = np.full(
             len(batch), self.base_lead_steps * HOURS_PER_STEP, np.float32
         )
-        predictions = self.model(batch, lead_hours)
-        clear_cache = getattr(self.model, "clear_cache", None)
-        if clear_cache is not None:
-            clear_cache()
+        predictions = self.infer(batch, lead_hours)
         if predictions.shape != batch.shape:
             raise ValueError(
                 "rollout needs a model predicting all input channels: "

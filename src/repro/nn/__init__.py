@@ -36,6 +36,7 @@ from repro.nn.mlp import MLP
 from repro.nn.module import Module, Sequential
 from repro.nn.parameter import Parameter
 from repro.nn.precision import PrecisionPolicy, round_to_bfloat16
+from repro.nn.tape import ForwardTape
 from repro.nn.transformer import TransformerBlock, TransformerStack
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "CrossVariableAggregation",
     "DynamicGradScaler",
     "ExecutionContext",
+    "ForwardTape",
     "LayerNorm",
     "LeadTimeEmbedding",
     "Linear",

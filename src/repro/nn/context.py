@@ -17,13 +17,16 @@ from typing import TYPE_CHECKING, Iterator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nn.precision import PrecisionPolicy
 
-_state = threading.local()
+
+class _State(threading.local):
+    """Per-thread context stack and the forward tape being recorded, if any."""
+
+    def __init__(self):
+        self.stack: list["ExecutionContext"] = []
+        self.tape = None
 
 
-def _stack() -> list["ExecutionContext"]:
-    if not hasattr(_state, "stack"):
-        _state.stack = []
-    return _state.stack
+_state = _State()
 
 
 class ExecutionContext:
@@ -55,13 +58,13 @@ class ExecutionContext:
 
 def current_context() -> ExecutionContext | None:
     """Innermost active context, or ``None``."""
-    stack = _stack()
+    stack = _state.stack
     return stack[-1] if stack else None
 
 
 def active_precision() -> "PrecisionPolicy | None":
     """Innermost non-None precision policy on the context stack."""
-    for ctx in reversed(_stack()):
+    for ctx in reversed(_state.stack):
         if ctx.precision is not None:
             return ctx.precision
     return None
@@ -69,14 +72,14 @@ def active_precision() -> "PrecisionPolicy | None":
 
 def record_flops(flops: float, matmul: bool = False) -> None:
     """Report FLOPs to every active context (so nested profilers all see them)."""
-    for ctx in _stack():
+    for ctx in _state.stack:
         ctx.add_flops(flops, matmul=matmul)
 
 
 @contextmanager
 def execution_context(ctx: ExecutionContext) -> Iterator[ExecutionContext]:
     """Push ``ctx`` for the duration of the ``with`` block."""
-    stack = _stack()
+    stack = _state.stack
     stack.append(ctx)
     try:
         yield ctx

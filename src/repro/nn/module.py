@@ -33,10 +33,13 @@ class Module:
 
     # -- registration ------------------------------------------------------
     def __setattr__(self, name: str, value) -> None:
-        if isinstance(value, Parameter):
-            self._parameters[name] = value
-        elif isinstance(value, Module):
-            self._modules[name] = value
+        # ``_cache`` is written at least once per forward; it is never a
+        # parameter or a child, so it skips the registration tests.
+        if name != "_cache":
+            if isinstance(value, Parameter):
+                self._parameters[name] = value
+            elif isinstance(value, Module):
+                self._modules[name] = value
         object.__setattr__(self, name, value)
 
     def register_module(self, name: str, module: "Module") -> None:

@@ -12,43 +12,59 @@ parallelism engines goes through these functions so that
   operation whose precision the MI250X matrix engines set.
 
 All functions are pure; none mutate their inputs.
+
+While a :class:`~repro.nn.tape.ForwardTape` records, every real-mode
+kernel below is also appended to it (``tape.record``), so the forward
+can later be replayed without this module's dispatch.  The recording
+sits inside an execution context of its own, so the FLOP funnels look
+for it only when the context stack is non-empty.  A public function
+here either records its kernels or is listed in :data:`TAPE_FALLBACK`
+and fails the recording; ``tests/nn/test_tape.py`` checks each one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from scipy import special
 
-from repro.meta import MetaArray, is_meta, matmul_shape
-from repro.nn.context import active_precision, record_flops
+from repro.meta import MetaArray, matmul_shape
+from repro.nn.context import _state, active_precision, record_flops
+from repro.nn.precision import round_to_bfloat16
+
+#: Public functions that make arrays from nothing: no operand to replay
+#: from, so calling one while a tape records sends that signature back
+#: to the per-op forward.
+TAPE_FALLBACK = frozenset({"zeros", "zeros_like"})
 
 # ---------------------------------------------------------------------------
 # matmul
 # ---------------------------------------------------------------------------
 
 
+def _matmul_bf16(a, b):
+    """bf16 operands, fp32 accumulate, bf16 result — as one kernel."""
+    return round_to_bfloat16(round_to_bfloat16(a) @ round_to_bfloat16(b))
+
+
 def matmul(a, b):
     """Batched matrix product with bf16 emulation and FLOP accounting."""
-    if is_meta(a) or is_meta(b):
+    if isinstance(a, MetaArray) or isinstance(b, MetaArray):
         out_shape = matmul_shape(tuple(a.shape), tuple(b.shape))
-        flops = 2 * math.prod(out_shape) * a.shape[-1]
-        record_flops(flops, matmul=True)
+        if _state.stack:
+            record_flops(2 * math.prod(out_shape) * a.shape[-1], matmul=True)
         policy = active_precision()
         dtype = policy.meta_dtype if policy is not None and policy.is_bf16 else a.dtype
         return MetaArray(out_shape, dtype)
     policy = active_precision()
-    if policy is not None and policy.is_bf16:
-        from repro.nn.precision import round_to_bfloat16
-
-        a = round_to_bfloat16(a)
-        b = round_to_bfloat16(b)
-        out = a @ b
-        out = round_to_bfloat16(out)
-    else:
-        out = a @ b
-    record_flops(2 * out.size * a.shape[-1], matmul=True)
+    kernel = _matmul_bf16 if policy is not None and policy.is_bf16 else np.matmul
+    out = kernel(a, b)
+    if _state.stack:
+        record_flops(2 * out.size * a.shape[-1], matmul=True)
+        if _state.tape is not None:
+            _state.tape.record(kernel, (a, b), out)
     return out
 
 
@@ -58,7 +74,7 @@ def matmul(a, b):
 
 
 def _binary(a, b, fn, flop_factor: float = 1.0):
-    if is_meta(a) or is_meta(b):
+    if isinstance(a, MetaArray) or isinstance(b, MetaArray):
         a_shape = tuple(a.shape) if hasattr(a, "shape") else ()
         b_shape = tuple(b.shape) if hasattr(b, "shape") else ()
         # Equal shapes or one scalar — almost every call — need no
@@ -69,11 +85,15 @@ def _binary(a, b, fn, flop_factor: float = 1.0):
             out_shape = b_shape
         else:
             out_shape = np.broadcast_shapes(a_shape, b_shape)
-        dtype = a.dtype if is_meta(a) else b.dtype
-        record_flops(flop_factor * math.prod(out_shape))
+        dtype = a.dtype if isinstance(a, MetaArray) else b.dtype
+        if _state.stack:
+            record_flops(flop_factor * math.prod(out_shape))
         return MetaArray(out_shape, dtype)
     out = fn(a, b)
-    record_flops(flop_factor * np.size(out))
+    if _state.stack:
+        record_flops(flop_factor * out.size)
+        if _state.tape is not None:
+            _state.tape.record(fn, (a, b), out)
     return out
 
 
@@ -103,11 +123,15 @@ def maximum(a, b):
 
 
 def _unary(x, fn, flop_factor: float = 1.0):
-    if is_meta(x):
-        record_flops(flop_factor * x.size)
+    if isinstance(x, MetaArray):
+        if _state.stack:
+            record_flops(flop_factor * x.size)
         return MetaArray(x.shape, x.dtype)
     out = fn(x)
-    record_flops(flop_factor * np.size(out))
+    if _state.stack:
+        record_flops(flop_factor * out.size)
+        if _state.tape is not None:
+            _state.tape.record(fn, (x,), out)
     return out
 
 
@@ -159,11 +183,15 @@ def _reduced_shape(shape: tuple[int, ...], axis, keepdims: bool) -> tuple[int, .
 
 
 def _reduce(x, fn, axis, keepdims):
-    if is_meta(x):
-        record_flops(x.size)
+    if isinstance(x, MetaArray):
+        if _state.stack:
+            record_flops(x.size)
         return MetaArray(_reduced_shape(x.shape, axis, keepdims), x.dtype)
     out = fn(x, axis=axis, keepdims=keepdims)
-    record_flops(np.size(x))
+    if _state.stack:
+        record_flops(x.size)
+        if _state.tape is not None:
+            _state.tape.record(fn, (x,), out, axis=axis, keepdims=keepdims)
     return out
 
 
@@ -192,27 +220,39 @@ def var(x, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 
 
+def _shaped(fn, *operands):
+    """A zero-FLOP real kernel, taped when a tape records."""
+    out = fn(*operands)
+    if _state.tape is not None:
+        _state.tape.record(fn, operands, out)
+    return out
+
+
 def reshape(x, shape):
     """Reshape (supports one ``-1`` wildcard)."""
-    if is_meta(x):
+    if isinstance(x, MetaArray):
         return x.reshape(shape)
-    return np.reshape(x, shape)
+    return _shaped(np.reshape, x, shape)
 
 
 def transpose(x, axes):
     """Permute axes."""
-    if is_meta(x):
+    if isinstance(x, MetaArray):
         return x.transpose(axes)
-    return np.transpose(x, axes)
+    return _shaped(np.transpose, x, axes)
 
 
 def swapaxes(x, a: int, b: int):
     """Exchange two axes."""
-    if is_meta(x):
+    if isinstance(x, MetaArray):
         axes = list(range(x.ndim))
         axes[a % x.ndim], axes[b % x.ndim] = axes[b % x.ndim], axes[a % x.ndim]
         return x.transpose(axes)
-    return np.swapaxes(x, a, b)
+    return _shaped(np.swapaxes, x, a, b)
+
+
+def _concatenate(axis, *parts):
+    return np.concatenate(parts, axis=axis)
 
 
 def concat(parts, axis: int = 0):
@@ -220,12 +260,16 @@ def concat(parts, axis: int = 0):
     parts = list(parts)
     if not parts:
         raise ValueError("concat of empty sequence")
-    if any(is_meta(p) for p in parts):
+    if any(isinstance(p, MetaArray) for p in parts):
         first = parts[0]
         shape = list(first.shape)
         shape[axis % first.ndim] = sum(p.shape[axis % first.ndim] for p in parts)
         return MetaArray(tuple(shape), first.dtype)
-    return np.concatenate(parts, axis=axis)
+    return _shaped(_concatenate, axis, *parts)
+
+
+def _split(x, sections, axis):
+    return [np.ascontiguousarray(p) for p in np.split(x, sections, axis=axis)]
 
 
 def split(x, sections: int, axis: int = 0) -> list:
@@ -233,18 +277,24 @@ def split(x, sections: int, axis: int = 0) -> list:
     axis_len = x.shape[axis % x.ndim]
     if axis_len % sections:
         raise ValueError(f"axis of length {axis_len} not divisible into {sections} parts")
-    if is_meta(x):
+    if isinstance(x, MetaArray):
         shape = list(x.shape)
         shape[axis % x.ndim] = axis_len // sections
         part = MetaArray(tuple(shape), x.dtype)
         return [part] * sections
-    return [np.ascontiguousarray(p) for p in np.split(x, sections, axis=axis)]
+    parts = _shaped(_split, x, sections, axis)
+    if _state.tape is not None:  # each part is an operand of its own
+        for index, part in enumerate(parts):
+            _state.tape.record(operator.getitem, (parts, index), part)
+    return parts
 
 
 def zeros_like(x):
     """All-zeros array with x's shape and dtype."""
-    if is_meta(x):
+    if isinstance(x, MetaArray):
         return MetaArray(x.shape, x.dtype)
+    if _state.tape is not None:
+        _state.tape.fail("ops.zeros_like makes an array the tape cannot replay")
     return np.zeros_like(x)
 
 
@@ -252,12 +302,18 @@ def zeros(shape, dtype=np.float32, meta: bool = False):
     """All-zeros array, real or meta."""
     if meta:
         return MetaArray(tuple(shape), dtype)
+    if _state.tape is not None:
+        _state.tape.fail("ops.zeros makes an array the tape cannot replay")
     return np.zeros(shape, dtype)
+
+
+def _broadcast_copy(x, shape):
+    return np.broadcast_to(x, shape).copy()
 
 
 def broadcast_to(x, shape):
     """Broadcast ``x`` to ``shape`` (real mode returns a copy for safe mutation)."""
-    if is_meta(x):
+    if isinstance(x, MetaArray):
         np.broadcast_shapes(tuple(x.shape), tuple(shape))
         return MetaArray(tuple(shape), x.dtype)
-    return np.broadcast_to(x, shape).copy()
+    return _shaped(_broadcast_copy, x, shape)

@@ -10,6 +10,8 @@ lead (see :mod:`repro.serve.cache`).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,14 +37,18 @@ class ForecastRequest:
     arrival_s: float
 
     def __post_init__(self):
+        for name in ("request_id", "init_index", "lead_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise RequestError(f"{name} {value!r} must be an integer")
         if self.init_index < 0:
             raise RequestError(f"init_index {self.init_index} must be >= 0")
         if self.lead_steps < 1:
             raise RequestError(f"lead_steps {self.lead_steps} must be >= 1")
         if not self.out_vars:
             raise RequestError("out_vars must name at least one variable")
-        if self.arrival_s < 0:
-            raise RequestError(f"arrival_s {self.arrival_s} must be >= 0")
+        if not (math.isfinite(self.arrival_s) and self.arrival_s >= 0):
+            raise RequestError(f"arrival_s {self.arrival_s} must be finite and >= 0")
         object.__setattr__(self, "out_vars", tuple(self.out_vars))
 
     @property

@@ -191,6 +191,8 @@ class ForecastServer:
     def serve(self, requests: list[ForecastRequest]) -> ServeReport:
         """Run the full workload to completion; one call per server."""
         self._arrivals_remaining = len(requests)
+        # the forecaster outlives this server: publish this run's share
+        tape_before = self.forecaster.infer.counts()
         self.journal.record_serve(
             0, "start", message=f"serving {len(requests)} requests"
         )
@@ -212,6 +214,8 @@ class ForecastServer:
             data={"makespan_s": makespan},
         )
         self.metrics.gauge("serve.replicas").set(len(self.pool))
+        for name, count in self.forecaster.infer.counts().items():
+            self.metrics.counter(f"serve.tape_{name}").inc(count - tape_before[name])
         report = ServeReport(
             policy=self.policy,
             responses=sorted(self._responses, key=lambda r: r.request.request_id),

@@ -10,6 +10,8 @@ requests leave when served one call each — the sequential accounting is
 the oracle, because the modeled latencies are priced from it.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,6 +279,86 @@ class TestBatchedService:
             "cold-300rps": (786, 912),
             "surge-800rps": (966, 1344),
         }
+
+
+class TestForwardTape:
+    """Serving runs its forwards from the forward tape: exact counts of
+    the work a warm batch does, against the per-op path (a
+    ``ForwardCounter`` is not a ``Module``, so it never tapes)."""
+
+    BATCH = [(0, 4), (1, 2), (2, 4), (1, 1), (3, 6)]
+
+    @staticmethod
+    def _fresh(forecaster):
+        from repro.eval.rollout import RolloutForecaster
+
+        return RolloutForecaster(forecaster.model, forecaster.normalizer)
+
+    def test_warm_batch_makes_no_per_op_call(self, forecaster, dataset,
+                                             monkeypatch):
+        from repro.nn import ops
+
+        taped = self._fresh(forecaster)
+        batch = [_request(i, w, lead) for i, (w, lead) in enumerate(self.BATCH)]
+        cold, widths = RolloutPrefixCache(8).forecast_batch(taped, dataset, batch)
+        assert widths == [4, 4, 3, 3, 1, 1]
+        assert taped.infer.counts() == {"records": 3, "replays": 3, "fallbacks": 0}
+
+        calls = Counter()
+        for name in ("_binary", "_unary", "_reduce", "matmul"):
+            def wrapper(*args, _name=name, _fn=getattr(ops, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(ops, name, wrapper)
+        warm, warm_widths = RolloutPrefixCache(8).forecast_batch(taped, dataset,
+                                                                 batch)
+        assert not calls and warm_widths == widths
+        assert taped.infer.counts() == {"records": 3, "replays": 9, "fallbacks": 0}
+        _assert_same_service(warm, cold)
+
+        per_op, counter = counting(forecaster)
+        oracle, _ = RolloutPrefixCache(8).forecast_batch(per_op, dataset, batch)
+        assert calls["matmul"] == 17 * len(widths) and counter.widths == widths
+        assert per_op.infer.counts() == {"records": 0, "replays": 0, "fallbacks": 6}
+        _assert_same_service(warm, oracle)
+
+    def test_server_publishes_tape_counts_beside_unchanged_forward_counts(
+            self, forecaster, dataset):
+        from repro.obs.metrics import MetricsRegistry
+
+        def run(fc):
+            metrics = MetricsRegistry()
+            case = DEFAULT_MATRIX[0]
+            report = ForecastServer(fc, dataset, case.policy, metrics=metrics) \
+                .serve(generate_requests(case.load))
+            return report, metrics
+
+        taped = self._fresh(forecaster)
+        report, metrics = run(taped)
+        per_op, _ = counting(forecaster)
+        oracle_report, oracle_metrics = run(per_op)
+
+        def value(registry, name):
+            return registry.counter(f"serve.{name}").value
+
+        widths = metrics.histogram("serve.stack_width").values
+        assert widths == oracle_metrics.histogram("serve.stack_width").values
+        assert value(metrics, "forward_calls") == len(widths) == 100 == \
+               value(oracle_metrics, "forward_calls")
+        assert value(metrics, "tape_records") == len(set(widths))
+        assert value(metrics, "tape_replays") == len(widths) - len(set(widths))
+        assert value(metrics, "tape_fallbacks") == 0
+        assert [value(oracle_metrics, f"tape_{n}")
+                for n in ("records", "replays", "fallbacks")] == [0, 0, 100]
+        # BENCH_serve.json is report.stats(): the tape stays out of it.
+        assert report.stats() == oracle_report.stats()
+        assert not any("tape" in key for key in report.stats())
+        for got, want in zip(report.completed, oracle_report.completed):
+            np.testing.assert_array_equal(got.result, want.result)
+        # A second server over the same forecaster publishes only its share.
+        _, again = run(taped)
+        assert value(again, "tape_records") == 0
+        assert value(again, "tape_replays") == len(widths)
 
 
 class TestBadRequests:

@@ -1,5 +1,6 @@
 """Tests for typed requests/responses and the serving policy."""
 
+import numpy as np
 import pytest
 
 from repro.serve import (
@@ -29,10 +30,39 @@ class TestForecastRequest:
         dict(lead_steps=0),
         dict(out_vars=()),
         dict(arrival_s=-0.1),
+        dict(arrival_s=float("nan")),  # nan < 0 is false
+        dict(arrival_s=float("inf")),
+        dict(arrival_s=float("-inf")),
+        dict(lead_steps=1.5),
+        dict(lead_steps=2.0),
+        dict(lead_steps=True),
+        dict(init_index=3.0),
+        dict(init_index=False),
+        dict(request_id=0.5),
+        dict(request_id=True),
+        dict(request_id="7"),
+        dict(init_index=None),
     ])
     def test_invalid_requests_rejected(self, bad):
         with pytest.raises(RequestError):
             _request(**bad)
+
+    def test_numpy_integers_are_integers(self):
+        request = _request(request_id=np.int64(5), init_index=np.int32(2),
+                           lead_steps=np.int64(4))
+        assert (request.request_id, request.init_index, request.lead_steps) == (5, 2, 4)
+
+    def test_a_malformed_request_is_never_counted(self, forecaster, dataset):
+        """It cannot be built, so no cache, batcher or server sees it."""
+        from repro.serve import RolloutPrefixCache
+
+        cache = RolloutPrefixCache(capacity=2)
+        stats = cache.stats()
+        with pytest.raises(RequestError, match="lead_steps 1.5 must be an integer"):
+            cache.forecast(forecaster, dataset, 0, 1.5)
+        with pytest.raises(RequestError, match="arrival_s nan must be finite"):
+            _request(arrival_s=float("nan"))
+        assert cache.stats() == stats and len(cache) == 0
 
     def test_out_vars_normalized_to_tuple(self):
         request = _request(out_vars=["2m_temperature", "geopotential_500"])
