@@ -1,0 +1,53 @@
+"""Benchmark: the supervised replan demo under a real-seconds ceiling.
+
+The demo (``repro replan``, the ``bench_wall`` ``supervised-replan``
+workload's meta half) is sixteen supervised meta steps in two sessions,
+before and after the plan switch its straggler triggers.  Each session
+executes its step once and replays the captured stream for the rest
+(``Session.meta_step``), so a breach here means step replay stopped
+serving the supervised path — a session that re-executes every step
+takes about twice as long.
+"""
+
+import time
+
+import pytest
+
+from repro.faults import Supervisor
+from repro.replan.scenario import (
+    DEMO_STEPS,
+    DEMO_SUPERVISOR_KWARGS,
+    demo_plan,
+    demo_spec,
+)
+
+#: Real-seconds budget for the warm demo — about four times the
+#: measured 0.55 s (1.17 s when every step executed), the margin
+#: ``FULL_MACHINE_WALL_CEILING_S`` leaves a noisy host.
+REPLAN_DEMO_WALL_CEILING_S = 2.2
+
+
+def _demo(checkpoint_dir):
+    supervisor = Supervisor(demo_spec(), demo_plan(),
+                            checkpoint_dir=checkpoint_dir,
+                            **DEMO_SUPERVISOR_KWARGS)
+    return supervisor, supervisor.run(DEMO_STEPS)
+
+
+@pytest.mark.quick
+@pytest.mark.benchmark(group="replan")
+def test_replan_demo_under_wall_clock_ceiling(once, tmp_path):
+    _demo(tmp_path / "warm")  # imports, cost-model and plan caches
+    start = time.perf_counter()
+    supervisor, report = once(_demo, tmp_path / "timed")
+    elapsed = time.perf_counter() - start
+    assert elapsed < REPLAN_DEMO_WALL_CEILING_S, (
+        f"the replan demo took {elapsed:.2f}s real time "
+        f"(ceiling {REPLAN_DEMO_WALL_CEILING_S:.1f}s)"
+    )
+    # The run itself must still be the demo: recovered, migrated once.
+    assert report.recovered and report.steps_completed == DEMO_STEPS
+    assert supervisor.spec != demo_spec()
+    counters = supervisor.session.tracer.metrics.snapshot()
+    assert counters["runtime.meta_steps_executed"] == 1
+    assert counters["runtime.meta_steps_replayed"] > 0

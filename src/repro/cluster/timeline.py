@@ -25,8 +25,11 @@ stream can be *captured* and *replayed*: :meth:`Timeline.capture`
 collects the ``record_*`` calls made inside a ``with`` block and
 :meth:`Timeline.replay` makes them again — shifted, renamed — through
 the same entry points.  :meth:`FoldedTimeline.expand`, the trunk's
-depth replay (:mod:`repro.core.hybrid_block`) and the tuner's
+depth replay (:mod:`repro.core.hybrid_block`), a meta session's step
+replay (:meth:`repro.runtime.session.Session.meta_step`) and the tuner's
 estimator (:mod:`repro.tune.estimator`) all run on that one replayer.
+Captures nest, and a replay made under one is kept by reference, so a
+step's stream holds its trunk's one executed block once.
 
 That event walk is also the oracle of the one shortcut here: a stream
 wrapped as an :class:`EventStream` carries per-rank float columns, and
@@ -158,9 +161,9 @@ class EventStream(tuple):
     def compiled(self) -> tuple:
         """``(per-rank columns, collective count)``, built on first use;
         the columns are ``None`` for a stream with folded-segment
-        markers, which only the event walk unrolls.  Seconds are
-        validated here, once: a negative value raises the
-        ``ValueError`` the walk would.
+        markers or by-reference replays, which only the event walk
+        resolves.  Seconds are validated here, once: a negative value
+        raises the ``ValueError`` the walk would.
         """
         if self._compiled is None:
             self._compiled = _compile(self)
@@ -194,7 +197,7 @@ def _compile(events) -> tuple:
                 comm_bytes.append(nbytes)
                 program.append(step)
         elif tag != "free":  # an untraced exact timeline drops releases
-            return None, 0
+            return None, 0  # a segment marker or a by-reference replay
     return (
         tuple(
             _RankColumns(
@@ -352,15 +355,24 @@ class Timeline:
         only class representatives) and flattens it: a folded segment
         is resolved into the iterations that touch ``ranks``, so the
         narrowed capture of a folded run ``==`` that of an exact one.
+
+        Captures nest (a trunk's depth capture opens inside a session's
+        step capture): the innermost open one is the sink, and when it
+        closes its events — un-narrowed — flow into the enclosing
+        stream.  A :meth:`replay` made while a capture is open lands in
+        it as **one** entry ``("replay", events, offset, renames)``
+        holding the stream by reference: L - 1 replays of a block cost
+        L - 1 entries, not L - 1 copies.
         """
-        if self._capture is not None:
-            raise RuntimeError("a timeline capture is already open")
+        outer = self._capture
         events: list[tuple] = []
         self._capture = events
         try:
             yield events
         finally:
-            self._capture = None
+            self._capture = outer
+            if outer is not None:
+                outer.extend(events)
             if ranks is not None:
                 events[:] = _restrict(events, ranks, self.tracer.enabled)
 
@@ -380,6 +392,13 @@ class Timeline:
         the tracer labels spans from the recorded scope and kind
         instead of its live scope stack.
 
+        A ``("replay", ...)`` entry (see :meth:`capture`) is resolved by
+        recursion: its offset adds to ``offset`` and its renames apply
+        before ``renames``.  Renames go through a memo local to this
+        call, so each distinct name or scope is rebuilt once and the
+        spans it labels share one string.  While a :meth:`capture` is
+        open the replay is recorded there and walked with it suspended.
+
         An :class:`EventStream` skips that walk and lands as per-rank
         column sums (:meth:`_apply`) iff all four hold: this is an exact
         ``Timeline`` (a folded one logs and class-maps every event), the
@@ -389,21 +408,27 @@ class Timeline:
         can tell, which :meth:`_apply` leaves ``==`` to the walk's.
         Everything else, and every plain list, takes the walk.
         """
+        capture = self._capture
         if (isinstance(events, EventStream) and type(self) is Timeline
-                and not self.tracer.enabled and self._capture is None
+                and not self.tracer.enabled and capture is None
                 and self.injector is NULL_INJECTOR):
             columns, collectives = events.compiled()
             if columns is not None:
                 self._apply(columns, collectives, offset)
                 return
+        if capture is not None:
+            capture.append(("replay", events, offset, renames))
+            self._capture = None
         try:
-            self._replay(events, 0, len(events), offset, renames)
+            self._replay(events, 0, len(events), offset, renames, {})
         finally:
+            self._capture = capture
             self.tracer.set_context(None)
 
-    def _replay(self, events, start, end, offset, renames):
+    def _replay(self, events, start, end, offset, renames, memo):
         # An untraced run has no scope to restore (NullTracer reads "").
         set_context = self.tracer.set_context if self.tracer.enabled else None
+        renamed = memo.setdefault(renames, _Renamed(renames)) if renames else None
         i = start
         while i < end:
             entry = events[i]
@@ -413,8 +438,14 @@ class Timeline:
                 j = _segment_end(events, i)
                 for it in self.fold_iter(axis, range(count)):
                     self._replay(events, i + 1, j - 1, offset + it * stride,
-                                 _iteration_renames(renames, rename, it))
+                                 _iteration_renames(renames, rename, it), memo)
                 i = j
+                continue
+            if tag == "replay":
+                _, inner, inner_offset, inner_renames = entry
+                self._replay(inner, 0, len(inner), offset + inner_offset,
+                             inner_renames + renames, memo)
+                i += 1
                 continue
             if tag == "compute":
                 _, rank, seconds, flops, name, scope = entry
@@ -424,9 +455,8 @@ class Timeline:
             else:  # "free"
                 _, ranks, name, nbytes, scope = entry
                 kind = "gather"
-            if renames:
-                name = _apply_renames(name, renames)
-                scope = _apply_renames(scope, renames)
+            if renamed is not None:
+                name, scope = renamed[name], renamed[scope]
             if set_context is not None:
                 set_context(scope, kind)
             if tag == "compute":
@@ -542,6 +572,18 @@ def _apply_renames(text: str, renames: tuple) -> str:
     return text
 
 
+class _Renamed(dict):
+    """``text -> text`` with ``renames`` applied: each distinct name or
+    scope of a replay is rebuilt once, and its spans share the result."""
+
+    def __init__(self, renames: tuple):
+        self.renames = renames
+
+    def __missing__(self, text: str) -> str:
+        renamed = self[text] = _apply_renames(text, self.renames)
+        return renamed
+
+
 #: Where each kind of entry keeps its op name and its tracer scope.
 _NAME_AND_SCOPE = {"compute": (4, 5), "comm": (5, 6), "free": (2, 4)}
 
@@ -572,7 +614,8 @@ def _restrict(events, ranks, keep_free, start=0, end=None, offset=0,
     have a replay unroll every one of them — the work the caller asked
     to exclude — so each iteration is narrowed on its own, with the
     shift and rename :meth:`Timeline.replay` would apply, and only what
-    still touches ``ranks`` is kept.  ``keep_free`` is whether the
+    still touches ``ranks`` is kept; a by-reference replay entry is
+    narrowed the same way.  ``keep_free`` is whether the
     capturing timeline was traced: an untraced exact timeline never
     records a release marker, an untraced folded one logs them for
     :meth:`FoldedTimeline.expand` alone.
@@ -594,6 +637,11 @@ def _restrict(events, ranks, keep_free, start=0, end=None, offset=0,
             i = j
             continue
         i += 1
+        if tag == "replay":
+            _, inner, inner_offset, inner_renames = event
+            kept += _restrict(inner, ranks, keep_free, 0, None,
+                              offset + inner_offset, inner_renames + renames)
+            continue
         if tag == "free" and not keep_free:
             continue
         if tag == "compute":

@@ -29,7 +29,7 @@ crash-and-resume runs bitwise comparable to fault-free ones.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.cluster.timeline import stretch_compute
 from repro.faults.errors import (
@@ -39,10 +39,16 @@ from repro.faults.errors import (
 )
 from repro.faults.plan import (
     DEGRADATION_KINDS,
+    FATAL_KINDS,
+    TRANSIENT_KINDS,
     FaultKind,
     FaultPlan,
     FaultSpec,
 )
+
+
+#: Kinds that raise from the event they fire at.
+_CRASH_KINDS = TRANSIENT_KINDS | FATAL_KINDS
 
 
 class _Armed:
@@ -78,37 +84,56 @@ class FaultInjector:
         self.plan = plan
         self.gpus_per_node = int(gpus_per_node)
         self._armed = [_Armed(spec) for spec in plan.faults]
-        self.step = -1
+        self.begin_step(-1)
 
     # -- driving -------------------------------------------------------------
     def begin_step(self, step: int) -> None:
-        """Arm the injections of ``step`` (supervisor hook)."""
-        self.step = int(step)
+        """Arm the injections of ``step`` (supervisor hook).
+
+        Settles, per step and not per event, which entries an event of
+        this step can meet — crash-class ones scheduled here,
+        degradations whose window covers it, each in plan order.  With
+        none, ``on_compute`` / ``on_comm`` hand the seconds back.
+        """
+        self.step = step = int(step)
+        self._crashes = [
+            armed for armed in self._armed
+            if armed.spec.kind in _CRASH_KINDS and armed.spec.step == step
+        ]
+        in_window = [
+            armed for armed in self._armed
+            if not armed.moot and armed.spec.step <= step
+            < armed.spec.step + armed.spec.duration_steps
+        ]
+        self._stragglers = [
+            a for a in in_window if a.spec.kind is FaultKind.STRAGGLER]
+        self._link_degrades = [
+            a for a in in_window if a.spec.kind is FaultKind.LINK_DEGRADE]
 
     # -- timeline protocol ---------------------------------------------------
     def on_compute(self, rank: int, seconds: float, op: str) -> float:
-        self._maybe_raise((rank,), op, comm=False)
+        if self._crashes:
+            self._maybe_raise((rank,), op, comm=False)
+        if not self._stragglers:
+            return seconds
         return stretch_compute(
-            seconds, self._factor(FaultKind.STRAGGLER, (rank,)), op)
+            seconds, self._factor(self._stragglers, (rank,)), op)
 
     def on_comm(self, ranks: Sequence[int], seconds: float, op: str) -> float:
-        self._maybe_raise(tuple(ranks), op, comm=True)
-        return seconds * self._factor(FaultKind.LINK_DEGRADE, ranks)
+        if self._crashes:
+            self._maybe_raise(ranks, op, comm=True)
+        if not self._link_degrades:
+            return seconds
+        return seconds * self._factor(self._link_degrades, ranks)
 
     # -- crash-class firing ---------------------------------------------------
-    def _maybe_raise(self, ranks: tuple[int, ...], op: str, comm: bool) -> None:
-        for armed in self._armed:
+    def _maybe_raise(self, ranks: Sequence[int], op: str, comm: bool) -> None:
+        for armed in self._crashes:
             spec = armed.spec
-            if not armed.live or spec.step != self.step:
+            if not armed.live:  # fired earlier in this step, or went moot
                 continue
             if spec.kind is FaultKind.COLLECTIVE_TIMEOUT and not comm:
                 continue  # timeouts are collective-only events
-            if spec.kind not in (
-                FaultKind.COLLECTIVE_TIMEOUT,
-                FaultKind.GPU_CRASH,
-                FaultKind.NODE_LOSS,
-            ):
-                continue
             if armed.rank not in ranks:
                 continue
             if spec.op is not None and spec.op != op:
@@ -128,21 +153,17 @@ class FaultInjector:
             )
 
     # -- degradations ---------------------------------------------------------
-    def _factor(self, kind: FaultKind, ranks: Iterable[int]) -> float:
+    def _factor(self, in_window: list, ranks: Sequence[int]) -> float:
+        """Product, in plan order, of the ``in_window`` degradations
+        that target one of ``ranks``; each is marked fired on first hit."""
         factor = 1.0
-        ranks = set(ranks)
-        for armed in self._armed:
-            spec = armed.spec
-            if armed.moot or spec.kind is not kind:
-                continue
-            if not spec.step <= self.step < spec.step + spec.duration_steps:
-                continue
+        for armed in in_window:
             if armed.rank not in ranks:
                 continue
             if not armed.fired:
                 armed.fired = True
                 armed.fired_step = self.step
-            factor *= spec.factor
+            factor *= armed.spec.factor
         return factor
 
     # -- symmetry-fold coordination --------------------------------------------
@@ -233,6 +254,7 @@ class FaultInjector:
             else:
                 armed.moot = True
                 dropped.append(armed.spec)
+        self.begin_step(self.step)  # moot entries leave this step's sets
         return dropped
 
     # -- introspection ----------------------------------------------------------

@@ -16,6 +16,8 @@ soak can be reproduced from ``(seed, world, steps)`` alone.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -98,6 +100,16 @@ class FaultSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", FaultKind(self.kind))
+        # A plan is outside input (``--plan``): 1.5 never equals a step
+        # index, ``True`` is rank 1 and NaN passes every ``<=`` below.
+        for name in ("step", "rank", "duration_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"fault {name} {value!r} must be an integer")
+        if not isinstance(self.factor, numbers.Real) or \
+                not math.isfinite(self.factor):
+            raise ValueError(
+                f"fault factor {self.factor!r} must be a finite number")
         if self.step < 0:
             raise ValueError(f"fault step {self.step} must be non-negative")
         if self.rank < 0:

@@ -108,6 +108,9 @@ class MetricsRegistry:
 
     def __init__(self):
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        #: Bumped by :meth:`reset`.  A caller on a hot path may hold the
+        #: instruments it fetched for as long as this reads the same.
+        self.generation = 0
 
     def _get(self, name: str, cls):
         instrument = self._instruments.get(name)
@@ -165,6 +168,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._instruments.clear()
+        self.generation += 1
 
     def __len__(self) -> int:
         return len(self._instruments)
@@ -195,6 +199,7 @@ class NullMetrics:
     """Inert registry backing the no-op tracer."""
 
     __slots__ = ()
+    generation = 0
 
     def counter(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT

@@ -265,6 +265,20 @@ class SpanColumns:
         return out
 
 
+class _HeldCounters(dict):
+    """``name -> Counter`` of one registry generation, fetched on first
+    use: an emit pays a dict hit, not a typed lookup by name, and a
+    counter nobody incremented is still never created."""
+
+    def __init__(self, metrics):
+        self.metrics = metrics
+        self.generation = metrics.generation
+
+    def __missing__(self, name: str):
+        counter = self[name] = self.metrics.counter(name)
+        return counter
+
+
 class Tracer:
     """Records span rows and per-kind counters.
 
@@ -282,6 +296,7 @@ class Tracer:
         #: The recorded spans, as a read-only view of the table.
         self.spans = SpanView(self._rows)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._counters = _HeldCounters(self.metrics)
         self._scope_parts: list[str] = []
         self._kind_override: list[str] = []
         #: Whether :meth:`set_context` labels are in force.
@@ -374,7 +389,7 @@ class Tracer:
         self._rows.append((kind, name, rank, t0, dur, hidden_s, nbytes, flops,
                            group, self.current_scope, cid, members,
                            attrs or None))
-        self.metrics.counter(counter).inc()
+        self._held_counters()[counter].inc()
 
     def instant(self, kind: str, name: str, rank: int = 0, t0: float = 0.0,
                 **attrs) -> None:
@@ -393,7 +408,10 @@ class Tracer:
         """
         self._rows.append(("compute", op, rank, t0, seconds, 0.0, 0.0, flops,
                            None, self.current_scope, None, members, None))
-        self.metrics.counter("spans.compute").inc()
+        counters = self._counters
+        if counters.generation != self.metrics.generation:
+            counters = self._held_counters()
+        counters["spans.compute"].inc()
 
     def on_comm(
         self,
@@ -420,7 +438,10 @@ class Tracer:
             raise _unknown_kind(kind)
         self._rows.append((kind, op, rank, t0, seconds, hidden_s, nbytes, 0.0,
                            group, self.current_scope, cid, members, None))
-        self.metrics.counter(counter).inc()
+        counters = self._counters
+        if counters.generation != self.metrics.generation:
+            counters = self._held_counters()
+        counters[counter].inc()
 
     def mark_free(self, ranks, clocks, name: str, nbytes: float) -> None:
         """Marker for a gathered shard being released on each of
@@ -433,7 +454,14 @@ class Tracer:
              None, None, None)
             for rank, clock in zip(ranks, clocks)
         ])
-        self.metrics.counter("spans.gather").inc(len(ranks))
+        self._held_counters()["spans.gather"].inc(len(ranks))
+
+    def _held_counters(self) -> "_HeldCounters":
+        """The counter handles, dropped with the instruments they were
+        when the registry has been ``reset()`` since."""
+        if self._counters.generation != self.metrics.generation:
+            self._counters = _HeldCounters(self.metrics)
+        return self._counters
 
     # -- lifecycle ----------------------------------------------------------
     def clear(self) -> None:

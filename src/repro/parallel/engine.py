@@ -303,6 +303,16 @@ class HybridSTOPEngine:
         return timeline.fold_pad("ddp", grad_xs, D)
 
     # -- pipeline stages ----------------------------------------------------------
+    @property
+    def step_stream_is_invariant(self) -> bool:
+        """Whether every meta step asks the timeline to record the same
+        stream (:meth:`repro.runtime.session.Session.meta_step` then
+        replays one).  Not a pipeline: :meth:`_record_pipeline_stall`
+        reads its seconds back from the ledgers, which carry the run's
+        history and whatever a fault injector stretched.
+        """
+        return self.plan.pp_size == 1
+
     def _stage_ranks(self, stage: int, d: int) -> list[int]:
         sp = self.plan.stage_plan(stage)
         return [

@@ -22,6 +22,7 @@ import numpy as np
 from repro.cluster.cluster import VirtualCluster
 from repro.cluster.timeline import FoldedTimeline
 from repro.cluster.topology import FrontierTopology
+from repro.nn.context import ExecutionContext, execution_context, record_flops
 from repro.obs.tracer import Tracer
 from repro.runtime.spec import RunSpec
 
@@ -188,6 +189,9 @@ class Session:
         self._precision = precision
         self._grad_scaler = grad_scaler
         self._trainer = None
+        #: ``(scope prefix, events, matmul FLOPs, other FLOPs)`` of the
+        #: meta step captured in the current fold mode (see meta_step).
+        self._step_stream: tuple | None = None
 
     # -- numeric training ----------------------------------------------------
     @property
@@ -261,18 +265,58 @@ class Session:
 
         The exact cost-model accounting the bench harness measures;
         returns ``(nan, observations)`` since meta arrays carry no loss.
+
+        **Step replay.**  What a meta step *asks* the timeline to record
+        depends on the spec and the fold mode, not on the step index,
+        the ledgers or the fault plan, so the first step of a fold mode
+        runs under a :meth:`~repro.cluster.timeline.Timeline.capture`
+        and later ones :meth:`~repro.cluster.timeline.Timeline.replay`
+        it with the ``step.<N>`` scope swapped: injector, tracer,
+        ledgers and collective ids see an executed step's calls, and a
+        fault raises from the same event.  The stream is dropped when
+        :meth:`_sync_fold_mode` flips the mode, never kept from a step
+        that raised, and never taken from an engine whose
+        ``step_stream_is_invariant`` is false.  Transient allocations
+        are not replayed (the executed step set every device's peak);
+        the step's FLOP totals are.  Oracle: :meth:`execute_meta_step`.
         """
+        self._sync_fold_mode(step)
+        if self._step_stream is not None:
+            captured, events, matmul_flops, other_flops = self._step_stream
+            self.cluster.timeline.replay(
+                events, renames=((captured, f"step.{step}/"),))
+            record_flops(matmul_flops, matmul=True)
+            record_flops(other_flops)
+            self.tracer.metrics.counter("runtime.meta_steps_replayed").inc()
+        elif self.engine.step_stream_is_invariant:
+            flops = ExecutionContext()
+            with self.cluster.timeline.capture() as events, \
+                    execution_context(flops):
+                self._engine_step(step)
+            self._step_stream = (f"step.{step}/", events, flops.matmul_flops,
+                                 flops.flops - flops.matmul_flops)
+        else:
+            self._engine_step(step)
+        return math.nan, self.spec.observations
+
+    def execute_meta_step(self, step: int = 0) -> tuple[float, int]:
+        """:meth:`meta_step` without step replay — its oracle: every
+        step runs every op."""
+        self._sync_fold_mode(step)
+        self._engine_step(step)
+        return math.nan, self.spec.observations
+
+    def _engine_step(self, step: int) -> None:
         from repro.meta import MetaArray
 
         D, F = self.spec.ddp_size, self.spec.fsdp_size
-        self._sync_fold_mode(step)
         xs, leads = self.meta_batch()
         with self.tracer.scope("step", step):
             ys = self.engine.forward(xs, leads)
             grads = [[MetaArray(ys[d][f].shape) for f in range(F)] for d in range(D)]
             self.engine.backward(grads)
             self.engine.allreduce_gradients()
-        return math.nan, self.spec.observations
+        self.tracer.metrics.counter("runtime.meta_steps_executed").inc()
 
     def _sync_fold_mode(self, step: int) -> None:
         """Drop to exact mode for fault-touched steps; refold after.
@@ -290,6 +334,7 @@ class Session:
         if self.cluster.injector.affects_step(step):
             if timeline.folded:
                 timeline.unfold()
+                self._step_stream = None  # a folded stream, segments and all
                 self.engine.materialize_replicas()
                 self.monitor.record_fold(
                     step, "exact",
@@ -297,6 +342,7 @@ class Session:
                     f"every rank",
                 )
         elif not timeline.folded and timeline.try_refold():
+            self._step_stream = None  # an exact stream, every rank spelled out
             self.monitor.record_fold(
                 step, "folded",
                 f"class ledgers re-converged before step {step}; folding",

@@ -223,14 +223,20 @@ def test_a_plain_sequence_takes_the_event_walk(walked):
 
 def test_an_open_capture_takes_the_event_walk(walked):
     timeline = Timeline(4)
+    stream = EventStream(_FLAT)
     with timeline.capture() as captured:
-        timeline.replay(EventStream(_FLAT), offset=1)
+        timeline.replay(stream, offset=1)
     assert walked["record_comm"] == 2
-    # The capture saw the replayed calls (release markers are dropped
-    # by an untraced exact timeline).
-    assert [event[0] for event in captured] == \
-        ["compute", "comm", "compute", "comm"]
-    assert captured[1][1] == (1, 2)
+    # The capture holds the replay as one entry, the stream by
+    # reference, and replaying the capture makes the same calls.
+    (entry,) = captured
+    assert entry[0] == "replay" and entry[1] is stream and entry[2:] == (1, ())
+    again = Timeline(4)
+    again.replay(captured)
+    assert walked["record_comm"] == 4
+    assert _state(again) == _state(timeline)
+    # A compiled stream answers "take the walk" for such an entry.
+    assert EventStream(captured).compiled() == (None, 0)
 
 
 def test_traced_replay_of_a_stream_records_every_span(walked):

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.cluster import VirtualCluster
 from repro.cluster.timeline import NULL_INJECTOR
 from repro.faults import (
     CollectiveTimeoutError,
+    FaultError,
     FaultInjector,
+    FaultKind,
     FaultPlan,
     FaultSpec,
     GpuCrashError,
@@ -240,3 +244,157 @@ class TestSeededSkew:
             seeded_skew_profile(0, 4, num_stragglers=5)
         with pytest.raises(ValueError):
             seeded_skew_profile(0, 4, min_factor=0.9)
+
+
+class _PerEventInjector(FaultInjector):
+    """The injector as it was before ``begin_step`` settled the step's
+    sets: every event walks every armed entry, twice.  Kept here as the
+    oracle of the hot path."""
+
+    def on_compute(self, rank, seconds, op):
+        from repro.cluster.timeline import stretch_compute
+
+        self._raise_per_event((rank,), op, comm=False)
+        return stretch_compute(
+            seconds, self._factor_per_event(FaultKind.STRAGGLER, (rank,)), op)
+
+    def on_comm(self, ranks, seconds, op):
+        self._raise_per_event(tuple(ranks), op, comm=True)
+        return seconds * self._factor_per_event(FaultKind.LINK_DEGRADE, ranks)
+
+    def _raise_per_event(self, ranks, op, comm):
+        for armed in self._armed:
+            spec = armed.spec
+            if not armed.live or spec.step != self.step:
+                continue
+            if spec.kind is FaultKind.COLLECTIVE_TIMEOUT and not comm:
+                continue
+            if spec.kind not in (FaultKind.COLLECTIVE_TIMEOUT,
+                                 FaultKind.GPU_CRASH, FaultKind.NODE_LOSS):
+                continue
+            if armed.rank not in ranks:
+                continue
+            if spec.op is not None and spec.op != op:
+                continue
+            armed.fired = True
+            armed.fired_step = self.step
+            where = f"step {self.step}, op {op!r}, rank {armed.rank}"
+            if spec.kind is FaultKind.COLLECTIVE_TIMEOUT:
+                raise CollectiveTimeoutError(
+                    f"collective timeout at {where}", fault=spec)
+            if spec.kind is FaultKind.GPU_CRASH:
+                raise GpuCrashError(f"GPU crash at {where}", fault=spec)
+            raise NodeLossError(
+                f"node {armed.rank // self.gpus_per_node} lost at {where}",
+                fault=spec)
+
+    def _factor_per_event(self, kind, ranks):
+        factor = 1.0
+        ranks = set(ranks)
+        for armed in self._armed:
+            spec = armed.spec
+            if armed.moot or spec.kind is not kind:
+                continue
+            if not spec.step <= self.step < spec.step + spec.duration_steps:
+                continue
+            if armed.rank not in ranks:
+                continue
+            if not armed.fired:
+                armed.fired = True
+                armed.fired_step = self.step
+            factor *= spec.factor
+        return factor
+
+
+_WORLD, _STEPS = 8, 5
+_OPS = ("all_gather", "all_reduce", "gemm", "pipeline.stall")
+
+
+@st.composite
+def _plans(draw):
+    faults = draw(st.lists(st.builds(
+        FaultSpec,
+        kind=st.sampled_from(list(FaultKind)),
+        step=st.integers(0, _STEPS - 1),
+        rank=st.integers(0, _WORLD - 1),
+        op=st.sampled_from((None,) + _OPS),
+        # Repeated factors make overlapping windows multiply in an
+        # order that rounding can tell apart.
+        factor=st.sampled_from([1.1, 1.7, 3.0, 1e3 / 3]),
+        duration_steps=st.integers(1, 3),
+    ), max_size=6))
+    return FaultPlan(faults=tuple(faults))
+
+
+#: One driver action: a compute event, a collective, or an elastic remap.
+_ACTIONS = st.one_of(
+    st.tuples(st.just("compute"), st.integers(0, _WORLD - 1),
+              st.sampled_from(_OPS)),
+    st.tuples(st.just("comm"),
+              st.lists(st.integers(0, _WORLD - 1), min_size=1, max_size=4,
+                       unique=True).map(tuple),
+              st.sampled_from(_OPS)),
+    st.tuples(st.just("remap"),
+              st.sets(st.integers(0, _WORLD - 1), max_size=2), st.none()),
+)
+
+
+def _drive(injector, schedule):
+    """Everything observable about ``injector`` over ``schedule``."""
+    seen = []
+    for step, actions in schedule:
+        injector.begin_step(step)
+        for tag, target, op in actions:
+            try:
+                if tag == "compute":
+                    seen.append(injector.on_compute(target, 0.3, op).hex())
+                elif tag == "comm":
+                    seen.append(injector.on_comm(target, 0.7, op).hex())
+                else:
+                    survivors = [r for r in range(_WORLD) if r not in target]
+                    seen.append(injector.remap_ranks(
+                        {old: new for new, old in enumerate(survivors)}))
+            except FaultError as err:
+                seen.append((type(err), str(err), err.fault))
+        seen.append([(a.rank, a.fired, a.fired_step, a.moot)
+                     for a in injector._armed])
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=_plans(), schedule=st.lists(
+    st.tuples(st.integers(0, _STEPS), st.lists(_ACTIONS, max_size=12)),
+    max_size=8))
+def test_settled_step_sets_equal_the_per_event_walk(plan, schedule):
+    """Same seconds to the bit, same errors, same fire-once marks —
+    steps revisited (retries) and ranks remapped mid-step included."""
+    assert _drive(FaultInjector(plan), schedule) == \
+        _drive(_PerEventInjector(plan), schedule)
+
+
+def test_a_step_no_fault_touches_returns_seconds_untouched():
+    injector = FaultInjector(FaultPlan(faults=(
+        FaultSpec(kind="straggler", step=2, rank=0, factor=8.0),)))
+    injector.begin_step(1)
+    seconds = 0.25
+    assert injector.on_compute(0, seconds, "gemm") is seconds
+    assert injector.on_comm((0, 1), seconds, "all_reduce") is seconds
+
+
+@pytest.mark.parametrize("kind, event", [
+    ("straggler", lambda inj: inj.on_compute(3, 0.3, "gemm")),
+    ("link_degrade", lambda inj: inj.on_comm((1, 3), 0.3, "all_reduce")),
+])
+def test_overlapping_windows_multiply_in_plan_order(kind, event):
+    factors = (1.7, 3.0, 1e3 / 3)  # (a * b) * c != (c * b) * a in floats
+    assert 1.0 * factors[0] * factors[1] * factors[2] != \
+        1.0 * factors[2] * factors[1] * factors[0]
+    plan = FaultPlan(faults=tuple(
+        FaultSpec(kind=kind, step=0, rank=3, factor=f, duration_steps=2)
+        for f in factors))
+    results = []
+    for cls in (FaultInjector, _PerEventInjector):
+        injector = cls(plan)
+        injector.begin_step(1)
+        results.append(event(injector).hex())
+    assert results[0] == results[1]

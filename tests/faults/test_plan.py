@@ -1,7 +1,12 @@
 """FaultPlan: validation, serialization, seeded generation."""
 
+import json
+import math
+
+import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.faults import (
     DEGRADATION_KINDS,
     FATAL_KINDS,
@@ -36,6 +41,30 @@ class TestFaultSpec:
             FaultSpec(kind=FaultKind.LINK_DEGRADE, step=0, factor=2.0,
                       duration_steps=0)
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, "2"])
+    def test_rejects_non_finite_factor(self, factor):
+        # NaN used to pass ``factor <= 1.0`` and die later in the run.
+        with pytest.raises(ValueError, match="factor"):
+            FaultSpec(kind=FaultKind.STRAGGLER, step=0, factor=factor)
+        with pytest.raises(ValueError, match="factor"):
+            FaultSpec(kind=FaultKind.GPU_CRASH, step=0, factor=factor)
+
+    @pytest.mark.parametrize("field", ["step", "rank", "duration_steps"])
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, "1", None])
+    def test_rejects_non_integral_fields(self, field, value):
+        # ``step: 1.5`` never fired; ``rank: true`` fired on rank 1.
+        with pytest.raises(ValueError, match=field):
+            FaultSpec(**{"kind": FaultKind.LINK_DEGRADE, "step": 0,
+                         "factor": 2.0, field: value})
+
+    def test_numpy_integers_and_floats_pass(self):
+        spec = FaultSpec(kind=FaultKind.STRAGGLER, step=np.int64(2),
+                         rank=np.int32(3), factor=np.float64(2.0),
+                         duration_steps=np.uint8(4))
+        assert (spec.step, spec.rank, spec.duration_steps) == (2, 3, 4)
+        assert spec == FaultSpec(kind="straggler", step=2, rank=3,
+                                 factor=2.0, duration_steps=4)
+
     def test_classification_covers_every_kind(self):
         classes = {classify(kind) for kind in FaultKind}
         assert classes == {"transient", "fatal", "degradation", "numerical"}
@@ -54,6 +83,22 @@ class TestFaultPlan:
         path = plan.to_json(tmp_path / "plan.json")
         restored = FaultPlan.from_json(path)
         assert restored == plan
+
+    @pytest.mark.parametrize("command", ["faults", "monitor", "replan"])
+    @pytest.mark.parametrize("entry", [
+        '{"kind": "straggler", "step": 1, "factor": NaN}',
+        '{"kind": "gpu_crash", "step": 1.5}',
+        '{"kind": "gpu_crash", "step": 1, "rank": true}',
+    ])
+    def test_cli_rejects_a_malformed_plan(self, tmp_path, capsys, command,
+                                          entry):
+        path = tmp_path / "plan.json"
+        path.write_text('{"schema": 1, "seed": 0, "faults": [%s]}' % entry)
+        json.loads(path.read_text())  # well-formed JSON, bad plan
+        assert main([command, "--plan", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"repro {command}: invalid plan:" in err
+        assert "Traceback" not in err
 
     def test_dict_entries_coerced(self):
         plan = FaultPlan(faults=(

@@ -65,6 +65,34 @@ class TestTracer:
         assert tracer.metrics.counter("spans.optimizer").value == 1
         assert len(tracer) == 2
 
+    def test_counts_survive_a_mid_run_registry_reset(self):
+        """The tracer holds its counters between emits; after a
+        ``reset()`` the registry reads what a lookup per emit gives:
+        the emits since, on fresh instruments, and no counter for a
+        kind not emitted since."""
+        def emit(tracer):
+            tracer.on_compute(0, 0.0, 1.0, 2.0, "mlp")
+            tracer.on_comm(0, 0.0, 0.1, 0.0, 8.0, "all_reduce", (0, 1))
+            with tracer.scope("gather", "w", kind="gather"):
+                tracer.on_comm(1, 0.0, 0.1, 0.0, 8.0, "all_gather", (0, 1))
+            tracer.mark_free((0, 1), (0.2, 0.2), "w", 8.0)
+
+        tracer = Tracer()
+        emit(tracer)
+        tracer.instant("optimizer", "apply")
+        before = tracer.metrics.snapshot()
+        assert before == {"spans.compute": 1.0, "spans.collective": 1.0,
+                          "spans.gather": 3.0, "spans.optimizer": 1.0}
+        stale = tracer.metrics.counter("spans.compute")
+        tracer.metrics.reset()
+        assert tracer.metrics.snapshot() == {}
+        emit(tracer)
+        emit(tracer)
+        assert tracer.metrics.snapshot() == {
+            "spans.compute": 2.0, "spans.collective": 2.0, "spans.gather": 6.0}
+        assert stale.value == 1.0  # the dropped instrument is not fed
+        assert len(tracer) == 16
+
     def test_scope_labels_spans(self):
         tracer = Tracer()
         with tracer.scope("step", 3):
