@@ -10,9 +10,11 @@ from repro.bench.harness import (
     DEFAULT_TOLERANCE,
     FRONTIER_MATRIX,
     FULL_MATRIX,
+    BaselineError,
     BenchCase,
     BenchRecord,
     compare,
+    compare_cases,
     load_baseline,
     run_case,
     run_matrix,
@@ -20,6 +22,7 @@ from repro.bench.harness import (
     summary_table,
     to_document,
     write_baseline,
+    write_document,
 )
 
 __all__ = [
@@ -27,9 +30,11 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "FRONTIER_MATRIX",
     "FULL_MATRIX",
+    "BaselineError",
     "BenchCase",
     "BenchRecord",
     "compare",
+    "compare_cases",
     "load_baseline",
     "run_case",
     "run_matrix",
@@ -37,4 +42,5 @@ __all__ = [
     "summary_table",
     "to_document",
     "write_baseline",
+    "write_document",
 ]

@@ -270,22 +270,101 @@ def to_document(records: Sequence[BenchRecord]) -> dict:
     }
 
 
-def write_baseline(records: Sequence[BenchRecord], path) -> Path:
+class BaselineError(ValueError):
+    """A ``--baseline`` file that cannot be compared against: missing,
+    torn, not a JSON object, or written under another schema.  The
+    message names the path and the problem (the CLI maps it to exit 2)."""
+
+
+def write_document(doc: dict, path) -> Path:
+    """Write a bench document (this module's or ``repro.serve.bench``'s)
+    the way :func:`load_baseline` reads it back."""
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_document(records), indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return path
 
 
+def write_baseline(records: Sequence[BenchRecord], path) -> Path:
+    return write_document(to_document(records), path)
+
+
 def load_baseline(path) -> dict:
-    doc = json.loads(Path(path).read_text())
+    """Read a committed bench document; :class:`BaselineError` otherwise."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as error:
+        raise BaselineError(
+            f"baseline {path}: {error.strerror or error}") from error
+    except ValueError as error:  # JSONDecodeError, or bytes that are not UTF-8
+        raise BaselineError(f"baseline {path}: not valid JSON ({error})") from error
+    if not isinstance(doc, dict):
+        raise BaselineError(
+            f"baseline {path}: expected a JSON object, found "
+            f"{type(doc).__name__}"
+        )
     if doc.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
+        raise BaselineError(
             f"baseline {path} has schema {doc.get('schema')!r}, "
             f"expected {SCHEMA_VERSION}"
         )
     return doc
+
+
+def compare_cases(
+    current: dict,
+    baseline: dict,
+    tolerance: float,
+    require_all: bool,
+    *,
+    relative: Sequence[str] = (),
+    absolute: Sequence[str] = (),
+    exact: Sequence[str] = (),
+) -> list[str]:
+    """Per-case drift messages, driven by three metric lists.
+
+    ``relative`` metrics (scale-dependent quantities) gate on relative
+    drift beyond ``tolerance``, ``absolute`` ones (ratios in [0, 1]) on
+    absolute drift, and ``exact`` ones (seeded counts) on any change at
+    all.  A baseline case the current run lacks is a problem only under
+    ``require_all``.
+    """
+    problems: list[str] = []
+
+    def rel(cur: float, base: float) -> float:
+        if base == 0.0:
+            return math.inf if cur else 0.0
+        return abs(cur - base) / abs(base)
+
+    for name, base_case in sorted(baseline.get("cases", {}).items()):
+        cur_case = current.get("cases", {}).get(name)
+        if cur_case is None:
+            if require_all:
+                problems.append(f"{name}: missing from current run")
+            continue
+        for metric in relative:
+            drift = rel(cur_case[metric], base_case[metric])
+            if drift > tolerance:
+                problems.append(
+                    f"{name}: {metric} drifted {drift:.1%} "
+                    f"({base_case[metric]:.6g} -> {cur_case[metric]:.6g})"
+                )
+        for metric in absolute:
+            drift = abs(cur_case[metric] - base_case[metric])
+            if drift > tolerance:
+                problems.append(
+                    f"{name}: {metric} drifted {drift:.3f} "
+                    f"({base_case[metric]:.4f} -> {cur_case[metric]:.4f})"
+                )
+        for metric in exact:
+            if cur_case[metric] != base_case[metric]:
+                problems.append(
+                    f"{name}: {metric} changed "
+                    f"({base_case[metric]} -> {cur_case[metric]}) — seeded "
+                    "replay is no longer identical"
+                )
+    return problems
 
 
 def compare(
@@ -303,36 +382,11 @@ def compare(
     longer describes the system, so the gate fails until it is
     regenerated (``repro bench --out BENCH_obs.json``).
     """
-    problems: list[str] = []
-
-    def rel(cur: float, base: float) -> float:
-        if base == 0.0:
-            return math.inf if cur else 0.0
-        return abs(cur - base) / abs(base)
-
-    for name, base_case in sorted(baseline.get("cases", {}).items()):
-        cur_case = current.get("cases", {}).get(name)
-        if cur_case is None:
-            if require_all:
-                problems.append(f"{name}: missing from current run")
-            continue
-        for metric in ("step_time_s", "peak_memory_bytes"):
-            drift = rel(cur_case[metric], base_case[metric])
-            if drift > tolerance:
-                problems.append(
-                    f"{name}: {metric} drifted {drift:.1%} "
-                    f"({base_case[metric]:.6g} -> {cur_case[metric]:.6g})"
-                )
-        drift = abs(
-            cur_case["exposed_comm_fraction"] - base_case["exposed_comm_fraction"]
-        )
-        if drift > tolerance:
-            problems.append(
-                f"{name}: exposed_comm_fraction drifted {drift:.3f} "
-                f"({base_case['exposed_comm_fraction']:.4f} -> "
-                f"{cur_case['exposed_comm_fraction']:.4f})"
-            )
-
+    problems = compare_cases(
+        current, baseline, tolerance, require_all,
+        relative=("step_time_s", "peak_memory_bytes"),
+        absolute=("exposed_comm_fraction",),
+    )
     for model, base_eff in sorted(baseline.get("efficiency", {}).items()):
         cur_eff = current.get("efficiency", {}).get(model)
         if cur_eff is None:

@@ -50,36 +50,101 @@ def _add_topology_args(sub_parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _topology_error(args: argparse.Namespace) -> str | None:
-    """Human-readable explanation of an invalid topology, or ``None``.
+class _UsageError(Exception):
+    """A bad invocation; :func:`main` prints the message to stderr and
+    exits 2 (the one place that does)."""
+
+
+def _add_plan_args(
+    sub_parser: argparse.ArgumentParser, plan_help: str, checkpoint_help: str
+) -> None:
+    """Shared fault-plan flags (``faults`` / ``monitor``)."""
+    sub_parser.add_argument("--plan", default=None, metavar="JSON", help=plan_help)
+    sub_parser.add_argument(
+        "--random", type=int, default=None, metavar="SEED",
+        help="generate a seeded random fault plan instead of reading one",
+    )
+    sub_parser.add_argument(
+        "--count", type=int, default=3,
+        help="number of injections for --random (default: 3)",
+    )
+    sub_parser.add_argument(
+        "--numeric", action="store_true",
+        help="run real numeric training instead of meta (shape-only) mode",
+    )
+    sub_parser.add_argument(
+        "--checkpoint-every", type=int, default=2, metavar="STEPS",
+        help=checkpoint_help,
+    )
+    sub_parser.add_argument(
+        "--checkpoint-dir", default=None,
+        help="where periodic checkpoints land (default: a temp directory)",
+    )
+
+
+def _add_gate_args(
+    sub_parser: argparse.ArgumentParser, document: str, baseline: str,
+    quick_help: str,
+) -> None:
+    """Shared BENCH-gate flags (``bench`` / ``serve``)."""
+    sub_parser.add_argument(
+        "--out", default=None, help=f"write the {document} ({baseline}) here"
+    )
+    sub_parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare against --baseline and exit 1 on drift beyond --tolerance",
+    )
+    sub_parser.add_argument("--baseline", default=baseline)
+    sub_parser.add_argument("--tolerance", type=float, default=0.05)
+    sub_parser.add_argument("--quick", action="store_true", help=quick_help)
+
+
+def _trace_config():
+    """The tiny traced-step model ``trace``/``analyze``/``faults``/``monitor`` run."""
+    from repro.models import OrbitConfig
+    from repro.obs.capture import TRACE_CONFIG_KWARGS
+
+    return OrbitConfig("trace-tiny", **TRACE_CONFIG_KWARGS)
+
+
+def _spec_from_args(args: argparse.Namespace, config, **overrides):
+    """The :class:`~repro.runtime.spec.RunSpec` the topology flags
+    describe, plus ``overrides``; raises ``RunSpecError``."""
+    from repro.runtime import RunSpec
+
+    fields = dict(
+        config=config,
+        num_gpus=args.gpus,
+        gpus_per_node=args.gpus_per_node,
+        tp_size=args.tp,
+        fsdp_size=args.fsdp,
+        ddp_size=args.ddp,
+        micro_batch=args.micro_batch,
+        num_steps=args.steps,
+    )
+    fields.update(overrides)
+    return RunSpec(**fields)
+
+
+def _topology_spec(args: argparse.Namespace, config=None, **overrides):
+    """:func:`_spec_from_args` for the ``_add_topology_args`` commands:
+    an invalid topology exits 2 with the explanation.
 
     Validation lives in :class:`~repro.runtime.spec.RunSpec`; this just
     rewrites field names into the CLI's flag spellings.
     """
-    from repro.models import OrbitConfig
-    from repro.obs.capture import TRACE_CONFIG_KWARGS
-    from repro.runtime import RunSpec, RunSpecError
+    from repro.runtime import RunSpecError
 
     try:
-        RunSpec(
-            config=OrbitConfig("trace-tiny", **TRACE_CONFIG_KWARGS),
-            num_gpus=args.gpus,
-            gpus_per_node=args.gpus_per_node,
-            tp_size=args.tp,
-            fsdp_size=args.fsdp,
-            ddp_size=args.ddp,
-            micro_batch=args.micro_batch,
-            meta=False,
-            num_steps=args.steps,
-        )
+        return _spec_from_args(args, config or _trace_config(), **overrides)
     except RunSpecError as error:
-        return (
+        raise _UsageError(
             str(error)
             .replace("num_gpus", "--gpus")
             .replace("num_steps", "--steps")
             .replace("micro_batch", "--micro-batch")
         )
-    return None
 
 
 def _parse_skew(pairs: list[str]) -> dict[int, float]:
@@ -91,6 +156,112 @@ def _parse_skew(pairs: list[str]) -> dict[int, float]:
         except ValueError:
             raise SystemExit(f"invalid --skew {pair!r}: expected RANK=FACTOR")
     return skew
+
+
+def _traced_step(args: argparse.Namespace, out_dir=None):
+    """Validate the topology flags, then run the traced step they describe."""
+    from repro.obs import run_traced_step
+
+    _topology_spec(args, meta=False)
+    return run_traced_step(
+        num_gpus=args.gpus,
+        gpus_per_node=args.gpus_per_node,
+        tp_size=args.tp,
+        fsdp_size=args.fsdp,
+        ddp_size=args.ddp,
+        micro_batch=args.micro_batch,
+        seed=args.seed,
+        prefetch=not args.no_prefetch,
+        num_steps=args.steps,
+        compute_skew=_parse_skew(args.skew),
+        out_dir=out_dir,
+    )
+
+
+def _plan_from_args(args: argparse.Namespace, required: bool = False):
+    """The fault plan ``--plan`` / ``--random`` name (``None`` without
+    either, unless ``required``); an unusable one exits 2."""
+    from repro.faults import FaultPlan
+
+    seed = getattr(args, "random", None)
+    try:
+        if args.plan is not None and seed is not None:
+            raise ValueError("--plan and --random are mutually exclusive")
+        if args.plan is not None:
+            return FaultPlan.from_json(args.plan)
+        if seed is not None:
+            return FaultPlan.random(seed, args.steps, args.gpus, count=args.count)
+        if required:
+            raise ValueError("one of --plan or --random is required")
+    except (OSError, ValueError) as error:
+        raise _UsageError(f"repro {args.command}: invalid plan: {error}")
+    return None
+
+
+def _supervisor_from_args(args: argparse.Namespace, spec, plan, **kwargs):
+    """The ``faults`` / ``monitor`` Supervisor: periodic checkpoints in
+    ``--checkpoint-dir`` (default: a temp directory)."""
+    import tempfile
+
+    from repro.faults import Supervisor
+
+    checkpoint_dir = args.checkpoint_dir or tempfile.mkdtemp(
+        prefix=f"repro-{args.command}-"
+    )
+    try:
+        return Supervisor(
+            spec,
+            plan,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=checkpoint_dir if args.checkpoint_every else None,
+            **kwargs,
+        )
+    except ValueError as error:
+        raise _UsageError(f"repro {args.command}: {error}")
+
+
+def _run_gate(args: argparse.Namespace, bench, run, notes=()):
+    """The BENCH gate of ``bench`` and ``serve``: load ``--baseline``
+    (before the matrix runs, so a bad file costs nothing), run the
+    matrix, print the table, write ``--out``, ``--check`` for drift.
+
+    ``bench`` is the module holding the document functions
+    (:mod:`repro.bench` or :mod:`repro.serve.bench`), ``run`` produces
+    its records.  Returns ``(exit status, document)``.
+    """
+    from repro.bench import BaselineError
+
+    baseline = None
+    if args.check:
+        try:
+            baseline = bench.load_baseline(args.baseline)
+        except BaselineError as error:
+            raise _UsageError(f"repro {args.command}: {error}")
+    records = run()
+    doc = bench.to_document(records)
+    print(bench.summary_table(doc))
+    for note in notes:
+        print(note)
+    if args.out:
+        print(f"wrote {bench.write_baseline(records, args.out)}")
+    if baseline is not None:
+        problems = bench.compare(
+            doc, baseline, tolerance=args.tolerance, require_all=not args.quick
+        )
+        if problems:
+            for problem in problems:
+                print(f"DRIFT: {problem}", file=sys.stderr)
+            print(
+                f"{args.command} regression gate FAILED: {len(problems)} "
+                f"metric(s) beyond the {args.tolerance:.0%} tolerance vs "
+                f"{args.baseline}",
+                file=sys.stderr,
+            )
+            return 1, doc
+        print(
+            f"{args.command} regression gate OK (tolerance {args.tolerance:.0%})"
+        )
+    return 0, doc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,18 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the performance-regression matrix (trace-derived metrics)",
     )
-    bench.add_argument(
-        "--out", default=None, help="write the bench document (BENCH_obs.json) here"
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against --baseline and exit 1 on drift beyond --tolerance",
-    )
-    bench.add_argument("--baseline", default="BENCH_obs.json")
-    bench.add_argument("--tolerance", type=float, default=0.05)
-    bench.add_argument(
-        "--quick", action="store_true", help="run only the quick (115M) subset"
+    _add_gate_args(
+        bench, "bench document", "BENCH_obs.json", "run only the quick (115M) subset"
     )
     bench.add_argument(
         "--mtbf", type=float, default=None, metavar="SECONDS",
@@ -284,29 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_topology_args(faults)
-    faults.add_argument(
-        "--plan", default=None, metavar="JSON",
-        help="fault-plan document to replay (see repro.faults.plan)",
-    )
-    faults.add_argument(
-        "--random", type=int, default=None, metavar="SEED",
-        help="generate a seeded random plan instead of reading one",
-    )
-    faults.add_argument(
-        "--count", type=int, default=3,
-        help="number of injections for --random (default: 3)",
-    )
-    faults.add_argument(
-        "--numeric", action="store_true",
-        help="run real numeric training instead of meta (shape-only) mode",
-    )
-    faults.add_argument(
-        "--checkpoint-every", type=int, default=2, metavar="STEPS",
-        help="periodic checkpoint cadence for rollback recovery (default: 2)",
-    )
-    faults.add_argument(
-        "--checkpoint-dir", default=None,
-        help="where periodic checkpoints land (default: a temp directory)",
+    _add_plan_args(
+        faults,
+        "fault-plan document to replay (see repro.faults.plan)",
+        "periodic checkpoint cadence for rollback recovery (default: 2)",
     )
     faults.add_argument(
         "--out", default=None, metavar="JSON",
@@ -363,18 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-entries", type=int, default=32)
     serve.add_argument("--min-replicas", type=int, default=1)
     serve.add_argument("--max-replicas", type=int, default=4)
-    serve.add_argument(
-        "--out", default=None,
-        help="write the serving bench document (BENCH_serve.json) here",
-    )
-    serve.add_argument(
-        "--check", action="store_true",
-        help="compare against --baseline and exit 1 on drift beyond --tolerance",
-    )
-    serve.add_argument("--baseline", default="BENCH_serve.json")
-    serve.add_argument("--tolerance", type=float, default=0.05)
-    serve.add_argument(
-        "--quick", action="store_true", help="run only the quick bench subset"
+    _add_gate_args(
+        serve, "serving bench document", "BENCH_serve.json",
+        "run only the quick bench subset",
     )
     serve.add_argument(
         "--artifacts", default=None, metavar="DIR",
@@ -398,29 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_topology_args(monitor)
-    monitor.add_argument(
-        "--plan", default=None, metavar="JSON",
-        help="replay this fault plan under the supervisor while monitoring",
-    )
-    monitor.add_argument(
-        "--random", type=int, default=None, metavar="SEED",
-        help="generate a seeded random fault plan instead of reading one",
-    )
-    monitor.add_argument(
-        "--count", type=int, default=3,
-        help="number of injections for --random (default: 3)",
-    )
-    monitor.add_argument(
-        "--numeric", action="store_true",
-        help="run real numeric training instead of meta (shape-only) mode",
-    )
-    monitor.add_argument(
-        "--checkpoint-every", type=int, default=2, metavar="STEPS",
-        help="supervisor checkpoint cadence when a plan is given (default: 2)",
-    )
-    monitor.add_argument(
-        "--checkpoint-dir", default=None,
-        help="where periodic checkpoints land (default: a temp directory)",
+    _add_plan_args(
+        monitor,
+        "replay this fault plan under the supervisor while monitoring",
+        "supervisor checkpoint cadence when a plan is given (default: 2)",
     )
     monitor.add_argument(
         "--quiet", action="store_true",
@@ -507,6 +621,479 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# -- subcommands: one ``_cmd_<name>(args) -> int`` each ----------------------------
+# Imports deferred so `--help` stays instant.
+def _print_table(driver: str, **kwargs) -> int:
+    """Run ``repro.experiments.<driver>`` and print its paper-style table."""
+    import repro.experiments as experiments
+
+    print(getattr(experiments, driver).run(**kwargs).format())
+    return 0
+
+
+def _cmd_fig5(args: argparse.Namespace) -> int:
+    counts = tuple(n for n in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512) if n <= args.max_gpus)
+    return _print_table("fig5_max_model_size", gpu_counts=counts)
+
+
+def _cmd_table1(args: argparse.Namespace) -> int:
+    return _print_table("table1_optimizations")
+
+
+def _cmd_fig6(args: argparse.Namespace) -> int:
+    return _print_table("fig6_parallelism_config", num_gpus=args.gpus)
+
+
+def _cmd_fig7(args: argparse.Namespace) -> int:
+    return _print_table("fig7_strong_scaling", channels=args.channels)
+
+
+def _cmd_fig8(args: argparse.Namespace) -> int:
+    return _print_table("fig8_pretraining_loss", num_steps=args.steps, seed=args.seed)
+
+
+def _cmd_fig9(args: argparse.Namespace) -> int:
+    return _print_table(
+        "fig9_wacc",
+        pretrain_steps=args.pretrain_steps,
+        finetune_steps=args.finetune_steps,
+        seed=args.seed,
+    )
+
+
+def _cmd_fig10(args: argparse.Namespace) -> int:
+    return _print_table("fig10_data_efficiency", seed=args.seed)
+
+
+def _cmd_crossover(args: argparse.Namespace) -> int:
+    return _print_table(
+        "pipeline_crossover",
+        num_gpus=args.gpus,
+        gpus_per_node=args.gpus_per_node,
+        micro_batch=args.micro_batch,
+        pp_sizes=tuple(int(token) for token in args.pp.split(",") if token),
+        validate=not args.no_validate,
+    )
+
+
+def _cmd_all(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from repro.experiments import (
+        fig5_max_model_size,
+        fig6_parallelism_config,
+        fig7_strong_scaling,
+        table1_optimizations,
+    )
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    tables = {
+        "fig5.txt": fig5_max_model_size.run().format(),
+        "table1.txt": table1_optimizations.run().format(),
+        "fig6.txt": fig6_parallelism_config.run().format(),
+        "fig7_48ch.txt": fig7_strong_scaling.run(channels=48).format(),
+        "fig7_91ch.txt": fig7_strong_scaling.run(channels=91).format(),
+    }
+    for filename, text in tables.items():
+        (out / filename).write_text(text + "\n")
+        print(f"wrote {out / filename}")
+    print("(training figures: run fig8/fig9/fig10 subcommands separately)")
+    return 0
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.obs import step_report
+
+    run = _traced_step(args, out_dir=args.out)
+    print(step_report(run.tracer, cluster=run.cluster))
+    for label, written in sorted(run.files.items()):
+        print(f"wrote {written} ({label})")
+    return 0
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.obs import (
+        TraceFormatError,
+        analyze_trace,
+        check_run,
+        critical_path_report,
+        health_report,
+        load_trace_events,
+    )
+
+    if args.trace is not None:
+        # Offline mode: span-level checks only (no cluster/plan).
+        try:
+            spans = load_trace_events(args.trace)
+        except OSError as exc:
+            raise _UsageError(f"{args.trace}: {exc.strerror.lower()}")
+        except TraceFormatError as exc:
+            raise _UsageError(exc)
+        analysis = analyze_trace(spans)
+        findings = check_run(spans, analysis=analysis)
+    else:
+        run = _traced_step(args)
+        analysis = analyze_trace(run.tracer)
+        findings = check_run(
+            run.tracer, cluster=run.cluster, plan=run.plan, analysis=analysis
+        )
+    print(critical_path_report(analysis))
+    print()
+    print(health_report(findings))
+    return 0
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    import repro.bench as bench
+
+    notes = []
+    if args.timeseries:
+        notes.append(f"wrote per-case timeseries under {args.timeseries}/")
+    status, doc = _run_gate(
+        args,
+        bench,
+        lambda: bench.run_matrix(quick=args.quick, timeseries_dir=args.timeseries),
+        notes,
+    )
+    if status == 0 and args.mtbf is not None:
+        from repro.faults.goodput import bench_goodput, goodput_table
+
+        goodput = bench_goodput(
+            doc,
+            args.mtbf,
+            checkpoint_cost_s=args.checkpoint_cost,
+            restart_latency_s=args.restart_latency,
+        )
+        print()
+        print(goodput_table(goodput))
+    return status
+
+
+def _cmd_tune(args: argparse.Namespace) -> int:
+    from repro.models import PAPER_MODELS
+    from repro.tune import (
+        InfeasibleRequest,
+        TuneCache,
+        TuneCacheError,
+        TuneRequest,
+        render_report,
+        run_search,
+        write_report,
+    )
+
+    try:
+        micro_batches = tuple(
+            int(token) for token in args.micro_batches.split(",") if token
+        )
+        pp_sizes = tuple(int(token) for token in args.pp.split(",") if token)
+        request = TuneRequest(
+            PAPER_MODELS[args.model],
+            num_gpus=args.gpus,
+            gpus_per_node=args.gpus_per_node,
+            micro_batches=micro_batches,
+            pp_sizes=pp_sizes,
+        )
+        if args.top_k < 1:
+            raise ValueError(f"--top-k {args.top_k} must be at least 1")
+    except ValueError as error:
+        raise _UsageError(f"repro tune: invalid request: {error}")
+    try:
+        cache = TuneCache(args.cache) if args.cache else None
+    except TuneCacheError as error:
+        raise _UsageError(f"repro tune: unusable --cache {error}")
+    try:
+        result = run_search(request, top_k=args.top_k, cache=cache)
+    except InfeasibleRequest as error:
+        reasons = sorted(error.space.rejection_reasons().items())
+        raise _UsageError("\n".join(
+            [f"repro tune: {error}"]
+            + [f"  - {reason} (x{count})" for reason, count in reasons]
+        ))
+    print(render_report(result))
+    if args.mtbf is not None:
+        from repro.tune.report import recovery_recommendation, render_recovery
+
+        print()
+        print(render_recovery(recovery_recommendation(
+            result, args.mtbf, checkpoint_cost_s=args.checkpoint_cost
+        )))
+    if args.out:
+        print(f"wrote {write_report(result, args.out)}")
+    return 0
+
+
+def _cmd_faults(args: argparse.Namespace) -> int:
+    import json
+    from pathlib import Path
+
+    spec = _topology_spec(
+        args,
+        prefetch=not args.no_prefetch,
+        meta=not args.numeric,
+        seed=args.seed,
+        compute_skew=_parse_skew(args.skew),
+        track_device_memory=False,
+    )
+    plan = _plan_from_args(args, required=True)
+    report = _supervisor_from_args(args, spec, plan).run(args.steps)
+    print(report.render())
+    if args.out:
+        out = Path(args.out)
+        if out.parent != Path(""):
+            out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(report.as_dict(), indent=1) + "\n")
+        print(f"wrote {out}")
+    return 0 if report.recovered else 1
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.models import OrbitConfig
+    from repro.runtime import RunSpecError
+    from repro.serve import bench
+
+    spec = _topology_spec(
+        args,
+        OrbitConfig("serve-tiny", **bench.SERVE_CONFIG_KWARGS),
+        meta=False,
+        seed=args.seed,
+    )
+    # Two steps because the two diagnostics read differently: a bad
+    # topology is spelled in flags, a bad policy under the command name.
+    try:
+        spec = spec.replace(
+            serve_max_batch=args.max_batch,
+            serve_window_s=args.window_ms / 1e3,
+            serve_queue_limit=args.queue_limit,
+            serve_cache_entries=args.cache_entries,
+            serve_min_replicas=args.min_replicas,
+            serve_max_replicas=args.max_replicas,
+        )
+    except RunSpecError as spec_error:
+        raise _UsageError(f"repro serve: {spec_error}")
+    legality = spec.legality_reason()
+    if legality is not None:
+        raise _UsageError(
+            f"repro serve: illegal topology for the serving model: {legality}"
+        )
+    if args.smoke:
+        return _serve_smoke(args, spec)
+    return _run_gate(
+        args, bench, lambda: bench.run_serve_matrix(quick=args.quick)
+    )[0]
+
+
+def _serve_smoke(args: argparse.Namespace, spec) -> int:
+    """``repro serve --smoke``: a seeded load through the Session
+    hand-off, held to the serving invariants."""
+    from pathlib import Path
+
+    from repro.runtime import Session
+    from repro.serve import ForecastServer, LoadSpec, generate_requests
+    from repro.serve.bench import build_serve_world
+
+    try:
+        load = LoadSpec(
+            rate_rps=args.rate,
+            duration_s=args.duration,
+            seed=args.load_seed,
+            num_windows=48,
+            num_hot=4,
+            hot_fraction=args.hot_fraction,
+        )
+    except ValueError as load_error:
+        raise _UsageError(f"repro serve: invalid load: {load_error}")
+    # The full hand-off: sharded Session weights gathered into
+    # one serial model, served through the async front-end.
+    session = Session(spec)
+    dataset, forecaster = build_serve_world(model=session.serving_model())
+    policy = session.serve_policy()
+    requests = generate_requests(load)
+    server = ForecastServer(forecaster, dataset, policy)
+    report = server.serve(requests)
+    stats = report.stats()
+    print(
+        f"serve smoke: {stats['completed']}/{stats['offered']} ok, "
+        f"{stats['rejected']} rejected, p50 "
+        f"{stats['latency_p50_s'] * 1e3:.2f} ms, p99 "
+        f"{stats['latency_p99_s'] * 1e3:.2f} ms, cache hit "
+        f"{stats['cache_hit_ratio']:.2f}, replicas peak "
+        f"{stats['replicas_peak']}"
+    )
+    failures = []
+    names = list(dataset.out_names)
+    for response in report.completed:
+        request = response.request
+        direct = forecaster.forecast(
+            dataset, request.init_index, request.lead_steps
+        )[[names.index(v) for v in request.out_vars]]
+        if not (response.result == direct).all():
+            failures.append(
+                f"request {request.request_id}: served forecast is "
+                "not bitwise-equal to the direct rollout"
+            )
+            break
+    replay = ForecastServer(forecaster, dataset, policy)
+    replay.serve(requests)
+    if server.journal.to_jsonl() != replay.journal.to_jsonl():
+        failures.append("seeded replay journal is not byte-identical")
+    if args.artifacts:
+        out = Path(args.artifacts)
+        out.mkdir(parents=True, exist_ok=True)
+        print(f"wrote {server.journal.write_jsonl(out / 'journal.jsonl')}")
+        hist = out / "latency_histogram.json"
+        hist.write_text(report.histogram_json())
+        print(f"wrote {hist}")
+    if failures:
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        return 1
+    print(
+        "serve invariants OK: bitwise parity with direct rollout, "
+        "byte-identical seeded replay"
+    )
+    return 0
+
+
+def _cmd_monitor(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from repro.obs import RunMonitor
+    from repro.runtime import Session, StepLoop
+
+    spec = _topology_spec(
+        args,
+        prefetch=not args.no_prefetch,
+        meta=not args.numeric,
+        seed=args.seed,
+        compute_skew=_parse_skew(args.skew),
+        monitor="on",
+    )
+    plan = _plan_from_args(args)
+    tail = None if (args.quiet or args.json) else (
+        lambda event: print(event.render())
+    )
+    run_monitor = RunMonitor(on_event=tail)
+    recovered = True
+    if plan is not None:
+        supervisor = _supervisor_from_args(
+            args, spec, plan, session_kwargs={"monitor": run_monitor}
+        )
+        recovered = supervisor.run(args.steps).recovered
+    else:
+        session = Session(spec, monitor=run_monitor)
+        run_monitor.record_run(
+            0, "start", f"monitored run: {args.steps} step(s), no faults"
+        )
+        StepLoop(session.step_fn(), hooks=session.loop_hooks()).run(args.steps)
+        run_monitor.record_run(
+            args.steps, "end", f"run complete: {args.steps} step(s)"
+        )
+    if args.json:
+        print(run_monitor.to_json())
+    else:
+        if tail is not None:
+            print()
+        print(run_monitor.summary_table())
+    if args.out:
+        out = Path(args.out)
+        print(f"wrote {run_monitor.journal.write_jsonl(out / 'journal.jsonl')}")
+        print(f"wrote {run_monitor.store.write_jsonl(out / 'timeseries.jsonl')}")
+    return 1 if run_monitor.critical_alerts or not recovered else 0
+
+
+def _cmd_replan(args: argparse.Namespace) -> int:
+    import json
+    import tempfile
+    from pathlib import Path
+
+    from repro.faults import Supervisor
+    from repro.obs import RunMonitor
+    from repro.replan.scenario import demo_config, demo_plan
+
+    plan = _plan_from_args(args)
+    if plan is None:
+        plan = demo_plan()
+
+    def supervise(mode: str, run_monitor: "RunMonitor"):
+        supervisor = Supervisor(
+            _spec_from_args(
+                args,
+                demo_config(),
+                recompute=not args.no_recompute,
+                meta=True,
+                monitor="on",
+                replan=mode,
+                track_device_memory=False,
+            ),
+            plan,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=tempfile.mkdtemp(prefix="repro-replan-"),
+            degradation_aware=True,
+            checkpoint_cost_s=args.checkpoint_cost,
+            restart_latency_s=args.restart_latency,
+            replan_warmup_s=args.warmup,
+            replan_hysteresis=args.hysteresis,
+            session_kwargs={"monitor": run_monitor},
+        )
+        return supervisor, supervisor.run(args.steps)
+
+    tail = None if args.quiet else (
+        lambda event: print(event.render()) if event.kind == "replan" else None
+    )
+    run_monitor = RunMonitor(on_event=tail)
+    try:
+        supervisor, report = supervise("on", run_monitor)
+    except ValueError as error:  # RunSpecError included
+        raise _UsageError(f"repro replan: {error}")
+    decisions = [
+        event for event in run_monitor.journal.events
+        if event.kind == "replan"
+    ]
+    switches = [e for e in decisions if e.category == "switch"]
+    fraction = supervisor.ledger.goodput_fraction
+    print(
+        f"replan=on : {report.steps_completed} step(s), "
+        f"{len(decisions)} replan event(s), {len(switches)} switch(es), "
+        f"goodput {fraction:.4f}, final plan "
+        f"{'x'.join(str(n) for n in report.final_spec['grid'])}"
+        f".mb{report.final_spec['micro_batch']}"
+    )
+    status = 0
+    if args.compare:
+        off_monitor = RunMonitor()
+        off_supervisor, off_report = supervise("off", off_monitor)
+        off_fraction = off_supervisor.ledger.goodput_fraction
+        print(
+            f"replan=off: {off_report.steps_completed} step(s), "
+            f"goodput {off_fraction:.4f}, walltime "
+            f"{off_supervisor.ledger.total_s:.4f} s "
+            f"(vs {supervisor.ledger.total_s:.4f} s with replan=on)"
+        )
+        if fraction <= off_fraction:
+            print("repro replan: no goodput win over replan=off",
+                  file=sys.stderr)
+            status = 1
+    if args.out:
+        out = Path(args.out)
+        print(f"wrote {run_monitor.journal.write_jsonl(out / 'journal.jsonl')}")
+        doc = {
+            "goodput_fraction": fraction,
+            "goodput": supervisor.ledger.as_dict(),
+            "decisions": [event.as_dict() for event in decisions],
+        }
+        report_path = out / "replan_report.json"
+        report_path.write_text(json.dumps(doc, indent=1) + "\n")
+        print(f"wrote {report_path}")
+    if not decisions:
+        print("repro replan: no replan decision was journaled "
+              "(scenario never degraded?)", file=sys.stderr)
+        return 1
+    if not report.recovered:
+        return 1
+    return status
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.log_json or args.log_level is not None:
@@ -515,643 +1102,11 @@ def main(argv: list[str] | None = None) -> int:
         configure_logging(
             json_lines=args.log_json, level=args.log_level or "INFO", stream=sys.stderr
         )
-    # Imports deferred so `--help` stays instant.
-    if args.command == "fig5":
-        from repro.experiments import fig5_max_model_size
-
-        counts = tuple(n for n in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512) if n <= args.max_gpus)
-        print(fig5_max_model_size.run(gpu_counts=counts).format())
-    elif args.command == "table1":
-        from repro.experiments import table1_optimizations
-
-        print(table1_optimizations.run().format())
-    elif args.command == "fig6":
-        from repro.experiments import fig6_parallelism_config
-
-        print(fig6_parallelism_config.run(num_gpus=args.gpus).format())
-    elif args.command == "fig7":
-        from repro.experiments import fig7_strong_scaling
-
-        print(fig7_strong_scaling.run(channels=args.channels).format())
-    elif args.command == "fig8":
-        from repro.experiments import fig8_pretraining_loss
-
-        print(fig8_pretraining_loss.run(num_steps=args.steps, seed=args.seed).format())
-    elif args.command == "fig9":
-        from repro.experiments import fig9_wacc
-
-        result = fig9_wacc.run(
-            pretrain_steps=args.pretrain_steps,
-            finetune_steps=args.finetune_steps,
-            seed=args.seed,
-        )
-        print(result.format())
-    elif args.command == "fig10":
-        from repro.experiments import fig10_data_efficiency
-
-        print(fig10_data_efficiency.run(seed=args.seed).format())
-    elif args.command == "crossover":
-        from repro.experiments import pipeline_crossover
-
-        result = pipeline_crossover.run(
-            num_gpus=args.gpus,
-            gpus_per_node=args.gpus_per_node,
-            micro_batch=args.micro_batch,
-            pp_sizes=tuple(int(token) for token in args.pp.split(",") if token),
-            validate=not args.no_validate,
-        )
-        print(result.format())
-    elif args.command == "all":
-        from pathlib import Path
-
-        from repro.experiments import (
-            fig5_max_model_size,
-            fig6_parallelism_config,
-            fig7_strong_scaling,
-            table1_optimizations,
-        )
-
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        tables = {
-            "fig5.txt": fig5_max_model_size.run().format(),
-            "table1.txt": table1_optimizations.run().format(),
-            "fig6.txt": fig6_parallelism_config.run().format(),
-            "fig7_48ch.txt": fig7_strong_scaling.run(channels=48).format(),
-            "fig7_91ch.txt": fig7_strong_scaling.run(channels=91).format(),
-        }
-        for filename, text in tables.items():
-            (out / filename).write_text(text + "\n")
-            print(f"wrote {out / filename}")
-        print("(training figures: run fig8/fig9/fig10 subcommands separately)")
-    elif args.command == "trace":
-        from repro.obs import run_traced_step, step_report
-
-        error = _topology_error(args)
-        if error is not None:
-            print(error, file=sys.stderr)
-            return 2
-        run = run_traced_step(
-            num_gpus=args.gpus,
-            gpus_per_node=args.gpus_per_node,
-            tp_size=args.tp,
-            fsdp_size=args.fsdp,
-            ddp_size=args.ddp,
-            micro_batch=args.micro_batch,
-            seed=args.seed,
-            prefetch=not args.no_prefetch,
-            num_steps=args.steps,
-            compute_skew=_parse_skew(args.skew),
-            out_dir=args.out,
-        )
-        print(step_report(run.tracer, cluster=run.cluster))
-        for label, written in sorted(run.files.items()):
-            print(f"wrote {written} ({label})")
-    elif args.command == "analyze":
-        from repro.obs import (
-            TraceFormatError,
-            analyze_trace,
-            check_run,
-            critical_path_report,
-            health_report,
-            load_trace_events,
-            run_traced_step,
-        )
-
-        if args.trace is not None:
-            # Offline mode: span-level checks only (no cluster/plan).
-            try:
-                spans = load_trace_events(args.trace)
-            except OSError as exc:
-                print(f"{args.trace}: {exc.strerror.lower()}", file=sys.stderr)
-                return 2
-            except TraceFormatError as exc:
-                print(exc, file=sys.stderr)
-                return 2
-            analysis = analyze_trace(spans)
-            findings = check_run(spans, analysis=analysis)
-        else:
-            error = _topology_error(args)
-            if error is not None:
-                print(error, file=sys.stderr)
-                return 2
-            run = run_traced_step(
-                num_gpus=args.gpus,
-                gpus_per_node=args.gpus_per_node,
-                tp_size=args.tp,
-                fsdp_size=args.fsdp,
-                ddp_size=args.ddp,
-                micro_batch=args.micro_batch,
-                seed=args.seed,
-                prefetch=not args.no_prefetch,
-                num_steps=args.steps,
-                compute_skew=_parse_skew(args.skew),
-            )
-            analysis = analyze_trace(run.tracer)
-            findings = check_run(
-                run.tracer, cluster=run.cluster, plan=run.plan, analysis=analysis
-            )
-        print(critical_path_report(analysis))
-        print()
-        print(health_report(findings))
-    elif args.command == "bench":
-        from repro.bench import (
-            compare,
-            load_baseline,
-            run_matrix,
-            summary_table,
-            to_document,
-            write_baseline,
-        )
-
-        records = run_matrix(quick=args.quick, timeseries_dir=args.timeseries)
-        doc = to_document(records)
-        print(summary_table(doc))
-        if args.timeseries:
-            print(f"wrote per-case timeseries under {args.timeseries}/")
-        if args.out:
-            print(f"wrote {write_baseline(records, args.out)}")
-        if args.check:
-            baseline = load_baseline(args.baseline)
-            problems = compare(
-                doc, baseline, tolerance=args.tolerance, require_all=not args.quick
-            )
-            if problems:
-                for problem in problems:
-                    print(f"DRIFT: {problem}", file=sys.stderr)
-                print(
-                    f"bench regression gate FAILED: {len(problems)} metric(s) "
-                    f"beyond the {args.tolerance:.0%} tolerance vs {args.baseline}",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"bench regression gate OK (tolerance {args.tolerance:.0%})")
-        if args.mtbf is not None:
-            from repro.faults.goodput import bench_goodput, goodput_table
-
-            goodput = bench_goodput(
-                doc,
-                args.mtbf,
-                checkpoint_cost_s=args.checkpoint_cost,
-                restart_latency_s=args.restart_latency,
-            )
-            print()
-            print(goodput_table(goodput))
-    elif args.command == "tune":
-        from repro.models import PAPER_MODELS
-        from repro.tune import (
-            InfeasibleRequest,
-            TuneCache,
-            TuneCacheError,
-            TuneRequest,
-            render_report,
-            run_search,
-            write_report,
-        )
-
-        try:
-            micro_batches = tuple(
-                int(token) for token in args.micro_batches.split(",") if token
-            )
-            pp_sizes = tuple(int(token) for token in args.pp.split(",") if token)
-            request = TuneRequest(
-                PAPER_MODELS[args.model],
-                num_gpus=args.gpus,
-                gpus_per_node=args.gpus_per_node,
-                micro_batches=micro_batches,
-                pp_sizes=pp_sizes,
-            )
-            if args.top_k < 1:
-                raise ValueError(f"--top-k {args.top_k} must be at least 1")
-        except ValueError as error:
-            print(f"repro tune: invalid request: {error}", file=sys.stderr)
-            return 2
-        try:
-            cache = TuneCache(args.cache) if args.cache else None
-        except TuneCacheError as error:
-            print(f"repro tune: unusable --cache {error}", file=sys.stderr)
-            return 2
-        try:
-            result = run_search(request, top_k=args.top_k, cache=cache)
-        except InfeasibleRequest as error:
-            print(f"repro tune: {error}", file=sys.stderr)
-            for reason, count in sorted(error.space.rejection_reasons().items()):
-                print(f"  - {reason} (x{count})", file=sys.stderr)
-            return 2
-        print(render_report(result))
-        if args.mtbf is not None:
-            from repro.tune.report import recovery_recommendation, render_recovery
-
-            print()
-            print(render_recovery(recovery_recommendation(
-                result, args.mtbf, checkpoint_cost_s=args.checkpoint_cost
-            )))
-        if args.out:
-            print(f"wrote {write_report(result, args.out)}")
-    elif args.command == "faults":
-        import json
-        import tempfile
-        from pathlib import Path
-
-        from repro.faults import FaultPlan, Supervisor
-        from repro.models import OrbitConfig
-        from repro.obs.capture import TRACE_CONFIG_KWARGS
-        from repro.runtime import RunSpec
-
-        error = _topology_error(args)
-        if error is not None:
-            print(error, file=sys.stderr)
-            return 2
-        try:
-            if args.plan is not None and args.random is not None:
-                raise ValueError("--plan and --random are mutually exclusive")
-            if args.plan is not None:
-                plan = FaultPlan.from_json(args.plan)
-            elif args.random is not None:
-                plan = FaultPlan.random(
-                    args.random, args.steps, args.gpus, count=args.count
-                )
-            else:
-                raise ValueError("one of --plan or --random is required")
-        except (OSError, ValueError) as plan_error:
-            print(f"repro faults: invalid plan: {plan_error}", file=sys.stderr)
-            return 2
-        spec = RunSpec(
-            config=OrbitConfig("trace-tiny", **TRACE_CONFIG_KWARGS),
-            num_gpus=args.gpus,
-            gpus_per_node=args.gpus_per_node,
-            tp_size=args.tp,
-            fsdp_size=args.fsdp,
-            ddp_size=args.ddp,
-            micro_batch=args.micro_batch,
-            prefetch=not args.no_prefetch,
-            meta=not args.numeric,
-            seed=args.seed,
-            num_steps=args.steps,
-            compute_skew=_parse_skew(args.skew),
-            track_device_memory=False,
-        )
-        checkpoint_dir = args.checkpoint_dir or tempfile.mkdtemp(
-            prefix="repro-faults-"
-        )
-        try:
-            supervisor = Supervisor(
-                spec,
-                plan,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_dir=checkpoint_dir if args.checkpoint_every else None,
-            )
-        except ValueError as sup_error:
-            print(f"repro faults: {sup_error}", file=sys.stderr)
-            return 2
-        report = supervisor.run(args.steps)
-        print(report.render())
-        if args.out:
-            out = Path(args.out)
-            if out.parent != Path(""):
-                out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(report.as_dict(), indent=1) + "\n")
-            print(f"wrote {out}")
-        if not report.recovered:
-            return 1
-    elif args.command == "serve":
-        from pathlib import Path
-
-        from repro.models import OrbitConfig
-        from repro.runtime import RunSpec, RunSpecError
-        from repro.serve.bench import (
-            SERVE_CONFIG_KWARGS,
-            build_serve_world,
-            compare,
-            load_baseline,
-            run_serve_matrix,
-            summary_table,
-            to_document,
-            write_baseline,
-        )
-
-        error = _topology_error(args)
-        if error is not None:
-            print(error, file=sys.stderr)
-            return 2
-        try:
-            spec = RunSpec(
-                config=OrbitConfig("serve-tiny", **SERVE_CONFIG_KWARGS),
-                num_gpus=args.gpus,
-                gpus_per_node=args.gpus_per_node,
-                tp_size=args.tp,
-                fsdp_size=args.fsdp,
-                ddp_size=args.ddp,
-                micro_batch=args.micro_batch,
-                serve_max_batch=args.max_batch,
-                serve_window_s=args.window_ms / 1e3,
-                serve_queue_limit=args.queue_limit,
-                serve_cache_entries=args.cache_entries,
-                serve_min_replicas=args.min_replicas,
-                serve_max_replicas=args.max_replicas,
-                meta=False,
-                seed=args.seed,
-                num_steps=args.steps,
-            )
-        except RunSpecError as spec_error:
-            print(f"repro serve: {spec_error}", file=sys.stderr)
-            return 2
-        legality = spec.legality_reason()
-        if legality is not None:
-            print(
-                f"repro serve: illegal topology for the serving model: "
-                f"{legality}",
-                file=sys.stderr,
-            )
-            return 2
-
-        if args.smoke:
-            from repro.runtime import Session
-            from repro.serve import ForecastServer, LoadSpec, generate_requests
-
-            try:
-                load = LoadSpec(
-                    rate_rps=args.rate,
-                    duration_s=args.duration,
-                    seed=args.load_seed,
-                    num_windows=48,
-                    num_hot=4,
-                    hot_fraction=args.hot_fraction,
-                )
-            except ValueError as load_error:
-                print(f"repro serve: invalid load: {load_error}", file=sys.stderr)
-                return 2
-            # The full hand-off: sharded Session weights gathered into
-            # one serial model, served through the async front-end.
-            session = Session(spec)
-            dataset, forecaster = build_serve_world(model=session.serving_model())
-            policy = session.serve_policy()
-            requests = generate_requests(load)
-            server = ForecastServer(forecaster, dataset, policy)
-            report = server.serve(requests)
-            stats = report.stats()
-            print(
-                f"serve smoke: {stats['completed']}/{stats['offered']} ok, "
-                f"{stats['rejected']} rejected, p50 "
-                f"{stats['latency_p50_s'] * 1e3:.2f} ms, p99 "
-                f"{stats['latency_p99_s'] * 1e3:.2f} ms, cache hit "
-                f"{stats['cache_hit_ratio']:.2f}, replicas peak "
-                f"{stats['replicas_peak']}"
-            )
-            failures = []
-            names = list(dataset.out_names)
-            for response in report.completed:
-                request = response.request
-                direct = forecaster.forecast(
-                    dataset, request.init_index, request.lead_steps
-                )[[names.index(v) for v in request.out_vars]]
-                if not (response.result == direct).all():
-                    failures.append(
-                        f"request {request.request_id}: served forecast is "
-                        "not bitwise-equal to the direct rollout"
-                    )
-                    break
-            replay = ForecastServer(forecaster, dataset, policy)
-            replay.serve(requests)
-            if server.journal.to_jsonl() != replay.journal.to_jsonl():
-                failures.append("seeded replay journal is not byte-identical")
-            if args.artifacts:
-                out = Path(args.artifacts)
-                out.mkdir(parents=True, exist_ok=True)
-                print(f"wrote {server.journal.write_jsonl(out / 'journal.jsonl')}")
-                hist = out / "latency_histogram.json"
-                hist.write_text(report.histogram_json())
-                print(f"wrote {hist}")
-            if failures:
-                for failure in failures:
-                    print(f"FAIL: {failure}", file=sys.stderr)
-                return 1
-            print(
-                "serve invariants OK: bitwise parity with direct rollout, "
-                "byte-identical seeded replay"
-            )
-            return 0
-
-        records = run_serve_matrix(quick=args.quick)
-        doc = to_document(records)
-        print(summary_table(doc))
-        if args.out:
-            print(f"wrote {write_baseline(records, args.out)}")
-        if args.check:
-            baseline = load_baseline(args.baseline)
-            problems = compare(
-                doc, baseline, tolerance=args.tolerance,
-                require_all=not args.quick,
-            )
-            if problems:
-                for problem in problems:
-                    print(f"DRIFT: {problem}", file=sys.stderr)
-                print(
-                    f"serve regression gate FAILED: {len(problems)} metric(s) "
-                    f"beyond the {args.tolerance:.0%} tolerance vs "
-                    f"{args.baseline}",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"serve regression gate OK (tolerance {args.tolerance:.0%})")
-    elif args.command == "monitor":
-        import tempfile
-        from pathlib import Path
-
-        from repro.models import OrbitConfig
-        from repro.obs import RunMonitor
-        from repro.obs.capture import TRACE_CONFIG_KWARGS
-        from repro.runtime import RunSpec, Session, StepLoop
-
-        error = _topology_error(args)
-        if error is not None:
-            print(error, file=sys.stderr)
-            return 2
-        try:
-            if args.plan is not None and args.random is not None:
-                raise ValueError("--plan and --random are mutually exclusive")
-            plan = None
-            if args.plan is not None:
-                from repro.faults import FaultPlan
-
-                plan = FaultPlan.from_json(args.plan)
-            elif args.random is not None:
-                from repro.faults import FaultPlan
-
-                plan = FaultPlan.random(
-                    args.random, args.steps, args.gpus, count=args.count
-                )
-        except (OSError, ValueError) as plan_error:
-            print(f"repro monitor: invalid plan: {plan_error}", file=sys.stderr)
-            return 2
-        tail = None if (args.quiet or args.json) else (
-            lambda event: print(event.render())
-        )
-        run_monitor = RunMonitor(on_event=tail)
-        spec = RunSpec(
-            config=OrbitConfig("trace-tiny", **TRACE_CONFIG_KWARGS),
-            num_gpus=args.gpus,
-            gpus_per_node=args.gpus_per_node,
-            tp_size=args.tp,
-            fsdp_size=args.fsdp,
-            ddp_size=args.ddp,
-            micro_batch=args.micro_batch,
-            prefetch=not args.no_prefetch,
-            meta=not args.numeric,
-            seed=args.seed,
-            num_steps=args.steps,
-            compute_skew=_parse_skew(args.skew),
-            monitor="on",
-        )
-        recovered = True
-        if plan is not None:
-            from repro.faults import Supervisor
-
-            checkpoint_dir = args.checkpoint_dir or tempfile.mkdtemp(
-                prefix="repro-monitor-"
-            )
-            try:
-                supervisor = Supervisor(
-                    spec,
-                    plan,
-                    checkpoint_every=args.checkpoint_every,
-                    checkpoint_dir=(
-                        checkpoint_dir if args.checkpoint_every else None
-                    ),
-                    session_kwargs={"monitor": run_monitor},
-                )
-            except ValueError as sup_error:
-                print(f"repro monitor: {sup_error}", file=sys.stderr)
-                return 2
-            recovered = supervisor.run(args.steps).recovered
-        else:
-            session = Session(spec, monitor=run_monitor)
-            run_monitor.record_run(
-                0, "start", f"monitored run: {args.steps} step(s), no faults"
-            )
-            step_fn = session.meta_step if spec.meta else session.numeric_step
-            StepLoop(step_fn, hooks=session.loop_hooks()).run(args.steps)
-            run_monitor.record_run(
-                args.steps, "end", f"run complete: {args.steps} step(s)"
-            )
-        if args.json:
-            print(run_monitor.to_json())
-        else:
-            if tail is not None:
-                print()
-            print(run_monitor.summary_table())
-        if args.out:
-            out = Path(args.out)
-            print(f"wrote {run_monitor.journal.write_jsonl(out / 'journal.jsonl')}")
-            print(f"wrote {run_monitor.store.write_jsonl(out / 'timeseries.jsonl')}")
-        if run_monitor.critical_alerts or not recovered:
-            return 1
-    elif args.command == "replan":
-        import json
-        import tempfile
-        from pathlib import Path
-
-        from repro.faults import FaultPlan, Supervisor
-        from repro.obs import RunMonitor
-        from repro.replan.scenario import demo_config, demo_plan
-        from repro.runtime import RunSpec, RunSpecError
-
-        try:
-            plan = FaultPlan.from_json(args.plan) if args.plan else demo_plan()
-        except (OSError, ValueError) as plan_error:
-            print(f"repro replan: invalid plan: {plan_error}", file=sys.stderr)
-            return 2
-
-        def replan_spec(mode: str) -> "RunSpec":
-            return RunSpec(
-                config=demo_config(),
-                num_gpus=args.gpus,
-                gpus_per_node=args.gpus_per_node,
-                tp_size=args.tp,
-                fsdp_size=args.fsdp,
-                ddp_size=args.ddp,
-                micro_batch=args.micro_batch,
-                recompute=not args.no_recompute,
-                meta=True,
-                monitor="on",
-                replan=mode,
-                num_steps=args.steps,
-                track_device_memory=False,
-            )
-
-        def supervise(mode: str, run_monitor: "RunMonitor"):
-            supervisor = Supervisor(
-                replan_spec(mode),
-                plan,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_dir=tempfile.mkdtemp(prefix="repro-replan-"),
-                degradation_aware=True,
-                checkpoint_cost_s=args.checkpoint_cost,
-                restart_latency_s=args.restart_latency,
-                replan_warmup_s=args.warmup,
-                replan_hysteresis=args.hysteresis,
-                session_kwargs={"monitor": run_monitor},
-            )
-            return supervisor, supervisor.run(args.steps)
-
-        tail = None if args.quiet else (
-            lambda event: print(event.render()) if event.kind == "replan" else None
-        )
-        run_monitor = RunMonitor(on_event=tail)
-        try:
-            supervisor, report = supervise("on", run_monitor)
-        except (RunSpecError, ValueError) as error:
-            print(f"repro replan: {error}", file=sys.stderr)
-            return 2
-        decisions = [
-            event for event in run_monitor.journal.events
-            if event.kind == "replan"
-        ]
-        switches = [e for e in decisions if e.category == "switch"]
-        fraction = supervisor.ledger.goodput_fraction
-        print(
-            f"replan=on : {report.steps_completed} step(s), "
-            f"{len(decisions)} replan event(s), {len(switches)} switch(es), "
-            f"goodput {fraction:.4f}, final plan "
-            f"{'x'.join(str(n) for n in report.final_spec['grid'])}"
-            f".mb{report.final_spec['micro_batch']}"
-        )
-        status = 0
-        if args.compare:
-            off_monitor = RunMonitor()
-            off_supervisor, off_report = supervise("off", off_monitor)
-            off_fraction = off_supervisor.ledger.goodput_fraction
-            print(
-                f"replan=off: {off_report.steps_completed} step(s), "
-                f"goodput {off_fraction:.4f}, walltime "
-                f"{off_supervisor.ledger.total_s:.4f} s "
-                f"(vs {supervisor.ledger.total_s:.4f} s with replan=on)"
-            )
-            if fraction <= off_fraction:
-                print("repro replan: no goodput win over replan=off",
-                      file=sys.stderr)
-                status = 1
-        if args.out:
-            out = Path(args.out)
-            print(f"wrote {run_monitor.journal.write_jsonl(out / 'journal.jsonl')}")
-            doc = {
-                "goodput_fraction": fraction,
-                "goodput": supervisor.ledger.as_dict(),
-                "decisions": [event.as_dict() for event in decisions],
-            }
-            report_path = out / "replan_report.json"
-            report_path.write_text(json.dumps(doc, indent=1) + "\n")
-            print(f"wrote {report_path}")
-        if not decisions:
-            print("repro replan: no replan decision was journaled "
-                  "(scenario never degraded?)", file=sys.stderr)
-            return 1
-        if not report.recovered:
-            return 1
-        return status
-    else:  # pragma: no cover - argparse enforces choices
-        raise AssertionError(args.command)
-    return 0
+    try:
+        return globals()[f"_cmd_{args.command}"](args)
+    except _UsageError as error:
+        print(error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,15 +24,22 @@ to completion *through* the faults a
 Every recovery path is charged to a :class:`~repro.faults.goodput.
 GoodputLedger`, so the final :class:`~repro.faults.report.
 RecoveryReport` attributes exactly where the walltime went.
+
+It is one explicit machine, drawn in DESIGN.md: *run* -> fault ->
+``_recover`` -> {retry | rollback | regroup | migrate} -> ``_restart``
+-> *run*, with one checkpoint writer (``_save``) and one ``Session``
+construction site (``_build_session``).
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.faults.errors import (
     ElasticRecoveryError,
     FatalFaultError,
+    FaultError,
     NodeLossError,
     TransientFaultError,
 )
@@ -43,6 +50,20 @@ from repro.faults.report import RecoveryEvent, RecoveryReport
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("faults.supervisor")
+
+
+@dataclass
+class _Attempt:
+    """One step's trip through the machine."""
+
+    step: int
+    #: Timeline walltime when the current try began.
+    t0: float = 0.0
+    #: In-place retries so far, and what they cost (dead tries + backoff).
+    retries: int = 0
+    lost_s: float = 0.0
+    #: The transient fault the latest retry answered.
+    fault: FaultError | None = None
 
 
 class Supervisor:
@@ -108,7 +129,6 @@ class Supervisor:
         replan_hysteresis: float = 0.25,
         replan_warmup_s: float = 0.0,
         replan_micro_batches: tuple[int, ...] = (1, 2, 4, 8),
-        grad_scaler=None,
         session_kwargs: dict | None = None,
     ):
         if checkpoint_every < 0:
@@ -139,23 +159,15 @@ class Supervisor:
         self.checkpoint_cost_s = checkpoint_cost_s
         self.max_restarts = max_restarts
         self.health_every = health_every
-        self._grad_scaler = grad_scaler
         self.session_kwargs = dict(session_kwargs or {})
         # One monitor instance across every incarnation: the session is
         # rebuilt after crashes/regroups, so the telemetry stream must
         # be owned here (the injector pattern) and passed through.
-        monitor = self.session_kwargs.get("monitor")
-        if monitor is None:
-            if spec.monitor == "on":
-                from repro.obs.monitor import RunMonitor
+        if self.session_kwargs.get("monitor") is None:
+            from repro.obs.monitor import monitor_for
 
-                monitor = RunMonitor()
-            else:
-                from repro.obs.monitor import NULL_MONITOR
-
-                monitor = NULL_MONITOR
-            self.session_kwargs["monitor"] = monitor
-        self.monitor = monitor
+            self.session_kwargs["monitor"] = monitor_for(spec)
+        self.monitor = self.session_kwargs["monitor"]
         self.ledger = GoodputLedger()
         self.session = None
         self.loop = None
@@ -176,56 +188,63 @@ class Supervisor:
         self._num_steps = 0
 
     # -- construction ----------------------------------------------------------
-    def _make_grad_scaler(self):
-        if self.spec.meta:
-            return None
-        if self._grad_scaler is False:
-            return None
-        from repro.nn.grad_scaler import DynamicGradScaler
+    def _build_session(self, spec) -> None:
+        """The one place a ``Session`` is constructed: a fresh
+        incarnation of ``spec`` on the shared monitor and injector.  A
+        numeric incarnation gets its own grad scaler; its state comes
+        back from the checkpoint, never from the previous incarnation."""
+        from repro.runtime import Session
 
-        if self._grad_scaler is None or self._grad_scaler is True:
-            return DynamicGradScaler()
-        # A template instance: fresh copy per incarnation, state restored
-        # from the checkpoint (never shared across incarnations).
-        template = self._grad_scaler
-        return DynamicGradScaler(
-            init_scale=template.scale,
-            growth_factor=template.growth_factor,
-            backoff_factor=template.backoff_factor,
-            growth_interval=template.growth_interval,
-            min_scale=template.min_scale,
-        )
+        scaler = None
+        if not spec.meta:
+            from repro.nn.grad_scaler import DynamicGradScaler
 
-    def _build_session(self, spec, loop_state: dict | None = None):
-        from repro.runtime import Session, StepLoop
-
-        self.session = Session(
-            spec, grad_scaler=self._make_grad_scaler(), **self.session_kwargs
-        )
+            scaler = DynamicGradScaler()
+        self.session = Session(spec, grad_scaler=scaler, **self.session_kwargs)
         self.session.cluster.attach_injector(self.injector)
-        hooks = self.session.loop_hooks()
-        if loop_state is None:
-            self.loop = StepLoop(self.session.step_fn(), hooks=hooks)
+
+    def _restart(self, spec, *, elastic: bool = False) -> None:
+        """checkpoint -> rebuild -> resume, for every policy that ends an
+        incarnation: build ``spec``'s session, restore the last durable
+        checkpoint into it (step 0 without one) and continue its loop.
+
+        ``elastic`` restores a numeric archive written for another DDP
+        extent (regroup, migration); a meta archive is plan-independent.
+        """
+        from repro.runtime import StepLoop
+
+        self.spec = spec
+        self._build_session(spec)
+        state = None
+        if self._last_checkpoint is not None:
+            path = self._last_checkpoint["path"]
+            if spec.meta:
+                state = self.session.resume_meta(path)
+            elif elastic:
+                state = self.session.resume_elastic(path)["loop"]
+            else:
+                state = self.session.resume(path)["loop"]
+        self.loop = StepLoop.from_state_dict(
+            self.session.step_fn(), state, hooks=self.session.loop_hooks()
+        )
+
+    def _save(self, path) -> None:
+        """Write the durable checkpoint every later restart resumes from."""
+        if self.spec.meta:
+            self.session.save_meta(path, loop_state=self.loop.state_dict())
         else:
-            self.loop = StepLoop(
-                self.session.step_fn(),
-                hooks=hooks,
-                start_step=loop_state["step"],
-                observations_seen=loop_state["observations_seen"],
-                history=[tuple(pair) for pair in loop_state["history"]],
-            )
+            self.session.save(path, loop=self.loop)
+        self._last_checkpoint = {"path": path, "step": self.loop.step}
 
     def _wall(self) -> float:
         return self.session.cluster.timeline.walltime_s()
 
-    def _rng_state(self):
-        return self.session.data_rng.bit_generator.state
-
-    def _restore_rng(self, state) -> None:
-        self.session.data_rng.bit_generator.state = state
-
-    def _record(self, report: RecoveryReport, event: RecoveryEvent) -> None:
-        """Append to the report and mirror into the monitor's journal."""
+    def _record(self, report: RecoveryReport, *, err=None, **fields) -> None:
+        """One :class:`RecoveryEvent` (of fault ``err``'s kind and rank,
+        when given): appended to the report, mirrored into the journal."""
+        if err is not None:
+            fields.update(kind=self._kind_of(err), rank=self._rank_of(err))
+        event = RecoveryEvent(**fields)
         report.events.append(event)
         self.monitor.record_recovery(event)
 
@@ -238,29 +257,14 @@ class Supervisor:
         self._num_steps = num_steps
         report = RecoveryReport(ledger=self.ledger)
         if self.session is None:
-            self._build_session(self.spec)
+            self._restart(self.spec)
         self.monitor.record_run(
             self.loop.step, "start",
             f"supervised run: {num_steps} step(s), "
             f"{len(self.plan.faults)} scheduled fault(s)",
         )
         while self.loop.step < num_steps and not report.unrecovered:
-            step = self.loop.step
-            self.injector.begin_step(step)
-            rng_state = self._rng_state()
-            t0 = self._wall()
-            try:
-                event = self.loop.run_step()
-            except TransientFaultError as err:
-                self._recover_transient(err, step, t0, rng_state, report)
-                continue
-            except NodeLossError as err:
-                self._recover_node_loss(err, step, t0, report)
-                continue
-            except FatalFaultError as err:
-                self._recover_crash(err, step, t0, report)
-                continue
-            self._commit(event, self._wall() - t0, report)
+            self._step(report)
         report.steps_completed = self.loop.step
         report.history = list(self.loop.history)
         report.pending = self.injector.pending()
@@ -303,14 +307,12 @@ class Supervisor:
             kind = grad_fault.kind.value if grad_fault else "grad_overflow"
             self._record(
                 report,
-                RecoveryEvent(
-                    step=step,
-                    kind=kind,
-                    action="skip_step",
-                    rank=grad_fault.rank if grad_fault else None,
-                    lost_s=seconds,
-                    detail="grad scaler backed off; optimizer step skipped",
-                )
+                step=step,
+                kind=kind,
+                action="skip_step",
+                rank=grad_fault.rank if grad_fault else None,
+                lost_s=seconds,
+                detail="grad scaler backed off; optimizer step skipped",
             )
             _LOG.warning("step %d skipped (%s)", step, kind)
         for spec in self.injector.fired_at(step):
@@ -318,16 +320,14 @@ class Supervisor:
                 self._reported_degradations.add(id(spec))
                 self._record(
                     report,
-                    RecoveryEvent(
-                        step=step,
-                        kind=spec.kind.value,
-                        action="observed",
-                        rank=spec.rank,
-                        detail=(
-                            f"x{spec.factor:.2f} slowdown for "
-                            f"{spec.duration_steps} step(s)"
-                        ),
-                    )
+                    step=step,
+                    kind=spec.kind.value,
+                    action="observed",
+                    rank=spec.rank,
+                    detail=(
+                        f"x{spec.factor:.2f} slowdown for "
+                        f"{spec.duration_steps} step(s)"
+                    ),
                 )
         self._maybe_checkpoint()
         self._maybe_health(report)
@@ -358,17 +358,8 @@ class Supervisor:
     def _maybe_checkpoint(self) -> None:
         if not self.checkpoint_every or self.loop.step % self.checkpoint_every:
             return
-        loop_state = {
-            "step": self.loop.step,
-            "observations_seen": self.loop.observations_seen,
-            "history": [[obs, loss] for obs, loss in self.loop.history],
-        }
         path = self.checkpoint_dir / f"ckpt_step{self.loop.step}.npz"
-        if self.spec.meta:
-            self.session.save_meta(path, loop_state=loop_state)
-        else:
-            self.session.save(path, loop=self.loop)
-        self._last_checkpoint = {"path": path, "step": self.loop.step}
+        self._save(path)
         self.ledger.checkpoint(self.checkpoint_cost_s)
         self.monitor.record_checkpoint(
             self.loop.step, "save", detail=f"durable checkpoint at {path.name}"
@@ -382,13 +373,11 @@ class Supervisor:
             if finding.category == "straggler":
                 self._record(
                     report,
-                    RecoveryEvent(
-                        step=self.loop.step - 1,
-                        kind="health." + finding.category,
-                        action="observed",
-                        rank=finding.ranks[0] if finding.ranks else None,
-                        detail=finding.message,
-                    )
+                    step=self.loop.step - 1,
+                    kind="health." + finding.category,
+                    action="observed",
+                    rank=finding.ranks[0] if finding.ranks else None,
+                    detail=finding.message,
                 )
 
     # -- online adaptive re-planning ----------------------------------------------
@@ -438,32 +427,17 @@ class Supervisor:
             data=decision.as_dict(),
         )
         if decision.switch:
-            self._execute_switch(decision, report)
+            self._migrate(decision, report)
 
-    def _execute_switch(self, decision, report: RecoveryReport) -> None:
-        """Live plan migration: checkpoint -> rebuild -> bitwise resume."""
+    def _migrate(self, decision, report: RecoveryReport) -> None:
+        """*migrate*: live plan migration, checkpoint -> rebuild ->
+        bitwise resume on the controller's best candidate."""
         old = self.spec
-        candidate = decision.best_candidate
         step = self.loop.step
-        new_spec = old.replace(
-            tp_size=candidate.tp_size,
-            fsdp_size=candidate.fsdp_size,
-            ddp_size=candidate.ddp_size,
-            micro_batch=candidate.micro_batch,
-            recompute=candidate.recompute,
-            prefetch=candidate.prefetch,
-            tp_innermost=candidate.tp_innermost,
-            pp_size=candidate.pp_size,
-        )
+        # A Candidate's fields are exactly the plan fields of a RunSpec.
+        new_spec = old.replace(**asdict(decision.best_candidate))
         path = self.checkpoint_dir / f"replan_step{step}.npz"
-        if old.meta:
-            self.session.save_meta(path, loop_state={
-                "step": step,
-                "observations_seen": self.loop.observations_seen,
-                "history": [[obs, loss] for obs, loss in self.loop.history],
-            })
-        else:
-            self.session.save(path, loop=self.loop)
+        self._save(path)
         self.ledger.replan(decision.migration_cost_s)
         # Seed the new plan's clean baseline from the old plan's by the
         # projected clean-step ratio, so degradation-aware accounting
@@ -476,14 +450,7 @@ class Supervisor:
                 old_base * decision.best_clean_step_s
                 / decision.current_clean_step_s,
             )
-        self.spec = new_spec
-        self._build_session(new_spec)
-        if new_spec.meta:
-            state = self.session.resume_meta(path)
-        else:
-            state = self.session.resume_elastic(path)["loop"]
-        self._build_loop_from(state)
-        self._last_checkpoint = {"path": path, "step": step}
+        self._restart(new_spec, elastic=True)
         self._controller = None
         self._switch_info = {
             "decision": decision, "steps": 0, "seconds": 0.0, "degraded": 0,
@@ -539,205 +506,143 @@ class Supervisor:
             },
         )
 
-    # -- transient recovery -------------------------------------------------------
-    def _recover_transient(self, err, step, t0, rng_state, report) -> None:
-        fault = err
-        wasted = (self._wall() - t0) + self.detect_timeout_s
-        lost_total = 0.0
-        for attempt in range(1, self.retry_budget + 1):
-            backoff = self.backoff_base_s * 2 ** (attempt - 1)
-            self.ledger.retry(wasted, backoff)
-            lost_total += wasted + backoff
-            self._restore_rng(rng_state)
-            t0 = self._wall()
+    # -- the machine: run -> fault -> recover -> restart -> run -----------------------
+    def _step(self, report: RecoveryReport) -> None:
+        """*run*: drive the next step to a commit or to a restart.
+
+        A fault goes to :meth:`_recover`; when that answers "retry" the
+        step's RNG state is rewound first, so the retried step consumes
+        the exact batch the failed attempt did.
+        """
+        attempt = _Attempt(step=self.loop.step)
+        self.injector.begin_step(attempt.step)
+        rng = self.session.data_rng.bit_generator
+        rng_state = rng.state
+        while True:
+            attempt.t0 = self._wall()
             try:
                 event = self.loop.run_step()
-            except TransientFaultError as again:
-                fault = again
-                wasted = (self._wall() - t0) + self.detect_timeout_s
+            except (TransientFaultError, FatalFaultError) as err:
+                if not self._recover(err, attempt, report):
+                    return
+                rng.state = rng_state
                 continue
-            except NodeLossError as fatal:
-                self._recover_node_loss(fatal, step, t0, report)
-                return
-            except FatalFaultError as fatal:
-                self._recover_crash(fatal, step, t0, report)
-                return
+            if attempt.retries:
+                self._record(
+                    report,
+                    err=attempt.fault,
+                    step=attempt.step,
+                    action="retry",
+                    attempts=attempt.retries,
+                    lost_s=attempt.lost_s,
+                    detail=f"recovered after {attempt.retries} retry attempt(s)",
+                )
+                _LOG.info("step %d recovered after %d retry(ies)",
+                          attempt.step, attempt.retries)
+            self._commit(event, self._wall() - attempt.t0, report)
+            return
+
+    def _recover(self, err: FaultError, attempt: _Attempt, report) -> bool:
+        """*fault*: the one fault class -> policy dispatch.
+
+        ========================  ==========================================
+        transient, budget left    *retry* in place (returns ``True``)
+        transient, budget spent   ``retry_exhausted``, then *rollback*
+        fatal                     *rollback* (a node loss: *regroup*)
+        ========================  ==========================================
+
+        The dead attempt plus its detection window is charged to the
+        retry bucket when the step is retried and to the rollback
+        bucket when the incarnation is given up.
+        """
+        wasted = (self._wall() - attempt.t0) + self.detect_timeout_s
+        if isinstance(err, TransientFaultError):
+            if attempt.retries < self.retry_budget:
+                attempt.retries += 1
+                backoff = self.backoff_base_s * 2 ** (attempt.retries - 1)
+                self.ledger.retry(wasted, backoff)
+                attempt.lost_s += wasted + backoff
+                attempt.fault = err
+                return True
             self._record(
                 report,
-                RecoveryEvent(
-                    step=step,
-                    kind=self._kind_of(fault),
-                    action="retry",
-                    rank=self._rank_of(fault),
-                    attempts=attempt,
-                    lost_s=lost_total,
-                    detail=f"recovered after {attempt} retry attempt(s)",
-                )
-            )
-            _LOG.info("step %d recovered after %d retry(ies)", step, attempt)
-            self._commit(event, self._wall() - t0, report)
-            return
-        # Retry budget exhausted: escalate to rollback-restart.
-        self._record(
-            report,
-            RecoveryEvent(
-                step=step,
-                kind=self._kind_of(fault),
+                err=err,
+                step=attempt.step,
                 action="retry_exhausted",
-                rank=self._rank_of(fault),
                 attempts=self.retry_budget,
-                lost_s=lost_total,
+                lost_s=attempt.lost_s,
                 detail="escalating to rollback restart",
             )
-        )
-        self._recover_crash(fault, step, t0, report)
+        self._rollback(err, attempt.step, wasted, report,
+                       regroup=isinstance(err, NodeLossError))
+        return False
 
-    # -- crash recovery -----------------------------------------------------------
-    def _resume_state(self) -> dict | None:
-        """Loop resume state from the latest durable checkpoint."""
-        if self._last_checkpoint is None:
-            return None
-        path = self._last_checkpoint["path"]
-        if self.spec.meta:
-            return self.session.resume_meta(path)
-        meta = self.session.resume(path)
-        return meta["loop"]
+    def _rollback(self, err, step: int, attempt_s: float, report, *,
+                  regroup: bool) -> None:
+        """*rollback* / *regroup*: give the incarnation up and restart
+        from the last durable checkpoint — into the same world, or,
+        after a node loss, into the DDP-shrunken one.
 
-    def _resume_state_elastic(self) -> dict | None:
-        if self._last_checkpoint is None:
-            return None
-        path = self._last_checkpoint["path"]
-        if self.spec.meta:
-            return self.session.resume_meta(path)
-        meta = self.session.resume_elastic(path)
-        return meta["loop"]
-
-    def _recover_crash(self, err, step, t0, report) -> None:
-        if self.ledger.restarts >= self.max_restarts:
-            report.unrecovered.append(
+        Unrecoverable when no legal shrunken world exists or (checked
+        second) the restart budget is spent; both leave an
+        ``unrecovered`` event in the report and the journal.
+        """
+        old = new_spec = self.spec
+        unrecoverable = None  # (report message, event detail)
+        if regroup:
+            gpn = old.gpus_per_node
+            node = (self._rank_of(err) or 0) // gpn
+            lost_ranks = set(range(node * gpn, (node + 1) * gpn))
+            try:
+                new_spec = self._shrunken_spec(old, lost_ranks)
+            except ElasticRecoveryError as impossible:
+                unrecoverable = (str(impossible), str(impossible))
+        if unrecoverable is None and self.ledger.restarts >= self.max_restarts:
+            unrecoverable = (
                 f"restart budget ({self.max_restarts}) exhausted at step "
-                f"{step}: {err}"
+                f"{step}: {err}",
+                str(err),
             )
-            self._record(
-                report,
-                RecoveryEvent(
-                    step=step, kind=self._kind_of(err), action="unrecovered",
-                    rank=self._rank_of(err), detail=str(err),
-                )
-            )
+        if unrecoverable is not None:
+            report.unrecovered.append(unrecoverable[0])
+            self._record(report, err=err, step=step, action="unrecovered",
+                         detail=unrecoverable[1])
             return
-        attempt_s = (self._wall() - t0) + self.detect_timeout_s
         lost_steps, lost_s = self.ledger.rollback(attempt_s)
-        self.ledger.restart(self.restart_latency_s)
+        self.ledger.restart(self.restart_latency_s, elastic=regroup)
+        if regroup:
+            self.injector.remap_ranks({
+                r: (r if r < node * gpn else r - gpn)
+                for r in range(old.num_gpus)
+                if r not in lost_ranks
+            })
         resume_from = (
             self._last_checkpoint["step"] if self._last_checkpoint else 0
         )
         self.monitor.record_checkpoint(
             step, "rollback",
-            detail=f"rolling back from step {step} to step {resume_from}",
+            detail=f"rolling back from step {step} to step {resume_from}"
+                   + (" (elastic regroup)" if regroup else ""),
         )
-        self._build_session(self.spec)
-        state = self._resume_state()
-        self._build_loop_from(state)
+        self._restart(new_spec, elastic=regroup)
+        detail = f"resumed from step {resume_from}"
+        if regroup:
+            detail = (
+                f"node {node} lost: ddp {old.ddp_size}->{new_spec.ddp_size}, "
+                f"micro-batch {old.micro_batch}->{new_spec.micro_batch}, "
+                + detail
+            )
         self._record(
             report,
-            RecoveryEvent(
-                step=step,
-                kind=self._kind_of(err),
-                action="rollback_restart",
-                rank=self._rank_of(err),
-                lost_s=lost_s + self.restart_latency_s,
-                lost_steps=lost_steps,
-                detail=f"resumed from step {resume_from}",
-            )
+            err=err,
+            step=step,
+            action="elastic_regroup" if regroup else "rollback_restart",
+            lost_s=lost_s + self.restart_latency_s,
+            lost_steps=lost_steps,
+            detail=detail,
         )
-        _LOG.warning(
-            "crash at step %d: rolled back to step %d (%d step(s) to replay)",
-            step, resume_from, lost_steps,
-        )
-
-    def _build_loop_from(self, state: dict | None) -> None:
-        from repro.runtime import StepLoop
-
-        if state is None:
-            self.loop = StepLoop(self.session.step_fn(),
-                                 hooks=self.session.loop_hooks())
-        else:
-            self.loop = StepLoop(
-                self.session.step_fn(),
-                hooks=self.session.loop_hooks(),
-                start_step=state["step"],
-                observations_seen=state["observations_seen"],
-                history=[tuple(pair) for pair in state["history"]],
-            )
-
-    # -- elastic recovery ----------------------------------------------------------
-    def _recover_node_loss(self, err, step, t0, report) -> None:
-        old = self.spec
-        gpn = old.gpus_per_node
-        rank = self._rank_of(err)
-        node = (rank if rank is not None else 0) // gpn
-        lost_ranks = set(range(node * gpn, (node + 1) * gpn))
-        try:
-            new_spec = self._shrunken_spec(old, lost_ranks)
-        except ElasticRecoveryError as impossible:
-            report.unrecovered.append(str(impossible))
-            self._record(
-                report,
-                RecoveryEvent(
-                    step=step, kind=self._kind_of(err), action="unrecovered",
-                    rank=rank, detail=str(impossible),
-                )
-            )
-            return
-        if self.ledger.restarts >= self.max_restarts:
-            report.unrecovered.append(
-                f"restart budget ({self.max_restarts}) exhausted at step "
-                f"{step}: {err}"
-            )
-            return
-        attempt_s = (self._wall() - t0) + self.detect_timeout_s
-        lost_steps, lost_s = self.ledger.rollback(attempt_s)
-        self.ledger.restart(self.restart_latency_s, elastic=True)
-        mapping = {
-            r: (r if r < node * gpn else r - gpn)
-            for r in range(old.num_gpus)
-            if r not in lost_ranks
-        }
-        self.injector.remap_ranks(mapping)
-        resume_from = (
-            self._last_checkpoint["step"] if self._last_checkpoint else 0
-        )
-        self.monitor.record_checkpoint(
-            step, "rollback",
-            detail=f"rolling back from step {step} to step {resume_from} "
-                   f"(elastic regroup)",
-        )
-        self.spec = new_spec
-        self._build_session(new_spec)
-        state = self._resume_state_elastic()
-        self._build_loop_from(state)
-        self._record(
-            report,
-            RecoveryEvent(
-                step=step,
-                kind=self._kind_of(err),
-                action="elastic_regroup",
-                rank=rank,
-                lost_s=lost_s + self.restart_latency_s,
-                lost_steps=lost_steps,
-                detail=(
-                    f"node {node} lost: ddp {old.ddp_size}->{new_spec.ddp_size}, "
-                    f"micro-batch {old.micro_batch}->{new_spec.micro_batch}, "
-                    f"resumed from step {resume_from}"
-                ),
-            )
-        )
-        _LOG.warning(
-            "node %d lost at step %d: regrouped to %d GPUs (ddp=%d), "
-            "resumed from step %d",
-            node, step, new_spec.num_gpus, new_spec.ddp_size, resume_from,
-        )
+        _LOG.warning("%s at step %d: %s (%d step(s) to replay)",
+                     self._kind_of(err), step, detail, lost_steps)
 
     @staticmethod
     def _shrunken_spec(old, lost_ranks: set[int]):

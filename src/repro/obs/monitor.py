@@ -321,3 +321,9 @@ class NullMonitor:
 
 #: Shared module-level no-op monitor; the default handle everywhere.
 NULL_MONITOR = NullMonitor()
+
+
+def monitor_for(spec):
+    """The default handle for ``spec``: a fresh :class:`RunMonitor` when
+    ``spec.monitor == "on"``, :data:`NULL_MONITOR` otherwise."""
+    return RunMonitor() if spec.monitor == "on" else NULL_MONITOR

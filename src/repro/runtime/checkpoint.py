@@ -197,11 +197,7 @@ def save_trainer(path, trainer, *, loop=None, loader=None,
         "user": metadata or {},
     }
     if loop is not None:
-        meta["loop"] = {
-            "step": loop.step,
-            "observations_seen": loop.observations_seen,
-            "history": [[obs, loss] for obs, loss in loop.history],
-        }
+        meta["loop"] = loop.state_dict()
     if loader is not None:
         meta["loader"] = loader.state()
     return save_archive(path, arrays, meta, tracer=trainer.tracer)

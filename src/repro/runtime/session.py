@@ -169,14 +169,9 @@ class Session:
             compute_model=compute_model,
         )
         if monitor is None:
-            if spec.monitor == "on":
-                from repro.obs.monitor import RunMonitor
+            from repro.obs.monitor import monitor_for
 
-                monitor = RunMonitor()
-            else:
-                from repro.obs.monitor import NULL_MONITOR
-
-                monitor = NULL_MONITOR
+            monitor = monitor_for(spec)
         #: Streaming telemetry handle (never None; NULL_MONITOR when off).
         self.monitor = monitor
         self.monitor.attach_session(self)
@@ -447,11 +442,7 @@ class Session:
         if trainer.grad_scaler is not None:
             meta["grad_scaler"] = trainer.grad_scaler.state_dict()
         if loop is not None:
-            meta["loop"] = {
-                "step": loop.step,
-                "observations_seen": loop.observations_seen,
-                "history": [[obs, loss] for obs, loss in loop.history],
-            }
+            meta["loop"] = loop.state_dict()
         return save_archive(
             path, self._checkpoint_arrays(), meta, tracer=self.tracer
         )
@@ -496,13 +487,8 @@ class Session:
         self.data_rng.bit_generator.state = meta["rng"]
         return meta["loop"]
 
-    def resume(self, path) -> dict:
-        """Restore a checkpoint written by :meth:`save`; returns metadata.
-
-        Raises ``ValueError`` when the checkpoint's structural identity
-        (model, topology, grid, dtype) does not match this session's
-        spec — resuming into a different world layout is never silent.
-        """
+    def _load_session_archive(self, path) -> tuple[dict, dict]:
+        """``(arrays, metadata)`` of a :meth:`save` archive."""
         from repro.runtime.checkpoint import load_archive
 
         if self.spec.meta:
@@ -510,27 +496,55 @@ class Session:
         arrays, meta = load_archive(path, tracer=self.tracer)
         if meta.get("kind") != "session":
             raise ValueError(f"{path} is not a session checkpoint")
-        if meta["spec"] != self.spec.identity():
-            raise ValueError(
-                f"checkpoint {path} was written for {meta['spec']}, "
-                f"which does not match this session's {self.spec.identity()}"
-            )
+        return arrays, meta
+
+    def _restore(self, arrays: dict, meta: dict, *, archive_ddp=None) -> dict:
+        """The restore body of :meth:`resume` and :meth:`resume_elastic`:
+        dense parameters, FSDP shards, optimizer, scheduler step, grad
+        scaler, data RNG.  Returns ``meta``.
+
+        ``archive_ddp`` is the archive's DDP extent on an elastic resume
+        (``None``: every replica restores its own entries): replica 0's
+        entries, copied so survivors never alias one buffer, and its
+        block of optimizer moments seed every surviving replica.
+        """
+        elastic = archive_ddp is not None
         for d in range(self.spec.ddp_size):
+            source = 0 if elastic else d
             for name, param in self._dense_parameters(d).items():
-                value = arrays[f"{_DENSE}::{d}::{name}"]
+                value = arrays[f"{_DENSE}::{source}::{name}"]
                 if tuple(value.shape) != tuple(np.asarray(param.data).shape):
                     raise ValueError(f"shape mismatch restoring dense {name}")
-                param.data = value
+                param.data = value.copy() if elastic else value
             for i, sharded in enumerate(self.engine.sharded_parameters(d)):
                 for j in range(sharded.num_shards):
-                    sharded.shards[j] = arrays[f"{_SHARD}::{d}::{i}::{j}"]
+                    shard = arrays[f"{_SHARD}::{source}::{i}::{j}"]
+                    sharded.shards[j] = shard.copy() if elastic else shard
+        opt_arrays = {
+            key[len("opt::"):]: value
+            for key, value in arrays.items()
+            if key.startswith("opt::")
+        }
+        if elastic:
+            # Optimizer moments are positional over per-replica handle
+            # blocks (dense handles then shard views); reuse replica 0's
+            # block for every surviving replica.
+            total_old = len(opt_arrays) // 2
+            if total_old % archive_ddp:
+                raise ValueError(
+                    f"optimizer state holds {total_old} moment pairs, not a "
+                    f"whole number of {archive_ddp} replica blocks"
+                )
+            per_replica = total_old // archive_ddp
+            remapped = {}
+            for d in range(self.spec.ddp_size):
+                for i in range(per_replica):
+                    remapped[f"m::{d * per_replica + i}"] = opt_arrays[f"m::{i}"]
+                    remapped[f"v::{d * per_replica + i}"] = opt_arrays[f"v::{i}"]
+            opt_arrays = remapped
         trainer = self.trainer
         trainer.optimizer.load_state_dict({
-            "arrays": {
-                key[len("opt::"):]: value
-                for key, value in arrays.items()
-                if key.startswith("opt::")
-            },
+            "arrays": opt_arrays,
             "scalars": meta["optimizer"],
         })
         trainer.step_count = meta["step"]
@@ -538,6 +552,21 @@ class Session:
             trainer.grad_scaler.load_state_dict(meta["grad_scaler"])
         self.data_rng.bit_generator.state = meta["rng"]
         return meta
+
+    def resume(self, path) -> dict:
+        """Restore a checkpoint written by :meth:`save`; returns metadata.
+
+        Raises ``ValueError`` when the checkpoint's structural identity
+        (model, topology, grid, dtype) does not match this session's
+        spec — resuming into a different world layout is never silent.
+        """
+        arrays, meta = self._load_session_archive(path)
+        if meta["spec"] != self.spec.identity():
+            raise ValueError(
+                f"checkpoint {path} was written for {meta['spec']}, "
+                f"which does not match this session's {self.spec.identity()}"
+            )
+        return self._restore(arrays, meta)
 
     def resume_elastic(self, path) -> dict:
         """Restore a checkpoint into a *shrunken* world (DDP axis only).
@@ -553,13 +582,7 @@ class Session:
         the DDP extent (and with it ``num_gpus`` / ``micro_batch``) may
         differ.  Returns the archive metadata.
         """
-        from repro.runtime.checkpoint import load_archive
-
-        if self.spec.meta:
-            raise RuntimeError("meta-mode sessions cannot resume numeric state")
-        arrays, meta = load_archive(path, tracer=self.tracer)
-        if meta.get("kind") != "session":
-            raise ValueError(f"{path} is not a session checkpoint")
+        arrays, meta = self._load_session_archive(path)
         theirs, mine = meta["spec"], self.spec.identity()
         fixed = ("config", "dtype", "tp_innermost")
         for key in fixed:
@@ -587,45 +610,7 @@ class Session:
                 f"elastic resume must preserve the global batch: archive "
                 f"carries {old_global}, this session {self.spec.observations}"
             )
-        for d in range(self.spec.ddp_size):
-            for name, param in self._dense_parameters(d).items():
-                value = arrays[f"{_DENSE}::0::{name}"]
-                if tuple(value.shape) != tuple(np.asarray(param.data).shape):
-                    raise ValueError(f"shape mismatch restoring dense {name}")
-                param.data = value.copy()
-            for i, sharded in enumerate(self.engine.sharded_parameters(d)):
-                for j in range(sharded.num_shards):
-                    sharded.shards[j] = arrays[f"{_SHARD}::0::{i}::{j}"].copy()
-        # Optimizer moments are positional over per-replica handle
-        # blocks (dense handles then shard views); reuse replica 0's
-        # block for every surviving replica.
-        opt_arrays = {
-            key[len("opt::"):]: value
-            for key, value in arrays.items()
-            if key.startswith("opt::")
-        }
-        total_old = len(opt_arrays) // 2
-        if total_old % old_ddp:
-            raise ValueError(
-                f"optimizer state holds {total_old} moment pairs, not a "
-                f"whole number of {old_ddp} replica blocks"
-            )
-        per_replica = total_old // old_ddp
-        remapped = {}
-        for d in range(self.spec.ddp_size):
-            for i in range(per_replica):
-                remapped[f"m::{d * per_replica + i}"] = opt_arrays[f"m::{i}"]
-                remapped[f"v::{d * per_replica + i}"] = opt_arrays[f"v::{i}"]
-        trainer = self.trainer
-        trainer.optimizer.load_state_dict({
-            "arrays": remapped,
-            "scalars": meta["optimizer"],
-        })
-        trainer.step_count = meta["step"]
-        if trainer.grad_scaler is not None and "grad_scaler" in meta:
-            trainer.grad_scaler.load_state_dict(meta["grad_scaler"])
-        self.data_rng.bit_generator.state = meta["rng"]
-        return meta
+        return self._restore(arrays, meta, archive_ddp=old_ddp)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mode = "meta" if self.spec.meta else "numeric"

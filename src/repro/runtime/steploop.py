@@ -105,6 +105,29 @@ class StepLoop:
         self.history: list[tuple[int, float]] = list(history or [])
         self._stop = False
 
+    # -- resume state --------------------------------------------------------
+    def state_dict(self) -> dict:
+        """The JSON-able loop-state document every checkpoint stores."""
+        return {
+            "step": self.step,
+            "observations_seen": self.observations_seen,
+            "history": [[obs, loss] for obs, loss in self.history],
+        }
+
+    @classmethod
+    def from_state_dict(cls, step_fn, state: dict | None, **kwargs) -> "StepLoop":
+        """A loop continuing from a :meth:`state_dict` document (``None``:
+        from step 0); ``kwargs`` are the other constructor arguments."""
+        if state is None:
+            return cls(step_fn, **kwargs)
+        return cls(
+            step_fn,
+            start_step=state["step"],
+            observations_seen=state["observations_seen"],
+            history=[tuple(pair) for pair in state["history"]],
+            **kwargs,
+        )
+
     # -- hooks ---------------------------------------------------------------
     def _dispatch(self, name: str, *args) -> None:
         for hook in self.hooks:

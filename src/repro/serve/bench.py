@@ -19,11 +19,17 @@ cost.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+# BENCH_serve.json shares BENCH_obs.json's file format (and schema
+# number), so the reader, the writer and the case comparison are the
+# harness's; ``load_baseline`` is re-exported as is.
+from repro.bench.harness import (  # noqa: F401
+    compare_cases,
+    load_baseline,
+    write_document,
+)
 from repro.serve.loadgen import LoadSpec, generate_requests
 from repro.serve.policy import ServePolicy
 from repro.serve.server import ForecastServer, ServeReport
@@ -181,32 +187,7 @@ def to_document(records: dict[str, dict]) -> dict:
 
 
 def write_baseline(records: dict[str, dict], path) -> Path:
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(to_document(records), indent=1, sort_keys=True) + "\n"
-    )
-    return path
-
-
-def load_baseline(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"baseline {path} has schema {doc.get('schema')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    return doc
-
-
-#: Metrics gated by *relative* drift (scale-dependent quantities).
-_RELATIVE_METRICS = ("latency_p50_s", "latency_p99_s", "throughput_rps",
-                     "makespan_s")
-#: Metrics gated by *absolute* drift (ratios in [0, 1]).
-_ABSOLUTE_METRICS = ("cache_hit_ratio", "utilization")
-#: Counts that must match exactly (the workload is seeded).
-_EXACT_METRICS = ("offered", "completed", "rejected", "model_steps")
+    return write_document(to_document(records), path)
 
 
 def compare(
@@ -223,41 +204,13 @@ def compare(
     the deterministic replay itself changed, which is never a rounding
     story.
     """
-    problems: list[str] = []
-
-    def rel(cur: float, base: float) -> float:
-        if base == 0.0:
-            return math.inf if cur else 0.0
-        return abs(cur - base) / abs(base)
-
-    for name, base_case in sorted(baseline.get("cases", {}).items()):
-        cur_case = current.get("cases", {}).get(name)
-        if cur_case is None:
-            if require_all:
-                problems.append(f"{name}: missing from current run")
-            continue
-        for metric in _RELATIVE_METRICS:
-            drift = rel(cur_case[metric], base_case[metric])
-            if drift > tolerance:
-                problems.append(
-                    f"{name}: {metric} drifted {drift:.1%} "
-                    f"({base_case[metric]:.6g} -> {cur_case[metric]:.6g})"
-                )
-        for metric in _ABSOLUTE_METRICS:
-            drift = abs(cur_case[metric] - base_case[metric])
-            if drift > tolerance:
-                problems.append(
-                    f"{name}: {metric} drifted {drift:.3f} "
-                    f"({base_case[metric]:.4f} -> {cur_case[metric]:.4f})"
-                )
-        for metric in _EXACT_METRICS:
-            if cur_case[metric] != base_case[metric]:
-                problems.append(
-                    f"{name}: {metric} changed "
-                    f"({base_case[metric]} -> {cur_case[metric]}) — seeded "
-                    "replay is no longer identical"
-                )
-    return problems
+    return compare_cases(
+        current, baseline, tolerance, require_all,
+        relative=("latency_p50_s", "latency_p99_s", "throughput_rps",
+                  "makespan_s"),
+        absolute=("cache_hit_ratio", "utilization"),
+        exact=("offered", "completed", "rejected", "model_steps"),
+    )
 
 
 def summary_table(doc: dict) -> str:

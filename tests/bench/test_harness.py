@@ -7,6 +7,7 @@ import pytest
 
 from repro.bench import (
     DEFAULT_MATRIX,
+    BaselineError,
     BenchCase,
     compare,
     load_baseline,
@@ -81,6 +82,24 @@ class TestDocument:
         bad.write_text(json.dumps({"schema": 99}))
         with pytest.raises(ValueError, match="schema"):
             load_baseline(bad)
+
+    @pytest.mark.parametrize("content, complaint", [
+        (None, "No such file"),
+        ('{"schema": 1, "cases": {"orbit', "not valid JSON"),
+        (b"\xff\xfe{}", "not valid JSON"),
+        ("[]", "expected a JSON object, found list"),
+        ('{"cases": {}}', "schema None"),
+    ])
+    def test_load_names_the_path_and_the_problem(self, tmp_path, content,
+                                                  complaint):
+        path = tmp_path / "baseline.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        with pytest.raises(BaselineError) as raised:
+            load_baseline(path)
+        assert str(path) in str(raised.value) and complaint in str(raised.value)
 
     def test_summary_table_renders(self, quick_doc):
         text = summary_table(quick_doc)

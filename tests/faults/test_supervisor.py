@@ -183,6 +183,24 @@ class TestEscalationAndValidation:
         with pytest.raises(ValueError, match="checkpoint_dir"):
             Supervisor(_meta_spec(), FaultPlan(), checkpoint_every=2)
 
+    @pytest.mark.parametrize("kind", ["gpu_crash", "node_loss"])
+    def test_spent_restart_budget_is_an_unrecovered_event_and_journal_line(
+            self, kind):
+        """Both fatal kinds take the one rollback routine's budget
+        branch (a node loss used to append the message and no event)."""
+        plan = FaultPlan(faults=(FaultSpec(kind=kind, step=1, rank=9),))
+        supervisor = Supervisor(_meta_spec(monitor="on"), plan, max_restarts=0)
+        report = supervisor.run(3)
+        assert not report.recovered
+        assert len(report.unrecovered) == 1
+        assert "restart budget (0) exhausted at step 1" in report.unrecovered[0]
+        assert [(e.action, e.kind, e.rank) for e in report.events] == [
+            ("unrecovered", kind, 9)]
+        journaled = [e for e in supervisor.monitor.journal.events
+                     if e.kind == "recovery"]
+        assert [(e.category, e.data["action"]) for e in journaled] == [
+            (kind, "unrecovered")]
+
     def test_pending_faults_surface_in_report(self):
         plan = FaultPlan(faults=(FaultSpec(kind="gpu_crash", step=50, rank=0),))
         report = Supervisor(_meta_spec(), plan).run(3)

@@ -34,6 +34,13 @@ class TestParser:
         assert exc.value.code == 0
         assert f"repro {command}" in capsys.readouterr().out
 
+    def test_every_subcommand_dispatches_to_its_own_function(self):
+        import repro.cli as cli
+
+        commands = build_parser()._subparsers._group_actions[0].choices
+        assert sorted(f"_cmd_{name}" for name in commands) == sorted(
+            name for name in vars(cli) if name.startswith("_cmd_"))
+
     def test_trace_defaults(self):
         args = build_parser().parse_args(["trace"])
         assert (args.gpus, args.gpus_per_node) == (16, 8)
@@ -277,6 +284,41 @@ class TestBenchCommand:
 
         doc = load_timeseries(ts_dir / written[0])
         assert "step.time_s" in doc["series"]
+
+
+#: name -> (file content or None for "no such file", what the message says).
+UNUSABLE_BASELINES = {
+    "missing": (None, "No such file"),
+    "torn": ('{"schema": 1, "cases": {"orbit-115m-', "not valid JSON"),
+    "not-an-object": ("[1, 2, 3]", "expected a JSON object, found list"),
+    "other-schema": ('{"schema": 99, "cases": {}}', "schema 99"),
+}
+
+
+class TestUnusableBaseline:
+    """``--check`` reads ``--baseline`` before the matrix runs; a file it
+    cannot compare against is one stderr line and exit 2."""
+
+    @pytest.mark.parametrize("command", ["bench", "serve"])
+    @pytest.mark.parametrize("problem", sorted(UNUSABLE_BASELINES))
+    def test_exits_2_naming_the_path_and_the_problem(
+            self, command, problem, tmp_path, capsys, monkeypatch):
+        content, complaint = UNUSABLE_BASELINES[problem]
+        baseline = tmp_path / "baseline.json"
+        if content is not None:
+            baseline.write_text(content)
+        ran = []
+        monkeypatch.setattr("repro.bench.run_matrix",
+                            lambda **kwargs: ran.append(kwargs))
+        monkeypatch.setattr("repro.serve.bench.run_serve_matrix",
+                            lambda **kwargs: ran.append(kwargs))
+        assert main([command, "--quick", "--check",
+                     "--baseline", str(baseline)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro {command}: baseline {baseline}")
+        assert complaint in captured.err and captured.err.count("\n") == 1
+        assert ran == []  # the matrix never started
 
 
 class TestMonitorCommand:
