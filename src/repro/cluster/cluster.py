@@ -8,9 +8,9 @@ from typing import Iterator, Sequence
 from repro.cluster.costmodel import CollectiveCostModel
 from repro.cluster.device import VirtualGPU
 from repro.cluster.process_group import ProcessGroup
-from repro.cluster.timeline import NULL_INJECTOR, Timeline
+from repro.cluster.timeline import Timeline
 from repro.cluster.topology import FrontierTopology, LinkSpec
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.off import OFF
 
 
 class GroupAllocation:
@@ -101,15 +101,14 @@ class VirtualCluster:
             topo_kwargs["inter_node"] = inter_node
         self.topology = FrontierTopology(num_gpus, gpus_per_node, **topo_kwargs)
         self.cost_model = CollectiveCostModel(self.topology)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.injector = NULL_INJECTOR
         if timeline is None:
             timeline = Timeline(num_gpus)
         elif timeline.num_ranks != num_gpus:
             raise ValueError(
                 f"timeline covers {timeline.num_ranks} ranks, cluster has {num_gpus}"
             )
-        self.install_timeline(timeline)
+        self.timeline = timeline
+        self.attach_tracer(tracer)
         self._gpu_memory_bytes = gpu_memory_bytes
         self._track_device_memory = track_device_memory
         self._devices: dict[int, VirtualGPU] = {}
@@ -161,24 +160,31 @@ class VirtualCluster:
         """Create a process group over the given global ranks."""
         return ProcessGroup(self, ranks)
 
+    @property
+    def tracer(self):
+        """The tracer receiving timeline events (``OFF`` when untraced)."""
+        return self.timeline.tracer
+
+    @property
+    def injector(self):
+        """The fault injector the timeline consults before every event."""
+        return self.timeline.injector
+
     def install_timeline(self, timeline: Timeline) -> None:
         """Replace the timeline (e.g. with a
-        :class:`~repro.cluster.timeline.FoldedTimeline`), preserving the
+        :class:`~repro.cluster.timeline.FoldedTimeline`), handing it the
         attached tracer and fault injector."""
-        timeline.tracer = self.tracer
-        timeline.injector = self.injector
+        timeline.tracer, timeline.injector = self.tracer, self.injector
         self.timeline = timeline
 
     def attach_tracer(self, tracer) -> None:
         """Install (or replace) the tracer receiving timeline events."""
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.timeline.tracer = self.tracer
+        self.timeline.tracer = tracer if tracer is not None else OFF
 
     def attach_injector(self, injector) -> None:
         """Install (or replace) the fault injector consulted by the
         timeline before every compute/communication event."""
-        self.injector = injector if injector is not None else NULL_INJECTOR
-        self.timeline.injector = self.injector
+        self.timeline.injector = injector if injector is not None else OFF
 
     def reset(self) -> None:
         """Clear the timeline, trace, and device memory (between runs)."""

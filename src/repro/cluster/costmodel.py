@@ -30,7 +30,7 @@ class CollectiveCostModel:
     The effective link spec of a rank group is priced once per distinct
     group and read from the memo by every later collective over it.
     That is safe because the topology is frozen; faults stretch the
-    *seconds* afterwards (``injector.on_comm``), never the link spec.
+    *seconds* afterwards (``injector.before_comm``), never the link spec.
     """
 
     topology: FrontierTopology

@@ -17,8 +17,8 @@ time passes through :meth:`Timeline.record_compute` or
 :meth:`Timeline.record_comm`, so an attached
 :class:`~repro.obs.tracer.Tracer` receives one span per event with the
 exact pre-record busy clock and the hidden/exposed split.  The default
-handle is the no-op :data:`~repro.obs.tracer.NULL_TRACER`, which keeps
-the untraced path allocation-free.
+tracer and fault injector are :data:`~repro.obs.off.OFF`, the one
+disabled handle, which keeps the untraced path allocation-free.
 
 Being the choke point also makes the timeline the one place an event
 stream can be *captured* and *replayed*: :meth:`Timeline.capture`
@@ -47,45 +47,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.tracer import NULL_TRACER, Tracer
-
-
-class _NullInjector:
-    """No-op fault injector: the default, allocation-free hook.
-
-    A real :class:`~repro.faults.injector.FaultInjector` attached via
-    :meth:`~repro.cluster.cluster.VirtualCluster.attach_injector` sees
-    every event *before* it is recorded, may raise a typed
-    :class:`~repro.faults.errors.FaultError` (the event then never
-    lands on a ledger — the collective never completed), and may
-    stretch the event's seconds (degradation faults).
-    """
-
-    __slots__ = ()
-
-    def on_compute(self, rank, seconds, op):
-        return seconds
-
-    def on_comm(self, ranks, seconds, op):
-        return seconds
-
-    def poison_gradients(self, step, params):
-        return None
-
-    def affects_step(self, step):
-        """No armed fault can touch ``step`` (there are none)."""
-        return False
-
-
-#: Shared no-op injector (mirrors :data:`~repro.obs.tracer.NULL_TRACER`).
-NULL_INJECTOR = _NullInjector()
+from repro.obs.off import OFF
+from repro.obs.tracer import Tracer
 
 
 def stretch_compute(seconds: float, factor: float, op: str) -> float:
     """``seconds`` of compute ``op`` on a rank running ``factor`` times slower.
 
-    The one rule every degradation injector's ``on_compute`` applies.
+    The one rule every degradation injector's ``before_compute`` applies.
     ``pipeline.stall`` is exempt: the engine derives that filler from
     the stages' busy times, which the slowdown has already stretched —
     it is idle time up to the 1F1B makespan, not work, and stretching it
@@ -235,9 +204,9 @@ class Timeline:
             raise ValueError("num_ranks must be positive")
         self._num_ranks = num_ranks
         self._ledgers = self._fresh_ledgers()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else OFF
         #: Fault-injection hook; every event consults it before recording.
-        self.injector = NULL_INJECTOR
+        self.injector = OFF
         #: Collective sequence ids: every ``record_comm`` call issues one
         #: id shared by all participating ranks' spans, so an analyzer
         #: can reconstruct cross-rank dependency edges (which rank's
@@ -269,16 +238,11 @@ class Timeline:
         """
         if seconds < 0:
             raise ValueError("compute seconds must be non-negative")
+        scope = self.tracer.current_scope
         if self._capture is not None:
-            self._capture.append(("compute", rank, seconds, flops, op,
-                                  self.tracer.current_scope))
-        seconds = self.injector.on_compute(rank, seconds, op)
-        led = self._ledgers[rank]
-        t0 = led.walltime_s
-        led.compute_s += seconds
-        led.flops += flops
-        led.overlap_budget_s += seconds
-        self.tracer.on_compute(rank, t0, seconds, flops, op)
+            self._capture.append(("compute", rank, seconds, flops, op, scope))
+        seconds = self.injector.before_compute(rank, seconds, op)
+        self._land_compute(rank, seconds, flops, op, scope)
 
     def record_comm(
         self,
@@ -302,12 +266,45 @@ class Timeline:
         if seconds < 0:
             raise ValueError("comm seconds must be non-negative")
         ranks = tuple(ranks)
+        scope, kind = self.tracer.current_scope, self.tracer.current_comm_kind
         if self._capture is not None:
             self._capture.append(("comm", ranks, seconds, nbytes, overlappable,
-                                  op, self.tracer.current_scope,
-                                  self.tracer.current_comm_kind))
-        seconds = self.injector.on_comm(ranks, seconds, op)
-        cid = next(self._collective_ids)
+                                  op, scope, kind))
+        seconds = self.injector.before_comm(ranks, seconds, op)
+        self._land_comm(ranks, seconds, nbytes, overlappable, op, scope, kind,
+                        next(self._collective_ids))
+
+    def record_free(self, ranks: Iterable[int], name: str, nbytes: float) -> None:
+        """Log a zero-duration release marker (freed gathered shards).
+
+        The marker exists for the tracer alone, so an untraced exact
+        timeline neither emits nor captures it (replaying it here would
+        do nothing); a timeline that keeps an event log
+        (:class:`FoldedTimeline`) always captures and logs it.
+        """
+        if not (self.tracer.enabled or self._keeps_log):
+            return
+        ranks = tuple(ranks)
+        scope = self.tracer.current_scope
+        if self._capture is not None:
+            self._capture.append(("free", ranks, name, nbytes, scope))
+        self._land_free(ranks, name, nbytes, scope)
+
+    # -- landing: the event as the injector left it, on ledgers and tracer
+    #: Whether an untraced timeline still records release markers (a
+    #: folded one logs them for :meth:`FoldedTimeline.expand`).
+    _keeps_log = False
+
+    def _land_compute(self, rank, seconds, flops, op, scope) -> None:
+        led = self._ledgers[rank]
+        t0 = led.walltime_s
+        led.compute_s += seconds
+        led.flops += flops
+        led.overlap_budget_s += seconds
+        self.tracer.on_compute(rank, t0, seconds, flops, op)
+
+    def _land_comm(self, ranks, seconds, nbytes, overlappable, op, scope,
+                   kind, cid) -> None:
         for rank in ranks:
             led = self._ledgers[rank]
             t0 = led.walltime_s
@@ -322,22 +319,9 @@ class Timeline:
             led.exposed_comm_s += seconds - hidden
             self.tracer.on_comm(rank, t0, seconds, hidden, nbytes, op, ranks, cid=cid)
 
-    def record_free(self, ranks: Iterable[int], name: str, nbytes: float) -> None:
-        """Log a zero-duration release marker (freed gathered shards).
-
-        The marker exists for the tracer alone, so an untraced exact
-        timeline neither emits nor captures it (replaying it here would
-        do nothing; a :class:`FoldedTimeline` always logs it).
-        """
-        if not self.tracer.enabled:
-            return
-        ranks = tuple(ranks)
-        if self._capture is not None:
-            self._capture.append(("free", ranks, name, nbytes,
-                                  self.tracer.current_scope))
-        ledgers = self._ledgers
+    def _land_free(self, ranks, name, nbytes, scope) -> None:
         self.tracer.mark_free(
-            ranks, [ledgers[rank].walltime_s for rank in ranks], name, nbytes)
+            ranks, [self._ledgers[r].walltime_s for r in ranks], name, nbytes)
 
     # -- event streams: capture and replay ---------------------------------
     @contextmanager
@@ -411,7 +395,7 @@ class Timeline:
         capture = self._capture
         if (isinstance(events, EventStream) and type(self) is Timeline
                 and not self.tracer.enabled and capture is None
-                and self.injector is NULL_INJECTOR):
+                and self.injector is OFF):
             columns, collectives = events.compiled()
             if columns is not None:
                 self._apply(columns, collectives, offset)
@@ -426,7 +410,7 @@ class Timeline:
             self.tracer.set_context(None)
 
     def _replay(self, events, start, end, offset, renames, memo):
-        # An untraced run has no scope to restore (NullTracer reads "").
+        # An untraced run has no scope to restore (OFF reads "").
         set_context = self.tracer.set_context if self.tracer.enabled else None
         renamed = memo.setdefault(renames, _Renamed(renames)) if renames else None
         i = start
@@ -796,23 +780,13 @@ class FoldedTimeline(Timeline):
                 r for r in key if r in self._rep_set)
         return tracked
 
-    # -- recording ---------------------------------------------------------
-    def record_compute(self, rank, seconds, flops=0.0, op="compute"):
-        if seconds < 0:
-            raise ValueError("compute seconds must be non-negative")
-        scope = self.tracer.current_scope
-        if self._capture is not None:
-            self._capture.append(("compute", rank, seconds, flops, op, scope))
-        seconds = self.injector.on_compute(rank, seconds, op)
+    # -- landing: logged, then per class (folded) or per rank -------------
+    _keeps_log = True
+
+    def _land_compute(self, rank, seconds, flops, op, scope):
         self._log.append(("compute", rank, seconds, flops, op, scope))
         if not self._folded:
-            led = self._ledgers[rank]
-            t0 = led.walltime_s
-            led.compute_s += seconds
-            led.flops += flops
-            led.overlap_budget_s += seconds
-            self.tracer.on_compute(rank, t0, seconds, flops, op)
-            return
+            return super()._land_compute(rank, seconds, flops, op, scope)
         for key in self._covered((rank,)):
             led = self._class_ledgers[key]
             t0 = led.walltime_s
@@ -822,34 +796,13 @@ class FoldedTimeline(Timeline):
             self.tracer.on_compute(self._reps[key], t0, seconds, flops, op,
                                    members=self._sizes[key])
 
-    def record_comm(self, ranks, seconds, nbytes, overlappable=False, op="comm"):
-        if seconds < 0:
-            raise ValueError("comm seconds must be non-negative")
-        ranks = tuple(ranks)
-        scope, kind = self.tracer.current_scope, self.tracer.current_comm_kind
-        if self._capture is not None:
-            self._capture.append(("comm", ranks, seconds, nbytes, overlappable,
-                                  op, scope, kind))
-        seconds = self.injector.on_comm(ranks, seconds, op)
+    def _land_comm(self, ranks, seconds, nbytes, overlappable, op, scope,
+                   kind, cid):
         self._log.append(("comm", ranks, seconds, nbytes, overlappable, op,
                           scope, kind))
-        cid = next(self._collective_ids)
         if not self._folded:
-            for rank in ranks:
-                led = self._ledgers[rank]
-                t0 = led.walltime_s
-                led.comm_s += seconds
-                led.comm_bytes += nbytes
-                if overlappable:
-                    hidden = min(seconds, led.overlap_budget_s)
-                    led.overlap_budget_s -= hidden
-                else:
-                    hidden = 0.0
-                    led.overlap_budget_s = 0.0
-                led.exposed_comm_s += seconds - hidden
-                self.tracer.on_comm(rank, t0, seconds, hidden, nbytes, op,
-                                    ranks, cid=cid)
-            return
+            return super()._land_comm(ranks, seconds, nbytes, overlappable,
+                                      op, scope, kind, cid)
         for key in self._covered(ranks):
             led = self._class_ledgers[key]
             t0 = led.walltime_s
@@ -865,32 +818,23 @@ class FoldedTimeline(Timeline):
             self.tracer.on_comm(self._reps[key], t0, seconds, hidden, nbytes,
                                 op, ranks, cid=cid, members=self._sizes[key])
 
-    def record_free(self, ranks, name, nbytes):
-        ranks = tuple(ranks)
-        entry = ("free", ranks, name, nbytes, self.tracer.current_scope)
-        if self._capture is not None:
-            self._capture.append(entry)
-        self._log.append(entry)
+    def _land_free(self, ranks, name, nbytes, scope):
+        self._log.append(("free", ranks, name, nbytes, scope))
         if not self.tracer.enabled:
             return
-        if self._folded:
-            covered = self._covered(ranks)
-            ranks = [self._reps[key] for key in covered]
-            ledgers = [self._class_ledgers[key] for key in covered]
-        else:
-            ledgers = [self._ledgers[rank] for rank in ranks]
+        if not self._folded:
+            return super()._land_free(ranks, name, nbytes, scope)
+        covered = self._covered(ranks)
         self.tracer.mark_free(
-            ranks, [led.walltime_s for led in ledgers], name, nbytes)
+            [self._reps[key] for key in covered],
+            [self._class_ledgers[key].walltime_s for key in covered],
+            name, nbytes)
 
     # -- summaries ---------------------------------------------------------
     def ledger(self, rank):
         if self._folded:
             return self._class_ledgers[self.partition.class_of(rank)]
         return self._ledgers[rank]
-
-    def class_ledger(self, key) -> RankLedger:
-        """Ledger of one equivalence class (folded mode)."""
-        return self._class_ledgers[key]
 
     def walltime_s(self, ranks=None):
         if not self._folded:
@@ -960,7 +904,7 @@ class FoldedTimeline(Timeline):
         list bitwise equal to what an exact-mode run of the same
         workload records (same floats, same order, same collective ids).
         """
-        tracer = Tracer(metrics=NULL_METRICS)
+        tracer = Tracer(metrics=OFF)
         exact = Timeline(self.num_ranks, tracer=tracer)
         exact.replay(self._log)
         return exact._ledgers, tracer.spans

@@ -74,7 +74,7 @@ class FaultInjector:
 
     The supervisor calls :meth:`begin_step` before driving each step so
     step-indexed injections know when they are armed; the timeline
-    calls :meth:`on_compute` / :meth:`on_comm` per event.  The injector
+    calls :meth:`before_compute` / :meth:`before_comm` per event.  The injector
     survives session teardown (crash recovery re-attaches the same
     instance to the rebuilt cluster), so fire-once bookkeeping spans
     incarnations.
@@ -93,7 +93,7 @@ class FaultInjector:
         Settles, per step and not per event, which entries an event of
         this step can meet — crash-class ones scheduled here,
         degradations whose window covers it, each in plan order.  With
-        none, ``on_compute`` / ``on_comm`` hand the seconds back.
+        none, ``before_compute`` / ``before_comm`` hand the seconds back.
         """
         self.step = step = int(step)
         self._crashes = [
@@ -111,7 +111,7 @@ class FaultInjector:
             a for a in in_window if a.spec.kind is FaultKind.LINK_DEGRADE]
 
     # -- timeline protocol ---------------------------------------------------
-    def on_compute(self, rank: int, seconds: float, op: str) -> float:
+    def before_compute(self, rank: int, seconds: float, op: str) -> float:
         if self._crashes:
             self._maybe_raise((rank,), op, comm=False)
         if not self._stragglers:
@@ -119,7 +119,7 @@ class FaultInjector:
         return stretch_compute(
             seconds, self._factor(self._stragglers, (rank,)), op)
 
-    def on_comm(self, ranks: Sequence[int], seconds: float, op: str) -> float:
+    def before_comm(self, ranks: Sequence[int], seconds: float, op: str) -> float:
         if self._crashes:
             self._maybe_raise(ranks, op, comm=True)
         if not self._link_degrades:

@@ -4,8 +4,8 @@ Three layers, designed so traces are *exact* and *cheap*:
 
 * :mod:`~repro.obs.tracer` — span events (compute / collective /
   gather / optimizer / checkpoint / io) keyed to the simulated clock,
-  with overlap disposition.  :data:`~repro.obs.tracer.NULL_TRACER` is
-  the module-level no-op used when tracing is disabled.
+  with overlap disposition.  :data:`~repro.obs.off.OFF` is the one
+  disabled handle, used when tracing (or any other channel) is off.
 * :mod:`~repro.obs.metrics` — counters, gauges, histograms.
 * :mod:`~repro.obs.export` / :mod:`~repro.obs.analysis` — Chrome
   ``chrome://tracing`` JSON, a plain-text step report, machine-readable
@@ -22,18 +22,16 @@ subcommand) runs a small configured step end to end and exports both
 artifacts.
 """
 
-from repro.obs.metrics import (
+from repro.obs.off import (
     NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-)
-from repro.obs.tracer import (
+    NULL_MONITOR,
     NULL_TRACER,
+    OFF,
+    Off,
+)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.tracer import (
     SPAN_KINDS,
-    NullTracer,
     Span,
     SpanColumns,
     SpanView,
@@ -79,7 +77,7 @@ from repro.obs.journal import (
     journal_summary,
     load_journal,
 )
-from repro.obs.monitor import NULL_MONITOR, NullMonitor, RunMonitor
+from repro.obs.monitor import RunMonitor
 from repro.obs.capture import TraceRun, run_traced_step
 
 __all__ = [
@@ -88,7 +86,8 @@ __all__ = [
     "EventJournal",
     "JournalEvent",
     "NULL_MONITOR",
-    "NullMonitor",
+    "OFF",
+    "Off",
     "P2Quantile",
     "RunMonitor",
     "Series",
@@ -106,8 +105,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_METRICS",
     "NULL_TRACER",
-    "NullMetrics",
-    "NullTracer",
     "SPAN_KINDS",
     "Span",
     "SpanColumns",

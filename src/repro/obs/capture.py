@@ -44,7 +44,7 @@ class TraceRun:
     loss: float
     walltime_s: float
     files: dict[str, Path] = field(default_factory=dict)
-    #: The session's monitor handle (NULL_MONITOR when telemetry is off).
+    #: The session's monitor handle (OFF when telemetry is off).
     monitor: object = None
 
 

@@ -36,6 +36,7 @@ from enum import Enum
 from typing import Iterable
 
 from repro.obs.critical_path import TraceAnalysis, analyze_trace
+from repro.obs.off import OFF
 from repro.utils.logging import get_logger, trace_log_context
 
 _LOG = get_logger("obs.health")
@@ -332,7 +333,7 @@ def check_run(
     if analysis is None:
         analysis = analyze_trace(trace)
     if metrics is None:
-        metrics = getattr(trace, "metrics", None)
+        metrics = getattr(trace, "metrics", OFF)
 
     findings = check_stragglers(analysis, thresholds)
     if plan is not None:
@@ -344,10 +345,9 @@ def check_run(
     severity_rank = {s: i for i, s in enumerate(SEVERITIES)}
     findings.sort(key=lambda f: (-severity_rank[f.severity], f.category, f.ranks))
 
-    if metrics is not None:
-        metrics.gauge("health.findings").set(len(findings))
-        for finding in findings:
-            metrics.counter(f"health.findings.{finding.category}").inc()
+    metrics.gauge("health.findings").set(len(findings))
+    for finding in findings:
+        metrics.counter(f"health.findings.{finding.category}").inc()
     for finding in findings:
         with trace_log_context(rank=finding.ranks[0] if finding.ranks else None):
             _LOG.log(

@@ -222,23 +222,56 @@ class EventJournal:
         return path
 
 
+class ArtifactFormatError(ValueError):
+    """A JSONL artifact (journal, timeseries) its loader cannot use.  The
+    message names the path, the 1-based line and the problem."""
+
+
+def read_jsonl(path, artifact: str, header_kind: str,
+               schema: int) -> tuple[dict, list]:
+    """``(header, [(line number, entry), ...])`` of the JSONL ``artifact``
+    at ``path``: every line a JSON object, the first a ``header_kind``
+    header at ``schema``.  :class:`ArtifactFormatError` otherwise."""
+    numbered = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line:
+            continue
+        where = f"{path}: line {number}"
+        try:
+            entry = json.loads(line)
+        except ValueError as exc:
+            raise ArtifactFormatError(f"{where}: not valid JSON ({exc})") from exc
+        if not isinstance(entry, dict):
+            raise ArtifactFormatError(
+                f"{where}: expected a JSON object, found {type(entry).__name__}")
+        numbered.append((number, entry))
+    if not numbered or numbered[0][1].get("kind") != header_kind:
+        raise ArtifactFormatError(
+            f"{path} is not a {artifact} artifact (no header)")
+    header = numbered[0][1]
+    if header.get("schema") != schema:
+        raise ArtifactFormatError(
+            f"{path} has {artifact} schema {header.get('schema')!r}, "
+            f"expected {schema}"
+        )
+    return header, numbered[1:]
+
+
 def load_journal(path) -> list[JournalEvent]:
     """Read a journal artifact back into :class:`JournalEvent` records."""
-    lines = [json.loads(line) for line in
-             Path(path).read_text().splitlines() if line]
-    if not lines or lines[0].get("kind") != "journal":
-        raise ValueError(f"{path} is not a journal artifact (no header)")
-    header = lines[0]
-    if header.get("schema") != JOURNAL_SCHEMA:
-        raise ValueError(
-            f"{path} has journal schema {header.get('schema')!r}, "
-            f"expected {JOURNAL_SCHEMA}"
-        )
-    events = [JournalEvent(**entry) for entry in lines[1:]]
+    header, entries = read_jsonl(path, "journal", "journal", JOURNAL_SCHEMA)
+    events = []
+    for number, entry in entries:
+        try:
+            events.append(JournalEvent(**entry))
+        except TypeError as exc:  # an unknown or a missing field
+            raise ArtifactFormatError(
+                f"{path}: line {number}: not a journal event ({exc})") from exc
     if [e.seq for e in events] != list(range(len(events))):
-        raise ValueError(f"{path} has a gap or reorder in event seq numbers")
+        raise ArtifactFormatError(
+            f"{path} has a gap or reorder in event seq numbers")
     if len(events) != header.get("events"):
-        raise ValueError(
+        raise ArtifactFormatError(
             f"{path} header promises {header.get('events')} events, "
             f"found {len(events)}"
         )

@@ -6,9 +6,9 @@ so instrumented code never has to pre-declare what it measures, and a
 name can only ever hold one instrument type (re-requesting it with a
 different type is an error, not a silent shadow).
 
-The :data:`NULL_METRICS` registry mirrors the no-op tracer: its
-accessors hand back a shared inert instrument, so disabled callers pay
-one attribute lookup and one no-op call — no conditionals.
+The disabled registry is :data:`~repro.obs.off.OFF`: its accessors hand
+back ``OFF`` again, so disabled callers pay one attribute lookup and one
+no-op call — no conditionals.
 """
 
 from __future__ import annotations
@@ -172,58 +172,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._instruments)
-
-
-class _NullInstrument:
-    """Accepts every instrument method as a no-op."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def max(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetrics:
-    """Inert registry backing the no-op tracer."""
-
-    __slots__ = ()
-    generation = 0
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def names(self) -> tuple:
-        return ()
-
-    def as_dict(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def reset(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_METRICS = NullMetrics()

@@ -21,9 +21,9 @@ rebuilds the Session after a crash or node loss, and
 fresh (zeroed) timeline — the same external-ownership pattern as the
 :class:`~repro.faults.injector.FaultInjector`.
 
-:data:`NULL_MONITOR` mirrors ``NULL_TRACER``: the default handle is a
-no-op object, so unmonitored runs pay one attribute lookup per hook
-and allocate nothing.
+With monitoring off the handle is :data:`~repro.obs.off.OFF`, the one
+disabled handle every observability channel shares: each hook is a
+no-op call and allocates nothing.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import statistics
 
 from repro.obs.detect import AlertRule, DetectorBank
 from repro.obs.journal import EventJournal, journal_summary
+from repro.obs.off import OFF
 from repro.obs.timeseries import TimeseriesStore
 
 
@@ -147,20 +148,13 @@ class RunMonitor:
             values["memory.peak_fraction"] = fraction
         self._observe(step, values)
 
-    def on_loss(self, loop, event) -> None:
-        pass
-
     def on_checkpoint(self, loop, event) -> None:
         self.record_checkpoint(event.step, "save")
 
     def on_health(self, loop, findings) -> None:
+        step = getattr(loop, "step", 0)
         for finding in findings:
-            self.journal.record_finding(
-                self._loop_step(loop), finding, kind="health"
-            )
-
-    def _loop_step(self, loop) -> int:
-        return getattr(loop, "step", 0)
+            self.journal.record_finding(step, finding, kind="health")
 
     def _peak_memory_fraction(self):
         best = None
@@ -256,74 +250,7 @@ class RunMonitor:
         return "\n".join(lines)
 
 
-class NullMonitor:
-    """The disabled monitor: every hook is a no-op, nothing is stored.
-
-    Mirrors :class:`~repro.obs.tracer.NullTracer` — monitored code
-    holds a monitor handle and calls it unconditionally; with this
-    object installed the telemetry layer costs one dynamic dispatch
-    per hook and allocates nothing.
-    """
-
-    enabled = False
-
-    __slots__ = ()
-
-    def attach_session(self, session) -> None:
-        pass
-
-    def on_step_start(self, loop, step) -> None:
-        pass
-
-    def on_step_end(self, loop, event) -> None:
-        pass
-
-    def on_loss(self, loop, event) -> None:
-        pass
-
-    def on_checkpoint(self, loop, event) -> None:
-        pass
-
-    def on_health(self, loop, findings) -> None:
-        pass
-
-    def observe_gauges(self, step, values) -> None:
-        pass
-
-    def record_fold(self, step, mode, reason="") -> None:
-        pass
-
-    def record_checkpoint(self, step, action, *, detail="") -> None:
-        pass
-
-    def record_recovery(self, event) -> None:
-        pass
-
-    def record_replan(self, step, category, *, severity="info", message="",
-                      data=None) -> None:
-        pass
-
-    def record_run(self, step, phase, detail="") -> None:
-        pass
-
-    @property
-    def critical_alerts(self) -> int:
-        return 0
-
-    @property
-    def warning_alerts(self) -> int:
-        return 0
-
-    @property
-    def alerts(self) -> tuple:
-        return ()
-
-
-#: Shared module-level no-op monitor; the default handle everywhere.
-NULL_MONITOR = NullMonitor()
-
-
 def monitor_for(spec):
     """The default handle for ``spec``: a fresh :class:`RunMonitor` when
-    ``spec.monitor == "on"``, :data:`NULL_MONITOR` otherwise."""
-    return RunMonitor() if spec.monitor == "on" else NULL_MONITOR
+    ``spec.monitor == "on"``, :data:`~repro.obs.off.OFF` otherwise."""
+    return RunMonitor() if spec.monitor == "on" else OFF

@@ -1,0 +1,77 @@
+"""The disabled observer: one stateless handle for every channel that is off.
+
+Tracer, metrics registry, run monitor and fault injector are called
+unconditionally; :data:`OFF` is each of them when off.  Every method
+call sites invoke on a handle that may be off is written here once and
+returns its neutral value (table in DESIGN.md, "Instrumentation: one
+disabled handle"); there is no instance state for a call to change.
+The timeline's per-event hooks spell out the live signature (no
+argument packing on the hot path), the rest take any arguments.
+``tests/obs/test_off.py`` holds each to the live class's signature.
+"""
+
+from __future__ import annotations
+
+
+class Off:
+    """Tracer, metrics registry, instrument, monitor and injector, all off."""
+
+    __slots__ = ()
+
+    enabled = False
+    spans = alerts = ()
+    critical_alerts = warning_alerts = generation = 0
+    current_scope = ""
+    current_comm_kind = "collective"
+
+    def _nothing(self, *args, **kwargs) -> None:
+        """A hook whose live result no call site reads."""
+
+    set_context = span = instant = mark_free = clear = __exit__ = _nothing
+    reset = inc = set = max = observe = _nothing
+    attach_session = on_step_start = on_step_end = on_checkpoint = _nothing
+    on_health = observe_gauges = _nothing
+    record_fold = record_checkpoint = record_recovery = _nothing
+    record_replan = record_run = poison_gradients = _nothing
+
+    def _self(self, *args, **kwargs) -> "Off":
+        """A hook whose live result is another handle: this one."""
+        return self
+
+    metrics = property(_self)
+    scope = __enter__ = counter = gauge = histogram = _self
+
+    # -- the timeline's per-event hooks, in their live signatures ----------
+    def on_compute(self, rank, t0, seconds, flops, op, members=None) -> None:
+        return None
+
+    def on_comm(self, rank, t0, seconds, hidden_s, nbytes, op, group,
+                cid=None, members=None) -> None:
+        return None
+
+    def before_compute(self, rank, seconds, op):
+        return seconds
+
+    def before_comm(self, ranks, seconds, op):
+        return seconds
+
+    # -- neutral values ----------------------------------------------------
+    def affects_step(self, step) -> bool:
+        return False
+
+    def as_dict(self) -> dict:
+        return {"counters": {}, "gauges": {}, "histograms": {}}
+
+    def snapshot(self) -> dict:
+        return {}
+
+    def __len__(self) -> int:
+        return 0
+
+
+#: The one disabled handle: the default tracer, registry, monitor and
+#: injector everywhere.
+OFF = Off()
+
+#: The names each channel's default went by; all four are :data:`OFF`.
+NULL_TRACER = NULL_METRICS = NULL_MONITOR = NULL_INJECTOR = OFF

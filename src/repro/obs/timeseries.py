@@ -26,6 +26,8 @@ import math
 from collections import deque
 from pathlib import Path
 
+from repro.obs.journal import ArtifactFormatError, read_jsonl
+
 #: Format version of the timeseries JSONL artifact.
 TIMESERIES_SCHEMA = 1
 
@@ -320,31 +322,31 @@ def load_timeseries(path) -> dict:
     ``series`` maps names to ``{"summary", "rollups", "points"}`` — the
     read side of the round-trip tests and offline analysis.
     """
-    lines = [json.loads(line) for line in
-             Path(path).read_text().splitlines() if line]
-    if not lines or lines[0].get("kind") != "header":
-        raise ValueError(f"{path} is not a timeseries artifact (no header)")
-    header = lines[0]
-    if header.get("schema") != TIMESERIES_SCHEMA:
-        raise ValueError(
-            f"{path} has timeseries schema {header.get('schema')!r}, "
-            f"expected {TIMESERIES_SCHEMA}"
-        )
+    header, entries = read_jsonl(path, "timeseries", "header",
+                                 TIMESERIES_SCHEMA)
     series: dict[str, dict] = {}
-    for entry in lines[1:]:
-        kind = entry.pop("kind")
-        if kind == "series":
-            series[entry["name"]] = {
-                "summary": entry, "rollups": [], "points": []
-            }
-        elif kind == "rollup":
-            series[entry.pop("name")]["rollups"].append(entry)
-        elif kind == "point":
-            series[entry.pop("name")]["points"].append(
-                (entry["step"], entry["value"])
-            )
-        else:
-            raise ValueError(f"unknown timeseries line kind {kind!r}")
+    for number, entry in entries:
+        where = f"{path}: line {number}"
+        try:
+            kind = entry.pop("kind")
+            if kind == "series":
+                series[entry["name"]] = {
+                    "summary": entry, "rollups": [], "points": []
+                }
+                continue
+            if kind not in ("rollup", "point"):
+                raise ArtifactFormatError(
+                    f"{where}: unknown timeseries line kind {kind!r}")
+            target = series.get(entry.pop("name"))
+            if target is None:
+                raise ArtifactFormatError(
+                    f"{where}: {kind} line before its series line")
+            if kind == "rollup":
+                target["rollups"].append(entry)
+            else:
+                target["points"].append((entry["step"], entry["value"]))
+        except KeyError as exc:  # a field the line's kind requires
+            raise ArtifactFormatError(f"{where}: no {exc.args[0]!r}") from None
     return {
         "schema": header["schema"],
         "capacity": header["capacity"],

@@ -29,9 +29,9 @@ the rows into NumPy columns once per analysis (:mod:`repro.obs.analysis`,
 :mod:`repro.obs.critical_path`).  Only this module knows the row layout.
 
 Call sites annotate, they never branch: code holds a tracer handle
-(the cluster's, or :data:`NULL_TRACER`), and the disabled path is a
-no-op object with the same methods — zero events, no conditionals in
-instrumented code.
+(the cluster's, or :data:`~repro.obs.off.OFF`), and the disabled path
+is the one disabled handle every channel shares — zero events, no
+conditionals in instrumented code.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from operator import eq
 
 import numpy as np
 
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.utils.logging import trace_log_context
 
 _STEP_SCOPE = re.compile(r"^step\.(\d+)$")
@@ -470,68 +470,3 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self._rows)
-
-
-class _NullScope:
-    """Reusable inert context manager returned by ``NullTracer.scope``."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-
-class NullTracer:
-    """The disabled tracer: every method is a no-op, ``spans`` is empty.
-
-    Instrumented code holds a tracer handle and calls it
-    unconditionally; with this object installed the whole
-    observability layer costs one dynamic dispatch per record and
-    allocates nothing.
-    """
-
-    enabled = False
-    spans: tuple = ()
-    metrics = NULL_METRICS
-    current_scope = ""
-    current_comm_kind = "collective"
-
-    __slots__ = ()
-
-    def scope(self, *parts, kind: str | None = None):
-        return _NULL_SCOPE
-
-    def set_context(self, scope, kind=None) -> None:
-        pass
-
-    def span(self, *args, **kwargs) -> None:
-        return None
-
-    def instant(self, *args, **kwargs) -> None:
-        return None
-
-    def on_compute(self, rank, t0, seconds, flops, op, members=None) -> None:
-        pass
-
-    def on_comm(self, rank, t0, seconds, hidden_s, nbytes, op, group,
-                cid=None, members=None) -> None:
-        pass
-
-    def mark_free(self, ranks, clocks, name, nbytes) -> None:
-        pass
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: Shared module-level no-op tracer; the default handle everywhere.
-NULL_TRACER = NullTracer()

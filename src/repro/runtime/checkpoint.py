@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.off import OFF
 
 #: Archive format version; bumped on any incompatible layout change.
 #: Schema 2 adds a per-array integrity manifest (crc32/shape/dtype);
@@ -76,7 +76,7 @@ def _verify_manifest(path: Path, arrays: dict, manifest: dict) -> None:
 
 
 def save_archive(path, arrays: dict[str, np.ndarray], metadata: dict,
-                 tracer=None) -> Path:
+                 tracer=OFF) -> Path:
     """Write namespaced arrays + JSON metadata to one ``.npz``.
 
     Returns the path of the file written: NumPy appends ``.npz`` to a
@@ -88,7 +88,6 @@ def save_archive(path, arrays: dict[str, np.ndarray], metadata: dict,
     the serial model-checkpoint path, so checkpoint cost shows up on
     the same timeline as compute and collectives.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_name(path.name + ".npz")
@@ -111,7 +110,7 @@ def save_archive(path, arrays: dict[str, np.ndarray], metadata: dict,
     return path
 
 
-def load_archive(path, tracer=None,
+def load_archive(path, tracer=OFF,
                  verify: bool = True) -> tuple[dict[str, np.ndarray], dict]:
     """Read an archive written by :func:`save_archive`.
 
@@ -123,7 +122,6 @@ def load_archive(path, tracer=None,
     schema version.  ``verify=False`` skips the manifest pass (already
     trusted archives).
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
     path = Path(path)
     try:
         archive = np.load(path)

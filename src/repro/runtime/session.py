@@ -99,7 +99,7 @@ class Session:
     monitor:
         Optional :class:`~repro.obs.monitor.RunMonitor`.  Defaults to a
         fresh monitor when ``spec.monitor == "on"`` and
-        :data:`~repro.obs.monitor.NULL_MONITOR` otherwise.  Pass an
+        :data:`~repro.obs.off.OFF` otherwise.  Pass an
         existing instance to keep one telemetry stream across session
         rebuilds (the Supervisor does this through ``session_kwargs``,
         the same pattern as the fault injector).
@@ -172,7 +172,7 @@ class Session:
             from repro.obs.monitor import monitor_for
 
             monitor = monitor_for(spec)
-        #: Streaming telemetry handle (never None; NULL_MONITOR when off).
+        #: Streaming telemetry handle (never None; OFF when off).
         self.monitor = monitor
         self.monitor.attach_session(self)
         #: Synthetic-batch stream state; persisted by :meth:`save`.

@@ -168,7 +168,7 @@ class RunSpec:
     #: Streaming telemetry: ``"on"`` attaches a
     #: :class:`~repro.obs.monitor.RunMonitor` (per-step timeseries,
     #: anomaly detectors, event journal); ``"off"`` installs
-    #: :data:`~repro.obs.monitor.NULL_MONITOR`.  Telemetry reads the
+    #: :data:`~repro.obs.off.OFF`.  Telemetry reads the
     #: ledgers but never writes them, so monitored and unmonitored
     #: runs are bitwise identical — a policy knob, not identity.
     monitor: str = field(default="off", metadata=_POLICY)

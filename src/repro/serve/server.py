@@ -30,14 +30,14 @@ byte-identical journals (asserted in ``tests/serve/test_server.py``).
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.obs.journal import EventJournal
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.off import OFF
 from repro.serve.autoscale import Autoscaler, ScaleDecision
 from repro.serve.batcher import Batch, MicroBatcher
 from repro.serve.cache import RolloutPrefixCache
@@ -50,6 +50,7 @@ from repro.serve.request import (
     ForecastRequest,
     ForecastResponse,
     LatencyWindow,
+    RequestError,
 )
 
 _JSON_KWARGS = dict(sort_keys=True, separators=(",", ":"))
@@ -151,7 +152,7 @@ class ForecastServer:
         policy: ServePolicy | None = None,
         *,
         cost_model: ServiceCostModel | None = None,
-        tracer=NULL_TRACER,
+        tracer=OFF,
         journal: EventJournal | None = None,
         metrics: MetricsRegistry | None = None,
     ):
@@ -189,7 +190,13 @@ class ForecastServer:
 
     # -- the run -------------------------------------------------------------
     def serve(self, requests: list[ForecastRequest]) -> ServeReport:
-        """Run the full workload to completion; one call per server."""
+        """Run the full workload to completion; one call per server.  Two
+        requests sharing a ``request_id`` (their responses could not be
+        told apart) raise :class:`RequestError` before anything runs."""
+        ids = Counter(request.request_id for request in requests)
+        repeated = [request_id for request_id, n in ids.items() if n > 1]
+        if repeated:
+            raise RequestError(f"request {repeated[0]}: duplicate request_id")
         self._arrivals_remaining = len(requests)
         # the forecaster outlives this server: publish this run's share
         tape_before = self.forecaster.infer.counts()

@@ -8,16 +8,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.nn.module import Module
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.off import OFF
 
 
-def save_checkpoint(module: Module, path, metadata: dict | None = None, tracer=None) -> None:
+def save_checkpoint(module: Module, path, metadata: dict | None = None, tracer=OFF) -> None:
     """Write every parameter (plus JSON metadata) to an ``.npz`` file.
 
     An attached tracer receives a ``checkpoint`` marker (parameter
     count/bytes) and an ``io`` marker for the archive write.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     state = module.state_dict()
@@ -33,14 +32,13 @@ def save_checkpoint(module: Module, path, metadata: dict | None = None, tracer=N
     tracer.metrics.counter("checkpoint.saves").inc()
 
 
-def load_checkpoint(module: Module, path, tracer=None) -> dict:
+def load_checkpoint(module: Module, path, tracer=OFF) -> dict:
     """Load parameters saved by :func:`save_checkpoint`; returns the metadata.
 
     Raises ``KeyError`` when the archive's parameter set does not match
     the module's (missing or extra keys), ``ValueError`` on shape
     mismatches.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
     path = Path(path)
     with np.load(path) as archive:
         state = {

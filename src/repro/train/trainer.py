@@ -9,7 +9,7 @@ import numpy as np
 from repro.nn.context import ExecutionContext, execution_context
 from repro.nn.grad_scaler import DynamicGradScaler
 from repro.nn.precision import PrecisionPolicy
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.off import OFF
 from repro.train.loss import latitude_weighted_mse
 from repro.train.optimizer import AdamW
 from repro.train.schedule import WarmupCosineSchedule
@@ -80,7 +80,7 @@ class Trainer:
     ):
         if accumulation_steps < 1:
             raise ValueError("accumulation_steps must be positive")
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else OFF
         self.model = model
         self.batches = iter(batches)
         self.lat_weights = lat_weights

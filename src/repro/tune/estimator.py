@@ -134,10 +134,10 @@ class _ProfileInjector:
         self._compute_factors = compute_factors
         self._link_factors = link_factors
 
-    def on_compute(self, rank, seconds, op):
+    def before_compute(self, rank, seconds, op):
         return stretch_compute(seconds, self._compute_factors.get(rank, 1.0), op)
 
-    def on_comm(self, ranks, seconds, op):
+    def before_comm(self, ranks, seconds, op):
         for rank in ranks:
             seconds = seconds * self._link_factors.get(rank, 1.0)
         return seconds

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.cluster import Timeline
 from repro.cluster.symmetry import RankClassPartition
 from repro.cluster.timeline import FoldedTimeline, RankLedger
-from repro.obs.metrics import NULL_METRICS
+from repro.obs import NULL_METRICS
 from repro.obs.tracer import Tracer
 
 # One timeline event: either compute or a collective with an overlap flag.

@@ -23,7 +23,7 @@ from repro.core.hybrid_block import HybridSTOPTrunk
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.meta import MetaArray
-from repro.obs.tracer import NULL_TRACER
+from repro.obs import NULL_TRACER
 from repro.runtime import RunSpec, Session
 from tests.cluster.test_fold_parity import (
     LEGAL_GRIDS,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import VirtualCluster
-from repro.cluster.timeline import NULL_INJECTOR
+from repro.obs.off import NULL_INJECTOR
 from repro.faults import (
     CollectiveTimeoutError,
     FaultError,
@@ -251,14 +251,14 @@ class _PerEventInjector(FaultInjector):
     sets: every event walks every armed entry, twice.  Kept here as the
     oracle of the hot path."""
 
-    def on_compute(self, rank, seconds, op):
+    def before_compute(self, rank, seconds, op):
         from repro.cluster.timeline import stretch_compute
 
         self._raise_per_event((rank,), op, comm=False)
         return stretch_compute(
             seconds, self._factor_per_event(FaultKind.STRAGGLER, (rank,)), op)
 
-    def on_comm(self, ranks, seconds, op):
+    def before_comm(self, ranks, seconds, op):
         self._raise_per_event(tuple(ranks), op, comm=True)
         return seconds * self._factor_per_event(FaultKind.LINK_DEGRADE, ranks)
 
@@ -347,9 +347,9 @@ def _drive(injector, schedule):
         for tag, target, op in actions:
             try:
                 if tag == "compute":
-                    seen.append(injector.on_compute(target, 0.3, op).hex())
+                    seen.append(injector.before_compute(target, 0.3, op).hex())
                 elif tag == "comm":
-                    seen.append(injector.on_comm(target, 0.7, op).hex())
+                    seen.append(injector.before_comm(target, 0.7, op).hex())
                 else:
                     survivors = [r for r in range(_WORLD) if r not in target]
                     seen.append(injector.remap_ranks(
@@ -377,13 +377,13 @@ def test_a_step_no_fault_touches_returns_seconds_untouched():
         FaultSpec(kind="straggler", step=2, rank=0, factor=8.0),)))
     injector.begin_step(1)
     seconds = 0.25
-    assert injector.on_compute(0, seconds, "gemm") is seconds
-    assert injector.on_comm((0, 1), seconds, "all_reduce") is seconds
+    assert injector.before_compute(0, seconds, "gemm") is seconds
+    assert injector.before_comm((0, 1), seconds, "all_reduce") is seconds
 
 
 @pytest.mark.parametrize("kind, event", [
-    ("straggler", lambda inj: inj.on_compute(3, 0.3, "gemm")),
-    ("link_degrade", lambda inj: inj.on_comm((1, 3), 0.3, "all_reduce")),
+    ("straggler", lambda inj: inj.before_compute(3, 0.3, "gemm")),
+    ("link_degrade", lambda inj: inj.before_comm((1, 3), 0.3, "all_reduce")),
 ])
 def test_overlapping_windows_multiply_in_plan_order(kind, event):
     factors = (1.7, 3.0, 1e3 / 3)  # (a * b) * c != (c * b) * a in floats

@@ -122,3 +122,34 @@ class TestPersistence:
 
     def test_schema_constant_is_one(self):
         assert JOURNAL_SCHEMA == 1
+
+
+def _tear(lines):
+    lines[-1] = lines[-1][:len(lines[-1]) // 2]
+    return len(lines)
+
+
+def _not_an_object(lines):
+    lines[2] = "[1]"
+    return 3
+
+
+def _unknown_field(lines):
+    lines[2] = lines[2][:-1] + ',"bogus":1}'
+    return 3
+
+
+@pytest.mark.parametrize("damage, problem", [
+    (_tear, "not valid JSON"),
+    (_not_an_object, "expected a JSON object, found list"),
+    (_unknown_field, "not a journal event"),
+], ids=["torn-last-line", "not-an-object", "unknown-field"])
+def test_a_damaged_journal_names_the_path_the_line_and_the_problem(
+        tmp_path, damage, problem):
+    path = tmp_path / "journal.jsonl"
+    lines = sample_journal().to_jsonl().splitlines()
+    number = damage(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_journal(path)
+    assert str(info.value).startswith(f"{path}: line {number}: {problem}")

@@ -89,24 +89,6 @@ class TestMonitoredSession:
 
 
 class TestZeroOverhead:
-    def test_null_objects_record_nothing(self):
-        from repro.obs import NULL_METRICS, NULL_TRACER
-
-        with NULL_TRACER.scope("step", 0):
-            NULL_TRACER.instant("optimizer", "apply", t0=0.0)
-        NULL_METRICS.counter("x").inc()
-        NULL_METRICS.gauge("y").set(1.0)
-        assert len(NULL_TRACER.spans) == 0
-        assert len(NULL_METRICS) == 0 and NULL_METRICS.snapshot() == {}
-
-        NULL_MONITOR.on_step_start(None, 0)
-        NULL_MONITOR.on_step_end(None, None)
-        NULL_MONITOR.observe_gauges(0, {"m": 1.0})
-        NULL_MONITOR.record_fold(0, "exact")
-        assert NULL_MONITOR.alerts == ()
-        assert NULL_MONITOR.critical_alerts == 0
-        assert not NULL_MONITOR.enabled
-
     def test_monitored_step_is_bitwise_equal_to_unmonitored(self):
         plain = _monitored_run(_spec(fold="off"))
         monitored = _monitored_run(_spec(fold="off", monitor="on"))

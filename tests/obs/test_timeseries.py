@@ -168,3 +168,44 @@ class TestTimeseriesStore:
         worse.write_text('{"kind":"header","schema":99}\n')
         with pytest.raises(ValueError, match="schema"):
             load_timeseries(worse)
+
+
+def _tear(lines):
+    lines[-1] = lines[-1][:len(lines[-1]) // 2]
+    return len(lines)
+
+
+def _not_an_object(lines):
+    lines[2] = "[1]"
+    return 3
+
+
+def _point_before_its_series(lines):
+    point = next(i for i, line in enumerate(lines) if '"kind":"point"' in line)
+    lines.insert(1, lines.pop(point))
+    return 2
+
+
+def _no_kind(lines):
+    lines[1] = lines[1].replace('"kind":"series",', "")
+    return 2
+
+
+@pytest.mark.parametrize("damage, problem", [
+    (_tear, "not valid JSON"),
+    (_not_an_object, "expected a JSON object, found list"),
+    (_point_before_its_series, "point line before its series line"),
+    (_no_kind, "no 'kind'"),
+], ids=["torn-last-line", "not-an-object", "point-before-series", "no-kind"])
+def test_a_damaged_timeseries_names_the_path_the_line_and_the_problem(
+        tmp_path, damage, problem):
+    store = TimeseriesStore(capacity=8, rollup_every=4)
+    for step in range(10):
+        store.record(step, {"x": float(step)})
+    path = tmp_path / "ts.jsonl"
+    lines = store.to_jsonl().splitlines()
+    number = damage(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_timeseries(path)
+    assert str(info.value).startswith(f"{path}: line {number}: {problem}")

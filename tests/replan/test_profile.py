@@ -79,8 +79,8 @@ class TestFromInjector:
         for step in range(through_step + 1):
             injector.begin_step(step)
             for rank in range(4):
-                injector.on_compute(rank, 1.0, "block")
-            injector.on_comm(tuple(range(4)), 1.0, "all_gather")
+                injector.before_compute(rank, 1.0, "block")
+            injector.before_comm(tuple(range(4)), 1.0, "all_gather")
         return injector
 
     def test_before_anything_fires_profile_is_clean(self):

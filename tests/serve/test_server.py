@@ -14,8 +14,10 @@ from repro.obs.journal import EventJournal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.serve import (
+    ForecastRequest,
     ForecastServer,
     LoadSpec,
+    RequestError,
     ServePolicy,
     STATUS_REJECTED,
     generate_requests,
@@ -194,3 +196,19 @@ class TestQueueDepth:
         assert max(ready_batches) > 4  # batches did pile up behind the replica
         assert server.queue_depth == 0
         assert len(report.responses) == len(ready_batches)
+
+
+class TestDuplicateRequestIds:
+    def test_rejected_before_anything_is_scheduled_journaled_or_counted(
+        self, forecaster, dataset
+    ):
+        out_vars = (dataset.out_names[0],)
+        server = ForecastServer(forecaster, dataset, metrics=MetricsRegistry())
+        cache_before = server.cache.stats()
+        with pytest.raises(RequestError, match="request 7: duplicate request_id"):
+            server.serve([ForecastRequest(7, 3, 2, out_vars, 0.0),
+                          ForecastRequest(7, 5, 4, out_vars, 0.1)])
+        assert server.cache.stats() == cache_before
+        assert len(server.journal) == 0
+        assert server.metrics.snapshot() == {}
+        assert server.loop.pending == 0 and server.loop.fired == 0
