@@ -2,10 +2,11 @@
 
 The paper dismisses pipeline parallelism because "the scalability for
 pipeline parallelism is limited by the number of model layers".  This
-benchmark makes that executable: the pipeline engine refuses more
-stages than layers, its maximal model size plateaus once GPUs exceed
-the 56-layer depth, while Hybrid-STOP keeps scaling; and the GPipe
-bubble shrinks only with more micro-batches — i.e. more memory.
+benchmark makes that executable: the engine refuses more pipeline
+stages than layers, the pipeline's maximal model size plateaus once
+GPUs exceed the 56-layer depth, while Hybrid-STOP keeps scaling; and
+the GPipe bubble shrinks only with more micro-batches — i.e. more
+memory.
 """
 
 import numpy as np
@@ -13,9 +14,9 @@ import pytest
 
 from repro.cluster import VirtualCluster
 from repro.memory.estimator import MemoryModel, Parallelism
-from repro.models import ORBIT_113B
-from repro.nn.transformer import TransformerStack
-from repro.parallel import PipelineLimitError, PipelineParallelTrunk
+from repro.models import ORBIT_113B, OrbitConfig, build_model
+from repro.parallel import HybridParallelPlan, HybridSTOPEngine, PipelineLimitError
+from repro.parallel.stages import bubble_fraction
 
 
 def _max_sizes():
@@ -29,6 +30,7 @@ def _max_sizes():
     }
 
 
+@pytest.mark.quick
 def test_pipeline_layer_limit(once):
     sizes = once(_max_sizes)
     rows = "\n".join(
@@ -39,10 +41,11 @@ def test_pipeline_layer_limit(once):
     print(f"\nmax model size, pipeline vs Hybrid-STOP:\n{rows}")
 
     # The executable limit: stages cannot exceed layers.
-    serial = TransformerStack(8, 2, 2, rng=0)
-    cluster = VirtualCluster(num_gpus=4)
+    config = OrbitConfig("two-layer", embed_dim=8, depth=2, num_heads=2, in_vars=2,
+                         out_vars=2, img_height=8, img_width=8, patch_size=4)
+    plan = HybridParallelPlan(VirtualCluster(num_gpus=3), pp_size=3)
     with pytest.raises(PipelineLimitError):
-        PipelineParallelTrunk(serial, cluster, num_stages=3)
+        HybridSTOPEngine(build_model(config, rng=0, dtype=np.float64), plan)
 
     # The scaling consequence: pipeline plateaus at depth (56 layers for
     # the 113B template), Hybrid-STOP keeps growing.
@@ -50,7 +53,4 @@ def test_pipeline_layer_limit(once):
     assert sizes[512]["hybrid"] > 1.5 * sizes[512]["pipeline"]
 
     # And the bubble: halving it requires ~doubling in-flight micro-batches.
-    serial = TransformerStack(8, 8, 2, rng=0)
-    cluster = VirtualCluster(num_gpus=8)
-    pipe = PipelineParallelTrunk(serial, cluster, num_stages=8)
-    assert pipe.bubble_fraction(4) > 2.5 * pipe.bubble_fraction(32)
+    assert bubble_fraction(8, 4) > 2.5 * bubble_fraction(8, 32)

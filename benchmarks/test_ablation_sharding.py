@@ -1,46 +1,45 @@
 """Ablation: peak memory across sharding strategies (paper Figs 2-3).
 
-Runs the *actual engines* on the virtual cluster and compares the
-device-tracker peak memory: FSDP without layer wrapping (the
-full-model gather of Fig 2), FSDP with wrapping, and Hybrid-STOP
-(which gathers only one layer's tensor-parallel shard at a time).
+Runs the one engine at three grid points on the virtual cluster and
+compares the device-tracker peak memory: plain FSDP (``tp=1``) without
+layer wrapping (the full-model gather of Fig 2), plain FSDP with
+wrapping, and Hybrid-STOP at ``tp=2, fsdp=2`` (which gathers only one
+layer's tensor-parallel shard at a time).  All three run the same
+sharding code, so the comparison is apples to apples.
 """
 
 import numpy as np
+import pytest
 
 from repro.cluster import VirtualCluster
 from repro.core import HybridSTOPTrunk
 from repro.nn.transformer import TransformerStack
-from repro.parallel import FSDPModule, HybridParallelPlan
+from repro.parallel import HybridParallelPlan
 
 
 def _measure(seed: int = 0, dim: int = 32, depth: int = 4):
     def stack():
         return TransformerStack(dim, depth, 2, rng=seed, dtype=np.float64)
 
-    rng = np.random.default_rng(seed)
-    xs4 = [rng.normal(size=(1, 4, dim)) for _ in range(4)]
-    grads4 = [rng.normal(size=(1, 4, dim)) for _ in range(4)]
-    peaks = {}
-
-    for wrapping, label in ((False, "fsdp (no wrapping)"), (True, "fsdp (wrapped)")):
+    def peak(tp, fsdp, micro_batch, layer_wrapping=True):
         cluster = VirtualCluster(num_gpus=4, gpus_per_node=8)
-        engine = FSDPModule(stack(), cluster.world, layer_wrapping=wrapping)
-        engine.forward(xs4)
-        engine.backward(grads4)
-        peaks[label] = max(cluster.device(r).memory.peak_bytes for r in range(4))
+        plan = HybridParallelPlan(cluster, tp_size=tp, fsdp_size=fsdp)
+        trunk = HybridSTOPTrunk(stack(), plan, layer_wrapping=layer_wrapping)
+        xs = [rng.normal(size=(micro_batch, 4, dim)) for _ in range(fsdp)]
+        grads = [rng.normal(size=(micro_batch, 4, dim)) for _ in range(fsdp)]
+        trunk.forward(xs)
+        trunk.backward(grads)
+        return max(cluster.device(r).memory.peak_bytes for r in range(4))
 
-    cluster = VirtualCluster(num_gpus=4, gpus_per_node=8)
-    plan = HybridParallelPlan(cluster, tp_size=2, fsdp_size=2)
-    trunk = HybridSTOPTrunk(stack(), plan)
-    xs2 = [rng.normal(size=(2, 4, dim)) for _ in range(2)]
-    grads2 = [rng.normal(size=(2, 4, dim)) for _ in range(2)]
-    trunk.forward(xs2)
-    trunk.backward(grads2)
-    peaks["hybrid-stop"] = max(cluster.device(r).memory.peak_bytes for r in range(4))
-    return peaks
+    rng = np.random.default_rng(seed)
+    return {
+        "fsdp (no wrapping)": peak(1, 4, 1, layer_wrapping=False),
+        "fsdp (wrapped)": peak(1, 4, 1),
+        "hybrid-stop": peak(2, 2, 2),
+    }
 
 
+@pytest.mark.quick
 def test_hybrid_stop_has_lowest_peak_memory(once):
     peaks = once(_measure)
     pretty = {k: f"{v / 1024:.0f} KiB" for k, v in peaks.items()}

@@ -144,38 +144,35 @@ def _topology_spec(args: argparse.Namespace, config=None, **overrides):
             .replace("num_gpus", "--gpus")
             .replace("num_steps", "--steps")
             .replace("micro_batch", "--micro-batch")
+            .replace("compute_skew", "--skew")
         )
 
 
 def _parse_skew(pairs: list[str]) -> dict[int, float]:
+    """``--skew RANK=FACTOR`` pairs; the ranks and factors themselves
+    are validated by the spec they go into."""
     skew: dict[int, float] = {}
     for pair in pairs:
         try:
             rank_text, factor_text = pair.split("=", 1)
             skew[int(rank_text)] = float(factor_text)
         except ValueError:
-            raise SystemExit(f"invalid --skew {pair!r}: expected RANK=FACTOR")
+            raise _UsageError(f"invalid --skew {pair!r}: expected RANK=FACTOR")
     return skew
 
 
 def _traced_step(args: argparse.Namespace, out_dir=None):
-    """Validate the topology flags, then run the traced step they describe."""
-    from repro.obs import run_traced_step
+    """Run the traced step the topology flags describe, validated first."""
+    from repro.obs.capture import run_traced_spec
 
-    _topology_spec(args, meta=False)
-    return run_traced_step(
-        num_gpus=args.gpus,
-        gpus_per_node=args.gpus_per_node,
-        tp_size=args.tp,
-        fsdp_size=args.fsdp,
-        ddp_size=args.ddp,
-        micro_batch=args.micro_batch,
-        seed=args.seed,
+    spec = _topology_spec(
+        args,
+        meta=False,
         prefetch=not args.no_prefetch,
-        num_steps=args.steps,
+        seed=args.seed,
         compute_skew=_parse_skew(args.skew),
-        out_dir=out_dir,
     )
+    return run_traced_spec(spec, out_dir=out_dir)
 
 
 def _plan_from_args(args: argparse.Namespace, required: bool = False):

@@ -135,11 +135,6 @@ class HybridSTOPBlock(HybridModuleBase):
         for module in self.submodules:
             module.zero_grad()
 
-    def set_prefetch(self, prefetch: bool) -> None:
-        self.prefetch = prefetch
-        for module in self.submodules:
-            module.prefetch = prefetch
-
     def set_track_gather_memory(self, track: bool) -> None:
         self.track_gather_memory = track
         for module in self.submodules:

@@ -38,9 +38,6 @@ class Fig8Result:
         losses = [loss for _, loss in self.histories[name][-window:]]
         return float(np.mean(losses))
 
-    def ordered_final_losses(self) -> list[tuple[str, float]]:
-        return [(name, self.final_smoothed_loss(name)) for name in self.histories]
-
     def format(self) -> str:
         rows = []
         for name, history in self.histories.items():

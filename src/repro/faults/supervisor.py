@@ -667,7 +667,9 @@ class Supervisor:
         new_micro = global_batch // (new_ddp * old.fsdp_size)
         try:
             new_spec = old.replace(
-                num_gpus=surviving, ddp_size=new_ddp, micro_batch=new_micro
+                num_gpus=surviving, ddp_size=new_ddp, micro_batch=new_micro,
+                # Skew on ranks past the shrunken world had nothing to slow.
+                compute_skew=[(r, s) for r, s in old.compute_skew if r < surviving],
             )
         except RunSpecError as invalid:
             raise ElasticRecoveryError(

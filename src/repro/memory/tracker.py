@@ -99,13 +99,6 @@ class MemoryTracker:
             return None
         return self._peak / self.capacity_bytes
 
-    @property
-    def current_fraction(self) -> float | None:
-        """Live bytes over capacity (``None`` when uncapped)."""
-        if not self.capacity_bytes:
-            return None
-        return self._current / self.capacity_bytes
-
     def category_peak(self, tag_prefix: str) -> int:
         """Peak bytes among allocations whose tag starts with ``tag_prefix``."""
         return max(

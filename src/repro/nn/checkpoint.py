@@ -9,7 +9,6 @@ for activation memory, exactly like ``torch.utils.checkpoint``.
 
 from __future__ import annotations
 
-from repro.meta import is_meta
 from repro.nn.module import Module
 
 
@@ -37,7 +36,3 @@ class CheckpointWrapper(Module):
     def recompute_flops_factor(self) -> float:
         """Extra forward compute incurred per backward (for the perf model)."""
         return 1.0
-
-    def stored_activation_bytes(self, x) -> int:
-        """Bytes this wrapper keeps alive between forward and backward."""
-        return int(x.nbytes) if (is_meta(x) or hasattr(x, "nbytes")) else 0

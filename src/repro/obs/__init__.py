@@ -22,13 +22,7 @@ subcommand) runs a small configured step end to end and exports both
 artifacts.
 """
 
-from repro.obs.off import (
-    NULL_METRICS,
-    NULL_MONITOR,
-    NULL_TRACER,
-    OFF,
-    Off,
-)
+from repro.obs.off import NULL_TRACER, OFF, Off
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import (
     SPAN_KINDS,
@@ -85,7 +79,6 @@ __all__ = [
     "DetectorBank",
     "EventJournal",
     "JournalEvent",
-    "NULL_MONITOR",
     "OFF",
     "Off",
     "P2Quantile",
@@ -103,7 +96,6 @@ __all__ = [
     "HealthThresholds",
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRICS",
     "NULL_TRACER",
     "SPAN_KINDS",
     "Span",

@@ -79,7 +79,7 @@ def run_traced_step(
     """
     # Deferred: repro.obs's package __init__ imports this module.
     from repro.models import OrbitConfig
-    from repro.runtime import RunSpec, Session, StepLoop
+    from repro.runtime import RunSpec
 
     config = OrbitConfig("trace-tiny", **TRACE_CONFIG_KWARGS)
     spec = RunSpec(
@@ -99,10 +99,18 @@ def run_traced_step(
         fold=fold,
         monitor=monitor,
     )
+    return run_traced_spec(spec, out_dir=out_dir)
+
+
+def run_traced_spec(spec, out_dir=None) -> TraceRun:
+    """The traced steps of a numeric ``spec`` (what :func:`run_traced_step`
+    builds from its arguments; ``repro trace`` builds it from flags)."""
+    from repro.runtime import Session, StepLoop
+
     session = Session(spec)
     result = StepLoop(
         session.numeric_step, hooks=session.loop_hooks()
-    ).run(num_steps)
+    ).run(spec.num_steps)
     loss = result.final_loss
 
     # The trainer already recorded step.walltime_s / train.loss /

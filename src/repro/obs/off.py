@@ -73,5 +73,5 @@ class Off:
 #: injector everywhere.
 OFF = Off()
 
-#: The names each channel's default went by; all four are :data:`OFF`.
-NULL_TRACER = NULL_METRICS = NULL_MONITOR = NULL_INJECTOR = OFF
+#: The name the tracer's default went by, still imported by callers.
+NULL_TRACER = OFF

@@ -1,41 +1,34 @@
-"""Parallelism engines over the virtual cluster.
+"""The Hybrid-STOP engine over the virtual cluster.
+
+One engine runs every parallelism the paper compares: each baseline
+is a grid point of the 4D ``(pp, tp, fsdp, ddp)`` plan, not a
+separate system.  Plain FSDP (paper Fig 2) is ``tp=1`` — without
+layer wrapping it shows the full-model gather behind its peak-memory
+problem; Megatron tensor parallelism is ``fsdp=1``; DDP is
+``tp=fsdp=1, ddp=D``; GPipe is ``pp=S, tp=fsdp=ddp=1``, capped by the
+layer count (the paper's Sec II point).
 
 * :mod:`repro.parallel.plan` — the hierarchical group layout of paper
   Fig 4 (tensor-parallel in-node, FSDP across nodes, DDP across
-  sub-clusters);
-* :mod:`repro.parallel.fsdp` — Fully Sharded Data Parallelism
-  (paper Fig 2), including the no-layer-wrapping full-model gather that
-  causes its peak-memory problem;
-* :mod:`repro.parallel.tensor_parallel` — Megatron-style tensor
-  parallelism, scalability capped by the attention head count;
-* :mod:`repro.parallel.ddp` — replica data parallelism with one
-  gradient all-reduce per step;
+  sub-clusters, pipeline stages outermost);
 * :mod:`repro.parallel.stages` — pipeline-stage machinery: the
-  contiguous partition, 1F1B schedule arithmetic, boundary sends, and
-  the standalone GPipe-style demo trunk (scalability capped by the
-  layer count — the paper's Sec II point);
+  contiguous partition, 1F1B schedule arithmetic and boundary sends;
 * :mod:`repro.parallel.engine` — the Hybrid-STOP training engine
   combining all four axes (PP x TP x FSDP x DDP);
 * :mod:`repro.core` — the sharded sublayer modules the engine is
-  built from.
+  built from (:class:`~repro.core.hybrid_block.HybridSTOPTrunk` runs a
+  bare transformer stack at any ``(tp, fsdp)`` point).
 """
 
 from repro.parallel.compute import ComputeTimeModel, PeakFractionCompute
-from repro.parallel.ddp import DDPEngine
 from repro.parallel.engine import HybridSTOPEngine
-from repro.parallel.fsdp import FSDPModule
 from repro.parallel.plan import HybridParallelPlan
-from repro.parallel.stages import PipelineLimitError, PipelineParallelTrunk
-from repro.parallel.tensor_parallel import TensorParallelBlock
+from repro.parallel.stages import PipelineLimitError
 
 __all__ = [
     "ComputeTimeModel",
-    "DDPEngine",
-    "FSDPModule",
     "HybridParallelPlan",
     "HybridSTOPEngine",
     "PeakFractionCompute",
     "PipelineLimitError",
-    "PipelineParallelTrunk",
-    "TensorParallelBlock",
 ]

@@ -35,6 +35,8 @@ schedule has no bubble, so no stage clock is read and no
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.cluster.cluster import GroupAllocation
@@ -44,9 +46,7 @@ from repro.models.climax_vit import ClimaXViT
 from repro.nn.checkpoint import CheckpointWrapper
 from repro.nn.context import ExecutionContext, execution_context
 from repro.nn.module import Module
-from repro.nn.transformer import TransformerBlock
 from repro.parallel.core_trunk import make_stage_templates
-from repro.parallel.ddp import clone_module, clone_module_shared_params
 from repro.parallel.plan import HybridParallelPlan
 from repro.parallel.stages import (
     dense_by_stage,
@@ -54,6 +54,22 @@ from repro.parallel.stages import (
     record_boundary_send,
     schedule_walltime,
 )
+
+
+def clone_module(module: Module) -> Module:
+    """Deep-copy a module, including its parameters (a fresh replica)."""
+    return copy.deepcopy(module)
+
+
+def clone_module_shared_params(module: Module) -> Module:
+    """Deep-copy the module *structure* while sharing Parameter objects.
+
+    Clones share weights and accumulate gradients into the same slots —
+    used to give each micro-batch its own activation caches without
+    duplicating parameters.
+    """
+    memo = {id(p): p for p in module.parameters()}
+    return copy.deepcopy(module, memo)
 
 
 class _DenseFront(Module):
@@ -455,10 +471,11 @@ class HybridSTOPEngine:
     def gathered_state_dict(self, replica: int = 0) -> dict:
         """The serial model's state dict, reassembled from the shards.
 
-        The keys match :meth:`ClimaXViT.state_dict`, so a distributed
-        pre-training run can be saved with
-        :func:`repro.train.checkpoint.save_checkpoint` on a serial model
-        loaded from this dict, then fine-tuned anywhere.
+        The keys match :meth:`ClimaXViT.state_dict`, so a serial model
+        loaded from this dict carries a distributed run's weights
+        anywhere (:meth:`Session.serving_model
+        <repro.runtime.session.Session.serving_model>` builds one for the
+        serve layer).
         """
         state: dict = {}
         state.update({n: p.data for n, p in self.fronts[replica][0].named_parameters()})

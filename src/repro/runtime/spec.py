@@ -19,6 +19,7 @@ knob can never silently churn the baseline document.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping
 
@@ -276,6 +277,17 @@ class RunSpec:
             problems.append(
                 f"invalid replan {self.replan!r}: must be 'off' or 'on'"
             )
+        for rank, factor in self.compute_skew:
+            if not 0 <= rank < self.num_gpus:
+                problems.append(
+                    f"invalid compute_skew rank {rank}: outside "
+                    f"[0, {self.num_gpus})"
+                )
+            if not (math.isfinite(factor) and factor > 0):
+                problems.append(
+                    f"invalid compute_skew factor {factor} for rank {rank}: "
+                    "must be finite and > 0"
+                )
         problems.extend(self._serve_problems())
         return problems
 
@@ -389,24 +401,6 @@ class RunSpec:
             tp_innermost=case.tp_innermost,
             fold=case.fold,
             meta=True,
-        )
-
-    @classmethod
-    def from_candidate(cls, request, candidate, meta: bool = True) -> "RunSpec":
-        """Spec for one tuner :class:`~repro.tune.space.Candidate`."""
-        return cls(
-            config=request.config,
-            num_gpus=request.num_gpus,
-            gpus_per_node=request.gpus_per_node,
-            tp_size=candidate.tp_size,
-            fsdp_size=candidate.fsdp_size,
-            ddp_size=candidate.ddp_size,
-            pp_size=candidate.pp_size,
-            micro_batch=candidate.micro_batch,
-            prefetch=candidate.prefetch,
-            recompute=candidate.recompute,
-            tp_innermost=candidate.tp_innermost,
-            meta=meta,
         )
 
     def replace(self, **changes) -> "RunSpec":

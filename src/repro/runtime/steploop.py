@@ -139,10 +139,6 @@ class StepLoop:
         """Stop after the current step completes (hook-callable)."""
         self._stop = True
 
-    @property
-    def stop_requested(self) -> bool:
-        return self._stop
-
     # -- driving -------------------------------------------------------------
     def run_step(self) -> StepEvent:
         """Run exactly one step and fire its hooks."""

@@ -102,9 +102,6 @@ class ReplicaPool:
                 return replica
         return None
 
-    def idle_count(self, now: float) -> int:
-        return sum(1 for r in self.replicas.values() if r.idle_at(now))
-
     def scale_up(self, now: float) -> Replica:
         """Add a replica; it becomes usable after the cold-start cost."""
         return self._add(ready_at_s=now + self.cost_model.replica_setup_s)
@@ -119,11 +116,6 @@ class ReplicaPool:
         return None
 
     # -- utilization accounting (GoodputLedger style) ------------------------
-    def busy_seconds(self) -> float:
-        return sum(r.busy_s for r in self.replicas.values()) + sum(
-            r.busy_s for r in self.retired
-        )
-
     def utilization(self, now: float) -> float:
         """Busy fraction of live replica-seconds so far.
 

@@ -1,6 +1,5 @@
 """Training: optimizers, schedules, the wMSE loss, and trainers."""
 
-from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.distributed import DistributedTrainer
 from repro.train.finetune import FinetuneResult, Finetuner
 from repro.train.loss import latitude_weighted_mse
@@ -17,7 +16,5 @@ __all__ = [
     "Trainer",
     "WarmupCosineSchedule",
     "latitude_weighted_mse",
-    "load_checkpoint",
-    "save_checkpoint",
     "sharded_views",
 ]

@@ -51,7 +51,7 @@ def get_logger(name: str | None = None) -> logging.Logger:
     Parameters
     ----------
     name:
-        Optional dotted suffix, e.g. ``"parallel.fsdp"``. ``None``
+        Optional dotted suffix, e.g. ``"parallel.engine"``. ``None``
         returns the package root logger.
     """
     if name is None:

@@ -24,7 +24,7 @@ from repro.cluster.timeline import (
     Timeline,
     _ledger_values,
 )
-from repro.obs import NULL_METRICS
+from repro.obs import OFF
 from repro.obs.tracer import Tracer
 
 _WIDTH = 4          # a stream names ranks 0 .. _WIDTH - 1
@@ -180,7 +180,7 @@ def test_an_untraced_exact_timeline_skips_the_walk(walked):
 
 
 class _Stretch:
-    """An injector that is not ``NULL_INJECTOR``, even if it does nothing."""
+    """An injector that is not ``OFF``, even if it does nothing."""
 
     def before_compute(self, rank, seconds, op):
         return seconds
@@ -190,7 +190,7 @@ class _Stretch:
 
 
 def _traced():
-    return Timeline(4, tracer=Tracer(metrics=NULL_METRICS))
+    return Timeline(4, tracer=Tracer(metrics=OFF))
 
 
 def _injected():
@@ -240,7 +240,7 @@ def test_an_open_capture_takes_the_event_walk(walked):
 
 def test_traced_replay_of_a_stream_records_every_span(walked):
     """Names and renames are dropped only where no tracer reads them."""
-    tracer = Tracer(metrics=NULL_METRICS)
+    tracer = Tracer(metrics=OFF)
     timeline = Timeline(4, tracer=tracer)
     timeline.replay(EventStream(_FLAT), renames=(("probe.", "block3."),))
     names = [span.name for span in tracer.spans]

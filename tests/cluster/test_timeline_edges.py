@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.cluster import Timeline
 from repro.cluster.symmetry import RankClassPartition
 from repro.cluster.timeline import FoldedTimeline, RankLedger
-from repro.obs import NULL_METRICS
+from repro.obs import OFF
 from repro.obs.tracer import Tracer
 
 # One timeline event: either compute or a collective with an overlap flag.
@@ -155,7 +155,7 @@ def test_narrowed_folded_capture_is_the_narrowed_exact_capture(ranks, traced):
     markers through: the stream is flat, ``==`` the one an exact
     timeline captures, and a replay of it touches ``ranks`` alone."""
     def tracer():
-        return Tracer(metrics=NULL_METRICS) if traced else None
+        return Tracer(metrics=OFF) if traced else None
 
     world = _PART.num_gpus
     exact = _narrowed(Timeline(world, tracer=tracer()), ranks)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import VirtualCluster
-from repro.obs.off import NULL_INJECTOR
+from repro.obs.off import OFF
 from repro.faults import (
     CollectiveTimeoutError,
     FaultError,
@@ -30,14 +30,14 @@ def _injected_cluster(plan, num_gpus=8, gpus_per_node=8):
 class TestAttachment:
     def test_default_injector_is_null(self):
         cluster = VirtualCluster(num_gpus=4, gpus_per_node=4)
-        assert cluster.injector is NULL_INJECTOR
-        assert cluster.timeline.injector is NULL_INJECTOR
+        assert cluster.injector is OFF
+        assert cluster.timeline.injector is OFF
 
     def test_attach_and_detach(self):
         cluster, injector = _injected_cluster(FaultPlan())
         assert cluster.timeline.injector is injector
         cluster.attach_injector(None)
-        assert cluster.timeline.injector is NULL_INJECTOR
+        assert cluster.timeline.injector is OFF
 
 
 class TestCrashFiring:

@@ -157,6 +157,12 @@ class TestElasticRegroup:
         assert report.final_spec["micro_batch"] == 4
         assert all(math_isfinite(loss) for _, loss in report.history)
 
+    def test_shrunken_spec_drops_skew_past_the_surviving_world(self):
+        spec = _meta_spec(compute_skew={3: 2.0, 12: 1.5})
+        shrunk = Supervisor._shrunken_spec(spec, set(range(8, 16)))
+        assert shrunk.num_gpus == 8
+        assert shrunk.compute_skew == ((3, 2.0),)
+
     def test_node_loss_without_checkpoint_restarts_from_zero(self):
         spec = _meta_spec(ddp_size=4, micro_batch=1)  # global batch 8
         plan = FaultPlan(faults=(FaultSpec(kind="node_loss", step=1, rank=0),))

@@ -123,6 +123,6 @@ class TestSnapshot:
         assert snap["a"] == 1.0
 
     def test_null_registry_snapshot_is_empty(self):
-        from repro.obs import NULL_METRICS
+        from repro.obs import OFF
 
-        assert NULL_METRICS.snapshot() == {}
+        assert OFF.snapshot() == {}

@@ -20,7 +20,7 @@ from repro.cluster.timeline import _ledger_values
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, Supervisor
 from repro.faults.goodput import GoodputLedger
 from repro.models.configs import OrbitConfig
-from repro.obs import NULL_MONITOR, RunMonitor
+from repro.obs import OFF, RunMonitor
 from repro.runtime import RunSpec, Session, StepLoop
 
 TINY = OrbitConfig("tiny", embed_dim=16, depth=2, num_heads=4, in_vars=3,
@@ -75,7 +75,7 @@ class TestMonitoredSession:
 
     def test_monitor_off_installs_the_null_monitor(self):
         session = Session(_spec())
-        assert session.monitor is NULL_MONITOR
+        assert session.monitor is OFF
         assert session.loop_hooks() == []
 
     @given(

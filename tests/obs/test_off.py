@@ -14,8 +14,6 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import (
-    NULL_METRICS,
-    NULL_MONITOR,
     NULL_TRACER,
     OFF,
     Counter,
@@ -26,7 +24,6 @@ from repro.obs import (
     RunMonitor,
     Tracer,
 )
-from repro.obs.off import NULL_INJECTOR
 
 #: Neutral-value markers: ``OFF`` itself, and the seconds passed in.
 SELF, SECONDS = object(), object()
@@ -130,8 +127,12 @@ def _neutral(expected, args):
 
 class TestOffConformance:
     def test_one_handle_under_every_old_name(self):
-        assert NULL_TRACER is NULL_METRICS is NULL_MONITOR is NULL_INJECTOR \
-            is OFF
+        import repro.obs.off
+
+        assert NULL_TRACER is OFF
+        for dropped in ("NULL_METRICS", "NULL_MONITOR", "NULL_INJECTOR"):
+            assert not hasattr(repro.obs, dropped), dropped
+            assert not hasattr(repro.obs.off, dropped), dropped
         assert not hasattr(OFF, "__dict__")
         with pytest.raises(AttributeError):
             OFF.enabled = True
@@ -192,15 +193,15 @@ class TestOffConformance:
     def test_every_channel_off_records_nothing(self):
         with NULL_TRACER.scope("step", 0):
             NULL_TRACER.instant("optimizer", "apply", t0=0.0)
-        NULL_METRICS.counter("x").inc()
-        NULL_METRICS.gauge("y").set(1.0)
+        OFF.counter("x").inc()
+        OFF.gauge("y").set(1.0)
         assert len(NULL_TRACER.spans) == 0
-        assert len(NULL_METRICS) == 0 and NULL_METRICS.snapshot() == {}
+        assert len(OFF) == 0 and OFF.snapshot() == {}
 
-        NULL_MONITOR.on_step_start(None, 0)
-        NULL_MONITOR.on_step_end(None, None)
-        NULL_MONITOR.observe_gauges(0, {"m": 1.0})
-        NULL_MONITOR.record_fold(0, "exact")
-        assert NULL_MONITOR.alerts == ()
-        assert NULL_MONITOR.critical_alerts == 0
-        assert not NULL_MONITOR.enabled
+        OFF.on_step_start(None, 0)
+        OFF.on_step_end(None, None)
+        OFF.observe_gauges(0, {"m": 1.0})
+        OFF.record_fold(0, "exact")
+        assert OFF.alerts == ()
+        assert OFF.critical_alerts == 0
+        assert not OFF.enabled

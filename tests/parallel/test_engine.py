@@ -62,9 +62,22 @@ def test_forward_matches_serial(tp, fsdp, ddp):
     np.testing.assert_allclose(np.concatenate(flat, axis=0), y_ref, rtol=1e-8, atol=1e-11)
 
 
-@pytest.mark.parametrize("tp,fsdp,ddp", [(2, 2, 1), (2, 2, 2)])
-def test_backward_and_gradients_match_serial(tp, fsdp, ddp):
-    engine, _, _ = make_engine(tp=tp, fsdp=fsdp, ddp=ddp, seed=13)
+#: Hybrid-STOP grid points, and the baselines the paper compares it
+#: against as points of the same grid.
+BACKWARD_GRID = [
+    pytest.param(2, 2, 1, True, id="2-2-1"),
+    pytest.param(2, 2, 2, True, id="2-2-2"),
+    pytest.param(1, 4, 1, True, id="1-4-1-fsdp"),
+    pytest.param(1, 4, 1, False, id="1-4-1-fsdp-unwrapped"),
+    pytest.param(2, 1, 1, True, id="2-1-1-megatron"),
+    pytest.param(1, 1, 2, True, id="1-1-2-ddp"),
+]
+
+
+@pytest.mark.parametrize("tp,fsdp,ddp,layer_wrapping", BACKWARD_GRID)
+def test_backward_and_gradients_match_serial(tp, fsdp, ddp, layer_wrapping):
+    engine, _, _ = make_engine(tp=tp, fsdp=fsdp, ddp=ddp, seed=13,
+                               layer_wrapping=layer_wrapping)
     xs, leads, grad_ys = make_batches(ddp, fsdp, seed=3)
     ref_model, _, gx_ref = serial_reference(13, xs, leads, grad_ys)
     ref_grads = {n: p.grad for n, p in ref_model.named_parameters()}

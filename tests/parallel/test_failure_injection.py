@@ -15,7 +15,7 @@ from repro.memory import OutOfDeviceMemoryError
 from repro.nn import DynamicGradScaler
 from repro.nn.mlp import MLP
 from repro.nn.transformer import TransformerStack
-from repro.parallel import FSDPModule, HybridParallelPlan
+from repro.parallel import HybridParallelPlan
 
 
 class TestSimulatedOOM:
@@ -51,12 +51,16 @@ class TestSimulatedOOM:
     def test_fsdp_unwrapped_oom_is_the_full_model_gather(self):
         budget = 120_000
         cluster = VirtualCluster(num_gpus=2, gpu_memory_bytes=budget)
+        plan = HybridParallelPlan(cluster, tp_size=1, fsdp_size=2)
         template = TransformerStack(16, 4, 2, rng=0, dtype=np.float64)
-        engine = FSDPModule(template, cluster.world, layer_wrapping=False)
+        engine = HybridSTOPTrunk(template, plan, layer_wrapping=False)
+        persistent = cluster.device(0).memory.category_current("params")
         with pytest.raises(OutOfDeviceMemoryError):
             engine.forward([np.zeros((1, 3, 16))] * 2)
-        # The failure happened mid-gather; persistent shards are intact.
-        assert cluster.device(0).memory.category_current("params") > 0
+        # The failure happened at the full-model gather; persistent
+        # shards are intact.
+        assert persistent > 0
+        assert cluster.device(0).memory.category_current("params") == persistent
 
 
 class TestGradientOverflowRecovery:

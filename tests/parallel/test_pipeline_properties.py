@@ -1,13 +1,19 @@
-"""Property-based tests for the pipeline engine (random partitions)."""
+"""Property-based tests for the engine's pipeline axis (random partitions)."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import VirtualCluster
-from repro.nn.transformer import TransformerStack
-from repro.parallel import PipelineParallelTrunk
-from repro.parallel.stages import schedule_walltime
+from repro.models import build_model
+from repro.parallel.stages import (
+    PipelineLimitError,
+    bubble_fraction,
+    partition_blocks,
+    schedule_walltime,
+)
+
+from tests.parallel.test_pipeline import config, engine_grads, pipeline_engine, run, serial_grads
 
 
 @st.composite
@@ -25,37 +31,31 @@ def pipeline_cases(draw):
 def test_property_pipeline_equals_serial(case):
     depth, num_stages, micro, dim, seed = case
     rng = np.random.default_rng(seed)
-    serial = TransformerStack(dim, depth, 2, rng=seed, dtype=np.float64)
-    reference = TransformerStack(dim, depth, 2, rng=seed, dtype=np.float64)
-    cluster = VirtualCluster(num_gpus=num_stages, gpus_per_node=8)
-    pipeline = PipelineParallelTrunk(serial, cluster, num_stages)
+    engine, _ = pipeline_engine(num_stages, depth, seed, dim=dim)
+    reference = build_model(config(depth, dim), rng=seed, dtype=np.float64)
 
-    xs = [rng.normal(size=(1, 2, dim)) for _ in range(micro)]
-    grads = [rng.normal(size=(1, 2, dim)) for _ in range(micro)]
+    xs = [rng.normal(size=(1, 3, 8, 8)) for _ in range(micro)]
+    grads = [rng.normal(size=(1, 2, 8, 8)) for _ in range(micro)]
 
-    outputs = pipeline.forward(xs)
-    grad_inputs = pipeline.backward(grads)
-
-    reference(np.concatenate(xs, axis=0))
-    reference.zero_grad()
-    gx_ref = reference.backward(np.concatenate(grads, axis=0))
+    outputs, grad_inputs = run(engine, xs, grads)
+    gx_ref, ref_grads = serial_grads(reference, xs, grads)
 
     # Output equivalence.
-    check = TransformerStack(dim, depth, 2, rng=seed, dtype=np.float64)
+    check = build_model(config(depth, dim), rng=seed, dtype=np.float64)
     for x, y in zip(xs, outputs):
-        expected = check(x)
+        expected = check(x, np.full((1,), 24.0))
         check.clear_cache()
         np.testing.assert_allclose(y, expected, rtol=1e-9, atol=1e-12)
     # Input-gradient equivalence.
     np.testing.assert_allclose(
         np.concatenate(grad_inputs, axis=0), gx_ref, rtol=1e-8, atol=1e-11
     )
-    # Parameter-gradient equivalence (the pipeline reuses serial's blocks).
-    for (name, ref_param), pipe_param in zip(
-        reference.named_parameters(), pipeline.parameters()
-    ):
+    # Parameter-gradient equivalence, under the serial model's names.
+    pipe_grads = engine_grads(engine)
+    assert pipe_grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
         np.testing.assert_allclose(
-            pipe_param.grad, ref_param.grad, rtol=1e-8, atol=1e-11, err_msg=name
+            pipe_grads[name], ref, rtol=1e-8, atol=1e-11, err_msg=name
         )
 
 
@@ -68,13 +68,13 @@ def test_property_pipeline_equals_serial(case):
 def test_property_bubble_fraction_bounds(depth, stages, micro):
     """The GPipe bubble is always in [0, 1) and vanishes as M grows."""
     if stages > depth:
+        with pytest.raises(PipelineLimitError):
+            partition_blocks(depth, stages)
         return
-    cluster = VirtualCluster(num_gpus=stages, gpus_per_node=8)
-    serial = TransformerStack(4, depth, 2, rng=0)
-    pipeline = PipelineParallelTrunk(serial, cluster, stages)
-    bubble = pipeline.bubble_fraction(micro)
+    partition_blocks(depth, stages)
+    bubble = bubble_fraction(stages, micro)
     assert 0.0 <= bubble < 1.0
-    assert pipeline.bubble_fraction(micro + 8) <= bubble
+    assert bubble_fraction(stages, micro + 8) <= bubble
     if stages == 1:
         assert bubble == 0.0
 
@@ -95,4 +95,3 @@ def test_property_schedule_walltime(busy, micro):
     else:
         assert total == (micro + len(busy) - 1) * (max(busy) / micro)
         assert total >= max(busy)
-

@@ -55,6 +55,20 @@ class TestValidation:
             RunSpec(config=TINY, num_gpus=16, tp_size=3, fsdp_size=2,
                     ddp_size=None)
 
+    @pytest.mark.parametrize("skew, problem", [
+        ({16: 2.0}, "rank 16: outside [0, 16)"),
+        ({-1: 2.0}, "rank -1: outside [0, 16)"),
+        ({3: 0.0}, "factor 0.0 for rank 3"),
+        ({3: -1.0}, "factor -1.0 for rank 3"),
+        ({3: float("nan")}, "factor nan for rank 3"),
+        ({3: float("inf")}, "factor inf for rank 3"),
+    ])
+    def test_compute_skew_validated(self, skew, problem):
+        with pytest.raises(RunSpecError, match="invalid compute_skew") as excinfo:
+            RunSpec(config=TINY, num_gpus=16, tp_size=4, fsdp_size=2,
+                    ddp_size=2, compute_skew=skew)
+        assert problem in str(excinfo.value)
+
     def test_replace_revalidates(self):
         spec = RunSpec(config=TINY, num_gpus=16, tp_size=4, fsdp_size=2, ddp_size=2)
         with pytest.raises(RunSpecError):

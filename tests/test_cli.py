@@ -180,9 +180,41 @@ class TestAnalyzeCommand:
             assert captured.out == ""
             assert str(path) in captured.err and reason in captured.err
 
-    def test_bad_skew_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["analyze", *self.TOPOLOGY, "--skew", "nonsense"])
+    def test_bad_skew_rejected(self, capsys):
+        assert main(["analyze", *self.TOPOLOGY, "--skew", "nonsense"]) == 2
+        assert "invalid --skew 'nonsense'" in capsys.readouterr().err
+
+
+class TestSkewFlag:
+    """``--skew`` is validated by the spec it goes into, for every
+    command that takes it: a hostile value exits 2 with one stderr line
+    naming the flag and nothing on stdout."""
+
+    TOPOLOGY = TestAnalyzeCommand.TOPOLOGY
+    COMMANDS = {
+        "trace": [],
+        "analyze": [],
+        "faults": ["--random", "7", "--count", "2", "--checkpoint-every", "0"],
+        "monitor": [],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("skew", ["abc", "3=0", "3=-1", "99=2.0", "3=nan", "3=inf"])
+    def test_hostile_skew_exits_2_naming_the_flag(self, command, skew, capsys):
+        argv = [command, *self.TOPOLOGY, *self.COMMANDS[command], "--skew", skew]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--skew" in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_valid_skew_still_runs(self, command, tmp_path, capsys):
+        outputs = {"trace": ["--out", str(tmp_path)],
+                   "faults": ["--checkpoint-dir", str(tmp_path)]}
+        argv = [command, *self.TOPOLOGY, *self.COMMANDS[command],
+                *outputs.get(command, []), "--skew", "3=2.0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestTuneCommand:

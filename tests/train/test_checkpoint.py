@@ -1,12 +1,18 @@
-"""Checkpoint round-trip edge cases: dtypes, metadata, overwrite, and
-key/shape mismatch errors, plus tracer markers on save/load."""
+"""Trainer checkpoint round-trip edge cases: dtypes, metadata, overwrite,
+and key/shape mismatch errors, plus tracer markers on save/load.
+
+Serial runs checkpoint through :func:`~repro.runtime.checkpoint.save_trainer`
+and :func:`~repro.runtime.checkpoint.resume_trainer`, which write the one
+archive container (manifest, CRCs, :class:`CheckpointCorruptError`).
+"""
 
 import numpy as np
 import pytest
 
 from repro.nn import Linear, Sequential
 from repro.obs import Tracer
-from repro.train import load_checkpoint, save_checkpoint
+from repro.runtime.checkpoint import CheckpointCorruptError, resume_trainer, save_trainer
+from repro.train import AdamW, Trainer
 
 
 def make_model(rng=0, dtype=np.float32):
@@ -14,36 +20,40 @@ def make_model(rng=0, dtype=np.float32):
                        Linear(6, 2, rng=rng, dtype=dtype)])
 
 
+def trainer_of(model, tracer=None):
+    """A trainer holding ``model`` (no batches: only its state is saved)."""
+    return Trainer(model, [], np.ones(1), AdamW(model.parameters()), tracer=tracer)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.float16])
     def test_dtype_preserved(self, tmp_path, dtype):
         a = make_model(rng=1, dtype=dtype)
         b = make_model(rng=2, dtype=dtype)
-        save_checkpoint(a, tmp_path / "ckpt.npz")
-        load_checkpoint(b, tmp_path / "ckpt.npz")
+        save_trainer(tmp_path / "ckpt.npz", trainer_of(a))
+        resume_trainer(tmp_path / "ckpt.npz", trainer_of(b))
         for (name, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
             assert pb.data.dtype == dtype, name
             np.testing.assert_array_equal(pa.data, pb.data)
 
     def test_empty_metadata_default(self, tmp_path):
-        model = make_model()
-        save_checkpoint(model, tmp_path / "c.npz")
-        assert load_checkpoint(model, tmp_path / "c.npz") == {}
+        trainer = trainer_of(make_model())
+        path = save_trainer(tmp_path / "c.npz", trainer)
+        assert resume_trainer(path, trainer)["user"] == {}
 
     def test_non_ascii_metadata(self, tmp_path):
-        model = make_model()
+        trainer = trainer_of(make_model())
         metadata = {"run": "Ørbit-试验", "β": 0.9, "nested": {"π": [1, 2]}}
-        save_checkpoint(model, tmp_path / "c.npz", metadata=metadata)
-        assert load_checkpoint(model, tmp_path / "c.npz") == metadata
+        path = save_trainer(tmp_path / "c.npz", trainer, metadata=metadata)
+        assert resume_trainer(path, trainer)["user"] == metadata
 
     def test_overwrite_existing_file(self, tmp_path):
         path = tmp_path / "c.npz"
-        first = make_model(rng=1)
         second = make_model(rng=2)
-        save_checkpoint(first, path, metadata={"step": 1})
-        save_checkpoint(second, path, metadata={"step": 2})
+        save_trainer(path, trainer_of(make_model(rng=1)), metadata={"step": 1})
+        save_trainer(path, trainer_of(second), metadata={"step": 2})
         probe = make_model(rng=3)
-        assert load_checkpoint(probe, path) == {"step": 2}
+        assert resume_trainer(path, trainer_of(probe))["user"] == {"step": 2}
         np.testing.assert_array_equal(
             probe.state_dict()["0.weight"], second.state_dict()["0.weight"]
         )
@@ -51,31 +61,32 @@ class TestRoundTrip:
 
 class TestErrors:
     def test_missing_key_rejected(self, tmp_path):
-        save_checkpoint(Linear(4, 6, rng=0), tmp_path / "c.npz")
+        path = save_trainer(tmp_path / "c.npz", trainer_of(Linear(4, 6, rng=0)))
         with pytest.raises(KeyError, match="missing"):
-            load_checkpoint(make_model(), tmp_path / "c.npz")
+            resume_trainer(path, trainer_of(make_model()))
 
     def test_extra_key_rejected(self, tmp_path):
-        save_checkpoint(make_model(), tmp_path / "c.npz")
+        path = save_trainer(tmp_path / "c.npz", trainer_of(make_model()))
         with pytest.raises(KeyError, match="unexpected"):
-            load_checkpoint(Linear(4, 6, rng=0), tmp_path / "c.npz")
+            resume_trainer(path, trainer_of(Linear(4, 6, rng=0)))
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        save_checkpoint(Linear(4, 6, rng=0), tmp_path / "c.npz")
+        path = save_trainer(tmp_path / "c.npz", trainer_of(Linear(4, 6, rng=0)))
         with pytest.raises(ValueError, match="shape mismatch"):
-            load_checkpoint(Linear(4, 7, rng=0), tmp_path / "c.npz")
+            resume_trainer(path, trainer_of(Linear(4, 7, rng=0)))
 
     def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_checkpoint(make_model(), tmp_path / "nope.npz")
+        with pytest.raises(CheckpointCorruptError, match="nope.npz"):
+            resume_trainer(tmp_path / "nope.npz", trainer_of(make_model()))
 
 
 class TestTracing:
     def test_save_and_load_emit_markers(self, tmp_path):
         tracer = Tracer()
         model = make_model()
-        save_checkpoint(model, tmp_path / "c.npz", tracer=tracer)
-        load_checkpoint(model, tmp_path / "c.npz", tracer=tracer)
+        trainer = trainer_of(model, tracer=tracer)
+        path = save_trainer(tmp_path / "c.npz", trainer)
+        resume_trainer(path, trainer)
 
         kinds = [(s.kind, s.name) for s in tracer.spans]
         assert ("checkpoint", "save") in kinds
@@ -85,12 +96,13 @@ class TestTracing:
         save_span = next(s for s in tracer.spans if s.name == "save")
         assert save_span.dur == 0.0  # markers are instants off the busy clock
         assert save_span.nbytes > 0.0
-        assert save_span.attrs["params"] == len(model.state_dict())
+        # Every parameter plus its two AdamW moments.
+        assert save_span.attrs["arrays"] == 3 * len(model.state_dict())
         counters = tracer.metrics.as_dict()["counters"]
         assert counters["checkpoint.saves"] == 1.0
         assert counters["checkpoint.loads"] == 1.0
 
     def test_default_tracer_is_silent(self, tmp_path):
-        model = make_model()
-        save_checkpoint(model, tmp_path / "c.npz")
-        load_checkpoint(model, tmp_path / "c.npz")  # must not raise
+        trainer = trainer_of(make_model())
+        path = save_trainer(tmp_path / "c.npz", trainer)
+        resume_trainer(path, trainer)  # must not raise
