@@ -121,45 +121,6 @@ class CollectiveCostModel:
     #: injection bandwidth (Frontier has 4x25 GB/s NICs per node).
     NICS_PER_NODE = 4
 
-    def hierarchical_all_reduce(self, ranks: Sequence[int], total_bytes: int) -> float:
-        """Two-level all-reduce: tree-reduce in-node, all-reduce across
-        node leaders, tree-broadcast in-node.
-
-        This is the RCCL/NCCL *tree* strategy.  A flat ring over
-        contiguous whole nodes is already bandwidth-optimal (each ring
-        step crosses the NIC exactly once per node), but it pays
-        ``2*(g-1)`` latency terms; the two-level tree pays
-        ``O(log(members) + nodes)`` instead, winning for small,
-        latency-bound buffers — e.g. the per-layer norm/scale scalars
-        and the DDP reductions of small models at extreme scale.  The
-        flat ring cost is returned for groups that do not decompose
-        into multi-member nodes.
-        """
-        g = len(ranks)
-        if g <= 1:
-            return 0.0
-        by_node: dict[int, list[int]] = {}
-        for rank in ranks:
-            by_node.setdefault(self.topology.node_of(rank), []).append(rank)
-        if len(by_node) == 1 or min(len(m) for m in by_node.values()) < 2:
-            return self.all_reduce(ranks, total_bytes)
-        intra = self.topology.link_spec(LinkKind.INTRA_NODE)
-        max_members = max(len(m) for m in by_node.values())
-        tree_steps = math.ceil(math.log2(max_members))
-        # Phases 1/3: tree reduce onto each node leader, tree broadcast back.
-        phase_intra = 2 * self._steps(
-            intra.latency_s, intra.bandwidth_Bps, tree_steps, total_bytes
-        )
-        # Phase 2: ring all-reduce over one leader per node (full NIC each:
-        # only the leaders drive the fabric during this phase).
-        leaders = sorted(members[0] for members in by_node.values())
-        inter = self.topology.link_spec(LinkKind.INTER_NODE)
-        n = len(leaders)
-        phase_inter = self._steps(
-            inter.latency_s, inter.bandwidth_Bps, 2 * (n - 1), total_bytes / n
-        )
-        return phase_intra + phase_inter
-
     def point_to_point(self, src: int, dst: int, nbytes: int) -> float:
         """Single message between two ranks."""
         if src == dst:

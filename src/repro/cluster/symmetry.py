@@ -248,7 +248,7 @@ def symmetry_blockers(spec, topology: FrontierTopology) -> list[str]:
 def decide_fold(spec, topology: FrontierTopology) -> FoldDecision:
     """Should this run fold ranks into equivalence classes?
 
-    ``fold="off"`` never folds; ``"on"``/``"auto"`` fold whenever the
+    ``fold="off"`` never folds; ``"on"`` folds whenever the
     run is eligible and silently fall back to exact mode otherwise
     (numeric runs, skewed compute, asymmetric topologies).  A Session
     decides before its cluster (and so its compute model) exists —

@@ -23,7 +23,7 @@ class SkewedCompute:
     Multiplies the base model's seconds by a rank-specific factor —
     the controlled way to inject stragglers (a flaky GCD, a thermally
     throttled node) into a simulated run, used by the health-monitor
-    tests and ``run_traced_step(compute_skew=...)``.
+    tests and a traced ``RunSpec(compute_skew=...)``.
     """
 
     def __init__(self, base, multipliers: dict[int, float]):

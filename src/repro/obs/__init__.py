@@ -9,17 +9,18 @@ Three layers, designed so traces are *exact* and *cheap*:
 * :mod:`~repro.obs.metrics` — counters, gauges, histograms.
 * :mod:`~repro.obs.export` / :mod:`~repro.obs.analysis` — Chrome
   ``chrome://tracing`` JSON, a plain-text step report, machine-readable
-  dicts, and the span aggregations that tie the trace back to the
-  :class:`~repro.cluster.timeline.Timeline` ledgers.
+  dicts, and the column reductions every span aggregation is built from.
 
 On top of those sit the analysis layers: :mod:`~repro.obs.critical_path`
-(cross-rank critical-path decomposition — ``repro analyze``) and
+(the one per-rank table, :func:`~repro.obs.critical_path.rank_attribution`,
+whose buckets equal the :class:`~repro.cluster.timeline.Timeline` ledgers,
+and the cross-rank critical-path decomposition — ``repro analyze``) and
 :mod:`~repro.obs.health` (straggler / imbalance / overlap / memory
 findings).
 
-:func:`~repro.obs.capture.run_traced_step` (the ``repro trace``
-subcommand) runs a small configured step end to end and exports both
-artifacts.
+:func:`~repro.obs.capture.run_traced_spec` (the ``repro trace``
+subcommand) runs the traced steps of a numeric ``RunSpec`` end to end
+and exports both artifacts.
 """
 
 from repro.obs.off import NULL_TRACER, OFF, Off
@@ -47,9 +48,9 @@ from repro.obs.export import (
 from repro.obs.critical_path import (
     StepAnalysis,
     TraceAnalysis,
-    analyze_step,
     analyze_trace,
     critical_path_report,
+    rank_attribution,
 )
 from repro.obs.health import (
     Finding,
@@ -72,7 +73,7 @@ from repro.obs.journal import (
     load_journal,
 )
 from repro.obs.monitor import RunMonitor
-from repro.obs.capture import TraceRun, run_traced_step
+from repro.obs.capture import TraceRun, run_traced_spec
 
 __all__ = [
     "AlertRule",
@@ -106,14 +107,14 @@ __all__ = [
     "TraceRun",
     "TraceFormatError",
     "Tracer",
-    "analyze_step",
     "analyze_trace",
     "check_run",
     "critical_path_report",
     "health_report",
     "load_trace_events",
     "parse_prometheus",
-    "run_traced_step",
+    "rank_attribution",
+    "run_traced_spec",
     "step_report",
     "to_chrome_trace",
     "to_dict",

@@ -1,7 +1,9 @@
 """Aggregations over recorded spans, as column reductions.
 
-These back both the plain-text step report and the invariant tests: a
-trace is useful exactly because these sums are *defined* to equal the
+The row masks, :func:`group_ids` and :func:`sums_by` are what every
+reduction in :mod:`repro.obs` is built from, including the one per-rank
+table (:func:`~repro.obs.critical_path.rank_attribution`): a trace is
+useful exactly because its sums are *defined* to equal the
 :class:`~repro.cluster.timeline.Timeline` ledgers.
 
 Every function takes a tracer, its ``spans`` view, a list of
@@ -49,40 +51,6 @@ def group_ids(labels: Iterable) -> tuple[list, np.ndarray]:
 def sums_by(ids: np.ndarray, values: np.ndarray, size: int) -> list[float]:
     """Per-id sums of ``values``, accumulated in row order (see above)."""
     return np.bincount(ids, weights=values, minlength=size).tolist()
-
-
-def _seconds_by_rank(trace, mask, column: str) -> dict[int, float]:
-    cols = SpanColumns.of(trace)
-    rows = np.flatnonzero(mask(cols))
-    ranks, ids = group_ids(cols.rank[rows].tolist())
-    return dict(zip(ranks, sums_by(ids, getattr(cols, column)[rows], len(ranks))))
-
-
-def compute_seconds_by_rank(trace) -> dict[int, float]:
-    """Per-rank sum of compute span durations, in recorded order —
-    bitwise-equal to ``ledger.compute_s``."""
-    return _seconds_by_rank(trace, lambda c: c.kind == COMPUTE, "dur")
-
-
-def exposed_comm_seconds_by_rank(trace) -> dict[int, float]:
-    """Per-rank sum of exposed collective/gather time (bitwise-matches
-    ``ledger.exposed_comm_s``)."""
-    return _seconds_by_rank(trace, is_comm, "busy_s")
-
-
-def comm_seconds_by_rank(trace) -> dict[int, float]:
-    """Per-rank total modeled communication time (hidden + exposed)."""
-    return _seconds_by_rank(trace, is_comm, "dur")
-
-
-def hidden_comm_seconds_by_rank(trace) -> dict[int, float]:
-    """Per-rank overlap-hidden communication time."""
-    return _seconds_by_rank(trace, is_comm, "hidden_s")
-
-
-def busy_seconds_by_rank(trace) -> dict[int, float]:
-    """Per-rank busy time: compute plus exposed communication."""
-    return _seconds_by_rank(trace, is_timed, "busy_s")
 
 
 def top_operations(trace, limit: int = 10, key: str = "exposed") -> list[dict]:

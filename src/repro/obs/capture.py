@@ -1,13 +1,13 @@
 """Run one fully-traced Hybrid-STOP training step.
 
 The driver behind the ``repro trace`` CLI subcommand and the invariant
-test suite: it stands up a traced virtual cluster (default two
-Frontier nodes, 16 GCDs), runs a single optimizer step of a tiny ORBIT
-model under the full hierarchical engine, folds the cluster state into
-the metrics registry, and optionally writes the Chrome trace and the
-plain-text step report.
+test suite: given a numeric ``RunSpec`` (usually of the tiny
+``TRACE_CONFIG_KWARGS`` model), it runs the spec's optimizer steps
+under the full hierarchical engine with a tracer attached, folds the
+cluster state into the metrics registry, and optionally writes the
+Chrome trace and the plain-text step report.
 
-Everything is seeded, so two captures with the same arguments produce
+Everything is seeded, so two captures of the same spec produce
 identical span lists — the traces are test fixtures.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 from repro.obs.export import write_chrome_trace, write_step_report, write_trace_events
 from repro.obs.tracer import Tracer
@@ -48,63 +47,17 @@ class TraceRun:
     monitor: object = None
 
 
-def run_traced_step(
-    num_gpus: int = 16,
-    gpus_per_node: int = 8,
-    tp_size: int = 4,
-    fsdp_size: int = 2,
-    ddp_size: int = 2,
-    micro_batch: int = 2,
-    seed: int = 0,
-    prefetch: bool = True,
-    layer_wrapping: bool = True,
-    num_steps: int = 1,
-    compute_skew: Mapping[int, float] | None = None,
-    fold: str = "off",
-    monitor: str = "off",
-    out_dir=None,
-) -> TraceRun:
-    """``num_steps`` traced optimizer steps of the hierarchical engine.
+def run_traced_spec(spec, out_dir=None) -> TraceRun:
+    """The ``spec.num_steps`` traced steps of a numeric ``spec``
+    (``repro trace`` builds it from flags).
 
-    ``tp_size * fsdp_size * ddp_size`` must equal ``num_gpus``.  When
-    ``out_dir`` is given, writes ``trace.json`` (Chrome trace),
+    When ``out_dir`` is given, writes ``trace.json`` (Chrome trace),
     ``trace_events.json`` (raw spans, loadable by
     :func:`~repro.obs.export.load_trace_events`) and ``report.txt``
-    (per-step report) into it.  ``compute_skew`` maps ranks to
-    slowdown multipliers (straggler injection via
-    :class:`~repro.faults.degradation.SkewedCompute`).  ``fold`` is the
-    rank-symmetry policy; traced steps run real numerics, so folding
-    silently stays in exact mode — the knob is threaded through for
-    spec fidelity.
+    (per-step report) into it.  Traced steps run real numerics, so a
+    ``fold`` policy silently stays in exact mode.
     """
     # Deferred: repro.obs's package __init__ imports this module.
-    from repro.models import OrbitConfig
-    from repro.runtime import RunSpec
-
-    config = OrbitConfig("trace-tiny", **TRACE_CONFIG_KWARGS)
-    spec = RunSpec(
-        config=config,
-        num_gpus=num_gpus,
-        gpus_per_node=gpus_per_node,
-        tp_size=tp_size,
-        fsdp_size=fsdp_size,
-        ddp_size=ddp_size,
-        micro_batch=micro_batch,
-        prefetch=prefetch,
-        layer_wrapping=layer_wrapping,
-        meta=False,
-        seed=seed,
-        num_steps=num_steps,
-        compute_skew=dict(compute_skew or {}),
-        fold=fold,
-        monitor=monitor,
-    )
-    return run_traced_spec(spec, out_dir=out_dir)
-
-
-def run_traced_spec(spec, out_dir=None) -> TraceRun:
-    """The traced steps of a numeric ``spec`` (what :func:`run_traced_step`
-    builds from its arguments; ``repro trace`` builds it from flags)."""
     from repro.runtime import Session, StepLoop
 
     session = Session(spec)

@@ -25,7 +25,9 @@ sums over span columns (:func:`~repro.obs.analysis.sums_by`) — the same
 floats in the same order as the ledger — so ``busy_s`` equals
 ``ledger.walltime_s`` exactly, and the attribution identity
 ``exposed_compute + exposed_comm + io == critical_path_seconds`` holds
-exactly, not approximately.
+exactly, not approximately.  :func:`rank_attribution` is that per-rank
+table on its own; the step report prints it and the ledger-equality
+tests read it.
 
 There is one implementation: a tracer, its ``spans`` view, a loaded
 file or a list of :class:`Span` is analysed as
@@ -206,6 +208,15 @@ def _attribute(cols: SpanColumns, ids: np.ndarray, size: int) -> list[RankAttrib
     )))
 
 
+def rank_attribution(trace) -> dict[int, RankAttribution]:
+    """The per-rank table: one :class:`RankAttribution` per rank with a
+    span, in order of first appearance.  Its ``compute_s``,
+    ``exposed_comm_s`` and ``comm_s`` equal the rank's ledger bitwise."""
+    cols = SpanColumns.of(trace)
+    rank_of, rank_ids = group_ids(cols.rank.tolist())
+    return dict(zip(rank_of, _attribute(cols, rank_ids, len(rank_of))))
+
+
 def _fsum_by(labels: list, values: np.ndarray) -> dict[str, float]:
     """``{label: fsum of its values}``, sorted by label (fsum is exact,
     so the order it adds in does not matter)."""
@@ -216,11 +227,10 @@ def _fsum_by(labels: list, values: np.ndarray) -> dict[str, float]:
 
 
 def _analyze_cut(label: str, cols: SpanColumns) -> StepAnalysis:
-    rank_of, rank_ids = group_ids(cols.rank.tolist())
-    if not rank_of:
+    ranks = rank_attribution(cols)
+    if not ranks:
         return StepAnalysis(label, {0: RankAttribution()}, 0, 0.0, {0: 0.0},
                             {}, {}, {}, {})
-    ranks = dict(zip(rank_of, _attribute(cols, rank_ids, len(rank_of))))
     critical_rank = max(ranks, key=lambda r: (ranks[r].busy_s, -r))
     critical_path_s = ranks[critical_rank].busy_s
 
@@ -246,7 +256,7 @@ def _analyze_cut(label: str, cols: SpanColumns) -> StepAnalysis:
             [KIND_NAMES[kind] for kind in critical.kind[comm].tolist()], exposed),
         phases=split(lambda scope, name: _phase_label(scope)),
         layers=split(_layer_label),
-        chain=_critical_chain(cols, rank_of, rank_ids, rank_of.index(critical_rank)),
+        chain=_critical_chain(cols, critical_rank),
     )
 
 
@@ -257,7 +267,7 @@ def _run_ends(*keys: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _critical_chain(cols, rank_of, rank_ids, at) -> list[ChainSegment]:
+def _critical_chain(cols, critical_rank: int) -> list[ChainSegment]:
     """Walk the dependency chain backward from the critical rank's end.
 
     Compute runs stay on their rank; a collective's start is gated by
@@ -266,11 +276,15 @@ def _critical_chain(cols, rank_of, rank_ids, at) -> list[ChainSegment]:
     span if a rank carries the id twice), so the walk jumps there and
     continues.  The result, reversed, reads forward in time: which rank
     the step's length was living on, and through which collective
-    responsibility changed hands.  ``at`` indexes ``rank_of``.  Which
-    rows jump, and where to, is worked out for all rows at once; the
-    walk then takes one iteration per *segment*.
+    responsibility changed hands.  Which rows jump, and where to, is
+    worked out for all rows at once; the walk then takes one iteration
+    per *segment*.
     """
     n = len(cols)
+    # the walk only groups rows by rank, so sorted-rank ids serve
+    rank_of, rank_ids = np.unique(cols.rank, return_inverse=True)
+    rank_of = rank_of.tolist()
+    at = rank_of.index(critical_rank)
     # rows grouped by rank, in recorded order
     by_rank = np.argsort(rank_ids, kind="stable")
     starts = np.searchsorted(rank_ids[by_rank], np.arange(len(rank_of) + 1))
@@ -345,16 +359,6 @@ def analyze_trace(trace: "Tracer | SpanColumns | Iterable[Span]") -> TraceAnalys
         for label in labels
     ]
     return TraceAnalysis(overall=overall, steps=steps)
-
-
-def analyze_step(trace: "Tracer | Iterable[Span]", step: int = 0) -> StepAnalysis:
-    """Analysis of one ``step.N`` cut (default: the first step)."""
-    analysis = analyze_trace(trace)
-    label = f"step.{step}"
-    for cut in analysis.steps:
-        if cut.label == label:
-            return cut
-    raise KeyError(f"no spans scoped under {label!r}")
 
 
 # -- reporting ---------------------------------------------------------------

@@ -23,7 +23,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 from repro.obs import analysis
+from repro.obs.critical_path import rank_attribution
 from repro.obs.tracer import Span, SpanColumns, SpanView, Tracer, span_row
 
 _LANES = {"compute": "compute", "collective": "comm", "gather": "comm"}
@@ -296,21 +299,19 @@ def step_report(tracer: Tracer, cluster=None, top: int = 10) -> str:
     from repro.experiments.common import format_table
 
     spans = SpanColumns.of(tracer)  # one column build for every sum below
-    compute = analysis.compute_seconds_by_rank(spans)
-    exposed = analysis.exposed_comm_seconds_by_rank(spans)
-    hidden = analysis.hidden_comm_seconds_by_rank(spans)
-    comm = analysis.comm_seconds_by_rank(spans)
-    ranks = sorted(set(compute) | set(comm))
+    # the ranks with timed spans; no io rows, so busy_s is compute + exposed
+    table = rank_attribution(spans.take(np.flatnonzero(analysis.is_timed(spans))))
 
     rows = []
-    for rank in ranks:
+    for rank in sorted(table):
+        attr = table[rank]
         row = [
             rank,
-            f"{compute.get(rank, 0.0):.6f}",
-            f"{comm.get(rank, 0.0):.6f}",
-            f"{exposed.get(rank, 0.0):.6f}",
-            f"{hidden.get(rank, 0.0):.6f}",
-            f"{compute.get(rank, 0.0) + exposed.get(rank, 0.0):.6f}",
+            f"{attr.compute_s:.6f}",
+            f"{attr.comm_s:.6f}",
+            f"{attr.exposed_comm_s:.6f}",
+            f"{attr.hidden_comm_s:.6f}",
+            f"{attr.busy_s:.6f}",
         ]
         if cluster is not None:
             row.append(f"{cluster.device(rank).memory.peak_bytes / 2**20:.2f} MiB")
@@ -320,8 +321,7 @@ def step_report(tracer: Tracer, cluster=None, top: int = 10) -> str:
         headers.append("peak_mem")
     lines = [format_table(headers, rows, title="Per-rank time breakdown")]
 
-    busy = [compute.get(r, 0.0) + exposed.get(r, 0.0) for r in ranks]
-    walltime = max(busy, default=0.0)
+    walltime = max((attr.busy_s for attr in table.values()), default=0.0)
     lines.append("")
     lines.append(f"walltime (max busy rank): {walltime:.6f} s")
     lines.append(f"exposed-comm ratio:       {analysis.exposed_comm_ratio(spans):.4f}")

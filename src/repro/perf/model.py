@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.cluster.costmodel import CollectiveCostModel
-from repro.hardware import MI250X_GCD_PEAK_BF16, MI250X_GCD_PEAK_FP32
-from repro.cluster.topology import FrontierTopology, LinkSpec
+from repro.hardware import MI250X_GCD_PEAK_FP32
+from repro.cluster.topology import FrontierTopology
 from repro.memory.estimator import MemoryModel, Parallelism, TrainingSetup
 from repro.models.flops import forward_flops_per_sample, parameter_breakdown
 
@@ -127,11 +127,14 @@ class PerformanceModel:
     def _cost_model(self, num_gpus: int) -> CollectiveCostModel:
         eff = self.constants.network_efficiency
         congestion = self.constants.congestion_factor(num_gpus)
+        # the topology's default links, derated by RCCL and congestion
+        intra, inter = FrontierTopology.intra_node, FrontierTopology.inter_node
         topo = FrontierTopology(
             num_gpus=max(num_gpus, 1),
             gpus_per_node=min(self.gpus_per_node, max(num_gpus, 1)),
-            intra_node=LinkSpec(latency_s=2e-6, bandwidth_Bps=50e9 * eff),
-            inter_node=LinkSpec(latency_s=10e-6, bandwidth_Bps=100e9 * eff / congestion),
+            intra_node=replace(intra, bandwidth_Bps=intra.bandwidth_Bps * eff),
+            inter_node=replace(
+                inter, bandwidth_Bps=inter.bandwidth_Bps * eff / congestion),
         )
         return CollectiveCostModel(topo)
 

@@ -19,7 +19,7 @@ package centralizes that construction:
   driver (``on_step_start`` / ``on_step_end`` / ``on_loss`` /
   ``on_checkpoint`` plus periodic health callbacks) that the serial
   and distributed trainers, the fine-tuner, ``run_case`` and
-  ``run_traced_step`` all route through.
+  ``run_traced_spec`` all route through.
 """
 
 from repro.runtime.spec import (

@@ -161,7 +161,7 @@ class RunSpec:
     layer_wrapping: bool = field(default=True, metadata=_POLICY)
     bf16: bool = field(default=False, metadata=_POLICY)
     #: Rank-symmetry folding: ``"off"`` always simulates every rank,
-    #: ``"on"``/``"auto"`` fold symmetric ranks into equivalence
+    #: ``"on"`` folds symmetric ranks into equivalence
     #: classes when eligible (meta mode, no skew, uniform topology) and
     #: silently run exact otherwise.  Folded and exact runs are bitwise
     #: identical, so this is a policy knob, not an identity field.
@@ -265,9 +265,9 @@ class RunSpec:
             problems.append(
                 f"invalid num_steps {self.num_steps}: must be at least 1"
             )
-        if self.fold not in ("off", "on", "auto"):
+        if self.fold not in ("off", "on"):
             problems.append(
-                f"invalid fold {self.fold!r}: must be 'off', 'on', or 'auto'"
+                f"invalid fold {self.fold!r}: must be 'off' or 'on'"
             )
         if self.monitor not in ("off", "on"):
             problems.append(

@@ -3,7 +3,7 @@
 The serial :class:`~repro.train.trainer.Trainer`, the
 :class:`~repro.train.distributed.DistributedTrainer`, the
 :class:`~repro.train.finetune.Finetuner`, the bench harness's
-``run_case`` and the capture layer's ``run_traced_step`` all used to
+``run_case`` and the capture layer's ``run_traced_spec`` all used to
 hand-roll their own ``for step in range(n)`` loop, which meant
 cross-cutting behaviour — periodic checkpoints, health probes, early
 stop, loss bookkeeping — could not be added once.  StepLoop owns that

@@ -242,7 +242,7 @@ def _validation_case(request: TuneRequest, candidate: Candidate):
         prefetch=candidate.prefetch,
         recompute=candidate.recompute,
         tp_innermost=candidate.tp_innermost,
-        fold="auto",
+        fold="on",
     )
 
 

@@ -127,7 +127,8 @@ class TestFoldedExactParity:
         _assert_bitwise_equal(exact, folded)
 
     def test_auto_mode_folds_when_eligible(self):
-        session = Session(_spec((2, 2, 4), fold="auto"))
+        """``fold="on"`` folds an eligible run automatically."""
+        session = Session(_spec((2, 2, 4), fold="on"))
         assert session.fold_decision.folded
         assert isinstance(session.cluster.timeline, FoldedTimeline)
 
@@ -275,8 +276,9 @@ class TestEligibility:
         assert "numeric" in session.fold_decision.reason
 
     def test_invalid_fold_value_rejected(self):
-        with pytest.raises(Exception, match="invalid fold"):
-            _spec((2, 2, 2), fold="sometimes")
+        for fold in ("sometimes", "auto"):
+            with pytest.raises(Exception, match="invalid fold"):
+                _spec((2, 2, 2), fold=fold)
 
 
 class TestMetaStepContract:

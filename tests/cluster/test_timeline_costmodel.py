@@ -162,43 +162,3 @@ class TestVirtualCluster:
         assert cluster.timeline.walltime_s() == 0.0
         assert cluster.device(0).memory.current_bytes == 0
 
-
-class TestHierarchicalAllReduce:
-    @pytest.fixture
-    def model(self):
-        return CollectiveCostModel(FrontierTopology(num_gpus=64, gpus_per_node=8))
-
-    def test_tree_wins_latency_bound_regime(self, model):
-        """64 ranks over 8 nodes, small buffer: the flat ring pays 126
-        latency terms, the tree pays ~20 — the RCCL tree-vs-ring switch."""
-        ranks = list(range(64))
-        flat = model.all_reduce(ranks, 4 << 10)
-        tree = model.hierarchical_all_reduce(ranks, 4 << 10)
-        assert tree < 0.5 * flat
-
-    def test_ring_wins_bandwidth_bound_regime(self, model):
-        """Large buffers: the contiguous ring is bandwidth-optimal (one
-        NIC crossing per node per step) and beats the tree."""
-        ranks = list(range(64))
-        flat = model.all_reduce(ranks, 256 << 20)
-        tree = model.hierarchical_all_reduce(ranks, 256 << 20)
-        assert flat < tree
-
-    def test_falls_back_to_ring_for_single_node(self, model):
-        ranks = list(range(8))
-        nbytes = 8 << 20
-        assert model.hierarchical_all_reduce(ranks, nbytes) == model.all_reduce(ranks, nbytes)
-
-    def test_falls_back_for_one_rank_per_node(self, model):
-        ranks = list(range(0, 64, 8))
-        nbytes = 8 << 20
-        assert model.hierarchical_all_reduce(ranks, nbytes) == model.all_reduce(ranks, nbytes)
-
-    def test_single_rank_free(self, model):
-        assert model.hierarchical_all_reduce([3], 1 << 20) == 0.0
-
-    def test_scales_with_bytes(self, model):
-        ranks = list(range(64))
-        small = model.hierarchical_all_reduce(ranks, 1 << 20)
-        large = model.hierarchical_all_reduce(ranks, 64 << 20)
-        assert large > small

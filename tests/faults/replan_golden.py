@@ -47,7 +47,7 @@ def meta_scenario(checkpoint_dir):
 
     spec = RunSpec(config=TINY, num_gpus=16, gpus_per_node=8, tp_size=2,
                    fsdp_size=2, ddp_size=4, micro_batch=2, meta=True,
-                   fold="auto", monitor="on")
+                   fold="on", monitor="on")
     return Supervisor(
         spec, META_PLAN, checkpoint_every=2, checkpoint_dir=checkpoint_dir,
         health_every=2,

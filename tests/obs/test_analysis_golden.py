@@ -5,10 +5,12 @@ The invariant suites compare the analyses with the ledgers
 this golden is the outside reference for *everything* an analysis
 returns — per-rank buckets and their order, the critical rank and path,
 slack, the critical-rank splits by op / kind / phase / layer, the
-cross-rank chain, the per-step cuts, ``exposed_comm_ratio``, the five
-``*_by_rank`` sums and ``top_operations`` — as ``float.hex()`` strings.
+cross-rank chain, the per-step cuts, ``exposed_comm_ratio``, four
+per-rank sums and ``top_operations`` — as ``float.hex()`` strings.
 It was generated by the per-object ``+=`` walk the span table replaced,
-so it is what "the column reduction is bitwise-equal" means.
+so it is what "the column reduction is bitwise-equal" means.  Its
+per-rank sums (``by_rank``) are compared with the one per-rank table
+(``rank_attribution``) rank by rank.
 
 Regenerate (only for a deliberate change of an analysis, in the same PR)::
 
@@ -18,6 +20,7 @@ Regenerate (only for a deliberate change of an analysis, in the same PR)::
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,20 +33,21 @@ from repro.obs import (
     check_run,
     critical_path_report,
     load_trace_events,
-    run_traced_step,
+    rank_attribution,
+    run_traced_spec,
     write_trace_events,
 )
 from tests.cluster.test_fold_parity import _run, _spec
+from tests.obs.test_invariants import TRACE_4
 
 GOLDEN = Path(__file__).parent / "data" / "analysis_golden.json"
 
-BY_RANK = (
-    analysis.compute_seconds_by_rank,
-    analysis.exposed_comm_seconds_by_rank,
-    analysis.comm_seconds_by_rank,
-    analysis.hidden_comm_seconds_by_rank,
-    analysis.busy_seconds_by_rank,
-)
+#: golden ``by_rank`` entry -> the :class:`RankAttribution` field it pins
+#: (entry ``<stem>_seconds_by_rank`` pins field ``<stem>_s``)
+BY_RANK = {
+    f"{field[:-2]}_seconds_by_rank": field
+    for field in ("compute_s", "exposed_comm_s", "comm_s", "hidden_comm_s")
+}
 
 
 def _meta(grid, **kwargs):
@@ -51,9 +55,7 @@ def _meta(grid, **kwargs):
 
 
 def _numeric_three_steps():
-    return run_traced_step(num_gpus=4, gpus_per_node=4, tp_size=2,
-                           fsdp_size=2, ddp_size=1, micro_batch=1,
-                           num_steps=3).tracer
+    return run_traced_spec(replace(TRACE_4, num_steps=3)).tracer
 
 
 def _markers_and_serve():
@@ -168,13 +170,16 @@ def snapshot(trace) -> dict:
     """Everything the analyses say about ``trace``, JSON-ready."""
     spans = getattr(trace, "spans", trace)
     decomposition = analyze_trace(trace)
+    table = rank_attribution(spans)
     findings = check_run(spans, analysis=decomposition)
     return {
         "spans": len(spans),
         "overall": _cut(decomposition.overall),
         "steps": [_cut(cut) for cut in decomposition.steps],
         "exposed_comm_ratio": _hex(analysis.exposed_comm_ratio(spans)),
-        "by_rank": {fn.__name__: _pairs(fn(spans)) for fn in BY_RANK},
+        "by_rank": {
+            entry: _pairs({rank: getattr(attr, field) for rank, attr in table.items()})
+            for entry, field in BY_RANK.items()},
         "top_operations": [_operation(entry) for entry in
                            analysis.top_operations(spans, limit=12)],
         # every operation, in both rankings
@@ -199,9 +204,21 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
+def _by_rank_equal(got: dict, want: dict) -> bool:
+    """Per rank, not by position: the golden's order was the deleted
+    reducers', and a rank they left out had nothing to sum."""
+    return got.keys() == want.keys() and all(
+        dict(got[entry]) == {rank: _hex(0.0) for rank, _ in got[entry]}
+        | dict(want[entry])
+        for entry in want)
+
+
 def _assert_equal(got: dict, want: dict, name: str) -> None:
     for key in want:
-        assert got[key] == want[key], f"{name}: {key}"
+        if key == "by_rank":
+            assert _by_rank_equal(got[key], want[key]), f"{name}: {key}"
+        else:
+            assert got[key] == want[key], f"{name}: {key}"
     assert got.keys() == want.keys()
 
 

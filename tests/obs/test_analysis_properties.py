@@ -2,22 +2,25 @@
 
 For *arbitrary* sequences of compute / collective / marker events
 driven through a real :class:`~repro.cluster.timeline.Timeline` with a
-tracer attached, the analyzer's per-rank buckets must satisfy the
+tracer attached, the per-rank table's buckets must satisfy the
 partition identity bitwise::
 
-    compute_seconds_by_rank[r] + exposed_comm_seconds_by_rank[r]
-        == ledger(r).walltime_s
+    rank_attribution(trace)[r].compute_s
+        + rank_attribution(trace)[r].exposed_comm_s == ledger(r).walltime_s
 
 — including the empty trace and traces containing only zero-duration
 markers.  Both sides accumulate the same floats in the same order, so
 ``==`` is exact, never approximate.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.timeline import Timeline
-from repro.obs import analysis, analyze_trace
+from repro.obs import analysis, analyze_trace, rank_attribution
+from repro.obs.critical_path import RankAttribution
 from repro.obs.tracer import Tracer
 
 NUM_RANKS = 4
@@ -64,18 +67,14 @@ class TestPartitionIdentity:
     @given(_events)
     def test_compute_plus_exposed_partitions_walltime(self, events):
         timeline, tracer = _replay(events)
-        compute = analysis.compute_seconds_by_rank(tracer.spans)
-        exposed = analysis.exposed_comm_seconds_by_rank(tracer.spans)
-        comm = analysis.comm_seconds_by_rank(tracer.spans)
+        table = rank_attribution(tracer)
         for rank in range(NUM_RANKS):
             ledger = timeline.ledger(rank)
-            assert compute.get(rank, 0.0) == ledger.compute_s
-            assert exposed.get(rank, 0.0) == ledger.exposed_comm_s
-            assert comm.get(rank, 0.0) == ledger.comm_s
-            assert (
-                compute.get(rank, 0.0) + exposed.get(rank, 0.0)
-                == ledger.walltime_s
-            )
+            attr = table.get(rank, RankAttribution())
+            assert attr.compute_s == ledger.compute_s
+            assert attr.exposed_comm_s == ledger.exposed_comm_s
+            assert attr.comm_s == ledger.comm_s
+            assert attr.compute_s + attr.exposed_comm_s == ledger.walltime_s
 
     @settings(max_examples=60, deadline=None)
     @given(_events)
@@ -96,22 +95,18 @@ class TestPartitionIdentity:
     @given(_events)
     def test_hidden_plus_exposed_equals_total_comm(self, events):
         _, tracer = _replay(events)
-        exposed = analysis.exposed_comm_seconds_by_rank(tracer.spans)
-        hidden = analysis.hidden_comm_seconds_by_rank(tracer.spans)
-        comm = analysis.comm_seconds_by_rank(tracer.spans)
-        for rank in set(comm):
+        for attr in rank_attribution(tracer).values():
             # summed separately, so approximate (unlike the ledger-order
             # identities above, which are bitwise)
-            assert exposed.get(rank, 0.0) + hidden.get(rank, 0.0) == pytest.approx(
-                comm.get(rank, 0.0), rel=1e-9, abs=1e-15
+            assert attr.exposed_comm_s + attr.hidden_comm_s == pytest.approx(
+                attr.comm_s, rel=1e-9, abs=1e-15
             )
 
 
 class TestEdgeCases:
     def test_empty_trace(self):
         tracer = Tracer()
-        assert analysis.compute_seconds_by_rank(tracer.spans) == {}
-        assert analysis.exposed_comm_seconds_by_rank(tracer.spans) == {}
+        assert rank_attribution(tracer) == {}
         assert analysis.exposed_comm_ratio(tracer.spans) == 0.0
         decomposition = analyze_trace(tracer)
         assert decomposition.critical_path_s == 0.0
@@ -123,7 +118,7 @@ class TestEdgeCases:
             tracer.instant("optimizer", "opt.step", rank=rank)
             tracer.instant("io", "ckpt.write", rank=rank)
         # markers are not timed kinds, so no rank accrues busy time
-        assert analysis.busy_seconds_by_rank(tracer.spans) == {}
+        assert all(attr.busy_s == 0.0 for attr in rank_attribution(tracer).values())
         decomposition = analyze_trace(tracer)
         assert decomposition.critical_path_s == 0.0
         # io markers have zero duration, so even the io bucket is empty
@@ -136,12 +131,14 @@ class TestEdgeCases:
     def test_markers_never_change_totals(self, events):
         """The same run with markers stripped yields identical buckets."""
         _, tracer = _replay(events)
-        with_markers = analysis.busy_seconds_by_rank(tracer.spans)
+        with_markers = rank_attribution(tracer)
         stripped = [s for s in tracer.spans
                     if s.kind in ("compute", "collective", "gather")]
-        without_markers = analysis.busy_seconds_by_rank(stripped)
+        without_markers = rank_attribution(stripped)
         for rank in set(with_markers) & set(without_markers):
-            assert with_markers[rank] == without_markers[rank]
+            # every bucket but the span count
+            assert replace(with_markers[rank], spans=0) == \
+                replace(without_markers[rank], spans=0)
 
     @settings(max_examples=30, deadline=None)
     @given(_events)

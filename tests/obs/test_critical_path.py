@@ -7,24 +7,24 @@ same floats in the same order, so ``==`` is the right comparison, not
 ``pytest.approx``.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.obs import (
-    analyze_step,
     analyze_trace,
     critical_path_report,
     load_trace_events,
-    run_traced_step,
+    run_traced_spec,
 )
+from tests.obs.test_invariants import TRACE_4, TRACE_16
 
 
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
     """One traced step on the default 2-node, 16-GCD layout."""
     out = tmp_path_factory.mktemp("trace")
-    return run_traced_step(num_gpus=16, gpus_per_node=8,
-                           tp_size=4, fsdp_size=2, ddp_size=2, seed=0,
-                           out_dir=out)
+    return run_traced_spec(TRACE_16, out_dir=out)
 
 
 @pytest.fixture(scope="module")
@@ -86,19 +86,13 @@ class TestDecomposition:
     def test_exposed_comm_fraction_in_unit_interval(self, analysis):
         assert 0.0 <= analysis.overall.exposed_comm_fraction <= 1.0
 
-    def test_single_step_cut_present(self, run, analysis):
+    def test_single_step_cut_present(self, analysis):
         assert [cut.label for cut in analysis.steps] == ["step.0"]
-        cut = analyze_step(run.tracer, step=0)
-        assert cut.label == "step.0"
-        with pytest.raises(KeyError):
-            analyze_step(run.tracer, step=7)
 
 
 class TestMultiStep:
     def test_steps_labeled_and_ordered(self):
-        run = run_traced_step(num_gpus=4, gpus_per_node=4, tp_size=2,
-                              fsdp_size=2, ddp_size=1, micro_batch=1,
-                              num_steps=3)
+        run = run_traced_spec(replace(TRACE_4, num_steps=3))
         analysis = analyze_trace(run.tracer)
         assert [cut.label for cut in analysis.steps] == [
             "step.0", "step.1", "step.2"
@@ -129,9 +123,7 @@ class TestCrossRankChain:
         dependency walk from the critical rank has to pass through the
         collective gated by rank 2's late arrival.
         """
-        run = run_traced_step(num_gpus=4, gpus_per_node=4, tp_size=2,
-                              fsdp_size=2, ddp_size=1, micro_batch=1,
-                              compute_skew={2: 10_000_000.0})
+        run = run_traced_spec(replace(TRACE_4, compute_skew={2: 10_000_000.0}))
         analysis = analyze_trace(run.tracer)
         assert 2 in {seg.rank for seg in analysis.overall.chain}
         entered = [seg for seg in analysis.overall.chain if seg.via is not None]

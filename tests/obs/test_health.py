@@ -2,20 +2,21 @@
 
 Straggler injection uses the perturbed cost model
 (:class:`repro.faults.degradation.SkewedCompute` via
-``run_traced_step(compute_skew=...)``), exactly as the issue's
-acceptance criterion requires.
+a traced ``RunSpec(compute_skew=...)``).
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.obs import HealthThresholds, check_run, health_report, run_traced_step
+from repro.obs import HealthThresholds, check_run, health_report, run_traced_spec
 from repro.obs.health import Finding, FindingKind, check_memory_watermark
+from tests.obs.test_invariants import TRACE_16
 
 
 @pytest.fixture(scope="module")
 def clean_run():
-    return run_traced_step(num_gpus=16, gpus_per_node=8,
-                           tp_size=4, fsdp_size=2, ddp_size=2, seed=0)
+    return run_traced_spec(TRACE_16)
 
 
 @pytest.fixture(scope="module")
@@ -25,9 +26,7 @@ def skewed_run():
     The trace-tiny model's per-rank compute is O(10 ns), so the factor
     must be enormous to overtake the comm-dominated busy times.
     """
-    return run_traced_step(num_gpus=16, gpus_per_node=8,
-                           tp_size=4, fsdp_size=2, ddp_size=2, seed=0,
-                           compute_skew={5: 10_000_000.0})
+    return run_traced_spec(replace(TRACE_16, compute_skew={5: 10_000_000.0}))
 
 
 def _by_category(findings):

@@ -8,11 +8,23 @@ leaving the simulation byte-identical.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.obs import analysis, run_traced_step, to_chrome_trace
+from repro.models import OrbitConfig
+from repro.obs import rank_attribution, run_traced_spec, to_chrome_trace
+from repro.obs.capture import TRACE_CONFIG_KWARGS
 from repro.obs.tracer import SPAN_KINDS
+from repro.runtime import RunSpec
+
+TRACE_TINY = OrbitConfig("trace-tiny", **TRACE_CONFIG_KWARGS)
+#: The default ``repro trace`` step: 2 nodes, 16 GCDs, tp 4 x fsdp 2 x ddp 2.
+TRACE_16 = RunSpec(config=TRACE_TINY, num_gpus=16, tp_size=4, fsdp_size=2,
+                   ddp_size=2, micro_batch=2, meta=False)
+#: One 4-GCD node, tp 2 x fsdp 2.
+TRACE_4 = RunSpec(config=TRACE_TINY, num_gpus=4, gpus_per_node=4, tp_size=2,
+                  fsdp_size=2, meta=False)
 
 
 @pytest.fixture(scope="module", params=["off", "on"])
@@ -23,39 +35,37 @@ def run(request):
     numeric, so ``fold="on"`` silently stays in exact mode — every
     invariant must hold identically under both settings.
     """
-    return run_traced_step(num_gpus=16, gpus_per_node=8,
-                           tp_size=4, fsdp_size=2, ddp_size=2, seed=0,
-                           fold=request.param)
+    return run_traced_spec(replace(TRACE_16, fold=request.param))
+
+
+@pytest.fixture(scope="module")
+def table(run):
+    return rank_attribution(run.tracer)
 
 
 class TestLedgerEquality:
-    def test_compute_sums_match_exactly(self, run):
-        compute = analysis.compute_seconds_by_rank(run.tracer.spans)
+    def test_compute_sums_match_exactly(self, run, table):
         for rank in range(run.cluster.world_size):
-            assert compute.get(rank, 0.0) == run.cluster.timeline.ledger(rank).compute_s
+            assert table[rank].compute_s == run.cluster.timeline.ledger(rank).compute_s
 
-    def test_exposed_comm_sums_match_exactly(self, run):
-        exposed = analysis.exposed_comm_seconds_by_rank(run.tracer.spans)
+    def test_exposed_comm_sums_match_exactly(self, run, table):
         for rank in range(run.cluster.world_size):
             ledger = run.cluster.timeline.ledger(rank)
-            assert exposed.get(rank, 0.0) == ledger.exposed_comm_s
+            assert table[rank].exposed_comm_s == ledger.exposed_comm_s
 
-    def test_total_comm_sums_match_exactly(self, run):
-        comm = analysis.comm_seconds_by_rank(run.tracer.spans)
+    def test_total_comm_sums_match_exactly(self, run, table):
         for rank in range(run.cluster.world_size):
-            assert comm.get(rank, 0.0) == run.cluster.timeline.ledger(rank).comm_s
+            assert table[rank].comm_s == run.cluster.timeline.ledger(rank).comm_s
 
-    def test_busy_sums_equal_ledger_walltime(self, run):
+    def test_busy_sums_equal_ledger_walltime(self, run, table):
         """sum(span durations on rank r) == ledger(r).walltime_s."""
-        compute = analysis.compute_seconds_by_rank(run.tracer.spans)
-        exposed = analysis.exposed_comm_seconds_by_rank(run.tracer.spans)
         for rank in range(run.cluster.world_size):
             ledger = run.cluster.timeline.ledger(rank)
-            assert compute.get(rank, 0.0) + exposed.get(rank, 0.0) == ledger.walltime_s
+            attr = table[rank]
+            assert attr.compute_s + attr.exposed_comm_s == ledger.walltime_s
 
-    def test_walltime_is_max_busy_rank(self, run):
-        busy = analysis.busy_seconds_by_rank(run.tracer.spans)
-        assert run.walltime_s == max(busy.values())
+    def test_walltime_is_max_busy_rank(self, run, table):
+        assert run.walltime_s == max(attr.busy_s for attr in table.values())
         assert run.walltime_s == run.cluster.timeline.walltime_s()
 
 
@@ -138,8 +148,7 @@ class TestDisabledTracer:
         """Default (null) tracer: zero events, byte-identical simulation."""
         from repro.cluster import VirtualCluster
         from repro.data.loader import Batch
-        from repro.models import OrbitConfig, build_model
-        from repro.obs.capture import TRACE_CONFIG_KWARGS
+        from repro.models import build_model
         from repro.parallel import HybridParallelPlan, HybridSTOPEngine
         from repro.parallel.compute import PeakFractionCompute
         from repro.train.distributed import DistributedTrainer
@@ -148,7 +157,7 @@ class TestDisabledTracer:
 
         cluster = VirtualCluster(num_gpus=16, gpus_per_node=8)  # no tracer
         plan = HybridParallelPlan(cluster, tp_size=4, fsdp_size=2, ddp_size=2)
-        config = OrbitConfig("trace-tiny", **TRACE_CONFIG_KWARGS)
+        config = TRACE_TINY
         model = build_model(config, rng=0)
         engine = HybridSTOPEngine(model, plan, prefetch=True, layer_wrapping=True,
                                   compute_model=PeakFractionCompute(cluster))
@@ -176,8 +185,7 @@ class TestDisabledTracer:
 
 class TestDeterminism:
     def test_identical_seeds_identical_traces(self, run):
-        other = run_traced_step(num_gpus=16, gpus_per_node=8,
-                                tp_size=4, fsdp_size=2, ddp_size=2, seed=0)
+        other = run_traced_spec(TRACE_16)
         assert len(other.tracer.spans) == len(run.tracer.spans)
         assert [s.to_dict() for s in other.tracer.spans] == \
             [s.to_dict() for s in run.tracer.spans]

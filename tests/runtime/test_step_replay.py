@@ -189,8 +189,8 @@ def test_a_replayed_raise_has_no_stack_to_unwind():
     replayed, got = _run(spec, (fault,))
     assert got == want and len(got) == 1
     theirs, mine = _left_behind(oracle), _left_behind(replayed)
-    unwound = [row for row in theirs.pop("spans")._rows
-               if row not in set(mine["spans"]._rows)]
+    mine_rows = set(mine["spans"]._rows)
+    unwound = [row for row in theirs.pop("spans")._rows if row not in mine_rows]
     assert unwound and all(
         kind == "gather" and name.startswith("free.") and dur == 0.0
         for kind, name, _, _, dur, *_ in unwound)

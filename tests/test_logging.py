@@ -81,11 +81,12 @@ class TestJsonLines:
 
     def test_traced_step_emits_rank_scoped_records(self, capture):
         """End to end: health findings logged during check_run carry ranks."""
-        from repro.obs import check_run, run_traced_step
+        from dataclasses import replace
 
-        run = run_traced_step(num_gpus=4, gpus_per_node=4, tp_size=2,
-                              fsdp_size=2, ddp_size=1, micro_batch=1,
-                              compute_skew={2: 10_000_000.0})
+        from repro.obs import check_run, run_traced_spec
+        from tests.obs.test_invariants import TRACE_4
+
+        run = run_traced_spec(replace(TRACE_4, compute_skew={2: 10_000_000.0}))
         findings = check_run(run.tracer, plan=run.plan)
         assert findings
         records = [r for r in _records(capture) if "straggler" in r["message"]]
