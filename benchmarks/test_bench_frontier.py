@@ -3,7 +3,7 @@
 The symmetry-folded timeline is what makes the 113B model simulatable
 at the full 49,152-GCD Frontier machine; these cases gate both sides
 of that bargain.  The ``quick``-marked wall-clock ceiling fails CI if
-the folded full-machine meta step regresses past 3 seconds of real
+the folded full-machine meta step regresses past 1.2 seconds of real
 time (the whole point of folding), and the baseline comparison holds
 the frontier entries of ``BENCH_obs.json`` to the same 5% drift gate
 as the small cases.
@@ -25,12 +25,12 @@ from repro.bench import (
 
 BASELINE = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
-#: Real-seconds budget for the folded 49,152-GCD meta step — between
-#: three and four times the measured ``bench_wall`` frontier-fold pass
-#: (about 0.55 s), headroom for a noisy host.  The exact (unfolded)
-#: simulation is thousands of times this; a folded run breaching the
-#: ceiling means symmetry folding stopped pulling its weight.
-FULL_MACHINE_WALL_CEILING_S = 2.0
+#: Real-seconds budget for the folded 49,152-GCD meta step — about
+#: twice the measured step (about 0.6 s on a 2-core host), headroom for
+#: a noisy host.  The exact (unfolded) simulation is thousands of times
+#: this; a folded run breaching the ceiling means symmetry folding
+#: stopped pulling its weight.
+FULL_MACHINE_WALL_CEILING_S = 1.2
 
 _BY_NAME = {case.name: case for case in FRONTIER_MATRIX}
 _FULL_MACHINE = _BY_NAME["orbit-113b-6144n"]
@@ -38,13 +38,13 @@ _FULL_MACHINE = _BY_NAME["orbit-113b-6144n"]
 
 @pytest.mark.quick
 def test_full_machine_meta_step_under_wall_clock_ceiling(once):
-    """One folded 113B step on all 49,152 GCDs in < 2 s of real time."""
+    """One folded 113B step on all 49,152 GCDs in < 1.2 s of real time."""
     start = time.perf_counter()
     record = once(run_case, _FULL_MACHINE)
     elapsed = time.perf_counter() - start
     assert elapsed < FULL_MACHINE_WALL_CEILING_S, (
         f"folded full-machine step took {elapsed:.2f}s real time "
-        f"(ceiling {FULL_MACHINE_WALL_CEILING_S:.0f}s)"
+        f"(ceiling {FULL_MACHINE_WALL_CEILING_S:.1f}s)"
     )
     # The simulated step itself must stay sane: minutes-long,
     # compute-bound, with communication mostly overlapped.

@@ -24,13 +24,12 @@ from repro.serve.bench import (
 
 BASELINE = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
-#: Real-seconds ceilings, about four times the measured run (the margin
-#: ``FULL_MACHINE_WALL_CEILING_S`` uses): the warm quick case takes
-#: 0.04-0.10 s and the warm four-case matrix 0.8-0.9 s on the 2-core
-#: sandbox, nearly all of it ``repro.nn`` forwards replayed from the
-#: forward tape.  A breach means serving went back to paying per-op
-#: dispatch (the parent's matrix took 1.2-1.3 s), or the event loop went
-#: quadratic — not that the runner was slow.
+#: Real-seconds ceilings, about four times the measured run: the warm
+#: quick case takes 0.04-0.10 s and the warm four-case matrix 0.8-0.9 s
+#: on a 2-core host, nearly all of it ``repro.nn`` forwards
+#: replayed from the forward tape.  A breach means serving went back to
+#: paying per-op dispatch (the parent's matrix took 1.2-1.3 s), or the
+#: event loop went quadratic — not that the runner was slow.
 QUICK_WALL_CLOCK_CEILING_S = 0.4
 FULL_MATRIX_WALL_CLOCK_CEILING_S = 3.5
 

@@ -18,11 +18,11 @@ from repro.tune import TuneRequest, run_search
 
 #: Real-seconds budget for the 304-candidate 4D sweep of ORBIT-1B on 32
 #: GCDs with three validated steps — the ``bench_wall`` ``tune-4d``
-#: request — about 3x its measured pass (0.49 s host-normalised, from
+#: request — about 2x its measured pass (0.48 s on a 2-core host, from
 #: 1.05 s: block streams replay as compiled columns and one block is
 #: probed per layout, not per prefetch flag).  Probes and validation
 #: run on the fold (class-sized work); per-rank probes alone took 3 s.
-TUNE_4D_WALL_CEILING_S = 1.5
+TUNE_4D_WALL_CEILING_S = 1.0
 
 
 @pytest.mark.quick

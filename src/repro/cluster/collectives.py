@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.cluster.process_group import ProcessGroup
 from repro.meta import MetaArray, is_meta, nbytes_of
+from repro.nn.ops import kernel
 
 _REDUCE_OPS = ("sum", "mean", "max", "min")
 
@@ -83,9 +84,11 @@ def _common_shape(distinct: list, what: str) -> tuple:
     return shapes.pop()
 
 
-def _reduce(stack: np.ndarray, op: str) -> np.ndarray:
+def _reduce(*buffers, op: str) -> np.ndarray:
+    # np.stack and .sum(axis=0) without their Python layers
+    stack = np.concatenate([np.asarray(b)[np.newaxis] for b in buffers])
     if op == "sum":
-        return stack.sum(axis=0)
+        return np.add.reduce(stack, axis=0)
     if op == "mean":
         return stack.mean(axis=0)
     if op == "max":
@@ -93,6 +96,19 @@ def _reduce(stack: np.ndarray, op: str) -> np.ndarray:
     if op == "min":
         return stack.min(axis=0)
     raise ValueError(f"unknown reduce op {op!r}; expected one of {_REDUCE_OPS}")
+
+
+def _reduce_scatter(*buffers, op: str, axis: int, parts: int) -> list:
+    # Shards are np.split's views of the one reduction: disjoint, and
+    # along axis 0 already contiguous (ascontiguousarray copies otherwise).
+    reduced = _reduce(*buffers, op=op)
+    size, lead = reduced.shape[axis] // parts, (slice(None),) * (axis % reduced.ndim)
+    return [np.ascontiguousarray(reduced[lead + (slice(i * size, (i + 1) * size),)])
+            for i in range(parts)]
+
+
+def _concatenate(*shards, axis: int) -> np.ndarray:
+    return np.concatenate([np.asarray(s) for s in shards], axis=axis)
 
 
 def _record(
@@ -122,8 +138,7 @@ def all_gather(
         shape[axis] = _member_sum(shards, distinct, lambda s: s.shape[axis])
         out = MetaArray(tuple(shape), first.dtype)
         return [out] * group.size
-    gathered = np.concatenate([np.asarray(s) for s in shards], axis=axis)
-    return [gathered] * group.size
+    return [kernel(_concatenate, *shards, axis=axis)] * group.size
 
 
 def reduce_scatter(
@@ -149,11 +164,7 @@ def reduce_scatter(
         out_shape[axis] = shard_len
         out = MetaArray(tuple(out_shape), buffers[0].dtype)
         return [out] * group.size
-    reduced = _reduce(np.stack([np.asarray(b) for b in buffers]), op)
-    # Shards are slices of the one reduction: disjoint, and along axis 0
-    # already contiguous (ascontiguousarray copies only otherwise).
-    return [np.ascontiguousarray(shard)
-            for shard in np.split(reduced, group.size, axis=axis)]
+    return kernel(_reduce_scatter, *buffers, op=op, axis=axis, parts=group.size)
 
 
 def all_reduce(
@@ -172,8 +183,7 @@ def all_reduce(
         return [buffers[0]] * group.size
     if group.size == 1:
         return [np.asarray(buffers[0])]
-    reduced = _reduce(np.stack([np.asarray(b) for b in buffers]), op)
-    return [reduced] * group.size
+    return [kernel(_reduce, *buffers, op=op)] * group.size
 
 
 def broadcast(group: ProcessGroup, buffer, root: int = 0, overlappable: bool = False) -> list:
@@ -223,7 +233,7 @@ def gather(
         shape[axis] = _member_sum(shards, distinct, lambda s: s.shape[axis])
         result = MetaArray(tuple(shape), first.dtype)
     else:
-        result = np.concatenate([np.asarray(s) for s in shards], axis=axis)
+        result = _concatenate(*shards, axis=axis)
     return [result if i == root else None for i in range(group.size)]
 
 

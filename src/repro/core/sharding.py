@@ -14,11 +14,13 @@ Two layouts compose (paper Fig 3):
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from repro.cluster.cluster import GroupAllocation
 from repro.meta import MetaArray, is_meta, nbytes_of
+from repro.nn.ops import kernel
 
 
 def column_shards(matrix, num_shards: int) -> list:
@@ -52,9 +54,13 @@ def flat_pad(array, num_shards: int):
     padded = math.ceil(size / num_shards) * num_shards if size else num_shards
     if is_meta(array):
         return MetaArray((padded,), array.dtype)
+    return kernel(_pad_flat, array, padded)
+
+
+def _pad_flat(array, padded: int):
     flat = np.asarray(array).reshape(-1)
-    if padded != size:
-        flat = np.concatenate([flat, np.zeros(padded - size, flat.dtype)])
+    if padded != flat.size:
+        flat = np.concatenate([flat, np.zeros(padded - flat.size, flat.dtype)])
     return flat
 
 
@@ -73,6 +79,10 @@ def flat_unshard(shards: list, shape: tuple[int, ...]):
     """Reassemble :func:`flat_pad_shard` output into ``shape``."""
     if any(is_meta(s) for s in shards):
         return MetaArray(tuple(shape), shards[0].dtype)
+    return kernel(_unshard, *shards, shape=tuple(shape))
+
+
+def _unshard(*shards, shape: tuple[int, ...]):
     flat = np.concatenate([np.asarray(s).reshape(-1) for s in shards])
     size = math.prod(shape)
     if flat.size < size:
@@ -141,7 +151,8 @@ class ShardedParameter:
         if self.grad_shards is None or any(is_meta(g) for g in grad_shards):
             self.grad_shards = list(grad_shards)
         else:
-            self.grad_shards = [g0 + g1 for g0, g1 in zip(self.grad_shards, grad_shards)]
+            self.grad_shards = [kernel(operator.add, g0, g1)
+                                for g0, g1 in zip(self.grad_shards, grad_shards)]
 
     def zero_grad(self) -> None:
         self.grad_shards = None

@@ -11,11 +11,12 @@ parallelism engines goes through these functions so that
 * emulated bfloat16 rounding is applied uniformly at matmuls — the
   operation whose precision the MI250X matrix engines set.
 
-All functions are pure; none mutate their inputs.
+Every function but :func:`kernel` is pure: none mutates its inputs.
 
-While a :class:`~repro.nn.tape.ForwardTape` records, every real-mode
-kernel below is also appended to it (``tape.record``), so the forward
-can later be replayed without this module's dispatch.  The recording
+While a tape records (:mod:`repro.nn.tape`), every real-mode kernel
+below is also appended to it (``tape.record``), so the forward can
+later be replayed without this module's dispatch; NumPy work elsewhere
+joins the tape through :func:`kernel`.  The recording
 sits inside an execution context of its own, so the FLOP funnels look
 for it only when the context stack is non-empty.  A public function
 here either records its kernels or is listed in :data:`TAPE_FALLBACK`
@@ -25,7 +26,6 @@ and fails the recording; ``tests/nn/test_tape.py`` checks each one.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 from scipy import special
@@ -59,12 +59,12 @@ def matmul(a, b):
         dtype = policy.meta_dtype if policy is not None and policy.is_bf16 else a.dtype
         return MetaArray(out_shape, dtype)
     policy = active_precision()
-    kernel = _matmul_bf16 if policy is not None and policy.is_bf16 else np.matmul
-    out = kernel(a, b)
+    fn = _matmul_bf16 if policy is not None and policy.is_bf16 else np.matmul
+    out = fn(a, b)
     if _state.stack:
         record_flops(2 * out.size * a.shape[-1], matmul=True)
         if _state.tape is not None:
-            _state.tape.record(kernel, (a, b), out)
+            _state.tape.record(fn, (a, b), out)
     return out
 
 
@@ -220,11 +220,14 @@ def var(x, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 
 
-def _shaped(fn, *operands):
-    """A zero-FLOP real kernel, taped when a tape records."""
-    out = fn(*operands)
+def kernel(fn, *operands, **kwargs):
+    """``fn(*operands, **kwargs)``: NumPy work outside the funnels above
+    (shape moves, collective bodies, copies, the loss) as one kernel of
+    no counted FLOPs, taped with ``kwargs`` as constants.  ``fn`` may
+    update an operand in place (``operator.iadd``); a replay does too."""
+    out = fn(*operands, **kwargs)
     if _state.tape is not None:
-        _state.tape.record(fn, operands, out)
+        _state.tape.record(fn, operands, out, **kwargs)
     return out
 
 
@@ -232,14 +235,14 @@ def reshape(x, shape):
     """Reshape (supports one ``-1`` wildcard)."""
     if isinstance(x, MetaArray):
         return x.reshape(shape)
-    return _shaped(np.reshape, x, shape)
+    return kernel(np.reshape, x, shape)
 
 
 def transpose(x, axes):
     """Permute axes."""
     if isinstance(x, MetaArray):
         return x.transpose(axes)
-    return _shaped(np.transpose, x, axes)
+    return kernel(np.transpose, x, axes)
 
 
 def swapaxes(x, a: int, b: int):
@@ -248,7 +251,7 @@ def swapaxes(x, a: int, b: int):
         axes = list(range(x.ndim))
         axes[a % x.ndim], axes[b % x.ndim] = axes[b % x.ndim], axes[a % x.ndim]
         return x.transpose(axes)
-    return _shaped(np.swapaxes, x, a, b)
+    return kernel(np.swapaxes, x, a, b)
 
 
 def _concatenate(axis, *parts):
@@ -265,7 +268,7 @@ def concat(parts, axis: int = 0):
         shape = list(first.shape)
         shape[axis % first.ndim] = sum(p.shape[axis % first.ndim] for p in parts)
         return MetaArray(tuple(shape), first.dtype)
-    return _shaped(_concatenate, axis, *parts)
+    return kernel(_concatenate, axis, *parts)
 
 
 def _split(x, sections, axis):
@@ -282,11 +285,7 @@ def split(x, sections: int, axis: int = 0) -> list:
         shape[axis % x.ndim] = axis_len // sections
         part = MetaArray(tuple(shape), x.dtype)
         return [part] * sections
-    parts = _shaped(_split, x, sections, axis)
-    if _state.tape is not None:  # each part is an operand of its own
-        for index, part in enumerate(parts):
-            _state.tape.record(operator.getitem, (parts, index), part)
-    return parts
+    return kernel(_split, x, sections, axis)
 
 
 def zeros_like(x):
@@ -316,4 +315,4 @@ def broadcast_to(x, shape):
     if isinstance(x, MetaArray):
         np.broadcast_shapes(tuple(x.shape), tuple(shape))
         return MetaArray(tuple(shape), x.dtype)
-    return _shaped(_broadcast_copy, x, shape)
+    return kernel(_broadcast_copy, x, shape)

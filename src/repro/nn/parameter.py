@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.meta import is_meta, nbytes_of
+from repro.nn.ops import kernel
 
 
 class Parameter:
@@ -52,9 +55,10 @@ class Parameter:
         if self.is_meta or is_meta(grad):
             self.grad = grad
         elif self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+            self.grad = kernel(np.array, grad, dtype=self.data.dtype, copy=True)
         else:
-            self.grad += grad
+            # In place, as ``+=``: the accumulator keeps the data's dtype.
+            self.grad = kernel(operator.iadd, self.grad, grad)
 
     def zero_grad(self) -> None:
         """Drop the accumulated gradient."""

@@ -1,4 +1,4 @@
-"""Forward tape: inference replays a recorded kernel list.
+"""Kernel tapes: a recorded list of NumPy kernels, replayed in a flat loop.
 
 A served forecast is the same forward over and over, at a handful of
 batch widths.  :class:`ForwardTape` is the inference entry point of one
@@ -6,17 +6,20 @@ model: the first call for a signature — input shapes and dtypes, bf16
 or not — runs the ordinary per-op forward while the funnels of
 :mod:`repro.nn.ops` append each NumPy kernel they issue to a recording;
 later calls replay that list in a flat loop, with no module dispatch,
-no per-op FLOP report and no cached activation.
+no per-op FLOP report and no cached activation.  Numeric training steps
+(``Session.numeric_step``) share the :class:`_Recording` and :func:`replay`.
 
-The per-op forward ``model(*inputs)`` is the named oracle (and the only
-training path): every replay is ``array_equal`` to it and reports the
-same FLOP totals (``tests/nn/test_tape.py``).  A signature whose
-recording meets anything the tape cannot classify runs per-op for good,
-and is counted — see DESIGN.md, "The forward tape".
+The per-op forward ``model(*inputs)`` is the named oracle: every
+replay is ``array_equal`` to it and reports the same FLOP totals
+(``tests/nn/test_tape.py``).  A signature whose recording meets
+anything the tape cannot classify runs per-op for good, and is counted
+— see DESIGN.md, "The forward tape".
 """
 
 from __future__ import annotations
 
+import operator
+import weakref
 from functools import partial
 
 import numpy as np
@@ -31,29 +34,52 @@ from repro.nn.context import (
 from repro.nn.module import Module
 
 
+def _data(registry: dict, name: str):
+    return registry[name].data
+
+
+def parameter_owners(*models: Module) -> dict:
+    """``id(parameter.data) -> (read, registry, name)`` over ``models``:
+    replay reads *through* the registry, so new ``.data`` and a
+    re-assigned ``Parameter`` are both seen."""
+    return {
+        id(param.data): (_data, module._parameters, name)
+        for model in models
+        for _, module in model.named_modules()
+        for name, param in module._parameters.items()
+    }
+
+
 class _Recording:
-    """The tape while it is written: ``_state.tape`` during one forward.
+    """The tape while it is written: ``_state.tape`` inside ``with``
+    (restoring an enclosing recording on exit).
 
     Values live in numbered slots.  ``template[slot]`` holds a constant
-    operand; inputs, parameters and kernel outputs are ``None`` there
-    and filled at replay.
+    operand; inputs, owned arrays (``owners``: id -> ``(read, owner,
+    key)``) and kernel outputs are ``None`` there and filled at replay.
+    An output's slot is retired when its array dies, so a later array at
+    the same address is never taken for it; only scalars are pinned.
     """
 
-    def __init__(self, model: Module, inputs):
+    def __init__(self, inputs, owners: dict):
         self.template: list = [None] * len(inputs)
         self.slots = {id(x): slot for slot, x in enumerate(inputs)}
-        #: ``id(parameter.data)`` -> (the owning module's registry, name):
-        #: replay reads *through* the registry, so new ``.data`` and a
-        #: re-assigned ``Parameter`` are both seen.
-        self.owners = {
-            id(param.data): (module._parameters, name)
-            for _, module in model.named_modules()
-            for name, param in module._parameters.items()
-        }
+        self.owners = owners
         self.params: list[tuple] = []
         self.program: list[tuple] = []
-        self.alive = list(inputs)  # pins every id in ``slots`` while recording
+        self.pinned = list(inputs)
+        self._watching: dict = {}
+        self._bound: dict = {}
+        self._outer = None
         self.failed: str | None = None
+
+    def __enter__(self) -> "_Recording":
+        self._outer, _state.tape = _state.tape, self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _state.tape = self._outer
+        self._watching.clear()  # the ids of the outputs alive now stay valid
 
     def fail(self, reason: str) -> None:
         self.failed = self.failed or reason
@@ -63,54 +89,116 @@ class _Recording:
         if slot is not None:
             return slot
         slot = len(self.template)
-        if id(value) in self.owners:
-            self.params.append((slot, *self.owners[id(value)]))
+        owner = self.owners.get(id(value))
+        if owner is not None:
+            self.params.append((slot, *owner))
             self.slots[id(value)] = slot
             self.template.append(None)
         elif type(value) in (int, float, bool) or (
             type(value) is tuple and all(type(v) is int for v in value)
-        ):
+        ):  # immutable, so pinned and keyed by identity like the rest
+            self.slots[id(value)] = slot
+            self.pinned.append(value)
             self.template.append(value)
         else:
             self.fail(
-                f"a {type(value).__name__} operand is neither a call input, an "
-                "earlier output, a parameter's data nor a Python scalar"
+                f"a {type(value).__name__} operand is neither an input, an "
+                "earlier output, an owned array nor a Python scalar"
             )
         return slot
 
     def record(self, fn, operands, out, **kwargs) -> None:
-        """Append ``out = fn(*operands, **kwargs)``; kwargs are constants."""
-        args = [self._slot(value) for value in operands]
-        self.slots[id(out)] = len(self.template)
-        self.alive.append(out)
-        self.program.append(
-            (partial(fn, **kwargs) if kwargs else fn, args, len(self.template))
-        )
-        self.template.append(None)
+        """Append ``out = fn(*operands, **kwargs)``; kwargs are constants.
 
-    def freeze(self, result: int, totals: ExecutionContext) -> tuple:
-        """The replayable tape.
+        Each item of a list or tuple ``out`` is an output of its own; the
+        container itself is no operand, so nothing pins what it holds.
+        """
+        args = list(map(self.slots.get, map(id, operands)))
+        if None in args:
+            args = [self._slot(value) if slot is None else slot
+                    for slot, value in zip(args, operands)]
+        if kwargs:  # one partial per distinct binding, not per kernel
+            key = (fn, *kwargs.items(), *map(type, kwargs.values()))
+            try:
+                bound = self._bound.get(key)
+                fn = bound or self._bound.setdefault(key, partial(fn, **kwargs))
+            except TypeError:  # an unhashable constant
+                fn = partial(fn, **kwargs)
+        if type(out) in (list, tuple):
+            whole = len(self.template)
+            self.template.append(None)
+            self.program.append((fn, args, whole))
+            for index, part in enumerate(out):
+                args = [whole, self._slot(index)]
+                self.program.append((operator.getitem, args, self._output(part)))
+            return
+        self.program.append((fn, args, self._output(out)))
+
+    def _output(self, value) -> int:
+        slot, key, slots = len(self.template), id(value), self.slots
+        self.template.append(None)
+        slots[key] = slot
+        try:  # retire the slot when the array dies
+            self._watching[key] = weakref.ref(
+                value, lambda _, key=key: slots.pop(key, None))
+        except TypeError:  # a scalar takes no weak reference: pin it
+            self.pinned.append(value)
+        return slot
+
+    def freeze(self, results: list[int], totals: ExecutionContext) -> tuple:
+        """The replayable tape, returning the values of ``results``.
 
         Each kernel output is renumbered onto the slot of a value already
         dead — a handful are live at once — so a replay frees every
         activation at its last use, as nothing will read it again.
         """
-        last_use = {result: len(self.program)}
+        last_use: dict[int, int] = {}
         for step, (_, args, _) in enumerate(self.program):
             for slot in args:
                 last_use[slot] = step
+        last_use.update(dict.fromkeys(results, len(self.program)))
         renamed: dict[int, int] = {}
+        get = renamed.get
         free: list[int] = []
         program = []
         for step, (fn, args, out) in enumerate(self.program):
-            now = tuple(renamed.get(slot, slot) for slot in args)
-            free += [renamed[a] for a in set(args) if a in renamed and last_use[a] == step]
-            renamed[out] = free.pop() if free else out
-            program.append((fn, len(now), now, renamed[out]))
+            now = tuple(map(get, args, args))  # renamed, or the slot itself
+            for slot in args:
+                if last_use[slot] == step and slot in renamed:
+                    free.append(renamed.pop(slot))
+            new = free.pop() if free else out
+            program.append((fn, new, *now))
+            if out in last_use:
+                renamed[out] = new
+            else:  # never read: its slot is free at once
+                free.append(new)
         return (
-            self.template, self.params, program, renamed.get(result, result),
+            self.template, self.params, program,
+            [renamed.get(slot, slot) for slot in results],
             totals.flops, totals.matmul_flops,
         )
+
+
+def replay(tape: tuple, inputs) -> list:
+    """Run a frozen tape on ``inputs``: its results, FLOPs credited once."""
+    template, params, program, results, flops, matmul_flops = tape
+    values = template.copy()
+    values[: len(inputs)] = inputs
+    for slot, read, owner, key in params:
+        values[slot] = read(owner, key)
+    for entry in program:  # (fn, out, *operand slots)
+        arity = len(entry)
+        if arity == 4:
+            fn, out, a, b = entry
+            values[out] = fn(values[a], values[b])
+        elif arity == 3:
+            fn, out, a = entry
+            values[out] = fn(values[a])
+        else:
+            values[entry[1]] = entry[0](*[values[i] for i in entry[2:]])
+    record_flops(flops - matmul_flops)
+    record_flops(matmul_flops, matmul=True)
+    return [values[slot] for slot in results]
 
 
 class ForwardTape:
@@ -152,34 +240,16 @@ class ForwardTape:
             out = self._per_op(inputs)
             self.fallbacks += 1
             return out
-        template, params, program, result, flops, matmul_flops = tape
-        values = template.copy()
-        values[: len(inputs)] = inputs
-        for slot, owner, name in params:
-            values[slot] = owner[name].data
-        for fn, arity, args, out in program:
-            if arity == 2:
-                a, b = args
-                values[out] = fn(values[a], values[b])
-            elif arity == 1:
-                values[out] = fn(values[args[0]])
-            else:
-                values[out] = fn(*[values[i] for i in args])
-        record_flops(flops - matmul_flops)
-        record_flops(matmul_flops, matmul=True)
+        (out,) = replay(tape, inputs)
         self.replays += 1
-        return values[result]
+        return out
 
     def _record(self, key, inputs):
         """The per-op forward, recorded; decides this signature for good."""
-        recording = _Recording(self.model, inputs)
+        recording = _Recording(inputs, parameter_owners(self.model))
         totals = ExecutionContext()
-        _state.tape = recording
-        try:
-            with execution_context(totals):
-                out = self._per_op(inputs)
-        finally:
-            _state.tape = None
+        with recording, execution_context(totals):
+            out = self._per_op(inputs)
         result = recording.slots.get(id(out))
         if result is None:
             recording.fail("the forward's result is not the output of a taped op")
@@ -187,6 +257,6 @@ class ForwardTape:
             self._tapes[key] = recording.failed
             self.fallbacks += 1
         else:
-            self._tapes[key] = recording.freeze(result, totals)
+            self._tapes[key] = recording.freeze([result], totals)
             self.records += 1
         return out

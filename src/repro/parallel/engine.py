@@ -46,6 +46,7 @@ from repro.models.climax_vit import ClimaXViT
 from repro.nn.checkpoint import CheckpointWrapper
 from repro.nn.context import ExecutionContext, execution_context
 from repro.nn.module import Module
+from repro.nn.ops import kernel
 from repro.parallel.core_trunk import make_stage_templates
 from repro.parallel.plan import HybridParallelPlan
 from repro.parallel.stages import (
@@ -436,7 +437,8 @@ class HybridSTOPEngine:
                     reduced = all_reduce(
                         group, timeline.fold_pad("ddp", grads, D), op="sum")
                     for p, grad in zip(params, reduced):
-                        p.grad_shards[j] = grad if is_meta(grad) else np.array(grad, copy=True)
+                        p.grad_shards[j] = grad if is_meta(grad) else kernel(
+                            np.array, grad, copy=True)
             # Dense modules: reduce each parameter across the replica
             # leads of the stage that holds it.
             for stage, rows in self._dense_reduction_sets():
@@ -448,7 +450,7 @@ class HybridSTOPEngine:
                     reduced = all_reduce(
                         lead_group, timeline.fold_pad("ddp", grads, D), op="sum")
                     for p, grad in zip(params, reduced):
-                        p.grad = grad if is_meta(grad) else np.array(grad, copy=True)
+                        p.grad = grad if is_meta(grad) else kernel(np.array, grad, copy=True)
 
     def _ddp_group_of(self, rank: int):
         """The plan's (cached) DDP group through ``rank``: its replica-0

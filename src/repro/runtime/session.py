@@ -15,6 +15,8 @@ reproduces the uninterrupted loss trajectory exactly.
 from __future__ import annotations
 
 import math
+import operator
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,13 @@ import numpy as np
 from repro.cluster.cluster import VirtualCluster
 from repro.cluster.timeline import FoldedTimeline
 from repro.cluster.topology import FrontierTopology
-from repro.nn.context import ExecutionContext, execution_context, record_flops
+from repro.nn.context import (
+    ExecutionContext,
+    active_precision,
+    execution_context,
+    record_flops,
+)
+from repro.nn.tape import _Recording, parameter_owners, replay
 from repro.obs.tracer import Tracer
 from repro.runtime.spec import RunSpec
 
@@ -187,6 +195,10 @@ class Session:
         #: ``(scope prefix, events, matmul FLOPs, other FLOPs)`` of the
         #: meta step captured in the current fold mode (see meta_step).
         self._step_stream: tuple | None = None
+        #: signature -> False once sighted, then its recorded numeric
+        #: segment or the reason (str) it runs per-op (see numeric_step).
+        self._numeric_tapes: dict = {}
+        self._numeric_raised = False
 
     # -- numeric training ----------------------------------------------------
     @property
@@ -237,9 +249,104 @@ class Session:
 
         The :class:`~repro.runtime.steploop.StepLoop` step function of
         ``repro trace`` and the runtime tests.
+
+        **Numeric step replay.**  The trainer's value-independent segment
+        (``forward_backward``) issues the same kernels and timeline events
+        every step.  A signature's first step runs it plain, its next
+        replayable one under one kernel recording and one timeline
+        ``capture()``, and later replayable steps replay both — the
+        kernels on this step's inputs and parameters, the stream with
+        ``step.<N>/`` swapped — and write the losses and gradients back;
+        the optimizer tail runs per-op.  Only pp = 1 steps the injector
+        cannot touch replay, and not the retry of a step that raised.
+        See DESIGN.md §9, "Numeric step replay".  Oracle:
+        :meth:`execute_numeric_step`.
         """
+        segment = None
+        if self.engine.step_stream_is_invariant:
+            segment = partial(self._numeric_segment, not (
+                self._numeric_raised or self.cluster.injector.affects_step(step)))
+        self._numeric_raised = True
+        result = self._numeric_step(segment)
+        self._numeric_raised = False
+        return result
+
+    def execute_numeric_step(self, step: int = 0) -> tuple[float, int]:
+        """:meth:`numeric_step` without step replay — its oracle: every
+        step runs every op."""
+        return self._numeric_step(None)
+
+    def _numeric_step(self, segment) -> tuple[float, int]:
         batch = self.synthetic_batch()
-        return self.trainer.train_step(batch), batch.x.shape[0]
+        loss = self.trainer.train_step(batch, segment)
+        if segment is None:
+            self.tracer.metrics.counter("runtime.numeric_steps_executed").inc()
+        return loss, batch.x.shape[0]
+
+    def _numeric_segment(self, replayable: bool, inputs: list) -> list:
+        """``forward_backward(inputs)``: every step sights its signature; a
+        replayable one sighted before records, or replays the recording."""
+        trainer, metrics = self.trainer, self.tracer.metrics
+        policy = trainer.precision or active_precision()
+        key = (
+            tuple((getattr(x, "shape", None), getattr(x, "dtype", None)) for x in inputs),
+            policy is not None and policy.is_bf16,
+            trainer.grad_scaler,  # its method is a kernel of the tape
+        )
+        tape = self._numeric_tapes.get(key)
+        if not replayable or type(tape) is not tuple:
+            if replayable and tape is False:
+                losses = self._record_numeric_segment(key, inputs)
+            else:
+                self._numeric_tapes.setdefault(key, False)
+                losses = trainer.forward_backward(inputs)
+            if replayable and type(self._numeric_tapes[key]) is str:
+                metrics.counter("runtime.numeric_step_fallbacks").inc()
+            metrics.counter("runtime.numeric_steps_executed").inc()
+            return losses
+        kernels, num_losses, dense, sharded, captured, events = tape
+        values = replay(kernels, inputs)
+        self.engine.zero_grad()
+        grads = iter(values[num_losses:])
+        for param in dense:
+            param.grad = next(grads)
+        for param in sharded:
+            param.grad_shards = [next(grads) for _ in param.shards]
+        self.cluster.timeline.replay(
+            events, renames=((captured, f"step.{trainer.step_count}/"),))
+        metrics.counter("runtime.numeric_steps_replayed").inc()
+        return values[:num_losses]
+
+    def _record_numeric_segment(self, key, inputs: list) -> list:
+        """The per-op segment, recorded; decides ``key`` for good."""
+        engine, trainer = self.engine, self.trainer
+        replicas = range(len(engine.trunks))
+        sharded = [p for d in replicas for p in engine.sharded_parameters(d)]
+        # Read through their owners: AdamW and resume rebind both.
+        owners = parameter_owners(*(modules[d][0] for modules in (engine.fronts, engine.heads)
+                                    for d in replicas))
+        owners.update({id(shard): (operator.getitem, param.shards, j)
+                       for param in sharded for j, shard in enumerate(param.shards)})
+        recording, flops = _Recording(inputs, owners), ExecutionContext()
+        with self.cluster.timeline.capture() as events, recording, \
+                execution_context(flops):
+            losses = trainer.forward_backward(inputs)
+        dense = [p for d in replicas for p in engine.dense_parameters(d)
+                 if p.grad is not None]
+        sharded = [p for p in sharded if p.grad_shards is not None]
+        outputs = [*losses, *(p.grad for p in dense),
+                   *(g for p in sharded for g in p.grad_shards)]
+        results = [recording.slots.get(id(value)) for value in outputs]
+        if None in results:
+            recording.fail("a loss or gradient is not the output of a taped kernel")
+        if recording.failed:
+            self._numeric_tapes[key] = recording.failed
+        else:
+            self._numeric_tapes[key] = (
+                recording.freeze(results, flops), len(losses), dense, sharded,
+                f"step.{trainer.step_count}/", events,
+            )
+        return losses
 
     # -- meta stepping --------------------------------------------------------
     def meta_batch(self):

@@ -10,9 +10,13 @@ training step of paper Fig 3/Fig 4, end to end.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.data.loader import Batch
+from repro.nn.context import ExecutionContext, execution_context
+from repro.nn.ops import kernel
 from repro.parallel.engine import HybridSTOPEngine
 from repro.train.loss import latitude_weighted_mse
 from repro.train.optimizer import AdamW, sharded_views
@@ -52,6 +56,14 @@ class DistributedTrainer:
         precision=None,
         grad_scaler=None,
     ):
+        grid = (engine.config.img_height, engine.config.img_width)
+        try:
+            np.broadcast_to(lat_weights, grid)
+        except ValueError:
+            raise ValueError(
+                f"lat_weights of shape {np.shape(lat_weights)} do not broadcast "
+                f"to (img_height, img_width) = {grid}"
+            ) from None
         self.engine = engine
         self.lat_weights = lat_weights
         self.schedule = schedule
@@ -74,7 +86,8 @@ class DistributedTrainer:
         self.step_count = 0
 
     # -- batch splitting ----------------------------------------------------------
-    def _split(self, array: np.ndarray) -> list[list[np.ndarray]]:
+    def _split(self, array: np.ndarray) -> list[np.ndarray]:
+        """The D x F micro-batches of ``array``, replica-major."""
         D, F = self.engine.plan.ddp_size, self.engine.plan.fsdp_size
         shards = D * F
         if array.shape[0] % shards:
@@ -83,45 +96,62 @@ class DistributedTrainer:
                 f"ddp({D}) x fsdp({F}) = {shards} micro-batches"
             )
         micro = array.shape[0] // shards
-        flat = [array[i * micro : (i + 1) * micro] for i in range(shards)]
-        return [flat[d * F : (d + 1) * F] for d in range(D)]
+        return [array[i * micro : (i + 1) * micro] for i in range(shards)]
+
+    def step_inputs(self, batch: Batch) -> list:
+        """What :meth:`forward_backward` reads of a step: every
+        micro-batch's fields, then the latitude weights."""
+        return [*self._split(batch.x), *self._split(batch.lead_time_hours),
+                *self._split(batch.y), self.lat_weights]
 
     # -- one step ---------------------------------------------------------------------
-    def train_step(self, batch: Batch) -> float:
-        """One synchronous optimizer step over a global batch."""
-        xs = self._split(batch.x)
-        leads = self._split(batch.lead_time_hours)
-        ys = self._split(batch.y)
+    def forward_backward(self, inputs: list) -> list[float]:
+        """The value-independent segment of a step over :meth:`step_inputs`:
+        forward, the wMSE loss and seed gradient per micro-batch, backward
+        and the DDP reduction.  Returns the micro-batch losses."""
         D, F = self.engine.plan.ddp_size, self.engine.plan.fsdp_size
-        global_batch = batch.x.shape[0]
-        micro = global_batch // (D * F)
+        xs, leads, ys = (
+            [inputs[i + d * F : i + (d + 1) * F] for d in range(D)]
+            for i in range(0, 3 * D * F, D * F)
+        )
+        micro = inputs[0].shape[0]
+        global_batch = micro * D * F
+        with execution_context(ExecutionContext(precision=self.precision)):
+            predictions = self.engine.forward(xs, leads)
+            losses = []
+            grads = []
+            for d in range(D):
+                row = []
+                for f in range(F):
+                    loss, grad = latitude_weighted_mse(
+                        predictions[d][f], ys[d][f], inputs[-1]
+                    )
+                    losses.append(loss)
+                    # Micro-batch gradients are means over `micro` samples;
+                    # rescale so the reduced sum is the global-batch mean.
+                    grad = kernel(operator.mul, grad, micro / global_batch)
+                    if self.grad_scaler is not None:
+                        # The scaler's method is the kernel: a replay
+                        # multiplies by the scale of its own step.
+                        grad = kernel(self.grad_scaler.scale_loss_grad, grad)
+                    row.append(grad)
+                grads.append(row)
+            self.engine.zero_grad()
+            self.engine.backward(grads)
+        self.engine.allreduce_gradients()
+        return losses
 
-        from repro.nn.context import ExecutionContext, execution_context
+    def train_step(self, batch: Batch, segment=None) -> float:
+        """One synchronous optimizer step over a global batch.
 
+        ``segment`` stands in for :meth:`forward_backward` (the numeric
+        step replay of :class:`~repro.runtime.session.Session`).
+        """
+        inputs = self.step_inputs(batch)
         timeline = self.engine.plan.cluster.timeline
         step_start = timeline.walltime_s()
         with self.tracer.scope("step", self.step_count):
-            with execution_context(ExecutionContext(precision=self.precision)):
-                predictions = self.engine.forward(xs, leads)
-                losses = []
-                grads = []
-                for d in range(D):
-                    row = []
-                    for f in range(F):
-                        loss, grad = latitude_weighted_mse(
-                            predictions[d][f], ys[d][f], self.lat_weights
-                        )
-                        losses.append(loss)
-                        # Micro-batch gradients are means over `micro` samples;
-                        # rescale so the reduced sum is the global-batch mean.
-                        grad = grad * (micro / global_batch)
-                        if self.grad_scaler is not None:
-                            grad = self.grad_scaler.scale_loss_grad(grad)
-                        row.append(grad)
-                    grads.append(row)
-                self.engine.zero_grad()
-                self.engine.backward(grads)
-            self.engine.allreduce_gradients()
+            losses = (segment or self.forward_backward)(inputs)
             # Fault-injection hook: a scheduled grad corruption lands
             # here, after reduction and before the finiteness check —
             # the exact route a real bit-flip would take.

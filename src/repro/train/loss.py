@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.ops import kernel
+
 
 def latitude_weighted_mse(
     prediction: np.ndarray,
@@ -16,15 +18,19 @@ def latitude_weighted_mse(
     correct the equal-area bias of the lat-lon grid toward the poles
     (paper Sec IV, "Performance Metrics").
 
-    Returns ``(loss, grad)`` where ``grad`` is d(loss)/d(prediction).
+    Returns ``(loss, grad)`` where ``grad`` is d(loss)/d(prediction),
+    computed as one taped kernel.
     """
     if prediction.shape != target.shape:
         raise ValueError(f"shape mismatch: {prediction.shape} vs {target.shape}")
     if prediction.ndim != 4:
         raise ValueError(f"expected (B, C, H, W), got {prediction.shape}")
+    return kernel(_wmse, prediction, target, lat_weights)
+
+
+def _wmse(prediction, target, lat_weights) -> tuple[float, np.ndarray]:
     weights = np.broadcast_to(lat_weights, prediction.shape[-2:])
     diff = prediction.astype(np.float64) - target.astype(np.float64)
     weighted_sq = weights * diff**2
-    loss = float(weighted_sq.mean())
-    grad = (2.0 * weights * diff / diff.size).astype(np.float64)
-    return loss, grad
+    # ``diff`` is float64, so the gradient already is.
+    return float(weighted_sq.mean()), 2.0 * weights * diff / diff.size

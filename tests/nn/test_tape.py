@@ -20,7 +20,7 @@ from repro.models import ClimaXViT, OrbitConfig
 from repro.nn import ExecutionContext, ForwardTape, execution_context, ops
 from repro.nn.context import _state
 from repro.nn.precision import BF16_MIXED, FP32
-from repro.nn.tape import _Recording
+from repro.nn.tape import _Recording, replay
 from repro.train.optimizer import AdamW
 
 CONFIG = OrbitConfig("tape", embed_dim=8, depth=2, num_heads=2, in_vars=3,
@@ -146,7 +146,7 @@ class TestOracle:
         (template, _params, program, *_rest), = tape._tapes.values()
         assert not any(isinstance(value, np.ndarray) for value in template)
         # a kernel is a NumPy function, or one bound to constant kwargs
-        for fn, _arity, _args, _out in program:
+        for fn, *_slots in program:
             bound = getattr(fn, "keywords", {})
             assert not any(isinstance(v, np.ndarray) for v in bound.values())
         assert _state.tape is None and not _state.stack
@@ -335,6 +335,7 @@ OPS_CALLS = {
     "broadcast_to": lambda: ops.broadcast_to(_X, (2, 3, 4)),
     "zeros": lambda: ops.zeros((2, 2)),
     "zeros_like": lambda: ops.zeros_like(_X),
+    "kernel": lambda: ops.kernel(np.add.reduce, _X, axis=0, keepdims=True),
 }
 
 
@@ -351,7 +352,7 @@ class TestOpsRegistry:
     def test_op_is_tape_aware_or_listed_as_forcing_fallback(self, name):
         """An op outside ``TAPE_FALLBACK`` appends kernels that reproduce
         its result from the recorded operands; one inside fails the tape."""
-        recording = _Recording(nn.Module(), (_X,))
+        recording = _Recording((_X,), {})
         _state.tape = recording
         try:
             with execution_context(ExecutionContext()):
@@ -370,3 +371,46 @@ class TestOpsRegistry:
         for part in parts:
             replayed = values[recording.slots[id(part)]]
             assert np.array_equal(replayed, part) and replayed.dtype == part.dtype
+
+
+class TestRecorder:
+    """The one recorder under both tapes: what it pins and retires."""
+
+    def test_a_dead_output_leaves_no_slot_and_pins_nothing(self):
+        recording = _Recording((_X,), {})
+        with recording, execution_context(ExecutionContext()):
+            dead = ops.exp(_X)
+            key = id(dead)
+            assert key in recording.slots
+            del dead
+            # an untaped array at the same address fails closed, never
+            # stands in for the dead one
+            assert key not in recording.slots
+            parts = ops.split(_X, 2, axis=1)
+        assert not any(isinstance(v, (np.ndarray, list)) for v in recording.pinned[1:])
+        assert recording.failed is None and len(parts) == 2
+
+    def test_a_recording_opened_inside_another_restores_it(self):
+        outer, inner = _Recording((_X,), {}), _Recording((_X,), {})
+        with outer:
+            with inner:
+                assert _state.tape is inner
+            assert _state.tape is outer
+        assert _state.tape is None
+
+    def test_an_in_place_kernel_replays_in_place(self):
+        """``Parameter.add_grad``: the accumulator keeps its dtype."""
+        param = nn.Parameter(np.zeros((3, 4), np.float32))
+        grads = (_X.astype(np.float64), (2 * _X).astype(np.float64))
+        recording = _Recording(grads, {})
+        with recording:
+            for grad in grads:
+                param.add_grad(grad)
+        tape = recording.freeze([recording.slots[id(param.grad)]], ExecutionContext())
+        again = (3 * _X).astype(np.float64), (4 * _X).astype(np.float64)
+        (replayed,) = replay(tape, again)
+        param.zero_grad()
+        for grad in again:
+            param.add_grad(grad)
+        assert replayed.dtype == np.float32
+        assert np.array_equal(replayed, param.grad)

@@ -67,6 +67,11 @@ META_CASES = {
 NUMERIC_SPEC = _spec(2, 2, 2, meta=False, num_steps=2, seed=7,
                      track_device_memory=False)
 
+#: Three numeric steps with device memory tracked: everything a step
+#: leaves behind, as for the meta cases, besides losses and gradients.
+NUMERIC_TRACKED_SPEC = _spec(2, 2, 2, meta=False, num_steps=3, seed=7,
+                             track_device_memory=True)
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -106,29 +111,56 @@ def _grad_digest(grads: dict) -> str:
     return sha.hexdigest()
 
 
-def run_numeric_case() -> dict:
-    """Two optimizer steps: losses, and every replica's reduced
-    gradients (gathered trunk shards and dense) after each."""
-    session = Session(NUMERIC_SPEC)
+def _numeric_steps(spec) -> tuple:
+    """``(session, steps)``: losses, and every replica's reduced
+    gradients (gathered trunk shards and dense) after each step."""
+    session = Session(spec)
     engine = session.engine
     steps = []
-    for step in range(NUMERIC_SPEC.num_steps):
+    for step in range(spec.num_steps):
         loss, _ = session.numeric_step(step)
         steps.append({
             "loss": float(loss).hex(),
             "trunk_grads": [
                 _grad_digest(engine.trunks[d].gathered_grads())
-                for d in range(NUMERIC_SPEC.ddp_size)
+                for d in range(spec.ddp_size)
             ],
             "dense_grads": [
                 _grad_digest({
                     str(i): p.grad
                     for i, p in enumerate(engine.dense_parameters(d))
                 })
-                for d in range(NUMERIC_SPEC.ddp_size)
+                for d in range(spec.ddp_size)
             ],
         })
-    return {"steps": steps}
+    return session, steps
+
+
+def run_numeric_case() -> dict:
+    """Two optimizer steps: losses and reduced gradients."""
+    return {"steps": _numeric_steps(NUMERIC_SPEC)[1]}
+
+
+def run_numeric_tracked_case() -> dict:
+    """Three optimizer steps with memory tracked: losses and gradients,
+    plus the ledgers, span stream, next collective id and trackers."""
+    session, steps = _numeric_steps(NUMERIC_TRACKED_SPEC)
+    timeline = session.cluster.timeline
+    spans = [s.to_dict() for s in session.tracer.spans]
+    return {
+        "steps": steps,
+        "ledgers": [
+            [float(v).hex() for v in _ledger_values(timeline.ledger(rank))]
+            for rank in range(NUMERIC_TRACKED_SPEC.num_gpus)
+        ],
+        "span_stream": _digest(json.dumps(spans, sort_keys=True)),
+        "next_collective_id": next(timeline._collective_ids),
+        "memory": {
+            str(device.rank): [device.memory.peak_bytes,
+                               device.memory.live_allocations]
+            for device in session.cluster.touched_devices()
+        },
+    }
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +186,14 @@ def test_numeric_reduction_equals_the_golden(golden):
         assert len(set(step["dense_grads"])) == 1
 
 
+def test_tracked_numeric_steps_equal_the_golden(golden):
+    got = run_numeric_tracked_case()
+    want = golden["numeric_tracked"]
+    for key in want:
+        assert got[key] == want[key], key
+    assert got.keys() == want.keys()
+
+
 if __name__ == "__main__":
     if "--regen" not in sys.argv[1:]:
         sys.exit("usage: python tests/parallel/test_step_golden.py --regen")
@@ -162,5 +202,6 @@ if __name__ == "__main__":
         "meta": {name: run_meta_case(*case)
                  for name, case in META_CASES.items()},
         "numeric": run_numeric_case(),
+        "numeric_tracked": run_numeric_tracked_case(),
     }, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
