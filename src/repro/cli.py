@@ -21,6 +21,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 
@@ -161,6 +162,26 @@ def _parse_skew(pairs: list[str]) -> dict[int, float]:
     return skew
 
 
+def _check_positive(args: argparse.Namespace, *flags: str) -> None:
+    """Each integer ``flag`` is at least 1, or exit 2 naming it."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise _UsageError(f"repro {args.command}: {flag} {value} must be at least 1")
+
+
+def _int_list(flag: str, text: str) -> tuple[int, ...]:
+    """The comma-separated positive integers of ``tune``'s and
+    ``crossover``'s list flags; raises ``ValueError`` naming ``flag``."""
+    try:
+        values = tuple(int(token) for token in text.split(",") if token)
+    except ValueError:
+        values = ()
+    if not values or min(values) < 1:
+        raise ValueError(f"{flag} {text!r} must be comma-separated positive integers")
+    return values
+
+
 def _traced_step(args: argparse.Namespace, out_dir=None):
     """Run the traced step the topology flags describe, validated first."""
     from repro.obs.capture import run_traced_spec
@@ -228,6 +249,10 @@ def _run_gate(args: argparse.Namespace, bench, run, notes=()):
     """
     from repro.bench import BaselineError
 
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise _UsageError(
+            f"repro {args.command}: --tolerance {args.tolerance} must be finite and >= 0"
+        )
     baseline = None
     if args.check:
         try:
@@ -629,6 +654,7 @@ def _print_table(driver: str, **kwargs) -> int:
 
 
 def _cmd_fig5(args: argparse.Namespace) -> int:
+    _check_positive(args, "--max-gpus")
     counts = tuple(n for n in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512) if n <= args.max_gpus)
     return _print_table("fig5_max_model_size", gpu_counts=counts)
 
@@ -638,6 +664,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig6(args: argparse.Namespace) -> int:
+    if args.gpus < 1 or args.gpus % 8:
+        raise _UsageError(
+            f"repro fig6: --gpus {args.gpus} must be a positive multiple of 8 "
+            "(whole 8-GCD nodes)"
+        )
     return _print_table("fig6_parallelism_config", num_gpus=args.gpus)
 
 
@@ -646,10 +677,12 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
+    _check_positive(args, "--steps")
     return _print_table("fig8_pretraining_loss", num_steps=args.steps, seed=args.seed)
 
 
 def _cmd_fig9(args: argparse.Namespace) -> int:
+    _check_positive(args, "--pretrain-steps", "--finetune-steps")
     return _print_table(
         "fig9_wacc",
         pretrain_steps=args.pretrain_steps,
@@ -663,14 +696,32 @@ def _cmd_fig10(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
-    return _print_table(
-        "pipeline_crossover",
-        num_gpus=args.gpus,
-        gpus_per_node=args.gpus_per_node,
-        micro_batch=args.micro_batch,
-        pp_sizes=tuple(int(token) for token in args.pp.split(",") if token),
-        validate=not args.no_validate,
-    )
+    from repro.tune import InfeasibleRequest
+
+    _check_positive(args, "--gpus", "--gpus-per-node", "--micro-batch")
+    if args.gpus > args.gpus_per_node and args.gpus % args.gpus_per_node:
+        raise _UsageError(
+            f"repro crossover: --gpus {args.gpus} is not a whole number of "
+            f"{args.gpus_per_node}-GCD nodes"
+        )
+    try:
+        pp_sizes = _int_list("--pp", args.pp)
+    except ValueError as error:
+        raise _UsageError(f"repro crossover: {error}")
+    try:
+        return _print_table(
+            "pipeline_crossover",
+            num_gpus=args.gpus,
+            gpus_per_node=args.gpus_per_node,
+            micro_batch=args.micro_batch,
+            pp_sizes=pp_sizes,
+            validate=not args.no_validate,
+        )
+    except InfeasibleRequest as error:
+        raise _UsageError(
+            f"repro crossover: {error} (--gpus {args.gpus}, --micro-batch "
+            f"{args.micro_batch}, --pp {args.pp})"
+        )
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
@@ -780,16 +831,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     )
 
     try:
-        micro_batches = tuple(
-            int(token) for token in args.micro_batches.split(",") if token
-        )
-        pp_sizes = tuple(int(token) for token in args.pp.split(",") if token)
         request = TuneRequest(
             PAPER_MODELS[args.model],
             num_gpus=args.gpus,
             gpus_per_node=args.gpus_per_node,
-            micro_batches=micro_batches,
-            pp_sizes=pp_sizes,
+            micro_batches=_int_list("--micro-batches", args.micro_batches),
+            pp_sizes=_int_list("--pp", args.pp),
         )
         if args.top_k < 1:
             raise ValueError(f"--top-k {args.top_k} must be at least 1")

@@ -9,8 +9,8 @@ Frontier) is reproduced here as a single-process virtual cluster:
 * :mod:`~repro.cluster.process_group` — rank groups over which
   collectives operate;
 * :mod:`~repro.cluster.collectives` — functional all-gather /
-  reduce-scatter / all-reduce / broadcast over per-rank buffers with
-  alpha-beta communication cost accounting;
+  reduce-scatter / all-reduce over per-rank buffers with alpha-beta
+  communication cost accounting;
 * :mod:`~repro.cluster.timeline` — per-rank compute/communication time
   ledger including prefetch overlap, plus the rank-symmetry-folded
   variant that simulates one representative per equivalence class;
@@ -19,16 +19,7 @@ Frontier) is reproduced here as a single-process virtual cluster:
 """
 
 from repro.cluster.cluster import VirtualCluster
-from repro.cluster.collectives import (
-    all_gather,
-    all_reduce,
-    all_to_all,
-    barrier,
-    broadcast,
-    gather,
-    reduce_scatter,
-    scatter,
-)
+from repro.cluster.collectives import all_gather, all_reduce, reduce_scatter
 from repro.cluster.costmodel import CollectiveCostModel
 from repro.cluster.device import VirtualGPU
 from repro.cluster.process_group import ProcessGroup
@@ -50,10 +41,5 @@ __all__ = [
     "VirtualGPU",
     "all_gather",
     "all_reduce",
-    "all_to_all",
-    "barrier",
-    "broadcast",
-    "gather",
     "reduce_scatter",
-    "scatter",
 ]

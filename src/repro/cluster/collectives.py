@@ -19,10 +19,10 @@ Semantics mirror mpi4py/RCCL:
 ``reduce_scatter``        every member contributes a full buffer and receives
                           its reduced shard (along ``axis``)
 ``all_reduce``            every member receives the elementwise reduction
-``broadcast``             every member receives the root's buffer
-``scatter``/``gather``    root distributes / collects shards
-``all_to_all``            member *i* sends block *j* to member *j*
 ========================  ====================================================
+
+These three are the collectives Hybrid-STOP runs (pipeline stages
+price their hand-offs with ``CollectiveCostModel.point_to_point``).
 """
 
 from __future__ import annotations
@@ -185,72 +185,3 @@ def all_reduce(
         return [np.asarray(buffers[0])]
     return [kernel(_reduce, *buffers, op=op)] * group.size
 
-
-def broadcast(group: ProcessGroup, buffer, root: int = 0, overlappable: bool = False) -> list:
-    """Send the root's buffer (group-local ``root``) to every member."""
-    if not 0 <= root < group.size:
-        raise ValueError(f"root {root} outside group of size {group.size}")
-    total_bytes = nbytes_of(buffer)
-    seconds = group.cluster.cost_model.broadcast(group.ranks, total_bytes)
-    _record(group, seconds, total_bytes, overlappable, "broadcast")
-    return [buffer] * group.size
-
-
-def scatter(
-    group: ProcessGroup,
-    shards: Sequence,
-    root: int = 0,
-    overlappable: bool = False,
-) -> list:
-    """Root distributes ``shards[i]`` to member ``i``."""
-    if len(shards) != group.size:
-        raise ValueError(f"scatter needs {group.size} shards, got {len(shards)}")
-    if not 0 <= root < group.size:
-        raise ValueError(f"root {root} outside group of size {group.size}")
-    total_bytes = sum(nbytes_of(s) for s in shards)
-    seconds = group.cluster.cost_model.scatter(group.ranks, total_bytes)
-    _record(group, seconds, total_bytes, overlappable, "scatter")
-    return list(shards)
-
-
-def gather(
-    group: ProcessGroup,
-    shards: Sequence,
-    root: int = 0,
-    axis: int = 0,
-    overlappable: bool = False,
-) -> list:
-    """Collect shards onto the root; non-root members receive ``None``."""
-    meta, distinct = _check_buffers(group, shards)
-    if not 0 <= root < group.size:
-        raise ValueError(f"root {root} outside group of size {group.size}")
-    total_bytes = _member_sum(shards, distinct, nbytes_of)
-    seconds = group.cluster.cost_model.gather(group.ranks, total_bytes)
-    _record(group, seconds, total_bytes, overlappable, "gather")
-    if meta:
-        first = shards[0]
-        shape = list(first.shape)
-        shape[axis] = _member_sum(shards, distinct, lambda s: s.shape[axis])
-        result = MetaArray(tuple(shape), first.dtype)
-    else:
-        result = _concatenate(*shards, axis=axis)
-    return [result if i == root else None for i in range(group.size)]
-
-
-def all_to_all(group: ProcessGroup, blocks: Sequence[Sequence], overlappable: bool = False) -> list:
-    """``blocks[i][j]`` goes from member *i* to member *j*; returns per-member lists."""
-    if len(blocks) != group.size:
-        raise ValueError(f"all_to_all needs {group.size} block rows, got {len(blocks)}")
-    for i, row in enumerate(blocks):
-        if len(row) != group.size:
-            raise ValueError(f"block row {i} has {len(row)} entries, expected {group.size}")
-    per_rank_bytes = max(sum(nbytes_of(b) for b in row) for row in blocks)
-    seconds = group.cluster.cost_model.all_to_all(group.ranks, per_rank_bytes)
-    _record(group, seconds, per_rank_bytes, overlappable, "all_to_all")
-    return [[blocks[i][j] for i in range(group.size)] for j in range(group.size)]
-
-
-def barrier(group: ProcessGroup) -> None:
-    """Synchronize the group (costed as a tiny all-reduce)."""
-    seconds = group.cluster.cost_model.all_reduce(group.ranks, 4)
-    _record(group, seconds, 0, False, "barrier")

@@ -7,9 +7,8 @@ bandwidth ``beta`` costs
 
 * ring all-gather / reduce-scatter:  ``(g-1) * (alpha + s / beta)``
 * ring all-reduce:                   ``2 * (g-1) * (alpha + s / beta)``
-* binomial-tree broadcast/gather:    ``ceil(log2 g) * (alpha + S / beta)``
 
-where ``S`` is the full buffer and ``s = S / g``.  The link spec comes
+where ``s = S / g`` for a full buffer of ``S`` bytes.  The link spec comes
 from :meth:`~repro.cluster.topology.FrontierTopology.effective_bandwidth`,
 so NIC contention between co-located groups is already folded in.
 """
@@ -92,30 +91,6 @@ class CollectiveCostModel:
             return 0.0
         spec = self._spec(ranks)
         return self._steps(spec.latency_s, spec.bandwidth_Bps, 2 * (g - 1), total_bytes / g)
-
-    def broadcast(self, ranks: Sequence[int], total_bytes: int) -> float:
-        """Binomial-tree broadcast of the full buffer."""
-        g = len(ranks)
-        if g <= 1:
-            return 0.0
-        spec = self._spec(ranks)
-        return self._steps(spec.latency_s, spec.bandwidth_Bps, math.ceil(math.log2(g)), total_bytes)
-
-    def gather(self, ranks: Sequence[int], total_bytes: int) -> float:
-        """Binomial-tree gather of ``total_bytes`` onto the root."""
-        return self.broadcast(ranks, total_bytes)
-
-    def scatter(self, ranks: Sequence[int], total_bytes: int) -> float:
-        """Binomial-tree scatter of ``total_bytes`` from the root."""
-        return self.broadcast(ranks, total_bytes)
-
-    def all_to_all(self, ranks: Sequence[int], total_bytes: int) -> float:
-        """Pairwise-exchange all-to-all; ``total_bytes`` is the per-rank send total."""
-        g = len(ranks)
-        if g <= 1:
-            return 0.0
-        spec = self._spec(ranks)
-        return self._steps(spec.latency_s, spec.bandwidth_Bps, g - 1, total_bytes / g)
 
     #: A single inter-node flow is bound by one NIC, not the whole node
     #: injection bandwidth (Frontier has 4x25 GB/s NICs per node).

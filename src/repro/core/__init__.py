@@ -17,12 +17,6 @@ are verified to produce bit-comparable outputs and gradients.
 from repro.core.hybrid_attention import HybridSTOPAttention
 from repro.core.hybrid_block import HybridSTOPBlock, HybridSTOPTrunk
 from repro.core.hybrid_linear import HybridSTOPMLP
-from repro.core.matmul_chain import (
-    chain_backward_reference,
-    chain_forward_reference,
-    chain_forward_sharded,
-    chain_grad_input_sharded,
-)
 from repro.core.sharding import (
     ShardedParameter,
     column_shards,
@@ -37,10 +31,6 @@ __all__ = [
     "HybridSTOPMLP",
     "HybridSTOPTrunk",
     "ShardedParameter",
-    "chain_backward_reference",
-    "chain_forward_reference",
-    "chain_forward_sharded",
-    "chain_grad_input_sharded",
     "column_shards",
     "flat_pad_shard",
     "flat_unshard",

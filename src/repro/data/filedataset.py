@@ -3,8 +3,8 @@
 The synthetic generator covers everything the benchmarks need, but a
 downstream user with actual CMIP6/ERA5 exports should not have to touch
 the generator.  :func:`save_archive` writes any dataset window to a
-single ``.npz`` file; :class:`FileDataset` exposes such an archive with
-the same interface as :class:`~repro.data.dataset.ClimateDataset`
+single ``.npz`` file; :class:`FileDataset` is a
+:class:`~repro.data.dataset.ClimateDataset` over such an archive
 (snapshots, targets, forecast pairs, windows), so loaders, trainers,
 climatology, and evaluators work unchanged.
 
@@ -22,15 +22,20 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.data.dataset import ClimateDataset, ForecastSample
+from repro.data.dataset import ClimateDataset
 from repro.data.grid import LatLonGrid
-from repro.data.synthetic import HOURS_PER_STEP
 from repro.data.variables import VariableRegistry, default_registry
 
 
-def save_archive(dataset: ClimateDataset, path, indices=None) -> None:
-    """Materialize a dataset window into an ``.npz`` archive."""
+def save_archive(dataset: ClimateDataset, path, indices=None) -> Path:
+    """Materialize a dataset window into an ``.npz`` archive.
+
+    Returns the path written: like NumPy, ``.npz`` is appended to a name
+    that lacks it, so the result can go straight to :class:`FileDataset`.
+    """
     path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
     if indices is None:
         indices = range(len(dataset))
@@ -42,91 +47,40 @@ def save_archive(dataset: ClimateDataset, path, indices=None) -> None:
         out_names=np.array(list(dataset.out_names)),
         start_step=np.int64(dataset.start_step),
     )
+    return path
 
 
-class FileDataset:
-    """A ``ClimateDataset``-compatible view over an ``.npz`` archive."""
+class _ArchiveSystem:
+    """The archive in the role of a climate system: snapshots by absolute step."""
+
+    def __init__(self, fields: np.ndarray, start_step: int,
+                 registry: VariableRegistry, grid: LatLonGrid):
+        self.fields = fields
+        self.start_step = start_step
+        self.registry = registry
+        self.grid = grid
+
+    def snapshot(self, step: int) -> np.ndarray:
+        return self.fields[step - self.start_step].copy()
+
+
+class FileDataset(ClimateDataset):
+    """A :class:`~repro.data.dataset.ClimateDataset` over an ``.npz`` archive."""
 
     def __init__(self, path, registry: VariableRegistry | None = None):
         path = Path(path)
         with np.load(path, allow_pickle=False) as archive:
-            self.fields = np.asarray(archive["fields"], dtype=np.float32)
+            fields = np.asarray(archive["fields"], dtype=np.float32)
             names = [str(n) for n in archive["names"]]
-            self.out_names = [str(n) for n in archive["out_names"]]
-            self.start_step = int(archive["start_step"])
-        if self.fields.ndim != 4:
-            raise ValueError(f"archive fields must be (T, C, H, W), got {self.fields.shape}")
-        if self.fields.shape[1] != len(names):
+            out_names = [str(n) for n in archive["out_names"]]
+            start_step = int(archive["start_step"])
+        if fields.ndim != 4:
+            raise ValueError(f"archive fields must be (T, C, H, W), got {fields.shape}")
+        if fields.shape[1] != len(names):
             raise ValueError(
-                f"{self.fields.shape[1]} channels but {len(names)} names in archive"
+                f"{fields.shape[1]} channels but {len(names)} names in archive"
             )
         full = registry if registry is not None else default_registry(91)
-        self.registry = full.subset(names)
-        self._out_indices = self.registry.indices(self.out_names)
-        self.name = path.stem
-        self.grid = LatLonGrid(self.fields.shape[2], self.fields.shape[3])
-        # Duck-type the `.system.grid` access the evaluator uses.
-        self.system = _FileSystemShim(self.grid)
-
-    # -- ClimateDataset interface -----------------------------------------------
-    def __len__(self) -> int:
-        return self.fields.shape[0]
-
-    @property
-    def num_steps(self) -> int:
-        return len(self)
-
-    @property
-    def num_channels(self) -> int:
-        return self.fields.shape[1]
-
-    def absolute_step(self, index: int) -> int:
-        if not 0 <= index < len(self):
-            raise IndexError(f"index {index} outside archive of {len(self)} snapshots")
-        return self.start_step + index
-
-    def snapshot(self, index: int) -> np.ndarray:
-        self.absolute_step(index)
-        return self.fields[index].copy()
-
-    def target(self, index: int) -> np.ndarray:
-        return self.snapshot(index)[self._out_indices]
-
-    def max_input_index(self, lead_steps: int) -> int:
-        last = len(self) - 1 - lead_steps
-        if last < 0:
-            raise ValueError(f"lead of {lead_steps} steps exceeds archive length {len(self)}")
-        return last
-
-    def forecast_sample(self, index: int, lead_steps: int) -> ForecastSample:
-        if lead_steps < 1:
-            raise ValueError("lead_steps must be >= 1")
-        if index > self.max_input_index(lead_steps):
-            raise IndexError(f"index {index} + lead {lead_steps} exceeds archive")
-        return ForecastSample(
-            x=self.snapshot(index),
-            y=self.target(index + lead_steps),
-            lead_time_hours=lead_steps * HOURS_PER_STEP,
-            t=index,
-        )
-
-    def window(self, start: int, length: int, name: str | None = None) -> "FileDataset":
-        if start < 0 or start + length > len(self):
-            raise ValueError(f"window [{start}, {start + length}) outside archive")
-        clone = object.__new__(FileDataset)
-        clone.fields = self.fields[start : start + length]
-        clone.out_names = list(self.out_names)
-        clone.start_step = self.start_step + start
-        clone.registry = self.registry
-        clone._out_indices = list(self._out_indices)
-        clone.name = name or f"{self.name}[{start}:{start + length}]"
-        clone.grid = self.grid
-        clone.system = self.system
-        return clone
-
-
-class _FileSystemShim:
-    """Provides the ``.grid`` attribute evaluators read from ``.system``."""
-
-    def __init__(self, grid: LatLonGrid):
-        self.grid = grid
+        self.grid = LatLonGrid(fields.shape[2], fields.shape[3])
+        system = _ArchiveSystem(fields, start_step, full.subset(names), self.grid)
+        super().__init__(system, start_step, len(fields), out_names, name=path.stem)

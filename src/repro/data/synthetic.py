@@ -37,6 +37,9 @@ STEPS_PER_DAY = 4
 STEPS_PER_YEAR = 1460
 HOURS_PER_STEP = 6.0
 
+#: Seed of the variable-to-latent couplings and static fields.
+COUPLING_SEED = 0xC11A
+
 _CHECKPOINT_INTERVAL = 256
 #: How many recently produced latent states :meth:`ClimateSystemModel.
 #: latents_at` keeps besides the checkpoints (under 1.3 KiB each).  One
@@ -80,9 +83,10 @@ class ClimateSystemModel:
         coupling structure (same Earth physics, different dynamics).
     spec:
         Latent dynamics parameters.
-    coupling_seed:
-        Seed of the variable-coupling structure; shared across CMIP6
-        sources so all sources describe the same kind of planet.
+
+    The variable-coupling structure is seeded by :data:`COUPLING_SEED`,
+    shared by every model, so all sources describe the same kind of
+    planet.
     """
 
     def __init__(
@@ -91,7 +95,6 @@ class ClimateSystemModel:
         registry: VariableRegistry,
         seed: int = 0,
         spec: LatentSpec = LatentSpec(),
-        coupling_seed: int = 0xC11A,
     ):
         self.grid = grid
         self.registry = registry
@@ -104,7 +107,7 @@ class ClimateSystemModel:
         self.spec = spec
         self.seed = int(seed)
         self._seeds = SeedSequenceFactory(self.seed)
-        self._coupling_seeds = SeedSequenceFactory(int(coupling_seed))
+        self._coupling_seeds = SeedSequenceFactory(COUPLING_SEED)
         self._mode_shape = (spec.num_modes_lat, spec.num_modes_lon)
 
         # Mode amplitudes: power-law decay over total wavenumber.

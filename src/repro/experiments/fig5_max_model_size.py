@@ -45,10 +45,9 @@ def run(
     gpu_counts=DEFAULT_GPU_COUNTS,
     template: OrbitConfig = ORBIT_113B,
     micro_batch: int = 2,
-    memory_model: MemoryModel | None = None,
 ) -> Fig5Result:
     """Scan the maximal model size for each parallelism and GPU count."""
-    model = memory_model or MemoryModel()
+    model = MemoryModel()
     result = Fig5Result()
     for parallelism in (Parallelism.FSDP, Parallelism.TENSOR, Parallelism.HYBRID_STOP):
         result.max_params[parallelism] = {

@@ -24,6 +24,11 @@ from repro.tune.space import TuneRequest, enumerate_space
 
 DEFAULT_TP_SIZES = (1, 2, 8, 32, 64, 128, 256, 512)
 
+#: The paper's operating regime (micro-batches of 2-3): configurations
+#: that cannot fit it are the "out of memory" points of Fig 6 — FSDP
+#: alone among them.
+MIN_MICRO_BATCH = 2
+
 
 @dataclass
 class Fig6Row:
@@ -78,16 +83,9 @@ def run(
     config: OrbitConfig = ORBIT_113B,
     num_gpus: int = 512,
     tp_sizes=DEFAULT_TP_SIZES,
-    perf_model: PerformanceModel | None = None,
-    min_micro_batch: int = 2,
 ) -> Fig6Result:
-    """Sweep the (FSDP, TP) factorizations of a fixed GPU count.
-
-    ``min_micro_batch`` reflects the paper's operating regime (micro
-    batches of 2-3); configurations that cannot fit it are the "out of
-    memory" points of Fig 6 — FSDP alone among them.
-    """
-    pm = perf_model or PerformanceModel()
+    """Sweep the (FSDP, TP) factorizations of a fixed GPU count."""
+    pm = PerformanceModel()
     result = Fig6Result()
     # Policy axes pinned to one value each: Fig 6 varies only the
     # (FSDP, TP) split, and the micro-batch comes from the memory model
@@ -126,7 +124,7 @@ def run(
         if tp > config.num_heads:
             note = "sub-head sharding"
         batch = pm.max_micro_batch(setup)
-        if batch < min_micro_batch:
+        if batch < MIN_MICRO_BATCH:
             batch = 0
         if batch == 0:
             result.rows.append(

@@ -29,6 +29,10 @@ REPLICA_SHAPES = {
     "orbit-113b": (8, 64),
 }
 
+#: Bound on the per-rank batch: global-batch constraints keep it modest
+#: on the real system even where memory would allow more.
+MICRO_BATCH_CAP = 8
+
 
 @dataclass
 class ScalingPoint:
@@ -72,16 +76,9 @@ def run(
     channels: int = 48,
     gpu_counts=DEFAULT_GPU_COUNTS,
     models: dict[str, OrbitConfig] | None = None,
-    perf_model: PerformanceModel | None = None,
-    micro_batch_cap: int = 8,
 ) -> Fig7Result:
-    """Strong-scaling sweep for every paper model size at one channel count.
-
-    ``micro_batch_cap`` bounds the per-rank batch (global-batch
-    constraints keep it modest on the real system even where memory
-    would allow more).
-    """
-    pm = perf_model or PerformanceModel()
+    """Strong-scaling sweep for every paper model size at one channel count."""
+    pm = PerformanceModel()
     models = models or PAPER_MODELS
     result = Fig7Result(channels=channels)
     baseline_gpus = min(gpu_counts)
@@ -94,7 +91,7 @@ def run(
             config=config, num_gpus=baseline_gpus, tp_size=tp, fsdp_size=fsdp,
             ddp_size=None, micro_batch=1, recompute=True, bf16=True,
         )
-        batch = min(micro_batch_cap, max(1, pm.max_micro_batch(spec0.training_setup())))
+        batch = min(MICRO_BATCH_CAP, max(1, pm.max_micro_batch(spec0.training_setup())))
         series: dict[int, ScalingPoint] = {}
         base_time = None
         for gpus in sorted(gpu_counts):

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.experiments.common import format_table
 from repro.models.configs import ORBIT_115M, OrbitConfig
 from repro.tune.estimator import AnalyticEstimator, Estimate
+from repro.tune.search import InfeasibleRequest, simulate_candidate
 from repro.tune.space import Candidate, TuneRequest, enumerate_space
 
 
@@ -57,11 +58,7 @@ class CrossoverResult:
     oom_4d: int = 0
 
     def best(self, pipelined: bool) -> CrossoverRow:
-        for row in self.rows:
-            if row.pipelined == pipelined:
-                return row
-        kind = "pipelined" if pipelined else "3D"
-        raise RuntimeError(f"no {kind} plan fits on {self.num_gpus} GCDs")
+        return next(row for row in self.rows if row.pipelined == pipelined)
 
     @property
     def crossed_over(self) -> bool:
@@ -83,11 +80,7 @@ class CrossoverResult:
         shown = list(self.rows[:limit])
         # Keep the two front-runners in frame even when one camp sweeps
         # the top of the ranking.
-        for pipelined in (False, True):
-            try:
-                row = self.best(pipelined)
-            except RuntimeError:
-                continue
+        for row in (self.best(False), self.best(True)):
             if row not in shown:
                 shown.append(row)
         table_rows = []
@@ -142,6 +135,9 @@ def run(
     nothing to buy back.  ``validate=True`` also runs one real
     simulated engine step for the two front-runners — the same
     harness ``repro tune`` validates with — as an exactness check.
+
+    Raises :class:`~repro.tune.search.InfeasibleRequest` when no 3D or
+    no pipelined plan fits device memory: there is no crossover to rank.
     """
     request = TuneRequest(
         config, num_gpus, gpus_per_node=gpus_per_node,
@@ -169,14 +165,16 @@ def run(
     result.oom_4d = sum(
         1 for row in scored if not row.estimate.fits and row.pipelined
     )
+    for pipelined in (False, True):
+        if not any(row.pipelined == pipelined for row in result.rows):
+            raise InfeasibleRequest(
+                f"no {'pipelined' if pipelined else '3D'} plan of "
+                f"{config.name} fits {num_gpus} GCDs at micro-batch {micro_batch}",
+                space,
+            )
     if validate:
-        from repro.tune.search import simulate_candidate
-
         for pipelined in (False, True):
-            try:
-                row = result.best(pipelined)
-            except RuntimeError:
-                continue
+            row = result.best(pipelined)
             row.simulated_step_s = simulate_candidate(
                 request, row.candidate
             )["step_time_s"]

@@ -76,10 +76,9 @@ def run(
     num_gpus: int = 512,
     tp_size: int = 8,
     fsdp_size: int = 64,
-    perf_model: PerformanceModel | None = None,
 ) -> Table1Result:
     """Reproduce the five-column ablation."""
-    pm = perf_model or PerformanceModel()
+    pm = PerformanceModel()
     toggles = [
         ("none", dict(layer_wrapping=False, bf16=False, prefetch=False,
                       activation_checkpointing=False)),

@@ -27,7 +27,7 @@ walltime on:
   (:class:`~repro.faults.degradation.SkewedCompute` stragglers).
 """
 
-from repro.faults.degradation import SkewedCompute, seeded_skew_profile
+from repro.faults.degradation import SkewedCompute
 from repro.faults.errors import (
     CollectiveTimeoutError,
     ElasticRecoveryError,
@@ -88,5 +88,4 @@ __all__ = [
     "goodput_table",
     "recommend_checkpoint_interval",
     "run_supervised",
-    "seeded_skew_profile",
 ]

@@ -51,6 +51,11 @@ from repro.utils.logging import get_logger
 
 _LOG = get_logger("faults.supervisor")
 
+#: Transient recovery: a failed attempt is detected after this window,
+#: and retry ``n`` waits ``_BACKOFF_BASE_S * 2**(n - 1)`` first.
+_DETECT_TIMEOUT_S = 0.5
+_BACKOFF_BASE_S = 0.05
+
 
 @dataclass
 class _Attempt:
@@ -80,10 +85,10 @@ class Supervisor:
         and node-loss recovery.  ``checkpoint_every=0`` disables them;
         recovery then restarts from step 0 (still bitwise-correct,
         just expensive).
-    retry_budget / backoff_base_s / detect_timeout_s:
+    retry_budget:
         Transient recovery: at most ``retry_budget`` in-place retries,
-        with backoff delays ``base * 2**attempt`` charged to the
-        ledger; each failed attempt also pays the detection window.
+        with exponential backoff delays charged to the ledger; each
+        failed attempt also pays the detection window.
     restart_latency_s / checkpoint_cost_s:
         Simulated cost-model charges for an incarnation restart and
         for writing one checkpoint.
@@ -101,11 +106,10 @@ class Supervisor:
         counting as useful work.  Off by default — the historical
         accounting (and its journal bytes) treats every committed
         second as useful.
-    replan_hysteresis / replan_warmup_s / replan_micro_batches:
+    replan_hysteresis / replan_warmup_s:
         Controller tuning for ``spec.replan == "on"`` runs: the
-        break-even margin, the configured warm-up surcharge of the
-        migration cost model, and the micro-batch axis of the
-        alternative space.
+        break-even margin and the configured warm-up surcharge of the
+        migration cost model.
     session_kwargs:
         Extra keyword arguments for every ``Session`` construction
         (``lr``, ``precision``, ...).
@@ -119,8 +123,6 @@ class Supervisor:
         checkpoint_every: int = 0,
         checkpoint_dir=None,
         retry_budget: int = 3,
-        backoff_base_s: float = 0.05,
-        detect_timeout_s: float = 0.5,
         restart_latency_s: float = 2.0,
         checkpoint_cost_s: float = 0.25,
         max_restarts: int = 8,
@@ -128,7 +130,6 @@ class Supervisor:
         degradation_aware: bool = False,
         replan_hysteresis: float = 0.25,
         replan_warmup_s: float = 0.0,
-        replan_micro_batches: tuple[int, ...] = (1, 2, 4, 8),
         session_kwargs: dict | None = None,
     ):
         if checkpoint_every < 0:
@@ -153,8 +154,6 @@ class Supervisor:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.retry_budget = retry_budget
-        self.backoff_base_s = backoff_base_s
-        self.detect_timeout_s = detect_timeout_s
         self.restart_latency_s = restart_latency_s
         self.checkpoint_cost_s = checkpoint_cost_s
         self.max_restarts = max_restarts
@@ -177,7 +176,6 @@ class Supervisor:
         self.degradation_aware = bool(degradation_aware)
         self.replan_hysteresis = replan_hysteresis
         self.replan_warmup_s = replan_warmup_s
-        self.replan_micro_batches = tuple(replan_micro_batches)
         #: Best observed clean-step seconds per plan shape — the
         #: degradation-aware baseline a degraded step is charged against.
         self._clean_baselines: dict[tuple, float] = {}
@@ -388,9 +386,7 @@ class Supervisor:
         if (self._controller is None
                 or self._controller.spec.num_gpus != self.spec.num_gpus):
             self._controller = ReplanController(
-                self.spec,
-                hysteresis=self.replan_hysteresis,
-                micro_batches=self.replan_micro_batches,
+                self.spec, hysteresis=self.replan_hysteresis
             )
         return self._controller
 
@@ -555,11 +551,11 @@ class Supervisor:
         retry bucket when the step is retried and to the rollback
         bucket when the incarnation is given up.
         """
-        wasted = (self._wall() - attempt.t0) + self.detect_timeout_s
+        wasted = (self._wall() - attempt.t0) + _DETECT_TIMEOUT_S
         if isinstance(err, TransientFaultError):
             if attempt.retries < self.retry_budget:
                 attempt.retries += 1
-                backoff = self.backoff_base_s * 2 ** (attempt.retries - 1)
+                backoff = _BACKOFF_BASE_S * 2 ** (attempt.retries - 1)
                 self.ledger.retry(wasted, backoff)
                 attempt.lost_s += wasted + backoff
                 attempt.fault = err

@@ -236,61 +236,6 @@ class MemoryModel:
         """Whether the setup fits the per-GPU memory budget."""
         return self.per_gpu_bytes(setup) <= self.gpu_memory_bytes
 
-    def simulated_peak_bytes(self, setup: TrainingSetup) -> float:
-        """Peak bytes the meta-mode engine's device trackers record.
-
-        The simulated engine allocates only fp32 *parameter* storage —
-        sharded trunk slices, the replicated dense front/head, and the
-        transiently gathered layer — never optimizer state, gradients,
-        or activations, so this is a different quantity from
-        :meth:`per_gpu_bytes` (which models the real machine).  The
-        consistency tests hold the two implementations to each other.
-
-        The worst device sits on tensor-parallel column 0: it holds the
-        same column slices as every peer plus all the replicated small
-        parameters the engine places there (layer norms, output biases,
-        qk layer-norm).  With layer wrapping the transient peak adds the
-        largest concurrently gathered set — the MLP input projection and
-        its bias; without it, every layer stays gathered at once.
-        """
-        if setup.parallelism is not Parallelism.HYBRID_STOP:
-            raise ValueError("only Hybrid-STOP configurations are simulated")
-        cfg = setup.config
-        K, F = setup.tp_size, setup.fsdp_size
-        item = 4  # meta arrays are shape-only fp32
-
-        def shard(elems: int) -> int:
-            return math.ceil(elems / F) * item
-
-        def gathered(elems: int) -> int:
-            return F * math.ceil(elems / F) * item
-
-        dm, hd = cfg.embed_dim, cfg.hidden_dim
-        col = dm // K       # column width of the attention projections
-        mlp_col = hd // K   # column width of the MLP
-        column0 = [
-            dm * col, col,   # wq and bias
-            dm * col, col,   # wk
-            dm * col, col,   # wv
-            col * dm,        # wo (row-sharded)
-            dm,              # wo bias
-            dm * mlp_col,    # mlp a
-            mlp_col,         # b1
-            mlp_col * dm,    # mlp b (row-sharded)
-            dm,              # b2
-            dm, dm,          # ln1 gamma/beta
-            dm, dm,          # ln2 gamma/beta
-        ]
-        if cfg.qk_layernorm:
-            column0 += [cfg.head_dim] * 4
-        _, dense_params = self._trunk_and_dense_params(cfg)
-        persistent = cfg.depth * sum(shard(n) for n in column0) + dense_params * item
-        if setup.layer_wrapping:
-            transient = gathered(dm * mlp_col) + gathered(mlp_col)
-        else:
-            transient = cfg.depth * sum(gathered(n) for n in column0)
-        return float(persistent + transient)
-
     # -- searches -----------------------------------------------------------------
     def default_setup(
         self,

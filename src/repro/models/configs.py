@@ -64,6 +64,14 @@ class OrbitConfig:
         """Feed-forward hidden width."""
         return int(self.embed_dim * self.mlp_ratio)
 
+    def key(self) -> str:
+        """Structural identity: the tune-cache and checkpoint key component."""
+        return (
+            f"{self.name}:d{self.embed_dim}:L{self.depth}:h{self.num_heads}"
+            f":v{self.in_vars}-{self.out_vars}:i{self.img_height}x{self.img_width}"
+            f":p{self.patch_size}:m{self.mlp_ratio}:q{int(self.qk_layernorm)}"
+        )
+
     def with_channels(self, in_vars: int, out_vars: int | None = None) -> "OrbitConfig":
         """Copy with a different channel configuration (48 vs 91 variables)."""
         return replace(

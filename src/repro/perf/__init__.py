@@ -1,14 +1,11 @@
-"""Performance accounting: FLOP profiling and the walltime model."""
+"""Performance accounting: scaling metrics and the walltime model."""
 
-from repro.perf.flops_profiler import FlopsProfiler
-from repro.perf.metrics import scaling_efficiency, strong_scaling_table
+from repro.perf.metrics import scaling_efficiency
 from repro.perf.model import PerfConstants, PerformanceModel, StepTimeBreakdown
 
 __all__ = [
-    "FlopsProfiler",
     "PerfConstants",
     "PerformanceModel",
     "StepTimeBreakdown",
     "scaling_efficiency",
-    "strong_scaling_table",
 ]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
 
 def scaling_efficiency(
     baseline_gpus: int,
@@ -22,26 +20,6 @@ def scaling_efficiency(
     speedup = baseline_time_per_obs / time_per_obs
     ideal = gpus / baseline_gpus
     return speedup / ideal
-
-
-def strong_scaling_table(
-    times_per_obs: Mapping[int, float],
-    baseline_gpus: int | None = None,
-) -> dict[int, dict[str, float]]:
-    """Efficiency table over GPU counts (keys) from times per observation."""
-    if not times_per_obs:
-        raise ValueError("need at least one measurement")
-    base = min(times_per_obs) if baseline_gpus is None else baseline_gpus
-    if base not in times_per_obs:
-        raise ValueError(f"baseline {base} not among measured GPU counts")
-    base_time = times_per_obs[base]
-    return {
-        gpus: {
-            "time_per_obs_s": t,
-            "efficiency": scaling_efficiency(base, base_time, gpus, t),
-        }
-        for gpus, t in sorted(times_per_obs.items())
-    }
 
 
 def epoch_hours(time_per_obs_s: float, observations: int = 1_200_000) -> float:

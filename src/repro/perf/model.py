@@ -113,15 +113,12 @@ class StepTimeBreakdown:
 class PerformanceModel:
     """Walltime/throughput estimates for training setups at scale."""
 
-    def __init__(
-        self,
-        constants: PerfConstants | None = None,
-        memory_model: MemoryModel | None = None,
-        gpus_per_node: int = 8,
-    ):
-        self.constants = constants or PerfConstants()
-        self.memory_model = memory_model or MemoryModel()
-        self.gpus_per_node = gpus_per_node
+    #: GCDs per Frontier node.
+    gpus_per_node = 8
+
+    def __init__(self):
+        self.constants = PerfConstants()
+        self.memory_model = MemoryModel()
 
     # -- plumbing ------------------------------------------------------------
     def _cost_model(self, num_gpus: int) -> CollectiveCostModel:

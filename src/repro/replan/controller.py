@@ -38,6 +38,11 @@ from repro.utils.logging import get_logger
 
 _LOG = get_logger("replan")
 
+#: Micro-batch axis of the alternative space (plus the spec's own);
+#: candidates are filtered to the spec's observation count regardless,
+#: so this only bounds the equal-batch factorization trades.
+_MICRO_BATCHES = (1, 2, 4, 8)
+
 
 @dataclass(frozen=True)
 class ReplanDecision:
@@ -116,16 +121,6 @@ class ReplanController:
     hysteresis:
         Extra margin the projected gain must clear beyond the migration
         cost (0.25 = gain must exceed cost by 25%).
-    micro_batches:
-        Micro-batch axis of the alternative space; candidates are
-        filtered to the spec's observation count regardless, so widening
-        this only adds equal-batch factorization trades.
-    elastic_only:
-        Restrict alternatives to plans reachable by the sharded elastic
-        resume path — same per-replica (pp, tp, fsdp) grid, DDP and
-        micro-batch retraded.  Forced for numeric runs, where parameter
-        shards physically live in the grid layout; meta runs may take
-        any legal plan (their checkpoint is pure RNG + loop state).
     estimator:
         Injectable :class:`AnalyticEstimator` (tests, probe reuse).
     """
@@ -135,18 +130,19 @@ class ReplanController:
         spec,
         *,
         hysteresis: float = 0.25,
-        micro_batches: tuple[int, ...] = (1, 2, 4, 8),
-        elastic_only: bool | None = None,
         estimator: AnalyticEstimator | None = None,
     ):
         if hysteresis < 0:
             raise ValueError("hysteresis must be non-negative")
         self.spec = spec
         self.hysteresis = float(hysteresis)
-        self.micro_batches = tuple(sorted(set(micro_batches) | {spec.micro_batch}))
-        self.elastic_only = (
-            bool(elastic_only) if elastic_only is not None else not spec.meta
-        )
+        self.micro_batches = tuple(sorted(set(_MICRO_BATCHES) | {spec.micro_batch}))
+        #: Numeric runs keep to plans the sharded elastic resume can
+        #: reach — same per-replica (pp, tp, fsdp) grid, DDP and
+        #: micro-batch retraded — because their parameter shards live in
+        #: the grid layout; a meta checkpoint is pure RNG + loop state,
+        #: so meta runs may take any legal plan.
+        self.elastic_only = not spec.meta
         self.estimator = estimator if estimator is not None else AnalyticEstimator(
             spec.config, spec.num_gpus, spec.gpus_per_node
         )

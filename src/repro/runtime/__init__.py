@@ -27,7 +27,6 @@ from repro.runtime.spec import (
     RunSpec,
     RunSpecError,
     engine_legality_reason,
-    grid_rank,
     policy_field_names,
     tp_group_spans_nodes,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "build_cluster",
     "engine_legality_reason",
     "fabricate_batch",
-    "grid_rank",
     "load_archive",
     "policy_field_names",
     "resume_trainer",

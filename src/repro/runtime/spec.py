@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping
 
+from repro.cluster.symmetry import RankClassPartition
 from repro.models.configs import OrbitConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,17 +46,6 @@ def policy_field_names() -> frozenset[str]:
     )
 
 
-def grid_rank(ddp: int, fsdp: int, tp: int, fsdp_size: int, tp_size: int,
-              tp_innermost: bool) -> int:
-    """Global rank of grid coordinate ``(d, f, k)`` — the
-    :meth:`~repro.parallel.plan.HybridParallelPlan.rank` layout without
-    needing a cluster."""
-    per_replica = tp_size * fsdp_size
-    if tp_innermost:
-        return ddp * per_replica + fsdp * tp_size + tp
-    return ddp * per_replica + tp * fsdp_size + fsdp
-
-
 def tp_group_spans_nodes(tp: int, fsdp: int, ddp: int, tp_innermost: bool,
                          gpus_per_node: int, pp: int = 1) -> bool:
     """Whether any tensor-parallel group crosses a node boundary.
@@ -65,14 +55,13 @@ def tp_group_spans_nodes(tp: int, fsdp: int, ddp: int, tp_innermost: bool,
     of nodes, a deeper stage's TP groups can straddle a boundary even
     though stage 0's do not — so every stage is checked.
     """
-    stage_size = tp * fsdp * ddp
+    grid = RankClassPartition(tp, fsdp, ddp, tp_innermost)
     for s in range(pp):
-        offset = s * stage_size
+        offset = s * grid.stage_size
         for d in range(ddp):
             for f in range(fsdp):
                 nodes = {
-                    (offset + grid_rank(d, f, k, fsdp, tp, tp_innermost))
-                    // gpus_per_node
+                    (offset + grid.rank(d, f, k)) // gpus_per_node
                     for k in range(tp)
                 }
                 if len(nodes) > 1:
@@ -341,13 +330,8 @@ class RunSpec:
 
     def identity(self) -> dict:
         """JSON-able structural identity (checkpoint compatibility key)."""
-        c = self.config
         return {
-            "config": (
-                f"{c.name}:d{c.embed_dim}:L{c.depth}:h{c.num_heads}"
-                f":v{c.in_vars}-{c.out_vars}:i{c.img_height}x{c.img_width}"
-                f":p{c.patch_size}:m{c.mlp_ratio}:q{int(c.qk_layernorm)}"
-            ),
+            "config": self.config.key(),
             "topology": f"g{self.num_gpus}x{self.gpus_per_node}",
             "grid": [self.tp_size, self.fsdp_size, self.ddp_size, self.pp_size],
             "micro_batch": self.micro_batch,

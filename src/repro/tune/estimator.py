@@ -215,19 +215,17 @@ class AnalyticEstimator:
         config: OrbitConfig,
         num_gpus: int,
         gpus_per_node: int = 8,
-        efficiency: float = 0.45,
-        memory_model: MemoryModel | None = None,
     ):
         self.config = config
         self.num_gpus = num_gpus
         self.gpus_per_node = gpus_per_node
-        self.memory_model = memory_model if memory_model is not None else MemoryModel()
+        self.memory_model = MemoryModel()
         # One shared probe cluster: all candidates factorize the same
         # world, and its timeline is reset per probe.
         self._cluster = build_cluster(
             num_gpus, gpus_per_node, track_device_memory=False
         )
-        self._compute_model = PeakFractionCompute(self._cluster, efficiency=efficiency)
+        self._compute_model = PeakFractionCompute(self._cluster)
         self._model = None
         #: (tp, fsdp, tp_innermost, micro_batch) -> the block's probes
         #: without and with prefetch, indexed by the flag.

@@ -191,7 +191,7 @@ def result_document(result: TuneResult) -> dict:
         "schema": REPORT_SCHEMA,
         "request": {
             "model": request.config.name,
-            "config_key": request.config_key(),
+            "config_key": request.config.key(),
             "topology_key": request.topology_key(),
             "num_gpus": request.num_gpus,
             "gpus_per_node": request.gpus_per_node,

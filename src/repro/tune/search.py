@@ -163,7 +163,7 @@ class TuneCache:
         when present, so every clean-topology key (and the entries
         existing cache files hold under them) is unchanged.
         """
-        parts = [request.config_key(), request.topology_key(),
+        parts = [request.config.key(), request.topology_key(),
                  candidate.label()]
         if request.degradation_key:
             parts.append(f"degraded={request.degradation_key}")

@@ -135,15 +135,6 @@ class TuneRequest:
     def topology_key(self) -> str:
         return f"g{self.num_gpus}x{self.gpus_per_node}"
 
-    def config_key(self) -> str:
-        """Structural identity of the model (cache key component)."""
-        c = self.config
-        return (
-            f"{c.name}:d{c.embed_dim}:L{c.depth}:h{c.num_heads}"
-            f":v{c.in_vars}-{c.out_vars}:i{c.img_height}x{c.img_width}"
-            f":p{c.patch_size}:m{c.mlp_ratio}:q{int(c.qk_layernorm)}"
-        )
-
 
 @dataclass(frozen=True)
 class SearchSpace:

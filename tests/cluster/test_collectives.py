@@ -5,17 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import (
-    VirtualCluster,
-    all_gather,
-    all_reduce,
-    all_to_all,
-    barrier,
-    broadcast,
-    gather,
-    reduce_scatter,
-    scatter,
-)
+from repro.cluster import VirtualCluster, all_gather, all_reduce, reduce_scatter
 from repro.meta import MetaArray
 
 
@@ -128,54 +118,7 @@ class TestAllReduce:
         assert outs[0].shape == (3, 3)
 
 
-class TestBroadcastScatterGather:
-    def test_broadcast(self, group):
-        x = np.arange(5.0)
-        outs = broadcast(group, x, root=2)
-        assert len(outs) == 4
-        for out in outs:
-            np.testing.assert_array_equal(out, x)
-
-    def test_broadcast_bad_root(self, group):
-        with pytest.raises(ValueError):
-            broadcast(group, np.zeros(2), root=4)
-
-    def test_scatter(self, group):
-        shards = [np.full(2, float(i)) for i in range(4)]
-        outs = scatter(group, shards)
-        for i, out in enumerate(outs):
-            np.testing.assert_allclose(out, float(i))
-
-    def test_gather_only_root_receives(self, group):
-        shards = [np.full((1, 2), float(i)) for i in range(4)]
-        outs = gather(group, shards, root=1)
-        assert outs[0] is None and outs[2] is None and outs[3] is None
-        assert outs[1].shape == (4, 2)
-        np.testing.assert_allclose(outs[1][:, 0], [0, 1, 2, 3])
-
-    def test_gather_meta(self, group):
-        outs = gather(group, [MetaArray((1, 2))] * 4, root=0)
-        assert outs[0].shape == (4, 2)
-
-
-class TestAllToAll:
-    def test_transposes_blocks(self, group):
-        blocks = [[np.array([10 * i + j]) for j in range(4)] for i in range(4)]
-        outs = all_to_all(group, blocks)
-        for j in range(4):
-            received = np.concatenate(outs[j])
-            np.testing.assert_array_equal(received, [10 * i + j for i in range(4)])
-
-    def test_ragged_rows_rejected(self, group):
-        with pytest.raises(ValueError):
-            all_to_all(group, [[np.zeros(1)] * 3] * 4)
-
-
 class TestBarrierAndAccounting:
-    def test_barrier_records_time(self, cluster, group):
-        barrier(group)
-        assert cluster.timeline.ledger(0).comm_s > 0
-
     def test_overlappable_comm_hidden_under_compute(self, cluster, group):
         cluster.timeline.record_compute(0, seconds=1.0)
         cluster.timeline.record_compute(1, seconds=1.0)

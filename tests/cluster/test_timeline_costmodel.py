@@ -1,7 +1,5 @@
 """Tests for the timeline ledger and alpha-beta cost model."""
 
-import math
-
 import pytest
 
 from repro.cluster import CollectiveCostModel, FrontierTopology, Timeline, VirtualCluster
@@ -99,11 +97,6 @@ class TestCostModel:
     def test_reduce_scatter_equals_all_gather(self, model):
         ranks = [0, 1, 2, 3]
         assert model.reduce_scatter(ranks, 1 << 20) == model.all_gather(ranks, 1 << 20)
-
-    def test_broadcast_log_steps(self, model):
-        nbytes = 1 << 20
-        expected = math.ceil(math.log2(8)) * (2e-6 + nbytes / 50e9)
-        assert model.broadcast(list(range(8)), nbytes) == pytest.approx(expected)
 
     def test_inter_node_slower_than_intra(self, model):
         intra = model.all_gather([0, 1], 100 << 20)

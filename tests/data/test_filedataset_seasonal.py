@@ -77,6 +77,13 @@ class TestFileDataset:
         scores = evaluator.evaluate(PersistenceForecaster(), lead_steps=1)
         assert set(scores.wacc) == set(loaded.out_names)
 
+    def test_save_returns_the_npz_path_it_wrote(self, tmp_path, era5):
+        written = save_archive(era5.validation(), tmp_path / "train")
+        assert written == tmp_path / "train.npz"
+        loaded = FileDataset(written)
+        np.testing.assert_array_equal(loaded.snapshot(0), era5.validation().snapshot(0))
+        assert loaded.system.grid is loaded.grid
+
     def test_partial_snapshot_export(self, tmp_path, era5):
         path = tmp_path / "subset.npz"
         save_archive(era5.validation(), path, indices=[0, 2, 4])

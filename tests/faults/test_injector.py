@@ -16,7 +16,6 @@ from repro.faults import (
     FaultSpec,
     GpuCrashError,
     NodeLossError,
-    seeded_skew_profile,
 )
 
 
@@ -227,23 +226,6 @@ class TestRemap:
         assert dropped == [plan.faults[1]]
         assert injector.moot() == [plan.faults[1]]
         assert injector.pending() == [plan.faults[0]]
-
-
-class TestSeededSkew:
-    def test_profile_is_deterministic(self):
-        a = seeded_skew_profile(3, 16, num_stragglers=2)
-        b = seeded_skew_profile(3, 16, num_stragglers=2)
-        assert a == b
-        assert len(a) == 2
-        assert all(1.2 <= f <= 2.5 for f in a.values())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            seeded_skew_profile(0, 0)
-        with pytest.raises(ValueError):
-            seeded_skew_profile(0, 4, num_stragglers=5)
-        with pytest.raises(ValueError):
-            seeded_skew_profile(0, 4, min_factor=0.9)
 
 
 class _PerEventInjector(FaultInjector):

@@ -1,4 +1,4 @@
-"""Tests for the walltime model, FLOP profiler, and scaling metrics."""
+"""Tests for the walltime model, FLOP counting, and scaling metrics."""
 
 import dataclasses
 
@@ -7,13 +7,8 @@ import pytest
 
 from repro.memory import Parallelism, TrainingSetup
 from repro.models import ORBIT_113B, ORBIT_10B, PROXY_MODELS, build_model
-from repro.perf import (
-    FlopsProfiler,
-    PerfConstants,
-    PerformanceModel,
-    scaling_efficiency,
-    strong_scaling_table,
-)
+from repro.nn.context import ExecutionContext, execution_context
+from repro.perf import PerfConstants, PerformanceModel, scaling_efficiency
 from repro.perf.metrics import epoch_hours
 
 
@@ -161,31 +156,32 @@ class TestModelBasics:
 
 
 class TestFlopsProfiler:
+    """``ExecutionContext`` is the DeepSpeed FLOPs profiler of paper Sec IV."""
+
     def test_counts_real_execution(self):
         cfg = PROXY_MODELS["proxy-115m"]
         model = build_model(cfg, rng=0)
-        profiler = FlopsProfiler()
+        ctx = ExecutionContext()
         x = np.zeros((1, cfg.in_vars, cfg.img_height, cfg.img_width), np.float32)
-        with profiler.profile():
+        with execution_context(ctx):
             model(x, np.zeros(1, np.float32))
         from repro.models.flops import forward_flops_per_sample
 
-        assert profiler.matmul_flops == pytest.approx(forward_flops_per_sample(cfg))
-        assert profiler.elapsed_s > 0
-        assert profiler.achieved_flops_per_second > 0
+        assert ctx.matmul_flops == pytest.approx(forward_flops_per_sample(cfg))
+        assert ctx.flops > ctx.matmul_flops
 
     def test_accumulates_and_resets(self):
-        profiler = FlopsProfiler()
+        ctx = ExecutionContext()
         from repro.nn import ops
 
-        with profiler.profile():
+        with execution_context(ctx):
             ops.matmul(np.ones((2, 2)), np.ones((2, 2)))
-        with profiler.profile():
+        first_total = ctx.flops
+        with execution_context(ctx):
             ops.matmul(np.ones((2, 2)), np.ones((2, 2)))
-        assert profiler.num_regions == 2
-        first_total = profiler.total_flops
-        profiler.reset()
-        assert profiler.total_flops == 0 and first_total > 0
+        assert ctx.flops == 2 * first_total
+        ctx.reset()
+        assert ctx.flops == 0 and first_total > 0
 
 
 class TestMetrics:
@@ -194,16 +190,6 @@ class TestMetrics:
 
     def test_no_speedup_halves(self):
         assert scaling_efficiency(512, 1.0, 1024, 1.0) == pytest.approx(0.5)
-
-    def test_table_builder(self):
-        table = strong_scaling_table({512: 1.0, 1024: 0.6, 2048: 0.4})
-        assert table[512]["efficiency"] == pytest.approx(1.0)
-        assert table[1024]["efficiency"] == pytest.approx(1.0 / 1.2)
-        assert table[2048]["efficiency"] == pytest.approx(1.0 / 1.6)
-
-    def test_table_requires_baseline(self):
-        with pytest.raises(ValueError):
-            strong_scaling_table({1024: 0.5}, baseline_gpus=512)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

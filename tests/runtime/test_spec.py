@@ -7,7 +7,6 @@ from repro.runtime import (
     RunSpec,
     RunSpecError,
     engine_legality_reason,
-    grid_rank,
     policy_field_names,
     tp_group_spans_nodes,
 )
@@ -95,9 +94,10 @@ class TestPolicyMetadata:
 
 class TestLegality:
     def test_rank_layouts_differ(self):
-        inner = grid_rank(0, 1, 0, fsdp_size=2, tp_size=2, tp_innermost=True)
-        outer = grid_rank(0, 1, 0, fsdp_size=2, tp_size=2, tp_innermost=False)
-        assert inner != outer
+        """tp=2 x fsdp=8 on 8-GCD nodes: TP pairs are neighbours when TP is
+        innermost, and ranks f and 8 + f (a node apart) when FSDP is."""
+        assert not tp_group_spans_nodes(2, 8, 1, True, gpus_per_node=8)
+        assert tp_group_spans_nodes(2, 8, 1, False, gpus_per_node=8)
 
     def test_tp_group_spanning_nodes_detected(self):
         assert tp_group_spans_nodes(16, 1, 1, True, gpus_per_node=8)

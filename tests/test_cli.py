@@ -352,6 +352,47 @@ class TestUnusableBaseline:
         assert complaint in captured.err and captured.err.count("\n") == 1
         assert ran == []  # the matrix never started
 
+    @pytest.mark.parametrize("command", ["bench", "serve"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+    def test_a_tolerance_no_drift_can_exceed_exits_2(
+            self, command, tolerance, capsys, monkeypatch):
+        """A NaN or infinite --tolerance would pass any baseline, and a
+        negative one fail every metric."""
+        ran = []
+        monkeypatch.setattr("repro.bench.run_matrix",
+                            lambda **kwargs: ran.append(kwargs))
+        monkeypatch.setattr("repro.serve.bench.run_serve_matrix",
+                            lambda **kwargs: ran.append(kwargs))
+        assert main([command, "--quick", "--check",
+                     "--tolerance", tolerance]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"repro {command}: --tolerance {float(tolerance)}")
+        assert ran == []
+
+
+BAD_FLAGS = [
+    ("fig5", "--max-gpus", "0"),
+    ("fig6", "--gpus", "7"),
+    ("fig6", "--gpus", "0"),
+    ("fig8", "--steps", "0"),
+    ("fig9", "--finetune-steps", "0"),
+    ("crossover", "--pp", "x"),
+    ("crossover", "--pp", "0"),
+    ("crossover", "--micro-batch", "0"),
+    ("crossover", "--gpus", "7"),
+    ("crossover", "--micro-batch", "1000"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", BAD_FLAGS)
+def test_a_bad_figure_flag_exits_2_naming_it(command, flag, value, capsys):
+    assert main([command, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"repro {command}: ")
+    assert f"{flag} {value}" in captured.err or f"{flag} {value!r}" in captured.err
+
 
 class TestMonitorCommand:
     PLAN = str(__import__("pathlib").Path("examples/fault_plan.json"))

@@ -42,8 +42,8 @@ class TestTuneRequest:
     def test_keys_identify_model_and_machine(self):
         request = _request()
         assert request.topology_key() == "g16x8"
-        assert "orbit-115m" in request.config_key()
-        assert request.config_key() != _request(config=ORBIT_1B).config_key()
+        assert "orbit-115m" in request.config.key()
+        assert request.config.key() != ORBIT_1B.key()
 
 
 class TestEnumeration:
