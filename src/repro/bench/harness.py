@@ -135,14 +135,10 @@ class BenchRecord:
     decomposition: object = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
-        from repro.runtime import policy_field_names
-
         out = asdict(self.case)
         # Selection / policy fields that would churn the committed
-        # baseline document; the matrix pins them to the defaults.  The
-        # policy set comes from RunSpec field metadata, so a new knob
-        # added there is excluded here automatically.
-        for transient in sorted({"quick"} | (policy_field_names() & out.keys())):
+        # baseline document; the matrix pins them to the defaults.
+        for transient in ("quick", "prefetch", "recompute", "tp_innermost", "fold"):
             out.pop(transient)
         out.update(
             step_time_s=self.step_time_s,

@@ -170,6 +170,22 @@ def _check_positive(args: argparse.Namespace, *flags: str) -> None:
             raise _UsageError(f"repro {args.command}: {flag} {value} must be at least 1")
 
 
+def _check_recovery_flags(args: argparse.Namespace) -> None:
+    """``bench``/``tune``'s goodput-model flags, checked before anything
+    runs: ``--mtbf`` finite and > 0, the costs finite and >= 0, or exit
+    2 naming the flag."""
+    if args.mtbf is not None and not (math.isfinite(args.mtbf) and args.mtbf > 0):
+        raise _UsageError(
+            f"repro {args.command}: --mtbf {args.mtbf} must be finite and > 0"
+        )
+    for flag in ("--checkpoint-cost", "--restart-latency"):
+        value = getattr(args, flag[2:].replace("-", "_"), 0.0)
+        if not (math.isfinite(value) and value >= 0):
+            raise _UsageError(
+                f"repro {args.command}: {flag} {value} must be finite and >= 0"
+            )
+
+
 def _int_list(flag: str, text: str) -> tuple[int, ...]:
     """The comma-separated positive integers of ``tune``'s and
     ``crossover``'s list flags; raises ``ValueError`` naming ``flag``."""
@@ -795,6 +811,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import repro.bench as bench
 
+    _check_recovery_flags(args)
     notes = []
     if args.timeseries:
         notes.append(f"wrote per-case timeseries under {args.timeseries}/")
@@ -830,6 +847,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         write_report,
     )
 
+    _check_recovery_flags(args)
     try:
         request = TuneRequest(
             PAPER_MODELS[args.model],
@@ -893,8 +911,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.models import OrbitConfig
-    from repro.runtime import RunSpecError
-    from repro.serve import bench
+    from repro.serve import ServePolicy, bench
 
     spec = _topology_spec(
         args,
@@ -902,34 +919,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         meta=False,
         seed=args.seed,
     )
-    # Two steps because the two diagnostics read differently: a bad
-    # topology is spelled in flags, a bad policy under the command name.
+    # A bad topology is spelled in flags, a bad policy under the
+    # command name.
     try:
-        spec = spec.replace(
-            serve_max_batch=args.max_batch,
-            serve_window_s=args.window_ms / 1e3,
-            serve_queue_limit=args.queue_limit,
-            serve_cache_entries=args.cache_entries,
-            serve_min_replicas=args.min_replicas,
-            serve_max_replicas=args.max_replicas,
+        policy = ServePolicy(
+            max_batch=args.max_batch,
+            batch_window_s=args.window_ms / 1e3,
+            queue_limit=args.queue_limit,
+            cache_entries=args.cache_entries,
+            min_replicas=args.min_replicas,
+            max_replicas=args.max_replicas,
         )
-    except RunSpecError as spec_error:
-        raise _UsageError(f"repro serve: {spec_error}")
+    except ValueError as policy_error:
+        raise _UsageError(f"repro serve: {policy_error}")
     legality = spec.legality_reason()
     if legality is not None:
         raise _UsageError(
             f"repro serve: illegal topology for the serving model: {legality}"
         )
     if args.smoke:
-        return _serve_smoke(args, spec)
+        return _serve_smoke(args, spec, policy)
     return _run_gate(
         args, bench, lambda: bench.run_serve_matrix(quick=args.quick)
     )[0]
 
 
-def _serve_smoke(args: argparse.Namespace, spec) -> int:
+def _serve_smoke(args: argparse.Namespace, spec, policy) -> int:
     """``repro serve --smoke``: a seeded load through the Session
-    hand-off, held to the serving invariants."""
+    hand-off, served under ``policy`` and held to the serving
+    invariants."""
     from pathlib import Path
 
     from repro.runtime import Session
@@ -951,7 +969,6 @@ def _serve_smoke(args: argparse.Namespace, spec) -> int:
     # one serial model, served through the async front-end.
     session = Session(spec)
     dataset, forecaster = build_serve_world(model=session.serving_model())
-    policy = session.serve_policy()
     requests = generate_requests(load)
     server = ForecastServer(forecaster, dataset, policy)
     report = server.serve(requests)

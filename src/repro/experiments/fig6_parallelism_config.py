@@ -9,17 +9,21 @@ The sweep's configuration axis is drawn from the tuner's space
 enumeration (:func:`repro.tune.enumerate_space` in relaxed mode — the
 Fig 6 regime admits sub-head sharding and node-spanning tensor-parallel
 groups), so a factorization this figure skips is skipped for the same
-recorded reason ``repro tune`` would report.
+recorded reason ``repro tune`` would report.  Each point is priced by
+the closed-form memory and performance models as a
+:class:`~repro.memory.estimator.TrainingSetup` in the paper's regime:
+bf16 with activation checkpointing, layer wrapping and prefetch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from repro.experiments.common import format_table
+from repro.memory.estimator import Parallelism, TrainingSetup
 from repro.models.configs import ORBIT_113B, OrbitConfig
 from repro.perf.model import PerformanceModel
-from repro.runtime import RunSpec
 from repro.tune.space import TuneRequest, enumerate_space
 
 DEFAULT_TP_SIZES = (1, 2, 8, 32, 64, 128, 256, 512)
@@ -106,13 +110,11 @@ def run(
         if num_gpus % tp:
             continue
         fsdp = num_gpus // tp
-        # The run description comes from the runtime layer; the analytic
-        # models see it through RunSpec.training_setup().
-        spec = RunSpec(
-            config=config, num_gpus=num_gpus, tp_size=tp, fsdp_size=fsdp,
-            ddp_size=1, micro_batch=1, recompute=True, bf16=True,
+        setup = TrainingSetup(
+            config, num_gpus, Parallelism.HYBRID_STOP, tp_size=tp,
+            fsdp_size=fsdp, micro_batch=1, bf16=True,
+            activation_checkpointing=True,
         )
-        setup = spec.training_setup()
         if (tp, fsdp) not in legal:
             result.rows.append(Fig6Row(
                 tp, fsdp, 0, None,
@@ -131,7 +133,7 @@ def run(
                 Fig6Row(tp, fsdp, 0, None, pm.memory_model.per_gpu_bytes(setup), "OOM")
             )
             continue
-        setup = spec.replace(micro_batch=batch).training_setup()
+        setup = dataclasses.replace(setup, micro_batch=batch)
         result.rows.append(
             Fig6Row(
                 tp, fsdp, batch,

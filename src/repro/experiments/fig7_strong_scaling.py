@@ -9,11 +9,12 @@ observation in 3e-3 s (684 PFLOPS sustained) and the 10B model in
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from repro.experiments.common import format_seconds, format_table
+from repro.memory.estimator import Parallelism, TrainingSetup
 from repro.models.configs import PAPER_MODELS, OrbitConfig
-from repro.runtime import RunSpec
 from repro.perf.metrics import scaling_efficiency
 from repro.perf.model import PerformanceModel
 from repro.utils.units import format_flops
@@ -85,19 +86,18 @@ def run(
     for name, base_config in models.items():
         config = base_config.with_channels(channels, out_vars=channels)
         tp, fsdp = REPLICA_SHAPES.get(name, (8, 8))
-        # ddp_size=None: the replica shape is fixed and the DDP axis is
-        # derived from the world size at each scaling point.
-        spec0 = RunSpec(
-            config=config, num_gpus=baseline_gpus, tp_size=tp, fsdp_size=fsdp,
-            ddp_size=None, micro_batch=1, recompute=True, bf16=True,
+        # The replica shape is fixed; the DDP axis is what the world
+        # size leaves at each scaling point.
+        setup0 = TrainingSetup(
+            config, baseline_gpus, Parallelism.HYBRID_STOP, tp_size=tp,
+            fsdp_size=fsdp, micro_batch=1, bf16=True,
+            activation_checkpointing=True,
         )
-        batch = min(MICRO_BATCH_CAP, max(1, pm.max_micro_batch(spec0.training_setup())))
+        batch = min(MICRO_BATCH_CAP, max(1, pm.max_micro_batch(setup0)))
         series: dict[int, ScalingPoint] = {}
         base_time = None
         for gpus in sorted(gpu_counts):
-            setup = spec0.replace(
-                num_gpus=gpus, ddp_size=None, micro_batch=batch
-            ).training_setup()
+            setup = dataclasses.replace(setup0, num_gpus=gpus, micro_batch=batch)
             step = pm.step_time(setup)
             t = step.time_per_observation_s
             if base_time is None:

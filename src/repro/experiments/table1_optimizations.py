@@ -18,12 +18,13 @@ win comes from tripling it).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from repro.experiments.common import format_table
+from repro.memory.estimator import Parallelism, TrainingSetup
 from repro.models.configs import ORBIT_113B, OrbitConfig
 from repro.perf.model import PerformanceModel
-from repro.runtime import RunSpec
 
 PAPER_WALLTIMES = ("OOM", 0.97, 0.49, 0.40, 0.17)
 
@@ -93,13 +94,10 @@ def run(
     ]
     result = Table1Result()
     for name, opts in toggles:
-        spec = RunSpec(
-            config=config, num_gpus=num_gpus, tp_size=tp_size,
-            fsdp_size=fsdp_size, ddp_size=None, micro_batch=1,
-            layer_wrapping=opts["layer_wrapping"], bf16=opts["bf16"],
-            prefetch=opts["prefetch"], recompute=opts["activation_checkpointing"],
+        setup = TrainingSetup(
+            config, num_gpus, Parallelism.HYBRID_STOP, tp_size=tp_size,
+            fsdp_size=fsdp_size, micro_batch=1, **opts,
         )
-        setup = spec.training_setup()
         # The paper's ablation holds the micro-batch at 1 until
         # activation checkpointing frees the memory for a larger one
         # (its walltime sequence halves exactly with mixed precision,
@@ -114,7 +112,7 @@ def run(
                           opts["activation_checkpointing"], 0, None)
             )
             continue
-        setup = spec.replace(micro_batch=batch).training_setup()
+        setup = dataclasses.replace(setup, micro_batch=batch)
         walltime = pm.time_per_observation(setup)
         result.rows.append(
             Table1Row(name, opts["layer_wrapping"], opts["bf16"], opts["prefetch"],

@@ -33,6 +33,7 @@ construction site (``_build_session``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -112,7 +113,7 @@ class Supervisor:
         migration cost model.
     session_kwargs:
         Extra keyword arguments for every ``Session`` construction
-        (``lr``, ``precision``, ...).
+        (``precision``, ``monitor``, ...).
     """
 
     def __init__(
@@ -138,6 +139,14 @@ class Supervisor:
             raise ValueError("periodic checkpoints need a checkpoint_dir")
         if retry_budget < 1:
             raise ValueError("retry_budget must be at least 1")
+        for name, value in (
+            ("checkpoint_cost_s", checkpoint_cost_s),
+            ("restart_latency_s", restart_latency_s),
+            ("replan_warmup_s", replan_warmup_s),
+            ("replan_hysteresis", replan_hysteresis),
+        ):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} {value} must be finite and non-negative")
         if spec.replan == "on" and checkpoint_dir is None:
             raise ValueError(
                 "replan='on' needs a checkpoint_dir: a live plan switch "

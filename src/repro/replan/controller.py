@@ -28,6 +28,7 @@ code path that already owns recovery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.replan.cost import MigrationCostModel
@@ -132,8 +133,8 @@ class ReplanController:
         hysteresis: float = 0.25,
         estimator: AnalyticEstimator | None = None,
     ):
-        if hysteresis < 0:
-            raise ValueError("hysteresis must be non-negative")
+        if not (math.isfinite(hysteresis) and hysteresis >= 0):
+            raise ValueError(f"hysteresis {hysteresis} must be finite and non-negative")
         self.spec = spec
         self.hysteresis = float(hysteresis)
         self.micro_batches = tuple(sorted(set(_MICRO_BATCHES) | {spec.micro_batch}))

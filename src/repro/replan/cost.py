@@ -22,6 +22,7 @@ horizon clears ``total_s`` by the hysteresis margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -34,8 +35,11 @@ class MigrationCostModel:
     warmup_s: float = 0.0
 
     def __post_init__(self):
-        if min(self.checkpoint_s, self.rebuild_s, self.warmup_s) < 0:
-            raise ValueError("migration cost components must be non-negative")
+        if not all(math.isfinite(s) and s >= 0
+                   for s in (self.checkpoint_s, self.rebuild_s, self.warmup_s)):
+            raise ValueError(
+                "migration cost components must be finite and non-negative"
+            )
 
     @property
     def total_s(self) -> float:

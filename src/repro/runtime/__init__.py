@@ -7,10 +7,11 @@ cluster → plan → engine → tracer → optimizer pipeline by hand.  This
 package centralizes that construction:
 
 * :class:`~repro.runtime.spec.RunSpec` — the validated description of
-  one run: model config, machine topology, parallelism factors, and
-  the policy knobs (micro-batch, prefetch, recompute, precision,
-  rank layout).  Topology/legality validation lives here, shared by
-  the CLI, the bench harness, and the tuner's space enumeration.
+  what a Session executes: model config, machine topology, parallelism
+  factors, the engine policies (prefetch, recompute, layer wrapping,
+  rank layout, fold) and the run mode.  Topology/legality validation
+  lives here, shared by the CLI, the bench harness, and the tuner's
+  space enumeration.
 * :class:`~repro.runtime.session.Session` — turns a RunSpec into the
   live stack (cluster + plan + engine + tracer + optimizer), in meta
   (shape-only) or numeric mode, and owns sharded checkpoint
@@ -23,11 +24,9 @@ package centralizes that construction:
 """
 
 from repro.runtime.spec import (
-    POLICY_METADATA_KEY,
     RunSpec,
     RunSpecError,
     engine_legality_reason,
-    policy_field_names,
     tp_group_spans_nodes,
 )
 from repro.runtime.session import Session, build_cluster, fabricate_batch
@@ -44,7 +43,6 @@ from repro.runtime.checkpoint import (
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointCorruptError",
-    "POLICY_METADATA_KEY",
     "RunSpec",
     "RunSpecError",
     "Session",
@@ -55,7 +53,6 @@ __all__ = [
     "engine_legality_reason",
     "fabricate_batch",
     "load_archive",
-    "policy_field_names",
     "resume_trainer",
     "save_archive",
     "save_trainer",

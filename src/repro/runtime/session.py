@@ -97,9 +97,10 @@ class Session:
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`; a fresh one is
         created by default so every session's spans are isolated.
-    lat_weights / lr / weight_decay / schedule / precision:
-        Trainer settings for numeric sessions (defaults mirror the
-        traced-step capture: uniform latitude weights, AdamW at 1e-3).
+    precision:
+        Optional :class:`~repro.nn.precision.PrecisionPolicy` for the
+        numeric trainer, which otherwise runs on its own defaults
+        (uniform latitude weights, AdamW at 1e-3).
     grad_scaler:
         Optional :class:`~repro.nn.grad_scaler.DynamicGradScaler` for
         the numeric trainer; its state is persisted by :meth:`save` and
@@ -117,10 +118,6 @@ class Session:
         self,
         spec: RunSpec,
         tracer=None,
-        lat_weights: np.ndarray | None = None,
-        lr: float = 1e-3,
-        weight_decay: float = 0.0,
-        schedule=None,
         precision=None,
         grad_scaler=None,
         monitor=None,
@@ -185,10 +182,6 @@ class Session:
         self.monitor.attach_session(self)
         #: Synthetic-batch stream state; persisted by :meth:`save`.
         self.data_rng = np.random.default_rng(spec.seed)
-        self._lat_weights = lat_weights
-        self._lr = lr
-        self._weight_decay = weight_decay
-        self._schedule = schedule
         self._precision = precision
         self._grad_scaler = grad_scaler
         self._trainer = None
@@ -202,12 +195,6 @@ class Session:
 
     # -- numeric training ----------------------------------------------------
     @property
-    def lat_weights(self) -> np.ndarray:
-        if self._lat_weights is None:
-            self._lat_weights = np.ones((self.config.img_height, 1))
-        return self._lat_weights
-
-    @property
     def trainer(self):
         """The shard-aware :class:`DistributedTrainer` (numeric mode only)."""
         if self.spec.meta:
@@ -220,10 +207,7 @@ class Session:
 
             self._trainer = DistributedTrainer(
                 self.engine,
-                self.lat_weights,
-                lr=self._lr,
-                weight_decay=self._weight_decay,
-                schedule=self._schedule,
+                np.ones((self.config.img_height, 1)),
                 precision=self._precision,
                 grad_scaler=self._grad_scaler,
             )
@@ -474,12 +458,6 @@ class Session:
         model = build_model(self.config, rng=0, dtype=np.dtype(self.spec.dtype))
         model.load_state_dict(self.engine.gathered_state_dict())
         return model
-
-    def serve_policy(self):
-        """The :class:`~repro.serve.policy.ServePolicy` this spec describes."""
-        from repro.serve.policy import ServePolicy
-
-        return ServePolicy.from_spec(self.spec)
 
     def loop_hooks(self) -> list:
         """StepLoop hooks this session provides (the monitor, if any)."""

@@ -1,49 +1,33 @@
 """The validated run specification shared by every stack consumer.
 
-A :class:`RunSpec` is the single source of truth for one simulated
-Hybrid-STOP run: the model configuration, the machine shape, the
-(PP, TP, FSDP, DDP) factorization, and the policy knobs of Table I /
-Sec III-B.  Construction validates the topology with the same
-diagnostics the CLI used to hand-roll (``repro trace``'s exit-2
-messages) and the same legality rules the tuner's space enumeration
-records as rejection reasons — so an illegal run fails identically no
-matter which door it comes through.
+A :class:`RunSpec` describes exactly what a
+:class:`~repro.runtime.session.Session` executes: the model
+configuration, the machine shape, the (PP, TP, FSDP, DDP)
+factorization, the engine policies it runs with, and the run mode.
+Every field is read by the executed stack.  The closed-form models
+take their own :class:`~repro.memory.estimator.TrainingSetup`, and a
+serving deployment its own :class:`~repro.serve.policy.ServePolicy`.
 
-Policy knobs are marked with dataclass field metadata
-(``{"policy": True}``): they change *how* a configuration runs, not
-*which* configuration it is.  The bench harness derives the committed
-``BENCH_obs.json`` schema from that metadata, so adding a new policy
-knob can never silently churn the baseline document.
+Construction validates the topology with the same diagnostics the CLI
+prints (``repro trace``'s exit-2 messages), and
+:meth:`RunSpec.legality_reason` applies the legality rules the tuner's
+space enumeration records as rejection reasons — so an illegal run
+fails identically no matter which door it comes through.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from repro.cluster.symmetry import RankClassPartition
 from repro.models.configs import OrbitConfig
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.memory.estimator import TrainingSetup
-
-#: Field-metadata key marking a policy knob (see module docstring).
-POLICY_METADATA_KEY = "policy"
-
-_POLICY = {POLICY_METADATA_KEY: True}
-
 
 class RunSpecError(ValueError):
     """An invalid run specification (the CLI maps this to exit 2)."""
-
-
-def policy_field_names() -> frozenset[str]:
-    """Names of the RunSpec policy knobs, from field metadata."""
-    return frozenset(
-        f.name for f in fields(RunSpec) if f.metadata.get(POLICY_METADATA_KEY)
-    )
 
 
 def tp_group_spans_nodes(tp: int, fsdp: int, ddp: int, tp_innermost: bool,
@@ -124,44 +108,38 @@ def engine_legality_reason(
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One fully specified run of the simulated Hybrid-STOP stack.
-
-    ``ddp_size=None`` derives the replica count from the world size
-    (``num_gpus // (pp_size * tp_size * fsdp_size)``) — how the Fig 7
-    sweep scales out a fixed replica shape.
-    """
+    """One fully specified run of the simulated Hybrid-STOP stack."""
 
     config: OrbitConfig
     num_gpus: int
     gpus_per_node: int = 8
     tp_size: int = 1
     fsdp_size: int = 1
-    ddp_size: int | None = 1
+    ddp_size: int = 1
     #: Pipeline depth S (stage-outermost; identity, like the other grid
     #: axes — a pipelined run's checkpoints shard per stage).
     pp_size: int = 1
     micro_batch: int = 1
-    #: Policy knobs (Table I / Sec III-B): change how a configuration
-    #: runs, not which configuration it is.  Field metadata marks them
-    #: so downstream schemas (BENCH_obs.json) exclude them structurally.
-    prefetch: bool = field(default=True, metadata=_POLICY)
-    recompute: bool = field(default=False, metadata=_POLICY)
-    tp_innermost: bool = field(default=True, metadata=_POLICY)
-    layer_wrapping: bool = field(default=True, metadata=_POLICY)
-    bf16: bool = field(default=False, metadata=_POLICY)
+    #: Engine policies (Table I / Sec III-B): change how a configuration
+    #: runs, not which configuration it is, so only ``tp_innermost``
+    #: (rank placement) is part of :meth:`identity`.
+    prefetch: bool = True
+    recompute: bool = False
+    tp_innermost: bool = True
+    layer_wrapping: bool = True
     #: Rank-symmetry folding: ``"off"`` always simulates every rank,
     #: ``"on"`` folds symmetric ranks into equivalence
     #: classes when eligible (meta mode, no skew, uniform topology) and
     #: silently run exact otherwise.  Folded and exact runs are bitwise
     #: identical, so this is a policy knob, not an identity field.
-    fold: str = field(default="off", metadata=_POLICY)
+    fold: str = "off"
     #: Streaming telemetry: ``"on"`` attaches a
     #: :class:`~repro.obs.monitor.RunMonitor` (per-step timeseries,
     #: anomaly detectors, event journal); ``"off"`` installs
     #: :data:`~repro.obs.off.OFF`.  Telemetry reads the
     #: ledgers but never writes them, so monitored and unmonitored
     #: runs are bitwise identical — a policy knob, not identity.
-    monitor: str = field(default="off", metadata=_POLICY)
+    monitor: str = "off"
     #: Online adaptive re-planning: ``"on"`` lets the fault supervisor
     #: consult a :class:`~repro.replan.ReplanController` after health
     #: checks and fault events, and migrate the run to a better plan
@@ -169,19 +147,7 @@ class RunSpec:
     #: (default) never evaluates — and a replan-on run whose every
     #: decision is "stay" changes zero bytes of training state, so this
     #: is a policy knob, not identity.
-    replan: str = field(default="off", metadata=_POLICY)
-    #: Serving-policy knobs (see :class:`repro.serve.policy.ServePolicy`
-    #: — :meth:`~repro.serve.policy.ServePolicy.from_spec` reads these).
-    #: Like the training policies above, they change how forecasts are
-    #: *delivered* (batching, queueing, caching, scaling), never what a
-    #: forecast is: served results are bitwise-equal to direct rollout
-    #: output under every setting.
-    serve_max_batch: int = field(default=8, metadata=_POLICY)
-    serve_window_s: float = field(default=0.005, metadata=_POLICY)
-    serve_queue_limit: int = field(default=256, metadata=_POLICY)
-    serve_cache_entries: int = field(default=32, metadata=_POLICY)
-    serve_min_replicas: int = field(default=1, metadata=_POLICY)
-    serve_max_replicas: int = field(default=4, metadata=_POLICY)
+    replan: str = "off"
     #: Run mode: shape-only meta arrays (exact cost accounting, no
     #: numerics) vs real numeric training.
     meta: bool = True
@@ -194,15 +160,6 @@ class RunSpec:
     track_device_memory: bool = True
 
     def __post_init__(self):
-        if self.ddp_size is None:
-            per_replica = self.pp_size * self.tp_size * self.fsdp_size
-            if per_replica < 1 or self.num_gpus % per_replica:
-                raise RunSpecError(
-                    f"invalid topology: pp * tp * fsdp = {self.pp_size} * "
-                    f"{self.tp_size} * {self.fsdp_size} = {per_replica} does "
-                    f"not divide num_gpus {self.num_gpus}"
-                )
-            object.__setattr__(self, "ddp_size", self.num_gpus // per_replica)
         if isinstance(self.compute_skew, Mapping):
             object.__setattr__(
                 self,
@@ -277,27 +234,7 @@ class RunSpec:
                     f"invalid compute_skew factor {factor} for rank {rank}: "
                     "must be finite and > 0"
                 )
-        problems.extend(self._serve_problems())
         return problems
-
-    def _serve_problems(self) -> list[str]:
-        """Serving-knob diagnostics, phrased by the serving layer.
-
-        Deferred import: the serve package owns its validation rules
-        (:func:`repro.serve.policy.policy_problems`); the spec routes
-        its knobs through them so ``repro serve`` rejects a bad policy
-        with exit 2 exactly like a bad topology.
-        """
-        from repro.serve.policy import policy_problems
-
-        return policy_problems(
-            max_batch=self.serve_max_batch,
-            batch_window_s=self.serve_window_s,
-            queue_limit=self.serve_queue_limit,
-            cache_entries=self.serve_cache_entries,
-            min_replicas=self.serve_min_replicas,
-            max_replicas=self.serve_max_replicas,
-        )
 
     def validate(self) -> None:
         """Raise :class:`RunSpecError` describing every topology problem."""
@@ -305,8 +242,8 @@ class RunSpec:
         if problems:
             raise RunSpecError("; ".join(problems))
 
-    def legality_reason(self, engine_mode: bool = True) -> str | None:
-        """Why the engine (or relaxed analytic regime) rejects this spec."""
+    def legality_reason(self) -> str | None:
+        """Why the engine rejects this spec; ``None`` when legal."""
         return engine_legality_reason(
             self.config,
             self.tp_size,
@@ -314,7 +251,6 @@ class RunSpec:
             self.ddp_size,
             tp_innermost=self.tp_innermost,
             gpus_per_node=self.gpus_per_node,
-            engine_mode=engine_mode,
             pp=self.pp_size,
         )
 
@@ -338,30 +274,6 @@ class RunSpec:
             "tp_innermost": self.tp_innermost,
             "dtype": self.dtype,
         }
-
-    # -- bridges to the analytic layers --------------------------------------
-    def training_setup(self, parallelism=None) -> "TrainingSetup":
-        """The closed-form memory/perf models' view of this spec.
-
-        The analytic experiments (Table I, Fig 6, Fig 7) size their
-        configurations through here so the spec remains the single
-        place a run's shape is described.
-        """
-        from repro.memory.estimator import Parallelism, TrainingSetup
-
-        return TrainingSetup(
-            self.config,
-            self.num_gpus,
-            parallelism if parallelism is not None else Parallelism.HYBRID_STOP,
-            tp_size=self.tp_size,
-            fsdp_size=self.fsdp_size,
-            pp_size=self.pp_size,
-            micro_batch=self.micro_batch,
-            bf16=self.bf16,
-            activation_checkpointing=self.recompute,
-            layer_wrapping=self.layer_wrapping,
-            prefetch=self.prefetch,
-        )
 
     # -- constructors ---------------------------------------------------------
     @classmethod

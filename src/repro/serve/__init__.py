@@ -24,7 +24,7 @@ from repro.serve.batcher import Batch, MicroBatcher
 from repro.serve.cache import RolloutPrefixCache
 from repro.serve.clock import EventLoop, SimClock
 from repro.serve.loadgen import LoadSpec, generate_requests
-from repro.serve.policy import ServePolicy, policy_problems
+from repro.serve.policy import ServePolicy
 from repro.serve.replica import Replica, ReplicaPool, ServiceCostModel
 from repro.serve.request import (
     STATUS_OK,
@@ -58,5 +58,4 @@ __all__ = [
     "ServiceCostModel",
     "SimClock",
     "generate_requests",
-    "policy_problems",
 ]

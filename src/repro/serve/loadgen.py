@@ -19,6 +19,7 @@ same spec → byte-identical request stream → byte-identical journals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,13 @@ class LoadSpec:
     )
 
     def __post_init__(self):
-        if self.rate_rps <= 0:
-            raise ValueError(f"rate_rps {self.rate_rps} must be > 0")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s {self.duration_s} must be > 0")
+        # An infinite rate draws zero gaps and never reaches the duration.
+        for name in ("rate_rps", "duration_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} {value} must be finite")
+            if value <= 0:
+                raise ValueError(f"{name} {value} must be > 0")
         if self.num_windows < 1:
             raise ValueError(f"num_windows {self.num_windows} must be >= 1")
         if not 0 < self.num_hot <= self.num_windows:

@@ -5,83 +5,24 @@ none of these knobs change what a forecast **is** (served responses
 are bitwise-equal to direct :class:`~repro.eval.rollout.
 RolloutForecaster` output under every setting) — they change queueing,
 batching, caching, and scaling behaviour, i.e. *when* a response
-arrives and what it costs.  :class:`~repro.runtime.spec.RunSpec`
-carries the same knobs as policy-tagged fields so a serve deployment
-is described by the same validated spec as the training run that
-produced its model; :meth:`ServePolicy.from_spec` is the bridge.
+arrives and what it costs.  The knobs and their legality rules are
+spelled once, here; ``repro serve`` builds a :class:`ServePolicy` from
+its flags and exits 2 with the constructor's message.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-_DEFAULTS = dict(
-    autoscale_tick_s=0.25,
-    target_p99_s=0.25,
-    queue_high=16,
-    utilization_low=0.30,
-    cooldown_s=0.5,
-)
-
-
-def policy_problems(
-    *,
-    max_batch: int,
-    batch_window_s: float,
-    queue_limit: int,
-    cache_entries: int,
-    min_replicas: int,
-    max_replicas: int,
-    autoscale_tick_s: float = _DEFAULTS["autoscale_tick_s"],
-    target_p99_s: float = _DEFAULTS["target_p99_s"],
-    queue_high: int = _DEFAULTS["queue_high"],
-    utilization_low: float = _DEFAULTS["utilization_low"],
-    cooldown_s: float = _DEFAULTS["cooldown_s"],
-) -> list[str]:
-    """Human-readable explanations of every invalid knob; empty = valid.
-
-    The single place the serving knobs' legality rules live —
-    :class:`ServePolicy` construction and
-    :meth:`~repro.runtime.spec.RunSpec.topology_errors` both route
-    through here, so an illegal deployment fails identically no matter
-    which door it comes through (the RunSpec pattern).
-    """
-    out: list[str] = []
-    if max_batch < 1:
-        out.append(f"invalid serve max_batch {max_batch}: must be >= 1")
-    if batch_window_s < 0:
-        out.append(f"invalid serve batch_window_s {batch_window_s}: must be >= 0")
-    if queue_limit < 1:
-        out.append(f"invalid serve queue_limit {queue_limit}: must be >= 1")
-    if cache_entries < 0:
-        out.append(f"invalid serve cache_entries {cache_entries}: must be >= 0")
-    if min_replicas < 1:
-        out.append(f"invalid serve min_replicas {min_replicas}: must be >= 1")
-    if max_replicas < min_replicas:
-        out.append(
-            f"invalid serve replica bounds: max {max_replicas} < "
-            f"min {min_replicas}"
-        )
-    if autoscale_tick_s <= 0:
-        out.append(
-            f"invalid serve autoscale_tick_s {autoscale_tick_s}: must be > 0"
-        )
-    if target_p99_s <= 0:
-        out.append(f"invalid serve target_p99_s {target_p99_s}: must be > 0")
-    if queue_high < 1:
-        out.append(f"invalid serve queue_high {queue_high}: must be >= 1")
-    if not 0 <= utilization_low <= 1:
-        out.append(
-            f"invalid serve utilization_low {utilization_low}: must be in [0, 1]"
-        )
-    if cooldown_s < 0:
-        out.append(f"invalid serve cooldown_s {cooldown_s}: must be >= 0")
-    return out
 
 
 @dataclass(frozen=True)
 class ServePolicy:
-    """Queue/batcher/cache/autoscaler configuration for one deployment."""
+    """Queue/batcher/cache/autoscaler configuration for one deployment.
+
+    Construction raises ``ValueError`` naming every invalid knob; a
+    float knob must also be finite.
+    """
 
     #: Dynamic micro-batching: coalesce up to ``max_batch`` compatible
     #: requests, waiting at most ``batch_window_s`` after the first.
@@ -103,34 +44,29 @@ class ServePolicy:
     cooldown_s: float = 0.5
 
     def __post_init__(self):
-        problems = self.problems()
+        def rule(name: str, ok: bool, requirement: str) -> str | None:
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                return f"invalid serve {name} {value}: must be finite"
+            return None if ok else f"invalid serve {name} {value}: {requirement}"
+
+        problems = [
+            rule("max_batch", self.max_batch >= 1, "must be >= 1"),
+            rule("batch_window_s", self.batch_window_s >= 0, "must be >= 0"),
+            rule("queue_limit", self.queue_limit >= 1, "must be >= 1"),
+            rule("cache_entries", self.cache_entries >= 0, "must be >= 0"),
+            rule("min_replicas", self.min_replicas >= 1, "must be >= 1"),
+            None if self.max_replicas >= self.min_replicas else (
+                f"invalid serve replica bounds: max {self.max_replicas} < "
+                f"min {self.min_replicas}"
+            ),
+            rule("autoscale_tick_s", self.autoscale_tick_s > 0, "must be > 0"),
+            rule("target_p99_s", self.target_p99_s > 0, "must be > 0"),
+            rule("queue_high", self.queue_high >= 1, "must be >= 1"),
+            rule("utilization_low", 0 <= self.utilization_low <= 1,
+                 "must be in [0, 1]"),
+            rule("cooldown_s", self.cooldown_s >= 0, "must be >= 0"),
+        ]
+        problems = [problem for problem in problems if problem]
         if problems:
             raise ValueError("; ".join(problems))
-
-    def problems(self) -> list[str]:
-        """See :func:`policy_problems`."""
-        return policy_problems(
-            max_batch=self.max_batch,
-            batch_window_s=self.batch_window_s,
-            queue_limit=self.queue_limit,
-            cache_entries=self.cache_entries,
-            min_replicas=self.min_replicas,
-            max_replicas=self.max_replicas,
-            autoscale_tick_s=self.autoscale_tick_s,
-            target_p99_s=self.target_p99_s,
-            queue_high=self.queue_high,
-            utilization_low=self.utilization_low,
-            cooldown_s=self.cooldown_s,
-        )
-
-    @classmethod
-    def from_spec(cls, spec) -> "ServePolicy":
-        """The policy a :class:`~repro.runtime.spec.RunSpec` describes."""
-        return cls(
-            max_batch=spec.serve_max_batch,
-            batch_window_s=spec.serve_window_s,
-            queue_limit=spec.serve_queue_limit,
-            cache_entries=spec.serve_cache_entries,
-            min_replicas=spec.serve_min_replicas,
-            max_replicas=spec.serve_max_replicas,
-        )

@@ -4,6 +4,8 @@ The benchmarks exercise the drivers at full budget; these keep them
 covered by the plain test suite with seconds-scale settings.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from repro.experiments import (
 )
 from repro.experiments.common import format_params, format_seconds, format_table
 from repro.memory.estimator import Parallelism
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 class TestCommon:
@@ -61,6 +65,19 @@ class TestAnalyticDrivers:
         result = fig7_strong_scaling.run(channels=48, gpu_counts=(512, 1024))
         assert result.efficiency_at("orbit-113b", 512) == pytest.approx(1.0)
         assert "orbit-10b" in result.points
+
+    @pytest.mark.parametrize("filename, driver, kwargs", [
+        ("fig5.txt", fig5_max_model_size, {}),
+        ("table1.txt", table1_optimizations, {}),
+        ("fig6.txt", fig6_parallelism_config, {}),
+        ("fig7_48ch.txt", fig7_strong_scaling, {"channels": 48}),
+        ("fig7_91ch.txt", fig7_strong_scaling, {"channels": 91}),
+    ])
+    def test_tables_match_committed_results(self, filename, driver, kwargs):
+        """``repro all`` writes ``run().format() + "\\n"``; byte for byte
+        the committed results/ file."""
+        expected = (RESULTS / filename).read_text()
+        assert driver.run(**kwargs).format() + "\n" == expected
 
 
 class TestTrainingDrivers:

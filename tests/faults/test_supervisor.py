@@ -189,6 +189,15 @@ class TestEscalationAndValidation:
         with pytest.raises(ValueError, match="checkpoint_dir"):
             Supervisor(_meta_spec(), FaultPlan(), checkpoint_every=2)
 
+    @pytest.mark.parametrize("charge", ["checkpoint_cost_s", "restart_latency_s",
+                                        "replan_warmup_s", "replan_hysteresis"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_charges_must_be_finite_and_non_negative(self, charge, value):
+        """A NaN charge would make the goodput total NaN; it is rejected
+        at construction, before any session exists."""
+        with pytest.raises(ValueError, match=f"^{charge} {value} must be finite"):
+            Supervisor(_meta_spec(), FaultPlan(), **{charge: value})
+
     @pytest.mark.parametrize("kind", ["gpu_crash", "node_loss"])
     def test_spent_restart_budget_is_an_unrecovered_event_and_journal_line(
             self, kind):

@@ -30,6 +30,12 @@ def controller(spec):
     return ReplanController(spec, hysteresis=0.25)
 
 
+@pytest.mark.parametrize("hysteresis", [-0.1, float("nan"), float("inf")])
+def test_hysteresis_must_be_finite_and_non_negative(spec, hysteresis):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ReplanController(spec, hysteresis=hysteresis)
+
+
 class TestDecision:
     def test_straggler_triggers_a_switch(self, controller, spec):
         decision = controller.evaluate(spec, 3, 16, STRAGGLER, CHEAP)

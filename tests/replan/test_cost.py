@@ -16,6 +16,15 @@ class TestModel:
         with pytest.raises(ValueError, match="non-negative"):
             MigrationCostModel(checkpoint_s=-0.1, rebuild_s=1.0)
 
+    @pytest.mark.parametrize("bad", [
+        dict(checkpoint_s=float("nan")),
+        dict(rebuild_s=float("inf")),
+        dict(warmup_s=float("nan")),
+    ])
+    def test_non_finite_components_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            MigrationCostModel(**{"checkpoint_s": 0.1, "rebuild_s": 1.0, **bad})
+
     def test_as_dict_includes_total(self):
         model = MigrationCostModel(checkpoint_s=0.25, rebuild_s=2.0)
         assert model.as_dict() == {

@@ -25,19 +25,20 @@ def _batches(seed):
         )
 
 
-def _serial_history(seed, lr):
+def _serial_history(seed):
     model = build_model(TINY, rng=seed, dtype=np.float64)
-    optimizer = AdamW(model.parameters(), lr=lr, weight_decay=0.0)
+    # The Session trainer's defaults: AdamW at 1e-3, no weight decay.
+    optimizer = AdamW(model.parameters(), lr=1e-3, weight_decay=0.0)
     trainer = Trainer(model, _batches(seed), np.ones((TINY.img_height, 1)),
                       optimizer)
     return trainer.train(STEPS).history
 
 
-def _distributed_history(seed, lr):
+def _distributed_history(seed):
     spec = RunSpec(config=TINY, num_gpus=1, gpus_per_node=1, tp_size=1,
                    fsdp_size=1, ddp_size=1, micro_batch=BATCH, meta=False,
                    seed=seed, dtype="float64", track_device_memory=False)
-    session = Session(spec, lr=lr)
+    session = Session(spec)
     loop = session.trainer.step_loop(_batches(seed))
     return loop.run(STEPS).history
 
@@ -47,8 +48,8 @@ class TestSerialDistributedParity:
         """At a 1x1x1 grid the engine is the serial model: same seed,
         same batches, same optimizer -> the same trajectory through the
         shared StepLoop, to the last bit in float64."""
-        serial = _serial_history(seed=0, lr=1e-3)
-        distributed = _distributed_history(seed=0, lr=1e-3)
+        serial = _serial_history(seed=0)
+        distributed = _distributed_history(seed=0)
         assert [obs for obs, _ in serial] == [obs for obs, _ in distributed]
         np.testing.assert_allclose(
             [loss for _, loss in serial],
@@ -58,6 +59,6 @@ class TestSerialDistributedParity:
 
     def test_different_seeds_diverge(self):
         """Sanity check that the parity above is not vacuous."""
-        a = _distributed_history(seed=0, lr=1e-3)
-        b = _distributed_history(seed=1, lr=1e-3)
+        a = _distributed_history(seed=0)
+        b = _distributed_history(seed=1)
         assert [loss for _, loss in a] != [loss for _, loss in b]

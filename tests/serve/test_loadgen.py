@@ -71,6 +71,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             _spec(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        dict(rate_rps=float("inf")),  # zero gaps: generate_requests never ends
+        dict(rate_rps=float("nan")),
+        dict(duration_s=float("nan")),
+        dict(duration_s=float("inf")),
+    ])
+    def test_non_finite_rate_and_duration_raise(self, bad):
+        (name, value), = bad.items()
+        with pytest.raises(ValueError, match=f"^{name} {value} must be finite$"):
+            _spec(**bad)
+
     def test_as_dict_round_trips_scalars(self):
         record = _spec().as_dict()
         assert record["rate_rps"] == 100.0

@@ -11,7 +11,6 @@ from repro.serve import (
     ServePolicy,
     STATUS_OK,
 )
-from repro.serve.policy import policy_problems
 
 
 def _request(**overrides):
@@ -103,7 +102,7 @@ class TestLatencyWindow:
 
 class TestServePolicy:
     def test_defaults_valid(self):
-        assert ServePolicy().problems() == []
+        ServePolicy()  # raises on any invalid knob
 
     @pytest.mark.parametrize("bad,match", [
         (dict(max_batch=0), "max_batch"),
@@ -119,42 +118,37 @@ class TestServePolicy:
         with pytest.raises(ValueError, match=match):
             ServePolicy(**bad)
 
-    def test_from_spec_reads_the_serve_knobs(self):
-        from repro.models import OrbitConfig
-        from repro.runtime import RunSpec
-
-        spec = RunSpec(
-            config=OrbitConfig("t", embed_dim=16, depth=1, num_heads=2,
-                               in_vars=4, out_vars=4, img_height=8,
-                               img_width=16, patch_size=4),
-            num_gpus=8, tp_size=2, fsdp_size=2, ddp_size=2,
-            serve_max_batch=4, serve_window_s=0.01, serve_queue_limit=64,
-            serve_cache_entries=8, serve_min_replicas=2, serve_max_replicas=3,
-        )
-        policy = ServePolicy.from_spec(spec)
-        assert policy.max_batch == 4
-        assert policy.batch_window_s == 0.01
-        assert policy.queue_limit == 64
-        assert policy.cache_entries == 8
-        assert policy.min_replicas == 2
-        assert policy.max_replicas == 3
-
-    def test_runspec_rejects_bad_serve_knobs_like_topology(self):
-        from repro.models import OrbitConfig
-        from repro.runtime import RunSpec, RunSpecError
-
-        with pytest.raises(RunSpecError, match="serve max_batch"):
-            RunSpec(
-                config=OrbitConfig("t", embed_dim=16, depth=1, num_heads=2,
-                                   in_vars=4, out_vars=4, img_height=8,
-                                   img_width=16, patch_size=4),
-                num_gpus=8, tp_size=2, fsdp_size=2, ddp_size=2,
-                serve_max_batch=0,
-            )
-
     def test_policy_problems_collects_everything(self):
-        problems = policy_problems(
-            max_batch=0, batch_window_s=-1.0, queue_limit=0, cache_entries=-1,
-            min_replicas=0, max_replicas=-1,
-        )
-        assert len(problems) >= 5
+        """One ValueError names every invalid knob, in field order."""
+        with pytest.raises(ValueError) as excinfo:
+            ServePolicy(
+                max_batch=0, batch_window_s=-1.0, queue_limit=0,
+                cache_entries=-1, min_replicas=0, max_replicas=-1,
+                autoscale_tick_s=0.0, target_p99_s=-1.0, queue_high=0,
+                utilization_low=1.5, cooldown_s=-0.5,
+            )
+        assert str(excinfo.value).split("; ") == [
+            "invalid serve max_batch 0: must be >= 1",
+            "invalid serve batch_window_s -1.0: must be >= 0",
+            "invalid serve queue_limit 0: must be >= 1",
+            "invalid serve cache_entries -1: must be >= 0",
+            "invalid serve min_replicas 0: must be >= 1",
+            "invalid serve replica bounds: max -1 < min 0",
+            "invalid serve autoscale_tick_s 0.0: must be > 0",
+            "invalid serve target_p99_s -1.0: must be > 0",
+            "invalid serve queue_high 0: must be >= 1",
+            "invalid serve utilization_low 1.5: must be in [0, 1]",
+            "invalid serve cooldown_s -0.5: must be >= 0",
+        ]
+
+    @pytest.mark.parametrize("knob", [
+        "batch_window_s", "autoscale_tick_s", "target_p99_s",
+        "utilization_low", "cooldown_s",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_float_knobs_must_be_finite(self, knob, value):
+        """An infinite batch window would never flush; NaN passes every
+        ``< 0`` test."""
+        with pytest.raises(ValueError) as excinfo:
+            ServePolicy(**{knob: value})
+        assert str(excinfo.value) == f"invalid serve {knob} {value}: must be finite"

@@ -394,6 +394,48 @@ def test_a_bad_figure_flag_exits_2_naming_it(command, flag, value, capsys):
     assert f"{flag} {value}" in captured.err or f"{flag} {value!r}" in captured.err
 
 
+BAD_RUN_FLAGS = [
+    # Checked before the matrix or search runs (bench/tune) ...
+    (["bench", "--quick", "--mtbf", "nan"], "--mtbf nan must be finite and > 0"),
+    (["bench", "--quick", "--mtbf", "0"], "--mtbf 0.0 must be finite and > 0"),
+    (["bench", "--quick", "--mtbf", "1", "--checkpoint-cost", "-1"],
+     "--checkpoint-cost -1.0 must be finite and >= 0"),
+    (["bench", "--quick", "--mtbf", "1", "--restart-latency", "inf"],
+     "--restart-latency inf must be finite and >= 0"),
+    (["tune", "--mtbf", "-5"], "--mtbf -5.0 must be finite and > 0"),
+    (["tune", "--mtbf", "1", "--checkpoint-cost", "nan"],
+     "--checkpoint-cost nan must be finite and >= 0"),
+    # ... before the served session is built (serve) ...
+    (["serve", "--smoke", "--window-ms", "nan"],
+     "invalid serve batch_window_s nan: must be finite"),
+    (["serve", "--smoke", "--rate", "nan"], "invalid load: rate_rps nan must be finite"),
+    (["serve", "--smoke", "--max-batch", "0"], "invalid serve max_batch 0: must be >= 1"),
+    (["serve", "--smoke", "--window-ms", "-1"],
+     "invalid serve batch_window_s -0.001: must be >= 0"),
+    # ... and by the Supervisor's constructor, before step 0 (replan).
+    (["replan", "--warmup", "nan", "--steps", "2"],
+     "replan_warmup_s nan must be finite and non-negative"),
+    (["replan", "--hysteresis", "nan", "--steps", "2"],
+     "replan_hysteresis nan must be finite and non-negative"),
+    (["replan", "--checkpoint-cost", "-1", "--steps", "2"],
+     "checkpoint_cost_s -1.0 must be finite and non-negative"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_RUN_FLAGS)
+def test_a_bad_run_flag_exits_2_before_any_work(argv, message, capsys, monkeypatch):
+    """Not after the work is done, and not with a traceback or a hang."""
+    ran = []
+    for target in ("repro.bench.run_matrix", "repro.tune.run_search",
+                   "repro.runtime.Session"):
+        monkeypatch.setattr(target, lambda *a, **k: ran.append(a))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err == f"repro {argv[0]}: {message}\n"
+    assert ran == []
+
+
 class TestMonitorCommand:
     PLAN = str(__import__("pathlib").Path("examples/fault_plan.json"))
 
