@@ -146,6 +146,7 @@ def _topology_spec(args: argparse.Namespace, config=None, **overrides):
             .replace("num_steps", "--steps")
             .replace("micro_batch", "--micro-batch")
             .replace("compute_skew", "--skew")
+            .replace("seed", "--seed")
         )
 
 
@@ -661,22 +662,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- subcommands: one ``_cmd_<name>(args) -> int`` each ----------------------------
 # Imports deferred so `--help` stays instant.
-def _print_table(driver: str, **kwargs) -> int:
-    """Run ``repro.experiments.<driver>`` and print its paper-style table."""
+def _print_table(args: argparse.Namespace, driver: str, **kwargs) -> int:
+    """Run ``repro.experiments.<driver>`` and print its paper-style
+    table; a seed the driver rejects up front exits 2."""
     import repro.experiments as experiments
+    from repro.utils.seeding import SeedError
 
-    print(getattr(experiments, driver).run(**kwargs).format())
+    try:
+        table = getattr(experiments, driver).run(**kwargs).format()
+    except SeedError as error:
+        raise _UsageError(f"repro {args.command}: --{error}")
+    print(table)
     return 0
 
 
 def _cmd_fig5(args: argparse.Namespace) -> int:
     _check_positive(args, "--max-gpus")
     counts = tuple(n for n in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512) if n <= args.max_gpus)
-    return _print_table("fig5_max_model_size", gpu_counts=counts)
+    return _print_table(args, "fig5_max_model_size", gpu_counts=counts)
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    return _print_table("table1_optimizations")
+    return _print_table(args, "table1_optimizations")
 
 
 def _cmd_fig6(args: argparse.Namespace) -> int:
@@ -685,21 +692,22 @@ def _cmd_fig6(args: argparse.Namespace) -> int:
             f"repro fig6: --gpus {args.gpus} must be a positive multiple of 8 "
             "(whole 8-GCD nodes)"
         )
-    return _print_table("fig6_parallelism_config", num_gpus=args.gpus)
+    return _print_table(args, "fig6_parallelism_config", num_gpus=args.gpus)
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
-    return _print_table("fig7_strong_scaling", channels=args.channels)
+    return _print_table(args, "fig7_strong_scaling", channels=args.channels)
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
     _check_positive(args, "--steps")
-    return _print_table("fig8_pretraining_loss", num_steps=args.steps, seed=args.seed)
+    return _print_table(args, "fig8_pretraining_loss", num_steps=args.steps, seed=args.seed)
 
 
 def _cmd_fig9(args: argparse.Namespace) -> int:
     _check_positive(args, "--pretrain-steps", "--finetune-steps")
     return _print_table(
+        args,
         "fig9_wacc",
         pretrain_steps=args.pretrain_steps,
         finetune_steps=args.finetune_steps,
@@ -708,7 +716,7 @@ def _cmd_fig9(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig10(args: argparse.Namespace) -> int:
-    return _print_table("fig10_data_efficiency", seed=args.seed)
+    return _print_table(args, "fig10_data_efficiency", seed=args.seed)
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
@@ -726,6 +734,7 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
         raise _UsageError(f"repro crossover: {error}")
     try:
         return _print_table(
+            args,
             "pipeline_crossover",
             num_gpus=args.gpus,
             gpus_per_node=args.gpus_per_node,
@@ -964,7 +973,8 @@ def _serve_smoke(args: argparse.Namespace, spec, policy) -> int:
             hot_fraction=args.hot_fraction,
         )
     except ValueError as load_error:
-        raise _UsageError(f"repro serve: invalid load: {load_error}")
+        message = str(load_error).replace("seed", "--load-seed")
+        raise _UsageError(f"repro serve: invalid load: {message}")
     # The full hand-off: sharded Session weights gathered into
     # one serial model, served through the async front-end.
     session = Session(spec)

@@ -29,6 +29,7 @@ from repro.experiments.fig9_wacc import ATMOSPHERIC_SPEC, DEFAULT_NAMES, LEAD_ST
 from repro.models import build_model
 from repro.models.configs import OrbitConfig
 from repro.train import AdamW, Finetuner, Trainer, WarmupCosineSchedule
+from repro.utils.seeding import check_seed
 
 PAPER_SAMPLES = {"orbit-115m": 76_000, "orbit-1b": 47_000, "orbit-10b": 32_800}
 
@@ -87,6 +88,7 @@ def run(
     sizes: dict[str, OrbitConfig] | None = None,
 ) -> Fig10Result:
     """Fine-tune the size ladder to convergence on the 30-day task."""
+    check_seed(seed)
     names = names or DEFAULT_NAMES
     registry = default_registry(91).subset(names)
     era5 = SyntheticERA5(

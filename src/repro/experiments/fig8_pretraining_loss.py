@@ -26,6 +26,7 @@ from repro.experiments.common import format_table
 from repro.models import build_model
 from repro.models.configs import OrbitConfig, proxy_family
 from repro.train import AdamW, Trainer, WarmupCosineSchedule
+from repro.utils.seeding import check_seed
 
 
 @dataclass
@@ -76,6 +77,7 @@ def run(
     sizes: dict[str, OrbitConfig] | None = None,
 ) -> Fig8Result:
     """Pre-train every size on the same CMIP6 batch stream."""
+    check_seed(seed)
     registry = default_registry(num_vars)
     archive = SyntheticCMIP6Archive(
         grid, registry, years_per_source=years_per_source, seed=seed

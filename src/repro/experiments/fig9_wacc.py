@@ -47,6 +47,7 @@ from repro.experiments.common import format_table
 from repro.models import build_model
 from repro.models.configs import OrbitConfig
 from repro.train import AdamW, Trainer, WarmupCosineSchedule
+from repro.utils.seeding import check_seed
 
 #: Six-hourly steps per evaluated lead.
 LEAD_STEPS = {1: 4, 14: 56, 30: 120}
@@ -129,6 +130,7 @@ def run(
     seed: int = 0,
 ) -> Fig9Result:
     """Train all learned comparators and evaluate everyone on ERA5-2020."""
+    check_seed(seed)
     names = names or DEFAULT_NAMES
     registry = default_registry(91).subset(names)
     era5 = SyntheticERA5(

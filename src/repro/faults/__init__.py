@@ -57,7 +57,7 @@ from repro.faults.plan import (
     classify,
 )
 from repro.faults.report import REPORT_SCHEMA, RecoveryEvent, RecoveryReport
-from repro.faults.supervisor import Supervisor, run_supervised
+from repro.faults.supervisor import Supervisor
 
 __all__ = [
     "DEGRADATION_KINDS",
@@ -87,5 +87,4 @@ __all__ = [
     "expected_goodput_fraction",
     "goodput_table",
     "recommend_checkpoint_interval",
-    "run_supervised",
 ]

@@ -210,13 +210,12 @@ class Supervisor:
         self.session = Session(spec, grad_scaler=scaler, **self.session_kwargs)
         self.session.cluster.attach_injector(self.injector)
 
-    def _restart(self, spec, *, elastic: bool = False) -> None:
+    def _restart(self, spec) -> None:
         """checkpoint -> rebuild -> resume, for every policy that ends an
         incarnation: build ``spec``'s session, restore the last durable
         checkpoint into it (step 0 without one) and continue its loop.
-
-        ``elastic`` restores a numeric archive written for another DDP
-        extent (regroup, migration); a meta archive is plan-independent.
+        The archive decides how it is restored (in place, or elastically
+        after a regroup or migration): see :meth:`Session.resume`.
         """
         from repro.runtime import StepLoop
 
@@ -224,23 +223,14 @@ class Supervisor:
         self._build_session(spec)
         state = None
         if self._last_checkpoint is not None:
-            path = self._last_checkpoint["path"]
-            if spec.meta:
-                state = self.session.resume_meta(path)
-            elif elastic:
-                state = self.session.resume_elastic(path)["loop"]
-            else:
-                state = self.session.resume(path)["loop"]
+            state = self.session.resume(self._last_checkpoint["path"])["loop"]
         self.loop = StepLoop.from_state_dict(
             self.session.step_fn(), state, hooks=self.session.loop_hooks()
         )
 
     def _save(self, path) -> None:
         """Write the durable checkpoint every later restart resumes from."""
-        if self.spec.meta:
-            self.session.save_meta(path, loop_state=self.loop.state_dict())
-        else:
-            self.session.save(path, loop=self.loop)
+        self.session.save(path, loop=self.loop)
         self._last_checkpoint = {"path": path, "step": self.loop.step}
 
     def _wall(self) -> float:
@@ -455,7 +445,7 @@ class Supervisor:
                 old_base * decision.best_clean_step_s
                 / decision.current_clean_step_s,
             )
-        self._restart(new_spec, elastic=True)
+        self._restart(new_spec)
         self._controller = None
         self._switch_info = {
             "decision": decision, "steps": 0, "seconds": 0.0, "degraded": 0,
@@ -629,7 +619,7 @@ class Supervisor:
             detail=f"rolling back from step {step} to step {resume_from}"
                    + (" (elastic regroup)" if regroup else ""),
         )
-        self._restart(new_spec, elastic=regroup)
+        self._restart(new_spec)
         detail = f"resumed from step {resume_from}"
         if regroup:
             detail = (
@@ -697,13 +687,3 @@ class Supervisor:
     def _rank_of(err):
         fault = getattr(err, "fault", None)
         return fault.rank if fault is not None else None
-
-
-def run_supervised(
-    spec,
-    plan: FaultPlan | None = None,
-    num_steps: int = 8,
-    **supervisor_kwargs,
-) -> RecoveryReport:
-    """One-call convenience: supervise ``spec`` through ``plan``."""
-    return Supervisor(spec, plan, **supervisor_kwargs).run(num_steps)

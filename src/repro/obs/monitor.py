@@ -148,14 +148,6 @@ class RunMonitor:
             values["memory.peak_fraction"] = fraction
         self._observe(step, values)
 
-    def on_checkpoint(self, loop, event) -> None:
-        self.record_checkpoint(event.step, "save")
-
-    def on_health(self, loop, findings) -> None:
-        step = getattr(loop, "step", 0)
-        for finding in findings:
-            self.journal.record_finding(step, finding, kind="health")
-
     def _peak_memory_fraction(self):
         best = None
         for device in self._session.cluster.touched_devices():

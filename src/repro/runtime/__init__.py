@@ -14,13 +14,12 @@ package centralizes that construction:
   space enumeration.
 * :class:`~repro.runtime.session.Session` — turns a RunSpec into the
   live stack (cluster + plan + engine + tracer + optimizer), in meta
-  (shape-only) or numeric mode, and owns sharded checkpoint
-  save/resume.
+  (shape-only) or numeric mode, and owns the checkpoint: ``save`` and
+  ``resume``, where the archive decides how it is restored.
 * :class:`~repro.runtime.steploop.StepLoop` — the hook-driven step
-  driver (``on_step_start`` / ``on_step_end`` / ``on_loss`` /
-  ``on_checkpoint`` plus periodic health callbacks) that the serial
-  and distributed trainers, the fine-tuner, ``run_case`` and
-  ``run_traced_spec`` all route through.
+  driver (``on_step_start`` / ``on_step_end``) that the serial and
+  distributed trainers, the fine-tuner, ``run_case``,
+  ``run_traced_spec`` and the Supervisor all route through.
 """
 
 from repro.runtime.spec import (

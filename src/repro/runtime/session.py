@@ -5,11 +5,13 @@ capture, tuner validation, experiment drivers, ad-hoc scripts) all
 route through here: a Session owns the tracer, the virtual cluster,
 the parallel plan, the engine (meta or numeric mode), and — for
 numeric runs — the distributed trainer with its shard-aware optimizer.
-On top of the unified construction sit the sharded checkpoint methods:
+On top of the unified construction sit the two checkpoint methods:
 :meth:`Session.save` persists dense replicas, flat FSDP shards,
-optimizer moments, the scheduler step, and the data-RNG state;
-:meth:`Session.resume` restores all of it bitwise, so a resumed run
-reproduces the uninterrupted loss trajectory exactly.
+optimizer moments, the scheduler step, and the data-RNG state (a meta
+session: the RNG alone); :meth:`Session.resume` restores all of it
+bitwise — in place, or elastically into a DDP-resized world, as the
+archive dictates — so a resumed run reproduces the uninterrupted loss
+trajectory exactly.
 """
 
 from __future__ import annotations
@@ -502,91 +504,103 @@ class Session:
         return named
 
     def save(self, path, *, loop=None, metadata: dict | None = None) -> Path:
-        """Write a sharded checkpoint; returns the archive path.
+        """Write a checkpoint; returns the archive path.
 
-        Persists the dense replicas, the flat FSDP shards, the AdamW
-        moments, the scheduler step (``trainer.step_count``), and the
-        synthetic-batch RNG state.  ``loop`` (a
+        A numeric session writes a ``session`` archive: the dense
+        replicas, the flat FSDP shards, the AdamW moments, the scheduler
+        step (``trainer.step_count``), the grad scaler and the
+        synthetic-batch RNG state.  A meta session holds no numeric
+        state, so its ``supervisor-meta`` archive is the RNG state alone
+        — plan-independent.  ``loop`` (a
         :class:`~repro.runtime.steploop.StepLoop`) additionally stores
-        the loss history so a resumed run rebuilds the full
-        ``PretrainResult`` trajectory.
+        the loop position and loss history, so a resumed run rebuilds
+        the full ``PretrainResult`` trajectory.
         """
         from repro.runtime.checkpoint import save_archive
 
+        rng = self.data_rng.bit_generator.state
         if self.spec.meta:
-            raise RuntimeError("meta-mode sessions hold no numeric state to save")
-        trainer = self.trainer
-        meta = {
-            "kind": "session",
-            "spec": self.spec.identity(),
-            "step": trainer.step_count,
-            "optimizer": self.trainer.optimizer.state_dict()["scalars"],
-            "rng": self.data_rng.bit_generator.state,
-            "user": metadata or {},
-        }
-        if trainer.grad_scaler is not None:
-            meta["grad_scaler"] = trainer.grad_scaler.state_dict()
+            arrays = {}
+            meta = {"kind": "supervisor-meta", "spec": self.spec.identity(),
+                    "rng": rng}
+            if metadata is not None:
+                meta["user"] = metadata
+        else:
+            trainer = self.trainer
+            arrays = self._checkpoint_arrays()
+            meta = {
+                "kind": "session",
+                "spec": self.spec.identity(),
+                "step": trainer.step_count,
+                "optimizer": trainer.optimizer.state_dict()["scalars"],
+                "rng": rng,
+                "user": metadata or {},
+            }
+            if trainer.grad_scaler is not None:
+                meta["grad_scaler"] = trainer.grad_scaler.state_dict()
         if loop is not None:
             meta["loop"] = loop.state_dict()
-        return save_archive(
-            path, self._checkpoint_arrays(), meta, tracer=self.tracer
-        )
+        return save_archive(path, arrays, meta, tracer=self.tracer)
 
-    def save_meta(self, path, *, loop_state: dict) -> Path:
-        """Write a meta-mode supervisor checkpoint.
+    def resume(self, path) -> dict:
+        """Restore a :meth:`save` archive; returns its metadata (the loop
+        state under ``"loop"``).  The archive decides how:
 
-        Meta-mode sessions hold no numeric state, so the durable record
-        of a supervised run is just the data-RNG state plus the step
-        loop's position — enough for a fresh incarnation (or a migrated
-        plan: the payload is plan-independent) to resume bitwise.
-        """
-        from repro.runtime.checkpoint import save_archive
+        * a ``supervisor-meta`` archive restores the data RNG into a
+          meta session of any plan;
+        * a ``session`` archive whose spec identity equals this
+          session's restores in place;
+        * one that differs only in the DDP extent (``num_gpus``,
+          ``ddp_size``, ``micro_batch``) with the global batch preserved
+          restores elastically — after a node loss or a plan migration.
+          Replicas are synchronized by construction, so the archive's
+          replica 0 seeds every surviving replica.
 
-        if not self.spec.meta:
-            raise RuntimeError("save_meta is the meta-mode checkpoint path; "
-                               "numeric sessions use save()")
-        return save_archive(
-            path,
-            {},
-            {
-                "kind": "supervisor-meta",
-                "spec": self.spec.identity(),
-                "rng": self.data_rng.bit_generator.state,
-                "loop": loop_state,
-            },
-            tracer=self.tracer,
-        )
-
-    def resume_meta(self, path) -> dict:
-        """Restore a :meth:`save_meta` archive; returns the loop state.
-
-        No spec-identity check: the RNG and loop position are
-        plan-independent, which is exactly what lets crash recovery and
-        mid-run plan migration share one archive format.
+        Anything else raises ``ValueError`` naming the path and the
+        first identity field that differs: resuming into a different
+        world layout is never silent.
         """
         from repro.runtime.checkpoint import load_archive
 
-        _, meta = load_archive(path, tracer=self.tracer)
-        if meta.get("kind") != "supervisor-meta":
-            raise ValueError(f"{path} is not a supervisor-meta checkpoint")
-        self.data_rng.bit_generator.state = meta["rng"]
-        return meta["loop"]
-
-    def _load_session_archive(self, path) -> tuple[dict, dict]:
-        """``(arrays, metadata)`` of a :meth:`save` archive."""
-        from repro.runtime.checkpoint import load_archive
-
-        if self.spec.meta:
-            raise RuntimeError("meta-mode sessions cannot resume numeric state")
         arrays, meta = load_archive(path, tracer=self.tracer)
-        if meta.get("kind") != "session":
-            raise ValueError(f"{path} is not a session checkpoint")
-        return arrays, meta
+        mode, kind = (("meta", "supervisor-meta") if self.spec.meta
+                      else ("numeric", "session"))
+        if meta.get("kind") != kind:
+            raise ValueError(
+                f"checkpoint {path} is a {meta.get('kind')!r} archive, which "
+                f"does not match this {mode} session (it resumes {kind!r})"
+            )
+        if self.spec.meta:
+            self.data_rng.bit_generator.state = meta["rng"]
+            return meta
+        theirs, mine = meta["spec"], self.spec.identity()
+        if theirs == mine:
+            return self._restore(arrays, meta)
+        # Elastic: the archive's DDP extent is bridged; all else must match.
+        tp, fsdp, ddp, pp = [*theirs["grid"], 1][:4]  # pre-4D archives: pp 1
+        bridged = dict(theirs, topology=f"g{self.spec.num_gpus}x"
+                       + theirs["topology"].split("x")[1],
+                       grid=[tp, fsdp, self.spec.ddp_size, pp],
+                       micro_batch=mine["micro_batch"])
+        for key in mine:
+            if bridged[key] != mine[key]:
+                raise ValueError(
+                    f"checkpoint {path} was written for {key} "
+                    f"{theirs[key]!r}, which does not match this session's "
+                    f"{mine[key]!r} (only the DDP extent may differ)"
+                )
+        if theirs["micro_batch"] * fsdp * ddp != self.spec.observations:
+            raise ValueError(
+                f"checkpoint {path} was written for a global batch of "
+                f"{theirs['micro_batch'] * fsdp * ddp}, which does not match "
+                f"this session's {self.spec.observations}"
+            )
+        return self._restore(arrays, meta, archive_ddp=ddp)
 
     def _restore(self, arrays: dict, meta: dict, *, archive_ddp=None) -> dict:
-        """The restore body of :meth:`resume` and :meth:`resume_elastic`:
-        dense parameters, FSDP shards, optimizer, scheduler step, grad
-        scaler, data RNG.  Returns ``meta``.
+        """The restore body of :meth:`resume`: dense parameters, FSDP
+        shards, optimizer, scheduler step, grad scaler, data RNG.
+        Returns ``meta``.
 
         ``archive_ddp`` is the archive's DDP extent on an elastic resume
         (``None``: every replica restores its own entries): replica 0's
@@ -637,65 +651,6 @@ class Session:
             trainer.grad_scaler.load_state_dict(meta["grad_scaler"])
         self.data_rng.bit_generator.state = meta["rng"]
         return meta
-
-    def resume(self, path) -> dict:
-        """Restore a checkpoint written by :meth:`save`; returns metadata.
-
-        Raises ``ValueError`` when the checkpoint's structural identity
-        (model, topology, grid, dtype) does not match this session's
-        spec — resuming into a different world layout is never silent.
-        """
-        arrays, meta = self._load_session_archive(path)
-        if meta["spec"] != self.spec.identity():
-            raise ValueError(
-                f"checkpoint {path} was written for {meta['spec']}, "
-                f"which does not match this session's {self.spec.identity()}"
-            )
-        return self._restore(arrays, meta)
-
-    def resume_elastic(self, path) -> dict:
-        """Restore a checkpoint into a *shrunken* world (DDP axis only).
-
-        The elastic-recovery path: after losing a node, the supervisor
-        rebuilds the session with a smaller ``ddp_size`` (micro-batch
-        rescaled so the global batch is unchanged) and resumes from the
-        pre-loss archive.  Replicas are synchronized by construction —
-        every replica holds identical dense parameters, FSDP shards,
-        and optimizer moments — so the archive's replica 0 seeds every
-        surviving replica.  The model configuration, ``tp x fsdp``
-        shape, rank layout, and dtype must still match exactly; only
-        the DDP extent (and with it ``num_gpus`` / ``micro_batch``) may
-        differ.  Returns the archive metadata.
-        """
-        arrays, meta = self._load_session_archive(path)
-        theirs, mine = meta["spec"], self.spec.identity()
-        fixed = ("config", "dtype", "tp_innermost")
-        for key in fixed:
-            if theirs[key] != mine[key]:
-                raise ValueError(
-                    f"elastic resume may only change the DDP extent; "
-                    f"{key} differs: {theirs[key]!r} vs {mine[key]!r}"
-                )
-        if theirs["grid"][:2] != mine["grid"][:2]:
-            raise ValueError(
-                f"elastic resume may only change the DDP extent; "
-                f"tp/fsdp differ: {theirs['grid'][:2]} vs {mine['grid'][:2]}"
-            )
-        # Pre-4D archives carry a 3-element grid: an implicit pp of 1.
-        old_pp = int(theirs["grid"][3]) if len(theirs["grid"]) > 3 else 1
-        if old_pp != int(mine["grid"][3]):
-            raise ValueError(
-                f"elastic resume may only change the DDP extent; "
-                f"pipeline depth differs: {old_pp} vs {mine['grid'][3]}"
-            )
-        old_ddp = int(theirs["grid"][2])
-        old_global = theirs["micro_batch"] * theirs["grid"][1] * old_ddp
-        if old_global != self.spec.observations:
-            raise ValueError(
-                f"elastic resume must preserve the global batch: archive "
-                f"carries {old_global}, this session {self.spec.observations}"
-            )
-        return self._restore(arrays, meta, archive_ddp=old_ddp)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mode = "meta" if self.spec.meta else "numeric"

@@ -211,6 +211,8 @@ class RunSpec:
             problems.append(
                 f"invalid num_steps {self.num_steps}: must be at least 1"
             )
+        if self.seed < 0:
+            problems.append(f"invalid seed {self.seed}: must be non-negative")
         if self.fold not in ("off", "on"):
             problems.append(
                 f"invalid fold {self.fold!r}: must be 'off' or 'on'"

@@ -5,16 +5,17 @@ The serial :class:`~repro.train.trainer.Trainer`, the
 :class:`~repro.train.finetune.Finetuner`, the bench harness's
 ``run_case`` and the capture layer's ``run_traced_spec`` all used to
 hand-roll their own ``for step in range(n)`` loop, which meant
-cross-cutting behaviour — periodic checkpoints, health probes, early
-stop, loss bookkeeping — could not be added once.  StepLoop owns that
+cross-cutting behaviour — per-step telemetry, early stop, loss and
+resume bookkeeping — could not be added once.  StepLoop owns that
 loop: callers supply a ``step_fn(step) -> (loss, batch_size)`` and
 optional hooks, and get back the standard
-:class:`~repro.train.trainer.PretrainResult` trajectory.
+:class:`~repro.train.trainer.PretrainResult` trajectory.  Periodic
+checkpoints and health probes are the
+:class:`~repro.faults.supervisor.Supervisor`'s, between steps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,22 +32,16 @@ class StepEvent:
 
 @dataclass
 class StepHooks:
-    """Optional callbacks around the loop; any subset may be set.
+    """Optional callbacks around each step; either may be set.
 
     Signatures::
 
         on_step_start(loop, step)
-        on_step_end(loop, event)       # every step
-        on_loss(loop, event)           # only when the loss is finite
-        on_checkpoint(loop, event)     # after a periodic checkpoint fires
-        on_health(loop, findings)      # after a periodic health probe
+        on_step_end(loop, event)
     """
 
     on_step_start: Callable | None = None
     on_step_end: Callable | None = None
-    on_loss: Callable | None = None
-    on_checkpoint: Callable | None = None
-    on_health: Callable | None = None
 
 
 class StepLoop:
@@ -61,12 +56,6 @@ class StepLoop:
         A :class:`StepHooks` (or any object with the same optional
         attributes), or a list of them — every hook that defines a
         callback gets it, in order.
-    checkpoint_every / checkpoint_fn:
-        Fire ``checkpoint_fn(loop)`` after every ``checkpoint_every``-th
-        step (plus the ``on_checkpoint`` hooks).
-    health_every / health_fn:
-        Fire ``health_fn(loop) -> findings`` periodically and hand the
-        findings to ``on_health`` hooks.
     start_step / observations_seen / history:
         Resume state: a loop restored from a checkpoint continues the
         step numbering, the observation counter, and the loss history of
@@ -78,26 +67,16 @@ class StepLoop:
         self,
         step_fn: Callable[[int], tuple[float, int]],
         hooks=None,
-        checkpoint_every: int = 0,
-        checkpoint_fn: Callable | None = None,
-        health_every: int = 0,
-        health_fn: Callable | None = None,
         start_step: int = 0,
         observations_seen: int = 0,
         history: list[tuple[int, float]] | None = None,
     ):
-        if checkpoint_every < 0 or health_every < 0:
-            raise ValueError("periodic intervals must be non-negative")
         self.step_fn = step_fn
         if hooks is None:
             hooks = []
         elif not isinstance(hooks, (list, tuple)):
             hooks = [hooks]
         self.hooks = list(hooks)
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_fn = checkpoint_fn
-        self.health_every = health_every
-        self.health_fn = health_fn
         #: Index of the next step to run (== steps completed so far).
         self.step = start_step
         self.observations_seen = observations_seen
@@ -156,22 +135,6 @@ class StepLoop:
             observations_seen=self.observations_seen,
         )
         self._dispatch("on_step_end", event)
-        if math.isfinite(loss):
-            self._dispatch("on_loss", event)
-        if (
-            self.checkpoint_every
-            and self.step % self.checkpoint_every == 0
-            and self.checkpoint_fn is not None
-        ):
-            self.checkpoint_fn(self)
-            self._dispatch("on_checkpoint", event)
-        if (
-            self.health_every
-            and self.step % self.health_every == 0
-            and self.health_fn is not None
-        ):
-            findings = self.health_fn(self)
-            self._dispatch("on_health", findings)
         return event
 
     def run(self, num_steps: int):

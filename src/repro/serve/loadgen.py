@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.serve.request import ForecastRequest
+from repro.utils.seeding import check_seed
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,7 @@ class LoadSpec:
                 raise ValueError(f"{name} {value} must be finite")
             if value <= 0:
                 raise ValueError(f"{name} {value} must be > 0")
+        check_seed(self.seed)
         if self.num_windows < 1:
             raise ValueError(f"num_windows {self.num_windows} must be >= 1")
         if not 0 < self.num_hot <= self.num_windows:

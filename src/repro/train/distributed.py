@@ -188,8 +188,8 @@ class DistributedTrainer:
 
     def step_loop(self, batches, **loop_kwargs):
         """A :class:`~repro.runtime.steploop.StepLoop` pulling from
-        ``batches``; ``loop_kwargs`` pass through (hooks, checkpoint and
-        health cadence, resume state)."""
+        ``batches``; ``loop_kwargs`` pass through (hooks, resume
+        state)."""
         from repro.runtime.steploop import StepLoop
 
         iterator = iter(batches)

@@ -136,9 +136,10 @@ class Trainer:
     def step_loop(self, **loop_kwargs):
         """A :class:`~repro.runtime.steploop.StepLoop` over this trainer.
 
-        ``loop_kwargs`` pass through (hooks, checkpoint/health cadence,
-        resume state), so a caller can attach cross-cutting behaviour —
-        the Fig 8 driver uses this for periodic checkpoints.
+        ``loop_kwargs`` pass through (hooks, resume state), so a caller
+        can attach cross-cutting behaviour — the
+        :class:`~repro.train.finetune.Finetuner` uses this for its
+        per-step evaluation and early stop.
         """
         from repro.runtime.steploop import StepLoop
 

@@ -14,6 +14,18 @@ import zlib
 import numpy as np
 
 
+class SeedError(ValueError):
+    """A seed NumPy's generators would reject: a negative integer."""
+
+
+def check_seed(seed: int) -> int:
+    """``seed``, or :class:`SeedError` when it is negative — checked by
+    the seed's owner before any work, not by NumPy after some."""
+    if seed < 0:
+        raise SeedError(f"seed {seed} must be non-negative")
+    return seed
+
+
 def spawn_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Normalize ``seed`` into a fresh :class:`numpy.random.Generator`."""
     if isinstance(seed, np.random.Generator):

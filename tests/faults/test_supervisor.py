@@ -6,6 +6,8 @@ every scheduled step; the crash path resumes from the sharded archive
 and reproduces the fault-free loss history *bitwise*.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, Supervisor
@@ -13,6 +15,15 @@ from repro.models.configs import OrbitConfig
 
 TINY = OrbitConfig("tiny", embed_dim=16, depth=2, num_heads=4, in_vars=3,
                    out_vars=2, img_height=8, img_width=8, patch_size=4)
+
+#: A node loss at step 2, then a crash at step 3 before the next
+#: periodic checkpoint (``repro faults`` runs the same file in CI).
+REGROUP_THEN_CRASH = Path(__file__).parent / "data" / "regroup_then_crash.json"
+
+
+def _bits(history):
+    """A loss history with every loss as ``float.hex()`` (NaN-safe)."""
+    return [(observations, loss.hex()) for observations, loss in history]
 
 
 def _meta_spec(**overrides):
@@ -156,6 +167,36 @@ class TestElasticRegroup:
         assert report.final_spec["grid"] == [1, 2, 4, 1]
         assert report.final_spec["micro_batch"] == 4
         assert all(math_isfinite(loss) for _, loss in report.history)
+
+    @pytest.mark.parametrize("mode", ["meta", "numeric"])
+    def test_crash_after_a_regroup_resumes_the_pre_loss_archive(
+            self, tmp_path, mode):
+        """A crash before the first post-regroup checkpoint restores the
+        pre-loss archive into the shrunken world a second time: the run
+        replays the node-loss-only run's steps from the same state and
+        ends on its history and arrays, bit for bit."""
+        from tests.faults.replan_golden import state_digest
+        from tests.faults.test_recovery_golden import (
+            _meta_spec as golden_meta_spec,
+            _numeric_two_nodes,
+        )
+
+        spec = golden_meta_spec() if mode == "meta" else _numeric_two_nodes()
+        plan = FaultPlan.from_json(REGROUP_THEN_CRASH)
+        runs = {}
+        for name, faults in (("both", plan.faults), ("loss", plan.faults[:1])):
+            supervisor = Supervisor(
+                spec, FaultPlan(faults=faults),
+                checkpoint_every=2, checkpoint_dir=tmp_path / name,
+            )
+            runs[name] = (supervisor, supervisor.run(4))
+        (both, report), (loss, loss_report) = runs["both"], runs["loss"]
+        assert report.recovered
+        assert [e.action for e in report.events] == [
+            "elastic_regroup", "rollback_restart"]
+        assert _bits(report.history) == _bits(loss_report.history)
+        if not spec.meta:
+            assert state_digest(both.session) == state_digest(loss.session)
 
     def test_shrunken_spec_drops_skew_past_the_surviving_world(self):
         spec = _meta_spec(compute_skew={3: 2.0, 12: 1.5})

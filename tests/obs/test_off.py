@@ -74,8 +74,6 @@ METHODS = [
     ("monitor", RunMonitor, "attach_session", (None,), {}, None),
     ("monitor", RunMonitor, "on_step_start", (None, 0), {}, None),
     ("monitor", RunMonitor, "on_step_end", (None, None), {}, None),
-    ("monitor", RunMonitor, "on_checkpoint", (None, None), {}, None),
-    ("monitor", RunMonitor, "on_health", (None, ()), {}, None),
     ("monitor", RunMonitor, "observe_gauges", (0, {"m": 1.0}), {}, None),
     ("monitor", RunMonitor, "record_fold", (0, "exact"), {}, None),
     ("monitor", RunMonitor, "record_fold", (0, "exact", "fault window"), {},

@@ -1,6 +1,8 @@
 """Sharded checkpoint round-trip: dense replicas, flat shards,
 optimizer moments, and metadata all restore bitwise."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.runtime import (
     load_archive,
     save_archive,
 )
+from repro.models.configs import OrbitConfig
 from tests.runtime.test_session import TINY
 
 
@@ -119,11 +122,105 @@ class TestShardedSessionCheckpoint:
         with pytest.raises(ValueError, match="does not match"):
             other.resume(path)
 
-    def test_meta_session_cannot_save(self, tmp_path):
-        session = Session(RunSpec(config=TINY, num_gpus=8, tp_size=2,
-                                  fsdp_size=2, ddp_size=2))
-        with pytest.raises(RuntimeError, match="meta"):
-            session.save(tmp_path / "ckpt.npz")
+    def test_meta_session_round_trips_rng_and_loop(self, tmp_path):
+        """A meta archive holds the data RNG and the loop, nothing the
+        plan shapes: it resumes into a meta session of another plan."""
+        session = Session(_numeric_spec(meta=True))
+        loop = StepLoop(session.meta_step)
+        loop.run(2)
+        session.data_rng.normal(size=3)  # move the stream off its seed
+        path = session.save(tmp_path / "meta.npz", loop=loop)
+        _, meta = load_archive(path)
+        assert meta["kind"] == "supervisor-meta" and "user" not in meta
+
+        other = Session(_numeric_spec(meta=True, tp_size=4, ddp_size=1))
+        state = other.resume(path)["loop"]
+        assert json.dumps(state) == json.dumps(loop.state_dict())  # NaN losses
+        assert (other.data_rng.bit_generator.state
+                == session.data_rng.bit_generator.state)
+        resumed = StepLoop.from_state_dict(other.meta_step, state)
+        resumed.run(1)
+        assert resumed.step == 3 and len(resumed.history) == 3
+
+
+def _saved(tmp_path, **overrides):
+    """The archive of one numeric step on ``_numeric_spec(**overrides)``."""
+    session = Session(_numeric_spec(**overrides))
+    StepLoop(session.step_fn()).run(1)
+    return session.save(tmp_path / "ckpt.npz")
+
+
+WIDER = OrbitConfig("wider", embed_dim=32, depth=2, num_heads=4, in_vars=3,
+                    out_vars=2, img_height=8, img_width=8, patch_size=4)
+
+
+class TestResumeRefusals:
+    """Everything but the DDP extent must match; the global batch must
+    survive a DDP resize; meta and numeric archives never cross."""
+
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(tp_size=4, fsdp_size=1, micro_batch=4), "grid"),
+        (dict(num_gpus=16, pp_size=2), "grid"),
+        (dict(config=WIDER), "config"),
+        (dict(dtype="float64"), "dtype"),
+        (dict(tp_innermost=False), "tp_innermost"),
+    ], ids=["tp-fsdp", "pp", "config", "dtype", "tp_innermost"])
+    def test_an_identity_field_other_than_the_ddp_extent(
+            self, tmp_path, overrides, field):
+        path = _saved(tmp_path)
+        with pytest.raises(ValueError, match=(
+                f"^checkpoint {path} was written for {field} .* does not "
+                f"match this session's")):
+            Session(_numeric_spec(**overrides)).resume(path)
+
+    def test_a_ddp_resize_that_loses_the_global_batch(self, tmp_path):
+        path = _saved(tmp_path, num_gpus=16, ddp_size=4)  # 2 x 2 x 4
+        with pytest.raises(ValueError, match="global batch of 16, which does "
+                                             "not match this session's 8"):
+            Session(_numeric_spec()).resume(path)
+
+    @pytest.mark.parametrize("archive_meta", [False, True],
+                             ids=["numeric-into-meta", "meta-into-numeric"])
+    def test_an_archive_of_the_other_mode(self, tmp_path, archive_meta):
+        path = _saved(tmp_path, meta=archive_meta)
+        with pytest.raises(ValueError, match="archive, which does not match "
+                                             "this (meta|numeric) session"):
+            Session(_numeric_spec(meta=not archive_meta)).resume(path)
+
+    def test_a_ddp_halved_resume_restores_what_the_regroup_restores(
+            self, tmp_path):
+        """The Supervisor's node-loss regroup and a direct ``resume``
+        into the halved spec restore the same arrays: every surviving
+        replica a copy of the archive's replica 0."""
+        from repro.faults import FaultPlan, FaultSpec, Supervisor
+        from tests.faults.replan_golden import state_digest
+
+        spec = _numeric_spec(num_gpus=16, tp_size=1, ddp_size=8)
+        plan = FaultPlan(faults=(FaultSpec(kind="node_loss", step=2, rank=9),))
+        supervisor = Supervisor(spec, plan, checkpoint_every=2,
+                                checkpoint_dir=tmp_path)
+        restored = []
+        restart = supervisor._restart
+
+        def restart_and_digest(new_spec):
+            restart(new_spec)
+            restored.append(state_digest(supervisor.session))
+
+        supervisor._restart = restart_and_digest
+        assert supervisor.run(3).recovered
+        archive = tmp_path / "ckpt_step2.npz"
+        halved = Session(_numeric_spec(num_gpus=8, tp_size=1, ddp_size=4,
+                                       micro_batch=4))
+        assert halved.resume(archive)["step"] == 2
+        assert state_digest(halved) == restored[-1]
+        arrays, _ = load_archive(archive)
+        for d in range(4):
+            for name, param in halved._dense_parameters(d).items():
+                np.testing.assert_array_equal(
+                    param.data, arrays[f"dense::0::{name}"])
+        dense = [p.data for d in range(4)
+                 for p in halved._dense_parameters(d).values()]
+        assert len({id(value) for value in dense}) == len(dense)
 
 
 class TestOptimizerState:

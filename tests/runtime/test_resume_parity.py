@@ -61,19 +61,19 @@ class TestShardedResumeParity:
         assert result.history == uninterrupted.history  # bitwise
 
     def test_periodic_checkpointing_through_the_loop(self, tmp_path):
-        """checkpoint_fn wiring: Session.save as a StepLoop periodic."""
+        """Periodic saves between runs of one loop (the Supervisor's
+        cadence): each archive holds the loop as it stood."""
         spec = _numeric_spec()
         session = Session(spec)
+        loop = StepLoop(session.numeric_step)
         written = []
-
-        def checkpoint(loop):
-            path = session.save(tmp_path / f"step{loop.step}.npz", loop=loop)
-            written.append(path)
-
-        StepLoop(session.numeric_step, checkpoint_every=2,
-                 checkpoint_fn=checkpoint).run(4)
+        for _ in range(2):
+            loop.run(2)
+            written.append(session.save(tmp_path / f"step{loop.step}.npz",
+                                        loop=loop))
         assert [p.name for p in written] == ["step2.npz", "step4.npz"]
         assert all(p.exists() for p in written)
+        assert Session(spec).resume(written[0])["loop"]["step"] == 2
 
 
 class TestFig8SerialResumeParity:

@@ -34,6 +34,13 @@ class TestValidation:
             RunSpec(config=TINY, num_gpus=8, tp_size=2, fsdp_size=2,
                     ddp_size=2, num_steps=0)
 
+    def test_negative_seed_raises(self):
+        """Before a Session builds its generators: NumPy rejects it there."""
+        with pytest.raises(RunSpecError,
+                           match="^invalid seed -1: must be non-negative$"):
+            RunSpec(config=TINY, num_gpus=8, tp_size=2, fsdp_size=2,
+                    ddp_size=2, seed=-1)
+
     def test_every_problem_reported_at_once(self):
         with pytest.raises(RunSpecError) as excinfo:
             RunSpec(config=TINY, num_gpus=16, tp_size=3, fsdp_size=2,

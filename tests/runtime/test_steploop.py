@@ -1,7 +1,5 @@
 """StepLoop: hooks, budgets, early stop, and resume bookkeeping."""
 
-import math
-
 import pytest
 
 from repro.runtime import StepHooks, StepLoop
@@ -47,16 +45,9 @@ class TestHooks:
         hooks = StepHooks(
             on_step_start=lambda loop, step: events.append(("start", step)),
             on_step_end=lambda loop, ev: events.append(("end", ev.step, ev.loss)),
-            on_loss=lambda loop, ev: events.append(("loss", ev.loss)),
         )
         StepLoop(counting_step([2.0]), hooks=hooks).run(1)
-        assert events == [("start", 0), ("end", 0, 2.0), ("loss", 2.0)]
-
-    def test_nan_loss_skips_on_loss(self):
-        seen = []
-        hooks = StepHooks(on_loss=lambda loop, ev: seen.append(ev.loss))
-        StepLoop(counting_step([math.nan]), hooks=hooks).run(1)
-        assert seen == []
+        assert events == [("start", 0), ("end", 0, 2.0)]
 
     def test_multiple_hooks_all_fire(self):
         seen = []
@@ -69,36 +60,6 @@ class TestHooks:
         loop = StepLoop(counting_step([1.0, 2.0, 3.0]), hooks=hooks)
         result = loop.run(3)
         assert len(result.history) == 1
-
-
-class TestPeriodics:
-    def test_checkpoint_cadence(self):
-        saved = []
-        marks = []
-        loop = StepLoop(
-            counting_step([1.0] * 6),
-            hooks=StepHooks(on_checkpoint=lambda loop, ev: marks.append(ev.step)),
-            checkpoint_every=2,
-            checkpoint_fn=lambda loop: saved.append(loop.step),
-        )
-        loop.run(6)
-        assert saved == [2, 4, 6]
-        assert marks == [1, 3, 5]
-
-    def test_health_cadence_receives_findings(self):
-        findings_seen = []
-        loop = StepLoop(
-            counting_step([1.0] * 4),
-            hooks=StepHooks(on_health=lambda loop, f: findings_seen.append(f)),
-            health_every=2,
-            health_fn=lambda loop: ["finding"],
-        )
-        loop.run(4)
-        assert findings_seen == [["finding"], ["finding"]]
-
-    def test_negative_cadence_rejected(self):
-        with pytest.raises(ValueError):
-            StepLoop(counting_step([]), checkpoint_every=-1)
 
 
 class TestTrainerIntegration:

@@ -82,6 +82,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{name} {value} must be finite$"):
             _spec(**bad)
 
+    def test_negative_seed_raises_before_any_draw(self):
+        """NumPy would reject it only in generate_requests."""
+        with pytest.raises(ValueError, match="^seed -1 must be non-negative$"):
+            _spec(seed=-1)
+
     def test_as_dict_round_trips_scalars(self):
         record = _spec().as_dict()
         assert record["rate_rps"] == 100.0

@@ -382,6 +382,9 @@ BAD_FLAGS = [
     ("crossover", "--micro-batch", "0"),
     ("crossover", "--gpus", "7"),
     ("crossover", "--micro-batch", "1000"),
+    ("fig8", "--seed", "-1"),
+    ("fig9", "--seed", "-1"),
+    ("fig10", "--seed", "-1"),
 ]
 
 
@@ -412,6 +415,8 @@ BAD_RUN_FLAGS = [
     (["serve", "--smoke", "--max-batch", "0"], "invalid serve max_batch 0: must be >= 1"),
     (["serve", "--smoke", "--window-ms", "-1"],
      "invalid serve batch_window_s -0.001: must be >= 0"),
+    (["serve", "--smoke", "--load-seed", "-1"],
+     "invalid load: --load-seed -1 must be non-negative"),
     # ... and by the Supervisor's constructor, before step 0 (replan).
     (["replan", "--warmup", "nan", "--steps", "2"],
      "replan_warmup_s nan must be finite and non-negative"),
@@ -433,6 +438,21 @@ def test_a_bad_run_flag_exits_2_before_any_work(argv, message, capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err == f"repro {argv[0]}: {message}\n"
+    assert ran == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace"], ["analyze"], ["monitor"], ["faults", "--random", "1"],
+    ["serve", "--smoke"],
+])
+def test_a_negative_seed_exits_2_before_any_work(argv, capsys, monkeypatch):
+    """The spec rejects it; NumPy would only once a generator is built."""
+    ran = []
+    monkeypatch.setattr("repro.runtime.Session", lambda *a, **k: ran.append(a))
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid --seed -1: must be non-negative\n"
     assert ran == []
 
 
