@@ -415,8 +415,6 @@ BAD_RUN_FLAGS = [
     (["serve", "--smoke", "--max-batch", "0"], "invalid serve max_batch 0: must be >= 1"),
     (["serve", "--smoke", "--window-ms", "-1"],
      "invalid serve batch_window_s -0.001: must be >= 0"),
-    (["serve", "--smoke", "--load-seed", "-1"],
-     "invalid load: --load-seed -1 must be non-negative"),
     # ... and by the Supervisor's constructor, before step 0 (replan).
     (["replan", "--warmup", "nan", "--steps", "2"],
      "replan_warmup_s nan must be finite and non-negative"),
@@ -424,6 +422,9 @@ BAD_RUN_FLAGS = [
      "replan_hysteresis nan must be finite and non-negative"),
     (["replan", "--checkpoint-cost", "-1", "--steps", "2"],
      "checkpoint_cost_s -1.0 must be finite and non-negative"),
+    # A negative load seed is rejected by LoadSpec before serve builds anything.
+    (["serve", "--smoke", "--load-seed", "-1"],
+     "invalid load: --load-seed -1 must be non-negative"),
 ]
 
 
