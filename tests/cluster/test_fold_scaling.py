@@ -4,8 +4,9 @@ A folded run must do work proportional to its symmetry *classes*, not
 to group size or world size: every rank group's link spec is priced
 once, memory is registered on the class representatives only, and
 devices exist only once somebody asks for them.  The same code serves
-exact mode (``tracked_ranks == ranks``), so a run that unfolds mid-way
-must leave every tracker exactly as a never-folded run does.
+exact mode (``tracked_ranks == ranks``); the ``fold`` pair in
+``tests/invariants`` holds a run that unfolds mid-way to a never-folded
+one, tracker by tracker.
 """
 
 from collections import Counter
@@ -14,19 +15,18 @@ import pytest
 
 from repro.cluster.timeline import Timeline
 from repro.cluster.topology import FrontierTopology
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.memory.tracker import MemoryTracker
 from repro.models import PAPER_MODELS
 from repro.parallel.engine import HybridSTOPEngine
 from repro.runtime import RunSpec
-from tests.cluster.test_fold_parity import _assert_bitwise_equal, _run
+from tests.invariants import count_calls, drive
 
 #: (pp, tp, fsdp, ddp) on whole 8-GCD nodes; the pipelined grid cuts
 #: its stages at node boundaries (fold eligibility).
 GRIDS = {"3d": (1, 4, 4, 2), "pp2": (2, 4, 2, 2)}
 
 
-def _spec(grid, fold="on", num_steps=1):
+def orbit_1b_spec(grid, fold="on", num_steps=1):
     pp, tp, fsdp, ddp = grid
     return RunSpec(
         config=PAPER_MODELS["orbit-1b"], num_gpus=pp * tp * fsdp * ddp,
@@ -42,15 +42,7 @@ def _touched(session) -> int:
 @pytest.fixture
 def allocate_calls(monkeypatch):
     """Counts every ``MemoryTracker.allocate`` call while installed."""
-    calls = Counter()
-    original = MemoryTracker.allocate
-
-    def counting(self, nbytes, tag="untagged"):
-        calls["allocate"] += 1
-        return original(self, nbytes, tag)
-
-    monkeypatch.setattr(MemoryTracker, "allocate", counting)
-    return calls
+    return count_calls(monkeypatch, (MemoryTracker, "allocate"))
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
@@ -63,8 +55,9 @@ def test_link_spec_priced_once_per_distinct_group(monkeypatch, grid):
         return original(self, ranks)
 
     monkeypatch.setattr(FrontierTopology, "effective_bandwidth", counting)
-    session, modes = _run(_spec(grid, num_steps=2))
-    assert all(modes)
+    run = drive(orbit_1b_spec(grid, num_steps=2))
+    assert all(run.folded)
+    session = run.session
     collectives = sum(
         1 for entry in session.cluster.timeline._log if entry[0] == "comm")
     assert priced and max(priced.values()) == 1
@@ -85,47 +78,15 @@ def test_memory_work_is_class_sized(allocate_calls, base):
         "fsdp x2": (pp, tp, 2 * fsdp, ddp),
     }.items():
         allocate_calls.clear()
-        session, modes = _run(_spec(grid))
-        assert all(modes)
+        run = drive(orbit_1b_spec(grid))
+        assert all(run.folded)
+        session = run.session
         classes = len(session.cluster.timeline.partition.keys)
         assert classes == 2 * tp * pp
         assert _touched(session) == classes <= session.cluster.world_size
         counts[label] = (allocate_calls["allocate"], _touched(session))
     assert counts["ddp x2"] == counts["base"]
     assert counts["fsdp x2"] == counts["base"]
-
-
-@pytest.mark.parametrize("kind", [FaultKind.STRAGGLER, FaultKind.GRAD_CORRUPTION],
-                         ids=["stays-exact", "refolds"])
-@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
-def test_unfold_backfills_trackers_to_the_never_folded_state(grid, kind):
-    """A fault at step 1 of 3 unfolds the run; from then on every
-    device's tracker must read as if the run had never folded."""
-    plan = FaultPlan(faults=(FaultSpec(kind, step=1, rank=5, factor=2.0),))
-    exact, _ = _run(_spec(grid, fold="off", num_steps=3), plan)
-    folded, modes = _run(_spec(grid, fold="on", num_steps=3), plan)
-    assert modes[:2] == [True, False]
-    assert modes[2] is (kind is FaultKind.GRAD_CORRUPTION)
-    for rank in range(exact.cluster.world_size):
-        want = exact.cluster.device(rank).memory
-        got = folded.cluster.device(rank).memory
-        assert got.category_current("params") == want.category_current("params"), rank
-        assert got.peak_bytes == want.peak_bytes, rank
-        assert got.live_allocations == want.live_allocations, rank
-    _assert_bitwise_equal(exact, folded)
-
-
-@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
-def test_folded_results_stay_bitwise_equal_to_exact(grid):
-    """Sparse devices/ledgers and narrowed registration move no number:
-    ledgers, ``expand()`` spans, walltime and peak memory stay ``==``."""
-    exact, _ = _run(_spec(grid, fold="off", num_steps=2))
-    folded, modes = _run(_spec(grid, fold="on", num_steps=2))
-    assert all(modes)
-    _assert_bitwise_equal(exact, folded)
-    # Folded, no per-rank ledger was built and most devices never asked for.
-    assert not folded.cluster.timeline._ledgers
-    assert _touched(folded) < _touched(exact) == exact.cluster.world_size
 
 
 #: (pp, tp, fsdp, ddp), fold -> ``record_comm`` calls per step, counted
@@ -143,23 +104,14 @@ def test_one_stage_pays_no_pipeline_bookkeeping(monkeypatch, grid, fold,
     """pp = 1 runs the pipelined engine with one stage: it must not
     read stage clocks (a walk over every rank of every replica), record
     a stall, or emit one collective more than the 3D engine did."""
-    calls = Counter()
-
-    def counted(owner, name):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(HybridSTOPEngine, "_snapshot_stage_clocks")
-    counted(HybridSTOPEngine, "_record_pipeline_stall")
     # FoldedTimeline inherits record_comm (it overrides only the landing).
-    counted(Timeline, "record_comm")
-    session, modes = _run(_spec(grid, fold=fold, num_steps=2))
-    assert all(modes) is (fold == "on")
+    calls = count_calls(monkeypatch,
+                        (HybridSTOPEngine, "_snapshot_stage_clocks"),
+                        (HybridSTOPEngine, "_record_pipeline_stall"),
+                        (Timeline, "record_comm"))
+    run = drive(orbit_1b_spec(grid, fold=fold, num_steps=2))
+    assert all(run.folded) is (fold == "on")
+    session = run.session
     assert calls["record_comm"] == 2 * comms_per_step
     assert not calls["_snapshot_stage_clocks"]
     assert not calls["_record_pipeline_stall"]

@@ -1,80 +1,26 @@
-"""Depth replay == executing every block, bitwise.
+"""Depth replay: where the trunk executes and where it replays.
 
 On shape-only inputs :class:`~repro.core.hybrid_block.HybridSTOPTrunk`
 executes one block per direction and replays its captured event stream
-for the rest.  The oracle is the trunk's own
-``forward_every_block`` / ``backward_every_block``; ``every_block()``
-below routes the engine through them, so each case runs the same spec
-twice and demands ``==`` on everything a run leaves behind: ledgers,
-spans, the folded event log and its expansion, collective ids, device
-memory trackers and the gradient shards the DDP reduction reads.
+for the rest.  The ``depth-replay`` pair in ``tests/invariants`` holds
+it to the trunk's own ``forward_every_block`` / ``backward_every_block``
+over the cross product.  The tests here pin the routing (numeric inputs
+never capture, an odd depth splits stages unevenly), that a fault lands
+in replayed blocks exactly as in executed ones, and that the work per
+step does not grow with depth.
 """
 
-from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.cluster.timeline import FoldedTimeline, _ledger_values
+from repro.cluster.timeline import _ledger_values
 from repro.core import fsdp_ops
-from repro.core.hybrid_block import HybridSTOPTrunk
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.meta import MetaArray
-from repro.obs import NULL_TRACER
 from repro.runtime import RunSpec, Session
-from tests.cluster.test_fold_parity import (
-    LEGAL_GRIDS,
-    LEGAL_GRIDS_4D,
-    _config,
-)
-
-#: 3D grids plus the two-stage 4D ones (per-stage trunks at pp > 1).
-GRIDS = [(1, *grid) for grid in LEGAL_GRIDS] + \
-    [grid for grid in LEGAL_GRIDS_4D if grid[0] == 2]
-
-
-@contextmanager
-def every_block():
-    """Engines built and stepped inside run the execute-every-block oracle."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(HybridSTOPTrunk, "forward",
-                      HybridSTOPTrunk.forward_every_block)
-        patch.setattr(HybridSTOPTrunk, "backward",
-                      HybridSTOPTrunk.backward_every_block)
-        yield
-
-
-def _spec(grid, depth, *, fold="off", num_steps=1, **policy):
-    pp, tp, fsdp, ddp = grid
-    return RunSpec(
-        config=_config(depth), num_gpus=pp * tp * fsdp * ddp, gpus_per_node=8,
-        pp_size=pp, tp_size=tp, fsdp_size=fsdp, ddp_size=ddp, micro_batch=2,
-        fold=fold, num_steps=num_steps, **policy,
-    )
-
-
-def _run(spec, fault_plan=None, traced=True):
-    session = Session(spec, tracer=None if traced else NULL_TRACER)
-    injector = None
-    if fault_plan is not None:
-        injector = FaultInjector(fault_plan, gpus_per_node=spec.gpus_per_node)
-        session.cluster.attach_injector(injector)
-    for step in range(spec.num_steps):
-        if injector is not None:
-            injector.begin_step(step)
-        session.meta_step(step)
-    return session
-
-
-def _both(spec, fault_plan=None, traced=True):
-    """The same run twice: depth replay, then the every-block oracle."""
-    replayed = _run(spec, fault_plan, traced)
-    with every_block():
-        oracle = _run(spec, fault_plan, traced)
-    return replayed, oracle
+from tests.invariants import config, count_calls, drive, every_block, spec
 
 
 def _memory(session) -> dict:
@@ -86,94 +32,22 @@ def _memory(session) -> dict:
     }
 
 
-def _grad_shapes(session) -> list:
-    engine = session.engine
-    return [
-        [None if p.grad_shards is None else [g.shape for g in p.grad_shards]
-         for p in engine.sharded_parameters(d)]
-        for d in range(len(engine.trunks))
-    ]
-
-
-def _assert_same_run(replayed, oracle):
-    got, want = replayed.cluster.timeline, oracle.cluster.timeline
-    for rank in range(oracle.cluster.world_size):
-        assert _ledger_values(got.ledger(rank)) == \
-            _ledger_values(want.ledger(rank)), f"ledger mismatch at rank {rank}"
-    assert got.walltime_s() == want.walltime_s()
-    assert got.total_flops() == want.total_flops()
-    assert [s.to_dict() for s in replayed.tracer.spans] == \
-        [s.to_dict() for s in oracle.tracer.spans]
-    # The next collective id is the count issued so far (the spans above
-    # carry the ids themselves when traced).
-    assert next(got._collective_ids) == next(want._collective_ids)
-    if isinstance(want, FoldedTimeline):
-        assert got.folded == want.folded
-        assert got._log == want._log
-        got_ledgers, got_spans = got.expand()
-        want_ledgers, want_spans = want.expand()
-        assert list(map(_ledger_values, got_ledgers)) == \
-            list(map(_ledger_values, want_ledgers))
-        assert [s.to_dict() for s in got_spans] == \
-            [s.to_dict() for s in want_spans]
-    assert _memory(replayed) == _memory(oracle)
-    assert replayed.peak_memory_bytes() == oracle.peak_memory_bytes()
-    assert _grad_shapes(replayed) == _grad_shapes(oracle)
-    for trunk in replayed.engine.trunks:
-        for block in trunk.blocks:
-            assert block._cache is None
-            assert all(m._cache is None for m in block.submodules)
-
-
 class TestReplayEqualsEveryBlock:
-    @given(
-        grid=st.sampled_from(GRIDS),
-        extra_depth=st.integers(min_value=0, max_value=4),
-        prefetch=st.booleans(),
-        recompute=st.booleans(),
-        layer_wrapping=st.booleans(),
-        fold=st.sampled_from(["off", "on"]),
-        traced=st.booleans(),
-        num_steps=st.integers(min_value=1, max_value=2),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_random_specs(self, grid, extra_depth, prefetch, recompute,
-                          layer_wrapping, fold, traced, num_steps):
-        # depth 1-5 at pp=1, 2-6 at pp=2 (odd depths split unevenly).
-        spec = _spec(grid, grid[0] + extra_depth, fold=fold,
-                     num_steps=num_steps, prefetch=prefetch,
-                     recompute=recompute, layer_wrapping=layer_wrapping)
-        _assert_same_run(*_both(spec, traced=traced))
-
-    @pytest.mark.parametrize("fold", ["off", "on"])
-    @pytest.mark.parametrize("recompute", [False, True])
-    def test_uneven_stage_split(self, fold, recompute):
+    def test_an_odd_depth_splits_stages_unevenly(self):
         """Depth 3 at pp=2: a two-block trunk replays, a one-block one
         has nothing to replay, and block names stay global."""
-        spec = _spec((2, 2, 2, 2), 3, fold=fold, recompute=recompute,
-                     num_steps=2)
-        replayed, oracle = _both(spec)
-        _assert_same_run(replayed, oracle)
-        assert replayed.fold_decision.folded is (fold == "on")
-        stages = replayed.engine.trunks[0].stage_trunks
+        session = drive(spec((2, 2, 2, 2), depth=3)).session
+        stages = session.engine.trunks[0].stage_trunks
         assert sorted(len(t.blocks) for t in stages) == [1, 2]
-        names = {s.name for s in replayed.tracer.spans}
+        names = {s.name for s in session.tracer.spans}
         assert {f"trunk0.block{i}.attn" for i in range(3)} <= names
 
-    def test_replay_engages_on_meta_inputs_only(self):
+    def test_replay_engages_on_meta_inputs_only(self, monkeypatch):
         """Numeric inputs run every block (nothing is captured)."""
-        spec = RunSpec(config=_config(3), num_gpus=8, tp_size=2, fsdp_size=2,
-                       ddp_size=2, meta=False, track_device_memory=False)
-        session = Session(spec)
-        captures = Counter()
-        timeline = session.cluster.timeline
-        original = timeline.capture
-
-        def counting(*args, **kwargs):
-            captures["capture"] += 1
-            return original(*args, **kwargs)
-
-        timeline.capture = counting
+        session = Session(RunSpec(
+            config=config(3), num_gpus=8, tp_size=2, fsdp_size=2, ddp_size=2,
+            meta=False, track_device_memory=False))
+        captures = count_calls(monkeypatch, (session.cluster.timeline, "capture"))
         session.numeric_step(0)
         assert not captures
 
@@ -183,36 +57,13 @@ class TestFaultsInReplayedBlocks:
     pre-injector), so a fault landing in a block that was never executed
     stretches — or corrupts — exactly what it would have."""
 
-    # Rank 5 computes in every block; on the faulted steps most of its
-    # events come from replayed blocks (depth 4: three of four).
-    PLANS = {
-        "straggler": FaultSpec(FaultKind.STRAGGLER, step=1, rank=5, factor=2.0),
-        "link-degrade": FaultSpec(FaultKind.LINK_DEGRADE, step=1, rank=3,
-                                  factor=3.0, duration_steps=2),
-        "grad-corruption": FaultSpec(FaultKind.GRAD_CORRUPTION, step=1, rank=2),
-    }
-
-    @pytest.mark.parametrize("fold", ["off", "on"])
-    @pytest.mark.parametrize("name", PLANS)
-    def test_degradations_and_corruption(self, name, fold):
-        plan = FaultPlan(faults=(self.PLANS[name],))
-        spec = _spec((1, 2, 2, 4), 4, fold=fold, num_steps=3)
-        replayed, oracle = _both(spec, plan)
-        _assert_same_run(replayed, oracle)
-        if name != "grad-corruption":
-            rank = self.PLANS[name].rank
-            clean = _run(spec).cluster.timeline.ledger(rank)
-            faulted = replayed.cluster.timeline.ledger(rank)
-            assert (faulted.compute_s, faulted.comm_s) > \
-                (clean.compute_s, clean.comm_s)
-
     def test_stretched_events_lie_in_replayed_blocks(self):
         """Every block's spans on the straggling rank are stretched by
         the same factor, executed or replayed."""
-        spec = _spec((1, 2, 2, 4), 4)
-        clean = _run(spec)
-        slow = _run(spec, FaultPlan(faults=(FaultSpec(
-            FaultKind.STRAGGLER, step=0, rank=5, factor=2.0),)))
+        run_spec = spec((1, 2, 2, 4), depth=4)
+        clean = drive(run_spec).session
+        slow = drive(run_spec, (FaultSpec(
+            FaultKind.STRAGGLER, step=0, rank=5, factor=2.0),)).session
         for block in range(4):
             name = f"trunk1.block{block}.mlp"  # rank 5 sits in replica 1
             base = [s.dur for s in clean.tracer.spans
@@ -231,11 +82,10 @@ class TestFaultsInReplayedBlocks:
 
         plan = FaultPlan(faults=(FaultSpec(
             FaultKind.GPU_CRASH, step=0, rank=1, op="trunk0.block1.mlp"),))
-        spec = _spec((1, 2, 2, 2), 3)
         sessions = []
         for context in (nullcontext, every_block):
             with context():
-                session = Session(spec)
+                session = Session(spec((1, 2, 2, 2), depth=3))
                 injector = FaultInjector(plan, gpus_per_node=8)
                 session.cluster.attach_injector(injector)
                 injector.begin_step(0)
@@ -261,27 +111,15 @@ class TestWorkIsDepthIndependent:
         """Counts, not seconds: a meta step builds the same number of
         MetaArrays and issues the same number of ``all_gather`` calls at
         depth 2 and depth 8 — one block's worth per direction."""
-        calls = Counter()
-        meta_init = MetaArray.__init__
-        all_gather = fsdp_ops.all_gather
-
-        def counting_init(self, *args, **kwargs):
-            calls["MetaArray"] += 1
-            meta_init(self, *args, **kwargs)
-
-        def counting_gather(*args, **kwargs):
-            calls["all_gather"] += 1
-            return all_gather(*args, **kwargs)
-
-        monkeypatch.setattr(MetaArray, "__init__", counting_init)
-        monkeypatch.setattr(fsdp_ops, "all_gather", counting_gather)
+        calls = count_calls(monkeypatch, (MetaArray, "__init__"),
+                            (fsdp_ops, "all_gather"))
         counts = {}
         for depth in (2, 8):
-            session = Session(_spec((1, 2, 2, 2), depth, fold="on"))
+            session = Session(spec((1, 2, 2, 2), depth=depth, fold="on"))
             calls.clear()
             session.meta_step(0)
             counts[depth] = dict(calls)
-        assert counts[2]["all_gather"] > 0 and counts[2]["MetaArray"] > 0
+        assert counts[2]["all_gather"] > 0 and counts[2]["__init__"] > 0
         assert counts[8] == counts[2]
         # ... while the recorded gathers do scale with depth.
         gathers = sum(1 for s in session.tracer.spans

@@ -16,12 +16,11 @@ import hashlib
 from pathlib import Path
 
 from repro.faults import FaultPlan, FaultSpec, Supervisor
-from repro.models.configs import OrbitConfig
+from tests.invariants import config
 
 DATA_DIR = Path(__file__).parent / "data"
 
-TINY = OrbitConfig("tiny", embed_dim=16, depth=2, num_heads=4, in_vars=3,
-                   out_vars=2, img_height=8, img_width=8, patch_size=4)
+TINY = config(meta=False)
 
 #: Windowed degradations overlapping a crash: the straggler window
 #: (steps 1-2) forces the folded timeline exact, step 3 refolds, the

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, Supervisor
-from repro.models.configs import OrbitConfig
 from repro.nn.grad_scaler import DynamicGradScaler
+from tests.invariants import config
 
-TINY = OrbitConfig("tiny", embed_dim=16, depth=2, num_heads=4, in_vars=3,
-                   out_vars=2, img_height=8, img_width=8, patch_size=4)
+TINY = config(meta=False)
 
 
 def _session(plan=None, **session_kwargs):

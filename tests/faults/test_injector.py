@@ -147,15 +147,13 @@ class TestDegradations:
         estimate replan prices the same degradation with."""
         from repro.parallel.stages import schedule_walltime
         from repro.replan import DegradationProfile
-        from repro.runtime import RunSpec, Session
+        from repro.runtime import Session
         from repro.tune import AnalyticEstimator, Candidate
-        from tests.cluster.test_fold_parity import _config
+        from tests.invariants import spec
 
-        config, M = _config(depth=4), 4
-        session = Session(RunSpec(
-            config=config, num_gpus=16, gpus_per_node=8, pp_size=2,
-            tp_size=2, fsdp_size=2, ddp_size=2, micro_batch=M,
-        ))
+        M = 4
+        session = Session(spec((2, 2, 2, 2), depth=4, micro_batch=M))
+        config = session.config
         injector = FaultInjector(FaultPlan(faults=(
             FaultSpec(kind="straggler", step=0, rank=rank, factor=3.0),
         )))

@@ -8,18 +8,21 @@ transition of the recovery machine those two do not reach — transient
 retry, retry exhausted -> rollback, crash with and without a durable
 checkpoint, node-loss regroup, node loss with no legal shrunken world,
 restart budget exhausted, a fault raised *during* a retry (crash and
-node-loss ladders), the grad-corruption skip and the ``repro replan``
-demo switch — each in meta and, where the fault kind allows, numeric
-mode.  Per cell: the monitor's journal bytes, ``report.as_dict()``
-(recovery events, ledger buckets, history, final spec; floats as
-``float.hex()``) and, for numeric cells, the digest of every persisted
-array.
+node-loss ladders), the grad-corruption skip, the ``repro replan`` demo
+switch and a crash or node loss right after it — each in meta and,
+where the fault kind allows, numeric mode.  Per cell: the monitor's
+journal bytes, ``report.as_dict()`` (recovery events, ledger buckets,
+history, final spec; floats as ``float.hex()``) and, for numeric
+cells, the digest of every persisted array.
 
 It was generated at the parent of the one-recovery-path refactor,
 before the Supervisor was touched.  The one cell that commit could not
 produce is derived: a node loss against an exhausted restart budget
 journaled no ``unrecovered`` event there (the bug the refactor fixed),
-so it is asserted equal in shape to the crash cell instead.
+so it is asserted equal in shape to the crash cell instead.  The two
+``replan-switch-then-*`` cells were added later, generated by this
+module's ``--regen`` at the commit before they were added, with every
+older cell's bytes unchanged.
 
 Regenerate (only for a deliberate change to recovery accounting or
 journal wording, in the same PR)::
@@ -46,7 +49,7 @@ from tests.faults.replan_golden import TINY, state_digest
 GOLDEN = Path(__file__).parent / "data" / "recovery_golden.json"
 
 
-def _meta_spec(**overrides):
+def meta_spec(**overrides):
     base = dict(config=TINY, num_gpus=16, gpus_per_node=8, tp_size=2,
                 fsdp_size=2, ddp_size=4, micro_batch=2, meta=True,
                 monitor="on")
@@ -62,7 +65,7 @@ def _numeric_spec(**overrides):
     return RunSpec(**base)
 
 
-def _numeric_two_nodes():
+def numeric_two_nodes():
     """Eight DDP replicas over two nodes: the numeric world a node loss
     can shrink (the 4-GCD spec is one node)."""
     return _numeric_spec(num_gpus=16, gpus_per_node=8, ddp_size=8)
@@ -111,23 +114,33 @@ _NODE_CELLS = {
 
 _ONE_NODE_LOST = (_plan(dict(kind="node_loss", step=1, rank=0)), {}, 3)
 
+#: A fault right after the demo's migration (its switch lands at step 3).
+_AFTER_THE_SWITCH = {
+    "crash": dict(kind="gpu_crash", step=3, rank=5),
+    "node-loss": dict(kind="node_loss", step=4, rank=9),
+}
+
 
 def cases():
     """name -> (spec, plan, Supervisor kwargs, steps)."""
     out = {}
     for name, (plan, kwargs, steps) in _CELLS.items():
-        out[f"meta/{name}"] = (_meta_spec(), plan, kwargs, steps)
+        out[f"meta/{name}"] = (meta_spec(), plan, kwargs, steps)
         out[f"numeric/{name}"] = (_numeric_spec(), plan, kwargs, steps)
     for name, (plan, kwargs, steps) in _NODE_CELLS.items():
-        out[f"meta/{name}"] = (_meta_spec(), plan, kwargs, steps)
-        out[f"numeric/{name}"] = (_numeric_two_nodes(), plan, kwargs, steps)
+        out[f"meta/{name}"] = (meta_spec(), plan, kwargs, steps)
+        out[f"numeric/{name}"] = (numeric_two_nodes(), plan, kwargs, steps)
     plan, kwargs, steps = _ONE_NODE_LOST
     out["meta/node-loss-no-legal-world"] = (
-        _meta_spec(num_gpus=8, ddp_size=2), plan, kwargs, steps)
+        meta_spec(num_gpus=8, ddp_size=2), plan, kwargs, steps)
     out["numeric/node-loss-no-legal-world"] = (
         _numeric_spec(), plan, kwargs, steps)
     out["meta/replan-demo-switch"] = (
         demo_spec(), demo_plan(), dict(DEMO_SUPERVISOR_KWARGS), DEMO_STEPS)
+    for name, fault in _AFTER_THE_SWITCH.items():
+        out[f"meta/replan-switch-then-{name}"] = (
+            demo_spec(), FaultPlan(faults=(*demo_plan().faults, FaultSpec(**fault))),
+            dict(DEMO_SUPERVISOR_KWARGS), DEMO_STEPS)
     return out
 
 
@@ -146,6 +159,8 @@ EXPECTED_ACTIONS = {
     "node-loss-during-retry": ["elastic_regroup"],
     "node-loss-no-legal-world": ["unrecovered"],
     "replan-demo-switch": ["plan_switch"],
+    "replan-switch-then-crash": ["plan_switch", "rollback_restart"],
+    "replan-switch-then-node-loss": ["plan_switch", "elastic_regroup"],
 }
 
 
@@ -227,6 +242,18 @@ def test_node_loss_against_a_spent_budget_has_the_crash_cells_shape(tmp_path):
     (event,) = got["report"]["events"]
     assert (event["kind"], event["rank"]) == ("node_loss", 1)
     assert "node 0 lost" in event["detail"]
+
+
+def test_a_fault_right_after_the_switch_recovers_into_the_switched_plan():
+    """The crash rolls back to the migration's own archive and resumes
+    on the new plan; the node loss regroups the new plan to one replica."""
+    crash, loss = (_golden()[f"meta/replan-switch-then-{name}"]["report"]
+                   for name in _AFTER_THE_SWITCH)
+    assert crash["recovered"] and loss["recovered"]
+    assert (crash["final_spec"]["grid"], crash["final_spec"]["micro_batch"]) \
+        == ([2, 4, 2, 1], 4)
+    assert (loss["final_spec"]["grid"], loss["final_spec"]["micro_batch"]) \
+        == ([2, 4, 1, 1], 8)
 
 
 def test_the_golden_covers_exactly_the_declared_cells():

@@ -11,10 +11,9 @@ from pathlib import Path
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, Supervisor
-from repro.models.configs import OrbitConfig
+from tests.invariants import config
 
-TINY = OrbitConfig("tiny", embed_dim=16, depth=2, num_heads=4, in_vars=3,
-                   out_vars=2, img_height=8, img_width=8, patch_size=4)
+TINY = config(meta=False)
 
 #: A node loss at step 2, then a crash at step 3 before the next
 #: periodic checkpoint (``repro faults`` runs the same file in CI).
@@ -176,12 +175,9 @@ class TestElasticRegroup:
         replays the node-loss-only run's steps from the same state and
         ends on its history and arrays, bit for bit."""
         from tests.faults.replan_golden import state_digest
-        from tests.faults.test_recovery_golden import (
-            _meta_spec as golden_meta_spec,
-            _numeric_two_nodes,
-        )
+        from tests.faults.test_recovery_golden import meta_spec, numeric_two_nodes
 
-        spec = golden_meta_spec() if mode == "meta" else _numeric_two_nodes()
+        spec = meta_spec() if mode == "meta" else numeric_two_nodes()
         plan = FaultPlan.from_json(REGROUP_THEN_CRASH)
         runs = {}
         for name, faults in (("both", plan.faults), ("loss", plan.faults[:1])):

@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultKind, FaultPlan, FaultSpec, Supervisor
-from repro.models.configs import OrbitConfig
+from tests.invariants import config
 
-TINY = OrbitConfig("tiny", embed_dim=16, depth=2, num_heads=4, in_vars=3,
-                   out_vars=2, img_height=8, img_width=8, patch_size=4)
+TINY = config(meta=False)
 
 WORLD = 16
 STEPS = 6

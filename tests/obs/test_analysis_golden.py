@@ -37,7 +37,7 @@ from repro.obs import (
     run_traced_spec,
     write_trace_events,
 )
-from tests.cluster.test_fold_parity import _run, _spec
+from tests.invariants import drive, spec
 from tests.obs.test_invariants import TRACE_4
 
 GOLDEN = Path(__file__).parent / "data" / "analysis_golden.json"
@@ -51,7 +51,7 @@ BY_RANK = {
 
 
 def _meta(grid, **kwargs):
-    return lambda: _run(_spec(grid, **kwargs))[0].tracer
+    return lambda: drive(spec(grid, **kwargs), None).session.tracer
 
 
 def _numeric_three_steps():

@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.timeline import _ledger_values
-from repro.faults import FaultInjector, FaultPlan, FaultSpec, Supervisor
+from repro.faults import FaultPlan, FaultSpec, Supervisor
 from repro.faults.goodput import GoodputLedger
 from repro.models.configs import OrbitConfig
 from repro.obs import OFF, RunMonitor
 from repro.runtime import RunSpec, Session, StepLoop
+from tests.invariants import drive
 
 TINY = OrbitConfig("tiny", embed_dim=16, depth=2, num_heads=4, in_vars=3,
                    out_vars=2, img_height=8, img_width=8, patch_size=8)
@@ -180,13 +181,8 @@ class TestFoldEvents:
         plan = FaultPlan(faults=(
             FaultSpec(kind="grad_corruption", step=1, rank=2),
         ))
-        spec = _spec(grid=(2, 2, 4), steps=3, fold="on", monitor="on")
-        session = Session(spec)
-        injector = FaultInjector(plan, gpus_per_node=spec.gpus_per_node)
-        session.cluster.attach_injector(injector)
-        for step in range(3):
-            injector.begin_step(step)
-            session.meta_step(step)
+        session = drive(_spec(grid=(2, 2, 4), steps=3, fold="on",
+                              monitor="on"), plan).session
         folds = session.monitor.journal.by_kind("fold")
         assert [(e.step, e.category) for e in folds] == \
             [(1, "exact"), (2, "folded")]

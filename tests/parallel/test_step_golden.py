@@ -23,17 +23,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cluster.timeline import FoldedTimeline, _ledger_values
+from repro.cluster.timeline import FoldedTimeline
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.runtime import RunSpec, Session
-from tests.cluster.test_fold_parity import _config, _run
+from tests.invariants import config, drive, ledgers
 
 GOLDEN = Path(__file__).parent / "data" / "step_golden.json"
 
 
 def _spec(tp, fsdp, ddp, depth=2, **kwargs):
     return RunSpec(
-        config=_config(depth), num_gpus=tp * fsdp * ddp, gpus_per_node=8,
+        config=config(depth), num_gpus=tp * fsdp * ddp, gpus_per_node=8,
         tp_size=tp, fsdp_size=fsdp, ddp_size=ddp, micro_batch=2, **kwargs,
     )
 
@@ -78,14 +78,12 @@ def _digest(text: str) -> str:
 
 
 def run_meta_case(spec, fault_plan) -> dict:
-    session, modes = _run(spec, fault_plan)
+    run = drive(spec, fault_plan)
+    session = run.session
     timeline = session.cluster.timeline
     spans = [s.to_dict() for s in session.tracer.spans]
     out = {
-        "ledgers": [
-            [float(v).hex() for v in _ledger_values(timeline.ledger(rank))]
-            for rank in range(spec.num_gpus)
-        ],
+        "ledgers": ledgers(session),
         "spans": len(spans),
         "span_names": _digest("\n".join(s["name"] for s in spans)),
         "span_stream": _digest(json.dumps(spans, sort_keys=True)),
@@ -95,7 +93,7 @@ def run_meta_case(spec, fault_plan) -> dict:
                                device.memory.live_allocations]
             for device in session.cluster.touched_devices()
         },
-        "folded_after_step": modes,
+        "folded_after_step": run.folded,
         "replicas_built": len(session.engine.trunks),
     }
     if isinstance(timeline, FoldedTimeline):
@@ -149,10 +147,7 @@ def run_numeric_tracked_case() -> dict:
     spans = [s.to_dict() for s in session.tracer.spans]
     return {
         "steps": steps,
-        "ledgers": [
-            [float(v).hex() for v in _ledger_values(timeline.ledger(rank))]
-            for rank in range(NUMERIC_TRACKED_SPEC.num_gpus)
-        ],
+        "ledgers": ledgers(session),
         "span_stream": _digest(json.dumps(spans, sort_keys=True)),
         "next_collective_id": next(timeline._collective_ids),
         "memory": {

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.meta import MetaArray
-from repro.models.configs import OrbitConfig
 from repro.runtime import RunSpec, Session, StepLoop, build_cluster, fabricate_batch
+from tests.invariants import config
 
-TINY = OrbitConfig("tiny", embed_dim=16, depth=2, num_heads=4, in_vars=3,
-                   out_vars=2, img_height=8, img_width=8, patch_size=4)
+TINY = config(meta=False)
 
 
 def _spec(**overrides):

@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.models.configs import ORBIT_115M, OrbitConfig
+from repro.models.configs import ORBIT_115M
 from repro.runtime import (
     RunSpec,
     RunSpecError,
     engine_legality_reason,
     tp_group_spans_nodes,
 )
+from tests.invariants import config
 
-TINY = OrbitConfig("tiny", embed_dim=16, depth=2, num_heads=4, in_vars=3,
-                   out_vars=2, img_height=8, img_width=8, patch_size=4)
+TINY = config(meta=False)
 
 
 class TestValidation:

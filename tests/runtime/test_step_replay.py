@@ -1,31 +1,24 @@
-"""Step replay == executing every step, bitwise.
+"""Step replay: what a replayed meta step may and may not do.
 
 ``Session.meta_step`` executes the engine step once per fold mode under
-a ``Timeline.capture()`` and replays that stream for every later step.
-The oracle is ``Session.execute_meta_step``, which runs every op of
-every step.  Each case runs one spec both ways and demands ``==`` on
-everything a run leaves behind — ledgers by ``float.hex()``, the next
-collective id, the span table row for row, the folded event log, device
-memory trackers and the monitor's journal bytes — with and without a
-fault plan, including faults that raise from inside a replayed step.
-The count tests pin what a replayed step may not do: run an op, price a
-collective, build a ``MetaArray``.
+a ``Timeline.capture()`` and replays that stream for every later step;
+``tests/invariants`` holds it to its oracle, ``execute_meta_step``, over
+the cross product.  The tests here pin the routing — an error raised
+from a replayed step, a fold flip or a raise dropping the stream, pp > 1
+never replaying — and the counts: a replayed step runs no op, prices no
+collective and builds no ``MetaArray``.
 """
-
-import itertools
-from collections import Counter
 
 import pytest
 
 from repro.cluster import collectives
-from repro.cluster.timeline import FoldedTimeline, Timeline, _ledger_values
+from repro.cluster.timeline import Timeline
 from repro.core import fsdp_ops, hybrid_attention
 from repro.faults import FaultError, FaultInjector, FaultPlan, FaultSpec, Supervisor
 from repro.meta import MetaArray
 from repro.nn import ops
 from repro.nn.context import ExecutionContext, execution_context
-from repro.obs import RunMonitor
-from repro.obs import NULL_TRACER, Tracer
+from repro.obs import RunMonitor, Tracer
 from repro.parallel import engine
 from repro.replan.scenario import (
     DEMO_STEPS,
@@ -33,47 +26,18 @@ from repro.replan.scenario import (
     demo_plan,
     demo_spec,
 )
-from repro.runtime import RunSpec, Session, StepLoop
-from tests.cluster.test_fold_parity import _config
-from tests.cluster.test_fold_scaling import ONE_STAGE_PINS
-from tests.cluster.test_fold_scaling import _spec as _pinned_spec
+from repro.runtime import Session
+from tests.cluster.test_fold_scaling import ONE_STAGE_PINS, orbit_1b_spec
+from tests.invariants import (
+    assert_same,
+    count_calls,
+    drive,
+    ledgers,
+    left_behind,
+    spec,
+)
 
 STEPS = 4
-
-#: (tp, fsdp, ddp) on whole 8-GCD nodes; the first two are the replan
-#: demo's layouts before and after its switch.
-GRIDS = [(4, 2, 2), (2, 4, 2), (2, 2, 2), (1, 8, 1), (8, 1, 2)]
-
-#: Every fault lands at step >= 1: with fold off that is a replayed step.
-PLANS = {
-    "clean": (),
-    "straggler": (FaultSpec("straggler", step=1, rank=1, factor=3.0,
-                            duration_steps=2),),
-    "link_degrade": (FaultSpec("link_degrade", step=1, rank=2, factor=2.5,
-                               duration_steps=2),),
-    "timeout": (FaultSpec("collective_timeout", step=2, rank=1),),
-    "gpu_crash": (FaultSpec("gpu_crash", step=1, rank=3),),
-}
-
-#: (recompute, prefetch, track_device_memory, traced): the cases below
-#: walk this cycle, so every combination meets several grids and plans.
-_FLAGS = list(itertools.product((False, True), repeat=4))
-
-CASES = [
-    pytest.param(grid, fold, plan, *_FLAGS[i % len(_FLAGS)],
-                 id=f"{'x'.join(map(str, grid))}-fold_{fold}-{plan}-"
-                    f"{''.join('ny'[flag] for flag in _FLAGS[i % len(_FLAGS)])}")
-    for i, (grid, fold, plan) in enumerate(
-        itertools.product(GRIDS, ("off", "on"), PLANS))
-]
-
-
-def _spec(grid, *, fold="off", depth=3, **policy):
-    tp, fsdp, ddp = grid
-    return RunSpec(
-        config=_config(depth), num_gpus=tp * fsdp * ddp, gpus_per_node=8,
-        tp_size=tp, fsdp_size=fsdp, ddp_size=ddp, micro_batch=2,
-        fold=fold, **policy)
 
 
 def _step_counts(session) -> tuple:
@@ -82,99 +46,29 @@ def _step_counts(session) -> tuple:
             counters.get("runtime.meta_steps_replayed", 0))
 
 
-def _run(spec, faults=(), *, oracle=False, traced=True, steps=STEPS):
-    """Drive ``steps`` monitored steps; a step that raises is retried in
-    place, as the Supervisor retries a transient fault.  Returns the
-    session and every error as ``(step, type, message, ledgers)``."""
-    session = Session(spec, tracer=Tracer() if traced else NULL_TRACER,
-                      monitor=RunMonitor())
-    injector = FaultInjector(FaultPlan(faults=tuple(faults)),
-                             gpus_per_node=spec.gpus_per_node)
-    session.cluster.attach_injector(injector)
-    step_fn = session.execute_meta_step if oracle else session.meta_step
-    loop = StepLoop(step_fn, hooks=session.loop_hooks())
-    errors = []
-    for step in range(steps):
-        injector.begin_step(step)
-        try:
-            loop.run_step()
-        except FaultError as err:
-            errors.append((step, type(err), str(err), _ledgers(session)))
-            loop.run_step()
-    return session, errors
-
-
-def _ledgers(session) -> list:
-    timeline = session.cluster.timeline
-    return [[float(v).hex() for v in _ledger_values(timeline.ledger(rank))]
-            for rank in range(session.cluster.world_size)]
-
-
-def _left_behind(session) -> dict:
-    """Everything a run leaves that a later reader could tell apart."""
-    timeline = session.cluster.timeline
-    left = {
-        "ledgers": _ledgers(session),
-        "next_cid": next(timeline._collective_ids),
-        "spans": session.tracer.spans,
-        "memory": {device.rank: (device.memory.peak_bytes,
-                                 device.memory.live_allocations)
-                   for device in session.cluster.touched_devices()},
-        "journal": session.monitor.journal.to_jsonl(),
-    }
-    if isinstance(timeline, FoldedTimeline):
-        left["folded"] = timeline.folded
-        left["log"] = timeline._log
-    return left
-
-
-def _assert_same(replayed: dict, oracle: dict) -> None:
-    assert replayed.keys() == oracle.keys()
-    for key in oracle:  # one field at a time, for a readable failure
-        assert replayed[key] == oracle[key], key
-
-
-@pytest.mark.parametrize(
-    "grid, fold, plan, recompute, prefetch, track_memory, traced", CASES)
-def test_replayed_run_equals_the_every_op_oracle(
-        grid, fold, plan, recompute, prefetch, track_memory, traced):
-    spec = _spec(grid, fold=fold, recompute=recompute, prefetch=prefetch,
-                 track_device_memory=track_memory)
-    oracle, oracle_errors = _run(spec, PLANS[plan], oracle=True, traced=traced)
-    replayed, errors = _run(spec, PLANS[plan], traced=traced)
-    assert replayed.fold_decision.folded is (fold == "on")
-    # Same type, same message, same ledgers at the moment of the raise.
-    assert errors == oracle_errors
-    assert len(errors) == (plan in ("timeout", "gpu_crash"))
-    _assert_same(_left_behind(replayed), _left_behind(oracle))
-    if traced:  # the counters count completed steps, not attempts
-        assert _step_counts(oracle) == (STEPS, 0)
-        executed, replays = _step_counts(replayed)
-        assert executed + replays == STEPS
-        if fold == "off":
-            # One execution; every fault landed on a replayed step.
-            assert (executed, replays) == (1, STEPS - 1)
-        elif plan == "clean":
-            assert (executed, replays) == (1, STEPS - 1)
-        else:
-            assert executed > 1  # every fold flip re-captures
+def _run(spec, faults=(), *, oracle=False):
+    """``STEPS`` traced, monitored steps; a raise is retried in place."""
+    return drive(spec, faults,
+                 Session.execute_meta_step if oracle else Session.meta_step,
+                 tracer=Tracer(), monitor=RunMonitor(), steps=STEPS)
 
 
 def test_an_error_from_a_replayed_step_is_the_executed_one():
     """Every crash-class kind, raised by ``timeline.replay`` at the
     event the executing engine would have reached, with the ledger
     prefix it would have left; the retry replays again."""
-    spec = _spec((2, 2, 2))
+    run_spec = spec((2, 2, 2), depth=3)
     for kind in ("collective_timeout", "gpu_crash", "node_loss"):
         for op in (None, "all_reduce", "dense_grad_sync"):
             fault = FaultSpec(kind, step=2, rank=5, op=op)
-            oracle, want = _run(spec, (fault,), oracle=True)
-            replayed, got = _run(spec, (fault,))
-            assert got == want and len(got) == 1, (kind, op)
+            oracle = _run(run_spec, (fault,), oracle=True)
+            replayed = _run(run_spec, (fault,))
+            got = replayed.errors
+            assert got == oracle.errors and len(got) == 1, (kind, op)
             step, _, message, _ = got[0]
             assert step == 2 and (op is None or f"op {op!r}" in message)
-            assert _step_counts(replayed) == (1, STEPS - 1)
-            assert _ledgers(replayed) == _ledgers(oracle)
+            assert _step_counts(replayed.session) == (1, STEPS - 1)
+            assert ledgers(replayed.session) == ledgers(oracle.session)
 
 
 def test_a_replayed_raise_has_no_stack_to_unwind():
@@ -183,40 +77,34 @@ def test_a_replayed_raise_has_no_stack_to_unwind():
     out, which a traced run records as zero-duration ``free.*`` markers
     *after* the fault.  A fault that names an op fired while a gather
     is held shows it; everything else stays ``==``."""
-    spec = _spec((2, 2, 2), track_device_memory=False)
+    run_spec = spec((2, 2, 2), depth=3, track_device_memory=False)
     fault = FaultSpec("collective_timeout", step=2, rank=1, op="reduce_scatter")
-    oracle, want = _run(spec, (fault,), oracle=True)
-    replayed, got = _run(spec, (fault,))
-    assert got == want and len(got) == 1
-    theirs, mine = _left_behind(oracle), _left_behind(replayed)
-    mine_rows = set(mine["spans"]._rows)
-    unwound = [row for row in theirs.pop("spans")._rows if row not in mine_rows]
+    theirs = left_behind(_run(run_spec, (fault,), oracle=True))
+    mine = left_behind(_run(run_spec, (fault,)))
+    assert len(mine["errors"]) == 1
+    mine_rows = set(mine["spans"])
+    unwound = [row for row in theirs["spans"] if row not in mine_rows]
     assert unwound and all(
         kind == "gather" and name.startswith("free.") and dur == 0.0
         for kind, name, _, _, dur, *_ in unwound)
-    kept = [row for row in oracle.tracer.spans._rows if row not in unwound]
-    assert kept == mine.pop("spans")._rows
-    _assert_same(mine, theirs)
+    theirs["spans"] = [row for row in theirs["spans"] if row not in unwound]
+    assert_same(mine, theirs)
 
 
 def test_a_pipelined_session_never_replays():
     """``pipeline.stall`` seconds are read back from the ledgers, so a
     pp > 1 step is not a function of the spec alone."""
-    spec = RunSpec(config=_config(4), num_gpus=16, gpus_per_node=8, pp_size=2,
-                   tp_size=2, fsdp_size=2, ddp_size=2, micro_batch=2)
-    session, _ = _run(spec)
+    session = _run(spec((2, 2, 2, 2), depth=4)).session
     assert not session.engine.step_stream_is_invariant
     assert session._step_stream is None
     assert _step_counts(session) == (STEPS, 0)
-    oracle, _ = _run(spec, oracle=True)
-    _assert_same(_left_behind(session), _left_behind(oracle))
 
 
 def test_a_fold_flip_drops_the_stream():
     """A grad-corruption fault at step 2 unfolds step 2 and lets step 3
     refold: three captures, and step 1 the only replay."""
     fault = FaultSpec("grad_corruption", step=2, rank=1)
-    session = Session(_spec((2, 2, 2), fold="on"))
+    session = Session(spec((2, 2, 2), depth=3, fold="on"))
     injector = FaultInjector(FaultPlan(faults=(fault,)))
     session.cluster.attach_injector(injector)
     streams, modes = [], []
@@ -236,7 +124,7 @@ def test_a_fold_flip_drops_the_stream():
 
 def test_a_step_that_raised_leaves_no_stream():
     fault = FaultSpec("collective_timeout", step=0, rank=1, op="all_reduce")
-    session = Session(_spec((2, 2, 2)))
+    session = Session(spec((2, 2, 2), depth=3))
     injector = FaultInjector(FaultPlan(faults=(fault,)))
     session.cluster.attach_injector(injector)
     injector.begin_step(0)
@@ -252,27 +140,14 @@ def test_a_step_that_raised_leaves_no_stream():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts calls into the per-op machinery a replay must not reach."""
-    counts = Counter()
-
-    def counted(owner, name):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(ops, "_binary")
-    # ``all_reduce`` is imported by name: count it where it is called.
-    for caller in (collectives, fsdp_ops, hybrid_attention, engine):
-        counted(caller, "all_reduce")
-    counted(fsdp_ops, "gather_param")
-    counted(MetaArray, "__init__")
-    # FoldedTimeline inherits record_comm (it overrides only the landing).
-    counted(Timeline, "record_comm")
-    return counts
+    """Counts calls into the per-op machinery a replay must not reach.
+    ``all_reduce`` is imported by name: it is counted where it is called.
+    FoldedTimeline inherits record_comm (it overrides only the landing)."""
+    return count_calls(
+        monkeypatch, (ops, "_binary"), (fsdp_ops, "gather_param"),
+        (MetaArray, "__init__"), (Timeline, "record_comm"),
+        *((caller, "all_reduce")
+          for caller in (collectives, fsdp_ops, hybrid_attention, engine)))
 
 
 @pytest.mark.parametrize("grid, fold, comms_per_step", ONE_STAGE_PINS.values(),
@@ -280,7 +155,7 @@ def calls(monkeypatch):
 def test_a_replayed_step_runs_no_op(calls, grid, fold, comms_per_step):
     """N steps execute once; the rest reach the timeline and nothing
     above it, with the collective count the executed step has."""
-    session = Session(_pinned_spec(grid, fold=fold))
+    session = Session(orbit_1b_spec(grid, fold=fold))
     session.meta_step(0)
     assert calls.pop("record_comm") == comms_per_step
     assert all(calls[name] for name in
@@ -297,7 +172,7 @@ def test_a_one_step_session_pays_one_extend_per_depth_capture():
     each depth replay is one by-reference entry, and each depth capture
     lands in the step's stream once, when it closes."""
     depth = 5
-    session = Session(_spec((2, 2, 2), depth=depth))
+    session = Session(spec((2, 2, 2), depth=depth))
     session.meta_step(0)
     _, events, _, _ = session._step_stream
     replays = [entry for entry in events if entry[0] == "replay"]
@@ -312,10 +187,10 @@ def test_a_one_step_session_pays_one_extend_per_depth_capture():
 
 
 def test_enclosing_contexts_see_the_replayed_flops():
-    spec = _spec((2, 2, 2), recompute=True)
+    run_spec = spec((2, 2, 2), depth=3, recompute=True)
     totals = []
     for oracle in (True, False):
-        session = Session(spec)
+        session = Session(run_spec)
         step_fn = session.execute_meta_step if oracle else session.meta_step
         outer = ExecutionContext()
         with execution_context(outer):

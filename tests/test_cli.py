@@ -510,3 +510,27 @@ class TestMonitorCommand:
     def test_plan_and_random_are_mutually_exclusive(self, capsys):
         assert main(["monitor", "--plan", self.PLAN, "--random", "7"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
+
+
+class TestReplanCompare:
+    """The demo straggler plus one fault: both runs commit the same
+    steps, and replan=on finishes them sooner.  Its goodput fraction
+    can still be the lower one (a fixed fault cost weighs more against
+    its faster plan's useful seconds), so the verdict is walltime."""
+
+    @pytest.mark.parametrize("fault", [
+        {"kind": "gpu_crash", "step": 3, "rank": 5},
+        {"kind": "collective_timeout", "step": 4, "rank": 3},
+        {"kind": "node_loss", "step": 4, "rank": 9},
+    ], ids=lambda fault: fault["kind"])
+    def test_a_fault_on_top_of_the_demo_is_still_a_win(self, fault, tmp_path,
+                                                       capsys):
+        demo = json.load(open("examples/replan_straggler.json"))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(dict(demo, faults=[*demo["faults"], fault])))
+        assert main(["replan", "--quiet", "--compare", "--plan", str(plan)]) == 0
+        out = capsys.readouterr()
+        on, off = out.out.splitlines()[:2]
+        assert on.startswith("replan=on : 16 step(s)")
+        assert off.startswith("replan=off: 16 step(s)")
+        assert "no goodput win" not in out.err

@@ -34,7 +34,7 @@ PROFILE = DegradationProfile(
 DEGRADED_STRIDE = 7
 
 
-def _hexes(estimate) -> list[str]:
+def hexes(estimate) -> list[str]:
     return [float(getattr(estimate, name)).hex() for name in FIELDS]
 
 
@@ -46,9 +46,9 @@ def compute_estimates() -> dict:
         request.config, request.num_gpus, request.gpus_per_node)
     return {
         "fields": list(FIELDS),
-        "clean": {c.label(): _hexes(estimator.estimate(c))
+        "clean": {c.label(): hexes(estimator.estimate(c))
                   for c in candidates},
-        "degraded": {c.label(): _hexes(estimator.estimate(c, PROFILE))
+        "degraded": {c.label(): hexes(estimator.estimate(c, PROFILE))
                      for c in candidates[::DEGRADED_STRIDE]},
     }
 

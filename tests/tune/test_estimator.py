@@ -169,7 +169,7 @@ def test_the_tune_4d_sweep_executes_one_block_per_layout(calls):
 def test_a_degraded_estimate_still_walks_every_event(calls):
     """Re-pricing runs through the profile injector, so it stays on the
     event walk — depth times the block streams — and on its golden."""
-    from tests.tune.test_estimates_golden import GOLDEN, PROFILE, _hexes
+    from tests.tune.test_estimates_golden import GOLDEN, PROFILE, hexes
 
     candidate = enumerate_space(TuneRequest(
         _ORBIT_1B, 32, micro_batches=(2, 4), pp_sizes=(1, 2))).candidates[7]
@@ -186,4 +186,4 @@ def test_a_degraded_estimate_still_walks_every_event(calls):
     assert calls["record"] == closed_form + _ORBIT_1B.depth * per_block
     assert degraded != clean
     golden = json.loads(GOLDEN.read_text())["degraded"]
-    assert _hexes(degraded) == golden[candidate.label()]
+    assert hexes(degraded) == golden[candidate.label()]
