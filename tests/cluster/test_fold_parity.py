@@ -4,7 +4,8 @@ The folded timeline's contract is *bitwise* equality with the exact
 run: ``expand()`` of the folded event log reproduces the exact-mode
 per-rank ledgers, the full span list and the step walltime
 float-for-float.  The ``fold`` pair in ``tests/invariants`` pins that
-over the cross product; the fault cases here pin the exact-fallback
+over the cross product; the cases here pin it on randomized 3D specs
+and 4D grids up to 32 GCDs, and the fault cases pin the exact-fallback
 machinery (a fault singles out one rank, so its step must run unfolded,
 and a timing fault must keep the run unfolded afterwards), bitwise
 against an exact run of the same plan through the same pair.
@@ -13,12 +14,49 @@ against an exact run of the same plan through the same pair.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.timeline import FoldedTimeline, _ledger_values
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.runtime import RunSpec, Session
-from tests.invariants import assert_same, config, drive, left_behind, spec
-from tests.invariants.registry import expanded
+from tests.invariants import config, drive, spec
+from tests.invariants.registry import Draw, check, meets
+
+#: Whole-node (8-GCD) grids up to 32 GCDs; tp=8 exercises the
+#: sub-head sharding regime (num_heads=4 < tp).
+LEGAL_GRIDS = sorted(
+    (tp, fsdp, ddp)
+    for tp in (1, 2, 4, 8)
+    for fsdp in (1, 2, 4, 8)
+    for ddp in (1, 2, 4, 8)
+    if tp * fsdp * ddp in (8, 16, 32)
+)
+
+#: 4D whole-node grids: a non-trivial stage axis on top of every 3D
+#: sub-shape, worlds of 8-32 GCDs.  Folding requires uniform
+#: pipeline-boundary links, so a multi-node grid must cut stages at
+#: node boundaries (stage size a multiple of 8); single-node worlds
+#: are uniform trivially.
+LEGAL_GRIDS_4D = sorted(
+    (pp, tp, fsdp, ddp)
+    for pp in (2, 4, 8)
+    for tp in (1, 2)
+    for fsdp in (1, 2)
+    for ddp in (1, 2, 4)
+    if pp * tp * fsdp * ddp in (8, 16, 32)
+    and (pp * tp * fsdp * ddp == 8 or (tp * fsdp * ddp) % 8 == 0)
+)
+
+
+def _check_folded(grid, **kwargs):
+    """The ``fold`` pair on a folded, fault-free run: ``expand()`` of the
+    folded log against the exact run, folded at every step."""
+    folded, _ = check(Draw(grid, fold="on", monitored=False, **kwargs),
+                      pairs=("fold",))
+    assert folded.session.fold_decision.folded, \
+        folded.session.fold_decision.reason
+    assert all(folded.folded)
 
 
 def _run(run_spec, fault_plan=()):
@@ -31,11 +69,26 @@ def _assert_folds_to_exact(grid, plan, **kwargs):
     returns the folded run's mode per step."""
     exact = drive(spec(grid, fold="off", **kwargs), plan)
     folded = drive(spec(grid, fold="on", **kwargs), plan)
-    assert_same(*expanded(folded, exact, left_behind(folded), left_behind(exact)))
+    meets("fold", folded, exact)
     return folded.folded
 
 
 class TestFoldedExactParity:
+    @given(
+        grid=st.sampled_from(LEGAL_GRIDS),
+        micro_batch=st.integers(min_value=1, max_value=3),
+        depth=st.integers(min_value=1, max_value=4),
+        prefetch=st.booleans(),
+        recompute=st.booleans(),
+        num_steps=st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_folded_run_is_bitwise_equal_to_exact(
+        self, grid, micro_batch, depth, prefetch, recompute, num_steps
+    ):
+        _check_folded((1, *grid), micro_batch=micro_batch, depth=depth,
+                      prefetch=prefetch, recompute=recompute, steps=num_steps)
+
     def test_auto_mode_folds_when_eligible(self):
         """``fold="on"`` folds an eligible run automatically."""
         session = Session(spec((2, 2, 4), fold="on"))
@@ -66,7 +119,31 @@ class TestFoldedExactParity:
 
 class TestFoldedPipelineParity:
     """The stage coordinate joins the fold ClassKey; folding needs
-    uniform pipeline-boundary links."""
+    uniform pipeline-boundary links, at any stage count."""
+
+    @given(
+        grid=st.sampled_from(LEGAL_GRIDS_4D),
+        micro_batch=st.integers(min_value=1, max_value=2),
+        extra_depth=st.integers(min_value=0, max_value=1),
+        prefetch=st.booleans(),
+        num_steps=st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_folded_4d_run_is_bitwise_equal_to_exact(
+        self, grid, micro_batch, extra_depth, prefetch, num_steps
+    ):
+        _check_folded(grid, micro_batch=micro_batch,
+                      depth=grid[0] + extra_depth, prefetch=prefetch,
+                      steps=num_steps)
+
+    @pytest.mark.parametrize("grid", [
+        (2, 1, 2, 4),   # 16 GCDs, one node per stage
+        (4, 1, 2, 4),   # 32 GCDs, one node per stage
+        (8, 1, 1, 1),   # 8 stages inside a single node
+    ])
+    def test_fold_parity_across_stage_counts(self, grid):
+        """Node-aligned cuts at every pipeline depth stay bitwise."""
+        _check_folded(grid, depth=8, steps=1)
 
     def test_non_uniform_boundaries_refuse_to_fold(self):
         """pp=4 over two 8-GCD nodes cuts stages mid-node: boundary

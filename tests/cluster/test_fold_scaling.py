@@ -4,9 +4,9 @@ A folded run must do work proportional to its symmetry *classes*, not
 to group size or world size: every rank group's link spec is priced
 once, memory is registered on the class representatives only, and
 devices exist only once somebody asks for them.  The same code serves
-exact mode (``tracked_ranks == ranks``); the ``fold`` pair in
-``tests/invariants`` holds a run that unfolds mid-way to a never-folded
-one, tracker by tracker.
+exact mode (``tracked_ranks == ranks``), so a run that unfolds mid-way
+must leave every tracker exactly as a never-folded run does; the
+``fold`` pair in ``tests/invariants`` holds each such run to it.
 """
 
 from collections import Counter
@@ -15,11 +15,13 @@ import pytest
 
 from repro.cluster.timeline import Timeline
 from repro.cluster.topology import FrontierTopology
+from repro.faults.plan import FaultKind, FaultSpec
 from repro.memory.tracker import MemoryTracker
 from repro.models import PAPER_MODELS
 from repro.parallel.engine import HybridSTOPEngine
 from repro.runtime import RunSpec
 from tests.invariants import count_calls, drive
+from tests.invariants.registry import meets
 
 #: (pp, tp, fsdp, ddp) on whole 8-GCD nodes; the pipelined grid cuts
 #: its stages at node boundaries (fold eligibility).
@@ -87,6 +89,40 @@ def test_memory_work_is_class_sized(allocate_calls, base):
         counts[label] = (allocate_calls["allocate"], _touched(session))
     assert counts["ddp x2"] == counts["base"]
     assert counts["fsdp x2"] == counts["base"]
+
+
+@pytest.mark.parametrize("kind", [FaultKind.STRAGGLER, FaultKind.GRAD_CORRUPTION],
+                         ids=["stays-exact", "refolds"])
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+def test_unfold_backfills_trackers_to_the_never_folded_state(grid, kind):
+    """A fault at step 1 of 3 unfolds the run; from then on every
+    device's tracker must read as if the run had never folded."""
+    plan = (FaultSpec(kind, step=1, rank=5, factor=2.0),)
+    exact = drive(orbit_1b_spec(grid, fold="off", num_steps=3), plan)
+    folded = drive(orbit_1b_spec(grid, fold="on", num_steps=3), plan)
+    assert folded.folded[:2] == [True, False]
+    assert folded.folded[2] is (kind is FaultKind.GRAD_CORRUPTION)
+    meets("fold", folded, exact)
+    for rank in range(exact.session.cluster.world_size):
+        want = exact.session.cluster.device(rank).memory
+        got = folded.session.cluster.device(rank).memory
+        assert got.category_current("params") == want.category_current("params"), rank
+        assert got.peak_bytes == want.peak_bytes, rank
+        assert got.live_allocations == want.live_allocations, rank
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+def test_folded_results_stay_bitwise_equal_to_exact(grid):
+    """Sparse devices/ledgers and narrowed registration move no number:
+    ledgers, ``expand()`` spans, walltime and peak memory stay ``==``."""
+    exact = drive(orbit_1b_spec(grid, fold="off", num_steps=2))
+    folded = drive(orbit_1b_spec(grid, fold="on", num_steps=2))
+    assert all(folded.folded)
+    meets("fold", folded, exact)
+    # Folded, no per-rank ledger was built and most devices never asked for.
+    assert not folded.session.cluster.timeline._ledgers
+    assert _touched(folded.session) < _touched(exact.session) == \
+        exact.session.cluster.world_size
 
 
 #: (pp, tp, fsdp, ddp), fold -> ``record_comm`` calls per step, counted

@@ -4,15 +4,17 @@ On shape-only inputs :class:`~repro.core.hybrid_block.HybridSTOPTrunk`
 executes one block per direction and replays its captured event stream
 for the rest.  The ``depth-replay`` pair in ``tests/invariants`` holds
 it to the trunk's own ``forward_every_block`` / ``backward_every_block``
-over the cross product.  The tests here pin the routing (numeric inputs
-never capture, an odd depth splits stages unevenly), that a fault lands
-in replayed blocks exactly as in executed ones, and that the work per
-step does not grow with depth.
+over the cross product; the cases here pin that pair on random 3D and
+two-stage specs, an uneven stage split and faults landing in replayed
+blocks.  The rest pin the routing (numeric inputs never capture) and
+that the work per step does not grow with depth.
 """
 
 from contextlib import nullcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.timeline import _ledger_values
 from repro.core import fsdp_ops
@@ -21,6 +23,31 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.meta import MetaArray
 from repro.runtime import RunSpec, Session
 from tests.invariants import config, count_calls, drive, every_block, spec
+from tests.invariants.registry import Draw, check, run
+
+#: Whole-node 3D grids up to 32 GCDs, then the two-stage grids that cut
+#: stages at node boundaries (or share one node): per-stage trunks.
+GRIDS = sorted(
+    (1, tp, fsdp, ddp)
+    for tp in (1, 2, 4, 8) for fsdp in (1, 2, 4, 8) for ddp in (1, 2, 4, 8)
+    if tp * fsdp * ddp in (8, 16, 32)
+) + sorted(
+    (2, tp, fsdp, ddp)
+    for tp in (1, 2) for fsdp in (1, 2) for ddp in (1, 2, 4)
+    if 2 * tp * fsdp * ddp in (8, 16, 32)
+    and (2 * tp * fsdp * ddp == 8 or (tp * fsdp * ddp) % 8 == 0)
+)
+
+
+def _check(draw):
+    """The ``depth-replay`` pair on ``draw``; returns the replayed run,
+    after checking no block keeps a cache past its step."""
+    replayed, _ = check(draw, pairs=("depth-replay",))
+    for trunk in replayed.session.engine.trunks:
+        for block in trunk.blocks:
+            assert block._cache is None
+            assert all(m._cache is None for m in block.submodules)
+    return replayed
 
 
 def _memory(session) -> dict:
@@ -33,10 +60,34 @@ def _memory(session) -> dict:
 
 
 class TestReplayEqualsEveryBlock:
-    def test_an_odd_depth_splits_stages_unevenly(self):
+    @given(
+        grid=st.sampled_from(GRIDS),
+        extra_depth=st.integers(min_value=0, max_value=4),
+        prefetch=st.booleans(),
+        recompute=st.booleans(),
+        layer_wrapping=st.booleans(),
+        fold=st.sampled_from(["off", "on"]),
+        traced=st.booleans(),
+        num_steps=st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_specs(self, grid, extra_depth, prefetch, recompute,
+                          layer_wrapping, fold, traced, num_steps):
+        # depth 1-5 at pp=1, 2-6 at pp=2 (odd depths split unevenly).
+        _check(Draw(grid, depth=grid[0] + extra_depth, fold=fold,
+                    steps=num_steps, prefetch=prefetch, recompute=recompute,
+                    layer_wrapping=layer_wrapping, traced=traced,
+                    monitored=False))
+
+    @pytest.mark.parametrize("fold", ["off", "on"])
+    @pytest.mark.parametrize("recompute", [False, True])
+    def test_uneven_stage_split(self, fold, recompute):
         """Depth 3 at pp=2: a two-block trunk replays, a one-block one
         has nothing to replay, and block names stay global."""
-        session = drive(spec((2, 2, 2, 2), depth=3)).session
+        session = _check(Draw((2, 2, 2, 2), depth=3, fold=fold,
+                              recompute=recompute, steps=2,
+                              monitored=False)).session
+        assert session.fold_decision.folded is (fold == "on")
         stages = session.engine.trunks[0].stage_trunks
         assert sorted(len(t.blocks) for t in stages) == [1, 2]
         names = {s.name for s in session.tracer.spans}
@@ -56,6 +107,29 @@ class TestFaultsInReplayedBlocks:
     """The injector sees every replayed event (captured seconds are
     pre-injector), so a fault landing in a block that was never executed
     stretches — or corrupts — exactly what it would have."""
+
+    # Rank 5 computes in every block; on the faulted steps most of its
+    # events come from replayed blocks (depth 4: three of four).
+    PLANS = {
+        "straggler": FaultSpec(FaultKind.STRAGGLER, step=1, rank=5, factor=2.0),
+        "link-degrade": FaultSpec(FaultKind.LINK_DEGRADE, step=1, rank=3,
+                                  factor=3.0, duration_steps=2),
+        "grad-corruption": FaultSpec(FaultKind.GRAD_CORRUPTION, step=1, rank=2),
+    }
+
+    @pytest.mark.parametrize("fold", ["off", "on"])
+    @pytest.mark.parametrize("name", PLANS)
+    def test_degradations_and_corruption(self, name, fold):
+        draw = Draw((1, 2, 2, 4), depth=4, fold=fold, steps=3,
+                    monitored=False, faults=(self.PLANS[name],))
+        replayed = _check(draw).session
+        if name != "grad-corruption":
+            rank = self.PLANS[name].rank
+            clean = run(Draw(draw.grid, depth=4, fold=fold, steps=3,
+                             monitored=False)).session.cluster.timeline
+            faulted = replayed.cluster.timeline.ledger(rank)
+            assert (faulted.compute_s, faulted.comm_s) > \
+                (clean.ledger(rank).compute_s, clean.ledger(rank).comm_s)
 
     def test_stretched_events_lie_in_replayed_blocks(self):
         """Every block's spans on the straggling rank are stretched by

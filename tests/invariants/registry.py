@@ -7,7 +7,9 @@ its fast path switched off, and ``compare`` projects both runs'
 ``left_behind`` onto what that path promises, to be ``==`` field by
 field.  ``EXCEPTIONS`` names the paths that are not exact: the pairs a
 row covers, a predicate on the draw, and ``allow``, which asserts the
-bound on what differs before removing it.
+bound on what differs before removing it.  The feature suites pin their
+hand-picked cases through the same rows: ``check(draw, pairs=...)`` on
+one draw, or ``meets(name, fast, oracle)`` on two runs driven by hand.
 """
 
 import json
@@ -216,6 +218,7 @@ PAIRS = (
     Pair("pipeline", lambda d: not d.meta and d.grid[0] > 1, one_stage,
          numerics),
 )
+PAIRS_BY_NAME = {pair.name: pair for pair in PAIRS}
 
 
 # -- named exceptions ----------------------------------------------------------
@@ -280,26 +283,45 @@ EXCEPTIONS = (
 )
 
 
-def check(draw: Draw) -> set:
-    """Every applicable pair on one fast run; returns the names of the
-    exceptions that fired, or raises one error naming every pair that
-    failed and the draw."""
+def _meets(pair, fast, oracle, left, draw) -> set:
+    """``fast`` against ``oracle`` through ``pair``'s projection; returns
+    the named exceptions (those whose predicate holds on ``draw``) that
+    fired, or raises the first field that differs."""
+    got, want = pair.compare(fast, oracle, left, left_behind(oracle))
+    fired = set()
+    for row in EXCEPTIONS:
+        if draw is not None and pair.name in row.pairs and row.when(draw) \
+                and row.allow(fast, oracle, got, want):
+            fired.add(row.name)
+    assert_same(got, want)
+    return fired
+
+
+def meets(name: str, fast: Run, oracle: Run) -> None:
+    """Pair ``name`` on two runs driven by hand (no draw, so no named
+    exception applies)."""
+    _meets(PAIRS_BY_NAME[name], fast, oracle, left_behind(fast), None)
+
+
+def check(draw: Draw, pairs=None) -> tuple:
+    """Every applicable pair on one fast run (only those named in
+    ``pairs``, which must apply); returns the fast run and the names of
+    the exceptions that fired, or raises one error naming every pair
+    that failed and the draw."""
+    if pairs is not None:
+        assert all(PAIRS_BY_NAME[name].applies(draw) for name in pairs), \
+            f"{pairs} for {draw}"
     fast = run(draw)
     left = left_behind(fast)
     fired, failed = set(), []
     for pair in PAIRS:
-        if not pair.applies(draw):
+        if not pair.applies(draw) or (pairs is not None and
+                                      pair.name not in pairs):
             continue
-        oracle = pair.oracle(draw)
-        got, want = pair.compare(fast, oracle, dict(left), left_behind(oracle))
         try:
-            for row in EXCEPTIONS:
-                if pair.name in row.pairs and row.when(draw) and \
-                        row.allow(fast, oracle, got, want):
-                    fired.add(row.name)
-            assert_same(got, want)
+            fired |= _meets(pair, fast, pair.oracle(draw), dict(left), draw)
         except AssertionError as error:
             reason = str(error).split("\n", 1)[0]
             failed.append(f"{pair.name}: {reason}")
     assert not failed, f"{'; '.join(failed)} for {draw}"
-    return fired
+    return fast, fired

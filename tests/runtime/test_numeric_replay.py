@@ -2,14 +2,15 @@
 
 ``Session.numeric_step`` runs a signature's first step per-op, records
 the kernels and the timeline stream of its next replayable one, and
-replays both for every later replayable step; ``tests/invariants``
-holds it to its oracle, ``execute_numeric_step``, over grids, engine
-policies, bf16, a grad scaler and every fault kind.  The cases here
-drive both through what the registry's draws do not: a plan that opens
-on a touched step, a scale that overflows mid-run, a resume into the
-same session, an unclassifiable signature.  The count tests read the
-session's registry (``runtime.numeric_steps_*``) and pin what a
-replayed step may not call.
+replays both for every later replayable step; the
+``numeric-step-replay`` pair in ``tests/invariants`` holds it to its
+oracle, ``execute_numeric_step``.  The first cases pin that pair on
+every grid of one node, each engine policy both ways, bf16, a grad
+scaler and every fault kind.  The rest drive both through what the
+registry's draws do not: a plan that opens on a touched step, a scale
+that overflows mid-run, a resume into the same session, an
+unclassifiable signature.  The count tests read the session's registry
+(``runtime.numeric_steps_*``) and pin what a replayed step may not call.
 """
 
 import numpy as np
@@ -24,8 +25,19 @@ from repro.runtime import Session
 from repro.train import distributed
 from repro.train.distributed import DistributedTrainer
 from tests.invariants import assert_same, count_calls, drive, left_behind, spec
+from tests.invariants.registry import Draw, check
 
 STEPS = 4
+
+#: grid -> (recompute, prefetch, layer_wrapping, track_device_memory,
+#: bf16): each policy meets both of its values across the grids.
+CASES = {
+    (2, 2, 2): (False, False, True, False, False),
+    (1, 4, 2): (True, True, False, True, False),
+    (2, 1, 4): (False, True, True, False, True),
+    (2, 4, 1): (True, False, True, True, True),
+    (1, 1, 8): (False, False, False, True, True),
+}
 
 
 def _spec(grid=(1, 2, 2, 2), **policy):
@@ -56,6 +68,45 @@ def _assert_replay_is_the_oracle(run_spec, faults=(), **kwargs):
     assert executed + replays == STEPS and fallbacks == 0
     assert replayed.modes.count("replayed") == replays
     return replayed.session, replayed.modes
+
+
+def _check(draw) -> list:
+    """The ``numeric-step-replay`` pair on ``draw``: per-step loss and
+    digests, errors and everything left behind ``==``; returns how each
+    step ran, after the counters agree with it."""
+    run, _ = check(draw, pairs=("numeric-step-replay",))
+    executed, replays, fallbacks = _counts(run.session)
+    assert executed + replays == STEPS and fallbacks == 0
+    assert run.modes.count("replayed") == replays
+    return run.modes
+
+
+@pytest.mark.parametrize("grid", CASES, ids=lambda grid: "x".join(map(str, grid)))
+def test_replayed_steps_equal_the_every_op_oracle(grid):
+    recompute, prefetch, layer_wrapping, track_memory, bf16 = CASES[grid]
+    modes = _check(Draw(
+        (1, *grid), meta=False, steps=STEPS, monitored=False,
+        recompute=recompute, prefetch=prefetch, layer_wrapping=layer_wrapping,
+        track_device_memory=track_memory, bf16=bf16))
+    # The first step runs plain, the second records, the rest replay.
+    assert modes == ["executed", "executed"] + ["replayed"] * (STEPS - 2)
+
+
+@pytest.mark.parametrize("fault", [
+    FaultSpec("straggler", step=2, rank=1, factor=3.0, duration_steps=1),
+    FaultSpec("link_degrade", step=2, rank=2, factor=2.5, duration_steps=1),
+    FaultSpec("collective_timeout", step=2, rank=1, op="all_gather"),
+    FaultSpec("gpu_crash", step=2, rank=3),
+    FaultSpec("node_loss", step=2, rank=5),
+    FaultSpec("grad_corruption", step=2, rank=0),
+], ids=lambda fault: fault.kind.value)
+def test_a_step_a_fault_can_touch_executes(fault):
+    """Step 2 is the injector's: it runs every op, and so does the retry
+    of a crash it raises (the raise leaves gathers allocated, which an
+    executed retry stacks its own on)."""
+    modes = _check(Draw((1, 2, 2, 2), meta=False, steps=STEPS,
+                        monitored=False, scaler=2.0**8, faults=(fault,)))
+    assert modes[2] == "executed" and modes[3] == "replayed"
 
 
 def test_a_step_a_fault_touched_still_sights_its_signature():

@@ -2,12 +2,17 @@
 
 ``Session.meta_step`` executes the engine step once per fold mode under
 a ``Timeline.capture()`` and replays that stream for every later step;
-``tests/invariants`` holds it to its oracle, ``execute_meta_step``, over
-the cross product.  The tests here pin the routing — an error raised
-from a replayed step, a fold flip or a raise dropping the stream, pp > 1
-never replaying — and the counts: a replayed step runs no op, prices no
-collective and builds no ``MetaArray``.
+the ``meta-step-replay`` pair in ``tests/invariants`` holds it to its
+oracle, ``execute_meta_step``, over the cross product.  The cases below
+pin that pair on the replan demo's layouts, tp = 8 sub-head sharding
+and every fault class landing on a replayed step.  The other tests pin
+the routing — an error raised from a replayed step, a fold flip or a
+raise dropping the stream, pp > 1 never replaying — and the counts: a
+replayed step runs no op, prices no collective and builds no
+``MetaArray``.
 """
+
+import itertools
 
 import pytest
 
@@ -36,8 +41,36 @@ from tests.invariants import (
     left_behind,
     spec,
 )
+from tests.invariants.registry import Draw, check
 
 STEPS = 4
+
+#: (tp, fsdp, ddp) on whole 8-GCD nodes; the first two are the replan
+#: demo's layouts before and after its switch.
+GRIDS = [(4, 2, 2), (2, 4, 2), (2, 2, 2), (1, 8, 1), (8, 1, 2)]
+
+#: Every fault lands at step >= 1: with fold off that is a replayed step.
+PLANS = {
+    "clean": (),
+    "straggler": (FaultSpec("straggler", step=1, rank=1, factor=3.0,
+                            duration_steps=2),),
+    "link_degrade": (FaultSpec("link_degrade", step=1, rank=2, factor=2.5,
+                               duration_steps=2),),
+    "timeout": (FaultSpec("collective_timeout", step=2, rank=1),),
+    "gpu_crash": (FaultSpec("gpu_crash", step=1, rank=3),),
+}
+
+#: (recompute, prefetch, track_device_memory, traced): the cases below
+#: walk this cycle, so every combination meets several grids and plans.
+_FLAGS = list(itertools.product((False, True), repeat=4))
+
+CASES = [
+    pytest.param(grid, fold, plan, *_FLAGS[i % len(_FLAGS)],
+                 id=f"{'x'.join(map(str, grid))}-fold_{fold}-{plan}-"
+                    f"{''.join('ny'[flag] for flag in _FLAGS[i % len(_FLAGS)])}")
+    for i, (grid, fold, plan) in enumerate(
+        itertools.product(GRIDS, ("off", "on"), PLANS))
+]
 
 
 def _step_counts(session) -> tuple:
@@ -51,6 +84,29 @@ def _run(spec, faults=(), *, oracle=False):
     return drive(spec, faults,
                  Session.execute_meta_step if oracle else Session.meta_step,
                  tracer=Tracer(), monitor=RunMonitor(), steps=STEPS)
+
+
+@pytest.mark.parametrize(
+    "grid, fold, plan, recompute, prefetch, track_memory, traced", CASES)
+def test_replayed_run_equals_the_every_op_oracle(
+        grid, fold, plan, recompute, prefetch, track_memory, traced):
+    """The ``meta-step-replay`` pair on one case: errors (type, message,
+    ledgers at the raise) and everything left behind ``==``, and each
+    step executed or replayed as the fold modes predict."""
+    run, _ = check(Draw(
+        (1, *grid), depth=3, fold=fold, recompute=recompute,
+        prefetch=prefetch, track_device_memory=track_memory, traced=traced,
+        faults=PLANS[plan], steps=STEPS), pairs=("meta-step-replay",))
+    assert run.session.fold_decision.folded is (fold == "on")
+    assert len(run.errors) == (plan in ("timeout", "gpu_crash"))
+    if traced:  # the counters count completed steps, not attempts
+        executed, replays = _step_counts(run.session)
+        assert executed + replays == STEPS
+        if fold == "off" or plan == "clean":
+            # One execution; every fault landed on a replayed step.
+            assert (executed, replays) == (1, STEPS - 1)
+        else:
+            assert executed > 1  # every fold flip re-captures
 
 
 def test_an_error_from_a_replayed_step_is_the_executed_one():
