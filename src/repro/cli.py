@@ -1147,8 +1147,8 @@ def _cmd_replan(args: argparse.Namespace) -> int:
         # Same committed steps, so the win is the walltime saved.
         if (report.steps_completed != off_report.steps_completed
                 or supervisor.ledger.total_s >= off_supervisor.ledger.total_s):
-            print("repro replan: no goodput win over replan=off",
-                  file=sys.stderr)
+            print("repro replan: replan=on is no faster than replan=off "
+                  "over the same steps", file=sys.stderr)
             status = 1
     if args.out:
         out = Path(args.out)

@@ -169,6 +169,13 @@ def _hexes(ledger) -> list:
     return [float(value).hex() for value in _ledger_values(ledger)]
 
 
+def expansion(session) -> tuple:
+    """A folded run's ``expand()``: every rank's ledger by
+    ``float.hex()``, and the span rows an exact run records."""
+    expanded, spans = session.cluster.timeline.expand()
+    return list(map(_hexes, expanded)), list(spans._rows)
+
+
 def _digest(arrays) -> str:
     sha = hashlib.sha256()
     for array in arrays:
@@ -220,10 +227,10 @@ def left_behind(run: Run) -> dict:
             for block in trunk.blocks] for trunk in engine.trunks],
     }
     if isinstance(timeline, FoldedTimeline):
-        expanded, spans = timeline.expand()
+        # ``expand()`` replays the log and nothing else, so two equal
+        # logs expand equally; only the ``fold`` pair reads it.
         left["folded"] = timeline.folded
         left["log"] = timeline._log
-        left["expand"] = (list(map(_hexes, expanded)), list(spans._rows))
     if not session.spec.meta:
         left["states"] = run.states
     return left

@@ -28,6 +28,7 @@ from tests.invariants import (
     assert_same,
     drive,
     every_block,
+    expansion,
     left_behind,
     spec,
 )
@@ -144,7 +145,7 @@ def expanded(fast, oracle, got, want):
     all of them once it has unfolded — and a run that never unfolded
     must never have built a per-rank ledger.
     """
-    got["expand_ledgers"], spans = got.pop("expand")
+    got["expand_ledgers"], spans = expansion(fast.session)
     want["expand_ledgers"] = want["ledgers"]
     if fast.session.tracer.enabled:
         got["spans"] = spans
@@ -174,7 +175,8 @@ def simulated(fast, oracle, got, want):
     Spans and journal are the observers'; a folded log entry's scope and
     collective kind are the tracer's labels (``OFF`` reads ``""`` and
     ``"collective"``), so they are compared only when the fast run is
-    untraced too, like the tracer's share of ``expand()``.
+    untraced too.  The labels set no ledger field, so the unlabelled
+    logs also pin what ``expand()`` rebuilds.
     """
     for left in (got, want):
         del left["spans"], left["journal"]
@@ -182,7 +184,6 @@ def simulated(fast, oracle, got, want):
             at = [LABELS_AT.get(entry[0], len(entry)) for entry in left["log"]]
             left["labels"] = [e[i:] for e, i in zip(left["log"], at)]
             left["log"] = [e[:i] for e, i in zip(left["log"], at)]
-            left["expand"] = left["expand"][0]
     if fast.session.tracer.enabled:
         got.pop("labels", None), want.pop("labels", None)
     return got, want

@@ -37,11 +37,10 @@ from tests.invariants import (
     assert_same,
     count_calls,
     drive,
-    ledgers,
     left_behind,
     spec,
 )
-from tests.invariants.registry import Draw, check
+from tests.invariants.registry import Draw, check, meets
 
 STEPS = 4
 
@@ -112,19 +111,18 @@ def test_replayed_run_equals_the_every_op_oracle(
 def test_an_error_from_a_replayed_step_is_the_executed_one():
     """Every crash-class kind, raised by ``timeline.replay`` at the
     event the executing engine would have reached, with the ledger
-    prefix it would have left; the retry replays again."""
-    run_spec = spec((2, 2, 2), depth=3)
+    prefix it would have left (the ``meta-step-replay`` pair); the
+    retry replays again."""
     for kind in ("collective_timeout", "gpu_crash", "node_loss"):
         for op in (None, "all_reduce", "dense_grad_sync"):
-            fault = FaultSpec(kind, step=2, rank=5, op=op)
-            oracle = _run(run_spec, (fault,), oracle=True)
-            replayed = _run(run_spec, (fault,))
-            got = replayed.errors
-            assert got == oracle.errors and len(got) == 1, (kind, op)
-            step, _, message, _ = got[0]
+            replayed, _ = check(Draw(
+                (1, 2, 2, 2), depth=3, steps=STEPS,
+                faults=(FaultSpec(kind, step=2, rank=5, op=op),)),
+                pairs=("meta-step-replay",))
+            assert len(replayed.errors) == 1, (kind, op)
+            step, _, message, _ = replayed.errors[0]
             assert step == 2 and (op is None or f"op {op!r}" in message)
             assert _step_counts(replayed.session) == (1, STEPS - 1)
-            assert ledgers(replayed.session) == ledgers(oracle.session)
 
 
 def test_a_replayed_raise_has_no_stack_to_unwind():
@@ -150,7 +148,10 @@ def test_a_replayed_raise_has_no_stack_to_unwind():
 def test_a_pipelined_session_never_replays():
     """``pipeline.stall`` seconds are read back from the ledgers, so a
     pp > 1 step is not a function of the spec alone."""
-    session = _run(spec((2, 2, 2, 2), depth=4)).session
+    run_spec = spec((2, 2, 2, 2), depth=4)
+    run = _run(run_spec)
+    meets("meta-step-replay", run, _run(run_spec, oracle=True))
+    session = run.session
     assert not session.engine.step_stream_is_invariant
     assert session._step_stream is None
     assert _step_counts(session) == (STEPS, 0)

@@ -533,4 +533,4 @@ class TestReplanCompare:
         on, off = out.out.splitlines()[:2]
         assert on.startswith("replan=on : 16 step(s)")
         assert off.startswith("replan=off: 16 step(s)")
-        assert "no goodput win" not in out.err
+        assert "no faster" not in out.err
