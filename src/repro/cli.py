@@ -109,13 +109,18 @@ def _trace_config():
     return OrbitConfig("trace-tiny", **TRACE_CONFIG_KWARGS)
 
 
-def _spec_from_args(args: argparse.Namespace, config, **overrides):
-    """The :class:`~repro.runtime.spec.RunSpec` the topology flags
-    describe, plus ``overrides``; raises ``RunSpecError``."""
-    from repro.runtime import RunSpec
+def _topology_spec(args: argparse.Namespace, config=None, **overrides):
+    """The :class:`~repro.runtime.spec.RunSpec` the ``_add_topology_args``
+    flags describe, plus ``overrides``: an invalid topology exits 2 with
+    the explanation.
+
+    Validation lives in :class:`~repro.runtime.spec.RunSpec`; this just
+    rewrites field names into the CLI's flag spellings.
+    """
+    from repro.runtime import RunSpec, RunSpecError
 
     fields = dict(
-        config=config,
+        config=config or _trace_config(),
         num_gpus=args.gpus,
         gpus_per_node=args.gpus_per_node,
         tp_size=args.tp,
@@ -125,20 +130,8 @@ def _spec_from_args(args: argparse.Namespace, config, **overrides):
         num_steps=args.steps,
     )
     fields.update(overrides)
-    return RunSpec(**fields)
-
-
-def _topology_spec(args: argparse.Namespace, config=None, **overrides):
-    """:func:`_spec_from_args` for the ``_add_topology_args`` commands:
-    an invalid topology exits 2 with the explanation.
-
-    Validation lives in :class:`~repro.runtime.spec.RunSpec`; this just
-    rewrites field names into the CLI's flag spellings.
-    """
-    from repro.runtime import RunSpecError
-
     try:
-        return _spec_from_args(args, config or _trace_config(), **overrides)
+        return RunSpec(**fields)
     except RunSpecError as error:
         raise _UsageError(
             str(error)
@@ -613,35 +606,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault plan to replay (default: the built-in x8 lead-rank "
         "straggler, examples/replan_straggler.json)",
     )
-    replan.add_argument("--steps", type=int, default=16)
-    replan.add_argument("--gpus", type=int, default=16, help="world size")
-    replan.add_argument("--gpus-per-node", type=int, default=8)
-    replan.add_argument("--tp", type=int, default=4, help="tensor-parallel group size")
-    replan.add_argument("--fsdp", type=int, default=2, help="FSDP group size")
-    replan.add_argument("--ddp", type=int, default=2, help="DDP replica count")
-    replan.add_argument("--micro-batch", type=int, default=8)
+    # Unset flags (None) keep the demo scenario's values
+    # (repro.replan.scenario), which _cmd_replan fills in.
+    replan.add_argument("--steps", type=int)
+    replan.add_argument("--gpus", type=int, help="world size")
+    replan.add_argument("--gpus-per-node", type=int)
+    replan.add_argument("--tp", type=int, help="tensor-parallel group size")
+    replan.add_argument("--fsdp", type=int, help="FSDP group size")
+    replan.add_argument("--ddp", type=int, help="DDP replica count")
+    replan.add_argument("--micro-batch", type=int)
     replan.add_argument(
         "--no-recompute", action="store_true",
         help="start without activation checkpointing (the demo starts with it)",
     )
     replan.add_argument(
-        "--hysteresis", type=float, default=0.25, metavar="FRACTION",
+        "--hysteresis", type=float, metavar="FRACTION",
         help="break-even margin the projected gain must clear (default: 0.25)",
     )
     replan.add_argument(
-        "--checkpoint-cost", type=float, default=0.005, metavar="SECONDS",
+        "--checkpoint-cost", type=float, metavar="SECONDS",
         help="checkpoint write charge (default scaled to the demo model)",
     )
     replan.add_argument(
-        "--restart-latency", type=float, default=0.01, metavar="SECONDS",
+        "--restart-latency", type=float, metavar="SECONDS",
         help="session rebuild charge (default scaled to the demo model)",
     )
     replan.add_argument(
-        "--warmup", type=float, default=0.005, metavar="SECONDS",
+        "--warmup", type=float, metavar="SECONDS",
         help="new-plan warm-up surcharge of the migration cost model",
     )
     replan.add_argument(
-        "--checkpoint-every", type=int, default=4, metavar="STEPS",
+        "--checkpoint-every", type=int, metavar="STEPS",
         help="periodic durable checkpoint cadence (default: 4)",
     )
     replan.add_argument(
@@ -1056,12 +1051,14 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         recovered = supervisor.run(args.steps).recovered
     else:
         session = Session(spec, monitor=run_monitor)
-        run_monitor.record_run(
-            0, "start", f"monitored run: {args.steps} step(s), no faults"
+        run_monitor.record(
+            0, "run", category="start",
+            message=f"monitored run: {args.steps} step(s), no faults",
         )
         StepLoop(session.step_fn(), hooks=session.loop_hooks()).run(args.steps)
-        run_monitor.record_run(
-            args.steps, "end", f"run complete: {args.steps} step(s)"
+        run_monitor.record(
+            args.steps, "run", category="end",
+            message=f"run complete: {args.steps} step(s)",
         )
     if args.json:
         print(run_monitor.to_json())
@@ -1083,34 +1080,44 @@ def _cmd_replan(args: argparse.Namespace) -> int:
 
     from repro.faults import Supervisor
     from repro.obs import RunMonitor
-    from repro.replan.scenario import demo_config, demo_plan
+    from repro.replan.scenario import (
+        DEMO_STEPS,
+        DEMO_SUPERVISOR_KWARGS,
+        demo_plan,
+        demo_spec,
+    )
 
     plan = _plan_from_args(args)
     if plan is None:
         plan = demo_plan()
+    steps = DEMO_STEPS if args.steps is None else args.steps
+
+    def given(**flags) -> dict:
+        return {name: value for name, value in flags.items() if value is not None}
+
+    spec_flags = given(
+        num_steps=args.steps, num_gpus=args.gpus,
+        gpus_per_node=args.gpus_per_node, tp_size=args.tp,
+        fsdp_size=args.fsdp, ddp_size=args.ddp, micro_batch=args.micro_batch,
+        recompute=False if args.no_recompute else None,
+    )
+    supervisor_kwargs = {**DEMO_SUPERVISOR_KWARGS, **given(
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_cost_s=args.checkpoint_cost,
+        restart_latency_s=args.restart_latency,
+        replan_warmup_s=args.warmup,
+        replan_hysteresis=args.hysteresis,
+    )}
 
     def supervise(mode: str, run_monitor: "RunMonitor"):
         supervisor = Supervisor(
-            _spec_from_args(
-                args,
-                demo_config(),
-                recompute=not args.no_recompute,
-                meta=True,
-                monitor="on",
-                replan=mode,
-                track_device_memory=False,
-            ),
+            demo_spec(replan=mode).replace(**spec_flags),
             plan,
-            checkpoint_every=args.checkpoint_every,
             checkpoint_dir=tempfile.mkdtemp(prefix="repro-replan-"),
-            degradation_aware=True,
-            checkpoint_cost_s=args.checkpoint_cost,
-            restart_latency_s=args.restart_latency,
-            replan_warmup_s=args.warmup,
-            replan_hysteresis=args.hysteresis,
             session_kwargs={"monitor": run_monitor},
+            **supervisor_kwargs,
         )
-        return supervisor, supervisor.run(args.steps)
+        return supervisor, supervisor.run(steps)
 
     tail = None if args.quiet else (
         lambda event: print(event.render()) if event.kind == "replan" else None

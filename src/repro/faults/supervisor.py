@@ -243,7 +243,12 @@ class Supervisor:
             fields.update(kind=self._kind_of(err), rank=self._rank_of(err))
         event = RecoveryEvent(**fields)
         report.events.append(event)
-        self.monitor.record_recovery(event)
+        self.monitor.record(
+            event.step, "recovery", category=event.kind, severity="warning",
+            message=f"{event.action} (rank {event.rank}, "
+                    f"attempt {event.attempts})",
+            data=event.as_dict(),
+        )
 
     # -- the supervised loop ----------------------------------------------------
     def run(self, num_steps: int) -> RecoveryReport:
@@ -255,10 +260,10 @@ class Supervisor:
         report = RecoveryReport(ledger=self.ledger)
         if self.session is None:
             self._restart(self.spec)
-        self.monitor.record_run(
-            self.loop.step, "start",
-            f"supervised run: {num_steps} step(s), "
-            f"{len(self.plan.faults)} scheduled fault(s)",
+        self.monitor.record(
+            self.loop.step, "run", category="start",
+            message=f"supervised run: {num_steps} step(s), "
+                    f"{len(self.plan.faults)} scheduled fault(s)",
         )
         while self.loop.step < num_steps and not report.unrecovered:
             self._step(report)
@@ -269,10 +274,10 @@ class Supervisor:
         report.final_spec = self.spec.identity()
         self._report_switch_outcome()
         outcome = "recovered" if report.recovered else "unrecovered"
-        self.monitor.record_run(
-            self.loop.step, "end",
-            f"run {outcome}: {report.steps_completed} step(s) committed, "
-            f"goodput {self.ledger.goodput_fraction:.4f}",
+        self.monitor.record(
+            self.loop.step, "run", category="end",
+            message=f"run {outcome}: {report.steps_completed} step(s) "
+                    f"committed, goodput {self.ledger.goodput_fraction:.4f}",
         )
         return report
 
@@ -358,8 +363,9 @@ class Supervisor:
         path = self.checkpoint_dir / f"ckpt_step{self.loop.step}.npz"
         self._save(path)
         self.ledger.checkpoint(self.checkpoint_cost_s)
-        self.monitor.record_checkpoint(
-            self.loop.step, "save", detail=f"durable checkpoint at {path.name}"
+        self.monitor.record(
+            self.loop.step, "checkpoint", category="save",
+            message=f"durable checkpoint at {path.name}",
         )
 
     def _maybe_health(self, report: RecoveryReport) -> None:
@@ -417,8 +423,8 @@ class Supervisor:
         decision = self._replan_controller().evaluate(
             self.spec, step, self._num_steps, profile, cost
         )
-        self.monitor.record_replan(
-            step, "decision", message=decision.reason,
+        self.monitor.record(
+            step, "replan", category="decision", message=decision.reason,
             data=decision.as_dict(),
         )
         if decision.switch:
@@ -458,8 +464,8 @@ class Supervisor:
             lost_s=decision.migration_cost_s,
             detail=detail + f": {decision.reason}",
         ))
-        self.monitor.record_replan(
-            step, "switch", message=detail,
+        self.monitor.record(
+            step, "replan", category="switch", message=detail,
             data={
                 "from": decision.current_label,
                 "to": decision.best_label,
@@ -483,8 +489,8 @@ class Supervisor:
                           + clean * decision.current_clean_step_s)
         realized = (counterfactual - info["seconds"]
                     - decision.migration_cost_s)
-        self.monitor.record_replan(
-            self.loop.step, "outcome",
+        self.monitor.record(
+            self.loop.step, "replan", category="outcome",
             message=(
                 f"switch at step {decision.step}: projected "
                 f"{decision.projected_gain_s:.6f} s gain, realized "
@@ -587,9 +593,10 @@ class Supervisor:
         if regroup:
             gpn = old.gpus_per_node
             node = (self._rank_of(err) or 0) // gpn
-            lost_ranks = set(range(node * gpn, (node + 1) * gpn))
+            survivors = self._survivors(
+                old.num_gpus, range(node * gpn, (node + 1) * gpn))
             try:
-                new_spec = self._shrunken_spec(old, lost_ranks)
+                new_spec = self._shrunken_spec(old, survivors)
             except ElasticRecoveryError as impossible:
                 unrecoverable = (str(impossible), str(impossible))
         if unrecoverable is None and self.ledger.restarts >= self.max_restarts:
@@ -606,18 +613,14 @@ class Supervisor:
         lost_steps, lost_s = self.ledger.rollback(attempt_s)
         self.ledger.restart(self.restart_latency_s, elastic=regroup)
         if regroup:
-            self.injector.remap_ranks({
-                r: (r if r < node * gpn else r - gpn)
-                for r in range(old.num_gpus)
-                if r not in lost_ranks
-            })
+            self.injector.remap_ranks(survivors)
         resume_from = (
             self._last_checkpoint["step"] if self._last_checkpoint else 0
         )
-        self.monitor.record_checkpoint(
-            step, "rollback",
-            detail=f"rolling back from step {step} to step {resume_from}"
-                   + (" (elastic regroup)" if regroup else ""),
+        self.monitor.record(
+            step, "checkpoint", category="rollback", severity="warning",
+            message=f"rolling back from step {step} to step {resume_from}"
+                    + (" (elastic regroup)" if regroup else ""),
         )
         self._restart(new_spec)
         detail = f"resumed from step {resume_from}"
@@ -640,12 +643,20 @@ class Supervisor:
                      self._kind_of(err), step, detail, lost_steps)
 
     @staticmethod
-    def _shrunken_spec(old, lost_ranks: set[int]):
-        """The legal DDP-shrunken RunSpec after losing ``lost_ranks``,
-        preserving the global batch; raises ElasticRecoveryError."""
+    def _survivors(num_gpus: int, lost_ranks) -> dict[int, int]:
+        """Old rank -> new rank of every GPU outside ``lost_ranks``: the
+        survivors keep their order and close the gap."""
+        kept = [r for r in range(num_gpus) if r not in lost_ranks]
+        return {old: new for new, old in enumerate(kept)}
+
+    @staticmethod
+    def _shrunken_spec(old, survivors: dict[int, int]):
+        """The legal DDP-shrunken RunSpec over the ``survivors`` (old rank
+        -> new rank), preserving the global batch; raises
+        ElasticRecoveryError."""
         from repro.runtime import RunSpecError
 
-        surviving = old.num_gpus - len(lost_ranks)
+        surviving = len(survivors)
         per_replica = old.pp_size * old.tp_size * old.fsdp_size
         if surviving < per_replica or surviving % per_replica:
             raise ElasticRecoveryError(
@@ -663,8 +674,9 @@ class Supervisor:
         try:
             new_spec = old.replace(
                 num_gpus=surviving, ddp_size=new_ddp, micro_batch=new_micro,
-                # Skew on ranks past the shrunken world had nothing to slow.
-                compute_skew=[(r, s) for r, s in old.compute_skew if r < surviving],
+                # Skew follows its GPU; a lost GPU's has nothing to slow.
+                compute_skew=[(survivors[r], s) for r, s in old.compute_skew
+                              if r in survivors],
             )
         except RunSpecError as invalid:
             raise ElasticRecoveryError(

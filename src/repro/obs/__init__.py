@@ -35,13 +35,10 @@ from repro.obs.tracer import (
 from repro.obs.export import (
     TraceFormatError,
     load_trace_events,
-    parse_prometheus,
     step_report,
     to_chrome_trace,
     to_dict,
-    to_prometheus,
     write_chrome_trace,
-    write_prometheus,
     write_step_report,
     write_trace_events,
 )
@@ -112,15 +109,12 @@ __all__ = [
     "critical_path_report",
     "health_report",
     "load_trace_events",
-    "parse_prometheus",
     "rank_attribution",
     "run_traced_spec",
     "step_report",
     "to_chrome_trace",
     "to_dict",
-    "to_prometheus",
     "write_chrome_trace",
-    "write_prometheus",
     "write_step_report",
     "write_trace_events",
 ]

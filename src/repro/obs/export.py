@@ -1,26 +1,15 @@
-"""Trace exporters: Chrome tracing JSON, plain-text report, raw dict,
-and a Prometheus-style text exposition of the metrics registry.
+"""Trace exporters: Chrome tracing JSON, plain-text report and raw dict.
 
 The Chrome format (``chrome://tracing`` / Perfetto "JSON Array
 Format") lays the trace out as one *process* per rank with three
 *thread* lanes — compute, comm, and markers — so overlap-hidden
 communication is visible under the compute it hid beneath.  Timestamps
 are the simulated busy clock in microseconds.
-
-The Prometheus exposition (:func:`to_prometheus`) maps every
-instrument onto one of three metric families (``repro_counter``,
-``repro_gauge``, ``repro_histogram``) with the original dotted name
-carried in an ``instrument`` label — dots are illegal in Prometheus
-metric names, and sanitizing them into the name would not round-trip.
-Lines are sorted and floats printed with ``repr`` (shortest exact
-form), so the output is stable and :func:`parse_prometheus` recovers
-the registry snapshot losslessly.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -164,129 +153,6 @@ def load_trace_events(path) -> SpanView:
         raise TraceFormatError(f"{path}: no 'spans' list")
     return SpanView([_entry_row(entry, f"{path}: spans[{index}]")
                      for index, entry in enumerate(entries)])
-
-
-# -- Prometheus-style text exposition -----------------------------------------
-_PROM_LINE = re.compile(
-    r'^(?P<family>[a-zA-Z_:][a-zA-Z0-9_:]*)'
-    r'\{instrument="(?P<instrument>[^"]*)"'
-    r'(?:,(?P<extra>[a-zA-Z_]+)="(?P<extra_value>[^"]*)")?\} '
-    r'(?P<value>\S+)$'
-)
-
-
-def _prom_float(value: float) -> str:
-    """Shortest exact decimal form (``repr`` round-trips every float)."""
-    return repr(float(value))
-
-
-def to_prometheus(metrics) -> str:
-    """The registry as sorted Prometheus exposition text.
-
-    One instrument per line within three families; histogram summaries
-    expand to quantile lines plus ``_count``/``_sum``/``_min``/``_max``.
-    Deterministic: sorted names, exact float formatting, no timestamps.
-    """
-    snap = metrics.as_dict()
-    lines: list[str] = []
-    if snap["counters"]:
-        lines.append("# TYPE repro_counter counter")
-        for name in sorted(snap["counters"]):
-            lines.append(
-                f'repro_counter{{instrument="{name}"}} '
-                f'{_prom_float(snap["counters"][name])}'
-            )
-    if snap["gauges"]:
-        lines.append("# TYPE repro_gauge gauge")
-        for name in sorted(snap["gauges"]):
-            lines.append(
-                f'repro_gauge{{instrument="{name}"}} '
-                f'{_prom_float(snap["gauges"][name])}'
-            )
-    if snap["histograms"]:
-        lines.append("# TYPE repro_histogram summary")
-        for name in sorted(snap["histograms"]):
-            summary = snap["histograms"][name]
-            lines.append(
-                f'repro_histogram{{instrument="{name}",quantile="0.5"}} '
-                f'{_prom_float(summary["p50"])}'
-            )
-            lines.append(
-                f'repro_histogram{{instrument="{name}",quantile="0.95"}} '
-                f'{_prom_float(summary["p95"])}'
-            )
-            lines.append(
-                f'repro_histogram_count{{instrument="{name}"}} '
-                f'{_prom_float(summary["count"])}'
-            )
-            lines.append(
-                f'repro_histogram_sum{{instrument="{name}"}} '
-                f'{_prom_float(summary["sum"])}'
-            )
-            lines.append(
-                f'repro_histogram_min{{instrument="{name}"}} '
-                f'{_prom_float(summary["min"])}'
-            )
-            lines.append(
-                f'repro_histogram_max{{instrument="{name}"}} '
-                f'{_prom_float(summary["max"])}'
-            )
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def write_prometheus(metrics, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_prometheus(metrics))
-    return path
-
-
-def parse_prometheus(text: str) -> dict:
-    """Invert :func:`to_prometheus` back into an ``as_dict``-shaped dict.
-
-    Histogram ``mean`` is re-derived as ``sum / count`` — the identical
-    division :meth:`~repro.obs.metrics.Histogram.summary` performs, so
-    the round-trip is exact (NaN for empty histograms).
-    """
-    out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-    partial: dict[str, dict] = {}
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        match = _PROM_LINE.match(line)
-        if match is None:
-            raise ValueError(f"unparseable Prometheus line: {line!r}")
-        family = match.group("family")
-        name = match.group("instrument")
-        value = float(match.group("value"))
-        if family == "repro_counter":
-            out["counters"][name] = value
-        elif family == "repro_gauge":
-            out["gauges"][name] = value
-        elif family == "repro_histogram":
-            quantile = match.group("extra_value")
-            key = {"0.5": "p50", "0.95": "p95"}.get(quantile)
-            if key is None:
-                raise ValueError(f"unexpected quantile in line: {line!r}")
-            partial.setdefault(name, {})[key] = value
-        elif family in ("repro_histogram_count", "repro_histogram_sum",
-                        "repro_histogram_min", "repro_histogram_max"):
-            stat = family[len("repro_histogram_"):]
-            partial.setdefault(name, {})[stat] = value
-        else:
-            raise ValueError(f"unknown metric family {family!r}")
-    for name, stats in partial.items():
-        count = stats.get("count", 0.0)
-        out["histograms"][name] = {
-            "count": int(count),
-            "sum": stats.get("sum", 0.0),
-            "mean": stats.get("sum", 0.0) / count if count else float("nan"),
-            "min": stats.get("min", float("nan")),
-            "max": stats.get("max", float("nan")),
-            "p50": stats.get("p50", float("nan")),
-            "p95": stats.get("p95", float("nan")),
-        }
-    return out
 
 
 def step_report(tracer: Tracer, cluster=None, top: int = 10) -> str:

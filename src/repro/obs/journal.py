@@ -18,12 +18,16 @@ journal files — the repo's bitwise-reproducibility invariant extended
 to telemetry.
 
 Event kinds (``JOURNAL_KINDS``): ``run`` (start/end markers), ``alert``
-(detector findings), ``health`` (post-hoc check findings), ``recovery``
-(Supervisor actions, incl. fault skips), ``checkpoint`` (save /
-rollback), ``fold`` (mode switches), ``replan`` (mid-run plan-migration
-decisions and switches).  New kinds may be added under the same schema
-as long as existing fields keep their meaning; breaking changes bump
-``JOURNAL_SCHEMA``.
+(detector findings), ``recovery`` (Supervisor actions, incl. fault
+skips and health observations), ``checkpoint`` (save / rollback),
+``fold`` (mode switches), ``serve`` (forecast-serving lifecycle),
+``replan`` (mid-run plan-migration decisions, switches and outcomes).
+New kinds may be added under the same schema as long as existing fields
+keep their meaning; breaking changes bump ``JOURNAL_SCHEMA``.
+
+:meth:`EventJournal.append` is the one write path: each emitting
+subsystem spells out its own category, severity, message and data, so
+this module knows no other package's event types.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ JOURNAL_SCHEMA = 1
 #: is the response count at emission time, and — like every other kind
 #: — their payloads are pure simulated-clock floats, so seeded serve
 #: replays journal byte-identically.
-JOURNAL_KINDS = ("run", "alert", "health", "recovery", "checkpoint", "fold",
-                 "serve", "replan")
+JOURNAL_KINDS = ("run", "alert", "recovery", "checkpoint", "fold", "serve",
+                 "replan")
 
 _JSON_KWARGS = dict(sort_keys=True, separators=(",", ":"))
 
@@ -97,6 +101,7 @@ class EventJournal:
     def append(self, step: int, kind: str, *, category: str = "",
                severity: str = "info", message: str = "",
                data: dict | None = None) -> JournalEvent:
+        """Journal one event: the only way an event enters the journal."""
         event = JournalEvent(
             seq=len(self.events),
             step=int(step),
@@ -110,86 +115,6 @@ class EventJournal:
         if self.on_event is not None:
             self.on_event(event)
         return event
-
-    # -- typed appenders ----------------------------------------------------
-    def record_finding(self, step: int, finding, *, kind: str = "alert") -> JournalEvent:
-        """Journal a :class:`~repro.obs.health.Finding` (alert or health)."""
-        return self.append(
-            step, kind,
-            category=finding.category,
-            severity=finding.severity,
-            message=finding.message,
-            data={
-                "ranks": list(finding.ranks),
-                "value": finding.value,
-                "threshold": finding.threshold,
-            },
-        )
-
-    def record_recovery(self, event) -> JournalEvent:
-        """Journal a :class:`~repro.faults.report.RecoveryEvent`."""
-        return self.append(
-            event.step, "recovery",
-            category=event.kind,
-            severity="warning",
-            message=f"{event.action} (rank {event.rank}, attempt {event.attempts})",
-            data=event.as_dict(),
-        )
-
-    def record_checkpoint(self, step: int, action: str, *,
-                          detail: str = "") -> JournalEvent:
-        """Journal a checkpoint ``save`` or ``rollback``."""
-        return self.append(
-            step, "checkpoint",
-            category=action,
-            severity="info" if action == "save" else "warning",
-            message=detail or f"checkpoint {action} at step {step}",
-        )
-
-    def record_fold(self, step: int, mode: str, reason: str = "") -> JournalEvent:
-        """Journal a fold/unfold timeline mode switch."""
-        return self.append(
-            step, "fold",
-            category=mode,
-            severity="info",
-            message=reason or f"timeline switched to {mode} mode",
-        )
-
-    def record_serve(self, step: int, category: str, *,
-                     severity: str = "info", message: str = "",
-                     data: dict | None = None) -> JournalEvent:
-        """Journal a forecast-serving event (start/end/reject/scale_*)."""
-        return self.append(
-            step, "serve",
-            category=category,
-            severity=severity,
-            message=message,
-            data=data,
-        )
-
-    def record_replan(self, step: int, category: str, *,
-                      severity: str = "info", message: str = "",
-                      data: dict | None = None) -> JournalEvent:
-        """Journal a replan event: an evaluated ``decision`` (stay), an
-        executed ``switch``, or the end-of-run ``outcome`` comparing
-        projected vs realized gain.  ``data`` is the typed
-        :meth:`~repro.replan.ReplanDecision.as_dict` payload — pure
-        simulated-clock floats, so seeded replans journal
-        byte-identically."""
-        return self.append(
-            step, "replan",
-            category=category,
-            severity=severity,
-            message=message,
-            data=data,
-        )
-
-    def record_run(self, step: int, phase: str, detail: str = "") -> JournalEvent:
-        """Journal a run lifecycle marker (``start`` / ``end``)."""
-        return self.append(
-            step, "run", category=phase, severity="info",
-            message=detail or f"run {phase}",
-        )
 
     # -- queries ------------------------------------------------------------
     def by_kind(self, kind: str) -> list[JournalEvent]:

@@ -49,6 +49,12 @@ class Gauge:
         self.value = max(self.value, float(value))
 
 
+def nearest_rank(ordered: list[float], q: float) -> float:
+    """Nearest-rank ``q``-th percentile (``q`` in [0, 100]) of the
+    non-empty, ascending ``ordered``."""
+    return ordered[max(0, math.ceil(q / 100 * len(ordered)) - 1)]
+
+
 class Histogram:
     """A distribution of observed values (step times, span durations)."""
 
@@ -87,9 +93,7 @@ class Histogram:
             raise ValueError(f"percentile {q} outside [0, 100]")
         if not self.values:
             return float("nan")
-        ordered = sorted(self.values)
-        rank = max(0, math.ceil(q / 100 * len(ordered)) - 1)
-        return ordered[rank]
+        return nearest_rank(sorted(self.values), q)
 
     def summary(self) -> dict:
         return {
@@ -154,8 +158,7 @@ class MetricsRegistry:
         Counters and gauges map to their scalar value; histograms to
         their :meth:`Histogram.summary` dict.  The result shares no
         state with the registry — mutate instruments afterwards and the
-        snapshot stands still (the Prometheus exporter and the bench
-        artifacts both rely on that).
+        snapshot stands still (the bench artifacts rely on that).
         """
         out: dict = {}
         for name in self.names():

@@ -160,7 +160,17 @@ class RunMonitor:
         """Detectors first (their baselines must exclude this point),
         then the store, then the journal."""
         for finding in self.bank.observe(step, values, self.store):
-            self.journal.record_finding(step, finding, kind="alert")
+            self.journal.append(
+                step, "alert",
+                category=finding.category,
+                severity=finding.severity,
+                message=finding.message,
+                data={
+                    "ranks": list(finding.ranks),
+                    "value": finding.value,
+                    "threshold": finding.threshold,
+                },
+            )
         self.store.record(step, values)
 
     # -- out-of-loop telemetry (Supervisor, Session) -------------------------
@@ -174,24 +184,14 @@ class RunMonitor:
         """
         self._observe(step, values)
 
-    def record_fold(self, step: int, mode: str, reason: str = "") -> None:
-        self.journal.record_fold(step, mode, reason)
-
-    def record_checkpoint(self, step: int, action: str, *, detail: str = "") -> None:
-        self.journal.record_checkpoint(step, action, detail=detail)
-
-    def record_recovery(self, event) -> None:
-        self.journal.record_recovery(event)
-
-    def record_replan(self, step: int, category: str, *,
-                      severity: str = "info", message: str = "",
-                      data: dict | None = None) -> None:
-        self.journal.record_replan(
-            step, category, severity=severity, message=message, data=data
-        )
-
-    def record_run(self, step: int, phase: str, detail: str = "") -> None:
-        self.journal.record_run(step, phase, detail)
+    def record(self, step: int, kind: str, *, category: str = "",
+               severity: str = "info", message: str = "",
+               data: dict | None = None) -> None:
+        """Journal one out-of-loop event (recovery, checkpoint, fold,
+        replan, run marker); the arguments are
+        :meth:`~repro.obs.journal.EventJournal.append`'s."""
+        self.journal.append(step, kind, category=category, severity=severity,
+                            message=message, data=data)
 
     # -- results -------------------------------------------------------------
     @property

@@ -30,8 +30,7 @@ class Off:
     set_context = span = instant = mark_free = clear = __exit__ = _nothing
     reset = inc = set = max = observe = _nothing
     attach_session = on_step_start = on_step_end = observe_gauges = _nothing
-    record_fold = record_checkpoint = record_recovery = _nothing
-    record_replan = record_run = poison_gradients = _nothing
+    record = poison_gradients = _nothing
 
     def _self(self, *args, **kwargs) -> "Off":
         """A hook whose live result is another handle: this one."""

@@ -424,16 +424,17 @@ class Session:
                 timeline.unfold()
                 self._step_stream = None  # a folded stream, segments and all
                 self.engine.materialize_replicas()
-                self.monitor.record_fold(
-                    step, "exact",
-                    f"step {step} is inside a fault window; simulating "
-                    f"every rank",
+                self.monitor.record(
+                    step, "fold", category="exact",
+                    message=f"step {step} is inside a fault window; "
+                            f"simulating every rank",
                 )
         elif not timeline.folded and timeline.try_refold():
             self._step_stream = None  # an exact stream, every rank spelled out
-            self.monitor.record_fold(
-                step, "folded",
-                f"class ledgers re-converged before step {step}; folding",
+            self.monitor.record(
+                step, "fold", category="folded",
+                message=f"class ledgers re-converged before step {step}; "
+                        f"folding",
             )
 
     def step_fn(self):

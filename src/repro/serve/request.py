@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs.metrics import nearest_rank
+
 
 class RequestError(ValueError):
     """An invalid forecast request (the CLI maps this to exit 2)."""
@@ -121,9 +123,4 @@ class LatencyWindow:
             del self.values[: len(self.values) - self.capacity]
 
     def percentile(self, q: float) -> float:
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        rank = max(0, -(-int(q) * len(ordered) // 100) - 1)
-        rank = min(rank, len(ordered) - 1)
-        return ordered[rank]
+        return nearest_rank(sorted(self.values), q) if self.values else 0.0

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs.journal import EventJournal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.obs.off import OFF
 from repro.serve.autoscale import Autoscaler, ScaleDecision
 from repro.serve.batcher import Batch, MicroBatcher
@@ -86,10 +86,7 @@ class ServeReport:
         latencies = sorted(self.latencies())
 
         def pct(q: float) -> float:
-            if not latencies:
-                return 0.0
-            rank = max(0, -(-int(q * len(latencies)) // 100) - 1)
-            return latencies[min(rank, len(latencies) - 1)]
+            return nearest_rank(latencies, q) if latencies else 0.0
 
         completed = len(latencies)
         return {
@@ -200,8 +197,9 @@ class ForecastServer:
         self._arrivals_remaining = len(requests)
         # the forecaster outlives this server: publish this run's share
         tape_before = self.forecaster.infer.counts()
-        self.journal.record_serve(
-            0, "start", message=f"serving {len(requests)} requests"
+        self.journal.append(
+            0, "serve", category="start",
+            message=f"serving {len(requests)} requests",
         )
         for request in requests:
             self.loop.schedule(request.arrival_s, self._arrive, request)
@@ -212,8 +210,8 @@ class ForecastServer:
         self.loop.run_until_idle()
 
         makespan = max((r.completed_s for r in self._responses), default=0.0)
-        self.journal.record_serve(
-            len(self._responses), "end",
+        self.journal.append(
+            len(self._responses), "serve", category="end",
             message=(
                 f"served {len(self._responses)} responses in "
                 f"{makespan:.4f}s simulated"
@@ -249,8 +247,9 @@ class ForecastServer:
             )
             self._responses.append(response)
             self.metrics.counter("serve.rejected").inc()
-            self.journal.record_serve(
-                request.request_id, "reject", severity="warning",
+            self.journal.append(
+                request.request_id, "serve", category="reject",
+                severity="warning",
                 message=f"request {request.request_id} rejected: queue full",
                 data={"queue_depth": self.queue_depth},
             )
@@ -331,8 +330,9 @@ class ForecastServer:
         self.metrics.gauge("serve.replicas").set(decision.replicas)
         if decision.action != "hold":
             self.metrics.counter(f"serve.scale_{decision.action}").inc()
-            self.journal.record_serve(
-                len(self._responses), f"scale_{decision.action}",
+            self.journal.append(
+                len(self._responses), "serve",
+                category=f"scale_{decision.action}",
                 message=decision.reason,
                 data=decision.as_dict(),
             )

@@ -196,9 +196,18 @@ class TestElasticRegroup:
 
     def test_shrunken_spec_drops_skew_past_the_surviving_world(self):
         spec = _meta_spec(compute_skew={3: 2.0, 12: 1.5})
-        shrunk = Supervisor._shrunken_spec(spec, set(range(8, 16)))
+        shrunk = Supervisor._shrunken_spec(
+            spec, Supervisor._survivors(16, range(8, 16)))
         assert shrunk.num_gpus == 8
         assert shrunk.compute_skew == ((3, 2.0),)
+
+    def test_shrunken_spec_moves_skew_with_its_gpu(self):
+        # Node 0 lost: old rank 12 is new rank 4; rank 3's GPU is gone.
+        spec = _meta_spec(compute_skew={3: 2.0, 12: 1.5})
+        shrunk = Supervisor._shrunken_spec(
+            spec, Supervisor._survivors(16, range(0, 8)))
+        assert shrunk.num_gpus == 8
+        assert shrunk.compute_skew == ((4, 1.5),)
 
     def test_node_loss_without_checkpoint_restarts_from_zero(self):
         spec = _meta_spec(ddp_size=4, micro_batch=1)  # global batch 8

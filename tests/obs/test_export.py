@@ -186,70 +186,7 @@ class TestAnalysis:
 
 
 class TestPrometheus:
-    def _registry(self):
-        from repro.obs import MetricsRegistry
-
-        reg = MetricsRegistry()
-        reg.counter("spans.compute").inc(7)
-        reg.gauge("step.loss").set(0.6931471805599453)
-        reg.gauge("memory.peak_bytes.rank0").set(1.5 * 2**20)
-        for v in (0.25, 0.5, 0.125):
-            reg.histogram("step.walltime_s").observe(v)
-        return reg
-
-    def test_exposition_structure(self):
-        from repro.obs import to_prometheus
-
-        text = to_prometheus(self._registry())
-        assert "# TYPE repro_counter counter" in text
-        assert "# TYPE repro_gauge gauge" in text
-        assert "# TYPE repro_histogram summary" in text
-        assert 'repro_counter{instrument="spans.compute"} 7.0' in text
-        assert 'quantile="0.95"' in text
-        assert text.endswith("\n")
-        # Dotted names ride in the label, never the metric name.
-        for line in text.splitlines():
-            if not line.startswith("#"):
-                assert "." not in line.split("{", 1)[0]
-
-    def test_round_trip_is_lossless(self):
-        from repro.obs import parse_prometheus, to_prometheus
-
-        reg = self._registry()
-        parsed = parse_prometheus(to_prometheus(reg))
-        assert parsed == reg.as_dict()
-
-    def test_output_is_deterministic_and_sorted(self):
-        from repro.obs import to_prometheus
-
-        first = to_prometheus(self._registry())
-        second = to_prometheus(self._registry())
-        assert first == second
-        names = [line.split('instrument="')[1].split('"')[0]
-                 for line in first.splitlines() if "instrument=" in line]
-        grouped = [n for i, n in enumerate(names) if i == 0 or n != names[i - 1]]
-        assert grouped == sorted(set(grouped), key=grouped.index)
-
-    def test_empty_registry_is_empty_text(self):
-        from repro.obs import MetricsRegistry, parse_prometheus, to_prometheus
-
-        assert to_prometheus(MetricsRegistry()) == ""
-        assert parse_prometheus("") == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-
-    def test_unparseable_line_rejected(self):
-        from repro.obs import parse_prometheus
-
-        with pytest.raises(ValueError, match="unparseable"):
-            parse_prometheus("repro_gauge{bad} 1.0")
-
-    def test_write_prometheus_round_trips_through_disk(self, tmp_path):
-        from repro.obs import parse_prometheus, write_prometheus
-
-        reg = self._registry()
-        path = write_prometheus(reg, tmp_path / "metrics.prom")
-        assert parse_prometheus(path.read_text()) == reg.as_dict()
+    """Gauges in the plain-text step report."""
 
     def test_step_report_includes_gauges_table(self, traced_timeline):
         tracer, _ = traced_timeline

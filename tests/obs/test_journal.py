@@ -1,23 +1,25 @@
-"""Event journal: ordering, typed appenders, byte-deterministic JSONL."""
+"""Event journal: ordering, the one write path (``EventJournal.append``
+and ``RunMonitor.record`` over it), byte-deterministic JSONL."""
 
 import pytest
 
-from repro.obs import EventJournal, Finding, journal_summary
+from repro.obs import EventJournal, RunMonitor, journal_summary
 from repro.obs.journal import JOURNAL_SCHEMA, load_journal
 
 
 def sample_journal(on_event=None):
     journal = EventJournal(on_event)
-    journal.record_run(0, "start", "run begins")
-    journal.record_finding(
-        2, Finding(category="straggler", severity="warning",
-                   message="rank 3 slow", ranks=(3,), value=0.4,
-                   threshold=0.1),
+    journal.append(0, "run", category="start", message="run begins")
+    journal.append(
+        2, "alert", category="straggler", severity="warning",
+        message="rank 3 slow",
+        data={"ranks": [3], "value": 0.4, "threshold": 0.1},
     )
-    journal.record_checkpoint(2, "save", detail="ckpt_step2.npz")
-    journal.record_fold(3, "exact", "fault window")
-    journal.record_checkpoint(4, "rollback", detail="back to step 2")
-    journal.record_run(6, "end", "run ends")
+    journal.append(2, "checkpoint", category="save", message="ckpt_step2.npz")
+    journal.append(3, "fold", category="exact", message="fault window")
+    journal.append(4, "checkpoint", category="rollback", severity="warning",
+                   message="back to step 2")
+    journal.append(6, "run", category="end", message="run ends")
     return journal
 
 
@@ -61,17 +63,17 @@ class TestTypedAppenders:
 
 class TestReplanAppender:
     def test_replan_payload_preserved(self):
-        journal = EventJournal()
-        journal.record_replan(
-            3, "decision", message="stay: gain below cost",
+        monitor = RunMonitor()
+        monitor.record(
+            3, "replan", category="decision", message="stay: gain below cost",
             data={"action": "stay", "profile": "c0x8,w11"},
         )
-        journal.record_replan(
-            5, "switch", severity="warning",
+        monitor.record(
+            5, "replan", category="switch", severity="warning",
             message="tp4.f2.d2.mb8+ckpt -> tp2.f4.d2.mb4+pf",
             data={"migration_cost_s": 0.02},
         )
-        decision, switch = journal.by_kind("replan")
+        decision, switch = monitor.journal.by_kind("replan")
         assert decision.category == "decision"
         assert decision.data == {"action": "stay", "profile": "c0x8,w11"}
         assert switch.category == "switch"
@@ -84,9 +86,10 @@ class TestReplanAppender:
 
     def test_replan_events_round_trip(self, tmp_path):
         journal = EventJournal()
-        journal.record_run(0, "start", "run begins")
-        journal.record_replan(2, "decision", data={"action": "stay"})
-        journal.record_run(3, "end", "run ends")
+        journal.append(0, "run", category="start", message="run begins")
+        journal.append(2, "replan", category="decision",
+                       data={"action": "stay"})
+        journal.append(3, "run", category="end", message="run ends")
         path = journal.write_jsonl(tmp_path / "journal.jsonl")
         assert load_journal(path) == journal.events
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import nearest_rank
 
 
 class TestCounter:
@@ -60,6 +61,13 @@ class TestHistogram:
             h.percentile(101)
         with pytest.raises(ValueError):
             h.percentile(-1)
+
+    @pytest.mark.parametrize("q", [50, 95, 99])
+    def test_nearest_rank_is_the_exact_integer_rank(self, q):
+        # The float ceil(q / 100 * n) never rounds across an integer for
+        # the quantiles the histograms and the serve reports ask for.
+        for n in range(1, 2001):
+            assert nearest_rank(range(n), q) == -(-q * n // 100) - 1
 
     def test_summary_keys(self):
         h = Histogram("x")

@@ -75,15 +75,19 @@ METHODS = [
     ("monitor", RunMonitor, "on_step_start", (None, 0), {}, None),
     ("monitor", RunMonitor, "on_step_end", (None, None), {}, None),
     ("monitor", RunMonitor, "observe_gauges", (0, {"m": 1.0}), {}, None),
-    ("monitor", RunMonitor, "record_fold", (0, "exact"), {}, None),
-    ("monitor", RunMonitor, "record_fold", (0, "exact", "fault window"), {},
+    ("monitor", RunMonitor, "record", (0, "fold"), {}, None),
+    ("monitor", RunMonitor, "record", (0, "fold"),
+     {"category": "exact", "message": "fault window"}, None),
+    ("monitor", RunMonitor, "record", (0, "checkpoint"),
+     {"category": "rollback", "severity": "warning", "message": "d"}, None),
+    ("monitor", RunMonitor, "record", (0, "recovery"),
+     {"category": "gpu_crash", "severity": "warning", "message": "m",
+      "data": {"rank": 3}}, None),
+    ("monitor", RunMonitor, "record", (0, "replan"),
+     {"category": "decision", "severity": "info", "message": "m", "data": {}},
      None),
-    ("monitor", RunMonitor, "record_checkpoint", (0, "save"),
-     {"detail": "d"}, None),
-    ("monitor", RunMonitor, "record_recovery", (None,), {}, None),
-    ("monitor", RunMonitor, "record_replan", (0, "decision"),
-     {"severity": "info", "message": "m", "data": {}}, None),
-    ("monitor", RunMonitor, "record_run", (0, "start", "run begins"), {}, None),
+    ("monitor", RunMonitor, "record", (0, "run"),
+     {"category": "start", "message": "run begins"}, None),
     # injector: the timeline hooks and the step hooks
     ("injector", FaultInjector, "before_compute", (0, 0.25, "gemm"), {},
      SECONDS),
@@ -199,7 +203,7 @@ class TestOffConformance:
         OFF.on_step_start(None, 0)
         OFF.on_step_end(None, None)
         OFF.observe_gauges(0, {"m": 1.0})
-        OFF.record_fold(0, "exact")
+        OFF.record(0, "fold", category="exact")
         assert OFF.alerts == ()
         assert OFF.critical_alerts == 0
         assert not OFF.enabled

@@ -534,3 +534,25 @@ class TestReplanCompare:
         assert on.startswith("replan=on : 16 step(s)")
         assert off.startswith("replan=off: 16 step(s)")
         assert "no faster" not in out.err
+
+
+def test_replan_without_flags_runs_the_scenario(tmp_path, capsys):
+    """``repro replan`` is ``repro.replan.scenario``'s demo, the run the
+    ``supervised-replan`` bench and ``benchmarks/test_replan_demo.py``
+    time: the same journal, byte for byte."""
+    from repro.faults import Supervisor
+    from repro.obs import RunMonitor
+    from repro.replan.scenario import (
+        DEMO_STEPS,
+        DEMO_SUPERVISOR_KWARGS,
+        demo_plan,
+        demo_spec,
+    )
+
+    assert main(["replan", "--quiet", "--out", str(tmp_path / "cli")]) == 0
+    monitor = RunMonitor()
+    Supervisor(demo_spec(), demo_plan(), checkpoint_dir=tmp_path / "ckpt",
+               session_kwargs={"monitor": monitor},
+               **DEMO_SUPERVISOR_KWARGS).run(DEMO_STEPS)
+    journal = (tmp_path / "cli" / "journal.jsonl").read_text()
+    assert journal == monitor.journal.to_jsonl()
