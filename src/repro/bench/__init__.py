@@ -10,7 +10,6 @@ from repro.bench.harness import (
     DEFAULT_TOLERANCE,
     FRONTIER_MATRIX,
     FULL_MATRIX,
-    BaselineError,
     BenchCase,
     BenchRecord,
     compare,
@@ -30,7 +29,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "FRONTIER_MATRIX",
     "FULL_MATRIX",
-    "BaselineError",
     "BenchCase",
     "BenchRecord",
     "compare",

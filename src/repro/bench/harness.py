@@ -23,12 +23,12 @@ the CI tolerance gate (``repro bench --check``) is for.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro.utils.artifacts import ArtifactFormatError, read_json, write_json
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("bench")
@@ -213,7 +213,6 @@ def run_matrix(
     from repro.obs.monitor import RunMonitor
 
     timeseries_dir = Path(timeseries_dir)
-    timeseries_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for case in selected:
         monitor = RunMonitor()
@@ -266,45 +265,30 @@ def to_document(records: Sequence[BenchRecord]) -> dict:
     }
 
 
-class BaselineError(ValueError):
-    """A ``--baseline`` file that cannot be compared against: missing,
-    torn, not a JSON object, or written under another schema.  The
-    message names the path and the problem (the CLI maps it to exit 2)."""
-
-
 def write_document(doc: dict, path) -> Path:
     """Write a bench document (this module's or ``repro.serve.bench``'s)
     the way :func:`load_baseline` reads it back."""
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return path
+    return write_json(path, doc, sort_keys=True)
 
 
 def write_baseline(records: Sequence[BenchRecord], path) -> Path:
     return write_document(to_document(records), path)
 
 
-def load_baseline(path) -> dict:
-    """Read a committed bench document; :class:`BaselineError` otherwise."""
+def load_baseline(path, gate=None) -> dict:
+    """Read a committed bench document that ``gate`` (default: this
+    module's :func:`compare`) can compare against;
+    :class:`ArtifactFormatError` otherwise.  Gating the document against
+    itself reads every case and metric a real comparison will, so a
+    malformed body fails here, before any matrix runs."""
+    doc = read_json(path, "baseline", SCHEMA_VERSION)
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as error:
-        raise BaselineError(
-            f"baseline {path}: {error.strerror or error}") from error
-    except ValueError as error:  # JSONDecodeError, or bytes that are not UTF-8
-        raise BaselineError(f"baseline {path}: not valid JSON ({error})") from error
-    if not isinstance(doc, dict):
-        raise BaselineError(
-            f"baseline {path}: expected a JSON object, found "
-            f"{type(doc).__name__}"
-        )
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise BaselineError(
-            f"baseline {path} has schema {doc.get('schema')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
+        (gate or compare)(doc, doc)
+    except (AttributeError, KeyError, TypeError) as error:
+        raise ArtifactFormatError(
+            f"baseline {path}: cases cannot be compared "
+            f"({type(error).__name__}: {error})"
+        ) from error
     return doc
 
 

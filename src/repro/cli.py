@@ -257,7 +257,7 @@ def _run_gate(args: argparse.Namespace, bench, run, notes=()):
     (:mod:`repro.bench` or :mod:`repro.serve.bench`), ``run`` produces
     its records.  Returns ``(exit status, document)``.
     """
-    from repro.bench import BaselineError
+    from repro.utils.artifacts import ArtifactFormatError
 
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise _UsageError(
@@ -267,7 +267,7 @@ def _run_gate(args: argparse.Namespace, bench, run, notes=()):
     if args.check:
         try:
             baseline = bench.load_baseline(args.baseline)
-        except BaselineError as error:
+        except ArtifactFormatError as error:
             raise _UsageError(f"repro {args.command}: {error}")
     records = run()
     doc = bench.to_document(records)
@@ -756,9 +756,9 @@ def _cmd_all(args: argparse.Namespace) -> int:
         fig7_strong_scaling,
         table1_optimizations,
     )
+    from repro.utils.artifacts import write_artifact
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tables = {
         "fig5.txt": fig5_max_model_size.run().format(),
         "table1.txt": table1_optimizations.run().format(),
@@ -767,8 +767,8 @@ def _cmd_all(args: argparse.Namespace) -> int:
         "fig7_91ch.txt": fig7_strong_scaling.run(channels=91).format(),
     }
     for filename, text in tables.items():
-        (out / filename).write_text(text + "\n")
-        print(f"wrote {out / filename}")
+        written = write_artifact(out / filename, text + "\n")
+        print(f"wrote {written}")
     print("(training figures: run fig8/fig9/fig10 subcommands separately)")
     return 0
 
@@ -785,22 +785,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.obs import (
-        TraceFormatError,
         analyze_trace,
         check_run,
         critical_path_report,
         health_report,
         load_trace_events,
     )
+    from repro.utils.artifacts import ArtifactFormatError
 
     if args.trace is not None:
         # Offline mode: span-level checks only (no cluster/plan).
         try:
             spans = load_trace_events(args.trace)
-        except OSError as exc:
-            raise _UsageError(f"{args.trace}: {exc.strerror.lower()}")
-        except TraceFormatError as exc:
-            raise _UsageError(exc)
+        except ArtifactFormatError as exc:
+            raise _UsageError(f"repro analyze: {exc}")
         analysis = analyze_trace(spans)
         findings = check_run(spans, analysis=analysis)
     else:
@@ -847,12 +845,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.tune import (
         InfeasibleRequest,
         TuneCache,
-        TuneCacheError,
         TuneRequest,
         render_report,
         run_search,
         write_report,
     )
+    from repro.utils.artifacts import ArtifactFormatError
 
     _check_recovery_flags(args)
     try:
@@ -869,8 +867,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         raise _UsageError(f"repro tune: invalid request: {error}")
     try:
         cache = TuneCache(args.cache) if args.cache else None
-    except TuneCacheError as error:
-        raise _UsageError(f"repro tune: unusable --cache {error}")
+    except ArtifactFormatError as error:
+        raise _UsageError(f"repro tune: {error}")
     try:
         result = run_search(request, top_k=args.top_k, cache=cache)
     except InfeasibleRequest as error:
@@ -893,8 +891,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
+    from repro.utils.artifacts import write_json
 
     spec = _topology_spec(
         args,
@@ -908,11 +905,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     report = _supervisor_from_args(args, spec, plan).run(args.steps)
     print(report.render())
     if args.out:
-        out = Path(args.out)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report.as_dict(), indent=1) + "\n")
-        print(f"wrote {out}")
+        print(f"wrote {write_json(args.out, report.as_dict())}")
     return 0 if report.recovered else 1
 
 
@@ -960,6 +953,7 @@ def _serve_smoke(args: argparse.Namespace, spec, policy) -> int:
     from repro.runtime import Session
     from repro.serve import ForecastServer, LoadSpec, generate_requests
     from repro.serve.bench import build_serve_world
+    from repro.utils.artifacts import write_artifact
 
     try:
         load = LoadSpec(
@@ -1008,10 +1002,9 @@ def _serve_smoke(args: argparse.Namespace, spec, policy) -> int:
         failures.append("seeded replay journal is not byte-identical")
     if args.artifacts:
         out = Path(args.artifacts)
-        out.mkdir(parents=True, exist_ok=True)
         print(f"wrote {server.journal.write_jsonl(out / 'journal.jsonl')}")
-        hist = out / "latency_histogram.json"
-        hist.write_text(report.histogram_json())
+        hist = write_artifact(out / "latency_histogram.json",
+                              report.histogram_json())
         print(f"wrote {hist}")
     if failures:
         for failure in failures:
@@ -1074,7 +1067,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_replan(args: argparse.Namespace) -> int:
-    import json
     import tempfile
     from pathlib import Path
 
@@ -1086,6 +1078,7 @@ def _cmd_replan(args: argparse.Namespace) -> int:
         demo_plan,
         demo_spec,
     )
+    from repro.utils.artifacts import write_json
 
     plan = _plan_from_args(args)
     if plan is None:
@@ -1165,9 +1158,7 @@ def _cmd_replan(args: argparse.Namespace) -> int:
             "goodput": supervisor.ledger.as_dict(),
             "decisions": [event.as_dict() for event in decisions],
         }
-        report_path = out / "replan_report.json"
-        report_path.write_text(json.dumps(doc, indent=1) + "\n")
-        print(f"wrote {report_path}")
+        print(f"wrote {write_json(out / 'replan_report.json', doc)}")
     if not decisions:
         print("repro replan: no replan decision was journaled "
               "(scenario never degraded?)", file=sys.stderr)

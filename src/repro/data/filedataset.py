@@ -18,6 +18,8 @@ Archive layout (one ``.npz``):
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -25,29 +27,24 @@ import numpy as np
 from repro.data.dataset import ClimateDataset
 from repro.data.grid import LatLonGrid
 from repro.data.variables import VariableRegistry, default_registry
+from repro.utils.artifacts import ArtifactFormatError, write_npz
 
 
 def save_archive(dataset: ClimateDataset, path, indices=None) -> Path:
     """Materialize a dataset window into an ``.npz`` archive.
 
-    Returns the path written: like NumPy, ``.npz`` is appended to a name
-    that lacks it, so the result can go straight to :class:`FileDataset`.
+    Returns the path written (:func:`write_npz` appends ``.npz`` to a
+    name that lacks it), ready for :class:`FileDataset`.
     """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    path.parent.mkdir(parents=True, exist_ok=True)
     if indices is None:
         indices = range(len(dataset))
     fields = np.stack([dataset.snapshot(int(i)) for i in indices]).astype(np.float32)
-    np.savez_compressed(
-        path,
-        fields=fields,
-        names=np.array(list(dataset.registry.names)),
-        out_names=np.array(list(dataset.out_names)),
-        start_step=np.int64(dataset.start_step),
-    )
-    return path
+    return write_npz(path, {
+        "fields": fields,
+        "names": np.array(list(dataset.registry.names)),
+        "out_names": np.array(list(dataset.out_names)),
+        "start_step": np.int64(dataset.start_step),
+    })
 
 
 class _ArchiveSystem:
@@ -69,11 +66,17 @@ class FileDataset(ClimateDataset):
 
     def __init__(self, path, registry: VariableRegistry | None = None):
         path = Path(path)
-        with np.load(path, allow_pickle=False) as archive:
-            fields = np.asarray(archive["fields"], dtype=np.float32)
-            names = [str(n) for n in archive["names"]]
-            out_names = [str(n) for n in archive["out_names"]]
-            start_step = int(archive["start_step"])
+        try:
+            with np.load(path, allow_pickle=False) as archive:
+                fields = np.asarray(archive["fields"], dtype=np.float32)
+                names = [str(n) for n in archive["names"]]
+                out_names = [str(n) for n in archive["out_names"]]
+                start_step = int(archive["start_step"])
+        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile,
+                zlib.error) as error:
+            raise ArtifactFormatError(
+                f"data archive {path} is not a readable archive: {error}"
+            ) from error
         if fields.ndim != 4:
             raise ValueError(f"archive fields must be (T, C, H, W), got {fields.shape}")
         if fields.shape[1] != len(names):

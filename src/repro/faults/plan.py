@@ -15,12 +15,13 @@ soak can be reproduced from ``(seed, world, steps)`` alone.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
+
+from repro.utils.artifacts import ArtifactFormatError, read_json, write_json
 
 #: Format version of the plan JSON document.
 PLAN_SCHEMA = 1
@@ -175,27 +176,45 @@ class FaultPlan:
         }
 
     def to_json(self, path) -> Path:
-        path = Path(path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.as_dict(), indent=1) + "\n")
-        return path
+        return write_json(path, self.as_dict())
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "FaultPlan":
+    def from_dict(cls, doc: dict, where: str = "fault plan") -> "FaultPlan":
+        """The plan :meth:`as_dict` wrote; anything else raises
+        :class:`ArtifactFormatError` naming ``where`` and, for a bad
+        entry, its index and field."""
         if doc.get("schema") != PLAN_SCHEMA:
-            raise ValueError(
-                f"unsupported fault-plan schema {doc.get('schema')!r} "
-                f"(this build reads {PLAN_SCHEMA})"
+            raise ArtifactFormatError(
+                f"{where} has schema {doc.get('schema')!r}, "
+                f"expected {PLAN_SCHEMA}"
             )
-        return cls(
-            faults=tuple(FaultSpec(**entry) for entry in doc.get("faults", ())),
-            seed=int(doc.get("seed", 0)),
-        )
+        seed, entries = doc.get("seed", 0), doc.get("faults", [])
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ArtifactFormatError(f"{where}: 'seed' cannot be {seed!r}")
+        if not isinstance(entries, list):
+            raise ArtifactFormatError(f"{where}: 'faults' is not a list")
+        known = {f.name for f in fields(FaultSpec)}
+        faults = []
+        for index, entry in enumerate(entries):
+            at = f"{where}: faults[{index}]"
+            if not isinstance(entry, dict):
+                raise ArtifactFormatError(f"{at} is not an object")
+            unknown = sorted(set(entry) - known)
+            if unknown:
+                raise ArtifactFormatError(
+                    f"{at} has unknown field {unknown[0]!r}")
+            for name in ("kind", "step"):
+                if name not in entry:
+                    raise ArtifactFormatError(f"{at} has no {name!r}")
+            try:
+                faults.append(FaultSpec(**entry))
+            except ValueError as error:
+                raise ArtifactFormatError(f"{at}: {error}") from error
+        return cls(faults=tuple(faults), seed=int(seed))
 
     @classmethod
     def from_json(cls, path) -> "FaultPlan":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path, "fault plan"), f"fault plan {path}")
 
     # -- generation ----------------------------------------------------------
     @classmethod

@@ -185,9 +185,10 @@ class Supervisor:
         self.degradation_aware = bool(degradation_aware)
         self.replan_hysteresis = replan_hysteresis
         self.replan_warmup_s = replan_warmup_s
-        #: Best observed clean-step seconds per plan shape — the
-        #: degradation-aware baseline a degraded step is charged against.
-        self._clean_baselines: dict[tuple, float] = {}
+        #: Best observed clean-step seconds per plan (keyed by the
+        #: tuner's ``candidate_of(spec)``) — the degradation-aware
+        #: baseline a degraded step is charged against.
+        self._clean_baselines: dict = {}
         self._controller = None
         self._last_replan_signature = None
         #: Realized post-switch accounting for the outcome journal event.
@@ -341,7 +342,9 @@ class Supervisor:
         baseline instead.  Returns 0.0 unless ``degradation_aware``."""
         if not self.degradation_aware or skipped:
             return 0.0
-        key = self._plan_key(self.spec)
+        from repro.replan import candidate_of
+
+        key = candidate_of(self.spec)
         baseline = self._clean_baselines.get(key)
         if self.injector.active_degradations(step):
             if baseline is None:
@@ -350,12 +353,6 @@ class Supervisor:
         if baseline is None or seconds < baseline:
             self._clean_baselines[key] = seconds
         return 0.0
-
-    @staticmethod
-    def _plan_key(spec) -> tuple:
-        return (spec.pp_size, spec.tp_size, spec.fsdp_size, spec.ddp_size,
-                spec.micro_batch, spec.recompute, spec.prefetch,
-                spec.tp_innermost)
 
     def _maybe_checkpoint(self) -> None:
         if not self.checkpoint_every or self.loop.step % self.checkpoint_every:
@@ -433,6 +430,8 @@ class Supervisor:
     def _migrate(self, decision, report: RecoveryReport) -> None:
         """*migrate*: live plan migration, checkpoint -> rebuild ->
         bitwise resume on the controller's best candidate."""
+        from repro.replan import candidate_of
+
         old = self.spec
         step = self.loop.step
         # A Candidate's fields are exactly the plan fields of a RunSpec.
@@ -444,10 +443,10 @@ class Supervisor:
         # projected clean-step ratio, so degradation-aware accounting
         # keeps charging post-switch degraded steps honestly even
         # before the new plan commits its first clean step.
-        old_base = self._clean_baselines.get(self._plan_key(old))
+        old_base = self._clean_baselines.get(candidate_of(old))
         if old_base is not None and decision.current_clean_step_s > 0:
             self._clean_baselines.setdefault(
-                self._plan_key(new_spec),
+                candidate_of(new_spec),
                 old_base * decision.best_clean_step_s
                 / decision.current_clean_step_s,
             )

@@ -33,7 +33,6 @@ from repro.obs.tracer import (
     Tracer,
 )
 from repro.obs.export import (
-    TraceFormatError,
     load_trace_events,
     step_report,
     to_chrome_trace,
@@ -102,7 +101,6 @@ __all__ = [
     "StepAnalysis",
     "TraceAnalysis",
     "TraceRun",
-    "TraceFormatError",
     "Tracer",
     "analyze_trace",
     "check_run",

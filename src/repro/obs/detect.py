@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from repro.obs.health import Finding
+from repro.obs.health import Finding, HealthThresholds
 from repro.obs.timeseries import TimeseriesStore
 
 #: Supported rule kinds / directions (validated in ``AlertRule``).
@@ -87,10 +87,11 @@ class AlertRule:
 def default_rules() -> tuple[AlertRule, ...]:
     """The stock detector set for a monitored run.
 
-    Threshold rules reuse the post-hoc health limits (straggler 10%,
-    memory watermark 85%); drift rules are z-score against the run's
-    own EWMA regime so they need no absolute calibration.
+    Threshold rules reuse the post-hoc :class:`HealthThresholds`
+    (straggler, memory watermark); drift rules are z-score against the
+    run's own EWMA regime so they need no absolute calibration.
     """
+    limits = HealthThresholds()
     return (
         AlertRule(metric="step.time_s", detector="step_time_drift",
                   kind="zscore", threshold=4.0, sustain=3, warmup=8),
@@ -98,10 +99,11 @@ def default_rules() -> tuple[AlertRule, ...]:
                   detector="exposed_comm_regression",
                   kind="zscore", threshold=4.0, sustain=3, warmup=8),
         AlertRule(metric="step.straggler_excess", detector="straggler",
-                  kind="threshold", threshold=0.10, sustain=2),
+                  kind="threshold", threshold=limits.straggler_frac, sustain=2),
         AlertRule(metric="memory.peak_fraction",
                   detector="memory_watermark_creep",
-                  kind="threshold", threshold=0.85, sustain=1),
+                  kind="threshold", threshold=limits.memory_watermark_frac,
+                  sustain=1),
         AlertRule(metric="goodput.fraction", detector="goodput_decay",
                   kind="threshold", threshold=0.90, direction="below",
                   sustain=2),

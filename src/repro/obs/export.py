@@ -9,7 +9,6 @@ are the simulated busy clock in microseconds.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,12 @@ import numpy as np
 from repro.obs import analysis
 from repro.obs.critical_path import rank_attribution
 from repro.obs.tracer import Span, SpanColumns, SpanView, Tracer, span_row
+from repro.utils.artifacts import (
+    ArtifactFormatError,
+    read_json,
+    write_artifact,
+    write_json,
+)
 
 _LANES = {"compute": "compute", "collective": "comm", "gather": "comm"}
 
@@ -68,10 +73,7 @@ def to_chrome_trace(tracer: Tracer) -> dict:
 
 def write_chrome_trace(tracer: Tracer, path) -> Path:
     """Serialize :func:`to_chrome_trace` to ``path``; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_chrome_trace(tracer), indent=1) + "\n")
-    return path
+    return write_json(path, to_chrome_trace(tracer))
 
 
 def to_dict(tracer: Tracer) -> dict:
@@ -90,14 +92,7 @@ def write_trace_events(tracer: Tracer, path) -> Path:
     every float exactly — analyses of a loaded trace match analyses of
     the live tracer bitwise.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_dict(tracer), indent=1) + "\n")
-    return path
-
-
-class TraceFormatError(ValueError):
-    """A ``trace_events.json`` that :func:`load_trace_events` cannot use."""
+    return write_json(path, to_dict(tracer))
 
 
 _NUMBER = (int, float)
@@ -110,48 +105,44 @@ _REQUIRED = tuple(_FIELD_TYPES)[:5]
 
 
 def _entry_row(entry, where: str) -> tuple:
-    """The table row of one ``spans`` entry, or :class:`TraceFormatError`."""
+    """The table row of one ``spans`` entry, or :class:`ArtifactFormatError`."""
     if not isinstance(entry, dict):
-        raise TraceFormatError(f"{where} is not an object")
+        raise ArtifactFormatError(f"{where} is not an object")
     for name in _REQUIRED:
         if name not in entry:
-            raise TraceFormatError(f"{where} has no {name!r}")
+            raise ArtifactFormatError(f"{where} has no {name!r}")
     fields = {name: entry[name] for name in _FIELD_TYPES if name in entry}
     for name, value in fields.items():
         if not isinstance(value, _FIELD_TYPES[name]) or isinstance(value, bool):
-            raise TraceFormatError(f"{where}: {name!r} cannot be {value!r}")
+            raise ArtifactFormatError(f"{where}: {name!r} cannot be {value!r}")
     if not fields["dur"] >= 0:
-        raise TraceFormatError(
+        raise ArtifactFormatError(
             f"{where}: 'dur' must be >= 0, got {fields['dur']!r}")
     for name in ("cid", "members"):  # the two attrs the analyses read
         value = fields.get("attrs", {}).get(name)
         if value is not None and type(value) is not int:
-            raise TraceFormatError(
+            raise ArtifactFormatError(
                 f"{where}: attrs[{name!r}] cannot be {value!r}")
     if "group" in fields:
         fields["group"] = tuple(fields["group"])
     try:
         return span_row(**fields)
     except ValueError as exc:  # an unknown kind
-        raise TraceFormatError(f"{where}: {exc}") from exc
+        raise ArtifactFormatError(f"{where}: {exc}") from exc
 
 
 def load_trace_events(path) -> SpanView:
     """The spans written by :func:`write_trace_events`, as a table view.
 
-    Raises :class:`TraceFormatError` naming ``path`` — and the entry and
-    field at fault — for anything that is not such a file: torn JSON, no
-    ``spans`` list, a missing or mistyped field, an unknown ``kind`` or
-    a negative ``dur``.
+    Raises :class:`ArtifactFormatError` naming ``path`` — and the entry
+    and field at fault — for anything that is not such a file: missing,
+    torn JSON, no ``spans`` list, a missing or mistyped field, an unknown
+    ``kind`` or a negative ``dur``.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
-        raise TraceFormatError(f"{path}: not valid JSON ({exc})") from exc
-    entries = doc.get("spans") if isinstance(doc, dict) else None
+    entries = read_json(path, "trace").get("spans")
     if not isinstance(entries, list):
-        raise TraceFormatError(f"{path}: no 'spans' list")
-    return SpanView([_entry_row(entry, f"{path}: spans[{index}]")
+        raise ArtifactFormatError(f"trace {path}: no 'spans' list")
+    return SpanView([_entry_row(entry, f"trace {path}: spans[{index}]")
                      for index, entry in enumerate(entries)])
 
 
@@ -228,7 +219,4 @@ def step_report(tracer: Tracer, cluster=None, top: int = 10) -> str:
 
 
 def write_step_report(tracer: Tracer, path, cluster=None) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(step_report(tracer, cluster=cluster) + "\n")
-    return path
+    return write_artifact(path, step_report(tracer, cluster=cluster) + "\n")

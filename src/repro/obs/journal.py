@@ -37,6 +37,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
+from repro.utils.artifacts import (
+    CANONICAL_JSON,
+    ArtifactFormatError,
+    read_jsonl,
+    write_artifact,
+)
+
 #: Format version of the journal JSONL artifact.
 JOURNAL_SCHEMA = 1
 
@@ -48,8 +55,6 @@ JOURNAL_SCHEMA = 1
 #: replays journal byte-identically.
 JOURNAL_KINDS = ("run", "alert", "recovery", "checkpoint", "fold", "serve",
                  "replan")
-
-_JSON_KWARGS = dict(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ class JournalEvent:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), **_JSON_KWARGS)
+        return json.dumps(self.as_dict(), **CANONICAL_JSON)
 
     def render(self) -> str:
         """One human-readable tail line."""
@@ -135,51 +140,13 @@ class EventJournal:
         lines = [json.dumps(
             {"kind": "journal", "schema": JOURNAL_SCHEMA,
              "events": len(self.events)},
-            **_JSON_KWARGS,
+            **CANONICAL_JSON,
         )]
         lines.extend(event.to_json() for event in self.events)
         return "\n".join(lines) + "\n"
 
     def write_jsonl(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl())
-        return path
-
-
-class ArtifactFormatError(ValueError):
-    """A JSONL artifact (journal, timeseries) its loader cannot use.  The
-    message names the path, the 1-based line and the problem."""
-
-
-def read_jsonl(path, artifact: str, header_kind: str,
-               schema: int) -> tuple[dict, list]:
-    """``(header, [(line number, entry), ...])`` of the JSONL ``artifact``
-    at ``path``: every line a JSON object, the first a ``header_kind``
-    header at ``schema``.  :class:`ArtifactFormatError` otherwise."""
-    numbered = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line:
-            continue
-        where = f"{path}: line {number}"
-        try:
-            entry = json.loads(line)
-        except ValueError as exc:
-            raise ArtifactFormatError(f"{where}: not valid JSON ({exc})") from exc
-        if not isinstance(entry, dict):
-            raise ArtifactFormatError(
-                f"{where}: expected a JSON object, found {type(entry).__name__}")
-        numbered.append((number, entry))
-    if not numbered or numbered[0][1].get("kind") != header_kind:
-        raise ArtifactFormatError(
-            f"{path} is not a {artifact} artifact (no header)")
-    header = numbered[0][1]
-    if header.get("schema") != schema:
-        raise ArtifactFormatError(
-            f"{path} has {artifact} schema {header.get('schema')!r}, "
-            f"expected {schema}"
-        )
-    return header, numbered[1:]
+        return write_artifact(path, self.to_jsonl())
 
 
 def load_journal(path) -> list[JournalEvent]:

@@ -26,14 +26,15 @@ import math
 from collections import deque
 from pathlib import Path
 
-from repro.obs.journal import ArtifactFormatError, read_jsonl
+from repro.utils.artifacts import (
+    CANONICAL_JSON,
+    ArtifactFormatError,
+    read_jsonl,
+    write_artifact,
+)
 
 #: Format version of the timeseries JSONL artifact.
 TIMESERIES_SCHEMA = 1
-
-#: Compact, key-sorted JSON — the byte-determinism contract depends on
-#: one canonical encoding.
-_JSON_KWARGS = dict(sort_keys=True, separators=(",", ":"))
 
 
 class StreamingStats:
@@ -286,33 +287,30 @@ class TimeseriesStore:
         lines = [json.dumps(
             {"kind": "header", "schema": TIMESERIES_SCHEMA,
              "capacity": self.capacity, "rollup_every": self.rollup_every},
-            **_JSON_KWARGS,
+            **CANONICAL_JSON,
         )]
         for name in self.names():
             series = self._series[name]
             lines.append(json.dumps(
-                {"kind": "series", **series.summary()}, **_JSON_KWARGS
+                {"kind": "series", **series.summary()}, **CANONICAL_JSON
             ))
             for bucket in sorted(series.rollups):
                 count, total, low, high = series.rollups[bucket]
                 lines.append(json.dumps(
                     {"kind": "rollup", "name": name, "bucket": bucket,
                      "count": count, "sum": total, "min": low, "max": high},
-                    **_JSON_KWARGS,
+                    **CANONICAL_JSON,
                 ))
             for step, value in series.raw:
                 lines.append(json.dumps(
                     {"kind": "point", "name": name, "step": step,
                      "value": value},
-                    **_JSON_KWARGS,
+                    **CANONICAL_JSON,
                 ))
         return "\n".join(lines) + "\n"
 
     def write_jsonl(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl())
-        return path
+        return write_artifact(path, self.to_jsonl())
 
 
 def load_timeseries(path) -> dict:

@@ -5,8 +5,8 @@ key, plus a JSON metadata blob.  :func:`save_archive`/:func:`load_archive`
 are the low-level container shared by :meth:`Session.save
 <repro.runtime.session.Session.save>` (sharded engine state) and
 :func:`save_trainer`/:func:`resume_trainer` (the serial Fig 8 path).
-``np.savez_compressed`` preserves array bits exactly, which is what
-makes bitwise resume-parity possible.
+The compressed ``.npz`` container preserves array bits exactly, which
+is what makes bitwise resume-parity possible.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs.off import OFF
+from repro.utils.artifacts import ArtifactFormatError, write_npz
 
 #: Archive format version; bumped on any incompatible layout change.
 #: Schema 2 adds a per-array integrity manifest (crc32/shape/dtype);
@@ -28,7 +29,7 @@ CHECKPOINT_SCHEMA = 2
 _META_KEY = "runtime::metadata"
 
 
-class CheckpointCorruptError(ValueError):
+class CheckpointCorruptError(ArtifactFormatError):
     """A checkpoint archive failed structural or integrity validation.
 
     The message always names the archive and — when the damage is
@@ -79,19 +80,13 @@ def save_archive(path, arrays: dict[str, np.ndarray], metadata: dict,
                  tracer=OFF) -> Path:
     """Write namespaced arrays + JSON metadata to one ``.npz``.
 
-    Returns the path of the file written: NumPy appends ``.npz`` to a
-    name that lacks it, so the suffix is normalized here once and the
-    returned path always exists and can be handed straight to
-    :func:`load_archive`.
+    Returns the path of the file written (:func:`write_npz` appends
+    ``.npz`` to a name that lacks it), ready for :func:`load_archive`.
 
     An attached tracer receives ``checkpoint``/``io`` markers mirroring
     the serial model-checkpoint path, so checkpoint cost shows up on
     the same timeline as compute and collectives.
     """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    path.parent.mkdir(parents=True, exist_ok=True)
     if _META_KEY in arrays:
         raise ValueError(f"array key {_META_KEY!r} is reserved")
     payload = {key: np.asarray(value) for key, value in arrays.items()}
@@ -101,7 +96,7 @@ def save_archive(path, arrays: dict[str, np.ndarray], metadata: dict,
     payload[_META_KEY] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
-    np.savez_compressed(path, **payload)
+    path = write_npz(path, payload)
     nbytes = float(sum(a.nbytes for a in payload.values()))
     tracer.instant("checkpoint", "save", nbytes=nbytes, arrays=len(arrays),
                    path=str(path))

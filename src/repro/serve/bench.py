@@ -24,12 +24,9 @@ from pathlib import Path
 
 # BENCH_serve.json shares BENCH_obs.json's file format (and schema
 # number), so the reader, the writer and the case comparison are the
-# harness's; ``load_baseline`` is re-exported as is.
-from repro.bench.harness import (  # noqa: F401
-    compare_cases,
-    load_baseline,
-    write_document,
-)
+# harness's.
+from repro.bench import harness
+from repro.bench.harness import compare_cases, write_document
 from repro.serve.loadgen import LoadSpec, generate_requests
 from repro.serve.policy import ServePolicy
 from repro.serve.server import ForecastServer, ServeReport
@@ -211,6 +208,12 @@ def compare(
         absolute=("cache_hit_ratio", "utilization"),
         exact=("offered", "completed", "rejected", "model_steps"),
     )
+
+
+def load_baseline(path) -> dict:
+    """Read a ``BENCH_serve.json`` this module's :func:`compare` can gate
+    against (:func:`repro.bench.harness.load_baseline`)."""
+    return harness.load_baseline(path, compare)
 
 
 def summary_table(doc: dict) -> str:

@@ -52,8 +52,7 @@ from repro.serve.request import (
     LatencyWindow,
     RequestError,
 )
-
-_JSON_KWARGS = dict(sort_keys=True, separators=(",", ":"))
+from repro.utils.artifacts import CANONICAL_JSON
 
 
 @dataclass
@@ -122,7 +121,7 @@ class ServeReport:
 
     def histogram_json(self, bins: int = 20) -> str:
         """Canonical JSON encoding of :meth:`latency_histogram`."""
-        return json.dumps(self.latency_histogram(bins), **_JSON_KWARGS) + "\n"
+        return json.dumps(self.latency_histogram(bins), **CANONICAL_JSON) + "\n"
 
 
 class ForecastServer:

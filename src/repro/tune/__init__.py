@@ -25,7 +25,6 @@ from repro.tune.search import (
     InfeasibleRequest,
     ScoredCandidate,
     TuneCache,
-    TuneCacheError,
     TuneResult,
     run_search,
     simulate_candidate,
@@ -47,7 +46,6 @@ __all__ = [
     "ScoredCandidate",
     "SearchSpace",
     "TuneCache",
-    "TuneCacheError",
     "TuneRequest",
     "TuneResult",
     "enumerate_space",

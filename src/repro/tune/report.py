@@ -11,10 +11,10 @@ disk.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.tune.search import ScoredCandidate, TuneResult
+from repro.utils.artifacts import write_json
 
 #: Format version of the ``repro tune --out`` document.
 REPORT_SCHEMA = 1
@@ -224,8 +224,4 @@ def result_document(result: TuneResult) -> dict:
 
 def write_report(result: TuneResult, path) -> Path:
     """Write :func:`result_document` as JSON; returns the path."""
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result_document(result), indent=1, sort_keys=True) + "\n")
-    return path
+    return write_json(path, result_document(result), sort_keys=True)

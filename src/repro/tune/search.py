@@ -18,14 +18,13 @@ one, which is cheap enough to always recompute.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.tune.estimator import AnalyticEstimator, Estimate
 from repro.tune.space import Candidate, SearchSpace, TuneRequest, enumerate_space
+from repro.utils.artifacts import ArtifactFormatError, read_json, write_json
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("tune")
@@ -38,11 +37,6 @@ CACHE_SCHEMA = 2
 #: The fields :func:`_validation_summary` writes into every cache entry.
 _ENTRY_FIELDS = ("step_time_s", "time_per_obs_s", "peak_memory_bytes",
                  "exposed_comm_fraction", "bound_resource", "critical_path")
-
-
-class TuneCacheError(ValueError):
-    """A tune cache file that :class:`TuneCache` cannot use; the message
-    names the file and, where there is one, the entry and field."""
 
 
 class InfeasibleRequest(RuntimeError):
@@ -109,7 +103,7 @@ class TuneCache:
 
     A file that is torn, not a JSON object, or holds an entry
     :func:`_validation_summary` could not have written raises
-    :class:`TuneCacheError` here, not a ``KeyError`` deep in a search;
+    :class:`ArtifactFormatError` here, not a ``KeyError`` deep in a search;
     a file of another schema version is ignored with a warning.
     """
 
@@ -122,16 +116,7 @@ class TuneCache:
             self._entries = self._load()
 
     def _load(self) -> dict[str, dict]:
-        try:
-            doc = json.loads(self.path.read_text())
-        except OSError as error:
-            raise TuneCacheError(
-                f"{self.path}: cannot be read ({error})") from None
-        except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
-            raise TuneCacheError(
-                f"{self.path}: not valid JSON ({error})") from None
-        if not isinstance(doc, dict):
-            raise TuneCacheError(f"{self.path}: not a JSON object")
+        doc = read_json(self.path, "tune cache")
         if doc.get("schema") != CACHE_SCHEMA:
             _LOG.warning(
                 "ignoring tune cache %s with schema %r",
@@ -140,18 +125,19 @@ class TuneCache:
             return {}
         entries = doc.get("entries", {})
         if not isinstance(entries, dict):
-            raise TuneCacheError(f"{self.path}: 'entries' is not an object")
+            raise ArtifactFormatError(
+                f"tune cache {self.path}: 'entries' is not an object")
         for key, entry in entries.items():
-            where = f"{self.path}: entry {key!r}"
+            where = f"tune cache {self.path}: entry {key!r}"
             if not isinstance(entry, dict):
-                raise TuneCacheError(f"{where} is not an object")
+                raise ArtifactFormatError(f"{where} is not an object")
             for name in _ENTRY_FIELDS:
                 if name not in entry:
-                    raise TuneCacheError(f"{where} has no {name!r}")
+                    raise ArtifactFormatError(f"{where} has no {name!r}")
             step = entry["step_time_s"]
             if (not isinstance(step, (int, float)) or isinstance(step, bool)
                     or not math.isfinite(step)):
-                raise TuneCacheError(
+                raise ArtifactFormatError(
                     f"{where}: 'step_time_s' cannot be {step!r}")
         return entries
 
@@ -184,23 +170,11 @@ class TuneCache:
         return len(self._entries)
 
     def save(self) -> None:
-        """Write the file whole or not at all: a temp file in the same
-        directory, renamed over ``path`` — a crash mid-save leaves the
-        previous cache loadable, never a torn one."""
-        if self.path is None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(
-            {"schema": CACHE_SCHEMA, "entries": self._entries},
-            indent=1, sort_keys=True,
-        ) + "\n"
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        try:
-            tmp.write_text(text)
-            os.replace(tmp, self.path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        """Write the file whole or not at all (:func:`write_json`) — a crash
+        mid-save leaves the previous cache loadable, never a torn one."""
+        if self.path is not None:
+            write_json(self.path, {"schema": CACHE_SCHEMA, "entries": self._entries},
+                       sort_keys=True)
 
 
 def simulate_candidate(request: TuneRequest, candidate: Candidate) -> dict:

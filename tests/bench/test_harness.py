@@ -7,7 +7,6 @@ import pytest
 
 from repro.bench import (
     DEFAULT_MATRIX,
-    BaselineError,
     BenchCase,
     compare,
     load_baseline,
@@ -18,6 +17,7 @@ from repro.bench import (
     to_document,
     write_baseline,
 )
+from repro.utils.artifacts import ArtifactFormatError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 QUICK_CASE = next(case for case in DEFAULT_MATRIX if case.quick)
@@ -97,7 +97,7 @@ class TestDocument:
             path.write_bytes(content)
         elif content is not None:
             path.write_text(content)
-        with pytest.raises(BaselineError) as raised:
+        with pytest.raises(ArtifactFormatError) as raised:
             load_baseline(path)
         assert str(path) in str(raised.value) and complaint in str(raised.value)
 

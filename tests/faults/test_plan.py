@@ -100,6 +100,24 @@ class TestFaultPlan:
         assert f"repro {command}: invalid plan:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["faults", "monitor", "replan"])
+    @pytest.mark.parametrize("text, complaint", [
+        ('{"schema": 1, "faults": [{"kind": "gpu_crash", "step": 1, "bogus": 1}]}',
+         "faults[0] has unknown field 'bogus'"),
+        ('[{"kind": "gpu_crash", "step": 1}]',
+         "expected a JSON object, found list"),
+        ('{"schema": 1, "faults": 5}', "'faults' is not a list"),
+    ], ids=["unknown-field", "top-level-list", "faults-not-a-list"])
+    def test_cli_rejects_a_plan_of_the_wrong_shape(self, tmp_path, capsys,
+                                                   command, text, complaint):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        assert main([command, "--plan", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro {command}: invalid plan: fault plan {path}: {complaint}\n")
+
     def test_dict_entries_coerced(self):
         plan = FaultPlan(faults=(
             {"kind": "gpu_crash", "step": 2, "rank": 1},

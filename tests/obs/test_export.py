@@ -6,7 +6,6 @@ import pytest
 
 from repro.cluster import Timeline, VirtualCluster, all_reduce
 from repro.obs import (
-    TraceFormatError,
     Tracer,
     load_trace_events,
     step_report,
@@ -16,6 +15,7 @@ from repro.obs import (
     write_trace_events,
 )
 from repro.obs import analysis
+from repro.utils.artifacts import ArtifactFormatError
 
 import numpy as np
 
@@ -102,7 +102,8 @@ class TestTraceEventsFile:
     @pytest.mark.parametrize("text,reason", [
         ('{"spans": [{"kind": "comp', "not valid JSON"),
         ("", "not valid JSON"),
-        ("[]", "no 'spans' list"),
+        pytest.param("[]", "expected a JSON object, found list",
+                     id="[]-no 'spans' list"),
         ('{"metrics": {}}', "no 'spans' list"),
         ('{"spans": {"kind": "compute"}}', "no 'spans' list"),
         ('{"spans": [3]}', "spans[0] is not an object"),
@@ -110,7 +111,7 @@ class TestTraceEventsFile:
     def test_unusable_document_is_named(self, tmp_path, text, reason):
         path = tmp_path / "events.json"
         path.write_text(text)
-        with pytest.raises(TraceFormatError) as exc:
+        with pytest.raises(ArtifactFormatError) as exc:
             load_trace_events(path)
         assert str(path) in str(exc.value) and reason in str(exc.value)
 
@@ -132,16 +133,21 @@ class TestTraceEventsFile:
                  if v is not None}
         path = tmp_path / "events.json"
         path.write_text(json.dumps({"spans": [self.ENTRY, entry]}))
-        with pytest.raises(TraceFormatError) as exc:
+        with pytest.raises(ArtifactFormatError) as exc:
             load_trace_events(path)
-        assert str(exc.value).startswith(f"{path}: {reason}")
+        assert str(exc.value).startswith(f"trace {path}: {reason}")
 
     def test_format_error_is_a_value_error(self):
-        assert issubclass(TraceFormatError, ValueError)
+        assert issubclass(ArtifactFormatError, ValueError)
 
     def test_missing_file_stays_an_os_error(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_trace_events(tmp_path / "absent.json")
+        """The reader's error names the path; the OS error is its cause."""
+        path = tmp_path / "absent.json"
+        with pytest.raises(ArtifactFormatError) as exc:
+            load_trace_events(path)
+        assert isinstance(exc.value.__cause__, FileNotFoundError)
+        assert str(exc.value) == (
+            f"trace {path}: cannot be read (No such file or directory)")
 
 
 class TestStepReport:

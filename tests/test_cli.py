@@ -174,7 +174,7 @@ class TestAnalyzeCommand:
         ]}))
         for path, reason in ((torn, "not valid JSON"),
                              (bogus, "spans[0]: unknown span kind 'bogus'"),
-                             (tmp_path / "absent.json", "no such file")):
+                             (tmp_path / "absent.json", "No such file")):
             assert main(["analyze", "--trace", str(path)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -250,7 +250,7 @@ class TestTuneCommand:
 
     @pytest.mark.parametrize("text, complaint", [
         ('{"schema": 2, "entries": {"k": {"step_ti', "not valid JSON"),
-        ("[]", "not a JSON object"),
+        ("[]", "expected a JSON object, found list"),
         ('{"schema": 2, "entries": {"k": {"time_per_obs_s": 1.0}}}',
          "entry 'k' has no 'step_time_s'"),
     ], ids=["torn", "list", "missing-field"])
@@ -324,6 +324,18 @@ UNUSABLE_BASELINES = {
     "torn": ('{"schema": 1, "cases": {"orbit-115m-', "not valid JSON"),
     "not-an-object": ("[1, 2, 3]", "expected a JSON object, found list"),
     "other-schema": ('{"schema": 99, "cases": {}}', "schema 99"),
+    # The right schema, a body the gate cannot read (bench and serve
+    # read different metrics; each of these fails both).
+    "cases-not-an-object": ('{"schema": 1, "cases": [1]}',
+                            "'list' object has no attribute 'items'"),
+    "non-numeric-metric": (
+        json.dumps({"schema": 1, "cases": {"c": dict.fromkeys(
+            ("step_time_s", "peak_memory_bytes", "exposed_comm_fraction",
+             "latency_p50_s", "latency_p99_s", "throughput_rps",
+             "makespan_s", "cache_hit_ratio", "utilization"), "x")}}),
+        "TypeError: unsupported operand type"),
+    "missing-metric": ('{"schema": 1, "cases": {"c": {"offered": 1}}}',
+                       "KeyError: '"),
 }
 
 

@@ -16,12 +16,12 @@ from repro.tune import (
     Candidate,
     InfeasibleRequest,
     TuneCache,
-    TuneCacheError,
     TuneRequest,
     run_search,
     simulate_candidate,
 )
 from repro.tune.search import _validation_case, _validation_summary
+from repro.utils.artifacts import ArtifactFormatError
 
 
 def _request(**overrides):
@@ -151,7 +151,8 @@ class TestHostileCacheFile:
     @pytest.mark.parametrize("text, complaint", [
         (_cache_text({"k": _ENTRY})[:40], "not valid JSON"),
         ("", "not valid JSON"),
-        ("[1, 2]", "not a JSON object"),
+        pytest.param("[1, 2]", "expected a JSON object, found list",
+                     id="[1, 2]-not a JSON object"),
         (_cache_text([_ENTRY]), "'entries' is not an object"),
         (_cache_text({"k": [1]}), "entry 'k' is not an object"),
         (_cache_text({"k": {**_ENTRY, "step_time_s": "fast"}}),
@@ -172,7 +173,7 @@ class TestHostileCacheFile:
             self, tmp_path, text, complaint):
         path = tmp_path / "cache.json"
         path.write_text(text)
-        with pytest.raises(TuneCacheError) as exc:
+        with pytest.raises(ArtifactFormatError) as exc:
             TuneCache(path)
         assert str(path) in str(exc.value)
         assert complaint in str(exc.value)
@@ -184,11 +185,11 @@ class TestHostileCacheFile:
     def test_binary_garbage_is_a_cache_error(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_bytes(b"\xff\xfe\x00{")
-        with pytest.raises(TuneCacheError, match="not valid JSON"):
+        with pytest.raises(ArtifactFormatError, match="not valid JSON"):
             TuneCache(path)
 
     def test_an_unreadable_path_is_a_cache_error(self, tmp_path):
-        with pytest.raises(TuneCacheError, match="cannot be read"):
+        with pytest.raises(ArtifactFormatError, match="cannot be read"):
             TuneCache(tmp_path)  # a directory
 
     def test_a_well_formed_file_loads(self, tmp_path):
