@@ -51,6 +51,15 @@ class _Category:
     peak: int = 0
 
 
+@dataclass(frozen=True)
+class Rise:
+    """How far a block of work drove a tracker's peaks above the live
+    bytes at the block's start: in total, and per tag it raised."""
+
+    total: int
+    by_tag: tuple[tuple[str, int], ...] = ()
+
+
 class MemoryTracker:
     """Track live/current/peak bytes for one device.
 
@@ -155,6 +164,37 @@ class MemoryTracker:
         self._peak = self._current
         for cat in self._categories.values():
             cat.peak = cat.current
+
+    def begin_rise(self) -> tuple:
+        """Start measuring a :class:`Rise`: the peaks restart at the live
+        bytes.  Hand the result to :meth:`end_rise`."""
+        start = (self._current, self._peak,
+                 {tag: (cat.current, cat.peak) for tag, cat in self._categories.items()})
+        self.reset_peak()
+        return start
+
+    def end_rise(self, start: tuple | None) -> Rise:
+        """The :class:`Rise` since :meth:`begin_rise` returned ``start``
+        (``None``: since this tracker was made); the peaks it restarted
+        are restored wherever they stood higher."""
+        current, peak, categories = start or (0, 0, {})
+        by_tag = []
+        for tag, cat in self._categories.items():
+            base, old_peak = categories.get(tag, (0, 0))
+            if cat.peak > base:
+                by_tag.append((tag, cat.peak - base))
+            cat.peak = max(cat.peak, old_peak)
+        rise = Rise(self._peak - current, tuple(by_tag))
+        self._peak = max(self._peak, peak)
+        return rise
+
+    def raise_peaks(self, rise: Rise) -> None:
+        """Move the peaks where a block of this :class:`Rise` would take
+        them from the live bytes now, allocating nothing."""
+        self._peak = max(self._peak, self._current + rise.total)
+        for tag, excess in rise.by_tag:
+            cat = self._categories.setdefault(tag, _Category())
+            cat.peak = max(cat.peak, cat.current + excess)
 
     def free_all(self) -> None:
         """Release every live allocation (used between simulated runs)."""

@@ -55,8 +55,10 @@ class _Recording:
     (restoring an enclosing recording on exit).
 
     Values live in numbered slots.  ``template[slot]`` holds a constant
-    operand; inputs, owned arrays (``owners``: id -> ``(read, owner,
-    key)``) and kernel outputs are ``None`` there and filled at replay.
+    operand; inputs, owned values and kernel outputs are ``None`` there
+    and filled at replay.  ``owners`` maps an owned value's id to what
+    follows its slot in ``params``: ``(read, owner, key)`` for
+    :func:`replay`, or an address its caller binds to one first.
     An output's slot is retired when its array dies, so a later array at
     the same address is never taken for it; only scalars are pinned.
     """

@@ -16,6 +16,9 @@ package centralizes that construction:
   live stack (cluster + plan + engine + tracer + optimizer), in meta
   (shape-only) or numeric mode, and owns the checkpoint: ``save`` and
   ``resume``, where the archive decides how it is restored.
+* :data:`~repro.runtime.tapes.NUMERIC_TAPES` — the numeric step tapes
+  of the process, keyed by spec, so a rebuilt Session replays from its
+  first step.
 * :class:`~repro.runtime.steploop.StepLoop` — the hook-driven step
   driver (``on_step_start`` / ``on_step_end``) that the serial and
   distributed trainers, the fine-tuner, ``run_case``,
@@ -29,6 +32,7 @@ from repro.runtime.spec import (
     tp_group_spans_nodes,
 )
 from repro.runtime.session import Session, build_cluster, fabricate_batch
+from repro.runtime.tapes import NUMERIC_TAPES
 from repro.runtime.steploop import StepEvent, StepHooks, StepLoop
 from repro.runtime.checkpoint import (
     CHECKPOINT_SCHEMA,
@@ -42,6 +46,7 @@ from repro.runtime.checkpoint import (
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointCorruptError",
+    "NUMERIC_TAPES",
     "RunSpec",
     "RunSpecError",
     "Session",

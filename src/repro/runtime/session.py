@@ -32,9 +32,10 @@ from repro.nn.context import (
     execution_context,
     record_flops,
 )
-from repro.nn.tape import _Recording, parameter_owners, replay
+from repro.nn.tape import _data, _Recording, replay
 from repro.obs.tracer import Tracer
 from repro.runtime.spec import RunSpec
+from repro.runtime.tapes import NUMERIC_TAPES, NumericTape
 
 #: Checkpoint archive keys (see :mod:`repro.runtime.checkpoint`).
 _DENSE = "dense"
@@ -190,8 +191,8 @@ class Session:
         #: ``(scope prefix, events, matmul FLOPs, other FLOPs)`` of the
         #: meta step captured in the current fold mode (see meta_step).
         self._step_stream: tuple | None = None
-        #: signature -> False once sighted, then its recorded numeric
-        #: segment or the reason (str) it runs per-op (see numeric_step).
+        #: tape key -> False once sighted, then the bound tape (see _bind)
+        #: or the reason (str) it runs per-op (see numeric_step).
         self._numeric_tapes: dict = {}
         self._numeric_raised = False
 
@@ -238,15 +239,19 @@ class Session:
 
         **Numeric step replay.**  The trainer's value-independent segment
         (``forward_backward``) issues the same kernels and timeline events
-        every step.  A signature's first step runs it plain, its next
-        replayable one under one kernel recording and one timeline
-        ``capture()``, and later replayable steps replay both — the
-        kernels on this step's inputs and parameters, the stream with
-        ``step.<N>/`` swapped — and write the losses and gradients back;
-        the optimizer tail runs per-op.  Only pp = 1 steps the injector
-        cannot touch replay, and not the retry of a step that raised.
-        See DESIGN.md §9, "Numeric step replay".  Oracle:
-        :meth:`execute_numeric_step`.
+        every step.  With no tape stored for its key, a session's first
+        step runs it plain, its next replayable one under one kernel
+        recording and one timeline ``capture()``, and later replayable
+        steps replay both — the kernels on this step's inputs and
+        parameters, the stream with ``step.<N>/`` swapped — write the
+        losses and gradients back and raise the device peaks the
+        recorded step reached; the optimizer tail runs per-op.  The tape
+        is kept in :data:`NUMERIC_TAPES` under the spec, the input
+        signature, the precision policy, and whether a grad scaler is
+        present and the tracer on, so a later session of an equal key
+        replays from its first step.  Only pp = 1 steps the injector cannot touch replay,
+        and not the retry of a step that raised.  See DESIGN.md §9,
+        "Numeric step replay".  Oracle: :meth:`execute_numeric_step`.
         """
         segment = None
         if self.engine.step_stream_is_invariant:
@@ -270,16 +275,26 @@ class Session:
         return loss, batch.x.shape[0]
 
     def _numeric_segment(self, replayable: bool, inputs: list) -> list:
-        """``forward_backward(inputs)``: every step sights its signature; a
-        replayable one sighted before records, or replays the recording."""
+        """``forward_backward(inputs)``: every step sights its key; a
+        replayable one replays the key's tape — this session's, or one
+        another session left in :data:`NUMERIC_TAPES` — or, with none
+        stored and the key sighted before, records it."""
         trainer, metrics = self.trainer, self.tracer.metrics
-        policy = trainer.precision or active_precision()
         key = (
+            self.spec,
             tuple((getattr(x, "shape", None), getattr(x, "dtype", None)) for x in inputs),
-            policy is not None and policy.is_bf16,
-            trainer.grad_scaler,  # its method is a kernel of the tape
+            trainer.precision or active_precision(),
+            trainer.grad_scaler is not None,
+            self.tracer.enabled,
         )
         tape = self._numeric_tapes.get(key)
+        if not tape:  # not decided here: take what the store holds
+            stored = NUMERIC_TAPES.get(key)
+            if isinstance(stored, str):
+                tape = self._numeric_tapes[key] = stored
+            elif stored is not None:
+                tape = self._numeric_tapes[key] = self._bind(stored)
+                metrics.counter("runtime.numeric_tapes_inherited").inc()
         if not replayable or type(tape) is not tuple:
             if replayable and tape is False:
                 losses = self._record_numeric_segment(key, inputs)
@@ -290,49 +305,97 @@ class Session:
                 metrics.counter("runtime.numeric_step_fallbacks").inc()
             metrics.counter("runtime.numeric_steps_executed").inc()
             return losses
-        kernels, num_losses, dense, sharded, captured, events = tape
+        tape, kernels, dense, sharded = tape
         values = replay(kernels, inputs)
         self.engine.zero_grad()
-        grads = iter(values[num_losses:])
+        grads = iter(values[tape.num_losses:])
         for param in dense:
             param.grad = next(grads)
         for param in sharded:
             param.grad_shards = [next(grads) for _ in param.shards]
+        for rank, rise in tape.rises:
+            self.cluster.device(rank).memory.raise_peaks(rise)
         self.cluster.timeline.replay(
-            events, renames=((captured, f"step.{trainer.step_count}/"),))
+            tape.events, renames=((tape.captured, f"step.{trainer.step_count}/"),))
         metrics.counter("runtime.numeric_steps_replayed").inc()
-        return values[:num_losses]
+        return values[:tape.num_losses]
 
     def _record_numeric_segment(self, key, inputs: list) -> list:
-        """The per-op segment, recorded; decides ``key`` for good."""
-        engine, trainer = self.engine, self.trainer
-        replicas = range(len(engine.trunks))
-        sharded = [p for d in replicas for p in engine.sharded_parameters(d)]
-        # Read through their owners: AdamW and resume rebind both.
-        owners = parameter_owners(*(modules[d][0] for modules in (engine.fronts, engine.heads)
-                                    for d in replicas))
-        owners.update({id(shard): (operator.getitem, param.shards, j)
-                       for param in sharded for j, shard in enumerate(param.shards)})
+        """The per-op segment, recorded; decides ``key`` for good, here
+        and in :data:`NUMERIC_TAPES`."""
+        cluster, trainer = self.cluster, self.trainer
+        owners, addresses = self._tape_owners()
         recording, flops = _Recording(inputs, owners), ExecutionContext()
-        with self.cluster.timeline.capture() as events, recording, \
-                execution_context(flops):
-            losses = trainer.forward_backward(inputs)
-        dense = [p for d in replicas for p in engine.dense_parameters(d)
-                 if p.grad is not None]
-        sharded = [p for p in sharded if p.grad_shards is not None]
-        outputs = [*losses, *(p.grad for p in dense),
-                   *(g for p in sharded for g in p.grad_shards)]
+        starts = {device.rank: device.memory.begin_rise()
+                  for device in cluster.touched_devices()}
+        try:
+            with cluster.timeline.capture() as events, recording, \
+                    execution_context(flops):
+                losses = trainer.forward_backward(inputs)
+        finally:
+            rises = tuple((device.rank, device.memory.end_rise(starts.get(device.rank)))
+                          for device in cluster.touched_devices())
+        dense_all, sharded_all = self._flat_parameters()
+        dense = tuple(i for i, p in enumerate(dense_all) if p.grad is not None)
+        sharded = tuple(i for i, p in enumerate(sharded_all) if p.grad_shards is not None)
+        outputs = [*losses, *(dense_all[i].grad for i in dense),
+                   *(g for i in sharded for g in sharded_all[i].grad_shards)]
         results = [recording.slots.get(id(value)) for value in outputs]
         if None in results:
             recording.fail("a loss or gradient is not the output of a taped kernel")
         if recording.failed:
-            self._numeric_tapes[key] = recording.failed
+            self._numeric_tapes[key] = entry = recording.failed
         else:
-            self._numeric_tapes[key] = (
+            entry = NumericTape(
                 recording.freeze(results, flops), len(losses), dense, sharded,
-                f"step.{trainer.step_count}/", events,
-            )
+                f"step.{trainer.step_count}/", events, rises)
+            self._numeric_tapes[key] = self._bind(entry, addresses)
+        NUMERIC_TAPES.put(key, entry)
         return losses
+
+    def _flat_parameters(self) -> tuple[list, list]:
+        """Every replica's dense and sharded parameters, in one list each."""
+        engine = self.engine
+        replicas = range(len(engine.trunks))
+        return ([p for d in replicas for p in engine.dense_parameters(d)],
+                [p for d in replicas for p in engine.sharded_parameters(d)])
+
+    def _tape_owners(self) -> tuple[dict, dict]:
+        """The arrays a step segment reads but did not make, two ways:
+        ``id(value) -> (address, key)`` for a recording, and ``address
+        -> (read, owner)`` for binding a tape; ``read(owner, key)`` is
+        the value now.  A dense parameter is read through its module's
+        registry, a flat shard as ``shards[j]`` and the grad scaler off
+        the trainer: AdamW, ``resume`` and a new incarnation rebind all
+        three, and an address outlives the session that recorded it."""
+        engine, trainer = self.engine, self.trainer
+        owners, addresses = {}, {}
+        for d in range(len(engine.trunks)):
+            for prefix, model in (("", engine.fronts[d][0]), ("head", engine.heads[d][0])):
+                for path, module in model.named_modules():
+                    address = ("dense", d, ".".join(filter(None, (prefix, path))))
+                    addresses[address] = (_data, module._parameters)
+                    owners.update({id(param.data): (address, name)
+                                   for name, param in module._parameters.items()})
+        for i, param in enumerate(self._flat_parameters()[1]):
+            address = ("shard", i)
+            addresses[address] = (operator.getitem, param.shards)
+            owners.update({id(shard): (address, j) for j, shard in enumerate(param.shards)})
+        addresses[("trainer",)] = (getattr, trainer)
+        if trainer.grad_scaler is not None:
+            owners[id(trainer.grad_scaler)] = (("trainer",), "grad_scaler")
+        return owners, addresses
+
+    def _bind(self, tape: NumericTape, addresses: dict | None = None) -> tuple:
+        """``(tape, kernels, dense, sharded)``: ``tape`` read from and
+        written back to this session's owners."""
+        if addresses is None:
+            addresses = self._tape_owners()[1]
+        template, params, *rest = tape.kernels
+        params = [(slot, *addresses[address], key) for slot, address, key in params]
+        dense_all, sharded_all = self._flat_parameters()
+        return (tape, (template, params, *rest), [dense_all[i] for i in tape.dense],
+                [sharded_all[i] for i in tape.sharded])
 
     # -- meta stepping --------------------------------------------------------
     def meta_batch(self):

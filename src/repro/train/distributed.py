@@ -130,10 +130,12 @@ class DistributedTrainer:
                     # Micro-batch gradients are means over `micro` samples;
                     # rescale so the reduced sum is the global-batch mean.
                     grad = kernel(operator.mul, grad, micro / global_batch)
-                    if self.grad_scaler is not None:
-                        # The scaler's method is the kernel: a replay
-                        # multiplies by the scale of its own step.
-                        grad = kernel(self.grad_scaler.scale_loss_grad, grad)
+                    scaler = self.grad_scaler
+                    if scaler is not None:
+                        # The scaler is an operand, not part of the
+                        # kernel: a replay multiplies by the scale of
+                        # its own step and its own session's scaler.
+                        grad = kernel(type(scaler).scale_loss_grad, scaler, grad)
                     row.append(grad)
                 grads.append(row)
             self.engine.zero_grad()

@@ -1,13 +1,15 @@
 """The invariant registry: every ``RunSpec`` fast path meets its named oracle.
 
-``PAIRS`` is the one table of ``(name, applies(draw), oracle, compare)``
-rows (DESIGN.md §5, "Invariant registry").  ``check`` drives a draw's
-all-fast run once; each pair that applies reruns the draw with exactly
-its fast path switched off, and ``compare`` projects both runs'
-``left_behind`` onto what that path promises, to be ``==`` field by
-field.  ``EXCEPTIONS`` names the paths that are not exact: the pairs a
-row covers, a predicate on the draw, and ``allow``, which asserts the
-bound on what differs before removing it.  The feature suites pin their
+``PAIRS`` is the one table of ``(name, applies(draw), oracle, compare,
+fast)`` rows (DESIGN.md §5, "Invariant registry").  ``check`` drives a
+draw's all-fast run once, from an empty tape store; each pair that
+applies reruns the draw with exactly its fast path switched off (pairs
+that share an oracle share its run), and ``compare`` projects both
+runs' ``left_behind`` onto what that path promises, to be ``==`` field
+by field.  A pair with its own ``fast`` drives its fast side after the
+shared run.  ``EXCEPTIONS`` names the paths that are not exact: the
+pairs a row covers, a predicate on the draw, and ``allow``, which
+asserts the bound on what differs before removing it.  The feature suites pin their
 hand-picked cases through the same rows: ``check(draw, pairs=...)`` on
 one draw, or ``meets(name, fast, oracle)`` on two runs driven by hand.
 """
@@ -15,6 +17,7 @@ one draw, or ``meets(name, fast, oracle)`` on two runs driven by hand.
 import json
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.cluster.symmetry import decide_fold
 from repro.cluster.topology import FrontierTopology
@@ -22,7 +25,7 @@ from repro.faults import FaultSpec
 from repro.nn import DynamicGradScaler
 from repro.nn.precision import BF16_MIXED
 from repro.obs import OFF, RunMonitor, Tracer
-from repro.runtime import Session
+from repro.runtime import NUMERIC_TAPES, Session
 from tests.invariants import (
     Run,
     assert_same,
@@ -84,6 +87,10 @@ def execute_every_block(draw):
         return run(draw)
 
 
+def execute_numeric(draw):
+    return run(draw, Session.execute_numeric_step)
+
+
 def one_stage(draw):
     """pp = 1, every op executed (a pp > 1 numeric step never replays)."""
     return run(replace(draw, grid=(1, *draw.grid[1:])),
@@ -104,11 +111,12 @@ def _meta_model(fast: Run) -> list:
     return modes
 
 
-def _numeric_model(fast: Run) -> list:
+def _numeric_model(fast: Run, *, stored: bool = False) -> list:
     """A step the injector cannot touch replays once one such step after
-    the first has recorded; pp > 1 never replays."""
-    modes, recorded = [], False
+    the first has recorded, or from the first when ``stored`` (an earlier
+    session of the draw ran such a step); pp > 1 never replays."""
     pipelined = fast.session.spec.pp_size > 1
+    modes, recorded = [], stored and not all(fast.touched[1:])
     for step, touched in enumerate(fast.touched):
         replayable = not (pipelined or touched)
         modes.append("replayed" if replayable and recorded else "executed")
@@ -195,7 +203,7 @@ def numerics(fast, oracle, got, want):
     return {"states": got["states"]}, {"states": want["states"]}
 
 
-Pair = namedtuple("Pair", "name applies oracle compare")
+Pair = namedtuple("Pair", "name applies oracle compare fast", defaults=(None,))
 
 
 def _folds(draw) -> bool:
@@ -213,9 +221,14 @@ PAIRS = (
     Pair("fold", _folds, lambda d: run(replace(d, fold="off")), expanded),
     Pair("observers", lambda d: d.traced or d.monitored or not d.faults,
          lambda d: run(d, observed=False), simulated),
-    Pair("numeric-step-replay", lambda d: not d.meta,
-         lambda d: run(d, Session.execute_numeric_step),
+    Pair("numeric-step-replay", lambda d: not d.meta, execute_numeric,
          replays_every_step_it_can(_numeric_model)),
+    # A session built after the shared run recorded: every step it can
+    # replays a tape it did not record, from its first (pp > 1 records
+    # none).
+    Pair("numeric-step-inherited", lambda d: not d.meta and d.grid[0] == 1,
+         execute_numeric,
+         replays_every_step_it_can(partial(_numeric_model, stored=True)), run),
     Pair("pipeline", lambda d: not d.meta and d.grid[0] > 1, one_stage,
          numerics),
 )
@@ -277,7 +290,8 @@ EXCEPTIONS = (
         Draw((1, 2, 2, 2), faults=(
             FaultSpec("gpu_crash", step=2, rank=5, op="all_reduce"),))),
     NamedException(
-        "retry-after-raise-runs-per-op", ("numeric-step-replay",),
+        "retry-after-raise-runs-per-op",
+        ("numeric-step-replay", "numeric-step-inherited"),
         lambda d: not d.meta and _raises(d), _retry_executes,
         Draw((1, 2, 2, 2), meta=False, steps=4, faults=(
             FaultSpec("gpu_crash", step=2, rank=3),))),
@@ -312,15 +326,22 @@ def check(draw: Draw, pairs=None) -> tuple:
     if pairs is not None:
         assert all(PAIRS_BY_NAME[name].applies(draw) for name in pairs), \
             f"{pairs} for {draw}"
+    NUMERIC_TAPES.clear()
     fast = run(draw)
     left = left_behind(fast)
-    fired, failed = set(), []
+    fired, failed, oracles = set(), [], {}
     for pair in PAIRS:
         if not pair.applies(draw) or (pairs is not None and
                                       pair.name not in pairs):
             continue
         try:
-            fired |= _meets(pair, fast, pair.oracle(draw), dict(left), draw)
+            if pair.oracle not in oracles:
+                oracles[pair.oracle] = pair.oracle(draw)
+            if pair.fast is None:
+                fired |= _meets(pair, fast, oracles[pair.oracle], dict(left), draw)
+            else:
+                own = pair.fast(draw)
+                fired |= _meets(pair, own, oracles[pair.oracle], left_behind(own), draw)
         except AssertionError as error:
             reason = str(error).split("\n", 1)[0]
             failed.append(f"{pair.name}: {reason}")

@@ -124,3 +124,44 @@ class TestScopedAndReset:
         assert tracker.current_bytes == 0
         assert tracker.live_allocations == 0
         assert tracker.breakdown() == {}
+
+
+class TestRise:
+    @staticmethod
+    def _block(tracker):
+        """Transient work over 10 live bytes: 30 gathered, then 5 scratch."""
+        with tracker.scoped(30, "gathered"):
+            pass
+        with tracker.scoped(5, "scratch"):
+            pass
+
+    def _state(self, tracker):
+        return (tracker.peak_bytes, tracker.category_peak("gathered"),
+                tracker.category_peak("scratch"), tracker.category_peak("params"),
+                tracker.current_bytes, tracker.live_allocations)
+
+    def test_a_raise_is_the_block_it_measured(self):
+        """A tracker raised by the rise ends where running the block again
+        leaves it, with nothing allocated; an older, higher peak stays."""
+        measured, executed, raised = (MemoryTracker(None) for _ in range(3))
+        for tracker in (measured, executed, raised):
+            tracker.free(tracker.allocate(100, "params"))
+            tracker.allocate(10, "params")
+        rise = measured.end_rise(measured.begin_rise())
+        assert rise.total == 0 and rise.by_tag == ()
+        start = measured.begin_rise()
+        self._block(measured)
+        rise = measured.end_rise(start)
+        assert (rise.total, dict(rise.by_tag)) == (30, {"gathered": 30, "scratch": 5})
+        self._block(executed)
+        raised.raise_peaks(rise)
+        assert self._state(measured) == self._state(executed) == self._state(raised)
+        assert raised.peak_bytes == 100  # the older peak
+
+    def test_a_rise_from_a_new_tracker_starts_at_zero(self):
+        tracker = MemoryTracker(None)
+        tracker.allocate(10, "params")
+        self._block(tracker)
+        rise = tracker.end_rise(None)
+        assert (rise.total, dict(rise.by_tag)) == (40, {"params": 10, "gathered": 30,
+                                                        "scratch": 5})

@@ -1,27 +1,42 @@
 """Numeric step replay: what a replayed numeric step may and may not do.
 
-``Session.numeric_step`` runs a signature's first step per-op, records
-the kernels and the timeline stream of its next replayable one, and
-replays both for every later replayable step; the
-``numeric-step-replay`` pair in ``tests/invariants`` holds it to its
-oracle, ``execute_numeric_step``.  The first cases pin that pair on
-every grid of one node, each engine policy both ways, bf16, a grad
-scaler and every fault kind.  The rest drive both through what the
-registry's draws do not: a plan that opens on a touched step, a scale
-that overflows mid-run, a resume into the same session, an
-unclassifiable signature.  The count tests read the session's registry
-(``runtime.numeric_steps_*``) and pin what a replayed step may not call.
+``Session.numeric_step`` runs a key's first step per-op, records the
+kernels and the timeline stream of its next replayable one into the
+process's ``NUMERIC_TAPES``, and replays both for every later replayable
+step — of this session, or of any later one with an equal key; the
+``numeric-step-replay`` and ``numeric-step-inherited`` pairs in
+``tests/invariants`` hold both to the oracle, ``execute_numeric_step``.
+The first cases pin the first pair on every grid of one node, each
+engine policy both ways, bf16, a grad scaler and every fault kind.  The
+rest drive both through what the registry's draws do not: a plan that
+opens on a touched step, a scale that overflows mid-run, a resume into
+the same session, an unclassifiable signature, an inherited tape under
+another scale, a Supervisor rollback after the recording, and each key
+field that keeps a tape from another spec.
+The count tests read the session's registry (``runtime.numeric_*``) and
+pin what a replayed step may not call.  The root ``conftest.py``
+empties the store before every test.
 """
+
+import gc
+import inspect
+import weakref
+from pathlib import Path
+
 
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, Supervisor
 from repro.cluster import collectives
 from repro.core import fsdp_ops
 from repro.faults import FaultSpec
 from repro.nn import DynamicGradScaler, ExecutionContext, execution_context, ops
 from repro.nn.context import _state
-from repro.runtime import Session
+from repro.nn.precision import BF16_MIXED
+from repro.obs import OFF, Tracer
+from repro.runtime import NUMERIC_TAPES, Session
+from repro.runtime.tapes import CAPACITY, TapeStore
 from repro.train import distributed
 from repro.train.distributed import DistributedTrainer
 from tests.invariants import assert_same, count_calls, drive, left_behind, spec
@@ -48,6 +63,10 @@ def _counts(session) -> tuple:
     counters = session.tracer.metrics.snapshot()
     return tuple(counters.get(f"runtime.numeric_{name}", 0) for name in
                  ("steps_executed", "steps_replayed", "step_fallbacks"))
+
+
+def _inherited(session) -> int:
+    return session.tracer.metrics.snapshot().get("runtime.numeric_tapes_inherited", 0)
 
 
 def _run(run_spec, faults=(), *, oracle=False, scaler=None, **kwargs):
@@ -157,7 +176,7 @@ def test_a_resume_into_the_same_session_replays_on(tmp_path):
 def test_a_pipelined_session_never_replays():
     replayed, modes = _assert_replay_is_the_oracle(_spec((2, 2, 2, 1)))
     assert modes == ["executed"] * STEPS
-    assert replayed._numeric_tapes == {}
+    assert replayed._numeric_tapes == {} and len(NUMERIC_TAPES) == 0
 
 
 def test_a_signature_the_recorder_cannot_classify_runs_per_op_for_good(
@@ -175,7 +194,7 @@ def test_a_signature_the_recorder_cannot_classify_runs_per_op_for_good(
     assert fallen_back.modes == ["executed"] * STEPS
     session = fallen_back.session
     assert _counts(session) == (STEPS, 0, STEPS - 1)
-    (reason,) = session._numeric_tapes.values()
+    (reason,) = NUMERIC_TAPES.values()
     assert "operand" in reason
     assert_same(left_behind(fallen_back), left_behind(oracle))
 
@@ -221,19 +240,193 @@ def test_enclosing_contexts_see_the_replayed_flops():
     assert totals[0][0] > totals[0][1] > 0
 
 
-def test_the_step_tape_holds_no_array():
-    """Constants are plain Python values and kernels are bound to
-    constants only: the tape keeps no activation, gradient or weight."""
-    session = Session(_spec())
+def test_the_store_pins_no_session():
+    """A stored tape holds constants, kernels and addresses: once its
+    session is gone, so are the session, its engine, its shards and its
+    grad scaler, and no kernel is a method bound to any of them."""
+    session = Session(_spec(), grad_scaler=DynamicGradScaler(init_scale=2.0**8))
     for step in range(STEPS):
         session.numeric_step(step)
-    (tape,) = session._numeric_tapes.values()
-    (template, params, program, *_), *_rest = tape
+    assert _state.tape is None and session.cluster.timeline._capture is None
+    refs = [weakref.ref(value) for value in (
+        session, session.engine, session.engine.sharded_parameters(0)[0].shards[0],
+        session.trainer.grad_scaler)]
+    del session
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    (tape,) = NUMERIC_TAPES.values()
+    template, params, program, *_ = tape.kernels
     assert not any(isinstance(value, np.ndarray) for value in template)
+    kernels = [getattr(entry[0], "func", entry[0]) for entry in program]
+    assert not any(inspect.ismethod(fn) for fn in kernels)
     assert not any(isinstance(value, np.ndarray)
                    for entry in program
                    for value in getattr(entry[0], "keywords", {}).values())
-    assert _state.tape is None and session.cluster.timeline._capture is None
+    assert {address[0] for _, address, _ in params} == {"dense", "shard", "trainer"}
+    assert all(type(part) in (str, int) for _, address, key in params
+               for part in (*address, key))
+
+
+def test_the_store_drops_its_least_recently_used_key_past_capacity():
+    store = TapeStore()
+    for key in range(CAPACITY):
+        store.put(key, f"tape {key}")
+    assert store.get(0) == "tape 0"  # 0 is now the most recently used
+    store.put(CAPACITY, f"tape {CAPACITY}")
+    assert len(store) == CAPACITY
+    assert store.get(1) is None
+    assert store.values() == [f"tape {key}" for key in (*range(2, CAPACITY), 0, CAPACITY)]
+
+
+#: field -> the spec or session a tape of ``_spec()`` must not serve.
+#: ``RunSpec.identity()`` is equal for the five spec fields.
+KEY_MISSES = {
+    "recompute": lambda: Session(_spec(recompute=True)),
+    "prefetch": lambda: Session(_spec(prefetch=False)),
+    "layer_wrapping": lambda: Session(_spec(layer_wrapping=False)),
+    "compute_skew": lambda: Session(_spec(compute_skew=((1, 2.0),))),
+    "track_device_memory": lambda: Session(_spec(track_device_memory=False)),
+    "precision": lambda: Session(_spec(), precision=BF16_MIXED),
+    "tracer": lambda: Session(_spec()),
+}
+
+
+@pytest.mark.parametrize("field", KEY_MISSES)
+def test_a_spec_that_differs_in_one_field_records_afresh(field):
+    """Each field changes what the step records, so a session that
+    differs in it alone runs plain, records and replays its own tape —
+    never the stored one.  (``tracer``: the stored tape is untraced.)"""
+    recorder = Session(_spec(), tracer=OFF if field == "tracer" else None)
+    for step in range(2):
+        recorder.numeric_step(step)
+    assert len(NUMERIC_TAPES) == 1
+    session = KEY_MISSES[field]()
+    if session.spec != recorder.spec:
+        assert session.spec.identity() == recorder.spec.identity()
+    for step in range(3):
+        session.numeric_step(step)
+    assert _counts(session) == (2, 1, 0)
+    assert _inherited(session) == 0 and len(NUMERIC_TAPES) == 2
+
+
+def test_an_equal_spec_replays_the_stored_tape_from_its_first_step():
+    """The control of the key misses: same spec, same session kwargs."""
+    recorder = Session(_spec())
+    for step in range(2):
+        recorder.numeric_step(step)
+    session = Session(_spec())
+    for step in range(3):
+        session.numeric_step(step)
+    assert _counts(session) == (0, 3, 0)
+    assert _inherited(session) == 1 and len(NUMERIC_TAPES) == 1
+
+
+def test_an_inherited_tape_meets_its_oracle():
+    """The ``numeric-step-inherited`` pair with every policy that sets
+    what a step allocates on: tracked memory, recompute, bf16 and a grad
+    scaler.  The pair's model has the inheriting session replay every
+    step, from its first; its trackers reach the peak the shared run's
+    recorded step carried over."""
+    shared, _ = check(Draw((1, 2, 2, 2), meta=False, steps=STEPS, recompute=True,
+                           track_device_memory=True, bf16=True, scaler=2.0**8),
+                      pairs=("numeric-step-inherited",))
+    assert _counts(shared.session) == (2, STEPS - 2, 0)
+
+
+def test_an_inherited_tape_multiplies_by_its_own_sessions_scale():
+    """The recording session's scaler stays at 2**8; the inheriting
+    session's starts at 2**20 and doubles every step, and its every
+    step replays against an oracle under the same scaler."""
+    recorder = Session(_spec(), grad_scaler=DynamicGradScaler(init_scale=2.0**8))
+    for step in range(2):
+        recorder.numeric_step(step)
+    replayed, modes = _assert_replay_is_the_oracle(
+        _spec(), scaler={"init_scale": 2.0**20, "growth_interval": 1})
+    assert modes == ["replayed"] * STEPS
+    assert replayed.trainer.grad_scaler.scale == 2.0**24
+    assert _inherited(replayed) == 1
+
+
+def test_a_resumed_sessions_first_step_is_replayed(tmp_path, calls):
+    """The resumed session of an equal spec makes one step, which
+    replays the tape the saving session recorded: no per-op call, the
+    uninterrupted session's loss."""
+    session = Session(_spec())
+    for step in range(3):
+        session.numeric_step(step)
+    resumed = Session(_spec())
+    resumed.resume(session.save(tmp_path / "ck.npz"))
+    calls.clear()
+    loss, _ = resumed.numeric_step(3)
+    assert calls == {}
+    assert _counts(resumed) == (0, 1, 0) and _inherited(resumed) == 1
+    assert loss == session.numeric_step(3)[0]
+
+
+def test_a_rolled_back_incarnation_replays_its_first_clean_step(
+        monkeypatch, tmp_path):
+    """``repro faults --plan examples/fault_plan.json --numeric``: the
+    first incarnation never records (step 0 is its only clean step), so
+    the rolled-back one records on step 4.  A later run of the plan
+    finds that tape: each incarnation replays its clean steps from the
+    first, step 4 included, and the report is the same."""
+    incarnations = []
+    build = Supervisor._build_session
+
+    def building(self, spec):
+        build(self, spec)
+        incarnations.append(self.session)
+
+    monkeypatch.setattr(Supervisor, "_build_session", building)
+    plan = FaultPlan.from_json(Path(__file__).resolve().parents[2]
+                               / "examples" / "fault_plan.json")
+    spec = _spec().replace(track_device_memory=False, num_steps=8)
+    first, second = (Supervisor(spec, plan, checkpoint_every=2,
+                                checkpoint_dir=tmp_path / run).run(8)
+                     for run in ("cold", "warm"))
+    # (executed, replayed, fallbacks, inherited) per incarnation
+    assert [(*_counts(s), _inherited(s)) for s in incarnations] == [
+        (3, 0, 0, 0), (4, 2, 0, 0), (2, 1, 0, 1), (3, 3, 0, 1)]
+    assert second.render() == first.render()
+    assert second.as_dict() == first.as_dict()
+
+
+def test_a_rollback_after_the_recording_replays_from_its_first_step(
+        monkeypatch, tmp_path):
+    """One Supervisor run whose crash comes after the tape is recorded,
+    as a fault in a long run does: the rolled-back incarnation replays
+    every step from the first, where one that cannot inherit runs steps
+    4 and 5 per-op; the report, losses and parameters are the same."""
+    incarnations = []
+    build = Supervisor._build_session
+
+    def building(self, spec):
+        build(self, spec)
+        incarnations.append(self.session)
+
+    monkeypatch.setattr(Supervisor, "_build_session", building)
+    plan = FaultPlan(faults=(FaultSpec("gpu_crash", step=5, rank=1),))
+    spec = _spec().replace(track_device_memory=False, num_steps=8)
+
+    def run(name):
+        supervisor = Supervisor(spec, plan, checkpoint_every=2,
+                                checkpoint_dir=tmp_path / name)
+        report = supervisor.run(8)
+        session = supervisor.session
+        state = [p.data for p in session.engine.dense_parameters(0)] + [
+            shard for p in session.engine.sharded_parameters(0) for shard in p.shards]
+        return report, report.history, state
+
+    inherited = run("inherited")
+    NUMERIC_TAPES.clear()
+    monkeypatch.setattr(NUMERIC_TAPES, "get", lambda key: None)
+    alone = run("alone")
+    # (executed, replayed, fallbacks, inherited) per incarnation
+    assert [(*_counts(s), _inherited(s)) for s in incarnations] == [
+        (2, 3, 0, 0), (0, 4, 0, 1), (2, 3, 0, 0), (2, 2, 0, 0)]
+    assert inherited[0].as_dict() == alone[0].as_dict()
+    assert inherited[1] == alone[1]
+    assert all(np.array_equal(a, b) for a, b in zip(inherited[2], alone[2], strict=True))
 
 
 def test_trainer_rejects_latitude_weights_of_another_grid():
