@@ -11,6 +11,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel.plan import HybridParallelPlan
 
 
+@contextmanager
+def compute_on_rank(cluster, compute_model, rank: int, op: str):
+    """Attribute the enclosed work to ``rank``'s timeline.
+
+    The body runs under a per-rank trace-log context and an
+    :class:`ExecutionContext` that counts its FLOPs; on a clean exit
+    they are priced by ``compute_model`` (skipped when it is ``None``)
+    and recorded as one compute event named ``op``.
+    """
+    from repro.utils.logging import trace_log_context
+
+    ctx = ExecutionContext()
+    with trace_log_context(rank=rank), execution_context(ctx):
+        yield
+    if compute_model is not None:
+        seconds = compute_model.seconds_for(ctx.flops, rank)
+        cluster.timeline.record_compute(rank, seconds, ctx.flops, op=op)
+
+
 class HybridModuleBase:
     """Base for sharded sublayers living on one DDP replica of a plan.
 
@@ -81,18 +100,11 @@ class HybridModuleBase:
         return self.plan.cluster.timeline.fold_pad("fsdp", items, self.fsdp_size)
 
     # -- accounting --------------------------------------------------------------
-    @contextmanager
     def ranked_compute(self, fsdp: int, tp: int):
         """Attribute the enclosed work to rank ``(fsdp, tp)``'s timeline."""
-        from repro.utils.logging import trace_log_context
-
-        ctx = ExecutionContext()
-        rank = self.rank(fsdp, tp)
-        with trace_log_context(rank=rank), execution_context(ctx):
-            yield
-        if self.compute_model is not None:
-            seconds = self.compute_model.seconds_for(ctx.flops, rank)
-            self.plan.cluster.timeline.record_compute(rank, seconds, ctx.flops, op=self.name)
+        return compute_on_rank(
+            self.plan.cluster, self.compute_model, self.rank(fsdp, tp), self.name
+        )
 
     def _require_cache(self):
         if self._cache is None:

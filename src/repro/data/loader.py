@@ -109,14 +109,7 @@ class BatchLoader:
 
 
 class RoundRobinBatches:
-    """Endless batch stream cycling over multiple loaders.
-
-    Unlike a bare generator, the stream's position is inspectable:
-    :meth:`state`/:meth:`restore` capture the round-robin index and
-    each loader's batch counter (the full state of the counter-seeded
-    :class:`BatchLoader`), which is how a resumed pre-training run
-    continues the exact uninterrupted data sequence.
-    """
+    """Endless batch stream cycling over multiple loaders."""
 
     def __init__(self, loaders: list[BatchLoader]):
         if not loaders:
@@ -131,24 +124,6 @@ class RoundRobinBatches:
         loader = self.loaders[self._index % len(self.loaders)]
         self._index += 1
         return loader.next_batch()
-
-    def state(self) -> dict:
-        """JSON-able stream position."""
-        return {
-            "index": self._index,
-            "counters": [loader._batch_counter for loader in self.loaders],
-        }
-
-    def restore(self, state: dict) -> None:
-        """Rewind/advance to a position captured by :meth:`state`."""
-        counters = state["counters"]
-        if len(counters) != len(self.loaders):
-            raise ValueError(
-                f"state covers {len(counters)} loaders, have {len(self.loaders)}"
-            )
-        self._index = int(state["index"])
-        for loader, counter in zip(self.loaders, counters):
-            loader._batch_counter = int(counter)
 
 
 def round_robin_loaders(

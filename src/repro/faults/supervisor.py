@@ -409,7 +409,7 @@ class Supervisor:
         if profile.is_clean:
             self._last_replan_signature = None
             return
-        signature = (profile.compute, profile.links, profile.lost_ranks)
+        signature = (profile.compute, profile.links)
         if signature == self._last_replan_signature:
             return
         self._last_replan_signature = signature

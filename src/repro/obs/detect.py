@@ -29,7 +29,7 @@ hence zero deviation) produces zero alerts by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.obs.health import Finding, HealthThresholds
 from repro.obs.timeseries import TimeseriesStore
@@ -245,12 +245,3 @@ class DetectorBank:
     def rules_for(self, metric: str) -> tuple[AlertRule, ...]:
         return tuple(r for r in self.rules if r.metric == metric)
 
-
-def rules_from_dicts(entries) -> tuple[AlertRule, ...]:
-    """Build rules from JSON-style dicts (unknown keys rejected)."""
-    return tuple(AlertRule(**entry) for entry in entries)
-
-
-def with_overrides(rules: tuple[AlertRule, ...], **overrides) -> tuple[AlertRule, ...]:
-    """Uniformly tweak a rule set (e.g. every ``sustain`` for a test)."""
-    return tuple(replace(rule, **overrides) for rule in rules)

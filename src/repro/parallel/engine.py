@@ -41,10 +41,10 @@ import numpy as np
 
 from repro.cluster.cluster import GroupAllocation
 from repro.cluster.collectives import all_reduce
+from repro.core.base import compute_on_rank
 from repro.meta import is_meta, nbytes_of
 from repro.models.climax_vit import ClimaXViT
 from repro.nn.checkpoint import CheckpointWrapper
-from repro.nn.context import ExecutionContext, execution_context
 from repro.nn.module import Module
 from repro.nn.ops import kernel
 from repro.parallel.core_trunk import make_stage_templates
@@ -239,7 +239,8 @@ class HybridSTOPEngine:
     # -- accounting helpers -------------------------------------------------------
     def _ranked(self, d: int, f: int, op: str = "dense", plan=None):
         plan = self.plan if plan is None else plan
-        return _RankedCompute(self, plan.rank(d, f, 0), op)
+        return compute_on_rank(self.plan.cluster, self.compute_model,
+                               plan.rank(d, f, 0), op)
 
     def _record_dense_grad_sync(self, d: int) -> None:
         """Cost of reducing replicated dense grads across the replica:
@@ -541,34 +542,3 @@ class _PipelinedTrunk:
         for trunk in self.stage_trunks:
             grads.update(trunk.gathered_grads())
         return grads
-
-
-class _RankedCompute:
-    """Attribute enclosed dense-module compute to one rank."""
-
-    def __init__(self, engine: HybridSTOPEngine, rank: int, op: str = "dense"):
-        self.engine = engine
-        self.rank = rank
-        self.op = op
-        self.ctx = ExecutionContext()
-        self._mgr = None
-
-    def __enter__(self):
-        from repro.utils.logging import trace_log_context
-
-        self._log_ctx = trace_log_context(rank=self.rank)
-        self._log_ctx.__enter__()
-        self._mgr = execution_context(self.ctx)
-        self._mgr.__enter__()
-        return self
-
-    def __exit__(self, *exc):
-        self._mgr.__exit__(*exc)
-        self._log_ctx.__exit__(*exc)
-        engine = self.engine
-        if engine.compute_model is not None:
-            seconds = engine.compute_model.seconds_for(self.ctx.flops, self.rank)
-            engine.plan.cluster.timeline.record_compute(
-                self.rank, seconds, self.ctx.flops, op=self.op
-            )
-        return False

@@ -1,19 +1,14 @@
 """DegradationProfile: the replanner's picture of the sick machine.
 
-The controller never looks at raw detector output or injector state
-directly; everything it knows about the degraded cluster is projected
-into one frozen :class:`DegradationProfile` — per-rank compute slowdown
-factors, per-rank link bandwidth factors, and the set of permanently
-lost ranks — plus how many more steps the evidence says the condition
-will last.  Two independent evidence channels feed it:
-
-* :meth:`DegradationProfile.from_injector` reads the fault injector's
-  fired, in-window degradations (the seeded-scenario replay channel —
-  exact factors and exact remaining windows);
-* :meth:`DegradationProfile.from_findings` converts
-  :class:`~repro.obs.health.Finding` records (straggler excess over the
-  median) into estimated compute factors — the channel a real cluster
-  would use, where only the symptom is observable.
+The controller never looks at injector state directly; everything it
+knows about the degraded cluster is projected into one frozen
+:class:`DegradationProfile` — per-rank compute slowdown factors and
+per-rank link bandwidth factors — plus how many more steps the evidence
+says the condition will last.  One evidence channel feeds it:
+:meth:`DegradationProfile.from_injector` reads the fault injector's
+fired, in-window degradations (exact factors and exact remaining
+windows), and the controller prices them with the same estimator the
+tuner ranks plans with.
 
 Profiles are canonically ordered and hashable, and :meth:`key` renders
 a stable string used both for replan hysteresis (one evaluation per
@@ -23,7 +18,7 @@ distinct profile) and as the tune-cache degradation component
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _canonical(pairs) -> tuple[tuple[int, float], ...]:
@@ -44,36 +39,25 @@ class DegradationProfile:
 
     ``compute`` / ``links`` hold ``(rank, factor)`` slowdown multipliers
     (factors are > 1; a rank absent from a map runs at full speed);
-    ``lost_ranks`` are permanently gone; ``remaining_steps`` is the
-    longest remaining degradation window — the horizon over which the
-    degraded (rather than clean) step time applies.
+    ``remaining_steps`` is the longest remaining degradation window —
+    the horizon over which the degraded (rather than clean) step time
+    applies.
     """
 
     compute: tuple[tuple[int, float], ...] = ()
     links: tuple[tuple[int, float], ...] = ()
-    lost_ranks: tuple[int, ...] = ()
     remaining_steps: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "compute", _canonical(self.compute))
         object.__setattr__(self, "links", _canonical(self.links))
-        object.__setattr__(
-            self, "lost_ranks", tuple(sorted(set(int(r) for r in self.lost_ranks)))
-        )
         if self.remaining_steps < 0:
             raise ValueError("remaining_steps must be non-negative")
-
-    # -- lookups --------------------------------------------------------------
-    def compute_factor(self, rank: int) -> float:
-        return dict(self.compute).get(rank, 1.0)
-
-    def link_factor(self, rank: int) -> float:
-        return dict(self.links).get(rank, 1.0)
 
     @property
     def is_clean(self) -> bool:
         """No degradation evidence at all (the stay-fast path)."""
-        return not self.compute and not self.links and not self.lost_ranks
+        return not self.compute and not self.links
 
     def key(self) -> str:
         """Canonical string identity (hysteresis + tune-cache key)."""
@@ -82,23 +66,14 @@ class DegradationProfile:
         parts = []
         for tag, pairs in (("c", self.compute), ("l", self.links)):
             parts.extend(f"{tag}{rank}x{factor:g}" for rank, factor in pairs)
-        parts.extend(f"-{rank}" for rank in self.lost_ranks)
         parts.append(f"w{self.remaining_steps}")
         return ",".join(parts)
 
-    def as_dict(self) -> dict:
-        return {
-            "compute": [[rank, factor] for rank, factor in self.compute],
-            "links": [[rank, factor] for rank, factor in self.links],
-            "lost_ranks": list(self.lost_ranks),
-            "remaining_steps": self.remaining_steps,
-        }
-
-    # -- evidence channels ----------------------------------------------------
+    # -- evidence ---------------------------------------------------------------
     @classmethod
     def from_injector(cls, injector, step: int) -> "DegradationProfile":
         """Project the injector's fired, in-window degradations at
-        ``step``: the exact-evidence channel of a seeded scenario."""
+        ``step``."""
         from repro.faults.plan import FaultKind
 
         compute, links = [], []
@@ -112,30 +87,3 @@ class DegradationProfile:
                 links.append((rank, spec.factor))
         return cls(compute=tuple(compute), links=tuple(links),
                    remaining_steps=remaining)
-
-    @classmethod
-    def from_findings(cls, findings, remaining_steps: int = 0) -> "DegradationProfile":
-        """Estimate a profile from health findings.
-
-        A ``straggler`` finding's magnitude is the rank's busy-time
-        excess over the median, so ``1 + magnitude`` approximates its
-        compute slowdown factor.  Imbalance and other categories carry
-        no per-rank factor and are ignored here — they describe the
-        *plan*, not the machine.
-        """
-        from repro.obs.health import FindingKind
-
-        compute = []
-        for finding in findings:
-            if finding.kind is FindingKind.STRAGGLER and finding.ranks:
-                compute.append((finding.ranks[0], 1.0 + finding.magnitude))
-        return cls(compute=tuple(compute), remaining_steps=remaining_steps)
-
-    def merged(self, other: "DegradationProfile") -> "DegradationProfile":
-        """Union of two evidence channels (max factor per rank)."""
-        return DegradationProfile(
-            compute=self.compute + other.compute,
-            links=self.links + other.links,
-            lost_ranks=self.lost_ranks + other.lost_ranks,
-            remaining_steps=max(self.remaining_steps, other.remaining_steps),
-        )

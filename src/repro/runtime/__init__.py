@@ -38,9 +38,7 @@ from repro.runtime.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointCorruptError,
     load_archive,
-    resume_trainer,
     save_archive,
-    save_trainer,
 )
 
 __all__ = [
@@ -57,8 +55,6 @@ __all__ = [
     "engine_legality_reason",
     "fabricate_batch",
     "load_archive",
-    "resume_trainer",
     "save_archive",
-    "save_trainer",
     "tp_group_spans_nodes",
 ]

@@ -2,10 +2,10 @@
 
 One ``.npz`` per checkpoint: every persisted array under a namespaced
 key, plus a JSON metadata blob.  :func:`save_archive`/:func:`load_archive`
-are the low-level container shared by :meth:`Session.save
-<repro.runtime.session.Session.save>` (sharded engine state) and
-:func:`save_trainer`/:func:`resume_trainer` (the serial Fig 8 path).
-The compressed ``.npz`` container preserves array bits exactly, which
+are the container under :meth:`Session.save
+<repro.runtime.session.Session.save>` and :meth:`Session.resume
+<repro.runtime.session.Session.resume>`, the one checkpoint writer and
+restorer.  The compressed ``.npz`` container preserves array bits exactly, which
 is what makes bitwise resume-parity possible.
 """
 
@@ -51,23 +51,34 @@ def _manifest_for(arrays: dict[str, np.ndarray]) -> dict:
     return manifest
 
 
-def _verify_manifest(path: Path, arrays: dict, manifest: dict) -> None:
+def _verify_manifest(path: Path, arrays: dict, manifest) -> None:
+    if not isinstance(manifest, dict):
+        raise CheckpointCorruptError(
+            f"{path}: manifest is {type(manifest).__name__}, not a JSON object"
+        )
     for key, entry in manifest.items():
         if key not in arrays:
             raise CheckpointCorruptError(
                 f"{path}: array member {key!r} named by the manifest is missing"
             )
+        try:
+            shape, dtype, stored = list(entry["shape"]), entry["dtype"], entry["crc32"]
+        except (TypeError, KeyError) as err:
+            raise CheckpointCorruptError(
+                f"{path}: manifest entry for array member {key!r} is malformed "
+                f"({type(err).__name__}: {err})"
+            ) from err
         value = np.asarray(arrays[key])
-        if list(value.shape) != list(entry["shape"]) or str(value.dtype) != entry["dtype"]:
+        if list(value.shape) != shape or str(value.dtype) != dtype:
             raise CheckpointCorruptError(
                 f"{path}: array member {key!r} is {value.dtype}{tuple(value.shape)}, "
-                f"manifest records {entry['dtype']}{tuple(entry['shape'])}"
+                f"manifest records {dtype}{tuple(shape)}"
             )
         crc = zlib.crc32(np.ascontiguousarray(value).tobytes()) & 0xFFFFFFFF
-        if crc != entry["crc32"]:
+        if crc != stored:
             raise CheckpointCorruptError(
                 f"{path}: checksum mismatch for array member {key!r} "
-                f"(stored crc32 {entry['crc32']}, computed {crc})"
+                f"(stored crc32 {stored}, computed {crc})"
             )
     extras = sorted(set(arrays) - set(manifest))
     if extras:
@@ -110,12 +121,13 @@ def load_archive(path, tracer=OFF,
     """Read an archive written by :func:`save_archive`.
 
     Returns ``(arrays, metadata)``.  Raises
-    :class:`CheckpointCorruptError` — naming the offending member —
-    when the archive is unreadable, a member fails to decompress, or a
-    schema-2 manifest check (checksum, shape, dtype, missing/extra
-    member) fails; raises ``ValueError`` for archives from an unknown
-    schema version.  ``verify=False`` skips the manifest pass (already
-    trusted archives).
+    :class:`CheckpointCorruptError` naming the archive — and the
+    offending member when the damage is localized — when the archive is
+    unreadable, a member fails to decompress, the metadata is not a JSON
+    object, its schema is unknown, or a schema-2 manifest check
+    (malformed entry, checksum, shape, dtype, missing/extra member)
+    fails.  ``verify=False`` skips the manifest pass (already trusted
+    archives).
     """
     path = Path(path)
     try:
@@ -148,10 +160,15 @@ def load_archive(path, tracer=OFF,
                 raise CheckpointCorruptError(
                     f"{path}: array member {key!r} is corrupt: {err}"
                 ) from err
+    if not isinstance(metadata, dict):
+        raise CheckpointCorruptError(
+            f"{path}: metadata member {_META_KEY!r} is "
+            f"{type(metadata).__name__}, not a JSON object"
+        )
     schema = metadata.get("schema")
     if schema not in (1, CHECKPOINT_SCHEMA):
-        raise ValueError(
-            f"unsupported checkpoint schema {schema!r} "
+        raise CheckpointCorruptError(
+            f"{path}: unsupported checkpoint schema {schema!r} "
             f"(this build reads {CHECKPOINT_SCHEMA})"
         )
     if verify and schema >= 2:
@@ -163,64 +180,3 @@ def load_archive(path, tracer=OFF,
     tracer.metrics.counter("checkpoint.loads").inc()
     return arrays, metadata
 
-
-# -- serial (Fig 8) trainer persistence --------------------------------------
-def save_trainer(path, trainer, *, loop=None, loader=None,
-                 metadata: dict | None = None) -> Path:
-    """Checkpoint a serial :class:`~repro.train.trainer.Trainer`.
-
-    Persists the model parameters, the AdamW moments, the scheduler
-    step, the gradient-accumulation phase, and — when ``loop`` /
-    ``loader`` are given — the :class:`~repro.runtime.steploop.StepLoop`
-    history and the data stream's counter state, so a resumed Fig 8 run
-    continues the exact uninterrupted trajectory.
-    """
-    arrays = {
-        f"param::{name}": np.asarray(value)
-        for name, value in trainer.model.state_dict().items()
-    }
-    opt_state = trainer.optimizer.state_dict()
-    for key, value in opt_state["arrays"].items():
-        arrays[f"opt::{key}"] = value
-    meta = {
-        "kind": "trainer",
-        "step": trainer.step_count,
-        "micro_step": trainer._micro_step,
-        "optimizer": opt_state["scalars"],
-        "user": metadata or {},
-    }
-    if loop is not None:
-        meta["loop"] = loop.state_dict()
-    if loader is not None:
-        meta["loader"] = loader.state()
-    return save_archive(path, arrays, meta, tracer=trainer.tracer)
-
-
-def resume_trainer(path, trainer, *, loader=None) -> dict:
-    """Restore a checkpoint written by :func:`save_trainer`.
-
-    Returns the archive metadata; its ``"loop"`` entry (when present)
-    carries the resume state for a new
-    :class:`~repro.runtime.steploop.StepLoop`.
-    """
-    arrays, meta = load_archive(path, tracer=trainer.tracer)
-    if meta.get("kind") != "trainer":
-        raise ValueError(f"{path} is not a trainer checkpoint")
-    trainer.model.load_state_dict({
-        key[len("param::"):]: value
-        for key, value in arrays.items()
-        if key.startswith("param::")
-    })
-    trainer.optimizer.load_state_dict({
-        "arrays": {
-            key[len("opt::"):]: value
-            for key, value in arrays.items()
-            if key.startswith("opt::")
-        },
-        "scalars": meta["optimizer"],
-    })
-    trainer.step_count = meta["step"]
-    trainer._micro_step = meta["micro_step"]
-    if loader is not None and "loader" in meta:
-        loader.restore(meta["loader"])
-    return meta

@@ -1,6 +1,7 @@
 """Checkpoint integrity: the manifest catches corruption, typed and named."""
 
 import json
+import re
 import zipfile
 
 import numpy as np
@@ -124,5 +125,27 @@ class TestStructuralDamage:
             )
         }
         np.savez_compressed(path, **payload)
-        with pytest.raises(ValueError, match="unsupported checkpoint schema"):
+        with pytest.raises(ValueError, match="unsupported checkpoint schema") as info:
             load_archive(path)
+        assert isinstance(info.value, CheckpointCorruptError)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("metadata, member", [
+        ([1, 2], _META_KEY),
+        ({"schema": 2, "manifest": [1]}, "manifest"),
+        ({"schema": 2, "manifest": {"a": {"shape": [3], "dtype": "float64"}}},
+         "'a'"),
+    ], ids=["metadata-not-an-object", "manifest-not-an-object",
+            "entry-without-crc32"])
+    def test_malformed_metadata_is_typed(self, tmp_path, metadata, member):
+        path = tmp_path / "malformed.npz"
+        payload = {
+            "a": np.arange(3.0),
+            _META_KEY: np.frombuffer(
+                json.dumps(metadata).encode("utf-8"), dtype=np.uint8
+            ),
+        }
+        np.savez_compressed(path, **payload)
+        with pytest.raises(CheckpointCorruptError, match=re.escape(str(path))) as info:
+            load_archive(path)
+        assert member in str(info.value)

@@ -1,10 +1,9 @@
-"""DegradationProfile: canonicalization, keys, evidence channels."""
+"""DegradationProfile: canonicalization, keys, the injector channel."""
 
 import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.obs.health import Finding
 from repro.replan import DegradationProfile
 
 
@@ -20,20 +19,9 @@ class TestCanonicalization:
         profile = DegradationProfile(compute=((0, 1.0), (1, 0.5), (2, 2.0)))
         assert profile.compute == ((2, 2.0),)
 
-    def test_lost_ranks_deduped_and_sorted(self):
-        profile = DegradationProfile(lost_ranks=(5, 2, 5))
-        assert profile.lost_ranks == (2, 5)
-
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError, match="remaining_steps"):
             DegradationProfile(remaining_steps=-1)
-
-    def test_lookups_default_to_unity(self):
-        profile = DegradationProfile(compute=((0, 2.0),), links=((1, 3.0),))
-        assert profile.compute_factor(0) == 2.0
-        assert profile.compute_factor(7) == 1.0
-        assert profile.link_factor(1) == 3.0
-        assert profile.link_factor(0) == 1.0
 
 
 class TestKey:
@@ -51,17 +39,9 @@ class TestKey:
 
     def test_key_covers_every_axis(self):
         profile = DegradationProfile(
-            compute=((0, 2.0),), links=((1, 3.0),), lost_ranks=(7,),
-            remaining_steps=2,
+            compute=((0, 2.0),), links=((1, 3.0),), remaining_steps=2,
         )
-        assert profile.key() == "c0x2,l1x3,-7,w2"
-
-    def test_as_dict(self):
-        profile = DegradationProfile(compute=((0, 2.0),), remaining_steps=3)
-        assert profile.as_dict() == {
-            "compute": [[0, 2.0]], "links": [], "lost_ranks": [],
-            "remaining_steps": 3,
-        }
+        assert profile.key() == "c0x2,l1x3,w2"
 
 
 class TestFromInjector:
@@ -100,24 +80,3 @@ class TestFromInjector:
         injector = self.drive(4)
         assert DegradationProfile.from_injector(injector, 5).is_clean
 
-
-class TestFromFindings:
-    def test_straggler_findings_become_compute_factors(self):
-        findings = [
-            Finding(category="straggler", severity="warning", message="m",
-                    ranks=(3,), value=0.4, threshold=0.1),
-            Finding(category="tp_imbalance", severity="info", message="m",
-                    ranks=(0, 1), value=0.9, threshold=0.1),
-        ]
-        profile = DegradationProfile.from_findings(findings, remaining_steps=4)
-        assert profile.compute == ((3, 1.4),)
-        assert profile.links == ()
-        assert profile.remaining_steps == 4
-
-    def test_merged_takes_max_per_rank(self):
-        seen = DegradationProfile(compute=((0, 2.0),), remaining_steps=2)
-        estimated = DegradationProfile(compute=((0, 3.0), (1, 1.5)),
-                                       remaining_steps=1)
-        merged = seen.merged(estimated)
-        assert merged.compute == ((0, 3.0), (1, 1.5))
-        assert merged.remaining_steps == 2

@@ -4,11 +4,9 @@ checkpoint reproduces the uninterrupted loss trajectory bitwise."""
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.runtime import RunSpec, Session, StepLoop
-from repro.runtime.checkpoint import resume_trainer, save_trainer
 from tests.runtime.test_session import TINY
 
 TOTAL_STEPS = 6
@@ -75,69 +73,3 @@ class TestShardedResumeParity:
         assert all(p.exists() for p in written)
         assert Session(spec).resume(written[0])["loop"]["step"] == 2
 
-
-class TestFig8SerialResumeParity:
-    def _fig8_stack(self, num_steps):
-        """The Fig 8 construction, scaled down (one model size)."""
-        from repro.data.cmip6 import SyntheticCMIP6Archive
-        from repro.data.grid import LatLonGrid
-        from repro.data.loader import round_robin_loaders
-        from repro.data.normalization import Normalizer
-        from repro.data.variables import default_registry
-        from repro.models import build_model
-        from repro.models.configs import proxy_family
-        from repro.train import AdamW, Trainer, WarmupCosineSchedule
-
-        grid = LatLonGrid(16, 32)
-        registry = default_registry(6)
-        archive = SyntheticCMIP6Archive(grid, registry, years_per_source=0.05,
-                                        seed=0)
-        datasets = archive.datasets()
-        normalizer = Normalizer.fit(datasets[0], num_samples=16)
-        config = next(iter(proxy_family(
-            in_vars=6, out_vars=6, img_height=grid.nlat, img_width=grid.nlon,
-            patch_size=8,
-        ).values()))
-        batches = round_robin_loaders(
-            datasets, 4, lead_steps_choices=(1,), normalizer=normalizer, seed=0
-        )
-        model = build_model(config, rng=0)
-        optimizer = AdamW(model.parameters(), lr=2e-3, weight_decay=0.0)
-        schedule = WarmupCosineSchedule(2e-3, warmup_steps=min(5, num_steps - 1),
-                                        total_steps=num_steps)
-        trainer = Trainer(model, batches, grid.latitude_weights(), optimizer,
-                          schedule=schedule)
-        return trainer, batches
-
-    def test_fig8_loss_curve_resumes_bitwise(self, tmp_path):
-        trainer, _ = self._fig8_stack(TOTAL_STEPS)
-        uninterrupted = trainer.train(TOTAL_STEPS)
-
-        killed, killed_batches = self._fig8_stack(TOTAL_STEPS)
-        loop = killed.step_loop()
-        loop.run(KILL_AT)
-        ckpt = save_trainer(tmp_path / "fig8.npz", killed, loop=loop,
-                            loader=killed_batches)
-        del killed, loop
-
-        resumed, resumed_batches = self._fig8_stack(TOTAL_STEPS)
-        state = resume_trainer(ckpt, resumed, loader=resumed_batches)["loop"]
-        resumed_loop = resumed.step_loop(
-            start_step=state["step"],
-            observations_seen=state["observations_seen"],
-            history=[tuple(pair) for pair in state["history"]],
-        )
-        result = resumed_loop.run(TOTAL_STEPS - KILL_AT)
-
-        assert result.history == uninterrupted.history  # bitwise
-
-    def test_loader_state_round_trip(self):
-        _, batches = self._fig8_stack(4)
-        next(batches)
-        next(batches)
-        state = batches.state()
-        _, fresh = self._fig8_stack(4)
-        fresh.restore(state)
-        a, b = next(batches), next(fresh)
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.lead_time_hours, b.lead_time_hours)

@@ -8,11 +8,10 @@ from repro.nn import Linear, Parameter
 from repro.train import (
     AdamW,
     WarmupCosineSchedule,
-    Trainer,
     latitude_weighted_mse,
     sharded_views,
 )
-from repro.runtime.checkpoint import resume_trainer, save_trainer
+from tests.train.test_checkpoint import load_state, save_state
 
 
 class TestAdamW:
@@ -157,19 +156,15 @@ class TestLoss:
 
 
 class TestCheckpoint:
-    @staticmethod
-    def trainer_of(model):
-        return Trainer(model, [], np.ones(1), AdamW(model.parameters()))
-
     def test_roundtrip(self, tmp_path):
         a = Linear(4, 3, rng=0)
         b = Linear(4, 3, rng=99)
-        save_trainer(tmp_path / "ckpt.npz", self.trainer_of(a), metadata={"step": 7})
-        meta = resume_trainer(tmp_path / "ckpt.npz", self.trainer_of(b))
+        save_state(tmp_path / "ckpt.npz", a, metadata={"step": 7})
+        meta = load_state(tmp_path / "ckpt.npz", b)
         assert meta["user"] == {"step": 7}
         x = np.random.default_rng(0).normal(size=(2, 4))
         np.testing.assert_array_equal(a(x), b(x))
 
     def test_creates_parent_dirs(self, tmp_path):
-        save_trainer(tmp_path / "deep" / "dir" / "c.npz", self.trainer_of(Linear(2, 2, rng=0)))
+        save_state(tmp_path / "deep" / "dir" / "c.npz", Linear(2, 2, rng=0))
         assert (tmp_path / "deep" / "dir" / "c.npz").exists()
