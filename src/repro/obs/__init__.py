@@ -50,7 +50,6 @@ from repro.obs.critical_path import (
 )
 from repro.obs.health import (
     Finding,
-    HealthThresholds,
     check_run,
     health_report,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "Counter",
     "Finding",
     "Gauge",
-    "HealthThresholds",
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.obs.health import Finding, HealthThresholds
+from repro.obs.health import MEMORY_WATERMARK_FRAC, STRAGGLER_FRAC, Finding
 from repro.obs.timeseries import TimeseriesStore
 
 #: Supported rule kinds / directions (validated in ``AlertRule``).
@@ -87,11 +87,12 @@ class AlertRule:
 def default_rules() -> tuple[AlertRule, ...]:
     """The stock detector set for a monitored run.
 
-    Threshold rules reuse the post-hoc :class:`HealthThresholds`
-    (straggler, memory watermark); drift rules are z-score against the
-    run's own EWMA regime so they need no absolute calibration.
+    Threshold rules reuse the post-hoc health limits
+    (:data:`~repro.obs.health.STRAGGLER_FRAC`,
+    :data:`~repro.obs.health.MEMORY_WATERMARK_FRAC`); drift rules are
+    z-score against the run's own EWMA regime so they need no absolute
+    calibration.
     """
-    limits = HealthThresholds()
     return (
         AlertRule(metric="step.time_s", detector="step_time_drift",
                   kind="zscore", threshold=4.0, sustain=3, warmup=8),
@@ -99,10 +100,10 @@ def default_rules() -> tuple[AlertRule, ...]:
                   detector="exposed_comm_regression",
                   kind="zscore", threshold=4.0, sustain=3, warmup=8),
         AlertRule(metric="step.straggler_excess", detector="straggler",
-                  kind="threshold", threshold=limits.straggler_frac, sustain=2),
+                  kind="threshold", threshold=STRAGGLER_FRAC, sustain=2),
         AlertRule(metric="memory.peak_fraction",
                   detector="memory_watermark_creep",
-                  kind="threshold", threshold=limits.memory_watermark_frac,
+                  kind="threshold", threshold=MEMORY_WATERMARK_FRAC,
                   sustain=1),
         AlertRule(metric="goodput.fraction", detector="goodput_decay",
                   kind="threshold", threshold=0.90, direction="below",
@@ -241,7 +242,3 @@ class DetectorBank:
     @property
     def warning_count(self) -> int:
         return sum(1 for _, f in self.alerts if f.severity == "warning")
-
-    def rules_for(self, metric: str) -> tuple[AlertRule, ...]:
-        return tuple(r for r in self.rules if r.metric == metric)
-

@@ -31,8 +31,7 @@ surface in both machine-readable and human pipelines.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.obs.critical_path import TraceAnalysis, analyze_trace
@@ -45,41 +44,10 @@ _LOG = get_logger("obs.health")
 SEVERITIES = ("info", "warning", "critical")
 
 
-class FindingKind(str, Enum):
-    """Stable machine-readable taxonomy of finding categories.
-
-    Consumers (the replanner, journal post-processors) branch on this
-    enum instead of parsing ``message`` text.  Post-hoc health checks
-    and the streaming detectors each emit a subset; categories outside
-    the taxonomy map to :data:`FindingKind.OTHER` rather than failing,
-    so new ad-hoc detectors never break existing consumers.
-    """
-
-    # Post-hoc health checks (repro.obs.health.check_run).
-    STRAGGLER = "straggler"
-    TP_IMBALANCE = "tp_imbalance"
-    FSDP_IMBALANCE = "fsdp_imbalance"
-    DDP_IMBALANCE = "ddp_imbalance"
-    OVERLAP_BUDGET = "overlap_budget"
-    MEMORY_WATERMARK = "memory_watermark"
-    # Streaming detectors (repro.obs.detect.default_rules).
-    STEP_TIME_DRIFT = "step_time_drift"
-    EXPOSED_COMM_REGRESSION = "exposed_comm_regression"
-    GOODPUT_DECAY = "goodput_decay"
-    MEMORY_WATERMARK_CREEP = "memory_watermark_creep"
-    DEGRADED_GOODPUT = "degraded_goodput"
-    OTHER = "other"
-
-
 @dataclass(frozen=True)
 class Finding:
-    """One structured health finding.
-
-    The machine-readable contract: ``kind`` (a :class:`FindingKind`),
-    ``ranks`` (the affected-rank set), and ``magnitude`` (the measured
-    value the threshold was compared against) are stable fields no
-    consumer ever has to recover from the free-text ``message``.
-    """
+    """One structured health finding: a category, a severity, the
+    affected ranks and the measured value against its threshold."""
 
     category: str
     severity: str
@@ -88,69 +56,23 @@ class Finding:
     value: float = 0.0
     threshold: float = 0.0
 
-    @property
-    def kind(self) -> FindingKind:
-        """The category as a taxonomy member (``OTHER`` when unknown)."""
-        try:
-            return FindingKind(self.category)
-        except ValueError:
-            return FindingKind.OTHER
 
-    @property
-    def magnitude(self) -> float:
-        """Numeric size of the finding (alias of ``value``; the excess
-        fraction for stragglers, the spread for imbalances, ...)."""
-        return self.value
-
-    def as_dict(self) -> dict:
-        return {
-            "category": self.category,
-            "kind": self.kind.value,
-            "severity": self.severity,
-            "message": self.message,
-            "ranks": list(self.ranks),
-            "value": self.value,
-            "magnitude": self.magnitude,
-            "threshold": self.threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Finding":
-        """Rebuild a finding from :meth:`as_dict` output (round-trip).
-
-        ``kind`` and ``magnitude`` are derived fields; they are
-        accepted and ignored so any ``as_dict`` payload — including
-        journal ``data`` blocks — loads back unchanged.
-        """
-        return cls(
-            category=doc["category"],
-            severity=doc["severity"],
-            message=doc.get("message", ""),
-            ranks=tuple(int(r) for r in doc.get("ranks", ())),
-            value=float(doc.get("value", 0.0)),
-            threshold=float(doc.get("threshold", 0.0)),
-        )
-
-
-@dataclass(frozen=True)
-class HealthThresholds:
-    """Tunable limits for every check (fractions, not absolutes)."""
-
-    #: Rank busy time above ``(1 + frac) * median`` flags a straggler.
-    straggler_frac: float = 0.10
-    #: Compute spread ``(max - min) / max`` inside one group.
-    imbalance_frac: float = 0.25
-    #: Groups whose largest member compute is below this fraction of the
-    #: critical path are ignored — spread on negligible compute cannot
-    #: gate a collective for a meaningful amount of time.
-    imbalance_min_frac: float = 0.02
-    #: Exposed fraction of *overlappable* comm above this flags wasted
-    #: prefetch (only checked when there is meaningful gather volume).
-    overlap_exposed_frac: float = 0.60
-    #: Peak device memory as a fraction of capacity.
-    memory_watermark_frac: float = 0.85
-    #: Ignore times below this (cost-model noise floor).
-    min_seconds: float = 1e-12
+# Limits for every check (fractions, not absolutes).
+#: Rank busy time above ``(1 + frac) * median`` flags a straggler.
+STRAGGLER_FRAC = 0.10
+#: Compute spread ``(max - min) / max`` inside one group.
+IMBALANCE_FRAC = 0.25
+#: Groups whose largest member compute is below this fraction of the
+#: critical path are ignored — spread on negligible compute cannot
+#: gate a collective for a meaningful amount of time.
+IMBALANCE_MIN_FRAC = 0.02
+#: Exposed fraction of *overlappable* comm above this flags wasted
+#: prefetch (only checked when there is meaningful gather volume).
+OVERLAP_EXPOSED_FRAC = 0.60
+#: Peak device memory as a fraction of capacity.
+MEMORY_WATERMARK_FRAC = 0.85
+#: Ignore times below this (cost-model noise floor).
+MIN_SECONDS = 1e-12
 
 
 def _spread(values: list[float]) -> float:
@@ -160,21 +82,21 @@ def _spread(values: list[float]) -> float:
     return (top - min(values)) / top
 
 
-def check_stragglers(analysis: TraceAnalysis, thresholds: HealthThresholds) -> list[Finding]:
+def check_stragglers(analysis: TraceAnalysis) -> list[Finding]:
     busy = {rank: attr.busy_s for rank, attr in analysis.overall.ranks.items()}
     if len(busy) < 2:
         return []
     median = statistics.median(busy.values())
-    if median <= thresholds.min_seconds:
+    if median <= MIN_SECONDS:
         return []
     findings = []
     for rank in sorted(busy):
         excess = busy[rank] / median - 1.0
-        if excess > thresholds.straggler_frac:
+        if excess > STRAGGLER_FRAC:
             findings.append(
                 Finding(
                     category="straggler",
-                    severity="warning" if excess < 2 * thresholds.straggler_frac else "critical",
+                    severity="warning" if excess < 2 * STRAGGLER_FRAC else "critical",
                     message=(
                         f"rank {rank} is {excess:.0%} over the median busy time "
                         f"({busy[rank]:.6f} s vs median {median:.6f} s); "
@@ -182,20 +104,18 @@ def check_stragglers(analysis: TraceAnalysis, thresholds: HealthThresholds) -> l
                     ),
                     ranks=(rank,),
                     value=excess,
-                    threshold=thresholds.straggler_frac,
+                    threshold=STRAGGLER_FRAC,
                 )
             )
     return findings
 
 
-def check_group_imbalance(
-    analysis: TraceAnalysis, plan, thresholds: HealthThresholds
-) -> list[Finding]:
+def check_group_imbalance(analysis: TraceAnalysis, plan) -> list[Finding]:
     """Compute-time spread inside each TP/FSDP/DDP group of the plan."""
     totals = analysis.overall.ranks
     floor = max(
-        thresholds.min_seconds,
-        thresholds.imbalance_min_frac * analysis.overall.critical_path_s,
+        MIN_SECONDS,
+        IMBALANCE_MIN_FRAC * analysis.overall.critical_path_s,
     )
     findings = []
 
@@ -227,7 +147,7 @@ def check_group_imbalance(
             if max(compute) <= floor:
                 continue
             spread = _spread(compute)
-            if spread > thresholds.imbalance_frac:
+            if spread > IMBALANCE_FRAC:
                 findings.append(
                     Finding(
                         category=f"{axis}_imbalance",
@@ -239,28 +159,28 @@ def check_group_imbalance(
                         ),
                         ranks=tuple(ranks),
                         value=spread,
-                        threshold=thresholds.imbalance_frac,
+                        threshold=IMBALANCE_FRAC,
                     )
                 )
     return findings
 
 
-def check_overlap_budget(analysis: TraceAnalysis, thresholds: HealthThresholds) -> list[Finding]:
+def check_overlap_budget(analysis: TraceAnalysis) -> list[Finding]:
     """Was prefetched (gather) communication actually hidden?"""
     exposed = hidden = 0.0
     for attr in analysis.overall.ranks.values():
         exposed += attr.exposed_comm_s
         hidden += attr.hidden_comm_s
     # Only meaningful when overlap was attempted at all.
-    if hidden + exposed <= thresholds.min_seconds or hidden == 0.0:
+    if hidden + exposed <= MIN_SECONDS or hidden == 0.0:
         return []
     gathers = analysis.overall.exposed_comm_by_kind.get("gather", 0.0)
     crit = analysis.overall.ranks[analysis.overall.critical_rank]
     total_gather = gathers + crit.hidden_comm_s
-    if total_gather <= thresholds.min_seconds:
+    if total_gather <= MIN_SECONDS:
         return []
     exposed_frac = gathers / total_gather
-    if exposed_frac > thresholds.overlap_exposed_frac:
+    if exposed_frac > OVERLAP_EXPOSED_FRAC:
         return [
             Finding(
                 category="overlap_budget",
@@ -273,13 +193,13 @@ def check_overlap_budget(analysis: TraceAnalysis, thresholds: HealthThresholds) 
                 ),
                 ranks=(analysis.overall.critical_rank,),
                 value=exposed_frac,
-                threshold=thresholds.overlap_exposed_frac,
+                threshold=OVERLAP_EXPOSED_FRAC,
             )
         ]
     return []
 
 
-def check_memory_watermark(cluster, thresholds: HealthThresholds) -> list[Finding]:
+def check_memory_watermark(cluster) -> list[Finding]:
     """Peak device allocations close to capacity (pre-OOM warning)."""
     findings = []
     for device in cluster.touched_devices():
@@ -287,7 +207,7 @@ def check_memory_watermark(cluster, thresholds: HealthThresholds) -> list[Findin
         fraction = tracker.peak_fraction
         if fraction is None:
             continue
-        if fraction > thresholds.memory_watermark_frac:
+        if fraction > MEMORY_WATERMARK_FRAC:
             findings.append(
                 Finding(
                     category="memory_watermark",
@@ -299,7 +219,7 @@ def check_memory_watermark(cluster, thresholds: HealthThresholds) -> list[Findin
                     ),
                     ranks=(rank,),
                     value=fraction,
-                    threshold=thresholds.memory_watermark_frac,
+                    threshold=MEMORY_WATERMARK_FRAC,
                 )
             )
     return findings
@@ -309,7 +229,6 @@ def check_run(
     trace,
     cluster=None,
     plan=None,
-    thresholds: HealthThresholds | None = None,
     metrics=None,
     analysis: TraceAnalysis | None = None,
 ) -> list[Finding]:
@@ -329,18 +248,17 @@ def check_run(
         Reuse an existing :func:`analyze_trace` result instead of
         recomputing it.
     """
-    thresholds = thresholds or HealthThresholds()
     if analysis is None:
         analysis = analyze_trace(trace)
     if metrics is None:
         metrics = getattr(trace, "metrics", OFF)
 
-    findings = check_stragglers(analysis, thresholds)
+    findings = check_stragglers(analysis)
     if plan is not None:
-        findings += check_group_imbalance(analysis, plan, thresholds)
-    findings += check_overlap_budget(analysis, thresholds)
+        findings += check_group_imbalance(analysis, plan)
+    findings += check_overlap_budget(analysis)
     if cluster is not None:
-        findings += check_memory_watermark(cluster, thresholds)
+        findings += check_memory_watermark(cluster)
 
     severity_rank = {s: i for i, s in enumerate(SEVERITIES)}
     findings.sort(key=lambda f: (-severity_rank[f.severity], f.category, f.ranks))

@@ -32,7 +32,7 @@ import json
 import math
 import statistics
 
-from repro.obs.detect import AlertRule, DetectorBank
+from repro.obs.detect import DetectorBank
 from repro.obs.journal import EventJournal, journal_summary
 from repro.obs.off import OFF
 from repro.obs.timeseries import TimeseriesStore
@@ -41,30 +41,16 @@ from repro.obs.timeseries import TimeseriesStore
 class RunMonitor:
     """Streaming telemetry over one run (possibly many sessions).
 
-    Parameters
-    ----------
-    rules:
-        Alert rules for the detector bank; defaults to
-        :func:`~repro.obs.detect.default_rules`.
-    capacity / rollup_every:
-        Timeseries raw-tail and rollup-bucket geometry.
-    on_event:
-        Optional callable invoked with each appended
-        :class:`~repro.obs.journal.JournalEvent` — the live tail.
+    The detector bank runs :func:`~repro.obs.detect.default_rules`.
+    ``on_event`` is an optional callable invoked with each appended
+    :class:`~repro.obs.journal.JournalEvent` — the live tail.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        rules: tuple[AlertRule, ...] | None = None,
-        capacity: int = 1024,
-        rollup_every: int = 64,
-        on_event=None,
-    ):
-        self.store = TimeseriesStore(capacity=capacity,
-                                     rollup_every=rollup_every)
-        self.bank = DetectorBank(rules)
+    def __init__(self, on_event=None):
+        self.store = TimeseriesStore()
+        self.bank = DetectorBank()
         self.journal = EventJournal(on_event)
         self._session = None
         #: rank -> (compute_s, exposed_comm_s) at step start.

@@ -35,6 +35,12 @@ from repro.utils.artifacts import (
 
 #: Format version of the timeseries JSONL artifact.
 TIMESERIES_SCHEMA = 1
+#: Raw points each series keeps (the ring-buffer tail).
+CAPACITY = 1024
+#: Steps per rollup bucket.
+ROLLUP_EVERY = 64
+#: EWMA smoothing factor of every series' streaming statistics.
+ALPHA = 0.25
 
 
 class StreamingStats:
@@ -45,13 +51,10 @@ class StreamingStats:
     it; the Welford pair summarizes the whole series for reports.
     """
 
-    __slots__ = ("alpha", "count", "mean", "_m2", "ewma", "ewvar",
-                 "minimum", "maximum", "last")
+    __slots__ = ("count", "mean", "_m2", "ewma", "ewvar", "minimum",
+                 "maximum", "last")
 
-    def __init__(self, alpha: float = 0.25):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha {alpha} outside (0, 1]")
-        self.alpha = alpha
+    def __init__(self):
         self.count = 0
         self.mean = 0.0
         self._m2 = 0.0
@@ -75,9 +78,9 @@ class StreamingStats:
             self.ewvar = 0.0
         else:
             diff = value - self.ewma
-            incr = self.alpha * diff
+            incr = ALPHA * diff
             self.ewma += incr
-            self.ewvar = (1.0 - self.alpha) * (self.ewvar + diff * incr)
+            self.ewvar = (1.0 - ALPHA) * (self.ewvar + diff * incr)
 
     @property
     def variance(self) -> float:
@@ -176,26 +179,21 @@ class P2Quantile:
 class Series:
     """One metric's bounded history plus streaming aggregates.
 
-    Raw ``(step, value)`` points live in a ring buffer of ``capacity``;
-    every point (kept or evicted) also lands in a fixed-width rollup
-    bucket (``step // rollup_every``) carrying count/sum/min/max, so
-    the serialized artifact covers the whole run at bounded size.
+    Raw ``(step, value)`` points live in a ring buffer of
+    :data:`CAPACITY`; every point (kept or evicted) also lands in a
+    fixed-width rollup bucket (``step // ROLLUP_EVERY``) carrying
+    count/sum/min/max, so the serialized artifact covers the whole run
+    at bounded size.
     """
 
-    __slots__ = ("name", "capacity", "rollup_every", "stats", "p50", "p95",
-                 "raw", "rollups")
+    __slots__ = ("name", "stats", "p50", "p95", "raw", "rollups")
 
-    def __init__(self, name: str, capacity: int = 1024,
-                 rollup_every: int = 64, alpha: float = 0.25):
-        if capacity < 1 or rollup_every < 1:
-            raise ValueError("capacity and rollup_every must be positive")
+    def __init__(self, name: str):
         self.name = name
-        self.capacity = capacity
-        self.rollup_every = rollup_every
-        self.stats = StreamingStats(alpha)
+        self.stats = StreamingStats()
         self.p50 = P2Quantile(0.50)
         self.p95 = P2Quantile(0.95)
-        self.raw: deque[tuple[int, float]] = deque(maxlen=capacity)
+        self.raw: deque[tuple[int, float]] = deque(maxlen=CAPACITY)
         #: bucket index -> [count, sum, min, max]
         self.rollups: dict[int, list[float]] = {}
 
@@ -206,7 +204,7 @@ class Series:
         self.p95.update(value)
         self.raw.append((step, value))
         bucket = self.rollups.setdefault(
-            step // self.rollup_every, [0, 0.0, math.inf, -math.inf]
+            step // ROLLUP_EVERY, [0, 0.0, math.inf, -math.inf]
         )
         bucket[0] += 1
         bucket[1] += value
@@ -248,20 +246,13 @@ class TimeseriesStore:
     artifact (header, per-series summaries, rollup buckets, raw tail).
     """
 
-    def __init__(self, capacity: int = 1024, rollup_every: int = 64,
-                 alpha: float = 0.25):
-        self.capacity = capacity
-        self.rollup_every = rollup_every
-        self.alpha = alpha
+    def __init__(self):
         self._series: dict[str, Series] = {}
 
     def series(self, name: str) -> Series:
         series = self._series.get(name)
         if series is None:
-            series = self._series[name] = Series(
-                name, capacity=self.capacity, rollup_every=self.rollup_every,
-                alpha=self.alpha,
-            )
+            series = self._series[name] = Series(name)
         return series
 
     def record(self, step: int, values: dict[str, float]) -> None:
@@ -286,7 +277,7 @@ class TimeseriesStore:
         """The canonical JSONL artifact (byte-deterministic)."""
         lines = [json.dumps(
             {"kind": "header", "schema": TIMESERIES_SCHEMA,
-             "capacity": self.capacity, "rollup_every": self.rollup_every},
+             "capacity": CAPACITY, "rollup_every": ROLLUP_EVERY},
             **CANONICAL_JSON,
         )]
         for name in self.names():
@@ -322,6 +313,11 @@ def load_timeseries(path) -> dict:
     """
     header, entries = read_jsonl(path, "timeseries", "header",
                                  TIMESERIES_SCHEMA)
+    try:
+        geometry = {"capacity": header["capacity"],
+                    "rollup_every": header["rollup_every"]}
+    except KeyError as exc:
+        raise ArtifactFormatError(f"{path}: line 1: no {exc.args[0]!r}") from None
     series: dict[str, dict] = {}
     for number, entry in entries:
         where = f"{path}: line {number}"
@@ -347,7 +343,6 @@ def load_timeseries(path) -> dict:
             raise ArtifactFormatError(f"{where}: no {exc.args[0]!r}") from None
     return {
         "schema": header["schema"],
-        "capacity": header["capacity"],
-        "rollup_every": header["rollup_every"],
+        **geometry,
         "series": series,
     }

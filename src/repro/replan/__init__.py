@@ -1,6 +1,6 @@
 """Online adaptive re-planning: mid-run plan migration.
 
-``repro.replan`` turns health findings and fault events into a typed
+``repro.replan`` turns the fault injector's live degradations into a typed
 decision — stay on the current parallelism plan, or checkpoint, rebuild
 and resume on a better one — priced against the run's own goodput
 history.  See :mod:`repro.replan.controller` for the decision

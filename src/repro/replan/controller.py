@@ -6,7 +6,8 @@ evaluation is four moves:
 
 1. **Project** the degraded topology (a
    :class:`~repro.replan.profile.DegradationProfile`) — done by the
-   caller, from injector evidence and/or health findings.
+   caller, from the fault injector's evidence
+   (:meth:`~repro.replan.profile.DegradationProfile.from_injector`).
 2. **Re-price the candidate space** on that profile with the
    :class:`~repro.tune.estimator.AnalyticEstimator`: projected step
    time of the current plan vs every legal alternative that preserves

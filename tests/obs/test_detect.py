@@ -115,12 +115,6 @@ class TestDefaultRules:
             "memory_watermark_creep", "goodput_decay", "degraded_goodput",
         }
 
-    def test_rules_for_filters_by_metric(self):
-        bank = DetectorBank()
-        (rule,) = bank.rules_for("goodput.fraction")
-        assert rule.direction == "below"
-        assert bank.rules_for("no.such.metric") == ()
-
     def test_unmentioned_metric_is_ignored(self):
         bank, store = DetectorBank(), TimeseriesStore()
         # Samples that never include a watched metric produce nothing.

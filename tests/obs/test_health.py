@@ -9,8 +9,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.obs import HealthThresholds, check_run, health_report, run_traced_spec
-from repro.obs.health import Finding, FindingKind, check_memory_watermark
+from repro.obs import check_run, health, health_report, run_traced_spec
+from repro.obs.health import check_memory_watermark
 from tests.obs.test_invariants import TRACE_16
 
 
@@ -66,7 +66,7 @@ class TestMemoryWatermark:
         headroom = tracker.capacity_bytes - tracker.current_bytes
         alloc = tracker.allocate(int(headroom * 0.93), tag="test.balloon")
         try:
-            findings = check_memory_watermark(cluster, HealthThresholds())
+            findings = check_memory_watermark(cluster)
         finally:
             tracker.free(alloc)
             tracker.reset_peak()  # don't leak the watermark to other tests
@@ -81,7 +81,7 @@ class TestMemoryWatermark:
         headroom = tracker.capacity_bytes - tracker.current_bytes
         alloc = tracker.allocate(int(headroom * 0.99), tag="test.balloon")
         try:
-            findings = check_memory_watermark(cluster, HealthThresholds())
+            findings = check_memory_watermark(cluster)
         finally:
             tracker.free(alloc)
             tracker.reset_peak()  # don't leak the watermark to other tests
@@ -90,7 +90,7 @@ class TestMemoryWatermark:
 
     def test_no_findings_below_threshold(self, clean_run):
         # The tiny trace model peaks far below 85% of a 64 GB GCD.
-        findings = check_memory_watermark(clean_run.cluster, HealthThresholds())
+        findings = check_memory_watermark(clean_run.cluster)
         assert findings == []
 
 
@@ -113,67 +113,14 @@ class TestMetricsAndReporting:
         assert "straggler" in text
         assert health_report([]) == "health: OK (no findings)"
 
-    def test_finding_as_dict_round_trips(self):
-        finding = Finding(category="straggler", severity="warning",
-                          message="m", ranks=(3,), value=0.5, threshold=0.1)
-        payload = finding.as_dict()
-        assert payload["ranks"] == [3]
-        assert payload["category"] == "straggler"
-
-
-class TestMachineReadableShape:
-    FINDING = Finding(category="straggler", severity="warning",
-                      message="rank 3 is slow", ranks=(3, 7), value=0.5,
-                      threshold=0.1)
-
-    def test_kind_is_a_taxonomy_member(self):
-        assert self.FINDING.kind is FindingKind.STRAGGLER
-        assert self.FINDING.kind.value == "straggler"
-
-    def test_unknown_category_maps_to_other(self):
-        odd = Finding(category="novel_failure", severity="info", message="m")
-        assert odd.kind is FindingKind.OTHER
-
-    def test_magnitude_aliases_value(self):
-        assert self.FINDING.magnitude == self.FINDING.value == 0.5
-
-    def test_as_dict_carries_the_machine_readable_fields(self):
-        payload = self.FINDING.as_dict()
-        assert payload["kind"] == "straggler"
-        assert payload["ranks"] == [3, 7]
-        assert payload["magnitude"] == 0.5
-        assert payload["threshold"] == 0.1
-
-    def test_from_dict_round_trips(self):
-        assert Finding.from_dict(self.FINDING.as_dict()) == self.FINDING
-
-    def test_from_dict_ignores_derived_fields(self):
-        payload = self.FINDING.as_dict()
-        # kind/magnitude are derived: tampering with them cannot skew
-        # the rebuilt finding.
-        payload["kind"] = "goodput_decay"
-        payload["magnitude"] = 99.0
-        assert Finding.from_dict(payload) == self.FINDING
-
-    def test_every_stock_category_is_in_the_taxonomy(self):
-        from repro.obs.detect import default_rules
-
-        for rule in default_rules():
-            assert FindingKind(rule.detector) is not FindingKind.OTHER
-
-    def test_round_trip_through_json(self):
-        import json
-
-        payload = json.loads(json.dumps(self.FINDING.as_dict()))
-        assert Finding.from_dict(payload) == self.FINDING
-
 
 class TestThresholds:
-    def test_loose_thresholds_silence_stragglers(self, skewed_run):
-        loose = HealthThresholds(straggler_frac=1e9, imbalance_frac=1e9,
-                                 overlap_exposed_frac=1.1)
+    def test_loose_thresholds_silence_stragglers(self, skewed_run, monkeypatch):
+        monkeypatch.setattr(health, "STRAGGLER_FRAC", 1e9)
+        monkeypatch.setattr(health, "IMBALANCE_FRAC", 1e9)
+        monkeypatch.setattr(health, "OVERLAP_EXPOSED_FRAC", 1.1)
         findings = check_run(skewed_run.tracer, cluster=skewed_run.cluster,
-                             plan=skewed_run.plan, thresholds=loose)
+                             plan=skewed_run.plan)
         assert findings == []
 
     def test_spans_only_input(self, skewed_run):

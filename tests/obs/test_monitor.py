@@ -120,7 +120,8 @@ class TestFaultDetection:
         assert straggler, "injected straggler never raised an alert"
         first_step, finding = straggler[0]
         # Warning must land within `sustain` steps of fault onset.
-        (rule,) = supervisor.monitor.bank.rules_for("step.straggler_excess")
+        (rule,) = [rule for rule in supervisor.monitor.bank.rules
+                   if rule.metric == "step.straggler_excess"]
         assert first_step <= STRAGGLER_PLAN.faults[0].step + rule.sustain
         assert finding.severity == "warning"
 

@@ -9,15 +9,17 @@ bitwise-equal to the ``pp_size = 1`` engine of the same
 Against the *serial* model the gathered state dict is bitwise too; the
 activations are bitwise at ``tp = 1`` and agree to summation-order
 rounding at ``tp > 1`` (a pre-existing property of the 3D engine's
-split matmuls, not of the pipeline axis).  Randomized 4D grids up to
-32 GCDs pin the property on the engine; the ``pipeline`` pair in
-``tests/invariants`` pins it on whole numeric sessions (loss, gradient,
-parameter and AdamW-moment digests after every step).
+split matmuls, not of the pipeline axis), within the bound that
+:func:`tp_reassociation_bound` derives from the split reductions.
+Randomized 4D grids up to 32 GCDs pin the property on the engine; the
+``pipeline`` pair in ``tests/invariants`` pins it on whole numeric
+sessions (loss, gradient, parameter and AdamW-moment digests after
+every step).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import VirtualCluster
@@ -82,6 +84,33 @@ def assert_bitwise(name, got, want):
     assert np.array_equal(np.asarray(got), np.asarray(want)), name
 
 
+def tp_reassociation_bound(config, backward):
+    """Largest gap to the serial model, in units of ``max|ref|``, that
+    summation order alone explains at ``tp > 1``.
+
+    Tensor parallelism splits each block's row-parallel reductions into
+    per-rank partial sums: forward, the attention output projection
+    (``embed_dim`` terms) and the MLP's second matmul (``hidden_dim``);
+    backward adds the input gradients through the MLP's first matmul
+    (``hidden_dim``) and the q/k/v projections (``3 * embed_dim``).  Two
+    orders of one ``n``-term sum differ by at most
+    ``(n - 1) * eps * sum|terms| <= n * (n - 1) * eps * max|term|``
+    (Higham's gamma bound, once per order).  With every block's terms
+    at the scale of ``max|ref|``, the per-block bounds add up.
+    """
+    d, h = config.embed_dim, config.hidden_dim
+    lengths = (d, h, h, 3 * d) if backward else (d, h)
+    eps = np.finfo(np.float64).eps
+    return config.depth * eps * sum(n * (n - 1) for n in lengths)
+
+
+def assert_close_to_serial(name, got, ref, bound):
+    gap = np.max(np.abs(got - ref))
+    scale = np.max(np.abs(ref))
+    assert gap <= bound * scale, (
+        f"{name}: max|got - ref| {gap:.3g} > {bound:.3g} * max|ref| {scale:.3g}")
+
+
 class TestPipelinedBitwiseParity:
     @given(
         grid=st.sampled_from(GRIDS_4D),
@@ -90,6 +119,9 @@ class TestPipelinedBitwiseParity:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=10, deadline=None)
+    # A near-cancelling input-gradient element: 1.2e-9 off relative to
+    # itself, 330 eps * max|ref| off in max-abs.
+    @example(grid=(4, 2, 1, 1), extra_depth=2, micro_batch=2, seed=2612)
     def test_pipelined_step_is_bitwise_equal(
         self, grid, extra_depth, micro_batch, seed
     ):
@@ -121,8 +153,11 @@ class TestPipelinedBitwiseParity:
         else:
             # tp > 1 splits matmul reductions; the 3D engine already
             # agrees with serial only to summation-order rounding.
-            np.testing.assert_allclose(p_y_all, y_ref, rtol=1e-10, atol=1e-13)
-            np.testing.assert_allclose(p_gx_all, gx_ref, rtol=1e-10, atol=1e-13)
+            config = _config(depth)
+            assert_close_to_serial("forward vs serial", p_y_all, y_ref,
+                                   tp_reassociation_bound(config, backward=False))
+            assert_close_to_serial("input grads vs serial", p_gx_all, gx_ref,
+                                   tp_reassociation_bound(config, backward=True))
             assert p_loss == pytest.approx(loss_ref, rel=1e-12)
         assert p_loss == f_loss
         for pr, fr in zip(p_ys, f_ys):

@@ -121,6 +121,42 @@ class TestAdmissionControl:
         assert all(e.severity == "warning" for e in rejects)
 
 
+class TestOneSlotSurge:
+    """A surge against one replica serving one request at a time: the
+    queue fills, admission control sheds most of the load, and what is
+    served is still the direct rollout, bit for bit."""
+
+    POLICY = ServePolicy(max_batch=1, min_replicas=1, max_replicas=1,
+                         queue_limit=4)
+    SURGE = LoadSpec(rate_rps=2000.0, duration_s=0.25, seed=0,
+                     num_windows=48, num_hot=4, hot_fraction=0.0)
+
+    def _run(self, forecaster, dataset):
+        journal = EventJournal()
+        server = ForecastServer(forecaster, dataset, self.POLICY,
+                                tracer=Tracer(), journal=journal,
+                                metrics=MetricsRegistry())
+        return server.serve(generate_requests(self.SURGE)), journal
+
+    def test_sheds_load_and_serves_exact_forecasts(self, forecaster, dataset):
+        report, journal = self._run(forecaster, dataset)
+        stats = report.stats()
+        offered = len(generate_requests(self.SURGE))
+        assert stats["completed"] + stats["rejected"] == stats["offered"] == offered
+        assert stats["rejected"] > 0
+        # The slot keeps draining the queue: far more than one queue's
+        # worth of requests completes.
+        assert stats["completed"] > self.POLICY.queue_limit
+        assert stats["replicas_peak"] == 1
+        assert report.completed
+        for response in report.completed:
+            np.testing.assert_array_equal(
+                response.result, direct(forecaster, dataset, response.request)
+            )
+        _, replay = self._run(forecaster, dataset)
+        assert journal.to_jsonl() == replay.to_jsonl()
+
+
 class TestReportShape:
     def test_hot_workload_hit_ratio_above_half(self, forecaster, dataset,
                                                requests):
