@@ -27,7 +27,7 @@ import numpy as np
 from repro.data.dataset import ClimateDataset
 from repro.data.grid import LatLonGrid
 from repro.data.variables import VariableRegistry, default_registry
-from repro.utils.artifacts import ArtifactFormatError, write_npz
+from repro.utils.artifacts import ArtifactFormatError, read_npz, write_npz
 
 
 def save_archive(dataset: ClimateDataset, path, indices=None) -> Path:
@@ -67,7 +67,7 @@ class FileDataset(ClimateDataset):
     def __init__(self, path, registry: VariableRegistry | None = None):
         path = Path(path)
         try:
-            with np.load(path, allow_pickle=False) as archive:
+            with read_npz(path) as archive:
                 fields = np.asarray(archive["fields"], dtype=np.float32)
                 names = [str(n) for n in archive["names"]]
                 out_names = [str(n) for n in archive["out_names"]]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs.off import OFF
-from repro.utils.artifacts import ArtifactFormatError, write_npz
+from repro.utils.artifacts import ArtifactFormatError, read_npz, write_npz
 
 #: Archive format version; bumped on any incompatible layout change.
 #: Schema 2 adds a per-array integrity manifest (crc32/shape/dtype);
@@ -94,9 +94,9 @@ def save_archive(path, arrays: dict[str, np.ndarray], metadata: dict,
     Returns the path of the file written (:func:`write_npz` appends
     ``.npz`` to a name that lacks it), ready for :func:`load_archive`.
 
-    An attached tracer receives ``checkpoint``/``io`` markers mirroring
-    the serial model-checkpoint path, so checkpoint cost shows up on
-    the same timeline as compute and collectives.
+    An attached tracer receives ``checkpoint``/``io`` markers, so
+    checkpoint cost shows up on the same timeline as compute and
+    collectives.
     """
     if _META_KEY in arrays:
         raise ValueError(f"array key {_META_KEY!r} is reserved")
@@ -131,13 +131,13 @@ def load_archive(path, tracer=OFF,
     """
     path = Path(path)
     try:
-        archive = np.load(path)
+        opened = read_npz(path)
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
         raise CheckpointCorruptError(
             f"{path} is not a readable checkpoint archive: {err}"
         ) from err
-    with archive:
-        if _META_KEY not in archive.files:
+    with opened as archive:
+        if _META_KEY not in archive:
             raise CheckpointCorruptError(
                 f"{path} is not a runtime checkpoint archive "
                 f"(no {_META_KEY!r} member)"
@@ -150,7 +150,7 @@ def load_archive(path, tracer=OFF,
                 f"{path}: metadata member {_META_KEY!r} is corrupt: {err}"
             ) from err
         arrays = {}
-        for key in archive.files:
+        for key in archive:
             if key == _META_KEY:
                 continue
             try:
@@ -169,7 +169,7 @@ def load_archive(path, tracer=OFF,
     if schema not in (1, CHECKPOINT_SCHEMA):
         raise CheckpointCorruptError(
             f"{path}: unsupported checkpoint schema {schema!r} "
-            f"(this build reads {CHECKPOINT_SCHEMA})"
+            f"(this build reads 1 and {CHECKPOINT_SCHEMA})"
         )
     if verify and schema >= 2:
         _verify_manifest(path, arrays, metadata.get("manifest", {}))

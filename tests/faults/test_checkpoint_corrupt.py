@@ -7,8 +7,15 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.runtime import CheckpointCorruptError, load_archive, save_archive
+from repro.runtime import (
+    CheckpointCorruptError,
+    Session,
+    load_archive,
+    save_archive,
+)
 from repro.runtime.checkpoint import _META_KEY, CHECKPOINT_SCHEMA
+from repro.utils.artifacts import read_npz
+from tests.invariants import spec
 
 
 @pytest.fixture
@@ -129,6 +136,7 @@ class TestStructuralDamage:
             load_archive(path)
         assert isinstance(info.value, CheckpointCorruptError)
         assert str(path) in str(info.value)
+        assert "(this build reads 1 and 2)" in str(info.value)
 
     @pytest.mark.parametrize("metadata, member", [
         ([1, 2], _META_KEY),
@@ -149,3 +157,98 @@ class TestStructuralDamage:
         with pytest.raises(CheckpointCorruptError, match=re.escape(str(path))) as info:
             load_archive(path)
         assert member in str(info.value)
+
+
+@pytest.fixture(scope="module")
+def session_archive(tmp_path_factory):
+    """A numeric tp2 x fsdp2 x ddp2 ``Session.save`` archive, as written:
+    replica 1's members repeat replica 0's payloads."""
+    session = Session(spec((2, 2, 2), meta=False))
+    session.numeric_step(0)
+    path = session.save(tmp_path_factory.mktemp("session") / "ckpt.npz")
+    with zipfile.ZipFile(path) as archive:
+        infos = {info.filename[:-4]: info for info in archive.infolist()}
+        at = archive.start_dir
+    records = {}  # the offset of each member's central record
+    for key, info in infos.items():
+        records[key] = at
+        at += 46 + len(info.filename)
+    return path, infos, records
+
+
+def _data_offset(info) -> int:
+    """Where a member's deflated bytes start: after the local header and
+    its zip64 extra."""
+    return info.header_offset + 30 + len(info.filename) + 20
+
+
+def _flip(data: bytearray, at: int) -> None:
+    data[at] ^= 0xFF
+
+
+class TestDamageTheFastReaderSees:
+    """Damage to an archive exactly as ``Session.save`` writes it: the
+    fast reader must give the member back to ``np.load``, whose error
+    names the archive and the member."""
+
+    REPLICA_0 = "dense::0::head.head.proj.weight"
+    REPLICA_1 = "dense::1::head.head.proj.weight"
+
+    def _damaged(self, session_archive, tmp_path, damage):
+        path, infos, records = session_archive
+        data = bytearray(path.read_bytes())
+        damage(data, infos, records)
+        broken = tmp_path / "broken.npz"
+        broken.write_bytes(bytes(data))
+        return broken
+
+    def test_the_replicas_share_one_payload(self, session_archive):
+        path, infos, _ = session_archive
+        first, second = infos[self.REPLICA_0], infos[self.REPLICA_1]
+        assert (first.CRC, first.compress_size) == (second.CRC,
+                                                    second.compress_size)
+        data = path.read_bytes()
+        assert (data[_data_offset(first):][:first.compress_size]
+                == data[_data_offset(second):][:second.compress_size])
+        with read_npz(path) as archive:  # undamaged, it takes the fast path
+            assert isinstance(archive, dict)
+
+    @pytest.mark.parametrize("member", [REPLICA_0, REPLICA_1],
+                             ids=["first-occurrence", "replica-1"])
+    def test_a_flipped_deflated_byte_names_the_member(
+            self, session_archive, tmp_path, member):
+        def damage(data, infos, records):
+            info = infos[member]
+            _flip(data, _data_offset(info) + info.compress_size // 2)
+
+        broken = self._damaged(session_archive, tmp_path, damage)
+        with pytest.raises(CheckpointCorruptError) as info:
+            load_archive(broken)
+        assert str(broken) in str(info.value)
+        assert f"array member {member!r} is corrupt" in str(info.value)
+
+    def test_a_wrong_crc_on_a_repeated_payload_names_the_member(
+            self, session_archive, tmp_path):
+        # Replica 1's deflated bytes still equal replica 0's; only the CRC
+        # recorded for it, in its local header and its central record, is
+        # wrong.
+        def damage(data, infos, records):
+            _flip(data, infos[self.REPLICA_1].header_offset + 14)
+            _flip(data, records[self.REPLICA_1] + 16)
+
+        broken = self._damaged(session_archive, tmp_path, damage)
+        with pytest.raises(CheckpointCorruptError) as info:
+            load_archive(broken)
+        assert str(broken) in str(info.value)
+        assert f"array member {self.REPLICA_1!r} is corrupt" in str(info.value)
+
+    def test_a_truncated_central_directory_names_the_archive(
+            self, session_archive, tmp_path):
+        path, _, records = session_archive
+        broken = tmp_path / "broken.npz"
+        cut = records[self.REPLICA_1]
+        broken.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CheckpointCorruptError,
+                           match=re.escape(f"{broken} is not a readable "
+                                           "checkpoint archive")):
+            load_archive(broken)

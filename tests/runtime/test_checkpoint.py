@@ -1,7 +1,9 @@
 """Sharded checkpoint round-trip: dense replicas, flat shards,
 optimizer moments, and metadata all restore bitwise."""
 
+import io
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro.runtime import (
     save_archive,
 )
 from repro.models.configs import OrbitConfig
+from repro.utils import artifacts
 from tests.runtime.test_session import TINY
 
 
@@ -254,3 +257,53 @@ class TestOptimizerState:
         opt = AdamW([P()], lr=1e-2)
         with pytest.raises(ValueError, match="moment pairs"):
             opt.load_state_dict({"arrays": {}, "scalars": {"step_count": 0}})
+
+
+class _CountingZlib:
+    """``zlib`` as ``repro.utils.artifacts`` sees it, counting the
+    payloads it deflates and inflates."""
+
+    def __init__(self):
+        self.deflated = self.inflated = 0
+
+    def __getattr__(self, name):
+        return getattr(zlib, name)
+
+    def compressobj(self, *args):
+        self.deflated += 1
+        return zlib.compressobj(*args)
+
+    def decompressobj(self, *args):
+        self.inflated += 1
+        return zlib.decompressobj(*args)
+
+
+class TestEachDistinctPayloadOnce:
+    """The ``numeric-train`` shape (tp2 x fsdp2 x ddp2, seed 0, 8 steps):
+    its 1,555 members hold 775 distinct payloads, because the two DDP
+    replicas stay bitwise in sync.  If they drifted, the counts would rise."""
+
+    def test_save_deflates_and_resume_inflates_775_of_1555(
+            self, tmp_path, monkeypatch):
+        config = OrbitConfig("bench-wall-numeric", embed_dim=64, depth=4,
+                             num_heads=4, in_vars=8, out_vars=4,
+                             img_height=16, img_width=32, patch_size=4)
+        spec = RunSpec(config=config, num_gpus=8, gpus_per_node=8, tp_size=2,
+                       fsdp_size=2, ddp_size=2, micro_batch=2, meta=False,
+                       seed=0)
+        session = Session(spec)
+        loop = StepLoop(session.numeric_step)
+        for _ in range(8):
+            loop.run_step()
+        counting = _CountingZlib()
+        monkeypatch.setattr(artifacts, "zlib", counting)
+        path = session.save(tmp_path / "ck.npz", loop=loop)
+        assert counting.deflated == 775
+        Session(spec).resume(path)
+        assert counting.inflated == 775
+        monkeypatch.undo()
+        with np.load(path) as archive:  # the oracle: np.savez_compressed's bytes
+            assert len(archive.files) == 1555
+            buffer = io.BytesIO()
+            np.savez_compressed(buffer, **{key: archive[key] for key in archive})
+        assert path.read_bytes() == buffer.getvalue()
