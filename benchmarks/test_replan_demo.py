@@ -2,9 +2,10 @@
 
 The demo (``repro replan``, the ``bench_wall`` ``supervised-replan``
 workload's meta half) is sixteen supervised meta steps in two sessions,
-before and after the plan switch its straggler triggers.  Each session
-executes its step once and replays the captured stream for the rest
-(``Session.meta_step``), so a breach here means step replay stopped
+before and after the plan switch its straggler triggers.  The warm run
+executes each plan's step once and stores the captured stream
+(``Session.meta_step``, ``repro.runtime.META_STREAMS``), so every step
+of the timed run replays; a breach here means step replay stopped
 serving the supervised path — a session that re-executes every step
 takes about twice as long.
 """
@@ -49,5 +50,5 @@ def test_replan_demo_under_wall_clock_ceiling(once, tmp_path):
     assert report.recovered and report.steps_completed == DEMO_STEPS
     assert supervisor.spec != demo_spec()
     counters = supervisor.session.tracer.metrics.snapshot()
-    assert counters["runtime.meta_steps_executed"] == 1
+    assert counters.get("runtime.meta_steps_executed", 0) == 0
     assert counters["runtime.meta_steps_replayed"] > 0

@@ -99,7 +99,9 @@ class Supervisor:
     health_every:
         Run :meth:`~repro.runtime.session.Session.check_health` every
         N steps and record straggler findings as ``observed`` events —
-        the detection channel for non-crash degradations.
+        the detection channel for non-crash degradations.  The health
+        check is the one reader of a session's span table: at 0 (and
+        with no ``tracer`` in ``session_kwargs``) sessions keep none.
     degradation_aware:
         Opt-in goodput accounting for degradation windows: the excess
         of a degraded step over the plan's best observed clean step is
@@ -200,15 +202,23 @@ class Supervisor:
         """The one place a ``Session`` is constructed: a fresh
         incarnation of ``spec`` on the shared monitor and injector.  A
         numeric incarnation gets its own grad scaler; its state comes
-        back from the checkpoint, never from the previous incarnation."""
+        back from the checkpoint, never from the previous incarnation.
+        Only :meth:`_maybe_health` reads the span table, so without
+        ``health_every`` (or a caller's ``tracer``) the session records
+        none and keeps its metrics alone."""
         from repro.runtime import Session
 
+        kwargs = self.session_kwargs
+        if not self.health_every and kwargs.get("tracer") is None:
+            from repro.obs.off import MetricsOnly
+
+            kwargs = {**kwargs, "tracer": MetricsOnly()}
         scaler = None
         if not spec.meta:
             from repro.nn.grad_scaler import DynamicGradScaler
 
             scaler = DynamicGradScaler()
-        self.session = Session(spec, grad_scaler=scaler, **self.session_kwargs)
+        self.session = Session(spec, grad_scaler=scaler, **kwargs)
         self.session.cluster.attach_injector(self.injector)
 
     def _restart(self, spec) -> None:

@@ -8,9 +8,13 @@ disabled handle"); there is no instance state for a call to change.
 The timeline's per-event hooks spell out the live signature (no
 argument packing on the hot path), the rest take any arguments.
 ``tests/obs/test_off.py`` holds each to the live class's signature.
+:class:`MetricsOnly` is the tracer of a session whose span table nobody
+reads: ``Off`` but for a live metrics registry.
 """
 
 from __future__ import annotations
+
+from repro.obs.metrics import MetricsRegistry
 
 
 class Off:
@@ -73,3 +77,14 @@ OFF = Off()
 
 #: The name the tracer's default went by, still imported by callers.
 NULL_TRACER = OFF
+
+
+class MetricsOnly(Off):
+    """A tracer that records no span but keeps a live metrics registry,
+    so counters and gauges still land (``enabled`` is False: the
+    timeline labels, captures and frees nothing for it)."""
+
+    __slots__ = ("metrics",)
+
+    def __init__(self):
+        self.metrics = MetricsRegistry()

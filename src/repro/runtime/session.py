@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from repro.nn.context import (
 from repro.nn.tape import _data, _Recording, replay
 from repro.obs.tracer import Tracer
 from repro.runtime.spec import RunSpec
-from repro.runtime.tapes import NUMERIC_TAPES, NumericTape
+from repro.runtime.tapes import META_STREAMS, NUMERIC_TAPES, MetaStream, NumericTape
 
 #: Checkpoint archive keys (see :mod:`repro.runtime.checkpoint`).
 _DENSE = "dense"
@@ -188,9 +189,8 @@ class Session:
         self._precision = precision
         self._grad_scaler = grad_scaler
         self._trainer = None
-        #: ``(scope prefix, events, matmul FLOPs, other FLOPs)`` of the
-        #: meta step captured in the current fold mode (see meta_step).
-        self._step_stream: tuple | None = None
+        #: The meta step stream of the current fold mode (see meta_step).
+        self._step_stream: MetaStream | None = None
         #: tape key -> False once sighted, then the bound tape (see _bind)
         #: or the reason (str) it runs per-op (see numeric_step).
         self._numeric_tapes: dict = {}
@@ -323,18 +323,11 @@ class Session:
     def _record_numeric_segment(self, key, inputs: list) -> list:
         """The per-op segment, recorded; decides ``key`` for good, here
         and in :data:`NUMERIC_TAPES`."""
-        cluster, trainer = self.cluster, self.trainer
+        trainer = self.trainer
         owners, addresses = self._tape_owners()
         recording, flops = _Recording(inputs, owners), ExecutionContext()
-        starts = {device.rank: device.memory.begin_rise()
-                  for device in cluster.touched_devices()}
-        try:
-            with cluster.timeline.capture() as events, recording, \
-                    execution_context(flops):
-                losses = trainer.forward_backward(inputs)
-        finally:
-            rises = tuple((device.rank, device.memory.end_rise(starts.get(device.rank)))
-                          for device in cluster.touched_devices())
+        with self._captured() as (events, rises), recording, execution_context(flops):
+            losses = trainer.forward_backward(inputs)
         dense_all, sharded_all = self._flat_parameters()
         dense = tuple(i for i, p in enumerate(dense_all) if p.grad is not None)
         sharded = tuple(i for i, p in enumerate(sharded_all) if p.grad_shards is not None)
@@ -348,7 +341,7 @@ class Session:
         else:
             entry = NumericTape(
                 recording.freeze(results, flops), len(losses), dense, sharded,
-                f"step.{trainer.step_count}/", events, rises)
+                f"step.{trainer.step_count}/", events, tuple(rises))
             self._numeric_tapes[key] = self._bind(entry, addresses)
         NUMERIC_TAPES.put(key, entry)
         return losses
@@ -424,31 +417,63 @@ class Session:
         and later ones :meth:`~repro.cluster.timeline.Timeline.replay`
         it with the ``step.<N>`` scope swapped: injector, tracer,
         ledgers and collective ids see an executed step's calls, and a
-        fault raises from the same event.  The stream is dropped when
-        :meth:`_sync_fold_mode` flips the mode, never kept from a step
-        that raised, and never taken from an engine whose
-        ``step_stream_is_invariant`` is false.  Transient allocations
-        are not replayed (the executed step set every device's peak);
-        the step's FLOP totals are.  Oracle: :meth:`execute_meta_step`.
+        fault raises from the same event.  The stream is kept in
+        :data:`META_STREAMS` under the spec, the fold mode and whether
+        the tracer is on, so a later session (a rollback, a ``run_case``
+        of the same case) or a refold replays from its first step.  It
+        is never kept from a step that raised, and never taken from an
+        engine whose ``step_stream_is_invariant`` is false.  Transient
+        allocations are not replayed; every replay raises each device's
+        peaks by the rise the captured step made.  The step's FLOP
+        totals are replayed too.  Oracle: :meth:`execute_meta_step`.
         """
         self._sync_fold_mode(step)
-        if self._step_stream is not None:
-            captured, events, matmul_flops, other_flops = self._step_stream
-            self.cluster.timeline.replay(
-                events, renames=((captured, f"step.{step}/"),))
-            record_flops(matmul_flops, matmul=True)
-            record_flops(other_flops)
-            self.tracer.metrics.counter("runtime.meta_steps_replayed").inc()
-        elif self.engine.step_stream_is_invariant:
-            flops = ExecutionContext()
-            with self.cluster.timeline.capture() as events, \
-                    execution_context(flops):
+        if self._step_stream is None:
+            if not self.engine.step_stream_is_invariant:
                 self._engine_step(step)
-            self._step_stream = (f"step.{step}/", events, flops.matmul_flops,
-                                 flops.flops - flops.matmul_flops)
-        else:
-            self._engine_step(step)
+                return math.nan, self.spec.observations
+            key = (self.spec, getattr(self.cluster.timeline, "folded", None),
+                   self.tracer.enabled)
+            self._step_stream = META_STREAMS.get(key)
+            if self._step_stream is None:
+                self._capture_meta_step(key, step)
+                return math.nan, self.spec.observations
+        stream = self._step_stream
+        for rank, rise in stream.rises:
+            self.cluster.device(rank).memory.raise_peaks(rise)
+        self.cluster.timeline.replay(
+            stream.events, renames=((stream.captured, f"step.{step}/"),))
+        record_flops(stream.matmul_flops, matmul=True)
+        record_flops(stream.other_flops)
+        self.tracer.metrics.counter("runtime.meta_steps_replayed").inc()
         return math.nan, self.spec.observations
+
+    def _capture_meta_step(self, key, step: int) -> None:
+        """The executed step, captured; kept here and in
+        :data:`META_STREAMS` unless it raised."""
+        flops = ExecutionContext()
+        with self._captured() as (events, rises), execution_context(flops):
+            self._engine_step(step)
+        self._step_stream = MetaStream(
+            f"step.{step}/", events, flops.matmul_flops,
+            flops.flops - flops.matmul_flops, tuple(rises))
+        META_STREAMS.put(key, self._step_stream)
+
+    @contextmanager
+    def _captured(self):
+        """``(events, rises)`` of the block: the timeline's
+        :meth:`~repro.cluster.timeline.Timeline.capture`, and, once the
+        block ends or raises, each touched device's memory ``Rise`` over
+        it as ``(rank, rise)`` (the peaks it restarted restored)."""
+        cluster, rises = self.cluster, []
+        starts = {device.rank: device.memory.begin_rise()
+                  for device in cluster.touched_devices()}
+        try:
+            with cluster.timeline.capture() as events:
+                yield events, rises
+        finally:
+            rises.extend((device.rank, device.memory.end_rise(starts.get(device.rank)))
+                         for device in cluster.touched_devices())
 
     def execute_meta_step(self, step: int = 0) -> tuple[float, int]:
         """:meth:`meta_step` without step replay — its oracle: every
@@ -485,7 +510,7 @@ class Session:
         if self.cluster.injector.affects_step(step):
             if timeline.folded:
                 timeline.unfold()
-                self._step_stream = None  # a folded stream, segments and all
+                self._step_stream = None  # the folded stream; take the exact one
                 self.engine.materialize_replicas()
                 self.monitor.record(
                     step, "fold", category="exact",
@@ -493,7 +518,7 @@ class Session:
                             f"simulating every rank",
                 )
         elif not timeline.folded and timeline.try_refold():
-            self._step_stream = None  # an exact stream, every rank spelled out
+            self._step_stream = None  # the exact stream; take the folded one
             self.monitor.record(
                 step, "fold", category="folded",
                 message=f"class ledgers re-converged before step {step}; "

@@ -1,4 +1,4 @@
-"""The process's numeric step tapes, kept apart from any Session.
+"""The process's step tapes and meta step streams, kept apart from any Session.
 
 A numeric step tape (:meth:`~repro.runtime.session.Session.numeric_step`)
 depends on what the step computes, not on who computed it: the whole
@@ -10,6 +10,12 @@ no session.  A Session built in a process that has already recorded its
 spec (a resume, or a Supervisor incarnation after a crash that came
 once the tape was recorded) replays from its first step.  See
 DESIGN.md §9, "Numeric step replay", for where that holds and where not.
+
+A meta step stream (:meth:`~repro.runtime.session.Session.meta_step`)
+depends on the whole ``RunSpec``, the fold mode and whether the tracer
+is on, so it is kept the same way: a rollback, a refold or a later
+``run_case`` of a captured spec replays from its first step (DESIGN.md
+§5, "Step replay").
 """
 
 from __future__ import annotations
@@ -35,18 +41,33 @@ class NumericTape(NamedTuple):
     rises: tuple
 
 
+class MetaStream(NamedTuple):
+    """One captured meta engine step, addressed to no session."""
+
+    #: The ``step.<N>/`` prefix the stream was captured under.
+    captured: str
+    events: list
+    matmul_flops: float
+    other_flops: float
+    #: ``(rank, memory Rise)`` of every device over the step.
+    rises: tuple
+
+
 #: Keys a :class:`TapeStore` holds; the least recently used goes first.
 #: A Supervisor keeps the tape of every layout it has left, and each
 #: regroup is a new key, so the store is bounded, by keys (a tape's
 #: kernels and events have no cheap byte size); 8 keys of the
-#: ``numeric-train`` spec are about 11 MiB.  No bench workload holds
-#: more than one key; a numeric regroup holds two.
+#: ``numeric-train`` spec are about 11 MiB.  A meta stream is smaller:
+#: 0.07-0.3 MiB per key on the replan demo, ``exact-step`` and
+#: ``tune-4d`` specs, 1.4 MiB for ``frontier-fold``'s folded 49,152-GCD
+#: step.  No bench workload holds more than one numeric key (a numeric
+#: regroup holds two) or more than four meta keys (``exact-step``).
 CAPACITY = 8
 
 
 class TapeStore:
     """Key -> :class:`NumericTape` or the reason (str) the key runs
-    per-op, holding at most :data:`CAPACITY` keys."""
+    per-op, or -> :class:`MetaStream`; at most :data:`CAPACITY` keys."""
 
     def __init__(self):
         self._entries: OrderedDict = OrderedDict()
@@ -77,3 +98,7 @@ class TapeStore:
 #: ``numeric-train`` spec; a Supervisor run keeps one per layout it
 #: trains on.
 NUMERIC_TAPES = TapeStore()
+
+#: Every Session's meta step streams, one per spec, fold mode and
+#: tracer setting.
+META_STREAMS = TapeStore()

@@ -6,11 +6,13 @@ every scheduled step; the crash path resumes from the sharded archive
 and reproduces the fault-free loss history *bitwise*.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, Supervisor
+from repro.obs import RunMonitor, Tracer
 from tests.invariants import config
 
 TINY = config(meta=False)
@@ -267,6 +269,60 @@ class TestEscalationAndValidation:
         report = Supervisor(_meta_spec(), plan).run(3)
         assert report.recovered
         assert report.pending == [plan.faults[0]]
+
+
+class TestSpanTable:
+    """Only ``_maybe_health`` reads an incarnation's spans, so without
+    ``health_every`` (or a caller's tracer) a session records none; the
+    run, its metrics and its journal are the same either way."""
+
+    @staticmethod
+    def _run(tmp_path, name, *, tracer=None, **kwargs):
+        monitor = RunMonitor()
+        session_kwargs = {"monitor": monitor}
+        if tracer is not None:
+            session_kwargs["tracer"] = tracer
+        supervisor = Supervisor(
+            _meta_spec(), ACCEPTANCE_PLAN, checkpoint_every=2,
+            checkpoint_dir=tmp_path / name, session_kwargs=session_kwargs,
+            **kwargs)
+        report = supervisor.run(8)
+        return supervisor, report.as_dict(), monitor.journal.to_jsonl()
+
+    @staticmethod
+    def _without_findings(report, journal):
+        """The report and journal lines (``seq`` aside) without the
+        health check's ``health.*`` observations."""
+        lines = [json.loads(line) for line in journal.splitlines()[1:]]
+        return (
+            {**report, "events": [event for event in report["events"]
+                                  if not event["kind"].startswith("health.")]},
+            [{k: v for k, v in line.items() if k != "seq"} for line in lines
+             if not line["category"].startswith("health.")])
+
+    def test_an_unread_span_table_records_no_row(self, tmp_path):
+        supervisor, _, _ = self._run(tmp_path, "bare", health_every=0)
+        assert len(supervisor.session.tracer) == 0
+        assert not supervisor.session.tracer.enabled
+        counters = supervisor.session.tracer.metrics.snapshot()
+        assert "goodput.fraction" in counters
+        assert counters["runtime.meta_steps_replayed"] > 0
+
+    def test_a_read_span_table_still_records(self, tmp_path):
+        """A health check or a caller's tracer keeps the rows; the traced
+        run is byte-identical, the checked one adds its findings only."""
+        _, report, journal = self._run(tmp_path, "bare")
+        traced, traced_report, traced_journal = self._run(
+            tmp_path, "traced", tracer=Tracer())
+        health, health_report, health_journal = self._run(
+            tmp_path, "health", health_every=2)
+        assert len(traced.session.tracer) > 0
+        assert len(health.session.tracer) > 0
+        assert (traced_report, traced_journal) == (report, journal)
+        assert any(event["kind"].startswith("health.")
+                   for event in health_report["events"])
+        assert self._without_findings(health_report, health_journal) == \
+            self._without_findings(report, journal)
 
 
 def math_isfinite(x):

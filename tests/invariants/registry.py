@@ -2,16 +2,17 @@
 
 ``PAIRS`` is the one table of ``(name, applies(draw), oracle, compare,
 fast)`` rows (DESIGN.md §5, "Invariant registry").  ``check`` drives a
-draw's all-fast run once, from an empty tape store; each pair that
-applies reruns the draw with exactly its fast path switched off (pairs
-that share an oracle share its run), and ``compare`` projects both
-runs' ``left_behind`` onto what that path promises, to be ``==`` field
-by field.  A pair with its own ``fast`` drives its fast side after the
-shared run.  ``EXCEPTIONS`` names the paths that are not exact: the
-pairs a row covers, a predicate on the draw, and ``allow``, which
-asserts the bound on what differs before removing it.  The feature suites pin their
-hand-picked cases through the same rows: ``check(draw, pairs=...)`` on
-one draw, or ``meets(name, fast, oracle)`` on two runs driven by hand.
+draw's all-fast run once; each pair that applies reruns the draw with
+exactly its fast path switched off (pairs that share an oracle share
+its run), and ``compare`` projects both runs' ``left_behind`` onto what
+that path promises, to be ``==`` field by field.  A pair with its own
+``fast`` drives its fast side after the shared run.  Every one of those
+runs starts from empty tape and stream stores.  ``EXCEPTIONS`` names
+the paths that are not exact: the pairs a row covers, a predicate on
+the draw, and ``allow``, which asserts the bound on what differs before
+removing it.  The feature suites pin their hand-picked cases through
+the same rows: ``check(draw, pairs=...)`` on one draw, or ``meets(name,
+fast, oracle)`` on two runs driven by hand.
 """
 
 import json
@@ -25,7 +26,7 @@ from repro.faults import FaultSpec
 from repro.nn import DynamicGradScaler
 from repro.nn.precision import BF16_MIXED
 from repro.obs import OFF, RunMonitor, Tracer
-from repro.runtime import NUMERIC_TAPES, Session
+from repro.runtime import META_STREAMS, NUMERIC_TAPES, Session
 from tests.invariants import (
     Run,
     assert_same,
@@ -81,7 +82,24 @@ def run(draw: Draw, step_fn=None, *, observed=True) -> Run:
         DynamicGradScaler(init_scale=draw.scaler))
 
 
+def empty_stores():
+    """Drop every stored tape and stream: the next session of any draw
+    records its own."""
+    NUMERIC_TAPES.clear()
+    META_STREAMS.clear()
+
+
+def inherited(draw) -> Run:
+    """The draw's second session, built after a first one ran it."""
+    run(draw)
+    return run(draw)
+
+
 # -- oracles -------------------------------------------------------------------
+def execute_meta(draw):
+    return run(draw, Session.execute_meta_step)
+
+
 def execute_every_block(draw):
     with every_block():
         return run(draw)
@@ -98,16 +116,18 @@ def one_stage(draw):
 
 
 # -- projections ---------------------------------------------------------------
-def _meta_model(fast: Run) -> list:
-    """A fold mode's first step captures (a raise leaves no stream);
-    the rest replay.  pp > 1 never replays."""
-    modes, stream, mode = [], False, None
-    pipelined = fast.session.spec.pp_size > 1
+def _meta_model(fast: Run, *, stored: bool = False) -> list:
+    """A fold mode's first completed step captures (a raise leaves no
+    stream), unless ``stored`` (an earlier session of the draw captured
+    every mode it meets); a mode seen before replays.  pp > 1 never
+    replays."""
+    if fast.session.spec.pp_size > 1:
+        return ["executed"] * len(fast.folded)
+    seen = set(fast.folded) if stored else set()
+    modes = []
     for folded in fast.folded:
-        stream = stream and folded == mode
-        mode = folded
-        modes.append("replayed" if stream else "executed")
-        stream = not pipelined
+        modes.append("replayed" if folded in seen else "executed")
+        seen.add(folded)
     return modes
 
 
@@ -213,8 +233,7 @@ def _folds(draw) -> bool:
 
 
 PAIRS = (
-    Pair("meta-step-replay", lambda d: d.meta,
-         lambda d: run(d, Session.execute_meta_step),
+    Pair("meta-step-replay", lambda d: d.meta, execute_meta,
          replays_every_step_it_can(_meta_model)),
     Pair("depth-replay", lambda d: d.meta, execute_every_block,
          lambda fast, oracle, got, want: (got, want)),
@@ -223,12 +242,17 @@ PAIRS = (
          lambda d: run(d, observed=False), simulated),
     Pair("numeric-step-replay", lambda d: not d.meta, execute_numeric,
          replays_every_step_it_can(_numeric_model)),
-    # A session built after the shared run recorded: every step it can
-    # replays a tape it did not record, from its first (pp > 1 records
-    # none).
+    # A session built after another of the draw recorded: every step it
+    # can replays a tape or stream it did not record, from its first
+    # (pp > 1 records none).
+    Pair("meta-step-inherited", lambda d: d.meta and d.grid[0] == 1,
+         execute_meta,
+         replays_every_step_it_can(partial(_meta_model, stored=True)),
+         inherited),
     Pair("numeric-step-inherited", lambda d: not d.meta and d.grid[0] == 1,
          execute_numeric,
-         replays_every_step_it_can(partial(_numeric_model, stored=True)), run),
+         replays_every_step_it_can(partial(_numeric_model, stored=True)),
+         inherited),
     Pair("pipeline", lambda d: not d.meta and d.grid[0] > 1, one_stage,
          numerics),
 )
@@ -275,6 +299,19 @@ def _retry_executes(fast, oracle, got, want) -> bool:
     return fired
 
 
+def _unstepped_engine(fast, oracle, got, want) -> bool:
+    """A meta session that replayed every step ran no backward, so its
+    flat parameters hold no ``grad_shards`` shapes (a meta session has
+    no optimizer to read them).  Bound: only that field, and only when
+    the fast run left every one ``None``."""
+    if got["grad_shards"] == want["grad_shards"] or any(
+            shards is not None for replica in got["grad_shards"]
+            for shards in replica):
+        return False
+    want["grad_shards"] = got["grad_shards"]
+    return True
+
+
 def _raises(draw, *, named_op=False) -> bool:
     return any(fault.kind.value in CRASH_KINDS and
                (fault.op is not None or not named_op) for fault in draw.faults)
@@ -285,10 +322,15 @@ NamedException = namedtuple("NamedException", "name pairs when allow witness")
 
 EXCEPTIONS = (
     NamedException(
-        "replayed-raise-no-unwind", ("meta-step-replay", "depth-replay"),
+        "replayed-raise-no-unwind",
+        ("meta-step-replay", "meta-step-inherited", "depth-replay"),
         lambda d: d.meta and _raises(d, named_op=True), _no_unwind,
         Draw((1, 2, 2, 2), faults=(
             FaultSpec("gpu_crash", step=2, rank=5, op="all_reduce"),))),
+    NamedException(
+        "inherited-meta-step-leaves-no-gradient", ("meta-step-inherited",),
+        lambda d: d.meta and d.grid[0] == 1, _unstepped_engine,
+        Draw((1, 2, 2, 2))),
     NamedException(
         "retry-after-raise-runs-per-op",
         ("numeric-step-replay", "numeric-step-inherited"),
@@ -326,7 +368,7 @@ def check(draw: Draw, pairs=None) -> tuple:
     if pairs is not None:
         assert all(PAIRS_BY_NAME[name].applies(draw) for name in pairs), \
             f"{pairs} for {draw}"
-    NUMERIC_TAPES.clear()
+    empty_stores()
     fast = run(draw)
     left = left_behind(fast)
     fired, failed, oracles = set(), [], {}
@@ -336,10 +378,12 @@ def check(draw: Draw, pairs=None) -> tuple:
             continue
         try:
             if pair.oracle not in oracles:
+                empty_stores()
                 oracles[pair.oracle] = pair.oracle(draw)
             if pair.fast is None:
                 fired |= _meets(pair, fast, oracles[pair.oracle], dict(left), draw)
             else:
+                empty_stores()
                 own = pair.fast(draw)
                 fired |= _meets(pair, own, oracles[pair.oracle], left_behind(own), draw)
         except AssertionError as error:

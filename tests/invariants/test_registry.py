@@ -5,9 +5,9 @@ One strategy draws meta and numeric runs over whole-node grids up to
 splits, micro-batch, fold, recompute, prefetch, layer wrapping, device
 memory tracking, tracer and monitor, bf16 and a grad scaler, clean or
 with one fault on a replayed step.  ``registry.check`` drives each draw
-once, from an empty tape store, and holds it to every oracle pair that
-applies (a numeric draw is driven a second time, for the session that
-inherits the first one's tape).  The explicit
+once, from empty tape and stream stores, and holds it to every oracle
+pair that applies (a pp = 1 draw is driven twice more, for a session
+that inherits the tape or streams another one stored).  The explicit
 examples are the hand-pinned cases no feature suite already runs
 through a pair.  The others are pinned in their suites, through the
 same rows: every crash kind x op (``test_step_replay``), odd depth at

@@ -19,7 +19,7 @@ import pytest
 
 from repro.obs import OFF, RunMonitor, Tracer
 from tests.invariants import drive, left_behind, spec
-from tests.invariants.registry import meets
+from tests.invariants.registry import empty_stores, meets
 
 STEPS = 2
 
@@ -32,6 +32,7 @@ CHANNELS = list(itertools.product((OFF, Tracer), (OFF, RunMonitor), (None, ())))
 
 
 def _drive(run_spec, tracer, monitor, plan):
+    empty_stores()  # each setting captures its own step, as all-off does
     return drive(run_spec, plan, tracer=tracer if tracer is OFF else tracer(),
                  monitor=monitor if monitor is OFF else monitor())
 

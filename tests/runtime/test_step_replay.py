@@ -6,9 +6,10 @@ the ``meta-step-replay`` pair in ``tests/invariants`` holds it to its
 oracle, ``execute_meta_step``, over the cross product.  The cases below
 pin that pair on the replan demo's layouts, tp = 8 sub-head sharding
 and every fault class landing on a replayed step.  The other tests pin
-the routing — an error raised from a replayed step, a fold flip or a
-raise dropping the stream, pp > 1 never replaying — and the counts: a
-replayed step runs no op, prices no collective and builds no
+the routing — an error raised from a replayed step, a refold taking the
+stored folded stream, a raise keeping none, a rolled-back incarnation
+replaying from its first step, pp > 1 never replaying — and the
+counts: a replayed step runs no op, prices no collective and builds no
 ``MetaArray``.
 """
 
@@ -105,7 +106,9 @@ def test_replayed_run_equals_the_every_op_oracle(
             # One execution; every fault landed on a replayed step.
             assert (executed, replays) == (1, STEPS - 1)
         else:
-            assert executed > 1  # every fold flip re-captures
+            # The unfold captures the exact stream; the refold replays
+            # the folded one step 0 stored.
+            assert (executed, replays) == (2, STEPS - 2)
 
 
 def test_an_error_from_a_replayed_step_is_the_executed_one():
@@ -159,7 +162,8 @@ def test_a_pipelined_session_never_replays():
 
 def test_a_fold_flip_drops_the_stream():
     """A grad-corruption fault at step 2 unfolds step 2 and lets step 3
-    refold: three captures, and step 1 the only replay."""
+    refold: step 2 captures the exact stream, and step 3 takes the
+    folded one step 0 stored, so two captures and three replays."""
     fault = FaultSpec("grad_corruption", step=2, rank=1)
     session = Session(spec((2, 2, 2), depth=3, fold="on"))
     injector = FaultInjector(FaultPlan(faults=(fault,)))
@@ -168,15 +172,26 @@ def test_a_fold_flip_drops_the_stream():
     for step in range(5):
         injector.begin_step(step)
         session.meta_step(step)
-        streams.append(session._step_stream[1])
+        streams.append(session._step_stream.events)
         modes.append(session.cluster.timeline.folded)
     assert modes == [True, True, False, True, True]
     assert streams[0] is streams[1]
-    assert streams[2] is not streams[1] and streams[3] is not streams[2]
-    assert streams[4] is streams[3]
+    assert streams[2] is not streams[1]
+    assert streams[3] is streams[0] and streams[4] is streams[0]
     assert any(event[0] == "push" for event in streams[0])
     assert not any(event[0] == "push" for event in streams[2])
-    assert _step_counts(session) == (3, 2)
+    assert _step_counts(session) == (2, 3)
+
+
+def test_a_rolled_back_incarnation_replays_from_its_first_step(tmp_path):
+    """A crash after the step-2 checkpoint rebuilds the session; the
+    spec's stream is stored, so the new incarnation executes no step."""
+    plan = FaultPlan(faults=(FaultSpec("gpu_crash", step=3, rank=1),))
+    supervisor = Supervisor(spec((2, 2, 2), depth=3), plan,
+                            checkpoint_every=2, checkpoint_dir=tmp_path)
+    report = supervisor.run(5)
+    assert [event.action for event in report.events] == ["rollback_restart"]
+    assert _step_counts(supervisor.session) == (0, 3)  # steps 2, 3 and 4
 
 
 def test_a_step_that_raised_leaves_no_stream():
@@ -231,7 +246,7 @@ def test_a_one_step_session_pays_one_extend_per_depth_capture():
     depth = 5
     session = Session(spec((2, 2, 2), depth=depth))
     session.meta_step(0)
-    _, events, _, _ = session._step_stream
+    events = session._step_stream.events
     replays = [entry for entry in events if entry[0] == "replay"]
     # forward + backward, per DDP replica, depth - 1 blocks each.
     assert len(replays) == 2 * 2 * (depth - 1)
