@@ -3,8 +3,8 @@
 The demo (``repro replan``, the ``bench_wall`` ``supervised-replan``
 workload's meta half) is sixteen supervised meta steps in two sessions,
 before and after the plan switch its straggler triggers.  The warm run
-executes each plan's step once and stores the captured stream
-(``Session.meta_step``, ``repro.runtime.META_STREAMS``), so every step
+executes each plan's step once and stores the captured tape
+(``Session.meta_step``, ``repro.runtime.STEP_TAPES``), so every step
 of the timed run replays; a breach here means step replay stopped
 serving the supervised path — a session that re-executes every step
 takes about twice as long.

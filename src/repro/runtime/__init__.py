@@ -16,10 +16,9 @@ package centralizes that construction:
   live stack (cluster + plan + engine + tracer + optimizer), in meta
   (shape-only) or numeric mode, and owns the checkpoint: ``save`` and
   ``resume``, where the archive decides how it is restored.
-* :data:`~repro.runtime.tapes.NUMERIC_TAPES` and
-  :data:`~repro.runtime.tapes.META_STREAMS` — the numeric step tapes and
-  meta step streams of the process, keyed by spec, so a rebuilt Session
-  replays from its first step.
+* :data:`~repro.runtime.tapes.STEP_TAPES` — the meta and numeric step
+  tapes of the process, keyed by spec, so a rebuilt Session replays
+  from its first step.
 * :class:`~repro.runtime.steploop.StepLoop` — the hook-driven step
   driver (``on_step_start`` / ``on_step_end``) that the serial and
   distributed trainers, the fine-tuner, ``run_case``,
@@ -33,7 +32,7 @@ from repro.runtime.spec import (
     tp_group_spans_nodes,
 )
 from repro.runtime.session import Session, build_cluster, fabricate_batch
-from repro.runtime.tapes import META_STREAMS, NUMERIC_TAPES
+from repro.runtime.tapes import STEP_TAPES
 from repro.runtime.steploop import StepEvent, StepHooks, StepLoop
 from repro.runtime.checkpoint import (
     CHECKPOINT_SCHEMA,
@@ -45,10 +44,9 @@ from repro.runtime.checkpoint import (
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointCorruptError",
-    "META_STREAMS",
-    "NUMERIC_TAPES",
     "RunSpec",
     "RunSpecError",
+    "STEP_TAPES",
     "Session",
     "StepEvent",
     "StepHooks",

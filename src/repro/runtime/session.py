@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import contextmanager
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from repro.nn.context import (
 from repro.nn.tape import _data, _Recording, replay
 from repro.obs.tracer import Tracer
 from repro.runtime.spec import RunSpec
-from repro.runtime.tapes import META_STREAMS, NUMERIC_TAPES, MetaStream, NumericTape
+from repro.runtime.tapes import STEP_TAPES, StepTape
 
 #: Checkpoint archive keys (see :mod:`repro.runtime.checkpoint`).
 _DENSE = "dense"
@@ -189,11 +189,9 @@ class Session:
         self._precision = precision
         self._grad_scaler = grad_scaler
         self._trainer = None
-        #: The meta step stream of the current fold mode (see meta_step).
-        self._step_stream: MetaStream | None = None
         #: tape key -> False once sighted, then the bound tape (see _bind)
-        #: or the reason (str) it runs per-op (see numeric_step).
-        self._numeric_tapes: dict = {}
+        #: or the reason (str) it runs per-op (see _taped).
+        self._tapes: dict = {}
         self._numeric_raised = False
 
     # -- numeric training ----------------------------------------------------
@@ -239,24 +237,26 @@ class Session:
 
         **Numeric step replay.**  The trainer's value-independent segment
         (``forward_backward``) issues the same kernels and timeline events
-        every step.  With no tape stored for its key, a session's first
-        step runs it plain, its next replayable one under one kernel
-        recording and one timeline ``capture()``, and later replayable
-        steps replay both — the kernels on this step's inputs and
-        parameters, the stream with ``step.<N>/`` swapped — write the
-        losses and gradients back and raise the device peaks the
-        recorded step reached; the optimizer tail runs per-op.  The tape
-        is kept in :data:`NUMERIC_TAPES` under the spec, the input
-        signature, the precision policy, and whether a grad scaler is
-        present and the tracer on, so a later session of an equal key
-        replays from its first step.  Only pp = 1 steps the injector cannot touch replay,
-        and not the retry of a step that raised.  See DESIGN.md §9,
-        "Numeric step replay".  Oracle: :meth:`execute_numeric_step`.
+        every step, so it goes through :meth:`_taped`, keyed also by its
+        input signature and whether a grad scaler is present; the
+        optimizer tail runs per-op.  Only pp = 1 steps the injector
+        cannot touch replay, and not the retry of a step that raised.
+        See DESIGN.md §9, "Numeric step replay".  Oracle:
+        :meth:`execute_numeric_step`.
         """
-        segment = None
+        segment = self._forward_backward
         if self.engine.step_stream_is_invariant:
-            segment = partial(self._numeric_segment, not (
-                self._numeric_raised or self.cluster.injector.affects_step(step)))
+            trainer = self.trainer
+            replayable = not (self._numeric_raised
+                              or self.cluster.injector.affects_step(step))
+
+            def segment(inputs):
+                key = self._tape_key(
+                    tuple((getattr(x, "shape", None), getattr(x, "dtype", None))
+                          for x in inputs),
+                    trainer.grad_scaler is not None)
+                return self._taped(key, trainer.step_count, replayable,
+                                   partial(self._forward_backward, inputs), inputs)
         self._numeric_raised = True
         result = self._numeric_step(segment)
         self._numeric_raised = False
@@ -265,85 +265,123 @@ class Session:
     def execute_numeric_step(self, step: int = 0) -> tuple[float, int]:
         """:meth:`numeric_step` without step replay — its oracle: every
         step runs every op."""
-        return self._numeric_step(None)
+        return self._numeric_step(self._forward_backward)
 
     def _numeric_step(self, segment) -> tuple[float, int]:
         batch = self.synthetic_batch()
         loss = self.trainer.train_step(batch, segment)
-        if segment is None:
-            self.tracer.metrics.counter("runtime.numeric_steps_executed").inc()
         return loss, batch.x.shape[0]
 
-    def _numeric_segment(self, replayable: bool, inputs: list) -> list:
-        """``forward_backward(inputs)``: every step sights its key; a
-        replayable one replays the key's tape — this session's, or one
-        another session left in :data:`NUMERIC_TAPES` — or, with none
-        stored and the key sighted before, records it."""
-        trainer, metrics = self.trainer, self.tracer.metrics
-        key = (
-            self.spec,
-            tuple((getattr(x, "shape", None), getattr(x, "dtype", None)) for x in inputs),
-            trainer.precision or active_precision(),
-            trainer.grad_scaler is not None,
-            self.tracer.enabled,
-        )
-        tape = self._numeric_tapes.get(key)
-        if not tape:  # not decided here: take what the store holds
-            stored = NUMERIC_TAPES.get(key)
-            if isinstance(stored, str):
-                tape = self._numeric_tapes[key] = stored
-            elif stored is not None:
-                tape = self._numeric_tapes[key] = self._bind(stored)
-                metrics.counter("runtime.numeric_tapes_inherited").inc()
-        if not replayable or type(tape) is not tuple:
-            if replayable and tape is False:
-                losses = self._record_numeric_segment(key, inputs)
-            else:
-                self._numeric_tapes.setdefault(key, False)
-                losses = trainer.forward_backward(inputs)
-            if replayable and type(self._numeric_tapes[key]) is str:
-                metrics.counter("runtime.numeric_step_fallbacks").inc()
-            metrics.counter("runtime.numeric_steps_executed").inc()
-            return losses
-        tape, kernels, dense, sharded = tape
-        values = replay(kernels, inputs)
-        self.engine.zero_grad()
-        grads = iter(values[tape.num_losses:])
-        for param in dense:
-            param.grad = next(grads)
-        for param in sharded:
-            param.grad_shards = [next(grads) for _ in param.shards]
-        for rank, rise in tape.rises:
-            self.cluster.device(rank).memory.raise_peaks(rise)
-        self.cluster.timeline.replay(
-            tape.events, renames=((tape.captured, f"step.{trainer.step_count}/"),))
-        metrics.counter("runtime.numeric_steps_replayed").inc()
-        return values[:tape.num_losses]
+    def _forward_backward(self, inputs: list) -> list:
+        losses = self.trainer.forward_backward(inputs)
+        self.tracer.metrics.counter("runtime.numeric_steps_executed").inc()
+        return losses
 
-    def _record_numeric_segment(self, key, inputs: list) -> list:
-        """The per-op segment, recorded; decides ``key`` for good, here
-        and in :data:`NUMERIC_TAPES`."""
-        trainer = self.trainer
-        owners, addresses = self._tape_owners()
-        recording, flops = _Recording(inputs, owners), ExecutionContext()
-        with self._captured() as (events, rises), recording, execution_context(flops):
-            losses = trainer.forward_backward(inputs)
+    # -- step replay -----------------------------------------------------------
+    def _tape_key(self, *own) -> tuple:
+        """What a step's recording depends on: the whole spec (not
+        ``identity()``, which drops five fields that change a step),
+        whether the tracer is on (an untraced capture records empty
+        scopes), the active precision, and the kind's ``own`` inputs."""
+        return (self.spec, self.tracer.enabled,
+                self._precision or active_precision(), *own)
+
+    def _taped(self, key, step: int, replayable: bool, execute, inputs=()):
+        """``execute()`` — one meta step, or one numeric segment over
+        ``inputs`` — through the session's one capture-or-replay path.
+
+        The session settles ``key`` once: to the tape it recorded, or
+        the one :data:`STEP_TAPES` holds, bound to its own parameters
+        (and a numeric tape's owners); or to the reason (str) a numeric
+        recording failed.  A replayable step with a tape replays it.  A
+        meta key records on its first step, a numeric one on its first
+        replayable step after the one that sighted it; every other step
+        executes."""
+        tape = self._tapes.get(key)
+        if not tape:  # unseen or only sighted here: take what the store holds
+            stored = STEP_TAPES.get(key)
+            if stored is not None:
+                tape = self._tapes[key] = self._bind(stored)
+                if getattr(stored, "kernels", None) is not None:
+                    self.tracer.metrics.counter("runtime.numeric_tapes_inherited").inc()
+        if replayable and type(tape) is tuple:
+            return self._replay(tape, step, inputs)
+        if replayable and tape is (None if self.spec.meta else False):
+            result = self._record(key, step, execute, inputs)
+        else:
+            self._tapes.setdefault(key, False)
+            result = execute()
+        if replayable and type(self._tapes[key]) is str:  # only kernels fail
+            self.tracer.metrics.counter("runtime.numeric_step_fallbacks").inc()
+        return result
+
+    def _record(self, key, step: int, execute, inputs):
+        """``execute()`` under the timeline capture (and, for a numeric
+        segment, one kernel recording), measuring each touched device's
+        memory ``Rise``; settles ``key`` for good, here and in
+        :data:`STEP_TAPES`, unless it raised."""
+        meta, cluster = self.spec.meta, self.cluster
+        recording = nullcontext() if meta else _Recording(inputs, self._tape_owners()[0])
+        flops = ExecutionContext()
+        starts = {device.rank: device.memory.begin_rise()
+                  for device in cluster.touched_devices()}
+        try:
+            with cluster.timeline.capture() as events, recording, execution_context(flops):
+                result = execute()
+        finally:  # restores the peaks each rise restarted, raise or not
+            rises = [(device.rank, device.memory.end_rise(starts.get(device.rank)))
+                     for device in cluster.touched_devices()]
+        # A rise of nothing would only touch its device when replayed (a
+        # folded step recorded after a refold sees every replica's).
+        rises = tuple((rank, rise) for rank, rise in rises if rise.total or rise.by_tag)
         dense_all, sharded_all = self._flat_parameters()
         dense = tuple(i for i, p in enumerate(dense_all) if p.grad is not None)
         sharded = tuple(i for i, p in enumerate(sharded_all) if p.grad_shards is not None)
-        outputs = [*losses, *(dense_all[i].grad for i in dense),
-                   *(g for i in sharded for g in sharded_all[i].grad_shards)]
-        results = [recording.slots.get(id(value)) for value in outputs]
-        if None in results:
-            recording.fail("a loss or gradient is not the output of a taped kernel")
-        if recording.failed:
-            self._numeric_tapes[key] = entry = recording.failed
+        tape = StepTape(f"step.{step}/", events, rises, flops.matmul_flops,
+                        flops.flops - flops.matmul_flops, dense, sharded)
+        if meta:  # frozen shapes: a later write to a shard list puts an equal one there
+            tape = tape._replace(grads=(*(dense_all[i].grad for i in dense), *(
+                sharded_all[i].grad_shards for i in sharded)))
         else:
-            entry = NumericTape(
-                recording.freeze(results, flops), len(losses), dense, sharded,
-                f"step.{trainer.step_count}/", events, tuple(rises))
-            self._numeric_tapes[key] = self._bind(entry, addresses)
-        NUMERIC_TAPES.put(key, entry)
+            outputs = [*result, *(dense_all[i].grad for i in dense),
+                       *(g for i in sharded for g in sharded_all[i].grad_shards)]
+            results = [recording.slots.get(id(value)) for value in outputs]
+            if None in results:
+                recording.fail("a loss or gradient is not the output of a taped kernel")
+            # The step tape credits the FLOPs, so its kernels credit none.
+            tape = recording.failed or tape._replace(
+                kernels=recording.freeze(results, ExecutionContext()),
+                num_losses=len(result))
+        self._tapes[key] = self._bind(tape)
+        STEP_TAPES.put(key, tape)
+        return result
+
+    def _replay(self, bound: tuple, step: int, inputs):
+        """The bound tape, replayed as step ``step``: a numeric tape's
+        kernels on ``inputs`` and this session's owners, each device's
+        peaks raised by the recorded rise, the stream with ``step.<N>/``
+        swapped, the FLOP totals credited and the gradients the recorded
+        step left written back.  Returns the losses (meta: None)."""
+        tape, kernels, dense, sharded = bound
+        losses, grads = None, tape.grads
+        if kernels is not None:
+            values = replay(kernels, inputs)
+            self.engine.zero_grad()
+            losses, flat = values[:tape.num_losses], iter(values[tape.num_losses:])
+            grads = [next(flat) for _ in dense] + [
+                [next(flat) for _ in param.shards] for param in sharded]
+        for rank, rise in tape.rises:
+            self.cluster.device(rank).memory.raise_peaks(rise)
+        self.cluster.timeline.replay(
+            tape.events, renames=((tape.captured, f"step.{step}/"),))
+        record_flops(tape.matmul_flops, matmul=True)
+        record_flops(tape.other_flops)
+        for param, grad in zip(dense, grads):
+            param.grad = grad
+        for param, shards in zip(sharded, grads[len(tape.dense):]):
+            param.grad_shards = shards
+        kind = "meta" if self.spec.meta else "numeric"
+        self.tracer.metrics.counter(f"runtime.{kind}_steps_replayed").inc()
         return losses
 
     def _flat_parameters(self) -> tuple[list, list]:
@@ -379,16 +417,22 @@ class Session:
             owners[id(trainer.grad_scaler)] = (("trainer",), "grad_scaler")
         return owners, addresses
 
-    def _bind(self, tape: NumericTape, addresses: dict | None = None) -> tuple:
+    def _bind(self, tape):
         """``(tape, kernels, dense, sharded)``: ``tape`` read from and
-        written back to this session's owners."""
-        if addresses is None:
+        written back to this session's owners and parameters (a reason,
+        str, as it is).  A meta tape recorded after a refold wrote every
+        replica; a session that built fewer writes the ones it has."""
+        if type(tape) is str:
+            return tape
+        kernels = tape.kernels
+        if kernels is not None:
             addresses = self._tape_owners()[1]
-        template, params, *rest = tape.kernels
-        params = [(slot, *addresses[address], key) for slot, address, key in params]
+            template, params, *rest = kernels
+            kernels = (template, [(slot, *addresses[address], key)
+                                  for slot, address, key in params], *rest)
         dense_all, sharded_all = self._flat_parameters()
-        return (tape, (template, params, *rest), [dense_all[i] for i in tape.dense],
-                [sharded_all[i] for i in tape.sharded])
+        return (tape, kernels, [dense_all[i] for i in tape.dense if i < len(dense_all)],
+                [sharded_all[i] for i in tape.sharded if i < len(sharded_all)])
 
     # -- meta stepping --------------------------------------------------------
     def meta_batch(self):
@@ -412,68 +456,25 @@ class Session:
 
         **Step replay.**  What a meta step *asks* the timeline to record
         depends on the spec and the fold mode, not on the step index,
-        the ledgers or the fault plan, so the first step of a fold mode
-        runs under a :meth:`~repro.cluster.timeline.Timeline.capture`
-        and later ones :meth:`~repro.cluster.timeline.Timeline.replay`
-        it with the ``step.<N>`` scope swapped: injector, tracer,
-        ledgers and collective ids see an executed step's calls, and a
-        fault raises from the same event.  The stream is kept in
-        :data:`META_STREAMS` under the spec, the fold mode and whether
-        the tracer is on, so a later session (a rollback, a ``run_case``
-        of the same case) or a refold replays from its first step.  It
-        is never kept from a step that raised, and never taken from an
-        engine whose ``step_stream_is_invariant`` is false.  Transient
-        allocations are not replayed; every replay raises each device's
-        peaks by the rise the captured step made.  The step's FLOP
-        totals are replayed too.  Oracle: :meth:`execute_meta_step`.
+        the ledgers or the fault plan, so it goes through :meth:`_taped`
+        keyed also by the fold mode: the first step of a fold mode runs
+        under a :meth:`~repro.cluster.timeline.Timeline.capture` and
+        later ones :meth:`~repro.cluster.timeline.Timeline.replay` it
+        with the ``step.<N>`` scope swapped: injector, tracer, ledgers
+        and collective ids see an executed step's calls, and a fault
+        raises from the same event.  Every replay raises each device's
+        peaks by the rise the captured step made, credits its FLOP
+        totals and writes back the gradient shapes it left.  Never taken
+        from an engine whose ``step_stream_is_invariant`` is false.
+        Oracle: :meth:`execute_meta_step`.
         """
         self._sync_fold_mode(step)
-        if self._step_stream is None:
-            if not self.engine.step_stream_is_invariant:
-                self._engine_step(step)
-                return math.nan, self.spec.observations
-            key = (self.spec, getattr(self.cluster.timeline, "folded", None),
-                   self.tracer.enabled)
-            self._step_stream = META_STREAMS.get(key)
-            if self._step_stream is None:
-                self._capture_meta_step(key, step)
-                return math.nan, self.spec.observations
-        stream = self._step_stream
-        for rank, rise in stream.rises:
-            self.cluster.device(rank).memory.raise_peaks(rise)
-        self.cluster.timeline.replay(
-            stream.events, renames=((stream.captured, f"step.{step}/"),))
-        record_flops(stream.matmul_flops, matmul=True)
-        record_flops(stream.other_flops)
-        self.tracer.metrics.counter("runtime.meta_steps_replayed").inc()
-        return math.nan, self.spec.observations
-
-    def _capture_meta_step(self, key, step: int) -> None:
-        """The executed step, captured; kept here and in
-        :data:`META_STREAMS` unless it raised."""
-        flops = ExecutionContext()
-        with self._captured() as (events, rises), execution_context(flops):
+        if self.engine.step_stream_is_invariant:
+            self._taped(self._tape_key(getattr(self.cluster.timeline, "folded", None)),
+                        step, True, partial(self._engine_step, step))
+        else:
             self._engine_step(step)
-        self._step_stream = MetaStream(
-            f"step.{step}/", events, flops.matmul_flops,
-            flops.flops - flops.matmul_flops, tuple(rises))
-        META_STREAMS.put(key, self._step_stream)
-
-    @contextmanager
-    def _captured(self):
-        """``(events, rises)`` of the block: the timeline's
-        :meth:`~repro.cluster.timeline.Timeline.capture`, and, once the
-        block ends or raises, each touched device's memory ``Rise`` over
-        it as ``(rank, rise)`` (the peaks it restarted restored)."""
-        cluster, rises = self.cluster, []
-        starts = {device.rank: device.memory.begin_rise()
-                  for device in cluster.touched_devices()}
-        try:
-            with cluster.timeline.capture() as events:
-                yield events, rises
-        finally:
-            rises.extend((device.rank, device.memory.end_rise(starts.get(device.rank)))
-                         for device in cluster.touched_devices())
+        return math.nan, self.spec.observations
 
     def execute_meta_step(self, step: int = 0) -> tuple[float, int]:
         """:meth:`meta_step` without step replay — its oracle: every
@@ -510,7 +511,6 @@ class Session:
         if self.cluster.injector.affects_step(step):
             if timeline.folded:
                 timeline.unfold()
-                self._step_stream = None  # the folded stream; take the exact one
                 self.engine.materialize_replicas()
                 self.monitor.record(
                     step, "fold", category="exact",
@@ -518,7 +518,6 @@ class Session:
                             f"simulating every rank",
                 )
         elif not timeline.folded and timeline.try_refold():
-            self._step_stream = None  # the exact stream; take the folded one
             self.monitor.record(
                 step, "fold", category="folded",
                 message=f"class ledgers re-converged before step {step}; "

@@ -1,20 +1,18 @@
-"""Every test starts from empty step tape and meta stream stores.
+"""Every test starts from an empty step tape store.
 
-``NUMERIC_TAPES`` and ``META_STREAMS`` outlive a Session by design, so
-without this a session could replay a tape or stream an earlier test
-recorded, and how many steps a test sees executed, recorded or replayed
-would depend on the order the tests run in.
+``STEP_TAPES`` outlives a Session by design, so without this a session
+could replay a tape an earlier test recorded, and how many steps a test
+sees executed, recorded or replayed would depend on the order the tests
+run in.
 """
 
 import pytest
 
-from repro.runtime import META_STREAMS, NUMERIC_TAPES
+from repro.runtime import STEP_TAPES
 
 
 @pytest.fixture(autouse=True)
-def empty_step_stores():
-    NUMERIC_TAPES.clear()
-    META_STREAMS.clear()
+def empty_step_store():
+    STEP_TAPES.clear()
     yield
-    NUMERIC_TAPES.clear()
-    META_STREAMS.clear()
+    STEP_TAPES.clear()

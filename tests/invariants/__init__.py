@@ -222,6 +222,9 @@ def left_behind(run: Run) -> dict:
             [None if p.grad_shards is None else [g.shape for g in p.grad_shards]
              for p in engine.sharded_parameters(d)]
             for d in range(len(engine.trunks))],
+        "dense_grads": [[None if p.grad is None else p.grad.shape
+                         for p in engine.dense_parameters(d)]
+                        for d in range(len(engine.trunks))],
         "block_caches": [[block._cache is not None or any(
             module._cache is not None for module in block.submodules)
             for block in trunk.blocks] for trunk in engine.trunks],

@@ -7,7 +7,9 @@ exactly its fast path switched off (pairs that share an oracle share
 its run), and ``compare`` projects both runs' ``left_behind`` onto what
 that path promises, to be ``==`` field by field.  A pair with its own
 ``fast`` drives its fast side after the shared run.  Every one of those
-runs starts from empty tape and stream stores.  ``EXCEPTIONS`` names
+runs starts from an empty step tape store; the ``history`` pair's fast
+side then runs the draw's history before it, and its oracle is the
+shared run itself.  ``EXCEPTIONS`` names
 the paths that are not exact: the pairs a row covers, a predicate on
 the draw, and ``allow``, which asserts the bound on what differs before
 removing it.  The feature suites pin their hand-picked cases through
@@ -26,7 +28,7 @@ from repro.faults import FaultSpec
 from repro.nn import DynamicGradScaler
 from repro.nn.precision import BF16_MIXED
 from repro.obs import OFF, RunMonitor, Tracer
-from repro.runtime import META_STREAMS, NUMERIC_TAPES, Session
+from repro.runtime import STEP_TAPES, Session
 from tests.invariants import (
     Run,
     assert_same,
@@ -59,6 +61,9 @@ class Draw:
     meta: bool = True
     bf16: bool = False
     scaler: float | None = None  # a dynamic grad scaler's initial scale
+    #: Draws of the same ``run_spec()`` run before this one, in one
+    #: process (the ``history`` pair).
+    history: tuple = ()
 
     def run_spec(self):
         return spec(
@@ -83,15 +88,22 @@ def run(draw: Draw, step_fn=None, *, observed=True) -> Run:
 
 
 def empty_stores():
-    """Drop every stored tape and stream: the next session of any draw
-    records its own."""
-    NUMERIC_TAPES.clear()
-    META_STREAMS.clear()
+    """Drop every stored tape: the next session of any draw records its
+    own."""
+    STEP_TAPES.clear()
 
 
 def inherited(draw) -> Run:
     """The draw's second session, built after a first one ran it."""
     run(draw)
+    return run(draw)
+
+
+def after_history(draw) -> Run:
+    """The draw, run after its ``history`` in one process: every tape
+    those runs stored is still there."""
+    for earlier in draw.history:
+        run(earlier)
     return run(draw)
 
 
@@ -183,6 +195,7 @@ def expanded(fast, oracle, got, want):
         want["journal"] = _journal_lines(want["journal"])
     built = len(got["grad_shards"])
     want["grad_shards"] = want["grad_shards"][:built]
+    want["dense_grads"] = want["dense_grads"][:built]
     want["block_caches"] = want["block_caches"][:built]
     if not (fast.errors or any(fast.touched)):  # it never unfolded
         want["memory"] = {rank: want["memory"][rank] for rank in got["memory"]}
@@ -255,6 +268,10 @@ PAIRS = (
          inherited),
     Pair("pipeline", lambda d: not d.meta and d.grid[0] > 1, one_stage,
          numerics),
+    # What a process ran before leaves no trace: the oracle is the
+    # draw from an empty store, which is the shared fast run itself.
+    Pair("history", lambda d: bool(d.history), run,
+         lambda fast, oracle, got, want: (got, want), after_history),
 )
 PAIRS_BY_NAME = {pair.name: pair for pair in PAIRS}
 
@@ -299,19 +316,6 @@ def _retry_executes(fast, oracle, got, want) -> bool:
     return fired
 
 
-def _unstepped_engine(fast, oracle, got, want) -> bool:
-    """A meta session that replayed every step ran no backward, so its
-    flat parameters hold no ``grad_shards`` shapes (a meta session has
-    no optimizer to read them).  Bound: only that field, and only when
-    the fast run left every one ``None``."""
-    if got["grad_shards"] == want["grad_shards"] or any(
-            shards is not None for replica in got["grad_shards"]
-            for shards in replica):
-        return False
-    want["grad_shards"] = got["grad_shards"]
-    return True
-
-
 def _raises(draw, *, named_op=False) -> bool:
     return any(fault.kind.value in CRASH_KINDS and
                (fault.op is not None or not named_op) for fault in draw.faults)
@@ -327,10 +331,6 @@ EXCEPTIONS = (
         lambda d: d.meta and _raises(d, named_op=True), _no_unwind,
         Draw((1, 2, 2, 2), faults=(
             FaultSpec("gpu_crash", step=2, rank=5, op="all_reduce"),))),
-    NamedException(
-        "inherited-meta-step-leaves-no-gradient", ("meta-step-inherited",),
-        lambda d: d.meta and d.grid[0] == 1, _unstepped_engine,
-        Draw((1, 2, 2, 2))),
     NamedException(
         "retry-after-raise-runs-per-op",
         ("numeric-step-replay", "numeric-step-inherited"),
@@ -371,7 +371,7 @@ def check(draw: Draw, pairs=None) -> tuple:
     empty_stores()
     fast = run(draw)
     left = left_behind(fast)
-    fired, failed, oracles = set(), [], {}
+    fired, failed, oracles = set(), [], {run: fast}
     for pair in PAIRS:
         if not pair.applies(draw) or (pairs is not None and
                                       pair.name not in pairs):

@@ -2,7 +2,7 @@
 
 ``Session.numeric_step`` runs a key's first step per-op, records the
 kernels and the timeline stream of its next replayable one into the
-process's ``NUMERIC_TAPES``, and replays both for every later replayable
+process's ``STEP_TAPES``, and replays both for every later replayable
 step — of this session, or of any later one with an equal key; the
 ``numeric-step-replay`` and ``numeric-step-inherited`` pairs in
 ``tests/invariants`` hold both to the oracle, ``execute_numeric_step``.
@@ -18,6 +18,8 @@ pin what a replayed step may not call.  The root ``conftest.py``
 empties the store before every test.
 """
 
+import copy
+import dataclasses
 import gc
 import inspect
 import weakref
@@ -35,7 +37,7 @@ from repro.nn import DynamicGradScaler, ExecutionContext, execution_context, ops
 from repro.nn.context import _state
 from repro.nn.precision import BF16_MIXED
 from repro.obs import OFF, Tracer
-from repro.runtime import NUMERIC_TAPES, Session
+from repro.runtime import STEP_TAPES, RunSpec, Session
 from repro.runtime.tapes import CAPACITY, TapeStore
 from repro.train import distributed
 from repro.train.distributed import DistributedTrainer
@@ -176,7 +178,7 @@ def test_a_resume_into_the_same_session_replays_on(tmp_path):
 def test_a_pipelined_session_never_replays():
     replayed, modes = _assert_replay_is_the_oracle(_spec((2, 2, 2, 1)))
     assert modes == ["executed"] * STEPS
-    assert replayed._numeric_tapes == {} and len(NUMERIC_TAPES) == 0
+    assert replayed._tapes == {} and len(STEP_TAPES) == 0
 
 
 def test_a_signature_the_recorder_cannot_classify_runs_per_op_for_good(
@@ -194,7 +196,7 @@ def test_a_signature_the_recorder_cannot_classify_runs_per_op_for_good(
     assert fallen_back.modes == ["executed"] * STEPS
     session = fallen_back.session
     assert _counts(session) == (STEPS, 0, STEPS - 1)
-    (reason,) = NUMERIC_TAPES.values()
+    (reason,) = STEP_TAPES.values()
     assert "operand" in reason
     assert_same(left_behind(fallen_back), left_behind(oracle))
 
@@ -254,7 +256,7 @@ def test_the_store_pins_no_session():
     del session
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
-    (tape,) = NUMERIC_TAPES.values()
+    (tape,) = STEP_TAPES.values()
     template, params, program, *_ = tape.kernels
     assert not any(isinstance(value, np.ndarray) for value in template)
     kernels = [getattr(entry[0], "func", entry[0]) for entry in program]
@@ -299,14 +301,62 @@ def test_a_spec_that_differs_in_one_field_records_afresh(field):
     recorder = Session(_spec(), tracer=OFF if field == "tracer" else None)
     for step in range(2):
         recorder.numeric_step(step)
-    assert len(NUMERIC_TAPES) == 1
+    assert len(STEP_TAPES) == 1
     session = KEY_MISSES[field]()
     if session.spec != recorder.spec:
         assert session.spec.identity() == recorder.spec.identity()
     for step in range(3):
         session.numeric_step(step)
     assert _counts(session) == (2, 1, 0)
-    assert _inherited(session) == 0 and len(NUMERIC_TAPES) == 2
+    assert _inherited(session) == 0 and len(STEP_TAPES) == 2
+
+
+def _another(value):
+    """A value that differs from ``value`` (a model config: by name)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, tuple):
+        return (*value, (0, 2.0))
+    return dataclasses.replace(value, name=value.name + "x")
+
+
+def test_every_input_a_recording_depends_on_is_in_its_key():
+    """Changing any one ``RunSpec`` field changes the step tape key (the
+    whole spec is in it, not ``identity()``), and so does changing any
+    input outside the spec that changes a recording: the tracer, the
+    active precision (the session's or an enclosing context's), a
+    numeric step's input signature and grad scaler, a meta step's fold
+    mode."""
+    session = Session(_spec())
+    key, run_spec = session._tape_key(), session.spec
+    for field in dataclasses.fields(RunSpec):
+        session.spec = copy.copy(run_spec)
+        object.__setattr__(session.spec, field.name,
+                           _another(getattr(run_spec, field.name)))
+        assert session._tape_key() != key, field.name
+    session.spec = run_spec
+    with execution_context(ExecutionContext(precision=BF16_MIXED)):
+        assert session._tape_key() != key
+    for other in (Session(_spec(), tracer=OFF), Session(_spec(), precision=BF16_MIXED)):
+        assert other.spec == run_spec and other._tape_key() != key
+
+    def keys(run) -> list:
+        return list(run.session._tapes)
+
+    def float32_weights(session, step):
+        session.trainer.lat_weights = session.trainer.lat_weights.astype(np.float32)
+
+    (plain,) = keys(drive(_spec(), steps=1))
+    (scaled,) = keys(drive(_spec(), steps=1, grad_scaler=DynamicGradScaler()))
+    (signed,) = keys(drive(_spec(), steps=1, before_step=float32_weights))
+    assert plain[:3] == scaled[:3] == signed[:3] and len({plain, scaled, signed}) == 3
+    straggler = FaultSpec("straggler", step=1, rank=1, factor=2.0)
+    folded, exact = keys(drive(spec((2, 2, 2), fold="on"), (straggler,), steps=2))
+    assert folded[:3] == exact[:3] and (folded[3], exact[3]) == (True, False)
 
 
 def test_an_equal_spec_replays_the_stored_tape_from_its_first_step():
@@ -318,7 +368,7 @@ def test_an_equal_spec_replays_the_stored_tape_from_its_first_step():
     for step in range(3):
         session.numeric_step(step)
     assert _counts(session) == (0, 3, 0)
-    assert _inherited(session) == 1 and len(NUMERIC_TAPES) == 1
+    assert _inherited(session) == 1 and len(STEP_TAPES) == 1
 
 
 def test_an_inherited_tape_meets_its_oracle():
@@ -418,8 +468,8 @@ def test_a_rollback_after_the_recording_replays_from_its_first_step(
         return report, report.history, state
 
     inherited = run("inherited")
-    NUMERIC_TAPES.clear()
-    monkeypatch.setattr(NUMERIC_TAPES, "get", lambda key: None)
+    STEP_TAPES.clear()
+    monkeypatch.setattr(STEP_TAPES, "get", lambda key: None)
     alone = run("alone")
     # (executed, replayed, fallbacks, inherited) per incarnation
     assert [(*_counts(s), _inherited(s)) for s in incarnations] == [

@@ -32,7 +32,7 @@ from repro.replan.scenario import (
     demo_plan,
     demo_spec,
 )
-from repro.runtime import Session
+from repro.runtime import STEP_TAPES, Session
 from tests.cluster.test_fold_scaling import ONE_STAGE_PINS, orbit_1b_spec
 from tests.invariants import (
     assert_same,
@@ -71,6 +71,13 @@ CASES = [
     for i, (grid, fold, plan) in enumerate(
         itertools.product(GRIDS, ("off", "on"), PLANS))
 ]
+
+
+def _tape(session):
+    """The step tape of the session's current fold mode (None: none yet)."""
+    folded = getattr(session.cluster.timeline, "folded", None)
+    bound = session._tapes.get(session._tape_key(folded))
+    return None if bound is None else bound[0]
 
 
 def _step_counts(session) -> tuple:
@@ -156,7 +163,7 @@ def test_a_pipelined_session_never_replays():
     meets("meta-step-replay", run, _run(run_spec, oracle=True))
     session = run.session
     assert not session.engine.step_stream_is_invariant
-    assert session._step_stream is None
+    assert session._tapes == {} and len(STEP_TAPES) == 0
     assert _step_counts(session) == (STEPS, 0)
 
 
@@ -172,7 +179,7 @@ def test_a_fold_flip_drops_the_stream():
     for step in range(5):
         injector.begin_step(step)
         session.meta_step(step)
-        streams.append(session._step_stream.events)
+        streams.append(_tape(session).events)
         modes.append(session.cluster.timeline.folded)
     assert modes == [True, True, False, True, True]
     assert streams[0] is streams[1]
@@ -202,10 +209,10 @@ def test_a_step_that_raised_leaves_no_stream():
     injector.begin_step(0)
     with pytest.raises(FaultError):
         session.meta_step(0)
-    assert session._step_stream is None
+    assert _tape(session) is None and len(STEP_TAPES) == 0
     assert session.cluster.timeline._capture is None
     session.meta_step(0)  # the retry executes, and is kept
-    assert session._step_stream is not None
+    assert _tape(session) is not None
     session.meta_step(1)
     assert _step_counts(session) == (1, 1)
 
@@ -246,7 +253,7 @@ def test_a_one_step_session_pays_one_extend_per_depth_capture():
     depth = 5
     session = Session(spec((2, 2, 2), depth=depth))
     session.meta_step(0)
-    events = session._step_stream.events
+    events = _tape(session).events
     replays = [entry for entry in events if entry[0] == "replay"]
     # forward + backward, per DDP replica, depth - 1 blocks each.
     assert len(replays) == 2 * 2 * (depth - 1)
