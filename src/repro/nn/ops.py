@@ -18,9 +18,14 @@ below is also appended to it (``tape.record``), so the forward can
 later be replayed without this module's dispatch; NumPy work elsewhere
 joins the tape through :func:`kernel`.  The recording
 sits inside an execution context of its own, so the FLOP funnels look
-for it only when the context stack is non-empty.  A public function
-here either records its kernels or is listed in :data:`TAPE_FALLBACK`
-and fails the recording; ``tests/nn/test_tape.py`` checks each one.
+for it only when the context stack is non-empty.
+
+On an ``ndarray`` operand the reductions and shape moves run the C call
+NumPy's Python wrapper would make (``np.add.reduce`` for ``np.sum``,
+``np.ndarray.reshape`` for ``np.reshape``, ...), and the tape records
+that call; any other operand makes the wrapper call itself.  The two
+are the same ufunc or method call with the same operands, so the
+results are bitwise equal (DESIGN.md, "The forward tape").
 """
 
 from __future__ import annotations
@@ -33,11 +38,6 @@ from scipy import special
 from repro.meta import MetaArray, matmul_shape
 from repro.nn.context import _state, active_precision, record_flops
 from repro.nn.precision import round_to_bfloat16
-
-#: Public functions that make arrays from nothing: no operand to replay
-#: from, so calling one while a tape records sends that signature back
-#: to the per-op forward.
-TAPE_FALLBACK = frozenset({"zeros", "zeros_like"})
 
 # ---------------------------------------------------------------------------
 # matmul
@@ -117,11 +117,6 @@ def divide(a, b):
     return _binary(a, b, np.divide)
 
 
-def maximum(a, b):
-    """Elementwise maximum."""
-    return _binary(a, b, np.maximum)
-
-
 def _unary(x, fn, flop_factor: float = 1.0):
     if isinstance(x, MetaArray):
         if _state.stack:
@@ -135,19 +130,9 @@ def _unary(x, fn, flop_factor: float = 1.0):
     return out
 
 
-def negative(x):
-    """Elementwise negation."""
-    return _unary(x, np.negative)
-
-
 def exp(x):
     """Elementwise exponential."""
     return _unary(x, np.exp)
-
-
-def tanh(x):
-    """Elementwise hyperbolic tangent."""
-    return _unary(x, np.tanh)
 
 
 def sqrt(x):
@@ -182,37 +167,59 @@ def _reduced_shape(shape: tuple[int, ...], axis, keepdims: bool) -> tuple[int, .
     return tuple(s for i, s in enumerate(shape) if i not in axes)
 
 
-def _reduce(x, fn, axis, keepdims):
+def _reduce(x, fn, axis, keepdims, **bound):
     if isinstance(x, MetaArray):
         if _state.stack:
             record_flops(x.size)
         return MetaArray(_reduced_shape(x.shape, axis, keepdims), x.dtype)
-    out = fn(x, axis=axis, keepdims=keepdims)
+    out = fn(x, axis=axis, keepdims=keepdims, **bound)
     if _state.stack:
         record_flops(x.size)
         if _state.tape is not None:
-            _state.tape.record(fn, (x,), out, axis=axis, keepdims=keepdims)
+            _state.tape.record(fn, (x,), out, axis=axis, keepdims=keepdims, **bound)
     return out
 
 
 def sum_(x, axis=None, keepdims=False):
     """Sum reduction."""
-    return _reduce(x, np.sum, axis, keepdims)
+    return _reduce(x, np.add.reduce if type(x) is np.ndarray else np.sum, axis, keepdims)
+
+
+def _mean(x, axis, keepdims, count):
+    """The two ufunc calls ``np.mean`` makes on a float32/float64 array
+    with an array result (``numpy._core._methods._mean``), its divisor
+    ``count`` fixed."""
+    total = np.add.reduce(x, axis, None, None, keepdims)
+    return np.true_divide(total, count, out=total, casting="unsafe", subok=False)
+
+
+def _mean_count(x, axis, keepdims) -> int:
+    """``np.mean``'s divisor where :func:`_mean` is its call — ``x`` a
+    float32/float64 ``ndarray``, valid int axes, an array result, at
+    least one term — else 0 (``np.mean`` itself runs, warns or raises)."""
+    if type(x) is not np.ndarray or x.dtype.type not in (np.float32, np.float64):
+        return 0
+    ndim = x.ndim
+    axes = range(ndim) if axis is None else axis if type(axis) is tuple else (axis,)
+    count = 1
+    for ax in axes:
+        if type(ax) is not int or not -ndim <= ax < ndim:
+            return 0
+        count *= x.shape[ax]
+    return count if ndim > (0 if keepdims else len(axes)) else 0
 
 
 def mean(x, axis=None, keepdims=False):
     """Mean reduction."""
+    count = _mean_count(x, axis, keepdims)
+    if count:
+        return _reduce(x, _mean, axis, keepdims, count=np.intp(count))
     return _reduce(x, np.mean, axis, keepdims)
 
 
 def amax(x, axis=None, keepdims=False):
     """Max reduction."""
-    return _reduce(x, np.max, axis, keepdims)
-
-
-def var(x, axis=None, keepdims=False):
-    """Variance reduction (population, ddof=0)."""
-    return _reduce(x, np.var, axis, keepdims)
+    return _reduce(x, np.maximum.reduce if type(x) is np.ndarray else np.max, axis, keepdims)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +242,14 @@ def reshape(x, shape):
     """Reshape (supports one ``-1`` wildcard)."""
     if isinstance(x, MetaArray):
         return x.reshape(shape)
-    return kernel(np.reshape, x, shape)
+    return kernel(np.ndarray.reshape if type(x) is np.ndarray else np.reshape, x, shape)
 
 
 def transpose(x, axes):
     """Permute axes."""
     if isinstance(x, MetaArray):
         return x.transpose(axes)
-    return kernel(np.transpose, x, axes)
+    return kernel(np.ndarray.transpose if type(x) is np.ndarray else np.transpose, x, axes)
 
 
 def swapaxes(x, a: int, b: int):
@@ -251,7 +258,7 @@ def swapaxes(x, a: int, b: int):
         axes = list(range(x.ndim))
         axes[a % x.ndim], axes[b % x.ndim] = axes[b % x.ndim], axes[a % x.ndim]
         return x.transpose(axes)
-    return kernel(np.swapaxes, x, a, b)
+    return kernel(np.ndarray.swapaxes if type(x) is np.ndarray else np.swapaxes, x, a, b)
 
 
 def _concatenate(axis, *parts):
@@ -271,42 +278,18 @@ def concat(parts, axis: int = 0):
     return kernel(_concatenate, axis, *parts)
 
 
-def _split(x, sections, axis):
-    return [np.ascontiguousarray(p) for p in np.split(x, sections, axis=axis)]
-
-
-def split(x, sections: int, axis: int = 0) -> list:
-    """Split into ``sections`` equal parts along ``axis``."""
-    axis_len = x.shape[axis % x.ndim]
-    if axis_len % sections:
-        raise ValueError(f"axis of length {axis_len} not divisible into {sections} parts")
-    if isinstance(x, MetaArray):
-        shape = list(x.shape)
-        shape[axis % x.ndim] = axis_len // sections
-        part = MetaArray(tuple(shape), x.dtype)
-        return [part] * sections
-    return kernel(_split, x, sections, axis)
-
-
-def zeros_like(x):
-    """All-zeros array with x's shape and dtype."""
-    if isinstance(x, MetaArray):
-        return MetaArray(x.shape, x.dtype)
-    if _state.tape is not None:
-        _state.tape.fail("ops.zeros_like makes an array the tape cannot replay")
-    return np.zeros_like(x)
-
-
-def zeros(shape, dtype=np.float32, meta: bool = False):
-    """All-zeros array, real or meta."""
-    if meta:
-        return MetaArray(tuple(shape), dtype)
-    if _state.tape is not None:
-        _state.tape.fail("ops.zeros makes an array the tape cannot replay")
-    return np.zeros(shape, dtype)
-
-
 def _broadcast_copy(x, shape):
+    """``np.broadcast_to(x, shape).copy()`` for an ``ndarray`` ``x``; a
+    shape it rejects raises that call's own error."""
+    try:
+        out = np.empty(shape, x.dtype)
+        np.copyto(out, x)
+    except (TypeError, ValueError):
+        return _broadcast_to_copy(x, shape)
+    return out
+
+
+def _broadcast_to_copy(x, shape):
     return np.broadcast_to(x, shape).copy()
 
 
@@ -315,4 +298,4 @@ def broadcast_to(x, shape):
     if isinstance(x, MetaArray):
         np.broadcast_shapes(tuple(x.shape), tuple(shape))
         return MetaArray(tuple(shape), x.dtype)
-    return kernel(_broadcast_copy, x, shape)
+    return kernel(_broadcast_copy if type(x) is np.ndarray else _broadcast_to_copy, x, shape)

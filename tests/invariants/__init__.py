@@ -21,7 +21,9 @@ import pytest
 from repro.cluster.timeline import FoldedTimeline, _ledger_values
 from repro.core.hybrid_block import HybridSTOPTrunk
 from repro.faults import FaultError, FaultInjector, FaultPlan
+from repro.meta import MetaArray
 from repro.models.configs import OrbitConfig
+from repro.nn import ops
 from repro.runtime import RunSpec, Session, StepLoop
 
 
@@ -140,6 +142,32 @@ def every_block():
                       HybridSTOPTrunk.forward_every_block)
         patch.setattr(HybridSTOPTrunk, "backward",
                       HybridSTOPTrunk.backward_every_block)
+        yield
+
+
+#: ``repro.nn.ops`` funnel -> the NumPy wrapper whose C call it makes on
+#: an ``ndarray``.
+WRAPPER_CALLS = {"sum_": np.sum, "mean": np.mean, "amax": np.max,
+                 "reshape": np.reshape, "transpose": np.transpose,
+                 "swapaxes": np.swapaxes, "broadcast_to": ops._broadcast_to_copy}
+
+
+@contextmanager
+def wrapper_funnels():
+    """The ``ops`` funnels make NumPy's wrapper call (``np.sum``,
+    ``np.mean``, ``np.reshape``, ...) on every operand, not the C call
+    it would make on an ``ndarray``: the ``lowered-kernels`` oracle."""
+    def reduction(wrapper):
+        return lambda x, axis=None, keepdims=False: ops._reduce(x, wrapper, axis, keepdims)
+
+    def shape_move(lowered, wrapper):
+        return lambda x, *args: (lowered(x, *args) if isinstance(x, MetaArray)
+                                 else ops.kernel(wrapper, x, *args))
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, wrapper in WRAPPER_CALLS.items():
+            patch.setattr(ops, name, reduction(wrapper) if name in ("sum_", "mean", "amax")
+                          else shape_move(getattr(ops, name), wrapper))
         yield
 
 

@@ -37,6 +37,7 @@ from tests.invariants import (
     expansion,
     left_behind,
     spec,
+    wrapper_funnels,
 )
 
 CRASH_KINDS = ("collective_timeout", "gpu_crash", "node_loss")
@@ -121,6 +122,12 @@ def execute_numeric(draw):
     return run(draw, Session.execute_numeric_step)
 
 
+def wrapper_calls(draw):
+    """Every ``ops`` funnel back on NumPy's Python wrapper."""
+    with wrapper_funnels():
+        return run(draw)
+
+
 def one_stage(draw):
     """pp = 1, every op executed (a pp > 1 numeric step never replays)."""
     return run(replace(draw, grid=(1, *draw.grid[1:])),
@@ -128,6 +135,10 @@ def one_stage(draw):
 
 
 # -- projections ---------------------------------------------------------------
+def everything(fast, oracle, got, want):
+    return got, want
+
+
 def _meta_model(fast: Run, *, stored: bool = False) -> list:
     """A fold mode's first completed step captures (a raise leaves no
     stream), unless ``stored`` (an earlier session of the draw captured
@@ -248,8 +259,7 @@ def _folds(draw) -> bool:
 PAIRS = (
     Pair("meta-step-replay", lambda d: d.meta, execute_meta,
          replays_every_step_it_can(_meta_model)),
-    Pair("depth-replay", lambda d: d.meta, execute_every_block,
-         lambda fast, oracle, got, want: (got, want)),
+    Pair("depth-replay", lambda d: d.meta, execute_every_block, everything),
     Pair("fold", _folds, lambda d: run(replace(d, fold="off")), expanded),
     Pair("observers", lambda d: d.traced or d.monitored or not d.faults,
          lambda d: run(d, observed=False), simulated),
@@ -270,8 +280,9 @@ PAIRS = (
          numerics),
     # What a process ran before leaves no trace: the oracle is the
     # draw from an empty store, which is the shared fast run itself.
-    Pair("history", lambda d: bool(d.history), run,
-         lambda fast, oracle, got, want: (got, want), after_history),
+    Pair("history", lambda d: bool(d.history), run, everything, after_history),
+    # The C calls the funnels make on an ndarray are the wrappers' own.
+    Pair("lowered-kernels", lambda d: not d.meta, wrapper_calls, everything),
 )
 PAIRS_BY_NAME = {pair.name: pair for pair in PAIRS}
 

@@ -9,8 +9,9 @@ earlier draws of the same spec with the tracer, monitor, faults, bf16
 and grad scaler redrawn.  ``registry.check`` drives each draw once,
 from an empty step tape store, and holds it to every oracle pair that
 applies (a pp = 1 draw is driven twice more, for a session that
-inherits the tapes another one stored, and every draw once more after
-its history).  The explicit
+inherits the tapes another one stored, every draw once more after its
+history, and a numeric draw once more with every ``ops`` funnel on
+NumPy's wrapper call).  The explicit
 examples are the hand-pinned cases no feature suite already runs
 through a pair.  The others are pinned in their suites, through the
 same rows: every crash kind x op (``test_step_replay``), odd depth at

@@ -22,6 +22,7 @@ from repro.nn.context import _state
 from repro.nn.precision import BF16_MIXED, FP32
 from repro.nn.tape import _Recording, replay
 from repro.train.optimizer import AdamW
+from tests.invariants import WRAPPER_CALLS
 
 CONFIG = OrbitConfig("tape", embed_dim=8, depth=2, num_heads=2, in_vars=3,
                      out_vars=3, img_height=4, img_width=8, patch_size=2)
@@ -255,15 +256,16 @@ class TestFailClosed:
         self._assert_falls_back(_ValueDependent(), _tokens(2), "float32 operand")
 
     @pytest.mark.parametrize("fn", [
-        lambda x: ops.add(x, ops.zeros_like(x)),
-        lambda x: ops.add(x, ops.zeros(x.shape)),
+        lambda x: ops.add(x, np.zeros_like(x)),
+        lambda x: ops.add(x, np.zeros(x.shape)),
     ])
     def test_an_op_that_is_not_tape_aware(self, fn):
+        """An array made from nothing has no operand to replay from."""
         class Model(nn.Module):
             def forward(self, x):
                 return fn(x)
 
-        self._assert_falls_back(Model(), _tokens(1), "cannot replay")
+        self._assert_falls_back(Model(), _tokens(1), "ndarray operand")
 
     def test_result_that_no_taped_op_made(self):
         class Model(nn.Module):
@@ -316,25 +318,18 @@ OPS_CALLS = {
     "subtract": lambda: ops.subtract(_X, _X),
     "multiply": lambda: ops.multiply(_X, 2.0),
     "divide": lambda: ops.divide(1.0, _X),
-    "maximum": lambda: ops.maximum(_X, 3.0),
-    "negative": lambda: ops.negative(_X),
     "exp": lambda: ops.exp(_X),
-    "tanh": lambda: ops.tanh(_X),
     "sqrt": lambda: ops.sqrt(_X),
     "erf": lambda: ops.erf(_X),
     "square": lambda: ops.square(_X),
     "sum_": lambda: ops.sum_(_X, axis=0),
     "mean": lambda: ops.mean(_X, axis=-1, keepdims=True),
     "amax": lambda: ops.amax(_X),
-    "var": lambda: ops.var(_X, axis=(0, 1)),
     "reshape": lambda: ops.reshape(_X, (2, 6)),
     "transpose": lambda: ops.transpose(_X, (1, 0)),
     "swapaxes": lambda: ops.swapaxes(_X, 0, 1),
     "concat": lambda: ops.concat([_X, _X], axis=1),
-    "split": lambda: ops.split(_X, 2, axis=1),
     "broadcast_to": lambda: ops.broadcast_to(_X, (2, 3, 4)),
-    "zeros": lambda: ops.zeros((2, 2)),
-    "zeros_like": lambda: ops.zeros_like(_X),
     "kernel": lambda: ops.kernel(np.add.reduce, _X, axis=0, keepdims=True),
 }
 
@@ -346,12 +341,12 @@ class TestOpsRegistry:
             if inspect.isfunction(fn) and fn.__module__ == ops.__name__
             and not name.startswith("_")
         }
-        assert public == set(OPS_CALLS) and ops.TAPE_FALLBACK < public
+        assert public == set(OPS_CALLS)
 
     @pytest.mark.parametrize("name", sorted(OPS_CALLS))
     def test_op_is_tape_aware_or_listed_as_forcing_fallback(self, name):
-        """An op outside ``TAPE_FALLBACK`` appends kernels that reproduce
-        its result from the recorded operands; one inside fails the tape."""
+        """Every op appends kernels that reproduce its result from the
+        recorded operands."""
         recording = _Recording((_X,), {})
         _state.tape = recording
         try:
@@ -359,9 +354,6 @@ class TestOpsRegistry:
                 expected = OPS_CALLS[name]()
         finally:
             _state.tape = None
-        if name in ops.TAPE_FALLBACK:
-            assert recording.failed and not recording.program
-            return
         assert recording.failed is None and recording.program
         values = list(recording.template)
         values[0] = _X
@@ -386,7 +378,7 @@ class TestRecorder:
             # an untaped array at the same address fails closed, never
             # stands in for the dead one
             assert key not in recording.slots
-            parts = ops.split(_X, 2, axis=1)
+            parts = ops.kernel(np.split, _X, 2, axis=1)
         assert not any(isinstance(v, (np.ndarray, list)) for v in recording.pinned[1:])
         assert recording.failed is None and len(parts) == 2
 
@@ -414,3 +406,44 @@ class TestRecorder:
             param.add_grad(grad)
         assert replayed.dtype == np.float32
         assert np.array_equal(replayed, param.grad)
+
+
+#: NumPy's Python-level wrappers (and ops' fallback around one): a tape of
+#: real arrays records the C call each would make instead.
+WRAPPERS = (*WRAPPER_CALLS.values(), np.amax, np.broadcast_to)
+
+
+def _wrapper_kernels(program) -> list:
+    return [fn for fn, *_slots in program if getattr(fn, "func", fn) in WRAPPERS]
+
+
+class TestLoweredKernels:
+    """The two tapes the benchmarks replay hold C calls, one per kernel."""
+
+    def test_the_serve_forward_tape(self):
+        from repro.serve.bench import build_serve_world
+
+        _, forecaster = build_serve_world()
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, 4, 8, 16)).astype(np.float32)
+        forecaster.infer(x, np.full(1, 6.0, np.float32))
+        (tape,) = forecaster.infer._tapes.values()
+        program = tape[2]
+        assert len(program) == 136 and not _wrapper_kernels(program)
+
+    def test_the_numeric_train_step_tape(self):
+        """The ``numeric-train`` bench spec; its second step records."""
+        from repro.models import OrbitConfig
+        from repro.runtime import STEP_TAPES, RunSpec, Session
+
+        config = OrbitConfig("bench-wall-numeric", embed_dim=64, depth=4,
+                             num_heads=4, in_vars=8, out_vars=4, img_height=16,
+                             img_width=32, patch_size=4)
+        session = Session(RunSpec(
+            config=config, num_gpus=8, gpus_per_node=8, tp_size=2, fsdp_size=2,
+            ddp_size=2, micro_batch=2, meta=False, seed=0))
+        session.numeric_step(0)
+        session.numeric_step(1)
+        (tape,) = STEP_TAPES.values()
+        program = tape.kernels[2]
+        assert len(program) == 9001 and not _wrapper_kernels(program)
