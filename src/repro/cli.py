@@ -218,6 +218,8 @@ def _plan_from_args(args: argparse.Namespace, required: bool = False):
         if args.plan is not None:
             return FaultPlan.from_json(args.plan)
         if seed is not None:
+            if args.count < 0:
+                raise ValueError(f"--count {args.count} must be non-negative")
             return FaultPlan.random(seed, args.steps, args.gpus, count=args.count)
         if required:
             raise ValueError("one of --plan or --random is required")

@@ -530,11 +530,6 @@ class Timeline:
         """FLOPs summed over all ranks."""
         return sum(led.flops for led in self._ledgers)
 
-    def sustained_flops(self) -> float:
-        """Aggregate sustained throughput: total FLOPs / walltime."""
-        wall = self.walltime_s()
-        return self.total_flops() / wall if wall > 0 else 0.0
-
     def reset(self) -> None:
         """Zero every ledger and restart the collective-id sequence."""
         self._ledgers = self._fresh_ledgers()

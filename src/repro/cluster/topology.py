@@ -80,18 +80,6 @@ class FrontierTopology:
         self._check_rank(rank)
         return rank // self.gpus_per_node
 
-    def local_rank(self, rank: int) -> int:
-        """Index of ``rank`` within its node."""
-        self._check_rank(rank)
-        return rank % self.gpus_per_node
-
-    def ranks_of_node(self, node: int) -> range:
-        """Global ranks hosted on ``node``."""
-        if not 0 <= node < self.num_nodes:
-            raise ValueError(f"node {node} out of range [0, {self.num_nodes})")
-        start = node * self.gpus_per_node
-        return range(start, min(start + self.gpus_per_node, self.num_gpus))
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.num_gpus:
             raise ValueError(f"rank {rank} out of range [0, {self.num_gpus})")

@@ -107,13 +107,3 @@ class Climatology:
         except KeyError:
             raise KeyError(f"no climatology for variable {name!r}") from None
         return self.fields_for(day_of_year)[channel]
-
-    def anomalies(self, fields: np.ndarray, day_of_year: float | None = None) -> np.ndarray:
-        """Subtract the climatology from ``(..., C, H, W)`` fields."""
-        reference = self.fields_for(day_of_year)
-        if fields.shape[-3:] != reference.shape:
-            raise ValueError(
-                f"field block {fields.shape[-3:]} does not match climatology "
-                f"{reference.shape}"
-            )
-        return fields - reference

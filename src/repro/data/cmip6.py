@@ -78,8 +78,3 @@ class SyntheticCMIP6Archive:
     def datasets(self) -> list[ClimateDataset]:
         """All ten sources' datasets, in the paper's order."""
         return [self.dataset(source) for source in CMIP6_SOURCES]
-
-    @property
-    def total_observations(self) -> int:
-        """Total snapshot count across sources."""
-        return self.steps_per_source * len(CMIP6_SOURCES)

@@ -94,7 +94,3 @@ class SyntheticERA5:
     def test(self) -> ClimateDataset:
         """2020 (the evaluation year of Fig 9)."""
         return self._year_window(TEST_YEAR, TEST_YEAR, "era5-test")
-
-    @property
-    def target_names(self) -> list[str]:
-        return list(self._full.out_names)

@@ -30,21 +30,10 @@ class LatLonGrid:
         return (self.nlat, self.nlon)
 
     @property
-    def resolution_degrees(self) -> float:
-        """Grid spacing in degrees (equal in both axes for 2:1 grids)."""
-        return 180.0 / self.nlat
-
-    @property
     def latitudes(self) -> np.ndarray:
         """Cell-center latitudes in degrees, north to south."""
         step = 180.0 / self.nlat
         return 90.0 - step * (np.arange(self.nlat) + 0.5)
-
-    @property
-    def longitudes(self) -> np.ndarray:
-        """Cell-center longitudes in degrees east."""
-        step = 360.0 / self.nlon
-        return step * (np.arange(self.nlon) + 0.5)
 
     def latitude_weights(self) -> np.ndarray:
         """Per-row weights ``cos(lat)`` normalized to unit mean, shape (nlat, 1).
@@ -54,10 +43,6 @@ class LatLonGrid:
         weights = np.cos(np.deg2rad(self.latitudes))
         weights = weights / weights.mean()
         return weights[:, None].astype(np.float64)
-
-    def cell_weights(self) -> np.ndarray:
-        """Full (nlat, nlon) weight map (rows repeated across longitude)."""
-        return np.broadcast_to(self.latitude_weights(), self.shape).copy()
 
 
 #: The paper's pre-training/fine-tuning grid (1.40625 degrees).

@@ -50,9 +50,6 @@ class Fig7Result:
     channels: int
     points: dict[str, dict[int, ScalingPoint]] = field(default_factory=dict)
 
-    def efficiency_at(self, model_name: str, gpus: int) -> float:
-        return self.points[model_name][gpus].efficiency
-
     def format(self) -> str:
         rows = []
         for name, series in self.points.items():

@@ -54,7 +54,6 @@ from repro.faults.plan import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    classify,
 )
 from repro.faults.report import REPORT_SCHEMA, RecoveryEvent, RecoveryReport
 from repro.faults.supervisor import Supervisor
@@ -83,7 +82,6 @@ __all__ = [
     "Supervisor",
     "TransientFaultError",
     "bench_goodput",
-    "classify",
     "expected_goodput_fraction",
     "goodput_table",
     "recommend_checkpoint_interval",

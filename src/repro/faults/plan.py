@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -56,17 +56,6 @@ FATAL_KINDS = frozenset({FaultKind.GPU_CRASH, FaultKind.NODE_LOSS})
 DEGRADATION_KINDS = frozenset({FaultKind.LINK_DEGRADE, FaultKind.STRAGGLER})
 #: Kinds that corrupt numerics (handled by the grad-scaler path).
 NUMERICAL_KINDS = frozenset({FaultKind.GRAD_CORRUPTION})
-
-
-def classify(kind: FaultKind) -> str:
-    """Supervisor-facing class: transient / fatal / degradation / numerical."""
-    if kind in TRANSIENT_KINDS:
-        return "transient"
-    if kind in FATAL_KINDS:
-        return "fatal"
-    if kind in DEGRADATION_KINDS:
-        return "degradation"
-    return "numerical"
 
 
 @dataclass(frozen=True)
@@ -125,10 +114,6 @@ class FaultSpec:
                 "(a slowdown multiplier)"
             )
 
-    @property
-    def classification(self) -> str:
-        return classify(self.kind)
-
     def as_dict(self) -> dict:
         out = {"kind": self.kind.value, "step": self.step, "rank": self.rank}
         if self.op is not None:
@@ -158,10 +143,6 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.faults)
-
-    def faults_at(self, step: int) -> tuple[FaultSpec, ...]:
-        """Injections arming at ``step`` (degradations: their first step)."""
-        return tuple(f for f in self.faults if f.step == step)
 
     def max_rank(self) -> int:
         """Highest rank any fault targets (plan/world compatibility check)."""
@@ -236,8 +217,10 @@ class FaultPlan:
         """A seeded schedule: same arguments, same plan, bit for bit."""
         import numpy as np
 
-        if num_steps < 1 or world_size < 1 or count < 0:
+        if num_steps < 1 or world_size < 1:
             raise ValueError("num_steps and world_size must be positive")
+        if count < 0:
+            raise ValueError(f"count {count} must be non-negative")
         rng = np.random.default_rng(seed)
         faults = []
         for _ in range(count):
@@ -259,13 +242,3 @@ class FaultPlan:
             )
             faults.append(spec)
         return cls(faults=tuple(faults), seed=seed)
-
-    def remapped(self, mapping: dict[int, int]) -> "FaultPlan":
-        """A copy with fault ranks renumbered (elastic-regroup helper);
-        faults whose rank is absent from ``mapping`` are dropped."""
-        kept = tuple(
-            replace(f, rank=mapping[f.rank])
-            for f in self.faults
-            if f.rank in mapping
-        )
-        return FaultPlan(faults=kept, seed=self.seed)

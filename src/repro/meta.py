@@ -8,7 +8,7 @@ per-device :class:`~repro.memory.tracker.MemoryTracker`, and reports
 **FLOPs** — but never touches numeric data.  Collectives cost-account
 meta arrays identically to real ones.
 
-Helper functions (:func:`nbytes_of`, :func:`shape_of`, :func:`is_meta`)
+Helper functions (:func:`nbytes_of`, :func:`is_meta`)
 let shared code handle ``numpy.ndarray`` and :class:`MetaArray`
 uniformly.
 """
@@ -90,24 +90,9 @@ def is_meta(x) -> bool:
     return isinstance(x, MetaArray)
 
 
-def shape_of(x) -> tuple[int, ...]:
-    """Shape of an ndarray or MetaArray."""
-    return tuple(x.shape)
-
-
 def nbytes_of(x) -> int:
     """Byte size of an ndarray or MetaArray."""
     return int(x.nbytes)
-
-
-def dtype_of(x) -> np.dtype:
-    """Dtype of an ndarray or MetaArray."""
-    return np.dtype(x.dtype)
-
-
-def meta_like(x) -> MetaArray:
-    """A :class:`MetaArray` with the shape/dtype of ``x``."""
-    return MetaArray(shape_of(x), dtype_of(x))
 
 
 def matmul_shape(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from repro.models.configs import (
     OrbitConfig,
     proxy_family,
 )
-from repro.models.flops import count_parameters, parameter_breakdown, step_flops
+from repro.models.flops import count_parameters, parameter_breakdown
 from repro.models.heads import PredictionHead
 
 __all__ = [
@@ -28,5 +28,4 @@ __all__ = [
     "count_parameters",
     "parameter_breakdown",
     "proxy_family",
-    "step_flops",
 ]

@@ -16,7 +16,6 @@ import numpy as np
 from repro.models.configs import OrbitConfig
 from repro.models.heads import PredictionHead
 from repro.nn import (
-    CheckpointWrapper,
     CrossVariableAggregation,
     LeadTimeEmbedding,
     PatchEmbedding,
@@ -35,10 +34,6 @@ class ClimaXViT(Module):
     ----------
     config:
         Model hyperparameters (:class:`~repro.models.configs.OrbitConfig`).
-    activation_checkpointing:
-        Wrap each transformer block in a
-        :class:`~repro.nn.checkpoint.CheckpointWrapper` so activations
-        are recomputed during backward (Sec III-B).
     meta:
         Build shape-only parameters for analytic (meta-mode) execution.
     """
@@ -49,11 +44,9 @@ class ClimaXViT(Module):
         rng=None,
         dtype=np.float32,
         meta: bool = False,
-        activation_checkpointing: bool = False,
     ):
         super().__init__()
         self.config = config
-        self.activation_checkpointing = activation_checkpointing
         rng = spawn_rng(rng)
         dim = config.embed_dim
         self.patch_embed = PatchEmbedding(
@@ -76,7 +69,7 @@ class ClimaXViT(Module):
         self.lead_embed = LeadTimeEmbedding(dim, rng=rng, dtype=dtype, meta=meta)
         self.blocks: list[Module] = []
         for index in range(config.depth):
-            block: Module = TransformerBlock(
+            block = TransformerBlock(
                 dim,
                 config.num_heads,
                 mlp_ratio=config.mlp_ratio,
@@ -85,8 +78,6 @@ class ClimaXViT(Module):
                 dtype=dtype,
                 meta=meta,
             )
-            if activation_checkpointing:
-                block = CheckpointWrapper(block)
             self.register_module(f"block{index}", block)
             self.blocks.append(block)
         self.head = PredictionHead(
@@ -141,7 +132,6 @@ def build_model(
     rng=None,
     dtype=np.float32,
     meta: bool = False,
-    activation_checkpointing: bool = False,
 ) -> ClimaXViT:
     """Construct a model from a config (the public factory)."""
     return ClimaXViT(
@@ -149,5 +139,4 @@ def build_model(
         rng=rng,
         dtype=dtype,
         meta=meta,
-        activation_checkpointing=activation_checkpointing,
     )

@@ -9,13 +9,10 @@ of counting cannot drift apart.
 FLOP conventions: one multiply-accumulate = 2 FLOPs; only matmul FLOPs
 are counted (elementwise work is <1% for these shapes and the paper's
 profiler likewise reports GEMM-dominated totals); the backward pass of
-a matmul chain costs 2x its forward; activation checkpointing re-runs
-the forward once more during backward.
+a matmul chain costs 2x its forward.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.models.configs import OrbitConfig
 
@@ -49,19 +46,6 @@ def count_parameters(config: OrbitConfig) -> int:
     return sum(parameter_breakdown(config).values())
 
 
-@dataclass(frozen=True)
-class StepFlops:
-    """Matmul FLOPs for one training step of one sample."""
-
-    forward: float
-    backward: float
-    recompute: float
-
-    @property
-    def total(self) -> float:
-        return self.forward + self.backward + self.recompute
-
-
 def forward_flops_per_sample(config: OrbitConfig) -> float:
     """Forward-pass matmul FLOPs for a single observation data point."""
     d = config.embed_dim
@@ -89,12 +73,3 @@ def forward_flops_per_sample(config: OrbitConfig) -> float:
         patch_embed + aggregate + lead_embed + config.depth * per_block + head
     )
 
-
-def step_flops(
-    config: OrbitConfig,
-    activation_checkpointing: bool = False,
-) -> StepFlops:
-    """Forward + backward (+ optional recompute) FLOPs per sample."""
-    fwd = forward_flops_per_sample(config)
-    recompute = fwd if activation_checkpointing else 0.0
-    return StepFlops(forward=fwd, backward=2.0 * fwd, recompute=recompute)

@@ -9,9 +9,9 @@ Hybrid-STOP is about.
 Key differences from an autograd framework:
 
 * modules implement ``forward`` **and** ``backward`` explicitly; the
-  forward caches exactly what backward needs (and activation
-  checkpointing works by dropping those caches, see
-  :mod:`repro.nn.checkpoint`);
+  forward caches exactly what backward needs (activation checkpointing
+  is the Hybrid-STOP engine's ``recompute`` policy, which re-runs a
+  block's forward from its saved input);
 * all array math goes through :mod:`repro.nn.ops`, which dispatches on
   real ``numpy.ndarray`` vs :class:`~repro.meta.MetaArray` inputs and
   reports FLOPs to the active :class:`~repro.nn.context.ExecutionContext`;
@@ -21,8 +21,7 @@ Key differences from an autograd framework:
 """
 
 from repro.nn.attention import CrossVariableAggregation, MultiHeadAttention
-from repro.nn.checkpoint import CheckpointWrapper
-from repro.nn.context import ExecutionContext, current_context, execution_context
+from repro.nn.context import ExecutionContext, execution_context
 from repro.nn.embedding import (
     LeadTimeEmbedding,
     PatchEmbedding,
@@ -33,14 +32,13 @@ from repro.nn.grad_scaler import DynamicGradScaler
 from repro.nn.layernorm import LayerNorm
 from repro.nn.linear import Linear
 from repro.nn.mlp import MLP
-from repro.nn.module import Module, Sequential
+from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.nn.precision import PrecisionPolicy, round_to_bfloat16
 from repro.nn.tape import ForwardTape
 from repro.nn.transformer import TransformerBlock, TransformerStack
 
 __all__ = [
-    "CheckpointWrapper",
     "CrossVariableAggregation",
     "DynamicGradScaler",
     "ExecutionContext",
@@ -55,11 +53,9 @@ __all__ = [
     "PatchEmbedding",
     "PositionalEmbedding",
     "PrecisionPolicy",
-    "Sequential",
     "TransformerBlock",
     "TransformerStack",
     "VariableEmbedding",
-    "current_context",
     "execution_context",
     "round_to_bfloat16",
 ]

@@ -56,12 +56,6 @@ class ExecutionContext:
         self.matmul_flops = 0.0
 
 
-def current_context() -> ExecutionContext | None:
-    """Innermost active context, or ``None``."""
-    stack = _state.stack
-    return stack[-1] if stack else None
-
-
 def active_precision() -> "PrecisionPolicy | None":
     """Innermost non-None precision policy on the context stack."""
     for ctx in reversed(_state.stack):

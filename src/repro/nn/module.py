@@ -8,15 +8,15 @@ Unlike autograd frameworks, every module implements its own
 * ``backward(grad_out)`` consumes ``self._cache``, accumulates
   parameter gradients via :meth:`Parameter.add_grad`, and returns
   ``grad_in``;
-* ``clear_cache()`` drops all cached activations — the primitive that
-  activation checkpointing (:mod:`repro.nn.checkpoint`) is built on;
+* ``clear_cache()`` drops all cached activations (the forward tape
+  drops what a recording forward cached);
 * one ``forward`` must be followed by at most one ``backward`` before
   the next ``forward`` (engines that need otherwise re-run forward).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -133,29 +133,3 @@ class Module:
                 )
             param.data = value if param.is_meta else np.array(value, copy=True)
 
-
-class Sequential(Module):
-    """Chain of modules applied in order; backward runs in reverse."""
-
-    def __init__(self, modules: Iterable[Module]):
-        super().__init__()
-        self._order: list[Module] = []
-        for index, module in enumerate(modules):
-            self.register_module(str(index), module)
-            self._order.append(module)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._order[index]
-
-    def forward(self, x):
-        for module in self._order:
-            x = module(x)
-        return x
-
-    def backward(self, grad_out):
-        for module in reversed(self._order):
-            grad_out = module.backward(grad_out)
-        return grad_out

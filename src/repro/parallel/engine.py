@@ -44,7 +44,6 @@ from repro.cluster.collectives import all_reduce
 from repro.core.base import compute_on_rank
 from repro.meta import is_meta, nbytes_of
 from repro.models.climax_vit import ClimaXViT
-from repro.nn.checkpoint import CheckpointWrapper
 from repro.nn.module import Module
 from repro.nn.ops import kernel
 from repro.parallel.core_trunk import make_stage_templates
@@ -125,8 +124,7 @@ class HybridSTOPEngine:
     Parameters
     ----------
     model:
-        Serial model (must be built *without* activation checkpointing;
-        the engine owns recompute policy).
+        Serial model whose weights the engine shards.
     plan:
         Group layout; ``plan.cluster`` supplies devices and timeline.
     prefetch / layer_wrapping:
@@ -148,11 +146,6 @@ class HybridSTOPEngine:
         recompute: bool = False,
         compute_model=None,
     ):
-        if any(isinstance(b, CheckpointWrapper) for b in model.blocks):
-            raise ValueError(
-                "build the serial model with activation_checkpointing=False; "
-                "the engine controls recompute policy"
-            )
         self.plan = plan
         self.compute_model = compute_model
         self.prefetch = prefetch

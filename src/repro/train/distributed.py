@@ -187,22 +187,3 @@ class DistributedTrainer:
         )
         self.step_count += 1
         return mean_loss
-
-    def step_loop(self, batches, **loop_kwargs):
-        """A :class:`~repro.runtime.steploop.StepLoop` pulling from
-        ``batches``; ``loop_kwargs`` pass through (hooks, resume
-        state)."""
-        from repro.runtime.steploop import StepLoop
-
-        iterator = iter(batches)
-
-        def step_fn(step):
-            batch = next(iterator)
-            return self.train_step(batch), batch.x.shape[0]
-
-        return StepLoop(step_fn, **loop_kwargs)
-
-    def train(self, batches, num_steps: int) -> list[float]:
-        """Run ``num_steps`` steps from a batch iterator; returns losses."""
-        result = self.step_loop(batches).run(num_steps)
-        return [loss for _, loss in result.history]

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.eval.baselines import ModelForecaster
 from repro.eval.forecast import ForecastEvaluator
 from repro.train.trainer import Trainer
@@ -29,10 +27,6 @@ class FinetuneResult:
     @property
     def best_wacc(self) -> float:
         return max((w for _, w in self.history), default=float("-inf"))
-
-    @property
-    def samples_processed(self) -> int:
-        return self.history[-1][0] if self.history else 0
 
 
 class Finetuner:

@@ -90,10 +90,6 @@ class AdamW:
             data = data - lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * data)
             param.data = data.astype(np.asarray(param.data).dtype)
 
-    def state_bytes(self) -> int:
-        """Bytes of optimizer state (the m/v moments)."""
-        return sum(m.nbytes + v.nbytes for m, v in zip(self._m, self._v))
-
     def state_dict(self) -> dict:
         """Persistable state: the float64 moments (positional, relying on
         the deterministic parameter ordering) plus the bias-correction

@@ -31,17 +31,6 @@ class PretrainResult:
     def final_loss(self) -> float:
         return self.history[-1][1] if self.history else float("nan")
 
-    def smoothed_losses(self, window: int = 8) -> list[tuple[int, float]]:
-        """Running-mean loss curve (what Fig 8 plots)."""
-        if window < 1:
-            raise ValueError("window must be positive")
-        out = []
-        values = [loss for _, loss in self.history]
-        for i, (obs, _) in enumerate(self.history):
-            lo = max(0, i - window + 1)
-            out.append((obs, float(np.mean(values[lo : i + 1]))))
-        return out
-
 
 class Trainer:
     """Train a model on batches from a loader (or batch generator).

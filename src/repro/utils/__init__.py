@@ -8,7 +8,6 @@ from repro.utils.units import (
     MB,
     MIB,
     format_bytes,
-    format_count,
     format_flops,
     format_time,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "MIB",
     "SeedSequenceFactory",
     "format_bytes",
-    "format_count",
     "format_flops",
     "format_time",
     "get_logger",

@@ -44,11 +44,6 @@ def format_flops(flops: float) -> str:
     return _si_format(flops, "FLOPS")
 
 
-def format_count(count: float) -> str:
-    """Format a plain count (e.g. parameter count ``113 B`` -> ``113 G``)."""
-    return _si_format(count, "")
-
-
 def format_time(seconds: float) -> str:
     """Format a duration, switching between s/ms/us and h:m for long times."""
     seconds = float(seconds)

@@ -51,12 +51,6 @@ class TestTimeline:
         assert tl.walltime_s() == 3.0
         assert tl.walltime_s([0, 2]) == 2.0
 
-    def test_sustained_flops(self):
-        tl = Timeline(2)
-        tl.record_compute(0, 2.0, flops=8e12)
-        tl.record_compute(1, 2.0, flops=8e12)
-        assert tl.sustained_flops() == pytest.approx(8e12)
-
     def test_reset(self):
         tl = Timeline(1)
         tl.record_compute(0, 1.0, flops=1.0)

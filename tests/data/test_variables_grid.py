@@ -76,18 +76,13 @@ class TestRegistry:
 class TestGrid:
     def test_paper_grid_resolution(self):
         assert PAPER_GRID.shape == (128, 256)
-        assert PAPER_GRID.resolution_degrees == pytest.approx(1.40625)
+        np.testing.assert_allclose(np.diff(PAPER_GRID.latitudes), -1.40625)
 
     def test_latitudes_symmetric(self):
         grid = LatLonGrid(8, 16)
         lats = grid.latitudes
         np.testing.assert_allclose(lats, -lats[::-1])
         assert lats[0] > 0  # north first
-
-    def test_longitudes_cover_globe(self):
-        grid = LatLonGrid(8, 16)
-        lons = grid.longitudes
-        assert 0 < lons[0] < lons[-1] < 360
 
     def test_latitude_weights_unit_mean(self):
         grid = LatLonGrid(32, 64)
@@ -99,10 +94,6 @@ class TestGrid:
         grid = LatLonGrid(32, 64)
         weights = grid.latitude_weights()[:, 0]
         assert weights[0] < weights[16]  # pole < equator
-
-    def test_cell_weights_shape(self):
-        grid = LatLonGrid(8, 16)
-        assert grid.cell_weights().shape == (8, 16)
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(ValueError):

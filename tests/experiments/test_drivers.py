@@ -63,7 +63,7 @@ class TestAnalyticDrivers:
 
     def test_fig7_structure(self):
         result = fig7_strong_scaling.run(channels=48, gpu_counts=(512, 1024))
-        assert result.efficiency_at("orbit-113b", 512) == pytest.approx(1.0)
+        assert result.points["orbit-113b"][512].efficiency == pytest.approx(1.0)
         assert "orbit-10b" in result.points
 
     @pytest.mark.parametrize("filename, driver, kwargs", [

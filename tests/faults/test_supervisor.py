@@ -271,6 +271,48 @@ class TestEscalationAndValidation:
         assert report.pending == [plan.faults[0]]
 
 
+class TestRecoverySeams:
+    def test_a_crash_on_the_first_step_after_a_switch_resumes_the_migration_archive(
+            self, tmp_path, monkeypatch):
+        """The replan demo switches plans before step 3, writing
+        ``replan_step3.npz``; a crash on step 3, the first step on the
+        new plan, rolls back to that archive and restores it into the new
+        plan: not into the old plan, and not from step 0."""
+        from repro.replan.scenario import (
+            DEMO_STEPS,
+            DEMO_SUPERVISOR_KWARGS,
+            demo_plan,
+            demo_spec,
+        )
+        from repro.runtime import Session
+
+        resumed = []
+        resume = Session.resume
+
+        def spy(session, path, *args, **kwargs):
+            resumed.append((Path(path).name, session.spec))
+            return resume(session, path, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "resume", spy)
+        plan = FaultPlan(faults=(
+            *demo_plan().faults, FaultSpec(kind="gpu_crash", step=3, rank=5)))
+        supervisor = Supervisor(demo_spec(), plan, checkpoint_dir=tmp_path,
+                                **DEMO_SUPERVISOR_KWARGS)
+        report = supervisor.run(DEMO_STEPS)
+
+        assert report.recovered and report.steps_completed == DEMO_STEPS
+        switch, crash = [event for event in report.events
+                         if event.action in ("plan_switch", "rollback_restart")]
+        assert (switch.step, crash.step) == (3, 3)
+        assert crash.detail == "resumed from step 3"
+        new_plan = supervisor.spec
+        assert new_plan != demo_spec()
+        # The migration restores the archive into the new plan, and so
+        # does the rollback.
+        assert resumed[:2] == [("replan_step3.npz", new_plan)] * 2
+        assert (tmp_path / "replan_step3.npz").exists()
+
+
 class TestSpanTable:
     """Only ``_maybe_health`` reads an incarnation's spans, so without
     ``health_every`` (or a caller's tracer) a session records none; the

@@ -283,6 +283,10 @@ PAIRS = (
     Pair("history", lambda d: bool(d.history), run, everything, after_history),
     # The C calls the funnels make on an ndarray are the wrappers' own.
     Pair("lowered-kernels", lambda d: not d.meta, wrapper_calls, everything),
+    # Activation checkpointing re-runs each block's forward from its
+    # saved input in backward: the same numbers, step for step.
+    Pair("recompute", lambda d: not d.meta and d.recompute,
+         lambda d: run(replace(d, recompute=False)), numerics),
 )
 PAIRS_BY_NAME = {pair.name: pair for pair in PAIRS}
 

@@ -16,8 +16,9 @@ examples are the hand-pinned cases no feature suite already runs
 through a pair.  The others are pinned in their suites, through the
 same rows: every crash kind x op (``test_step_replay``), odd depth at
 pp = 2 and the depth-4 faults (``test_depth_replay``), unfold under
-faults (``test_fold_scaling``), the stage cuts (``test_fold_parity``)
-and the numeric grids and fault kinds (``test_numeric_replay``).
+faults (``test_fold_scaling``), the stage cuts (``test_fold_parity``),
+the numeric grids and fault kinds (``test_numeric_replay``) and
+recompute at pp = 1 and pp = 2 (``test_climax_vit``).
 """
 
 from dataclasses import replace

@@ -89,25 +89,14 @@ class TestBackward:
 
 class TestActivationCheckpointing:
     def test_equivalent_outputs_and_gradients(self):
-        x, lead = tiny_inputs()
-        plain = build_model(TINY, rng=5, dtype=np.float64)
-        ckpt = build_model(TINY, rng=5, dtype=np.float64, activation_checkpointing=True)
-        y_plain = plain(x, lead)
-        y_ckpt = ckpt(x, lead)
-        np.testing.assert_allclose(y_plain, y_ckpt)
-        g = np.random.default_rng(1).normal(size=y_plain.shape)
-        plain.backward(g.copy())
-        ckpt.backward(g.copy())
-        plain_grads = dict(plain.named_parameters())
-        for name, param in ckpt.named_parameters():
-            ref = plain_grads[name.replace("inner.", "")]
-            np.testing.assert_allclose(param.grad, ref.grad, err_msg=name)
+        """The engine's ``recompute`` re-runs each block's forward in
+        backward; losses, gradients, parameters and moments equal the
+        run that keeps its activations, at pp = 1 and pp = 2 (the
+        invariant registry's ``recompute`` pair)."""
+        from tests.invariants.registry import Draw, check
 
-    def test_blocks_are_wrapped(self):
-        from repro.nn import CheckpointWrapper
-
-        model = build_model(TINY, rng=0, activation_checkpointing=True)
-        assert all(isinstance(b, CheckpointWrapper) for b in model.blocks)
+        for grid in ((1, 2, 2, 2), (2, 2, 2, 1)):
+            check(Draw(grid, meta=False, recompute=True), pairs=["recompute"])
 
 
 class TestMetaMode:

@@ -1,5 +1,7 @@
 """Tests for model configs, parameter counting, and FLOP counting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,10 @@ from repro.models import (
     build_model,
     count_parameters,
     parameter_breakdown,
-    step_flops,
 )
 from repro.models.flops import forward_flops_per_sample
 from repro.nn.context import ExecutionContext, execution_context
+from repro.runtime import RunSpec, Session
 
 
 class TestConfigs:
@@ -103,16 +105,38 @@ class TestFlops:
         assert ctx.matmul_flops == pytest.approx(forward_flops_per_sample(cfg), rel=1e-12)
 
     def test_backward_is_twice_forward(self):
+        """Each matmul's backward makes two of its size (input and
+        weight gradients), counted where the meta model runs them."""
         cfg = PROXY_MODELS["proxy-115m"]
-        flops = step_flops(cfg)
-        assert flops.backward == 2 * flops.forward
-        assert flops.recompute == 0.0
+        model = build_model(cfg, meta=True)
+        forward, backward = ExecutionContext(), ExecutionContext()
+        with execution_context(forward):
+            y = model(MetaArray((1, cfg.in_vars, cfg.img_height, cfg.img_width)),
+                      MetaArray((1,)))
+        with execution_context(backward):
+            model.backward(MetaArray(y.shape))
+        assert forward.matmul_flops == forward_flops_per_sample(cfg)
+        assert backward.matmul_flops == 2 * forward.matmul_flops
 
     def test_checkpointing_adds_one_forward(self):
+        """The engine's ``recompute`` re-runs each trunk block's forward
+        once in backward: one more trunk forward per sample, on top of
+        the three forwards' worth a step costs without it."""
         cfg = PROXY_MODELS["proxy-115m"]
-        flops = step_flops(cfg, activation_checkpointing=True)
-        assert flops.recompute == flops.forward
-        assert flops.total == 4 * flops.forward
+        batch = 2
+        step = {}
+        for recompute in (False, True):
+            spec = RunSpec(config=cfg, num_gpus=1, gpus_per_node=1, tp_size=1,
+                           fsdp_size=1, ddp_size=1, micro_batch=batch, meta=True,
+                           recompute=recompute)
+            ctx = ExecutionContext()
+            with execution_context(ctx):
+                Session(spec).meta_step()
+            step[recompute] = ctx.matmul_flops
+        shallower = dataclasses.replace(cfg, depth=cfg.depth - 1)
+        block = forward_flops_per_sample(cfg) - forward_flops_per_sample(shallower)
+        assert step[False] == batch * 3 * forward_flops_per_sample(cfg)
+        assert step[True] - step[False] == batch * cfg.depth * block
 
     def test_flops_grow_with_channels(self):
         f48 = forward_flops_per_sample(ORBIT_115M)

@@ -1,55 +1,9 @@
-"""Tests for activation checkpointing and the dynamic gradient scaler."""
+"""Tests for the dynamic gradient scaler."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    CheckpointWrapper,
-    DynamicGradScaler,
-    MLP,
-    Parameter,
-    TransformerBlock,
-)
-
-
-class TestCheckpointWrapper:
-    def test_forward_matches_inner(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 3, 8))
-        plain = TransformerBlock(8, 2, rng=7, dtype=np.float64)
-        wrapped = CheckpointWrapper(TransformerBlock(8, 2, rng=7, dtype=np.float64))
-        np.testing.assert_allclose(plain(x), wrapped(x))
-
-    def test_gradients_match_unwrapped(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 3, 8))
-        grad_out = rng.normal(size=(2, 3, 8))
-        plain = MLP(8, 16, rng=3, dtype=np.float64)
-        wrapped = CheckpointWrapper(MLP(8, 16, rng=3, dtype=np.float64))
-
-        plain(x)
-        gx_plain = plain.backward(grad_out.copy())
-        wrapped(x)
-        gx_wrapped = wrapped.backward(grad_out.copy())
-
-        np.testing.assert_allclose(gx_plain, gx_wrapped)
-        for (name, p1), (_, p2) in zip(plain.named_parameters(), wrapped.inner.named_parameters()):
-            np.testing.assert_allclose(p1.grad, p2.grad, err_msg=name)
-
-    def test_inner_cache_dropped_after_forward(self):
-        wrapped = CheckpointWrapper(MLP(4, 8, rng=0, dtype=np.float64))
-        wrapped(np.ones((1, 4)))
-        assert wrapped.inner._cache is None
-        assert wrapped.inner.fc1._cache is None
-        assert wrapped._cache is not None  # stores only the input
-
-    def test_backward_without_forward_raises(self):
-        wrapped = CheckpointWrapper(MLP(4, 8, rng=0))
-        with pytest.raises(RuntimeError):
-            wrapped.backward(np.ones((1, 4)))
-
-    def test_recompute_factor(self):
-        assert CheckpointWrapper(MLP(4, rng=0)).recompute_flops_factor == 1.0
+from repro.nn import DynamicGradScaler, Parameter
 
 
 class TestDynamicGradScaler:

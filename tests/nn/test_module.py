@@ -1,10 +1,10 @@
-"""Tests for the Module base class, Parameter, and Sequential."""
+"""Tests for the Module base class and Parameter."""
 
 import numpy as np
 import pytest
 
 from repro.meta import MetaArray
-from repro.nn import Linear, Module, Parameter, Sequential
+from repro.nn import MLP, Linear, Module, Parameter
 
 
 class TestParameter:
@@ -56,23 +56,20 @@ class TestModuleRegistration:
         assert lin.parameter_bytes() == (4 * 5 + 5) * 4
 
     def test_zero_grad_recursive(self):
-        seq = Sequential([Linear(2, 2, rng=0), Linear(2, 2, rng=1)])
-        x = np.ones((1, 2))
-        seq.backward(np.ones((1, 2))) if False else None
-        seq(x)
-        seq.backward(np.ones((1, 2)))
-        assert all(p.grad is not None for p in seq.parameters())
-        seq.zero_grad()
-        assert all(p.grad is None for p in seq.parameters())
+        mlp = MLP(2, 2, rng=0)
+        mlp(np.ones((1, 2)))
+        mlp.backward(np.ones((1, 2)))
+        assert all(p.grad is not None for p in mlp.parameters())
+        mlp.zero_grad()
+        assert all(p.grad is None for p in mlp.parameters())
 
     def test_named_modules(self):
-        seq = Sequential([Linear(2, 2, rng=0)])
-        names = [n for n, _ in seq.named_modules()]
-        assert "" in names and "0" in names
+        names = [n for n, _ in MLP(2, 2, rng=0).named_modules()]
+        assert "" in names and "fc1" in names
 
     def test_register_module_type_checked(self):
         with pytest.raises(TypeError):
-            Sequential([]).register_module("x", object())
+            Module().register_module("x", object())
 
 
 class TestCacheDiscipline:
@@ -89,11 +86,11 @@ class TestCacheDiscipline:
             lin.backward(np.ones((1, 2)))
 
     def test_clear_cache_recursive(self):
-        seq = Sequential([Linear(2, 2, rng=0)])
-        seq(np.ones((1, 2)))
-        seq.clear_cache()
+        mlp = MLP(2, 2, rng=0)
+        mlp(np.ones((1, 2)))
+        mlp.clear_cache()
         with pytest.raises(RuntimeError):
-            seq.backward(np.ones((1, 2)))
+            mlp.fc1.backward(np.ones((1, 2)))
 
 
 class TestStateDict:
@@ -130,16 +127,3 @@ class TestStateDict:
         state["weight"] = np.zeros((3, 3))
         with pytest.raises(ValueError):
             lin.load_state_dict(state)
-
-
-class TestSequential:
-    def test_forward_matches_manual_chain(self):
-        l1, l2 = Linear(2, 3, rng=0), Linear(3, 2, rng=1)
-        seq = Sequential([l1, l2])
-        x = np.random.default_rng(1).normal(size=(4, 2))
-        np.testing.assert_array_equal(seq(x), l2(l1(x)))
-
-    def test_len_getitem(self):
-        seq = Sequential([Linear(2, 2, rng=0), Linear(2, 2, rng=1)])
-        assert len(seq) == 2
-        assert isinstance(seq[1], Linear)

@@ -29,9 +29,9 @@ CONFIG = OrbitConfig("tape", embed_dim=8, depth=2, num_heads=2, in_vars=3,
 TOKENS = CONFIG.num_patches  # 8
 
 
-def _vit(qk=True, ckpt=False, rng=0):
+def _vit(qk=True, rng=0):
     config = dataclasses.replace(CONFIG, qk_layernorm=qk)
-    return ClimaXViT(config, rng=rng, activation_checkpointing=ckpt)
+    return ClimaXViT(config, rng=rng)
 
 
 def _vit_inputs(batch, seed=0):
@@ -50,39 +50,31 @@ def _var_tokens(batch, seed=0):
     return (rng.standard_normal((batch, 3, TOKENS, 8)).astype(np.float32),)
 
 
-def _block(qk, ckpt):
-    block = nn.TransformerBlock(8, 2, qk_layernorm=qk, rng=1)
-    return nn.CheckpointWrapper(block) if ckpt else block
-
-
-#: name -> (build(qk_layernorm, activation_checkpointing), inputs(batch)).
+#: name -> (build(qk_layernorm), inputs(batch)).
 #: Every Module class ``repro.nn`` exports, plus the model built of them.
 MODULES = {
-    "Linear": (lambda qk, ck: nn.Linear(8, 5, rng=2), _tokens),
-    "LayerNorm": (lambda qk, ck: nn.LayerNorm(8), _tokens),
-    "MLP": (lambda qk, ck: nn.MLP(8, rng=3), _tokens),
+    "Linear": (lambda qk: nn.Linear(8, 5, rng=2), _tokens),
+    "LayerNorm": (lambda qk: nn.LayerNorm(8), _tokens),
+    "MLP": (lambda qk: nn.MLP(8, rng=3), _tokens),
     "MultiHeadAttention": (
-        lambda qk, ck: nn.MultiHeadAttention(8, 2, qk_layernorm=qk, rng=4), _tokens),
+        lambda qk: nn.MultiHeadAttention(8, 2, qk_layernorm=qk, rng=4), _tokens),
     "CrossVariableAggregation": (
-        lambda qk, ck: nn.CrossVariableAggregation(8, 2, rng=5), _var_tokens),
+        lambda qk: nn.CrossVariableAggregation(8, 2, rng=5), _var_tokens),
     "PatchEmbedding": (
-        lambda qk, ck: nn.PatchEmbedding(3, 4, 8, 2, 8, rng=6),
+        lambda qk: nn.PatchEmbedding(3, 4, 8, 2, 8, rng=6),
         lambda batch: _vit_inputs(batch)[:1]),
-    "VariableEmbedding": (lambda qk, ck: nn.VariableEmbedding(3, 8, rng=7), _var_tokens),
+    "VariableEmbedding": (lambda qk: nn.VariableEmbedding(3, 8, rng=7), _var_tokens),
     "PositionalEmbedding": (
-        lambda qk, ck: nn.PositionalEmbedding(TOKENS, 8, rng=8), _tokens),
+        lambda qk: nn.PositionalEmbedding(TOKENS, 8, rng=8), _tokens),
     "LeadTimeEmbedding": (
-        lambda qk, ck: nn.LeadTimeEmbedding(8, rng=9),
+        lambda qk: nn.LeadTimeEmbedding(8, rng=9),
         lambda batch: _tokens(batch) + (np.full(batch, 24.0, np.float32),)),
-    "TransformerBlock": (lambda qk, ck: _block(qk, False), _tokens),
-    "CheckpointWrapper": (lambda qk, ck: _block(qk, True), _tokens),
+    "TransformerBlock": (
+        lambda qk: nn.TransformerBlock(8, 2, qk_layernorm=qk, rng=1), _tokens),
     "TransformerStack": (
-        lambda qk, ck: nn.TransformerStack(8, 2, 2, qk_layernorm=qk, rng=10), _tokens),
-    "Sequential": (
-        lambda qk, ck: nn.Sequential([nn.LayerNorm(8), _block(qk, ck), nn.Linear(8, 4, rng=11)]),
-        _tokens),
+        lambda qk: nn.TransformerStack(8, 2, 2, qk_layernorm=qk, rng=10), _tokens),
     "Module": None,  # the abstract base: no forward of its own
-    "ClimaXViT": (lambda qk, ck: _vit(qk, ck), _vit_inputs),
+    "ClimaXViT": (_vit, _vit_inputs),
 }
 
 
@@ -105,11 +97,11 @@ def _run(fn, policy):
 class TestOracle:
     @pytest.mark.parametrize("name", [n for n, spec in MODULES.items() if spec])
     @settings(max_examples=12, deadline=None)
-    @given(batch=st.integers(1, 5), qk=st.booleans(), ckpt=st.booleans(),
+    @given(batch=st.integers(1, 5), qk=st.booleans(),
            policy=st.sampled_from([FP32, BF16_MIXED]))
-    def test_replay_equals_the_per_op_forward(self, name, batch, qk, ckpt, policy):
+    def test_replay_equals_the_per_op_forward(self, name, batch, qk, policy):
         build, make_inputs = MODULES[name]
-        model = build(qk, ckpt)
+        model = build(qk)
         inputs = make_inputs(batch)
         tape = ForwardTape(model)
 
@@ -199,8 +191,7 @@ class TestTrainingIsUntouched:
             with pytest.raises(RuntimeError, match="without a cached forward"):
                 model.backward(np.ones_like(out))
 
-    @pytest.mark.parametrize("ckpt", [False, True])
-    def test_train_step_after_inference_is_bitwise_the_untouched_one(self, ckpt):
+    def test_train_step_after_inference_is_bitwise_the_untouched_one(self):
         def train_step(model):
             x, lead = _vit_inputs(3, seed=5)
             ctx = ExecutionContext(precision=BF16_MIXED)
@@ -210,7 +201,7 @@ class TestTrainingIsUntouched:
                 model.backward(2.0 * prediction / prediction.size)
             return loss, [np.array(p.grad) for p in model.parameters()], ctx.flops
 
-        used, untouched = _vit(ckpt=ckpt), _vit(ckpt=ckpt)
+        used, untouched = _vit(), _vit()
         tape = ForwardTape(used)
         for _ in range(3):
             tape(*_vit_inputs(2))

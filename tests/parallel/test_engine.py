@@ -122,14 +122,6 @@ def test_ddp_replicas_receive_identical_reduced_grads():
         np.testing.assert_allclose(sp0.full_grad(), sp1.full_grad(), rtol=1e-12, err_msg=sp0.name)
 
 
-def test_checkpointed_serial_model_rejected():
-    cluster = VirtualCluster(num_gpus=4)
-    plan = HybridParallelPlan(cluster, tp_size=2, fsdp_size=2)
-    model = build_model(TINY, rng=0, activation_checkpointing=True)
-    with pytest.raises(ValueError):
-        HybridSTOPEngine(model, plan)
-
-
 def test_bad_batch_nesting_rejected():
     engine, _, _ = make_engine(tp=2, fsdp=2)
     xs, leads, _ = make_batches(1, 1)

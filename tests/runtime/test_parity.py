@@ -5,7 +5,7 @@ import numpy as np
 
 from repro.data.loader import Batch
 from repro.models import build_model
-from repro.runtime import RunSpec, Session
+from repro.runtime import RunSpec, Session, StepLoop
 from repro.train import AdamW, Trainer
 from tests.runtime.test_session import TINY
 
@@ -39,8 +39,13 @@ def _distributed_history(seed):
                    fsdp_size=1, ddp_size=1, micro_batch=BATCH, meta=False,
                    seed=seed, dtype="float64", track_device_memory=False)
     session = Session(spec)
-    loop = session.trainer.step_loop(_batches(seed))
-    return loop.run(STEPS).history
+    batches = _batches(seed)
+
+    def step_fn(step):
+        batch = next(batches)
+        return session.trainer.train_step(batch), batch.x.shape[0]
+
+    return StepLoop(step_fn).run(STEPS).history
 
 
 class TestSerialDistributedParity:

@@ -437,6 +437,11 @@ BAD_RUN_FLAGS = [
     # A negative load seed is rejected by LoadSpec before serve builds anything.
     (["serve", "--smoke", "--load-seed", "-1"],
      "invalid load: --load-seed -1 must be non-negative"),
+    # A negative injection count names --count, not the plan's other inputs.
+    (["faults", "--random", "7", "--count", "-2"],
+     "invalid plan: --count -2 must be non-negative"),
+    (["monitor", "--random", "7", "--count", "-2"],
+     "invalid plan: --count -2 must be non-negative"),
 ]
 
 

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from repro.meta import (
     MetaArray,
-    dtype_of,
     is_meta,
     matmul_flops,
     matmul_shape,
-    meta_like,
     nbytes_of,
-    shape_of,
 )
 
 
@@ -71,14 +68,7 @@ class TestDispatchHelpers:
 
     def test_shape_nbytes_dtype_on_ndarray(self):
         x = np.zeros((3, 5), np.float64)
-        assert shape_of(x) == (3, 5)
         assert nbytes_of(x) == 120
-        assert dtype_of(x) == np.float64
-
-    def test_meta_like(self):
-        x = np.zeros((3, 5), np.float32)
-        m = meta_like(x)
-        assert m.shape == (3, 5) and m.dtype == np.float32
 
 
 @given(

@@ -8,7 +8,6 @@ import pytest
 from repro.utils import (
     SeedSequenceFactory,
     format_bytes,
-    format_count,
     format_flops,
     format_time,
     get_logger,
@@ -75,9 +74,6 @@ class TestUnits:
 
     def test_format_flops_peta(self):
         assert format_flops(684e15) == "684 PFLOPS"
-
-    def test_format_count(self):
-        assert format_count(113e9) == "113 G"
 
     @pytest.mark.parametrize(
         "seconds,expected",

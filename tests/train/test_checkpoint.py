@@ -11,15 +11,14 @@ save/load.
 import numpy as np
 import pytest
 
-from repro.nn import Linear, Sequential
+from repro.nn import MLP, Linear
 from repro.obs import OFF, Tracer
 from repro.runtime.checkpoint import CheckpointCorruptError, load_archive, save_archive
 from repro.train import AdamW
 
 
 def make_model(rng=0, dtype=np.float32):
-    return Sequential([Linear(4, 6, rng=rng, dtype=dtype),
-                       Linear(6, 2, rng=rng, dtype=dtype)])
+    return MLP(4, 6, rng=rng, dtype=dtype)
 
 
 def save_state(path, model, *, metadata=None, tracer=OFF):
@@ -77,7 +76,7 @@ class TestRoundTrip:
         probe = make_model(rng=3)
         assert load_state(path, probe)["user"] == {"step": 2}
         np.testing.assert_array_equal(
-            probe.state_dict()["0.weight"], second.state_dict()["0.weight"]
+            probe.state_dict()["fc1.weight"], second.state_dict()["fc1.weight"]
         )
 
 

@@ -75,16 +75,6 @@ class TestTrainer:
         result = trainer.train(3)
         assert [obs for obs, _ in result.history] == [4, 8, 12]
 
-    def test_smoothed_losses(self, world):
-        _, train, norm = world
-        _, trainer = make_trainer(train, norm, seed=3)
-        result = trainer.train(10)
-        smoothed = result.smoothed_losses(window=4)
-        assert len(smoothed) == 10
-        raw_var = np.var([l for _, l in result.history])
-        smooth_var = np.var([l for _, l in smoothed])
-        assert smooth_var <= raw_var + 1e-12
-
     def test_bf16_training_with_scaler_learns(self, world):
         """Mixed precision + dynamic scaling still converges (Sec III-B)."""
         _, train, norm = world
@@ -154,14 +144,14 @@ class TestFinetuner:
         tuner = self._make_finetuner(world, seed=13)
         result = tuner.run(max_steps=12, eval_interval=4, patience=100)
         assert len(result.history) == 3
-        assert result.samples_processed == 48
+        assert result.history[-1][0] == 48  # samples processed
         assert result.samples_to_converge is not None
 
     def test_converges_and_stops_early(self, world):
         tuner = self._make_finetuner(world, seed=17)
         result = tuner.run(max_steps=400, eval_interval=10, patience=2, tolerance=0.01)
         assert result.converged
-        assert result.samples_processed < 400 * 4
+        assert result.history[-1][0] < 400 * 4
         assert result.best_wacc > 0.0
 
     def test_validation(self, world):
