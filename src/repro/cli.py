@@ -133,14 +133,21 @@ def _topology_spec(args: argparse.Namespace, config=None, **overrides):
     try:
         return RunSpec(**fields)
     except RunSpecError as error:
-        raise _UsageError(
-            str(error)
-            .replace("num_gpus", "--gpus")
-            .replace("num_steps", "--steps")
-            .replace("micro_batch", "--micro-batch")
-            .replace("compute_skew", "--skew")
-            .replace("seed", "--seed")
-        )
+        raise _UsageError(_flag_names(error))
+
+
+def _flag_names(error: Exception) -> str:
+    """A :class:`~repro.runtime.spec.RunSpecError` message with its
+    field names spelled as the CLI flags that set them."""
+    return (
+        str(error)
+        .replace("num_gpus", "--gpus")
+        .replace("gpus_per_node", "--gpus-per-node")
+        .replace("num_steps", "--steps")
+        .replace("micro_batch", "--micro-batch")
+        .replace("compute_skew", "--skew")
+        .replace("seed", "--seed")
+    )
 
 
 def _parse_skew(pairs: list[str]) -> dict[int, float]:
@@ -720,14 +727,10 @@ def _cmd_fig10(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
+    from repro.runtime import RunSpecError
     from repro.tune import InfeasibleRequest
 
     _check_positive(args, "--gpus", "--gpus-per-node", "--micro-batch")
-    if args.gpus > args.gpus_per_node and args.gpus % args.gpus_per_node:
-        raise _UsageError(
-            f"repro crossover: --gpus {args.gpus} is not a whole number of "
-            f"{args.gpus_per_node}-GCD nodes"
-        )
     try:
         pp_sizes = _int_list("--pp", args.pp)
     except ValueError as error:
@@ -742,6 +745,8 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
             pp_sizes=pp_sizes,
             validate=not args.no_validate,
         )
+    except RunSpecError as error:  # the search request's whole-node rule
+        raise _UsageError(f"repro crossover: {_flag_names(error)}")
     except InfeasibleRequest as error:
         raise _UsageError(
             f"repro crossover: {error} (--gpus {args.gpus}, --micro-batch "
@@ -844,6 +849,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.models import PAPER_MODELS
+    from repro.runtime import RunSpecError
     from repro.tune import (
         InfeasibleRequest,
         TuneCache,
@@ -865,6 +871,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         )
         if args.top_k < 1:
             raise ValueError(f"--top-k {args.top_k} must be at least 1")
+    except RunSpecError as error:
+        raise _UsageError(f"repro tune: invalid request: {_flag_names(error)}")
     except ValueError as error:
         raise _UsageError(f"repro tune: invalid request: {error}")
     try:
@@ -1080,6 +1088,7 @@ def _cmd_replan(args: argparse.Namespace) -> int:
         demo_plan,
         demo_spec,
     )
+    from repro.runtime import RunSpecError
     from repro.utils.artifacts import write_json
 
     plan = _plan_from_args(args)
@@ -1120,7 +1129,9 @@ def _cmd_replan(args: argparse.Namespace) -> int:
     run_monitor = RunMonitor(on_event=tail)
     try:
         supervisor, report = supervise("on", run_monitor)
-    except ValueError as error:  # RunSpecError included
+    except RunSpecError as error:
+        raise _UsageError(f"repro replan: {_flag_names(error)}")
+    except ValueError as error:
         raise _UsageError(f"repro replan: {error}")
     decisions = [
         event for event in run_monitor.journal.events

@@ -52,26 +52,6 @@ class CollectiveCostModel:
             return steps * alpha
         return steps * (alpha + bytes_per_step / beta)
 
-    @staticmethod
-    def _steps_batch(alpha, beta, steps: int, bytes_per_step: float):
-        """Vectorized :meth:`_steps` over arrays of link specs.
-
-        ``alpha``/``beta`` are numpy arrays of per-group latency and
-        bandwidth; the return value is elementwise identical (same
-        float operations, same order) to calling :meth:`_steps` per
-        group.  Used by :mod:`repro.cluster.symmetry` to evaluate the
-        alpha-beta model across every member of a rank equivalence
-        class in one sweep.
-        """
-        import numpy as np
-
-        alpha = np.asarray(alpha, dtype=float)
-        beta = np.asarray(beta, dtype=float)
-        if steps <= 0 or bytes_per_step < 0:
-            return np.zeros_like(alpha)
-        return np.where(np.isinf(beta), steps * alpha,
-                        steps * (alpha + bytes_per_step / beta))
-
     def all_gather(self, ranks: Sequence[int], total_bytes: int) -> float:
         """Ring all-gather producing ``total_bytes`` on every rank."""
         g = len(ranks)

@@ -16,30 +16,27 @@ model — but every stage is a self-similar 3D sub-grid at a constant
 rank offset, so the within-stage FSDP/DDP fold arithmetic (strides,
 member enumeration, replay offsets) is unchanged from the 3D case.
 
-:class:`RankClassPartition` is the arithmetic of that partition;
-:func:`decide_fold` is the eligibility gate that checks — with one
-vectorized numpy sweep over every collective-group family — that the
-machine topology really does give every class member the identical
-alpha-beta cost, so one representative per class can stand in for the
-whole class bitwise.
+:class:`RankClassPartition` is the arithmetic of that partition and
+the one spelling of the 4D rank layout; :func:`decide_fold` is the
+eligibility gate that checks — with one vectorized numpy sweep over
+every collective-group family — that the machine topology really does
+give every group of a family the identical effective link spec
+(:meth:`~repro.cluster.topology.FrontierTopology.effective_specs`), and
+so every class member the identical alpha-beta cost: one
+representative per class can stand in for the whole class bitwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.cluster.costmodel import CollectiveCostModel
 from repro.cluster.topology import FrontierTopology
 
 #: (pipeline stage s, tp index k, is lead shard f == 0)
 ClassKey = tuple[int, int, bool]
-
-#: Byte size used by the vectorized alpha-beta probe in
-#: :func:`decide_fold`; any positive finite value works because the
-#: probe only compares predictions *within* a group family.
-PROBE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,12 +58,19 @@ class RankClassPartition:
     def num_gpus(self) -> int:
         return self.stage_size * self.pp_size
 
-    def rank(self, d: int, f: int, k: int) -> int:
-        """Mirror of :meth:`repro.parallel.plan.HybridParallelPlan.rank`
-        (stage-local: stage 0)."""
+    def rank(self, s, d, f, k):
+        """Global rank of grid coordinate ``(s, d, f, k)`` (paper Fig 4).
+
+        Stage outermost, then the DDP replica, then FSDP and TP with TP
+        innermost (FSDP innermost when ``tp_innermost`` is False).  The
+        one spelling of the layout: pure integer arithmetic, so it also
+        maps NumPy coordinate arrays elementwise (:meth:`rank_grid`).
+        """
         if self.tp_innermost:
-            return (d * self.fsdp_size + f) * self.tp_size + k
-        return (d * self.tp_size + k) * self.fsdp_size + f
+            inner = f * self.tp_size + k
+        else:
+            inner = k * self.fsdp_size + f
+        return (s * self.ddp_size + d) * self.fsdp_size * self.tp_size + inner
 
     def coords(self, rank: int) -> tuple[int, int, int]:
         """Within-stage (ddp, fsdp, tp) coordinates of a global rank."""
@@ -103,7 +107,7 @@ class RankClassPartition:
 
     def representative(self, key: ClassKey) -> int:
         stage, k, lead = key
-        return stage * self.stage_size + self.rank(0, 0 if lead else 1, k)
+        return self.rank(stage, 0, 0 if lead else 1, k)
 
     def size(self, key: ClassKey) -> int:
         _, _, lead = key
@@ -114,17 +118,16 @@ class RankClassPartition:
     def members(self, key: ClassKey) -> list[int]:
         stage, k, lead = key
         shards = (0,) if lead else range(1, self.fsdp_size)
-        offset = stage * self.stage_size
         return sorted(
-            offset + self.rank(d, f, k)
+            self.rank(stage, d, f, k)
             for d in range(self.ddp_size) for f in shards
         )
 
-    @property
+    @cached_property
     def fsdp_stride(self) -> int:
         """Rank delta between consecutive FSDP shard indices."""
-        return self.rank(0, 1, 0) - self.rank(0, 0, 0) if self.fsdp_size > 1 \
-            else 0
+        return self.rank(0, 0, 1, 0) - self.rank(0, 0, 0, 0) \
+            if self.fsdp_size > 1 else 0
 
     @property
     def ddp_stride(self) -> int:
@@ -132,14 +135,19 @@ class RankClassPartition:
         return self.fsdp_size * self.tp_size
 
     def rank_grid(self) -> np.ndarray:
-        """``R[d, f, k]`` rank array, vectorized."""
-        dd, ff, kk = np.meshgrid(
-            np.arange(self.ddp_size), np.arange(self.fsdp_size),
-            np.arange(self.tp_size), indexing="ij",
-        )
-        if self.tp_innermost:
-            return (dd * self.fsdp_size + ff) * self.tp_size + kk
-        return (dd * self.tp_size + kk) * self.fsdp_size + ff
+        """``R[s, d, f, k]``: :meth:`rank` over the whole grid."""
+        return self.rank(*np.indices(
+            (self.pp_size, self.ddp_size, self.fsdp_size, self.tp_size)))
+
+    def tp_spans_nodes(self, gpus_per_node: int) -> bool:
+        """Whether any tensor-parallel group crosses a node boundary.
+
+        Every stage is checked: when the stage size is not a whole
+        number of nodes, a deeper stage's TP groups can straddle a
+        boundary even though stage 0's do not.
+        """
+        nodes = self.rank_grid() // gpus_per_node
+        return bool(np.any(nodes.max(axis=-1) > nodes.min(axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -151,53 +159,11 @@ class FoldDecision:
     partition: RankClassPartition | None = None
 
 
-def _effective_specs(topology: FrontierTopology,
-                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized mirror of :meth:`FrontierTopology.effective_bandwidth`.
-
-    ``rows`` is an (n_groups, group_size) rank matrix; returns per-row
-    (latency_s, bandwidth_Bps) arrays that match the scalar method
-    float-for-float (pinned by the property test in
-    ``tests/cluster/test_topology.py``).
-    """
-    rows = np.asarray(rows)
-    n, g = rows.shape
-    if g <= 1:  # SELF links
-        return np.zeros(n), np.full(n, np.inf)
-    nodes = np.sort(rows // topology.gpus_per_node, axis=1)
-    inter = nodes[:, -1] > nodes[:, 0]
-    # max ranks sharing one node, per group (mirrors the per_node dict):
-    # the longest run of equal ids in each sorted row — O(n*g) memory,
-    # where an all-pairs comparison would need n*g*g.
-    position = np.arange(g)
-    run_start = np.maximum.accumulate(
-        np.where(np.diff(nodes, axis=1, prepend=-1) != 0, position, 0), axis=1)
-    sharers = (position - run_start).max(axis=1) + 1
-    occupancy = min(topology.gpus_per_node, topology.num_gpus)
-    contention = np.maximum(1, occupancy // sharers)
-    lat = np.where(inter, topology.inter_node.latency_s,
-                   topology.intra_node.latency_s)
-    bw = np.where(inter, topology.inter_node.bandwidth_Bps / contention,
-                  topology.intra_node.bandwidth_Bps)
-    return lat, bw
-
-
 def _family_uniform(topology: FrontierTopology, rows: np.ndarray) -> bool:
     """True iff every group in the family has the identical effective
-    link spec *and* the identical vectorized alpha-beta prediction."""
-    rows = np.asarray(rows)
-    if rows.shape[0] <= 1:
-        return True
-    lat, bw = _effective_specs(topology, rows)
-    if not (np.all(lat == lat[0]) and np.all(bw == bw[0])):
-        return False
-    # Belt and braces: evaluate the ring all-reduce alpha-beta model
-    # across every group at once and require bitwise-equal predictions.
-    g = rows.shape[1]
-    seconds = CollectiveCostModel._steps_batch(
-        lat, bw, 2 * (g - 1), PROBE_BYTES / g if g else 0.0
-    )
-    return bool(np.all(seconds == seconds[0]))
+    link spec (then every alpha-beta cost over them is identical too)."""
+    lat, bw = topology.effective_specs(rows)
+    return bool(np.all(lat == lat[:1]) and np.all(bw == bw[:1]))
 
 
 def symmetry_blockers(spec, topology: FrontierTopology) -> list[str]:
@@ -218,10 +184,8 @@ def symmetry_blockers(spec, topology: FrontierTopology) -> list[str]:
     S = getattr(spec, "pp_size", 1)
     part = RankClassPartition(spec.tp_size, spec.fsdp_size, spec.ddp_size,
                               tp_innermost=spec.tp_innermost, pp_size=S)
-    grid = part.rank_grid()
+    grid4 = part.rank_grid()  # [s, d, f, k]
     D, F, K = spec.ddp_size, spec.fsdp_size, spec.tp_size
-    offsets = np.arange(S).reshape(S, 1, 1, 1) * part.stage_size
-    grid4 = grid[None, ...] + offsets  # [s, d, f, k]
     families = {
         "tensor-parallel": grid4.reshape(S * D * F, K),
         "fsdp-shard": grid4.transpose(0, 1, 3, 2).reshape(S * D * K, F),
@@ -235,13 +199,10 @@ def symmetry_blockers(spec, topology: FrontierTopology) -> list[str]:
     for name, rows in families.items():
         if not _family_uniform(topology, rows):
             blockers.append(f"{name} groups have non-uniform link specs")
-    if K > spec.config.num_heads:
-        # Sub-head sharding all-reduces over per-head subsets of the TP
-        # group; they share one spec only when TP groups stay on-node.
-        tp_rows = families["tensor-parallel"]
-        nodes = tp_rows // topology.gpus_per_node
-        if np.any(nodes.max(axis=1) > nodes.min(axis=1)):
-            blockers.append("sub-head regime with node-spanning TP groups")
+    # Sub-head sharding all-reduces over per-head subsets of the TP
+    # group; they share one spec only when TP groups stay on-node.
+    if K > spec.config.num_heads and part.tp_spans_nodes(topology.gpus_per_node):
+        blockers.append("sub-head regime with node-spanning TP groups")
     return blockers
 
 

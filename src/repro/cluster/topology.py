@@ -9,8 +9,8 @@ The model follows the System Details of the paper (Sec IV):
 Inter-node bandwidth is a *node* resource: when all 8 GCDs of a node
 drive the NICs concurrently (the usual case when FSDP groups are mapped
 across nodes, Fig 4), each GCD sees roughly 1/8 of the node
-injection bandwidth.  :meth:`FrontierTopology.effective_bandwidth`
-captures that contention.
+injection bandwidth.  :meth:`FrontierTopology.effective_specs` is the
+one formula for that contention.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 
 class LinkKind(enum.Enum):
@@ -108,29 +110,45 @@ class FrontierTopology:
             return self.intra_node
         return self.inter_node
 
-    def effective_bandwidth(self, ranks: Sequence[int]) -> LinkSpec:
-        """Per-rank effective link spec for a collective over ``ranks``.
+    def effective_specs(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Per-rank effective link specs of collectives over each row.
 
-        For inter-node groups the node injection bandwidth is divided by
-        the number of group members sharing each node NIC concurrently
-        (e.g. 8 FSDP groups per node each see 1/8 of 100 GB/s); the
-        latency is the inter-node latency.
+        ``rows`` is an (n_groups, group_size) rank matrix; returns the
+        per-row (latency_s, bandwidth_Bps) arrays.  For inter-node
+        groups the node injection bandwidth is divided by the number of
+        group members sharing each node NIC concurrently (e.g. 8 FSDP
+        groups per node each see 1/8 of 100 GB/s); the latency is the
+        inter-node latency.  Ranks are not range-checked here
+        (:meth:`effective_bandwidth` checks them).
         """
-        kind = self.group_link_kind(ranks)
-        spec = self.link_spec(kind)
-        if kind is not LinkKind.INTER_NODE:
-            return spec
-        per_node: dict[int, int] = {}
-        for rank in ranks:
-            node = self.node_of(rank)
-            per_node[node] = per_node.get(node, 0) + 1
-        max_sharers = max(per_node.values())
+        rows = np.asarray(rows)
+        n, g = rows.shape
+        if g <= 1:  # SELF links
+            return np.zeros(n), np.full(n, np.inf)
+        nodes = np.sort(rows // self.gpus_per_node, axis=1)
+        inter = nodes[:, -1] > nodes[:, 0]
+        # Max ranks sharing one node, per group: the longest run of
+        # equal ids in each sorted row — O(n*g) memory, where an
+        # all-pairs comparison would need n*g*g.
+        position = np.arange(g)
+        run_start = np.maximum.accumulate(
+            np.where(np.diff(nodes, axis=1, prepend=-1) != 0, position, 0),
+            axis=1)
+        sharers = (position - run_start).max(axis=1) + 1
         # Concurrent same-shaped groups occupy the remaining GCDs of each
         # node, so a group using m GCDs of a node competes with the
         # gpus_per_node/m sibling groups for the NIC.
-        node_occupancy = min(self.gpus_per_node, self.num_gpus)
-        contention = max(1, node_occupancy // max_sharers)
-        return LinkSpec(
-            latency_s=spec.latency_s,
-            bandwidth_Bps=spec.bandwidth_Bps / contention,
-        )
+        occupancy = min(self.gpus_per_node, self.num_gpus)
+        contention = np.maximum(1, occupancy // sharers)
+        lat = np.where(inter, self.inter_node.latency_s,
+                       self.intra_node.latency_s)
+        bw = np.where(inter, self.inter_node.bandwidth_Bps / contention,
+                      self.intra_node.bandwidth_Bps)
+        return lat, bw
+
+    def effective_bandwidth(self, ranks: Sequence[int]) -> LinkSpec:
+        """:meth:`effective_specs` of the one group ``ranks``."""
+        for rank in ranks:
+            self._check_rank(rank)
+        lat, bw = self.effective_specs([list(ranks)])
+        return LinkSpec(latency_s=float(lat[0]), bandwidth_Bps=float(bw[0]))

@@ -29,8 +29,6 @@ most 8 in-node while all models have 16-64 heads).
 
 from __future__ import annotations
 
-import math
-
 from repro.cluster.collectives import all_reduce
 from repro.core.base import HybridModuleBase
 from repro.core.fsdp_ops import reduce_scatter_grads, tensor_parallel_sum

@@ -9,7 +9,7 @@ evaluation metric (wACC) so polar grid cells do not dominate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.data.dataset import ClimateDataset
 from repro.data.normalization import Normalizer
-from repro.data.synthetic import HOURS_PER_STEP
 from repro.utils.seeding import SeedSequenceFactory
 
 

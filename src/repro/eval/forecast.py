@@ -90,10 +90,3 @@ class ForecastEvaluator:
             wacc={name: acc_sums[name] / n for name in names},
             wrmse={name: rmse_sums[name] / n for name in names},
         )
-
-    def evaluate_many(self, forecasters: dict, lead_steps_list) -> dict:
-        """Nested results: ``{forecaster_name: {lead_steps: LeadTimeScores}}``."""
-        return {
-            name: {lead: self.evaluate(fc, lead) for lead in lead_steps_list}
-            for name, fc in forecasters.items()
-        }

@@ -12,14 +12,13 @@ order for every size.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.data.cmip6 import SyntheticCMIP6Archive
 from repro.data.grid import LatLonGrid
-from repro.data.loader import BatchLoader, round_robin_loaders
+from repro.data.loader import round_robin_loaders
 from repro.data.normalization import Normalizer
 from repro.data.variables import default_registry
 from repro.experiments.common import format_table

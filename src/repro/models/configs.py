@@ -20,7 +20,7 @@ workstation (used by the Fig 8 / Fig 10 experiments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)

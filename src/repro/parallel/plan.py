@@ -29,13 +29,17 @@ Each stage is a self-similar 3D sub-grid, so the per-stage sub-plans
 returned by :meth:`HybridParallelPlan.stage_plan` keep the DDP/FSDP
 rank strides of the 3D layout — which is what lets symmetry folding
 (:mod:`repro.cluster.timeline`) reuse its stride arithmetic unchanged
-on 4D runs.
+on 4D runs.  The arithmetic itself is
+:meth:`repro.cluster.symmetry.RankClassPartition.rank`: the plan
+bounds-checks coordinates and delegates ``rank``, ``coords`` and
+``stage_coords`` to its partition.
 """
 
 from __future__ import annotations
 
 from repro.cluster.cluster import VirtualCluster
 from repro.cluster.process_group import ProcessGroup
+from repro.cluster.symmetry import RankClassPartition
 
 
 class HybridParallelPlan:
@@ -94,35 +98,27 @@ class HybridParallelPlan:
         self.ddp_size = ddp_size
         self.pp_size = pp_size
         self.tp_innermost = tp_innermost
-        self.rank_offset = _rank_offset
+        #: The first stage this plan addresses (a stage sub-plan sits at
+        #: a whole number of stages), and the layout it delegates to.
+        self._stage = _rank_offset // stage_size
+        self.partition = RankClassPartition(
+            tp_size, fsdp_size, ddp_size, tp_innermost,
+            pp_size=self._stage + pp_size,
+        )
         self._tp_groups: dict[tuple[int, int], ProcessGroup] = {}
         self._fsdp_groups: dict[tuple[int, int], ProcessGroup] = {}
         self._ddp_groups: dict[tuple[int, int], ProcessGroup] = {}
         self._stage_plans: dict[int, "HybridParallelPlan"] = {}
 
     # -- rank arithmetic -----------------------------------------------------
-    @property
-    def stage_size(self) -> int:
-        """Ranks per pipeline stage (the 3D sub-grid size)."""
-        return self.tp_size * self.fsdp_size * self.ddp_size
-
     def rank(self, ddp: int, fsdp: int, tp: int) -> int:
         """Global rank of stage-local grid coordinate ``(d, f, k)``."""
         self._check(ddp, fsdp, tp)
-        per_replica = self.tp_size * self.fsdp_size
-        if self.tp_innermost:
-            return self.rank_offset + ddp * per_replica + fsdp * self.tp_size + tp
-        return self.rank_offset + ddp * per_replica + tp * self.fsdp_size + fsdp
+        return self.partition.rank(self._stage, ddp, fsdp, tp)
 
     def coords(self, rank: int) -> tuple[int, int, int]:
         """Inverse of :meth:`rank`: ``(ddp, fsdp, tp)`` of a global rank."""
-        per_replica = self.tp_size * self.fsdp_size
-        ddp, rem = divmod(rank - self.rank_offset, per_replica)
-        if self.tp_innermost:
-            fsdp, tp = divmod(rem, self.tp_size)
-        else:
-            tp, fsdp = divmod(rem, self.fsdp_size)
-        return ddp, fsdp, tp
+        return self.partition.coords(rank)
 
     def stage_plan(self, stage: int) -> "HybridParallelPlan":
         """3D sub-plan addressing pipeline stage ``stage``.
@@ -143,16 +139,16 @@ class HybridParallelPlan:
                 ddp_size=self.ddp_size,
                 tp_innermost=self.tp_innermost,
                 pp_size=1,
-                _rank_offset=self.rank_offset + stage * self.stage_size,
+                _rank_offset=self.partition.rank(self._stage + stage, 0, 0, 0),
             )
         return self._stage_plans[stage]
 
     def stage_coords(self, rank: int) -> tuple[int, int, int, int]:
         """``(pp, ddp, fsdp, tp)`` of a global rank under this plan."""
-        stage, rem = divmod(rank - self.rank_offset, self.stage_size)
+        stage = self.partition.stage_of(rank) - self._stage
         if not 0 <= stage < self.pp_size:
             raise ValueError(f"rank {rank} outside plan of {self.pp_size} stages")
-        return (stage, *self.stage_plan(0).coords(rem + self.rank_offset))
+        return (stage, *self.partition.coords(rank))
 
     def _check(self, ddp: int, fsdp: int, tp: int) -> None:
         if not (0 <= ddp < self.ddp_size and 0 <= fsdp < self.fsdp_size and 0 <= tp < self.tp_size):

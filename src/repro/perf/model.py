@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from repro.cluster.costmodel import CollectiveCostModel
 from repro.hardware import MI250X_GCD_PEAK_FP32
 from repro.cluster.topology import FrontierTopology
-from repro.memory.estimator import MemoryModel, Parallelism, TrainingSetup
+from repro.memory.estimator import MemoryModel, TrainingSetup
 from repro.models.flops import forward_flops_per_sample, parameter_breakdown
 
 

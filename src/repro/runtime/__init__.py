@@ -29,7 +29,6 @@ from repro.runtime.spec import (
     RunSpec,
     RunSpecError,
     engine_legality_reason,
-    tp_group_spans_nodes,
 )
 from repro.runtime.session import Session, build_cluster, fabricate_batch
 from repro.runtime.tapes import STEP_TAPES
@@ -56,5 +55,4 @@ __all__ = [
     "fabricate_batch",
     "load_archive",
     "save_archive",
-    "tp_group_spans_nodes",
 ]

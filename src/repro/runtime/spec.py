@@ -30,27 +30,18 @@ class RunSpecError(ValueError):
     """An invalid run specification (the CLI maps this to exit 2)."""
 
 
-def tp_group_spans_nodes(tp: int, fsdp: int, ddp: int, tp_innermost: bool,
-                         gpus_per_node: int, pp: int = 1) -> bool:
-    """Whether any tensor-parallel group crosses a node boundary.
-
-    With a pipeline axis each stage's grid sits at a rank offset of
-    ``s * tp * fsdp * ddp``; when that stage size is not a whole number
-    of nodes, a deeper stage's TP groups can straddle a boundary even
-    though stage 0's do not — so every stage is checked.
-    """
-    grid = RankClassPartition(tp, fsdp, ddp, tp_innermost)
-    for s in range(pp):
-        offset = s * grid.stage_size
-        for d in range(ddp):
-            for f in range(fsdp):
-                nodes = {
-                    (offset + grid.rank(d, f, k)) // gpus_per_node
-                    for k in range(tp)
-                }
-                if len(nodes) > 1:
-                    return True
-    return False
+def node_shape_error(num_gpus: int, gpus_per_node: int) -> str | None:
+    """The whole-node rule every run and search request obeys: ``None``
+    when ``num_gpus`` fills whole ``gpus_per_node``-GCD nodes (a
+    non-positive ``num_gpus`` is the caller's own diagnostic)."""
+    if gpus_per_node <= 0:
+        return f"invalid gpus_per_node {gpus_per_node}: must be at least 1"
+    if num_gpus >= 1 and num_gpus % gpus_per_node:
+        return (
+            f"invalid topology: num_gpus {num_gpus} is not a whole "
+            f"number of {gpus_per_node}-GCD nodes"
+        )
+    return None
 
 
 def engine_legality_reason(
@@ -98,9 +89,9 @@ def engine_legality_reason(
             )
     elif config.num_heads % tp:
         return f"num_heads {config.num_heads} not divisible by tp {tp}"
-    if engine_mode and tp_group_spans_nodes(
-        tp, fsdp, ddp, tp_innermost, gpus_per_node, pp=pp
-    ):
+    if engine_mode and RankClassPartition(
+        tp, fsdp, ddp, tp_innermost, pp
+    ).tp_spans_nodes(gpus_per_node):
         layout = "" if tp_innermost else " under the fsdp-innermost layout"
         return f"tp group of size {tp} spans node boundaries{layout}"
     return None
@@ -196,13 +187,9 @@ class RunSpec:
                     f"invalid topology: tp * fsdp * ddp = {axes} = {product}, "
                     f"which does not equal num_gpus {self.num_gpus}"
                 )
-        if self.gpus_per_node <= 0 or (
-            self.num_gpus >= 1 and self.num_gpus % self.gpus_per_node != 0
-        ):
-            problems.append(
-                f"invalid topology: num_gpus {self.num_gpus} is not a whole "
-                f"number of {self.gpus_per_node}-GCD nodes"
-            )
+        node_problem = node_shape_error(self.num_gpus, self.gpus_per_node)
+        if node_problem:
+            problems.append(node_problem)
         if self.micro_batch < 1:
             problems.append(
                 f"invalid micro_batch {self.micro_batch}: must be at least 1"

@@ -29,7 +29,7 @@ from repro.bench import harness
 from repro.bench.harness import compare_cases, write_document
 from repro.serve.loadgen import LoadSpec, generate_requests
 from repro.serve.policy import ServePolicy
-from repro.serve.server import ForecastServer, ServeReport
+from repro.serve.server import ForecastServer
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("serve.bench")

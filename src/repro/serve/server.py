@@ -33,8 +33,6 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.obs.journal import EventJournal
 from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.obs.off import OFF

@@ -8,7 +8,7 @@ structural facts that make this exact rather than approximate:
   ``compute_s + exposed_comm_s``), so only each rank's *own ordered
   event sequence* matters, never the cross-rank interleaving;
 * all DDP replicas are identical and all FSDP indices are symmetric,
-  so only the K tensor-parallel rank classes ``rank(0, 0, k)`` can be
+  so only the K tensor-parallel rank classes ``rank(s, 0, 0, k)`` can be
   the slowest rank (class k=0 additionally carries the layer-norm /
   bias / dense work);
 * every trunk block produces the same event sequence (identical
@@ -155,7 +155,7 @@ def _class_representative(candidate: Candidate, rank: int) -> int:
     """The estimator's replay rank standing in for physical ``rank``.
 
     The replay only simulates the tensor-parallel rank classes
-    ``stage * stage_size + rank(0, 0, k)`` (all DDP replicas and FSDP
+    ``rank(stage, 0, 0, k)`` (all DDP replicas and FSDP
     indices are symmetric), so a degradation on any physical rank is
     projected onto its class representative.  Exact when at most one
     member of each class is degraded; class-maximal (the projection
@@ -164,7 +164,7 @@ def _class_representative(candidate: Candidate, rank: int) -> int:
     """
     grid = _grid(candidate)
     _, _, k = grid.coords(rank)
-    return grid.stage_of(rank) * grid.stage_size + grid.rank(0, 0, k)
+    return grid.rank(grid.stage_of(rank), 0, 0, k)
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ class AnalyticEstimator:
     def _block_probe(self, candidate: Candidate) -> _BlockProbe:
         """The memoized probe of ``candidate``'s block shape and group layout.
 
-        The block runs on the stage-0, replica-0 ranks ``rank(0, f, k)``,
+        The block runs on the stage-0, replica-0 ranks ``rank(0, 0, f, k)``,
         which do not depend on how the rest of the machine splits into
         DDP x PP — so neither does the key.  Nor does it hold the
         prefetch flag: one executed block (prefetch on) serves both
@@ -357,7 +357,7 @@ class AnalyticEstimator:
             compute_model=self._compute_model, name="probe",
         )
         block.set_track_gather_memory(False)
-        reps = frozenset(grid.rank(0, 0, k) for k in range(grid.tp_size))
+        reps = frozenset(grid.rank(0, 0, 0, k) for k in range(grid.tp_size))
         xs = fabricate_batch(
             (candidate.micro_batch, cfg.num_patches, cfg.embed_dim),
             fsdp_size=candidate.fsdp_size,
@@ -428,13 +428,12 @@ class AnalyticEstimator:
         grid = _grid(candidate)
         cfg = self.config
         S, M, K = candidate.pp_size, candidate.micro_batch, candidate.tp_size
-        stage_size = grid.stage_size
         bounds = partition_blocks(cfg.depth, S)
         timeline = self._replay_timeline(candidate, degradation)
         cost_model = self._cluster.cost_model
         #: reps[s][k]: stage s's class representative of tp column k
         #: (column 0 additionally carries the stage's dense work).
-        reps = [[s * stage_size + grid.rank(0, 0, k) for k in range(K)]
+        reps = [[grid.rank(s, 0, 0, k) for k in range(K)]
                 for s in range(S)]
 
         def dense_compute(stage: int, flops: float, op: str) -> None:
@@ -457,7 +456,7 @@ class AnalyticEstimator:
         # Forward: front on stage 0, each stage's block slice, boundary
         # sends, head on the last stage.
         for s in range(S):
-            offset = s * stage_size
+            offset = grid.rank(s, 0, 0, 0)
             if s == 0:
                 dense_compute(s, dense.front_fwd_flops, "dense.front")
             start, end = bounds[s]
@@ -472,7 +471,7 @@ class AnalyticEstimator:
         # re-paying compute — before its backward, exactly as the trunk
         # does.
         for s in reversed(range(S)):
-            offset = s * stage_size
+            offset = grid.rank(s, 0, 0, 0)
             if s == S - 1:
                 dense_compute(s, dense.head_bwd_flops, "dense.head")
             start, end = bounds[s]
@@ -502,9 +501,8 @@ class AnalyticEstimator:
         for stage, nbytes in dense_by_stage(
             S, sum(dense.front_param_nbytes), sum(dense.head_param_nbytes)
         ):
-            offset = stage * stage_size
             replica_ranks = [
-                offset + grid.rank(0, f, k)
+                grid.rank(stage, 0, f, k)
                 for f in range(candidate.fsdp_size) for k in range(K)
             ]
             if len(replica_ranks) > 1:
@@ -518,12 +516,11 @@ class AnalyticEstimator:
             # seconds once per parameter leaves the ledger identical to
             # one event per block.
             for s in range(S):
-                offset = s * stage_size
                 start, end = bounds[s]
                 stage_depth = end - start
                 for column, shard_nbytes in probe.shard_columns:
                     group = [
-                        offset + grid.rank(d, 0, column)
+                        grid.rank(s, d, 0, column)
                         for d in range(candidate.ddp_size)
                     ]
                     seconds = cost_model.all_reduce(group, shard_nbytes)
@@ -536,9 +533,8 @@ class AnalyticEstimator:
             for stage, nbytes_list in dense_by_stage(
                 S, dense.front_param_nbytes, dense.head_param_nbytes
             ):
-                offset = stage * stage_size
                 lead_group = [
-                    offset + grid.rank(d, 0, 0)
+                    grid.rank(stage, d, 0, 0)
                     for d in range(candidate.ddp_size)
                 ]
                 for param_nbytes in nbytes_list:

@@ -116,13 +116,13 @@ class TuneRequest:
     degradation_key: str = ""
 
     def __post_init__(self):
+        from repro.runtime.spec import RunSpecError, node_shape_error
+
         if self.num_gpus < 1 or self.gpus_per_node < 1:
             raise ValueError("num_gpus and gpus_per_node must be positive")
-        if self.num_gpus > self.gpus_per_node and self.num_gpus % self.gpus_per_node:
-            raise ValueError(
-                f"{self.num_gpus} GPUs is not a whole number of "
-                f"{self.gpus_per_node}-GPU nodes"
-            )
+        node_problem = node_shape_error(self.num_gpus, self.gpus_per_node)
+        if node_problem:
+            raise RunSpecError(node_problem)
         if not self.micro_batches or min(self.micro_batches) < 1:
             raise ValueError("micro_batches must be positive")
         if not self.pp_sizes or min(self.pp_sizes) < 1:

@@ -116,9 +116,9 @@ class TestWalltimeSemantics:
 # -- capture(ranks=...) on a folded timeline ---------------------------------
 _PART = RankClassPartition(tp_size=2, fsdp_size=3, ddp_size=2)
 _RANK_SETS = {
-    "representatives": frozenset(_PART.rank(0, 0, k) for k in range(2)),
+    "representatives": frozenset(_PART.rank(0, 0, 0, k) for k in range(2)),
     # Reached only by iterations > 0 of the outer *and* the inner segment.
-    "non-representatives": frozenset({_PART.rank(1, 2, 1), _PART.rank(0, 1, 0)}),
+    "non-representatives": frozenset({_PART.rank(0, 1, 2, 1), _PART.rank(0, 0, 1, 0)}),
     "every-rank": frozenset(range(_PART.num_gpus)),
 }
 
@@ -130,14 +130,14 @@ def _engine_shaped(timeline):
     part = _PART
     for d in timeline.fold_iter("ddp", range(part.ddp_size)):
         for k in range(part.tp_size):
-            shards = [part.rank(d, f, k) for f in range(part.fsdp_size)]
+            shards = [part.rank(0, d, f, k) for f in range(part.fsdp_size)]
             timeline.record_comm(shards, 0.25 + k, 64.0, overlappable=True,
                                  op=f"trunk{d}.gather")
             for f in timeline.fold_iter("fsdp", range(part.fsdp_size)):
-                timeline.record_compute(part.rank(d, f, k), 1.0 + k, 10.0,
+                timeline.record_compute(part.rank(0, d, f, k), 1.0 + k, 10.0,
                                         op=f"trunk{d}.matmul")
                 timeline.record_comm(
-                    [part.rank(d, f, j) for j in range(part.tp_size)],
+                    [part.rank(0, d, f, j) for j in range(part.tp_size)],
                     0.5, 8.0, op=f"trunk{d}.all_reduce")
             timeline.record_free(shards, f"trunk{d}.weight", 64.0)
 

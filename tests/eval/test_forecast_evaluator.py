@@ -1,23 +1,19 @@
-"""ForecastEvaluator.evaluate_many and rollout buffer-safety.
+"""Rollout buffer-safety.
 
-The serving stack leans on two contracts introduced with it:
-``evaluate_many`` (one evaluator pass over a forecaster zoo) and
-``RolloutForecaster.advance`` never writing the model's returned
-buffer (a model handing back a cached array must keep it intact).
+The serving stack leans on ``RolloutForecaster.advance`` never writing
+the model's returned buffer (a model handing back a cached array must
+keep it intact).
 """
 
 import numpy as np
 import pytest
 
 from repro.data import (
-    Climatology,
     LatLonGrid,
     Normalizer,
     SyntheticERA5,
     default_registry,
 )
-from repro.eval import ForecastEvaluator, PersistenceForecaster
-from repro.eval.forecast import LeadTimeScores
 from repro.eval.rollout import RolloutForecaster
 from repro.models import OrbitConfig, build_model
 
@@ -35,47 +31,13 @@ def world():
         ds.out_names[:] = list(REG.names)
         ds._out_indices[:] = ds.system.registry.indices(list(REG.names))
     norm = Normalizer.fit(train, num_samples=16)
-    clim = Climatology.from_dataset(train, num_samples=24)
     model = build_model(
         OrbitConfig("eval-many", embed_dim=16, depth=1, num_heads=2,
                     in_vars=len(NAMES), out_vars=len(NAMES),
                     img_height=8, img_width=16, patch_size=4),
         rng=3,
     )
-    return test, norm, clim, model
-
-
-class TestEvaluateMany:
-    def test_nested_structure(self, world):
-        test, norm, clim, model = world
-        evaluator = ForecastEvaluator(test, clim, num_initializations=2)
-        results = evaluator.evaluate_many(
-            {"rollout": RolloutForecaster(model, norm),
-             "persistence": PersistenceForecaster()},
-            lead_steps_list=(1, 2),
-        )
-        assert set(results) == {"rollout", "persistence"}
-        for per_lead in results.values():
-            assert set(per_lead) == {1, 2}
-            for lead, scores in per_lead.items():
-                assert isinstance(scores, LeadTimeScores)
-                assert scores.lead_steps == lead
-                assert set(scores.wacc) == set(NAMES)
-                assert set(scores.wrmse) == set(NAMES)
-
-    def test_matches_individual_evaluate(self, world):
-        test, norm, clim, model = world
-        evaluator = ForecastEvaluator(test, clim, num_initializations=2)
-        forecaster = PersistenceForecaster()
-        many = evaluator.evaluate_many({"p": forecaster}, (2,))["p"][2]
-        single = evaluator.evaluate(forecaster, 2)
-        assert many.wacc == single.wacc
-        assert many.wrmse == single.wrmse
-
-    def test_empty_zoo_gives_empty_results(self, world):
-        test, _, clim, _ = world
-        evaluator = ForecastEvaluator(test, clim, num_initializations=2)
-        assert evaluator.evaluate_many({}, (1,)) == {}
+    return test, norm, model
 
 
 class _SharedBufferModel:
@@ -102,7 +64,7 @@ class TestRolloutBufferSafety:
     def test_advance_never_writes_the_models_buffer(self, world):
         from repro.data.synthetic import HOURS_PER_STEP
 
-        test, norm, _, model = world
+        test, norm, model = world
         shared = _SharedBufferModel(model)
         rollout = RolloutForecaster(shared, norm)
         static = test.registry.static_indices
@@ -123,7 +85,7 @@ class TestRolloutBufferSafety:
         """Rolling out through a buffer-reusing model must equal rolling
         out through the plain model — proof advance copies before
         pinning statics."""
-        test, norm, _, model = world
+        test, norm, model = world
         plain = RolloutForecaster(model, norm).forecast(test, 0, 3)
         shared = RolloutForecaster(_SharedBufferModel(model), norm).forecast(
             test, 0, 3
@@ -131,7 +93,7 @@ class TestRolloutBufferSafety:
         np.testing.assert_array_equal(plain, shared)
 
     def test_model_without_clear_cache_is_tolerated(self, world):
-        test, norm, _, model = world
+        test, norm, model = world
         shared = _SharedBufferModel(model)
         assert not hasattr(shared, "clear_cache")
         out = RolloutForecaster(shared, norm).forecast(test, 0, 2)

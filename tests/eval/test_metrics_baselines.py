@@ -122,10 +122,6 @@ class TestBaselines:
         assert scores.lead_days == 0.5
         assert all(v >= 0 for v in scores.wrmse.values())
 
-    def test_evaluate_many(self, evaluator):
-        results = evaluator.evaluate_many({"persistence": PersistenceForecaster()}, [1, 2])
-        assert set(results["persistence"]) == {1, 2}
-
 
 class TestReferenceTable:
     def test_models_and_variables_present(self):

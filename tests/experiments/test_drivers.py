@@ -6,7 +6,6 @@ covered by the plain test suite with seconds-scale settings.
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.data.grid import LatLonGrid

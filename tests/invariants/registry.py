@@ -308,7 +308,8 @@ def _no_unwind(fast, oracle, got, want) -> bool:
     for rank, theirs in want["memory"].items():
         ours = got["memory"].get(rank)
         if ours != theirs:
-            assert any(plan.coords(rank)[0] == plan.coords(fault.rank)[0]
+            assert any(plan.stage_coords(rank)[:2]
+                       == plan.stage_coords(fault.rank)[:2]
                        for fault in faults), rank
             assert ours[0] <= theirs[0] and ours[1] <= theirs[1], rank
             assert ours[2] == theirs[2], rank

@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.meta import MetaArray
@@ -11,7 +10,6 @@ from repro.models import (
     ORBIT_10B,
     ORBIT_115M,
     ORBIT_1B,
-    PAPER_MODELS,
     PROXY_MODELS,
     OrbitConfig,
     build_model,

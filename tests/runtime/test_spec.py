@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.cluster.symmetry import RankClassPartition
 from repro.models.configs import ORBIT_115M
 from repro.runtime import (
     RunSpec,
     RunSpecError,
     engine_legality_reason,
-    tp_group_spans_nodes,
 )
 from tests.invariants import config
 
@@ -100,12 +100,12 @@ class TestLegality:
     def test_rank_layouts_differ(self):
         """tp=2 x fsdp=8 on 8-GCD nodes: TP pairs are neighbours when TP is
         innermost, and ranks f and 8 + f (a node apart) when FSDP is."""
-        assert not tp_group_spans_nodes(2, 8, 1, True, gpus_per_node=8)
-        assert tp_group_spans_nodes(2, 8, 1, False, gpus_per_node=8)
+        assert not RankClassPartition(2, 8, 1, True).tp_spans_nodes(8)
+        assert RankClassPartition(2, 8, 1, False).tp_spans_nodes(8)
 
     def test_tp_group_spanning_nodes_detected(self):
-        assert tp_group_spans_nodes(16, 1, 1, True, gpus_per_node=8)
-        assert not tp_group_spans_nodes(8, 2, 1, True, gpus_per_node=8)
+        assert RankClassPartition(16, 1, 1, True).tp_spans_nodes(8)
+        assert not RankClassPartition(8, 2, 1, True).tp_spans_nodes(8)
 
     def test_engine_legality_matches_tune_space(self):
         from repro.tune.space import TuneRequest, enumerate_space

@@ -136,6 +136,12 @@ class TestTraceCommand:
                      "--steps", "0"]) == 2
         assert "--steps" in capsys.readouterr().err
 
+    def test_invalid_gpus_per_node_names_the_flag(self, capsys):
+        assert main(["trace", "--gpus-per-node", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid --gpus-per-node 0: must be at least 1\n"
+
 
 class TestAnalyzeCommand:
     TOPOLOGY = ["--gpus", "4", "--gpus-per-node", "4",
@@ -393,6 +399,7 @@ BAD_FLAGS = [
     ("crossover", "--pp", "0"),
     ("crossover", "--micro-batch", "0"),
     ("crossover", "--gpus", "7"),
+    ("crossover", "--gpus", "4"),
     ("crossover", "--micro-batch", "1000"),
     ("fig8", "--seed", "-1"),
     ("fig9", "--seed", "-1"),
@@ -442,6 +449,13 @@ BAD_RUN_FLAGS = [
      "invalid plan: --count -2 must be non-negative"),
     (["monitor", "--random", "7", "--count", "-2"],
      "invalid plan: --count -2 must be non-negative"),
+    # A world of less than one node fails the whole-node rule RunSpec
+    # applies, not the validation step after the search.
+    (["tune", "--gpus", "4"],
+     "invalid request: invalid topology: --gpus 4 is not a whole number "
+     "of 8-GCD nodes"),
+    # RunSpec's field names are spelled as the flags that set them.
+    (["replan", "--steps", "0"], "invalid --steps 0: must be at least 1"),
 ]
 
 

@@ -72,4 +72,4 @@ class TestPartitionTilesTheWorld:
                                            tp_innermost=tp_innermost)
             for rank in range(partition.num_gpus):
                 d, f, k = partition.coords(rank)
-                assert partition.rank(d, f, k) == rank
+                assert partition.rank(0, d, f, k) == rank
