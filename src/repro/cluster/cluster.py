@@ -79,8 +79,8 @@ class VirtualCluster:
     --------
     >>> cluster = VirtualCluster(num_gpus=16)
     >>> tp_group = cluster.new_group(range(8))          # one node
-    >>> cluster.topology.group_link_kind(tp_group.ranks).value
-    'intra_node'
+    >>> {cluster.topology.node_of(r) for r in tp_group.ranks}
+    {0}
     """
 
     def __init__(

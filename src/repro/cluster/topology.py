@@ -95,13 +95,6 @@ class FrontierTopology:
             return LinkKind.INTRA_NODE
         return LinkKind.INTER_NODE
 
-    def group_link_kind(self, ranks: Sequence[int]) -> LinkKind:
-        """Bottleneck link kind for a group: inter-node if it spans nodes."""
-        if len(ranks) <= 1:
-            return LinkKind.SELF
-        nodes = {self.node_of(r) for r in ranks}
-        return LinkKind.INTRA_NODE if len(nodes) == 1 else LinkKind.INTER_NODE
-
     def link_spec(self, kind: LinkKind) -> LinkSpec:
         """Raw link spec for a link kind (SELF has zero latency, inf bandwidth)."""
         if kind is LinkKind.SELF:

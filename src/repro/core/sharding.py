@@ -46,12 +46,18 @@ def row_shards(matrix, num_shards: int) -> list:
     return [np.ascontiguousarray(s) for s in np.split(np.asarray(matrix), num_shards, axis=-2)]
 
 
-def flat_pad(array, num_shards: int):
-    """Flatten and zero-pad to a multiple of ``num_shards`` elements."""
+def padded_size(numel: int, num_shards: int) -> int:
+    """Elements of a ``numel``-element array once :func:`flat_pad` has
+    padded it to a multiple of ``num_shards`` (an empty one still gets
+    one element per shard)."""
     if num_shards < 1:
         raise ValueError("num_shards must be positive")
-    size = int(array.size)
-    padded = math.ceil(size / num_shards) * num_shards if size else num_shards
+    return -(-numel // num_shards) * num_shards if numel else num_shards
+
+
+def flat_pad(array, num_shards: int):
+    """Flatten and zero-pad to a multiple of ``num_shards`` elements."""
+    padded = padded_size(int(array.size), num_shards)
     if is_meta(array):
         return MetaArray((padded,), array.dtype)
     return kernel(_pad_flat, array, padded)

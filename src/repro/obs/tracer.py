@@ -40,7 +40,7 @@ import re
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import eq
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -227,8 +227,11 @@ class SpanColumns:
 
     def __init__(self, rows: list):
         n = len(rows)
+        # One list per field: ``zip(*rows)`` would allocate an iterator
+        # per row, enough to trigger a full garbage collection.
         (kind, name, rank, t0, dur, hidden_s, nbytes, flops, group, scope,
-         cid, members, _) = zip(*rows) if rows else ((),) * len(ROW_FIELDS)
+         cid, members) = (list(map(itemgetter(i), rows))
+                          for i in range(len(ROW_FIELDS) - 1))
         self.kind = np.fromiter(map(_KIND_CODE.__getitem__, kind), np.int8, n)
         self.rank = np.array(rank, dtype=np.int64)
         self.t0 = np.array(t0, dtype=float)

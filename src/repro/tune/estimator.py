@@ -37,12 +37,17 @@ execute ``f = 0`` only — ``tp`` iterations, not ``tp * fsdp`` — and the
 narrowed capture keeps exactly the representatives' events (iteration 0
 and the FSDP collectives around it are theirs on any layout, so no
 fold-eligibility check is involved).  One block is executed per
-``(tp, fsdp, tp_innermost, micro_batch)``: the stage-0, replica-0 ranks
-the block runs on do not depend on how the rest of the machine splits
-into DDP x PP, ``recompute`` is replay-only, and the prefetch flag
-reaches a block's events through one expression (``_gather``'s
-``overlappable=self.prefetch``), so the prefetch-off stream is derived
-from the executed prefetch-on one (:func:`_blocking_twin`).
+``(tp, micro_batch)`` (8 on the ``tune-4d`` sweep of 304 candidates):
+the stage-0, replica-0 ranks the block runs on do not depend on how the
+rest of the machine splits into DDP x PP, and ``recompute`` is
+replay-only.  The FSDP extent and ``tp_innermost`` change only the
+ranks a collective spans and the padded bytes it moves, so every
+layout's stream is re-priced from the block executed at fsdp = 1
+(:func:`_fsdp_twin`, which fails closed to executing the layout's own
+block); and the prefetch flag reaches a block's events through one
+expression (``_gather``'s ``overlappable=self.prefetch``), so the
+prefetch-off stream is derived from the prefetch-on one
+(:func:`_blocking_twin`).
 
 Each probe stream is an :class:`~repro.cluster.timeline.EventStream`,
 which a fresh untraced ``Timeline`` lands as per-rank column sums
@@ -69,6 +74,7 @@ from repro.cluster.timeline import (
     Timeline,
     stretch_compute,
 )
+from repro.core.sharding import padded_size
 from repro.memory.estimator import MemoryModel, Parallelism, TrainingSetup
 from repro.meta import MetaArray, nbytes_of
 from repro.models.climax_vit import build_model
@@ -176,6 +182,9 @@ class _BlockProbe:
     #: (tensor-parallel column, shard bytes) of each sharded parameter —
     #: the DDP gradient reduction schedule of one block.
     shard_columns: tuple[tuple[int, int], ...]
+    #: The one itemsize of the block's sharded parameters (``None`` when
+    #: they mix dtypes): what turns FSDP bytes into padded elements.
+    itemsize: int | None
 
 
 def _blocking_twin(stream: EventStream) -> EventStream:
@@ -193,6 +202,81 @@ def _blocking_twin(stream: EventStream) -> EventStream:
         if event[0] == "comm" and event[4] else event
         for event in stream
     )
+
+
+def _fsdp_twin(base: _BlockProbe, grid: RankClassPartition, cost_model,
+               compute_model) -> _BlockProbe | None:
+    """The probe the block of ``base`` records on ``grid``'s (TP, FSDP)
+    layout, ``base`` being the one it recorded at fsdp = 1; ``None``
+    (fail closed) when ``base`` holds an event the rule does not cover.
+
+    At fsdp = 1 column ``k``'s representative is rank ``k``, and the FSDP
+    extent and ``tp_innermost`` change only the ranks a collective spans
+    and the padded bytes it moves:
+
+    * compute moves to ``grid.rank(0, 0, 0, k)``, priced there;
+    * an ``all_reduce`` (a TP or sub-head group) is re-priced over its
+      mapped ranks;
+    * each ``all_gather`` / ``reduce_scatter`` covers one column's FSDP
+      group, a single rank at fsdp = 1.  It is re-priced over
+      ``rank(0, 0, f, k) for f < F`` with :func:`padded_size` bytes, and
+      its rank tuple keeps the column's representative only, as the
+      narrowed capture (``timeline._restrict``) does;
+    * each sharded parameter gets its padded shard bytes.
+
+    Any other collective, a gather over more than one rank, or bytes
+    that are not whole elements of the one parameter itemsize fail
+    closed.  ``_probe_block`` of the candidate is the oracle
+    (``tests/tune/test_probe_fold.py``).
+    """
+    itemsize, F, K = base.itemsize, grid.fsdp_size, grid.tp_size
+    if itemsize is None:
+        return None
+    reps = [grid.rank(0, 0, 0, k) for k in range(K)]
+    fsdp_groups = [tuple(grid.rank(0, 0, f, k) for f in range(F))
+                   for k in range(K)]
+
+    def padded_nbytes(nbytes: int, shards: int) -> int | None:
+        numel, rest = divmod(nbytes, itemsize)
+        return None if rest else padded_size(numel, F) // shards * itemsize
+
+    def twin(stream: EventStream) -> EventStream | None:
+        events = []
+        for event in stream:
+            if event[0] == "compute":
+                _, k, _, flops = event[:4]
+                rank = reps[k]
+                events.append(("compute", rank,
+                               compute_model.seconds_for(flops, rank))
+                              + event[3:])
+                continue
+            if event[0] != "comm":
+                return None
+            _, ranks, _, nbytes, _, op = event[:6]
+            if op == "all_reduce":
+                group = tuple(reps[k] for k in ranks)
+                seconds = cost_model.all_reduce(group, nbytes)
+            elif op in ("all_gather", "reduce_scatter") and len(ranks) == 1:
+                nbytes = padded_nbytes(nbytes, 1)
+                if nbytes is None:
+                    return None
+                (k,) = ranks
+                group = (reps[k],)
+                seconds = getattr(cost_model, op)(fsdp_groups[k], nbytes)
+            else:
+                return None
+            events.append(("comm", group, seconds, nbytes) + event[4:])
+        return EventStream(events)
+
+    forward, backward = twin(base.forward), twin(base.backward)
+    shard_columns = tuple(
+        (column, padded_nbytes(nbytes, F))
+        for column, nbytes in base.shard_columns
+    )
+    if forward is None or backward is None or any(
+            nbytes is None for _, nbytes in shard_columns):
+        return None
+    return _BlockProbe(forward, backward, shard_columns, itemsize)
 
 
 @dataclass(frozen=True)
@@ -230,6 +314,9 @@ class AnalyticEstimator:
         #: (tp, fsdp, tp_innermost, micro_batch) -> the block's probes
         #: without and with prefetch, indexed by the flag.
         self._block_probes: dict[tuple, tuple[_BlockProbe, _BlockProbe]] = {}
+        #: (tp, micro_batch) -> the executed fsdp = 1, prefetch-on probe
+        #: every (fsdp, tp_innermost) layout's stream is derived from.
+        self._fsdp1_probes: dict[tuple[int, int], _BlockProbe] = {}
         self._dense_probes: dict[int, _DenseProbe] = {}
 
     # -- memory -----------------------------------------------------------------
@@ -297,8 +384,11 @@ class AnalyticEstimator:
         The block runs on the stage-0, replica-0 ranks ``rank(0, 0, f, k)``,
         which do not depend on how the rest of the machine splits into
         DDP x PP — so neither does the key.  Nor does it hold the
-        prefetch flag: one executed block (prefetch on) serves both
-        twins, the other being :func:`_blocking_twin` of its streams.
+        prefetch flag: the prefetch-on probe serves both twins, the
+        other being :func:`_blocking_twin` of its streams.  That probe
+        is itself :func:`_fsdp_twin` of the one block executed per
+        ``(tp, micro_batch)`` at fsdp = 1; only a stream the twin does
+        not cover executes the candidate's own block.
         """
         key = (
             candidate.tp_size, candidate.fsdp_size, candidate.tp_innermost,
@@ -306,10 +396,18 @@ class AnalyticEstimator:
         )
         twins = self._block_probes.get(key)
         if twins is None:
-            prefetched = self._probe_block(
-                replace(candidate, prefetch=True),
-                FoldedTimeline(self.num_gpus, self._probe_grid(candidate)),
+            prefetch_on = replace(candidate, prefetch=True)
+            base_key = (candidate.tp_size, candidate.micro_batch)
+            base = self._fsdp1_probes.get(base_key)
+            if base is None:
+                base = self._fsdp1_probes[base_key] = self._execute_probe(
+                    replace(prefetch_on, fsdp_size=1, tp_innermost=True))
+            prefetched = _fsdp_twin(
+                base, self._probe_grid(candidate), self._cluster.cost_model,
+                self._compute_model,
             )
+            if prefetched is None:
+                prefetched = self._execute_probe(prefetch_on)
             twins = self._block_probes[key] = (
                 replace(prefetched,
                         forward=_blocking_twin(prefetched.forward),
@@ -317,6 +415,13 @@ class AnalyticEstimator:
                 prefetched,
             )
         return twins[candidate.prefetch]
+
+    def _execute_probe(self, candidate: Candidate) -> _BlockProbe:
+        """:meth:`_probe_block` on a fresh folded timeline."""
+        return self._probe_block(
+            candidate,
+            FoldedTimeline(self.num_gpus, self._probe_grid(candidate)),
+        )
 
     def _probe_grid(self, candidate: Candidate) -> RankClassPartition:
         """``candidate``'s (TP, FSDP) layout, the rest of the machine
@@ -366,12 +471,16 @@ class AnalyticEstimator:
             ys = block.forward(xs)
         with timeline.capture(ranks=reps) as backward:
             block.backward([MetaArray(y.shape) for y in ys])
+        params = block.sharded_parameters()
         shard_columns = tuple(
             (grid.coords(param.group.ranks[0])[2], param.shard_nbytes)
-            for param in block.sharded_parameters()
+            for param in params
         )
+        itemsizes = {param.dtype.itemsize for param in params}
         return _BlockProbe(
-            EventStream(forward), EventStream(backward), shard_columns)
+            EventStream(forward), EventStream(backward), shard_columns,
+            itemsizes.pop() if len(itemsizes) == 1 else None,
+        )
 
     # -- replay -----------------------------------------------------------------
     def _replay_timeline(self, candidate: Candidate, degradation) -> Timeline:
@@ -518,12 +627,14 @@ class AnalyticEstimator:
             for s in range(S):
                 start, end = bounds[s]
                 stage_depth = end - start
+                groups = [
+                    [grid.rank(s, d, 0, column)
+                     for d in range(candidate.ddp_size)]
+                    for column in range(K)
+                ]
                 for column, shard_nbytes in probe.shard_columns:
-                    group = [
-                        grid.rank(s, d, 0, column)
-                        for d in range(candidate.ddp_size)
-                    ]
-                    seconds = cost_model.all_reduce(group, shard_nbytes)
+                    seconds = cost_model.all_reduce(groups[column],
+                                                    shard_nbytes)
                     timeline.record_comm(
                         [reps[s][column]],
                         seconds * stage_depth,

@@ -46,9 +46,9 @@ class TestLinkClassification:
 
     def test_group_link_kind(self):
         topo = FrontierTopology(num_gpus=16, gpus_per_node=8)
-        assert topo.group_link_kind([2]) is LinkKind.SELF
-        assert topo.group_link_kind([0, 3, 7]) is LinkKind.INTRA_NODE
-        assert topo.group_link_kind([0, 8]) is LinkKind.INTER_NODE
+        assert _bottleneck_link(topo, [2]) is LinkKind.SELF
+        assert _bottleneck_link(topo, [0, 3, 7]) is LinkKind.INTRA_NODE
+        assert _bottleneck_link(topo, [0, 8]) is LinkKind.INTER_NODE
 
     def test_link_specs(self):
         topo = FrontierTopology(num_gpus=16, gpus_per_node=8)
@@ -87,10 +87,18 @@ class TestEffectiveBandwidth:
                 topo.effective_bandwidth(ranks)
 
 
+def _bottleneck_link(topology, ranks) -> LinkKind:
+    """A group's bottleneck link, from the nodes its ranks sit on."""
+    if len(ranks) <= 1:
+        return LinkKind.SELF
+    nodes = {topology.node_of(rank) for rank in ranks}
+    return LinkKind.INTRA_NODE if len(nodes) == 1 else LinkKind.INTER_NODE
+
+
 def reference_effective_bandwidth(topology, ranks) -> tuple[float, float]:
     """The scalar NIC-contention loop: (latency_s, bandwidth_Bps) of one
     group, counted rank by rank — the oracle of ``effective_specs``."""
-    kind = topology.group_link_kind(ranks)
+    kind = _bottleneck_link(topology, ranks)
     spec = topology.link_spec(kind)
     if kind is not LinkKind.INTER_NODE:
         return spec.latency_s, spec.bandwidth_Bps

@@ -16,12 +16,14 @@ from repro.obs import (
     SPAN_KINDS,
     MetricsRegistry,
     Span,
+    SpanColumns,
     SpanView,
     Tracer,
     analyze_trace,
     critical_path,
 )
 from repro.obs.analysis import exposed_comm_ratio
+from repro.obs.tracer import KIND_NAMES
 from repro.runtime import RunSpec, Session
 
 import numpy as np
@@ -320,6 +322,31 @@ class TestSpanView:
             assert want[0] in view and view.count(want[0]) == want.count(want[0])
         with pytest.raises(IndexError):
             view[len(want)]
+
+    def test_columns_hold_each_spans_own_fields(self):
+        """Entry i of each ``SpanColumns`` column is span i's own field
+        (NaN without a ``cid``, 1 without ``members``)."""
+        assert len(SpanColumns([])) == 0
+        spans = list(_stepped(1).tracer.spans)
+        columns = SpanColumns.of(spans)
+        assert len(columns) == len(spans) > 0
+        want = {
+            "kind": [KIND_NAMES.index(s.kind) for s in spans],
+            "busy_s": [s.busy_s for s in spans],
+            "group_len": [-1 if s.group is None else len(s.group)
+                          for s in spans],
+            "cid": [s.attrs.get("cid", np.nan) for s in spans],
+            "members": [s.attrs.get("members", 1) for s in spans],
+        }
+        for name in ("name", "rank", "t0", "dur", "hidden_s", "nbytes",
+                     "flops", "scope"):
+            want[name] = [getattr(s, name) for s in spans]
+        assert set(want) == set(SpanColumns.__slots__)
+        assert not np.isnan(columns.cid).all()
+        for name, values in want.items():
+            got = getattr(columns, name)
+            assert np.array_equal(got, np.array(values, dtype=got.dtype),
+                                  equal_nan=got.dtype.kind == "f"), name
 
     def test_view_has_no_mutators_and_follows_the_tracer(self):
         tracer = Tracer()

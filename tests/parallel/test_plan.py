@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import LinkKind, VirtualCluster
+from repro.cluster import VirtualCluster
 from repro.parallel import HybridParallelPlan
 
 
@@ -58,6 +58,11 @@ class TestRankArithmetic:
             plan.rank(0, 2, 0)
 
 
+def _nodes(cluster, group) -> int:
+    """How many nodes a group's ranks sit on."""
+    return len({cluster.topology.node_of(rank) for rank in group.ranks})
+
+
 class TestGroupPlacement:
     def test_tp_groups_are_intra_node(self):
         """Fig 4: tensor-parallel groups ride the in-node Infinity Fabric."""
@@ -65,21 +70,21 @@ class TestGroupPlacement:
         plan = HybridParallelPlan(cluster, tp_size=8, fsdp_size=4)
         for f in range(4):
             group = plan.tp_group(0, f)
-            assert cluster.topology.group_link_kind(group.ranks) is LinkKind.INTRA_NODE
+            assert _nodes(cluster, group) == 1
 
     def test_fsdp_groups_span_nodes(self):
         cluster = VirtualCluster(num_gpus=32, gpus_per_node=8)
         plan = HybridParallelPlan(cluster, tp_size=8, fsdp_size=4)
         for k in range(8):
             group = plan.fsdp_group(0, k)
-            assert cluster.topology.group_link_kind(group.ranks) is LinkKind.INTER_NODE
+            assert _nodes(cluster, group) == 4
 
     def test_pessimal_mapping_flips_placement(self):
         """tp_innermost=False puts FSDP in-node and TP across nodes (ablation)."""
         cluster = VirtualCluster(num_gpus=32, gpus_per_node=8)
         plan = HybridParallelPlan(cluster, tp_size=4, fsdp_size=8, tp_innermost=False)
-        assert cluster.topology.group_link_kind(plan.fsdp_group(0, 0).ranks) is LinkKind.INTRA_NODE
-        assert cluster.topology.group_link_kind(plan.tp_group(0, 0).ranks) is LinkKind.INTER_NODE
+        assert _nodes(cluster, plan.fsdp_group(0, 0)) == 1
+        assert _nodes(cluster, plan.tp_group(0, 0)) == 4
 
     def test_groups_are_cached(self):
         cluster = VirtualCluster(num_gpus=4)

@@ -154,6 +154,8 @@ def test_a_warm_estimate_records_closed_form_events_only(calls, candidate):
 
 
 def test_the_tune_4d_sweep_executes_one_block_per_layout(calls):
+    """One block is executed per (tp, micro_batch), at fsdp = 1: every
+    FSDP extent, rank layout and prefetch flag of it is derived."""
     request = TuneRequest(_ORBIT_1B, 32, micro_batches=(2, 4),
                           pp_sizes=(1, 2))
     candidates = enumerate_space(request).candidates
@@ -163,7 +165,9 @@ def test_the_tune_4d_sweep_executes_one_block_per_layout(calls):
     twins = {(c.tp_size, c.fsdp_size, c.tp_innermost, c.micro_batch,
               c.prefetch) for c in candidates}
     assert len(twins) == 84
-    assert calls["_probe_block"] == len({twin[:4] for twin in twins}) == 42
+    assert len(estimator._block_probes) == len({t[:4] for t in twins}) == 42
+    assert calls["_probe_block"] == len(
+        {(c.tp_size, c.micro_batch) for c in candidates}) == 8
 
 
 def test_a_degraded_estimate_still_walks_every_event(calls):

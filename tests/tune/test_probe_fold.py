@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.symmetry import symmetry_blockers
-from repro.cluster.timeline import FoldedTimeline, Timeline
+from repro.cluster.timeline import EventStream, FoldedTimeline, Timeline
 from repro.cluster.topology import FrontierTopology
 from repro.meta import MetaArray
 from repro.models import PAPER_MODELS
@@ -163,6 +163,54 @@ def test_derived_blocking_twin_is_the_executed_non_prefetch_probe(request_):
     assert len(estimator._block_probes) == len(layouts)
 
 
+# -- the FSDP twin -------------------------------------------------------------
+def _planted(base):
+    """``base`` with one extra event: an all-gather over two ranks,
+    which no column's fsdp = 1 group can be."""
+    gather = ("comm", (0, 1), 1e-3, 4096, True, "all_gather", "", "gather")
+    return replace(base, forward=EventStream(base.forward + (gather,)))
+
+
+_PLANTS = {
+    "two-rank all_gather": _planted,
+    "mixed itemsizes": lambda base: replace(base, itemsize=None),
+}
+
+
+@pytest.mark.parametrize("plant", _PLANTS.values(), ids=_PLANTS.keys())
+def test_an_uncovered_fsdp1_stream_executes_the_candidates_own_block(
+        plant, monkeypatch):
+    estimator = AnalyticEstimator(ORBIT_115M, num_gpus=16)
+    candidate = Candidate(4, 2, 2, 2)
+    base = estimator._execute_probe(replace(candidate, fsdp_size=1))
+    estimator._fsdp1_probes[(4, 2)] = plant(base)
+    executed = []
+    probe_block = estimator._probe_block
+
+    def counted(candidate, timeline):
+        executed.append((candidate.tp_size, candidate.fsdp_size))
+        return probe_block(candidate, timeline)
+
+    monkeypatch.setattr(estimator, "_probe_block", counted)
+    probe = estimator._block_probe(candidate)
+    assert executed == [(4, 2)]
+    assert probe == probe_block(candidate, Timeline(16))
+
+
+def test_the_fsdp_twin_pads_as_the_executed_block_does():
+    """24- and 96-element parameters over 16 FSDP ranks are padded, so
+    the derived gathers, reduce-scatters and shard bytes are the padded
+    ones (the paper configs' sizes divide every FSDP extent)."""
+    config = replace(_TINY, name="probe-odd", embed_dim=24, num_heads=3)
+    estimator = AnalyticEstimator(config, 16)
+    candidate = Candidate(1, 16, 1, 2)
+    derived = estimator._block_probe(candidate)
+    assert derived == estimator._probe_block(candidate, Timeline(16))
+    base = estimator._fsdp1_probes[(1, 2)]
+    assert any(16 * padded != nbytes for (_, padded), (_, nbytes)
+               in zip(derived.shard_columns, base.shard_columns))
+
+
 # -- counts, not seconds ------------------------------------------------------
 @pytest.fixture
 def calls(monkeypatch):
@@ -185,7 +233,8 @@ def calls(monkeypatch):
 
 
 def test_probe_work_does_not_grow_with_the_fsdp_extent(calls):
-    """A probe executes ``tp`` shard iterations, not ``tp * fsdp``."""
+    """A probe executes ``tp`` shard iterations at fsdp = 1, and a
+    second FSDP extent of the same (tp, micro_batch) executes none."""
     estimator = AnalyticEstimator(ORBIT_115M, num_gpus=64)
     counts = {}
     for fsdp in (2, 16):
@@ -193,6 +242,14 @@ def test_probe_work_does_not_grow_with_the_fsdp_extent(calls):
         estimator._block_probe(Candidate(4, fsdp, 64 // (4 * fsdp), 2))
         counts[fsdp] = dict(calls)
     assert counts[2]["record_compute"] > 0 and counts[2]["MetaArray"] > 0
+    assert counts[16] == {}
+    assert len(estimator._fsdp1_probes) == 1
+    assert len(estimator._block_probes) == 2
+    # The fail-closed path executes on the fold: tp shard iterations.
+    for fsdp in (2, 16):
+        calls.clear()
+        estimator._execute_probe(Candidate(4, fsdp, 64 // (4 * fsdp), 2))
+        counts[fsdp] = dict(calls)
     assert counts[16]["record_compute"] == counts[2]["record_compute"]
     # Outside its f loops the block still builds a handful of arrays per
     # shard (residual adds, bias-gradient sums): O(fsdp), not O(tp * fsdp).
