@@ -145,6 +145,7 @@ def _flag_names(error: Exception) -> str:
         .replace("gpus_per_node", "--gpus-per-node")
         .replace("num_steps", "--steps")
         .replace("micro_batch", "--micro-batch")
+        .replace("pp_sizes", "--pp")
         .replace("compute_skew", "--skew")
         .replace("seed", "--seed")
     )

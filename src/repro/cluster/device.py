@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.hardware import (
-    MI250X_GCD_MEMORY_BYTES,
-    MI250X_GCD_PEAK_BF16,
-    MI250X_GCD_PEAK_FP32,
-)
+from repro.hardware import MI250X_GCD_MEMORY_BYTES, MI250X_GCD_PEAK_FP32
 from repro.memory.tracker import MemoryTracker
 
 
@@ -33,28 +27,19 @@ class VirtualGPU:
     memory_capacity:
         HBM size in bytes (default 64 GB, matching Frontier).
     peak_flops:
-        Peak matrix throughput per dtype name ("float32"/"bfloat16").
+        Peak fp32 matrix throughput, FLOP/s (every step is priced in
+        fp32).
     """
 
     rank: int
     memory_capacity: int = MI250X_GCD_MEMORY_BYTES
-    peak_flops: dict[str, float] = field(
-        default_factory=lambda: {
-            "float32": MI250X_GCD_PEAK_FP32,
-            "bfloat16": MI250X_GCD_PEAK_BF16,
-        }
-    )
+    peak_flops: float = MI250X_GCD_PEAK_FP32
     memory: MemoryTracker = field(init=False)
 
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
         self.memory = MemoryTracker(self.memory_capacity, name=f"gpu{self.rank}")
-
-    def peak_flops_for(self, dtype) -> float:
-        """Peak throughput for a dtype; unknown dtypes fall back to fp32."""
-        name = np.dtype(dtype).name if dtype is not None else "float32"
-        return self.peak_flops.get(name, self.peak_flops["float32"])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"VirtualGPU(rank={self.rank}, {self.memory!r})"

@@ -28,22 +28,18 @@ from dataclasses import dataclass, field
 
 from repro.experiments.common import format_table
 from repro.models.configs import ORBIT_115M, OrbitConfig
-from repro.tune.estimator import AnalyticEstimator, Estimate
-from repro.tune.search import InfeasibleRequest, simulate_candidate
-from repro.tune.space import Candidate, TuneRequest, enumerate_space
+from repro.tune.estimator import AnalyticEstimator
+from repro.tune.search import (
+    InfeasibleRequest,
+    ScoredCandidate,
+    score_space,
+    simulate_candidate,
+)
+from repro.tune.space import TuneRequest, enumerate_space
 
 
-@dataclass
-class CrossoverRow:
-    """One ranked plan of the fixed-GCD sweep."""
-
-    candidate: Candidate
-    estimate: Estimate
-    simulated_step_s: float | None = None
-
-    @property
-    def pipelined(self) -> bool:
-        return self.candidate.pp_size > 1
+def _pipelined(row: ScoredCandidate) -> bool:
+    return row.candidate.pp_size > 1
 
 
 @dataclass
@@ -53,12 +49,12 @@ class CrossoverResult:
     gpus_per_node: int
     micro_batch: int
     #: Memory-feasible plans, best time-per-observation first.
-    rows: list[CrossoverRow] = field(default_factory=list)
+    rows: list[ScoredCandidate] = field(default_factory=list)
     oom_3d: int = 0
     oom_4d: int = 0
 
-    def best(self, pipelined: bool) -> CrossoverRow:
-        return next(row for row in self.rows if row.pipelined == pipelined)
+    def best(self, pipelined: bool) -> ScoredCandidate:
+        return next(row for row in self.rows if _pipelined(row) == pipelined)
 
     @property
     def crossed_over(self) -> bool:
@@ -85,15 +81,15 @@ class CrossoverResult:
                 shown.append(row)
         table_rows = []
         for row in shown:
-            estimate = row.estimate
+            estimate, pipelined = row.estimate, _pipelined(row)
             table_rows.append([
                 row.candidate.label(),
                 f"{estimate.time_per_obs_s:.6f}",
-                f"{estimate.bubble_s:.4f}" if row.pipelined else "-",
-                f"{estimate.bubble_fraction:.3f}" if row.pipelined else "-",
+                f"{estimate.bubble_s:.4f}" if pipelined else "-",
+                f"{estimate.bubble_fraction:.3f}" if pipelined else "-",
                 f"{estimate.peak_memory_bytes / 2**30:.1f} GiB",
-                f"{row.simulated_step_s:.4f}"
-                if row.simulated_step_s is not None else "-",
+                f"{row.simulated_step_time_s:.4f}"
+                if row.simulated is not None else "-",
             ])
         best_3d, best_4d = self.best(False), self.best(True)
         verdict = (
@@ -145,28 +141,17 @@ def run(
         recompute_options=(False, True), prefetch_options=(True,),
         pp_sizes=pp_sizes,
     )
-    estimator = AnalyticEstimator(config, num_gpus, gpus_per_node)
     space = enumerate_space(request)
-    scored = [
-        CrossoverRow(candidate, estimator.estimate(candidate))
-        for candidate in space.candidates
-    ]
+    rows, oom = score_space(
+        space, AnalyticEstimator(config, num_gpus, gpus_per_node))
+    oom_4d = sum(map(_pipelined, oom))
     result = CrossoverResult(
         config_name=config.name, num_gpus=num_gpus,
         gpus_per_node=gpus_per_node, micro_batch=micro_batch,
-    )
-    result.rows = sorted(
-        (row for row in scored if row.estimate.fits),
-        key=lambda row: row.estimate.time_per_obs_s,
-    )
-    result.oom_3d = sum(
-        1 for row in scored if not row.estimate.fits and not row.pipelined
-    )
-    result.oom_4d = sum(
-        1 for row in scored if not row.estimate.fits and row.pipelined
+        rows=rows, oom_3d=len(oom) - oom_4d, oom_4d=oom_4d,
     )
     for pipelined in (False, True):
-        if not any(row.pipelined == pipelined for row in result.rows):
+        if not any(_pipelined(row) == pipelined for row in rows):
             raise InfeasibleRequest(
                 f"no {'pipelined' if pipelined else '3D'} plan of "
                 f"{config.name} fits {num_gpus} GCDs at micro-batch {micro_batch}",
@@ -175,7 +160,5 @@ def run(
     if validate:
         for pipelined in (False, True):
             row = result.best(pipelined)
-            row.simulated_step_s = simulate_candidate(
-                request, row.candidate
-            )["step_time_s"]
+            row.simulated = simulate_candidate(request, row.candidate)
     return result

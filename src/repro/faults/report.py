@@ -3,12 +3,14 @@
 The JSON form (``RecoveryReport.as_dict``) is the artifact the CI
 fault-suite job uploads; the text form is what ``repro faults``
 prints.  A report with a non-empty ``unrecovered`` list is a failed
-run — the CLI maps that to a non-zero exit status.
+run — the CLI maps that to a non-zero exit status.  A report holds no
+event of its own: :func:`recovery_events` reads them off the run's
+journal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.faults.goodput import GoodputLedger
 from repro.faults.plan import FaultSpec
@@ -23,24 +25,29 @@ class RecoveryEvent:
 
     step: int
     kind: str
-    action: str  #: retry | rollback_restart | elastic_regroup | skip_step | observed | unrecovered
+    action: str  #: retry | retry_exhausted | rollback_restart | elastic_regroup | skip_step | observed | unrecovered | plan_switch
     rank: int | None = None
     attempts: int = 0
     lost_s: float = 0.0
     lost_steps: int = 0
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "kind": self.kind,
-            "action": self.action,
-            "rank": self.rank,
-            "attempts": self.attempts,
-            "lost_s": self.lost_s,
-            "lost_steps": self.lost_steps,
-            "detail": self.detail,
-        }
+
+def recovery_events(journal_events) -> list[RecoveryEvent]:
+    """The report's view of a run's journal: each ``recovery`` event,
+    and each executed ``replan`` switch decision as a ``plan_switch``."""
+    events = []
+    for event in journal_events:
+        data = event.data
+        if event.kind == "recovery":
+            events.append(RecoveryEvent(**data))
+        elif event.kind == "replan" and data.get("action") == "switch":
+            events.append(RecoveryEvent(
+                step=event.step, kind="replan", action="plan_switch",
+                lost_s=data["migration_cost_s"],
+                detail=f"{data['current']} -> {data['best']}: {data['reason']}",
+            ))
+    return events
 
 
 @dataclass
@@ -70,7 +77,7 @@ class RecoveryReport:
             "schema": REPORT_SCHEMA,
             "recovered": self.recovered,
             "steps_completed": self.steps_completed,
-            "events": [event.as_dict() for event in self.events],
+            "events": [asdict(event) for event in self.events],
             "goodput": self.ledger.as_dict(),
             "unrecovered": list(self.unrecovered),
             "pending": [spec.as_dict() for spec in self.pending],

@@ -23,7 +23,10 @@ to completion *through* the faults a
 
 Every recovery path is charged to a :class:`~repro.faults.goodput.
 GoodputLedger`, so the final :class:`~repro.faults.report.
-RecoveryReport` attributes exactly where the walltime went.
+RecoveryReport` attributes exactly where the walltime went.  Every
+event is written once, into one :class:`~repro.obs.journal.
+EventJournal` (the monitor's, or the Supervisor's own when monitoring
+is off); the report's events are read off it when the run ends.
 
 It is one explicit machine, drawn in DESIGN.md: *run* -> fault ->
 ``_recover`` -> {retry | rollback | regroup | migrate} -> ``_restart``
@@ -47,7 +50,8 @@ from repro.faults.errors import (
 from repro.faults.goodput import GoodputLedger
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import DEGRADATION_KINDS, FaultPlan
-from repro.faults.report import RecoveryEvent, RecoveryReport
+from repro.faults.report import RecoveryEvent, RecoveryReport, recovery_events
+from repro.obs.journal import EventJournal
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("faults.supervisor")
@@ -178,6 +182,12 @@ class Supervisor:
 
             self.session_kwargs["monitor"] = monitor_for(spec)
         self.monitor = self.session_kwargs["monitor"]
+        #: The run's one record (an empty journal is falsy: select on
+        #: ``enabled``).
+        self.journal = (self.monitor.journal if self.monitor.enabled
+                        else EventJournal())
+        #: Why the current run stopped early (empty while it recovers).
+        self._unrecovered: list[str] = []
         self.ledger = GoodputLedger()
         self.session = None
         self.loop = None
@@ -247,18 +257,17 @@ class Supervisor:
     def _wall(self) -> float:
         return self.session.cluster.timeline.walltime_s()
 
-    def _record(self, report: RecoveryReport, *, err=None, **fields) -> None:
-        """One :class:`RecoveryEvent` (of fault ``err``'s kind and rank,
-        when given): appended to the report, mirrored into the journal."""
+    def _record(self, *, err=None, **fields) -> None:
+        """Journal one :class:`RecoveryEvent` (of fault ``err``'s kind
+        and rank, when given); the report reads it back."""
         if err is not None:
             fields.update(kind=self._kind_of(err), rank=self._rank_of(err))
         event = RecoveryEvent(**fields)
-        report.events.append(event)
-        self.monitor.record(
+        self.journal.append(
             event.step, "recovery", category=event.kind, severity="warning",
             message=f"{event.action} (rank {event.rank}, "
                     f"attempt {event.attempts})",
-            data=event.as_dict(),
+            data=asdict(event),
         )
 
     # -- the supervised loop ----------------------------------------------------
@@ -268,32 +277,37 @@ class Supervisor:
         if num_steps < 1:
             raise ValueError("num_steps must be positive")
         self._num_steps = num_steps
-        report = RecoveryReport(ledger=self.ledger)
+        self._unrecovered = []
+        first = len(self.journal)
         if self.session is None:
             self._restart(self.spec)
-        self.monitor.record(
+        self.journal.append(
             self.loop.step, "run", category="start",
             message=f"supervised run: {num_steps} step(s), "
                     f"{len(self.plan.faults)} scheduled fault(s)",
         )
-        while self.loop.step < num_steps and not report.unrecovered:
-            self._step(report)
-        report.steps_completed = self.loop.step
-        report.history = list(self.loop.history)
-        report.pending = self.injector.pending()
-        report.moot = self.injector.moot()
-        report.final_spec = self.spec.identity()
+        while self.loop.step < num_steps and not self._unrecovered:
+            self._step()
         self._report_switch_outcome()
-        outcome = "recovered" if report.recovered else "unrecovered"
-        self.monitor.record(
+        outcome = "unrecovered" if self._unrecovered else "recovered"
+        self.journal.append(
             self.loop.step, "run", category="end",
-            message=f"run {outcome}: {report.steps_completed} step(s) "
+            message=f"run {outcome}: {self.loop.step} step(s) "
                     f"committed, goodput {self.ledger.goodput_fraction:.4f}",
         )
-        return report
+        return RecoveryReport(
+            events=recovery_events(self.journal.events[first:]),
+            ledger=self.ledger,
+            history=list(self.loop.history),
+            unrecovered=list(self._unrecovered),
+            pending=self.injector.pending(),
+            moot=self.injector.moot(),
+            final_spec=self.spec.identity(),
+            steps_completed=self.loop.step,
+        )
 
     # -- commit + periodic work -------------------------------------------------
-    def _commit(self, event, seconds: float, report: RecoveryReport) -> None:
+    def _commit(self, event, seconds: float) -> None:
         step = event.step
         if self.spec.meta:
             grad_fault = self.injector.grad_fault(step, fire=True)
@@ -319,7 +333,6 @@ class Supervisor:
         if skipped:
             kind = grad_fault.kind.value if grad_fault else "grad_overflow"
             self._record(
-                report,
                 step=step,
                 kind=kind,
                 action="skip_step",
@@ -332,7 +345,6 @@ class Supervisor:
             if spec.kind in DEGRADATION_KINDS and id(spec) not in self._reported_degradations:
                 self._reported_degradations.add(id(spec))
                 self._record(
-                    report,
                     step=step,
                     kind=spec.kind.value,
                     action="observed",
@@ -343,8 +355,8 @@ class Supervisor:
                     ),
                 )
         self._maybe_checkpoint()
-        self._maybe_health(report)
-        self._maybe_replan(report)
+        self._maybe_health()
+        self._maybe_replan()
 
     def _degraded_excess(self, step: int, seconds: float, skipped: bool) -> float:
         """Degradation-aware accounting: a degraded step's excess over
@@ -370,19 +382,18 @@ class Supervisor:
         path = self.checkpoint_dir / f"ckpt_step{self.loop.step}.npz"
         self._save(path)
         self.ledger.checkpoint(self.checkpoint_cost_s)
-        self.monitor.record(
+        self.journal.append(
             self.loop.step, "checkpoint", category="save",
             message=f"durable checkpoint at {path.name}",
         )
 
-    def _maybe_health(self, report: RecoveryReport) -> None:
+    def _maybe_health(self) -> None:
         if not self.health_every or self.loop.step % self.health_every:
             return
         findings = self.session.check_health()
         for finding in findings:
             if finding.category == "straggler":
                 self._record(
-                    report,
                     step=self.loop.step - 1,
                     kind="health." + finding.category,
                     action="observed",
@@ -402,7 +413,7 @@ class Supervisor:
             )
         return self._controller
 
-    def _maybe_replan(self, report: RecoveryReport) -> None:
+    def _maybe_replan(self) -> None:
         """Consult the controller when degradation evidence is live.
 
         One evaluation per distinct evidence signature (the factor maps,
@@ -430,14 +441,14 @@ class Supervisor:
         decision = self._replan_controller().evaluate(
             self.spec, step, self._num_steps, profile, cost
         )
-        self.monitor.record(
+        self.journal.append(
             step, "replan", category="decision", message=decision.reason,
             data=decision.as_dict(),
         )
         if decision.switch:
-            self._migrate(decision, report)
+            self._migrate(decision)
 
-    def _migrate(self, decision, report: RecoveryReport) -> None:
+    def _migrate(self, decision) -> None:
         """*migrate*: live plan migration, checkpoint -> rebuild ->
         bitwise resume on the controller's best candidate."""
         from repro.replan import candidate_of
@@ -466,14 +477,7 @@ class Supervisor:
             "decision": decision, "steps": 0, "seconds": 0.0, "degraded": 0,
         }
         detail = f"{decision.current_label} -> {decision.best_label}"
-        report.events.append(RecoveryEvent(
-            step=step,
-            kind="replan",
-            action="plan_switch",
-            lost_s=decision.migration_cost_s,
-            detail=detail + f": {decision.reason}",
-        ))
-        self.monitor.record(
+        self.journal.append(
             step, "replan", category="switch", message=detail,
             data={
                 "from": decision.current_label,
@@ -498,7 +502,7 @@ class Supervisor:
                           + clean * decision.current_clean_step_s)
         realized = (counterfactual - info["seconds"]
                     - decision.migration_cost_s)
-        self.monitor.record(
+        self.journal.append(
             self.loop.step, "replan", category="outcome",
             message=(
                 f"switch at step {decision.step}: projected "
@@ -517,7 +521,7 @@ class Supervisor:
         )
 
     # -- the machine: run -> fault -> recover -> restart -> run -----------------------
-    def _step(self, report: RecoveryReport) -> None:
+    def _step(self) -> None:
         """*run*: drive the next step to a commit or to a restart.
 
         A fault goes to :meth:`_recover`; when that answers "retry" the
@@ -533,13 +537,12 @@ class Supervisor:
             try:
                 event = self.loop.run_step()
             except (TransientFaultError, FatalFaultError) as err:
-                if not self._recover(err, attempt, report):
+                if not self._recover(err, attempt):
                     return
                 rng.state = rng_state
                 continue
             if attempt.retries:
                 self._record(
-                    report,
                     err=attempt.fault,
                     step=attempt.step,
                     action="retry",
@@ -549,10 +552,10 @@ class Supervisor:
                 )
                 _LOG.info("step %d recovered after %d retry(ies)",
                           attempt.step, attempt.retries)
-            self._commit(event, self._wall() - attempt.t0, report)
+            self._commit(event, self._wall() - attempt.t0)
             return
 
-    def _recover(self, err: FaultError, attempt: _Attempt, report) -> bool:
+    def _recover(self, err: FaultError, attempt: _Attempt) -> bool:
         """*fault*: the one fault class -> policy dispatch.
 
         ========================  ==========================================
@@ -575,7 +578,6 @@ class Supervisor:
                 attempt.fault = err
                 return True
             self._record(
-                report,
                 err=err,
                 step=attempt.step,
                 action="retry_exhausted",
@@ -583,19 +585,19 @@ class Supervisor:
                 lost_s=attempt.lost_s,
                 detail="escalating to rollback restart",
             )
-        self._rollback(err, attempt.step, wasted, report,
+        self._rollback(err, attempt.step, wasted,
                        regroup=isinstance(err, NodeLossError))
         return False
 
-    def _rollback(self, err, step: int, attempt_s: float, report, *,
+    def _rollback(self, err, step: int, attempt_s: float, *,
                   regroup: bool) -> None:
         """*rollback* / *regroup*: give the incarnation up and restart
         from the last durable checkpoint — into the same world, or,
         after a node loss, into the DDP-shrunken one.
 
         Unrecoverable when no legal shrunken world exists or (checked
-        second) the restart budget is spent; both leave an
-        ``unrecovered`` event in the report and the journal.
+        second) the restart budget is spent; both journal an
+        ``unrecovered`` event and end the run.
         """
         old = new_spec = self.spec
         unrecoverable = None  # (report message, event detail)
@@ -615,8 +617,8 @@ class Supervisor:
                 str(err),
             )
         if unrecoverable is not None:
-            report.unrecovered.append(unrecoverable[0])
-            self._record(report, err=err, step=step, action="unrecovered",
+            self._unrecovered.append(unrecoverable[0])
+            self._record(err=err, step=step, action="unrecovered",
                          detail=unrecoverable[1])
             return
         lost_steps, lost_s = self.ledger.rollback(attempt_s)
@@ -626,7 +628,7 @@ class Supervisor:
         resume_from = (
             self._last_checkpoint["step"] if self._last_checkpoint else 0
         )
-        self.monitor.record(
+        self.journal.append(
             step, "checkpoint", category="rollback", severity="warning",
             message=f"rolling back from step {step} to step {resume_from}"
                     + (" (elastic regroup)" if regroup else ""),
@@ -640,7 +642,6 @@ class Supervisor:
                 + detail
             )
         self._record(
-            report,
             err=err,
             step=step,
             action="elastic_regroup" if regroup else "rollback_restart",

@@ -8,8 +8,7 @@ card), and the memory is the 64 GiB HBM2e attached to each GCD.
 
 from repro.utils.units import GIB
 
-#: Peak matrix throughput per GCD, FLOP/s.
-MI250X_GCD_PEAK_BF16 = 191.5e12 / 2
+#: Peak fp32 matrix throughput per GCD, FLOP/s.
 MI250X_GCD_PEAK_FP32 = 47.9e12 / 2
 
 #: HBM per GCD.

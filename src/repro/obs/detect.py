@@ -149,7 +149,6 @@ class DetectorBank:
                 raise ValueError(f"duplicate rule for {key}")
             seen.add(key)
         self._state = {id(rule): _RuleState() for rule in self.rules}
-        self.alerts: list[tuple[int, Finding]] = []
 
     def _violates(self, rule: AlertRule, value: float,
                   store: TimeseriesStore) -> tuple[bool, float, float]:
@@ -232,13 +231,4 @@ class DetectorBank:
                 )
             if finding is not None:
                 findings.append(finding)
-                self.alerts.append((step, finding))
         return findings
-
-    @property
-    def critical_count(self) -> int:
-        return sum(1 for _, f in self.alerts if f.severity == "critical")
-
-    @property
-    def warning_count(self) -> int:
-        return sum(1 for _, f in self.alerts if f.severity == "warning")

@@ -1,11 +1,14 @@
 """Unified append-only event journal for a monitored run.
 
 A run emits events from several subsystems — detector alerts, post-hoc
-health findings, Supervisor/FaultInjector recovery actions, checkpoint
-saves and rollbacks, fold/unfold mode switches.  Each previously lived
-in its own structure (``DetectorBank.alerts``, ``RecoveryReport``,
-logs); the journal merges them into **one ordered, schema-versioned
-stream** so "what happened to this run?" has a single answer.
+health findings, Supervisor recovery actions, checkpoint saves and
+rollbacks, fold/unfold mode switches, replan decisions.  The journal is
+their **one ordered, schema-versioned store**, so "what happened to
+this run?" has a single answer: the detector bank returns its findings
+and keeps none (the monitor's alert counts are counted off the
+journal), and the Supervisor writes each event once, here, and reads
+its :class:`~repro.faults.report.RecoveryReport` events back off the
+run's slice of the journal when the run ends.
 
 Ordering guarantee: events are journaled in the order the run emits
 them — program order, which for the simulated stack is deterministic
@@ -124,9 +127,6 @@ class EventJournal:
     # -- queries ------------------------------------------------------------
     def by_kind(self, kind: str) -> list[JournalEvent]:
         return [e for e in self.events if e.kind == kind]
-
-    def critical(self) -> list[JournalEvent]:
-        return [e for e in self.events if e.severity == "critical"]
 
     def __len__(self) -> int:
         return len(self.events)

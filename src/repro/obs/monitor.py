@@ -173,24 +173,24 @@ class RunMonitor:
     def record(self, step: int, kind: str, *, category: str = "",
                severity: str = "info", message: str = "",
                data: dict | None = None) -> None:
-        """Journal one out-of-loop event (recovery, checkpoint, fold,
-        replan, run marker); the arguments are
+        """Journal one out-of-loop event (a Session's fold switch, a
+        ``repro monitor`` run marker); the arguments are
         :meth:`~repro.obs.journal.EventJournal.append`'s."""
         self.journal.append(step, kind, category=category, severity=severity,
                             message=message, data=data)
 
-    # -- results -------------------------------------------------------------
+    # -- results (read off the journal) ---------------------------------------
+    def _alerts(self, severity: str) -> int:
+        return sum(1 for event in self.journal.events
+                   if event.kind == "alert" and event.severity == severity)
+
     @property
     def critical_alerts(self) -> int:
-        return self.bank.critical_count
+        return self._alerts("critical")
 
     @property
     def warning_alerts(self) -> int:
-        return self.bank.warning_count
-
-    @property
-    def alerts(self):
-        return tuple(self.bank.alerts)
+        return self._alerts("warning")
 
     def as_document(self) -> dict:
         """Machine-readable run summary (``repro monitor --json``)."""

@@ -23,8 +23,8 @@ class Off:
     __slots__ = ()
 
     enabled = False
-    spans = alerts = ()
-    critical_alerts = warning_alerts = generation = 0
+    spans = ()
+    generation = 0
     current_scope = ""
     current_comm_kind = "collective"
 

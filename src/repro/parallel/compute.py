@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from typing import Protocol
 
-import numpy as np
-
 from repro.cluster.cluster import VirtualCluster
+
+#: Sustained fraction of a GCD's fp32 peak that every engine step is
+#: priced at.
+EFFICIENCY = 0.45
 
 
 class ComputeTimeModel(Protocol):
@@ -26,19 +28,10 @@ class PeakFractionCompute:
     it in :class:`repro.faults.degradation.SkewedCompute`.
     """
 
-    def __init__(
-        self,
-        cluster: VirtualCluster,
-        efficiency: float = 0.45,
-        dtype=np.float32,
-    ):
-        if not 0 < efficiency <= 1:
-            raise ValueError("efficiency must be in (0, 1]")
+    def __init__(self, cluster: VirtualCluster):
         self.cluster = cluster
-        self.efficiency = efficiency
-        self.dtype = np.dtype(dtype)
 
     def seconds_for(self, flops: float, rank: int) -> float:
-        peak = self.cluster.device(rank).peak_flops_for(self.dtype)
-        return flops / (peak * self.efficiency)
+        # The device lookup also creates the device touched_devices() reports.
+        return flops / (self.cluster.device(rank).peak_flops * EFFICIENCY)
 

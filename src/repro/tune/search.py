@@ -244,6 +244,26 @@ def _validation_summary(record) -> dict:
     }
 
 
+def score_space(space: SearchSpace, estimator: AnalyticEstimator):
+    """Stage one: score every legal candidate.  Returns the ones that
+    fit, ranked by throughput — walltime per observation, the paper's
+    Fig 6 metric, since the FSDP/DDP axes multiply the global batch —
+    and the memory-pruned ones, smallest predicted peak first."""
+    scored = [
+        ScoredCandidate(candidate, estimator.estimate(candidate))
+        for candidate in space.candidates
+    ]
+    feasible = sorted(
+        (s for s in scored if s.estimate.fits),
+        key=lambda s: s.estimate.time_per_obs_s,
+    )
+    oom = tuple(sorted(
+        (s for s in scored if not s.estimate.fits),
+        key=lambda s: s.estimate.peak_memory_bytes,
+    ))
+    return feasible, oom
+
+
 def run_search(
     request: TuneRequest,
     top_k: int = 3,
@@ -282,25 +302,10 @@ def run_search(
         request.config.name, request.num_gpus,
         len(space.candidates), len(space.rejections),
     )
-    scored = [
-        ScoredCandidate(candidate, estimator.estimate(candidate))
-        for candidate in space.candidates
-    ]
-    # Ranked by throughput — walltime per observation, the paper's
-    # Fig 6 metric — since the FSDP/DDP axes multiply the global batch.
-    feasible = sorted(
-        (s for s in scored if s.estimate.fits),
-        key=lambda s: s.estimate.time_per_obs_s,
-    )
-    oom = tuple(
-        sorted(
-            (s for s in scored if not s.estimate.fits),
-            key=lambda s: s.estimate.peak_memory_bytes,
-        )
-    )
+    feasible, oom = score_space(space, estimator)
     if not feasible:
         raise InfeasibleRequest(
-            f"all {len(scored)} legal configurations of {request.config.name} "
+            f"all {len(oom)} legal configurations of {request.config.name} "
             f"exceed device memory on {request.num_gpus} GPUs "
             "(smallest predicted peak "
             f"{oom[0].estimate.peak_memory_bytes / 2**30:.1f} GiB)",

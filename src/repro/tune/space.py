@@ -127,6 +127,12 @@ class TuneRequest:
             raise ValueError("micro_batches must be positive")
         if not self.pp_sizes or min(self.pp_sizes) < 1:
             raise ValueError("pp_sizes must be positive")
+        # A repeated value would score every candidate it spans twice.
+        for name, values in (("micro_batches", self.micro_batches),
+                             ("pp_sizes", self.pp_sizes)):
+            if len(set(values)) != len(values):
+                raise RunSpecError(
+                    f"{name} {','.join(map(str, values))} repeats a value")
 
     @property
     def nodes(self) -> int:

@@ -13,7 +13,9 @@ switch and a crash or node loss right after it — each in meta and,
 where the fault kind allows, numeric mode.  Per cell: the monitor's
 journal bytes, ``report.as_dict()`` (recovery events, ledger buckets,
 history, final spec; floats as ``float.hex()``) and, for numeric
-cells, the digest of every persisted array.
+cells, the digest of every persisted array.  One meta cell per
+recovery action also runs with monitoring off, where the report is read
+off the Supervisor's own journal; its report must equal the golden one.
 
 It was generated at the parent of the one-recovery-path refactor,
 before the Supervisor was touched.  The one cell that commit could not
@@ -182,7 +184,7 @@ def run_case(spec, plan, kwargs, steps, checkpoint_dir):
     supervisor = Supervisor(spec, plan, **kwargs)
     report = supervisor.run(steps)
     out = {
-        "journal": supervisor.monitor.journal.to_jsonl(),
+        "journal": supervisor.journal.to_jsonl(),
         "report": _pin(report.as_dict()),
     }
     if not spec.meta:
@@ -208,6 +210,28 @@ def test_transition_matches_the_parent_commit(name, tmp_path):
     assert got["report"] == want["report"]
     assert got["journal"] == want["journal"]
     assert got.get("state") == want.get("state")
+
+
+#: recovery action -> the meta cell that reaches it, rerun with
+#: monitoring off: its report is read off the Supervisor's own journal.
+_UNMONITORED = {
+    "retry": "meta/retry",
+    "retry_exhausted": "meta/retry-exhausted",
+    "rollback_restart": "meta/crash-with-checkpoint",
+    "elastic_regroup": "meta/node-loss-regroup",
+    "skip_step": "meta/grad-corruption-skip",
+    "unrecovered": "meta/restart-budget-exhausted",
+    "plan_switch": "meta/replan-demo-switch",
+}
+
+
+@pytest.mark.parametrize("action", sorted(_UNMONITORED))
+def test_report_without_a_monitor_matches_the_golden(action, tmp_path):
+    name = _UNMONITORED[action]
+    spec, plan, kwargs, steps = cases()[name]
+    got = run_case(spec.replace(monitor="off"), plan, kwargs, steps, tmp_path)
+    assert action in _recovery_actions(got["report"])
+    assert got["report"] == _golden()[name]["report"]
 
 
 def _shape(cell: dict) -> dict:

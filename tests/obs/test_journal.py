@@ -36,7 +36,6 @@ class TestOrdering:
     def test_queries(self):
         journal = sample_journal()
         assert len(journal.by_kind("checkpoint")) == 2
-        assert journal.critical() == []
         summary = journal_summary(journal)
         assert summary["events"] == 6
         assert summary["by_kind"] == {

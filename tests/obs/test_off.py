@@ -106,9 +106,6 @@ ATTRIBUTES = [
     ("tracer", Tracer, "metrics", SELF),
     ("metrics", MetricsRegistry, "generation", 0),
     ("monitor", RunMonitor, "enabled", False),
-    ("monitor", RunMonitor, "alerts", ()),
-    ("monitor", RunMonitor, "critical_alerts", 0),
-    ("monitor", RunMonitor, "warning_alerts", 0),
 ]
 
 
@@ -204,6 +201,4 @@ class TestOffConformance:
         OFF.on_step_end(None, None)
         OFF.observe_gauges(0, {"m": 1.0})
         OFF.record(0, "fold", category="exact")
-        assert OFF.alerts == ()
-        assert OFF.critical_alerts == 0
         assert not OFF.enabled

@@ -456,6 +456,10 @@ BAD_RUN_FLAGS = [
      "of 8-GCD nodes"),
     # RunSpec's field names are spelled as the flags that set them.
     (["replan", "--steps", "0"], "invalid --steps 0: must be at least 1"),
+    # A repeated list value would score its candidates twice.
+    (["tune", "--micro-batches", "2,2"],
+     "invalid request: --micro-batches 2,2 repeats a value"),
+    (["crossover", "--pp", "1,2,2"], "--pp 1,2,2 repeats a value"),
 ]
 
 

@@ -285,5 +285,5 @@ class TestFoldedValidation:
         assert f"{pipelined.estimate.time_per_obs_s:.6f}" == "0.025288"
         assert f"{flat.estimate.time_per_obs_s:.6f}" == "0.028819"
         for row in (pipelined, flat):
-            assert row.simulated_step_s == pytest.approx(
+            assert row.simulated_step_time_s == pytest.approx(
                 row.estimate.step_time_s, rel=1e-9)
