@@ -39,8 +39,8 @@ GUARDS = [
      "save_meta|resume_meta|resume_elastic|run_supervised|checkpoint_fn|health_fn"
      "|on_checkpoint|on_health|on_loss",
      SRC_TESTS_EXAMPLES),
-    # One journal write path (EventJournal.append, RunMonitor.record over
-    # it), and no metrics exposition nothing reads.
+    # One journal write path (EventJournal.append), and no metrics
+    # exposition nothing reads.
     ("one journal write path", "-wE",
      "record_(finding|recovery|checkpoint|fold|serve|replan|run)|to_prometheus"
      "|write_prometheus|parse_prometheus",
@@ -50,8 +50,11 @@ GUARDS = [
     # no alert list or counters.
     ("the report is read off the journal", "-F", "report.events.append",
      ("src",)),
-    ("the Supervisor appends to its journal", "-F", "self.monitor.record",
-     ("src/repro/faults",)),
+    # EventJournal.append is the one write path: every writer appends to
+    # the journal its run owns, and nothing wraps it.
+    ("no journal wrapper", "-F", "monitor.record", SRC_TESTS_EXAMPLES),
+    ("no journal wrapper", "-w", "record", ("src/repro/obs/off.py",)),
+    ("no journal wrapper", "-E", r"def record\b", ("src/repro/obs/monitor.py",)),
     ("alerts are counted off the journal", "-wE", "critical_count|warning_count",
      SRC_TESTS_EXAMPLES),
     # One artifact layer: one error class, one canonical encoding.

@@ -1055,12 +1055,12 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         recovered = supervisor.run(args.steps).recovered
     else:
         session = Session(spec, monitor=run_monitor)
-        run_monitor.record(
+        run_monitor.journal.append(
             0, "run", category="start",
             message=f"monitored run: {args.steps} step(s), no faults",
         )
         StepLoop(session.step_fn(), hooks=session.loop_hooks()).run(args.steps)
-        run_monitor.record(
+        run_monitor.journal.append(
             args.steps, "run", category="end",
             message=f"run complete: {args.steps} step(s)",
         )

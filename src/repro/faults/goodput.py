@@ -34,8 +34,9 @@ recovery path of the supervisor to its own bucket:
 
 The analytic side (:func:`expected_goodput_fraction`,
 :func:`recommend_checkpoint_interval`) is the classic Young/Daly
-first-order model, which ``repro bench --mtbf`` and the tuner's
-recovery-aware checkpoint-interval recommendation both use.
+first-order model; :func:`checkpoint_plan` applies it to one step time
+for both ``repro bench --mtbf`` and the tuner's recovery-aware
+checkpoint-interval recommendation.
 """
 
 from __future__ import annotations
@@ -259,6 +260,22 @@ def expected_goodput_fraction(
     return 1.0 / (1.0 + overhead)
 
 
+def checkpoint_plan(mtbf_s: float, checkpoint_cost_s: float,
+                    restart_latency_s: float, step_time_s: float) -> dict:
+    """The Young/Daly plan for steps of ``step_time_s``: the interval in
+    seconds and in whole steps (at least one), and its goodput."""
+    interval = recommend_checkpoint_interval(
+        mtbf_s, checkpoint_cost_s, step_time_s=step_time_s
+    )
+    return {
+        "checkpoint_interval_s": interval,
+        "checkpoint_every_steps": max(1, round(interval / step_time_s)),
+        "goodput_fraction": expected_goodput_fraction(
+            mtbf_s, checkpoint_cost_s, restart_latency_s, interval
+        ),
+    }
+
+
 def bench_goodput(
     doc: dict,
     mtbf_s: float,
@@ -274,21 +291,15 @@ def bench_goodput(
     """
     out = {}
     for name, case in sorted(doc.get("cases", {}).items()):
-        step = case["step_time_s"]
-        interval = recommend_checkpoint_interval(
-            mtbf_s, checkpoint_cost_s, step_time_s=step
-        )
-        fraction = expected_goodput_fraction(
-            mtbf_s, checkpoint_cost_s, restart_latency_s, interval
+        plan = checkpoint_plan(
+            mtbf_s, checkpoint_cost_s, restart_latency_s, case["step_time_s"]
         )
         throughput = 1.0 / case["time_per_obs_s"]
         out[name] = {
             "mtbf_s": mtbf_s,
-            "checkpoint_interval_s": interval,
-            "checkpoint_every_steps": max(1, round(interval / step)),
-            "goodput_fraction": fraction,
+            **plan,
             "throughput_obs_per_s": throughput,
-            "goodput_obs_per_s": throughput * fraction,
+            "goodput_obs_per_s": throughput * plan["goodput_fraction"],
         }
     return out
 

@@ -26,7 +26,8 @@ GoodputLedger`, so the final :class:`~repro.faults.report.
 RecoveryReport` attributes exactly where the walltime went.  Every
 event is written once, into one :class:`~repro.obs.journal.
 EventJournal` (the monitor's, or the Supervisor's own when monitoring
-is off); the report's events are read off it when the run ends.
+is off; each incarnation appends its fold switches to it as well), and
+the report's events are read off it when the run ends.
 
 It is one explicit machine, drawn in DESIGN.md: *run* -> fault ->
 ``_recover`` -> {retry | rollback | regroup | migrate} -> ``_restart``
@@ -209,8 +210,8 @@ class Supervisor:
 
     # -- construction ----------------------------------------------------------
     def _build_session(self, spec) -> None:
-        """The one place a ``Session`` is constructed: a fresh
-        incarnation of ``spec`` on the shared monitor and injector.  A
+        """The one place a ``Session`` is constructed: a fresh incarnation
+        of ``spec`` on the shared monitor, journal and injector.  A
         numeric incarnation gets its own grad scaler; its state comes
         back from the checkpoint, never from the previous incarnation.
         Only :meth:`_maybe_health` reads the span table, so without
@@ -229,6 +230,7 @@ class Supervisor:
 
             scaler = DynamicGradScaler()
         self.session = Session(spec, grad_scaler=scaler, **kwargs)
+        self.session.journal = self.journal
         self.session.cluster.attach_injector(self.injector)
 
     def _restart(self, spec) -> None:

@@ -1,14 +1,14 @@
-"""Unified append-only event journal for a monitored run.
+"""Unified append-only event journal: the one record of a run.
 
 A run emits events from several subsystems — detector alerts, post-hoc
 health findings, Supervisor recovery actions, checkpoint saves and
 rollbacks, fold/unfold mode switches, replan decisions.  The journal is
 their **one ordered, schema-versioned store**, so "what happened to
-this run?" has a single answer: the detector bank returns its findings
-and keeps none (the monitor's alert counts are counted off the
-journal), and the Supervisor writes each event once, here, and reads
-its :class:`~repro.faults.report.RecoveryReport` events back off the
-run's slice of the journal when the run ends.
+this run?" has a single answer, monitored or not: the monitor appends
+its detectors' alerts (and counts them off the journal), the Session
+its fold switches, the Supervisor (which hands its journal to each
+incarnation) every other event once, and reads its
+:class:`~repro.faults.report.RecoveryReport` back off its slice.
 
 Ordering guarantee: events are journaled in the order the run emits
 them — program order, which for the simulated stack is deterministic
@@ -28,9 +28,10 @@ skips and health observations), ``checkpoint`` (save / rollback),
 New kinds may be added under the same schema as long as existing fields
 keep their meaning; breaking changes bump ``JOURNAL_SCHEMA``.
 
-:meth:`EventJournal.append` is the one write path: each emitting
-subsystem spells out its own category, severity, message and data, so
-this module knows no other package's event types.
+:meth:`EventJournal.append` is the one write path (there is no
+wrapper over it): each emitting subsystem spells out its own category,
+severity, message and data, so this module knows no other package's
+event types.
 """
 
 from __future__ import annotations

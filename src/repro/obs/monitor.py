@@ -4,9 +4,10 @@ The monitor is the live counterpart of the post-hoc analysis stack: it
 rides the :class:`~repro.runtime.steploop.StepLoop` hook protocol,
 reads per-step deltas straight off the Timeline ledgers, feeds a
 :class:`~repro.obs.timeseries.TimeseriesStore`, evaluates a
-:class:`~repro.obs.detect.DetectorBank`, and journals everything —
-alerts, health findings, recovery actions, checkpoints, fold switches
-— into one :class:`~repro.obs.journal.EventJournal`.
+:class:`~repro.obs.detect.DetectorBank`, and appends its alerts to its
+:class:`~repro.obs.journal.EventJournal` — the run's one record, which
+every other writer (Session, Supervisor, ``repro monitor``) appends to
+directly.
 
 Ledger reads are safe across fold-mode switches: ``unfold()``
 materializes member ledgers as bitwise copies of their class ledger
@@ -169,15 +170,6 @@ class RunMonitor:
         to the committing step.
         """
         self._observe(step, values)
-
-    def record(self, step: int, kind: str, *, category: str = "",
-               severity: str = "info", message: str = "",
-               data: dict | None = None) -> None:
-        """Journal one out-of-loop event (a Session's fold switch, a
-        ``repro monitor`` run marker); the arguments are
-        :meth:`~repro.obs.journal.EventJournal.append`'s."""
-        self.journal.append(step, kind, category=category, severity=severity,
-                            message=message, data=data)
 
     # -- results (read off the journal) ---------------------------------------
     def _alerts(self, severity: str) -> int:

@@ -1,10 +1,10 @@
 """The disabled observer: one stateless handle for every channel that is off.
 
-Tracer, metrics registry, run monitor and fault injector are called
-unconditionally; :data:`OFF` is each of them when off.  Every method
-call sites invoke on a handle that may be off is written here once and
-returns its neutral value (table in DESIGN.md, "Instrumentation: one
-disabled handle"); there is no instance state for a call to change.
+Tracer, metrics registry, run monitor, its journal and fault injector
+are called unconditionally; :data:`OFF` is each of them when off.
+Every method call sites invoke on a handle that may be off is written
+here once and returns its neutral value (table in DESIGN.md,
+"Instrumentation: one disabled handle"); no call has state to change.
 The timeline's per-event hooks spell out the live signature (no
 argument packing on the hot path), the rest take any arguments.
 ``tests/obs/test_off.py`` holds each to the live class's signature.
@@ -18,7 +18,7 @@ from repro.obs.metrics import MetricsRegistry
 
 
 class Off:
-    """Tracer, metrics registry, instrument, monitor and injector, all off."""
+    """Tracer, metrics, instrument, monitor, journal and injector: off."""
 
     __slots__ = ()
 
@@ -34,13 +34,13 @@ class Off:
     set_context = span = instant = mark_free = clear = __exit__ = _nothing
     reset = inc = set = max = observe = _nothing
     attach_session = on_step_start = on_step_end = observe_gauges = _nothing
-    record = poison_gradients = _nothing
+    append = poison_gradients = _nothing
 
     def _self(self, *args, **kwargs) -> "Off":
         """A hook whose live result is another handle: this one."""
         return self
 
-    metrics = property(_self)
+    metrics = journal = property(_self)
     scope = __enter__ = counter = gauge = histogram = _self
 
     # -- the timeline's per-event hooks, in their live signatures ----------

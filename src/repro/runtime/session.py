@@ -112,10 +112,13 @@ class Session:
     monitor:
         Optional :class:`~repro.obs.monitor.RunMonitor`.  Defaults to a
         fresh monitor when ``spec.monitor == "on"`` and
-        :data:`~repro.obs.off.OFF` otherwise.  Pass an
-        existing instance to keep one telemetry stream across session
-        rebuilds (the Supervisor does this through ``session_kwargs``,
-        the same pattern as the fault injector).
+        :data:`~repro.obs.off.OFF` otherwise.  Pass an existing instance
+        to keep one telemetry stream across session rebuilds (the
+        Supervisor does this through ``session_kwargs``, the same
+        pattern as the fault injector).  Its journal is :attr:`journal`,
+        which fold switches are appended to through the one write path,
+        :meth:`~repro.obs.journal.EventJournal.append`, unless a
+        Supervisor hands the session its own, monitored or not.
     """
 
     def __init__(
@@ -184,6 +187,8 @@ class Session:
         #: Streaming telemetry handle (never None; OFF when off).
         self.monitor = monitor
         self.monitor.attach_session(self)
+        #: The run's one record (OFF when off; see the class docstring).
+        self.journal = monitor.journal
         #: Synthetic-batch stream state; persisted by :meth:`save`.
         self.data_rng = np.random.default_rng(spec.seed)
         self._precision = precision
@@ -512,13 +517,13 @@ class Session:
             if timeline.folded:
                 timeline.unfold()
                 self.engine.materialize_replicas()
-                self.monitor.record(
+                self.journal.append(
                     step, "fold", category="exact",
                     message=f"step {step} is inside a fault window; "
                             f"simulating every rank",
                 )
         elif not timeline.folded and timeline.try_refold():
-            self.monitor.record(
+            self.journal.append(
                 step, "fold", category="folded",
                 message=f"class ledgers re-converged before step {step}; "
                         f"folding",

@@ -110,32 +110,18 @@ def recovery_recommendation(
     checkpoint_cost_s: float = 30.0,
     restart_latency_s: float = 120.0,
 ) -> dict:
-    """Recovery-aware checkpoint cadence for the tune winner.
-
-    Uses the winner's *simulated* step time with the Young/Daly model
-    (:mod:`repro.faults.goodput`) to recommend a checkpoint interval
-    (``repro faults --checkpoint-every`` units) and report the expected
-    goodput fraction under the given MTBF.
-    """
-    from repro.faults.goodput import (
-        expected_goodput_fraction,
-        recommend_checkpoint_interval,
-    )
+    """Recovery-aware checkpoint cadence for the tune winner: the
+    Young/Daly :func:`~repro.faults.goodput.checkpoint_plan` at its
+    *simulated* step time (``repro faults --checkpoint-every`` units)."""
+    from repro.faults.goodput import checkpoint_plan
 
     step_s = result.winner.simulated["step_time_s"]
-    interval_s = recommend_checkpoint_interval(
-        mtbf_s, checkpoint_cost_s, step_time_s=step_s
-    )
     return {
         "mtbf_s": mtbf_s,
         "checkpoint_cost_s": checkpoint_cost_s,
         "restart_latency_s": restart_latency_s,
         "step_time_s": step_s,
-        "checkpoint_interval_s": interval_s,
-        "checkpoint_every_steps": max(1, round(interval_s / step_s)),
-        "expected_goodput_fraction": expected_goodput_fraction(
-            mtbf_s, checkpoint_cost_s, restart_latency_s, interval_s
-        ),
+        **checkpoint_plan(mtbf_s, checkpoint_cost_s, restart_latency_s, step_s),
     }
 
 
@@ -149,7 +135,7 @@ def render_recovery(recommendation: dict) -> str:
         f"  checkpoint every {rec['checkpoint_interval_s']:.1f} s "
         f"= {rec['checkpoint_every_steps']} step(s) of "
         f"{rec['step_time_s']:.6f} s",
-        f"  expected goodput fraction {rec['expected_goodput_fraction']:.4f}",
+        f"  expected goodput fraction {rec['goodput_fraction']:.4f}",
     ])
 
 

@@ -13,9 +13,11 @@ pre-PR behavior bitwise.
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 from repro.faults import FaultPlan, FaultSpec, Supervisor
+from repro.utils.artifacts import CANONICAL_JSON
 from tests.invariants import config
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -40,13 +42,13 @@ NUMERIC_PLAN = FaultPlan(faults=(
 ))
 
 
-def meta_scenario(checkpoint_dir):
+def meta_scenario(checkpoint_dir, monitor="on"):
     """Folded 16-GCD meta run under windowed degradations + a crash."""
     from repro.runtime import RunSpec
 
     spec = RunSpec(config=TINY, num_gpus=16, gpus_per_node=8, tp_size=2,
                    fsdp_size=2, ddp_size=4, micro_batch=2, meta=True,
-                   fold="on", monitor="on")
+                   fold="on", monitor=monitor)
     return Supervisor(
         spec, META_PLAN, checkpoint_every=2, checkpoint_dir=checkpoint_dir,
         health_every=2,
@@ -74,6 +76,19 @@ def state_digest(session) -> str:
         digest.update(name.encode())
         digest.update(arrays[name].tobytes())
     return digest.hexdigest()
+
+
+def without_alerts(journal: str) -> str:
+    """``journal``'s bytes as the same run writes them unmonitored: no
+    detector runs, so its ``alert`` lines go and ``seq`` is renumbered;
+    every other line stays as it is."""
+    header, *lines = (json.loads(line) for line in journal.splitlines())
+    events = [line for line in lines if line["kind"] != "alert"]
+    for seq, event in enumerate(events):
+        event["seq"] = seq
+    header["events"] = len(events)
+    return "".join(json.dumps(line, **CANONICAL_JSON) + "\n"
+                   for line in [header, *events])
 
 
 def run_meta(checkpoint_dir, num_steps: int = 8):

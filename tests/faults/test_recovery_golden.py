@@ -15,7 +15,8 @@ journal bytes, ``report.as_dict()`` (recovery events, ledger buckets,
 history, final spec; floats as ``float.hex()``) and, for numeric
 cells, the digest of every persisted array.  One meta cell per
 recovery action also runs with monitoring off, where the report is read
-off the Supervisor's own journal; its report must equal the golden one.
+off the Supervisor's own journal; its report must equal the golden one,
+and its journal the golden one without its ``alert`` lines.
 
 It was generated at the parent of the one-recovery-path refactor,
 before the Supervisor was touched.  The one cell that commit could not
@@ -46,7 +47,7 @@ from repro.replan.scenario import (
     demo_spec,
 )
 from repro.runtime import RunSpec
-from tests.faults.replan_golden import TINY, state_digest
+from tests.faults.replan_golden import TINY, state_digest, without_alerts
 
 GOLDEN = Path(__file__).parent / "data" / "recovery_golden.json"
 
@@ -232,6 +233,7 @@ def test_report_without_a_monitor_matches_the_golden(action, tmp_path):
     got = run_case(spec.replace(monitor="off"), plan, kwargs, steps, tmp_path)
     assert action in _recovery_actions(got["report"])
     assert got["report"] == _golden()[name]["report"]
+    assert got["journal"] == without_alerts(_golden()[name]["journal"])
 
 
 def _shape(cell: dict) -> dict:

@@ -24,6 +24,7 @@ from tests.faults.replan_golden import (
     run_meta,
     run_numeric,
     state_digest,
+    without_alerts,
 )
 
 
@@ -53,6 +54,17 @@ class TestWindowedDegradationRecovery:
         # one per incarnation, both inside degradation windows.
         assert [event.step for event in fold_events] == [1, 4]
         assert all(event.category == "exact" for event in fold_events)
+
+    def test_unmonitored_journal_is_the_golden_without_its_alerts(
+        self, tmp_path
+    ):
+        """With monitoring off the Supervisor's journal is still the
+        whole record, fold switches included: the golden less what only
+        the detectors write."""
+        supervisor = meta_scenario(tmp_path, monitor="off")
+        assert supervisor.run(8).recovered
+        golden = (DATA_DIR / "golden_meta_journal.jsonl").read_text()
+        assert supervisor.journal.to_jsonl() == without_alerts(golden)
 
     def test_numeric_plan_recovers_with_degraded_steps(self, tmp_path):
         supervisor = numeric_scenario(tmp_path)

@@ -230,7 +230,7 @@ def left_behind(run: Run) -> dict:
     """Everything a run leaves that a later reader could tell apart."""
     session = run.session
     timeline, engine = session.cluster.timeline, session.engine
-    journal = getattr(session.monitor, "journal", None)
+    journal = session.monitor.journal if session.monitor.enabled else None
     next_cid = next(timeline._collective_ids)
     timeline._collective_ids = itertools.count(next_cid)  # read, not spent
     left = {

@@ -1,5 +1,5 @@
-"""Event journal: ordering, the one write path (``EventJournal.append``
-and ``RunMonitor.record`` over it), byte-deterministic JSONL."""
+"""Event journal: ordering, the one write path (``EventJournal.append``,
+also for a monitor's journal), byte-deterministic JSONL."""
 
 import pytest
 
@@ -63,11 +63,11 @@ class TestTypedAppenders:
 class TestReplanAppender:
     def test_replan_payload_preserved(self):
         monitor = RunMonitor()
-        monitor.record(
+        monitor.journal.append(
             3, "replan", category="decision", message="stay: gain below cost",
             data={"action": "stay", "profile": "c0x8,w11"},
         )
-        monitor.record(
+        monitor.journal.append(
             5, "replan", category="switch", severity="warning",
             message="tp4.f2.d2.mb8+ckpt -> tp2.f4.d2.mb4+pf",
             data={"migration_cost_s": 0.02},

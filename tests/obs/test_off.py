@@ -5,7 +5,8 @@ handle that may be off, with call-site arguments and the neutral value
 ``OFF`` returns.  Every entry must bind to the live class's signature
 and to ``OFF``'s, return its neutral value, and leave ``OFF`` exactly as
 it was — there is no instance state for a call to touch.  This is where
-zero-cost-when-off is proven, once for all four channels.
+zero-cost-when-off is proven, once for all five channels (tracer,
+metrics, monitor, the monitor's journal and the fault injector).
 """
 
 import inspect
@@ -17,6 +18,7 @@ from repro.obs import (
     NULL_TRACER,
     OFF,
     Counter,
+    EventJournal,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -36,6 +38,7 @@ LIVE = {
     Gauge: lambda: Gauge("g"),
     Histogram: lambda: Histogram("h"),
     RunMonitor: RunMonitor,
+    EventJournal: EventJournal,
     FaultInjector: lambda: FaultInjector(FaultPlan([])),
 }
 
@@ -70,23 +73,23 @@ METHODS = [
     ("metrics", Gauge, "set", (5.0,), {}, None),
     ("metrics", Gauge, "max", (5.0,), {}, None),
     ("metrics", Histogram, "observe", (1.0,), {}, None),
-    # monitor: StepLoop hooks and out-of-loop records
+    # monitor: StepLoop hooks; its journal: the one write path
     ("monitor", RunMonitor, "attach_session", (None,), {}, None),
     ("monitor", RunMonitor, "on_step_start", (None, 0), {}, None),
     ("monitor", RunMonitor, "on_step_end", (None, None), {}, None),
     ("monitor", RunMonitor, "observe_gauges", (0, {"m": 1.0}), {}, None),
-    ("monitor", RunMonitor, "record", (0, "fold"), {}, None),
-    ("monitor", RunMonitor, "record", (0, "fold"),
+    ("journal", EventJournal, "append", (0, "fold"), {}, None),
+    ("journal", EventJournal, "append", (0, "fold"),
      {"category": "exact", "message": "fault window"}, None),
-    ("monitor", RunMonitor, "record", (0, "checkpoint"),
+    ("journal", EventJournal, "append", (0, "checkpoint"),
      {"category": "rollback", "severity": "warning", "message": "d"}, None),
-    ("monitor", RunMonitor, "record", (0, "recovery"),
+    ("journal", EventJournal, "append", (0, "recovery"),
      {"category": "gpu_crash", "severity": "warning", "message": "m",
       "data": {"rank": 3}}, None),
-    ("monitor", RunMonitor, "record", (0, "replan"),
+    ("journal", EventJournal, "append", (0, "replan"),
      {"category": "decision", "severity": "info", "message": "m", "data": {}},
      None),
-    ("monitor", RunMonitor, "record", (0, "run"),
+    ("journal", EventJournal, "append", (0, "run"),
      {"category": "start", "message": "run begins"}, None),
     # injector: the timeline hooks and the step hooks
     ("injector", FaultInjector, "before_compute", (0, 0.25, "gemm"), {},
@@ -106,6 +109,7 @@ ATTRIBUTES = [
     ("tracer", Tracer, "metrics", SELF),
     ("metrics", MetricsRegistry, "generation", 0),
     ("monitor", RunMonitor, "enabled", False),
+    ("monitor", RunMonitor, "journal", SELF),
 ]
 
 
@@ -200,5 +204,5 @@ class TestOffConformance:
         OFF.on_step_start(None, 0)
         OFF.on_step_end(None, None)
         OFF.observe_gauges(0, {"m": 1.0})
-        OFF.record(0, "fold", category="exact")
-        assert not OFF.enabled
+        OFF.journal.append(0, "fold", category="exact")
+        assert not OFF.enabled and len(OFF.journal) == 0
