@@ -121,6 +121,11 @@ GUARDS = [
      SRC_TESTS_EXAMPLES),
     # `repro crossover` ranks with run_search's score_space.
     ("one ranking for crossover", "-w", "CrossoverRow", SRC_TESTS_EXAMPLES),
+    # One compiled replay form (EventStream.compiled per receiver
+    # signature, landed by Timeline._land); the flat-only compiler and
+    # its per-rank columns are gone.
+    ("one compiled replay form", "-wE", "_compile|_apply|_RankColumns|exposed_memo",
+     SRC_TESTS_EXAMPLES),
 ]
 
 

@@ -4,17 +4,20 @@ The symmetry-folded timeline is what makes the 113B model simulatable
 at the full 49,152-GCD Frontier machine; these cases gate both sides
 of that bargain.  The ``quick``-marked wall-clock ceiling fails CI if
 the folded full-machine meta step regresses past 1.2 seconds of real
-time (the whole point of folding), and the baseline comparison holds
-the frontier entries of ``BENCH_obs.json`` to the same 5% drift gate
-as the small cases.
+time (the whole point of folding), a host-independent count holds a
+repeated case to its compiled step replay (no ``record_comm`` call at
+all), and the baseline comparison holds the frontier entries of
+``BENCH_obs.json`` to the same 5% drift gate as the small cases.
 """
 
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.bench import (
+    DEFAULT_MATRIX,
     DEFAULT_TOLERANCE,
     FRONTIER_MATRIX,
     compare,
@@ -22,6 +25,7 @@ from repro.bench import (
     run_case,
     to_document,
 )
+from repro.cluster.timeline import Timeline
 
 BASELINE = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
@@ -51,6 +55,28 @@ def test_full_machine_meta_step_under_wall_clock_ceiling(once):
     assert record.bound_resource == "compute"
     assert 60.0 < record.step_time_s < 600.0
     assert 0.0 <= record.exposed_comm_fraction < 0.5
+
+
+@pytest.mark.quick
+@pytest.mark.parametrize("case", [_FULL_MACHINE, DEFAULT_MATRIX[0]],
+                         ids=lambda c: c.name)
+def test_a_repeated_case_lands_its_step_without_the_walk(monkeypatch, case):
+    """A repeated ``run_case`` in one process replays the step tape the
+    first stored; the first replay walks it (18,500 ``record_comm``
+    calls for the full machine), and the next lands its compiled form:
+    not one ``record_comm`` call."""
+    for _ in range(2):
+        run_case(case)
+    calls = Counter()
+    record_comm = Timeline.record_comm
+
+    def counted(self, *args, **kwargs):
+        calls["record_comm"] += 1
+        return record_comm(self, *args, **kwargs)
+
+    monkeypatch.setattr(Timeline, "record_comm", counted)
+    run_case(case)
+    assert calls["record_comm"] == 0
 
 
 @pytest.mark.quick

@@ -32,23 +32,30 @@ Captures nest, and a replay made under one is kept by reference, so a
 step's stream holds its trunk's one executed block once.
 
 That event walk is also the oracle of the one shortcut here: a stream
-wrapped as an :class:`EventStream` carries per-rank float columns, and
-a replay that nothing but the ledgers can observe — exact timeline,
-tracer off, no capture open, no injector — adds the columns instead of
-visiting the events (:meth:`Timeline.replay` states the conditions;
+wrapped as an :class:`EventStream` compiles, once per receiver
+signature (where a tracer or an event log observes it, on its second
+replay there: the first walks), to per-ledger float columns, span-row
+indices and log entries, and a replay that no capture and no injector
+observes lands them in bulk instead of visiting the events — on an
+exact or a folded timeline, traced or not, nested replays and folded
+segments included (:meth:`Timeline.replay` states the conditions;
 ``tests/cluster/test_compiled_replay.py`` holds the two paths ``==``).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from repro.obs.off import OFF
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import SPAN_KINDS, Tracer, comm_rows, compute_rows, free_rows
 
 
 def stretch_compute(seconds: float, factor: float, op: str) -> float:
@@ -82,118 +89,562 @@ class RankLedger:
         return self.compute_s + self.exposed_comm_s
 
 
-#: Budget-program opcodes: compute grows a rank's overlap budget, an
+#: Budget-program opcodes: compute grows a ledger's overlap budget, an
 #: overlappable collective hides under it, a blocking one resets it.
 _GROW, _HIDE, _RESET = range(3)
 
+#: What a landed event is, in a compiled form's merge orders: the
+#: three ``record_*`` kinds, and a folded segment's marker.  The first
+#: two also index a ledger's ``[computes, collectives]`` counts.
+_COMPUTE, _COMM, _FREE, _MARK = range(4)
 
-class _RankColumns(NamedTuple):
-    """What one rank's ledger sees of a compiled stream, in event order."""
 
-    #: The rank as the stream names it (before a replay's ``offset``).
-    rank: int
+class _LedgerColumns(NamedTuple):
+    """What one ledger sees of a compiled replay, in event order."""
+
+    #: The ledger: a rank, or a folded timeline's class key.
+    address: object
     compute_s: tuple
     flops: tuple
     comm_s: tuple
     comm_bytes: tuple
-    #: ``(opcode, seconds)`` per event of this rank: the only state the
-    #: exposed split of its collectives depends on.
-    budget_program: tuple
-    #: ``{entry budget: (exposed column, exit budget)}``, or ``None``
+    #: The budget program: one opcode per compute and collective, whose
+    #: seconds are the next of ``compute_s`` or ``comm_s``.
+    ops: bytes
+    #: ``{entry budget: (exposed, hidden, exit budget)}``, or ``None``
     #: when no blocking collective makes an entry budget likely to recur.
-    exposed_memo: dict | None
+    memo: dict | None
+
+
+class _Landed(NamedTuple):
+    """What a tracer and an event log read of a compiled replay."""
+
+    #: Per kind (compute, comm, free): the entries as recorded, in walk
+    #: order.
+    events: tuple
+    #: Per kind: their rank (compute) or group, shifted by the offset
+    #: they land at, or ``None`` when every offset was 0.
+    ranks: tuple
+    #: Per kind: the indices of their op names and scopes in ``texts``.
+    names: tuple
+    scopes: tuple
+    #: The texts the entries name, as recorded, grouped by rename
+    #: context; ``contexts`` holds ``(renames before the replay's own,
+    #: renames after them, how many texts)`` per group.
+    texts: tuple
+    contexts: tuple
+    #: The log's merge order: a kind code per landed event or marker.
+    order: bytes
+    markers: tuple
+
+
+class _Rows(NamedTuple):
+    """The span rows of a compiled replay, per kind, in walk order."""
+
+    #: Per kind and row: its event's index among that kind's events, its
+    #: ledger's index, and where that ledger's clock reads before the
+    #: event in the flat compute and exposed prefixes (which the hidden
+    #: column shares).
+    event: tuple
+    ledger: tuple
+    at_compute: tuple
+    at_exposed: tuple
+    order: bytes
+    #: ``((span kind, rows), ...)`` in the order the rows first use them.
+    counts: tuple
+
+
+class _Form(NamedTuple):
+    """A stream compiled for one receiver signature."""
+
+    ledgers: tuple
+    collectives: int
+    #: ``None`` where nothing but the ledgers observes a replay.
+    landed: _Landed | None
+    #: ``None`` untraced.
+    rows: _Rows | None
+    #: The offset it was compiled at; a replay at another offset lands
+    #: its per-rank ledgers shifted by the difference.
+    offset: int
+    #: The lowest and highest rank addressed on a per-rank ledger list
+    #: (``(0, -1)`` if none).
+    ranks: tuple
 
 
 class EventStream(tuple):
-    """An immutable captured event stream that carries its compiled form.
+    """An immutable captured event stream that carries its compiled forms.
 
-    A rank's ledger sees only its own events, and every ledger field is
-    an independent *sequential* sum over them, so a stream compiles to
-    one float column per field and rank.  The one non-linearity is the
+    A ledger sees only its own events, and every ledger field is an
+    independent *sequential* sum over them, so a stream compiles to one
+    float column per field and ledger.  The one non-linearity is the
     overlap budget (``hidden = min(seconds, budget)``): for a fixed
-    stream the exposed seconds of each collective and the exit budget
-    are a pure function of the budget the rank *enters* with, so they
-    are computed by running the rank's budget program once per distinct
-    entry budget and memoized under it.  A trunk's blocks each end on a
-    blocking collective per rank, so copy 2...L of a depth replay enter
-    with the same budget and hit the memo.
+    stream the exposed and hidden seconds of each collective and the
+    exit budget are a pure function of the budget the ledger *enters*
+    with, so they come from running the ledger's budget program once per
+    distinct entry budget, memoized under it.  A span's ``t0`` is the
+    ledger's clock before its event, read off running prefixes of the
+    compute and exposed columns; names and scopes index a table of the
+    distinct ones, renamed once per replay.
 
-    The compiled form is an attribute of the stream, never a module
-    cache, so it is freed with the probe that holds the stream.
-    :meth:`Timeline.replay` applies it only where nothing but the
-    ledgers can observe the difference (see there); the event walk is
-    its oracle.
+    Which ledgers an event lands on, which events a release marker or a
+    folded segment turns into and which rows and log entries they leave
+    depend on the receiver, so a form is compiled per signature
+    (:meth:`Timeline._signature`: the timeline's kind and partition,
+    its fold state, tracer on or off, and the offset — which an untraced
+    exact timeline, reading nothing but rank-shifted ledgers, leaves out)
+    and kept on the stream, never in a module cache: it is freed with
+    the stream.  A form that carries span rows or log entries costs
+    about one walk to build, so where a tracer or an event log observes
+    the replay a signature's first replay walks and its second builds
+    the form every later one lands: a tape replayed once never pays for
+    a form.  A form of ledger columns alone (an untraced exact
+    timeline) is built at the first replay.
+    :meth:`Timeline.replay` says where a form is applied; the event walk
+    is its oracle.
     """
 
-    _compiled = None
+    _forms = None
 
-    def compiled(self) -> tuple:
-        """``(per-rank columns, collective count)``, built on first use;
-        the columns are ``None`` for a stream with folded-segment
-        markers or by-reference replays, which only the event walk
-        resolves.  Seconds are validated here, once: a negative value
-        raises the ``ValueError`` the walk would.
-        """
-        if self._compiled is None:
-            self._compiled = _compile(self)
-        return self._compiled
-
-
-def _compile(events) -> tuple:
-    """:meth:`EventStream.compiled`'s builder."""
-    #: rank -> (compute_s, flops, comm_s, comm_bytes, budget program)
-    columns = defaultdict(lambda: ([], [], [], [], []))
-    collectives = 0
-    for entry in events:
-        tag = entry[0]
-        if tag == "compute":
-            _, rank, seconds, flops = entry[:4]
-            if seconds < 0:
-                raise ValueError("compute seconds must be non-negative")
-            compute_s, flops_column, _, _, program = columns[rank]
-            compute_s.append(seconds)
-            flops_column.append(flops)
-            program.append((_GROW, seconds))
-        elif tag == "comm":
-            _, ranks, seconds, nbytes, overlappable = entry[:5]
-            if seconds < 0:
-                raise ValueError("comm seconds must be non-negative")
-            collectives += 1
-            step = (_HIDE if overlappable else _RESET, seconds)
-            for rank in ranks:
-                _, _, comm_s, comm_bytes, program = columns[rank]
-                comm_s.append(seconds)
-                comm_bytes.append(nbytes)
-                program.append(step)
-        elif tag != "free":  # an untraced exact timeline drops releases
-            return None, 0  # a segment marker or a by-reference replay
-    return (
-        tuple(
-            _RankColumns(
-                rank, *map(tuple, fields),
-                {} if any(op == _RESET for op, _ in fields[-1]) else None)
-            for rank, fields in columns.items()),
-        collectives,
-    )
+    def compiled(self, timeline, offset: int = 0) -> "_Form | None":
+        """The form for ``timeline`` at ``offset``, compiled on the
+        signature's second use where a tracer or an event log observes
+        the replay and on its first elsewhere; ``None`` where the walk
+        replays it: on an observed signature's first use, and wherever
+        only the walk can (a comm kind the tracer does not know).
+        Seconds are validated at compile time, once: a negative value
+        raises the ``ValueError`` the walk would, before anything
+        lands."""
+        forms = self._forms
+        if forms is None:
+            forms = self._forms = {}
+        signature = timeline._signature(offset)
+        form = forms.get(signature, _UNSEEN)
+        if form is _UNSEEN and (timeline.tracer.enabled or timeline._keeps_log):
+            forms[signature] = _WALKED
+            return None
+        if form is _UNSEEN or form is _WALKED:
+            form = forms[signature] = _Compiler(timeline).form(self, signature[-1])
+        return form
 
 
-def _run_budget(program, budget) -> tuple:
-    """``(exposed column, exit budget)`` of one rank's budget program
-    entered with ``budget``: the arithmetic of ``record_compute`` /
-    ``record_comm`` on ``overlap_budget_s``, expression for expression."""
-    exposed = []
-    for op, seconds in program:
+#: :meth:`EventStream.compiled`'s marks for a signature not replayed
+#: yet, and for one the walk has replayed once.
+_UNSEEN, _WALKED = object(), object()
+
+
+class _Compiler:
+    """What :meth:`EventStream.compiled` runs: :meth:`Timeline._replay`'s
+    walk, with each event's landing written down instead of made.
+
+    A by-reference ``("replay", ...)`` entry is compiled once per
+    stream, offset and segment state as a *piece* — a compiler of its
+    own, run on the inner stream alone — and spliced into this one per
+    entry with its ledgers, counts, event indices and rename context
+    rebased, so a trunk's L - 1 block copies cost L - 1 splices, not
+    L - 1 walks.
+    """
+
+    def __init__(self, timeline, pieces=None):
+        self.timeline = timeline
+        self.traced = timeline.tracer.enabled
+        #: Whether anything past the ledgers reads an event (its name,
+        #: scope and release markers): a tracer or an event log.
+        self.observed = self.traced or timeline._keeps_log
+        self.pieces = {} if pieces is None else pieces
+        self.index: dict = {}    # ledger address -> its index
+        self.columns: list = []  # per ledger: 4 columns and a bytearray
+        #: per ledger: [computes, collectives] so far (kept traced, for
+        #: the rows' clock indices)
+        self.counts: list = []
+        #: per segment state (outside, inside a folded FSDP segment):
+        #: ranks -> the indices of the ledgers they land on
+        self.landing = ({}, {})
+        self.collectives = 0
+        self.valid = True
+        if not self.observed:
+            return
+        self.texts: list = []
+        self.text_context = array("i")
+        self.contexts: dict = {}  # (prefix, suffix) -> (number, {text: index})
+        self.events = ([], [], [])
+        self.ranks = ([], [], [])
+        self.names = tuple(array("i") for _ in range(3))
+        self.scopes = tuple(array("i") for _ in range(3))
+        self.shifted = False
+        self.order = bytearray()
+        self.markers: list = []
+        self.marks: dict = {}     # each distinct marker, kept once
+        #: per kind: each row's event, its ledger, and that ledger's
+        #: computes and collectives before it (made flat prefix indices
+        #: by ``form``)
+        self.rows = tuple(tuple(array("i") for _ in range(4)) for _ in range(3))
+        self.row_order = bytearray()
+        self.kinds: dict = {}    # span kind -> rows, in first-use order
+
+    def form(self, events, offset) -> _Form | None:
+        self.walk(events, 0, len(events), offset, (), (),
+                  self.timeline._in_fsdp_segment())
+        addresses = list(self.index)
+        if not self.valid:
+            return None
+        ranks = [a for a in addresses if type(a) is int]
+        # Symmetric ledgers see equal columns: each distinct one is kept
+        # once, and ledgers with one budget program share its memo.
+        columns: dict = {}
+        memos: dict = {}
+        ledgers = []
+        for address, fields in zip(addresses, self.columns):
+            compute_s, flops, comm_s, comm_bytes = (
+                _interned(columns, column) for column in fields[:4])
+            ops = bytes(fields[4])
+            memo = memos.setdefault((ops, id(compute_s), id(comm_s)),
+                                    {} if _RESET in ops else None)
+            ledgers.append(_LedgerColumns(address, compute_s, flops, comm_s,
+                                          comm_bytes, ops, memo))
+        del columns, memos
+        landed = rows = None
+        if self.observed:
+            landed = self._landed()
+        if self.traced:
+            # Ledger j's prefixes start at the sum of the earlier ones'
+            # lengths, each one longer than its column.
+            at_c, at_e, c, e = [], [], 0, 0
+            for computes, collectives in self.counts:
+                at_c.append(c)
+                at_e.append(e)
+                c += computes + 1
+                e += collectives + 1
+            rows = [tuple(map(_ints, per_kind)) for per_kind in self.rows]
+            rows = _Rows(
+                tuple(_compact(per_kind[0], len(events))
+                      for per_kind, events in zip(rows, self.events)),
+                tuple(_compact(per_kind[1], len(at_c)) for per_kind in rows),
+                *(tuple(_compact(np.take(at, per_kind[1]) + per_kind[field], bound)
+                        for per_kind in rows)
+                  for at, field, bound in ((at_c, 2, c), (at_e, 3, e))),
+                bytes(self.row_order), tuple(self.kinds.items()))
+        return _Form(tuple(ledgers), self.collectives, landed, rows, offset,
+                     (min(ranks, default=0), max(ranks, default=-1)))
+
+    def _landed(self) -> _Landed:
+        """The landed events, their texts grouped by rename context."""
+        grouped = np.argsort(_ints(self.text_context), kind="stable")
+        moved = np.empty_like(grouped)
+        moved[grouped] = np.arange(len(grouped))
+        sizes = np.bincount(_ints(self.text_context), minlength=len(self.contexts))
+        return _Landed(
+            tuple(map(tuple, self.events)),
+            tuple(map(tuple, self.ranks)) if self.shifted else (None,) * 3,
+            *(tuple(_compact(np.take(moved, _ints(ids)), len(grouped))
+                    for ids in per_kind)
+              for per_kind in (self.names, self.scopes)),
+            tuple(map(self.texts.__getitem__, grouped.tolist())),
+            tuple((*renames, size) for renames, size
+                  in zip(self.contexts, sizes.tolist()) if size),
+            bytes(self.order), tuple(self.markers))
+
+    def _ledgers(self, key, ranks, in_fsdp) -> tuple:
+        """The indices of the ledgers an event over ``ranks`` lands on,
+        kept under ``key`` (a compute's one rank, or the group)."""
+        found = self.landing[in_fsdp][key] = tuple(
+            map(self._ledger, self.timeline._landing(ranks, in_fsdp)))
+        return found
+
+    def _ledger(self, address) -> int:
+        j = self.index.get(address)
+        if j is None:
+            j = self.index[address] = len(self.columns)
+            self.columns.append(([], [], [], [], bytearray()))
+            self.counts.append([0, 0])
+        return j
+
+    def _context(self, prefix, suffix) -> tuple:
+        """``(number, {text: index})`` of a rename context."""
+        context = self.contexts.get((prefix, suffix))
+        if context is None:
+            context = self.contexts[prefix, suffix] = (len(self.contexts), {})
+        return context
+
+    def walk(self, events, start, end, offset, prefix, suffix, in_fsdp):
+        timeline, observed, traced = self.timeline, self.observed, self.traced
+        columns, counts, ledgers = self.columns, self.counts, self._ledgers
+        landing = self.landing[in_fsdp]
+        if observed:
+            number, seen = self._context(prefix, suffix)
+            order, markers, marks = self.order, self.markers, self.marks
+            self.shifted = self.shifted or bool(offset)
+        #: the segment state outside each folded segment open here
+        outside: list = []
+        collectives = 0
+        i = start
+        while i < end:
+            entry = events[i]
+            tag = entry[0]
+            i += 1
+            if tag == "comm":
+                seconds = entry[2]
+                if seconds < 0:
+                    raise ValueError("comm seconds must be non-negative")
+                group = tuple(r + offset for r in entry[1]) if offset else entry[1]
+                collectives += 1
+                landed = landing.get(group)
+                if landed is None:
+                    landed = ledgers(group, group, in_fsdp)
+                amount, op = entry[3], _HIDE if entry[4] else _RESET
+                for j in landed:
+                    fields = columns[j]
+                    fields[2].append(seconds)
+                    fields[3].append(amount)
+                    fields[4].append(op)
+                kind = _COMM
+            elif tag == "compute":
+                seconds = entry[2]
+                if seconds < 0:
+                    raise ValueError("compute seconds must be non-negative")
+                group = entry[1] + offset
+                landed = landing.get(group)
+                if landed is None:
+                    landed = ledgers(group, (group,), in_fsdp)
+                amount = entry[3]
+                for j in landed:
+                    fields = columns[j]
+                    fields[0].append(seconds)
+                    fields[1].append(amount)
+                    fields[4].append(_GROW)
+                kind = _COMPUTE
+            elif tag == "free":
+                if not observed:
+                    continue  # an untraced exact timeline drops releases
+                group = tuple(r + offset for r in entry[1]) if offset else entry[1]
+                if traced:
+                    landed = landing.get(group)
+                    if landed is None:
+                        landed = ledgers(group, group, in_fsdp)
+                else:
+                    landed = ()  # logged, never on a ledger
+                kind = _FREE
+            elif tag == "push":
+                _, axis, count, stride, rename = entry
+                if timeline.folds_axis(axis) and count:
+                    # walked in line: one iteration, closed at its "pop"
+                    marker = timeline._push_marker(axis)
+                    markers.append(marks.setdefault(marker, marker))
+                    order.append(_MARK)
+                    outside.append(in_fsdp)
+                    in_fsdp = in_fsdp or axis == "fsdp"
+                    landing = self.landing[in_fsdp]
+                    continue
+                j = _segment_end(events, i - 1)
+                if not timeline.folds_axis(axis):
+                    for it in range(count):
+                        self.walk(events, i, j - 1, offset + it * stride,
+                                  prefix, _iteration_renames(suffix, rename, it),
+                                  in_fsdp)
+                i = j  # fold_iter opens no segment over nothing
+                continue
+            elif tag == "pop":
+                markers.append(marks.setdefault(entry, entry))
+                order.append(_MARK)
+                in_fsdp = outside.pop()
+                landing = self.landing[in_fsdp]
+                continue
+            else:  # "replay"
+                _, inner, inner_offset, inner_renames = entry
+                self._splice(inner, offset + inner_offset,
+                             inner_renames + prefix, suffix, in_fsdp)
+                continue
+            if not observed:
+                continue
+            if traced and landed:
+                # Each row, with its ledger's computes and collectives
+                # before it (a rank named twice sees its first landing).
+                row_event, row_ledger, row_computes, row_collectives = \
+                    self.rows[kind]
+                event = len(self.events[kind])
+                for j in landed:
+                    at = counts[j]
+                    row_event.append(event)
+                    row_ledger.append(j)
+                    row_computes.append(at[0])
+                    row_collectives.append(at[1])
+                    if kind != _FREE:
+                        at[kind] += 1
+                self.row_order.extend(bytes((kind,)) * len(landed))
+                span_kind = ("compute" if kind == _COMPUTE else
+                             entry[7] if kind == _COMM else "gather")
+                if span_kind not in SPAN_KINDS:
+                    self.valid = False  # the walk raises the tracer's error
+                self.kinds[span_kind] = self.kinds.get(span_kind, 0) + len(landed)
+            name_at, scope_at = _NAME_AND_SCOPE[tag]
+            name, scope = entry[name_at], entry[scope_at]
+            name_id = seen.get(name)
+            if name_id is None:
+                name_id = seen[name] = self._text(name, number)
+            scope_id = seen.get(scope)
+            if scope_id is None:
+                scope_id = seen[scope] = self._text(scope, number)
+            self.events[kind].append(entry)
+            self.ranks[kind].append(group)
+            self.names[kind].append(name_id)
+            self.scopes[kind].append(scope_id)
+            order.append(kind)
+        self.collectives += collectives
+
+    def _splice(self, inner, offset, prefix, suffix, in_fsdp) -> None:
+        """Land a nested replay of ``inner``: its piece, rebased here."""
+        key = (id(inner), offset, in_fsdp)
+        piece = self.pieces.get(key)
+        if piece is None:
+            piece = self.pieces[key] = _Compiler(self.timeline, self.pieces)
+            piece.walk(inner, 0, len(inner), offset, (), (), in_fsdp)
+        here = [self._ledger(address) for address in piece.index]
+        if self.traced:
+            computes_at, collectives_at = np.array(
+                [self.counts[j] for j in here], np.int32).reshape(-1, 2).T
+        for j, fields, (computes, collectives) in zip(here, piece.columns,
+                                                      piece.counts):
+            mine = self.columns[j]
+            for column, more in zip(mine, fields):
+                column += more
+            self.counts[j][0] += computes
+            self.counts[j][1] += collectives
+        self.collectives += piece.collectives
+        self.valid = self.valid and piece.valid
+        if not self.observed:
+            return
+        self.shifted = self.shifted or piece.shifted
+        # The piece's texts follow this one's, each in the context it
+        # lands in here (a text two splices share is kept twice).
+        first_text = len(self.texts)
+        contexts = [self._context(inner_prefix + prefix, suffix + inner_suffix)[0]
+                    for inner_prefix, inner_suffix in piece.contexts]
+        self.texts += piece.texts
+        _extend(self.text_context, np.take(contexts, _ints(piece.text_context)))
+        for kind in range(3):
+            if self.traced:
+                events, ledgers, computes, collectives = map(_ints, piece.rows[kind])
+                row_event, row_ledger, row_computes, row_collectives = \
+                    self.rows[kind]
+                _extend(row_event, events + len(self.events[kind]))
+                _extend(row_ledger, np.take(here, ledgers))
+                _extend(row_computes, np.take(computes_at, ledgers) + computes)
+                _extend(row_collectives,
+                        np.take(collectives_at, ledgers) + collectives)
+            self.events[kind].extend(piece.events[kind])
+            self.ranks[kind].extend(piece.ranks[kind])
+            _extend(self.names[kind], _ints(piece.names[kind]) + first_text)
+            _extend(self.scopes[kind], _ints(piece.scopes[kind]) + first_text)
+        self.order += piece.order
+        self.markers += piece.markers
+        self.row_order += piece.row_order
+        for span_kind, rows in piece.kinds.items():
+            self.kinds[span_kind] = self.kinds.get(span_kind, 0) + rows
+
+    def _text(self, text, context: int) -> int:
+        self.texts.append(text)
+        self.text_context.append(context)
+        return len(self.texts) - 1
+
+
+def _interned(kept: dict, column: list) -> tuple:
+    """``column`` as a tuple, the one already in ``kept`` if that holds
+    the same doubles (equal floats are not enough: -0.0 == 0.0)."""
+    column = tuple(column)
+    found = kept.setdefault(column, column)
+    if found is column or array("d", found).tobytes() == array("d", column).tobytes():
+        return found
+    return column
+
+
+def _ints(values: array) -> np.ndarray:
+    """An ``array("i")`` as NumPy int32s (a view)."""
+    return np.frombuffer(values, np.int32)
+
+
+def _extend(values: array, more: np.ndarray) -> None:
+    """Append NumPy ints to an ``array("i")``."""
+    values.frombytes(more.astype(np.int32).tobytes())
+
+
+def _indices(values: array) -> np.ndarray:
+    """A :func:`_compact` array as NumPy indices (a view)."""
+    return np.frombuffer(values, values.typecode)
+
+
+def _compact(values: np.ndarray, top: int) -> array:
+    """``values``, ints in ``range(top)``, in the narrowest array that
+    holds them."""
+    code = next(code for code in "BHIL" if top <= 1 << 8 * array(code).itemsize)
+    return array(code, values.astype(code).tobytes())
+
+
+def _run_budget(columns: _LedgerColumns, budget, traced: bool) -> tuple:
+    """``(exposed, hidden, exit budget)`` of one ledger's budget program
+    entered with ``budget`` (``hidden`` is ``None`` untraced): the
+    arithmetic of ``record_compute`` / ``record_comm`` on
+    ``overlap_budget_s``, expression for expression.  Traced,
+    ``exposed`` is kept as C doubles (exact, a third of the size of
+    float objects, for the large memos of step tapes) and ``hidden``
+    holds the very floats the walk's spans would; untraced, ``exposed``
+    is a tuple, which a landing sums without making a float per item."""
+    grows, costs = iter(columns.compute_s), iter(columns.comm_s)
+    exposed, hidden = [], [] if traced else None
+    for op in columns.ops:
         if op == _GROW:
-            budget += seconds
+            budget += next(grows)
             continue
+        seconds = next(costs)
         if op == _HIDE:
-            hidden = min(seconds, budget)
-            budget -= hidden
+            part = min(seconds, budget)
+            budget -= part
         else:
-            hidden = 0.0
+            part = 0.0
             budget = 0.0
-        exposed.append(seconds - hidden)
-    return tuple(exposed), budget
+        exposed.append(seconds - part)
+        if traced:
+            hidden.append(part)
+    if not traced:
+        return tuple(exposed), None, budget
+    return array("d", exposed), tuple(hidden), budget
+
+
+def _renamed_texts(landed: _Landed, renames: tuple) -> list:
+    """``landed.texts`` with each context's renames and ``renames``
+    applied: the names and scopes the walk's ``_Renamed`` memos hold."""
+    out, at = [], 0
+    for prefix, suffix, size in landed.contexts:
+        texts = landed.texts[at:at + size]
+        at += size
+        for old, new in prefix + renames + suffix:
+            texts = [text.replace(old, new) for text in texts]
+        out += texts
+    return out
+
+
+#: Fields of a recorded entry: a compute's rank or a comm's or free's
+#: group; seconds; a compute's FLOPs or a comm's or free's bytes; a
+#: comm's overlappable flag and its collective kind.
+_RANKS, _SECONDS, _AMOUNT, _OVERLAPPABLE, _KIND = map(itemgetter, (1, 2, 3, 4, 7))
+
+
+def _merged(landed: _Landed, shifted, names, scopes, traced: bool):
+    """A folded timeline's log entries of a compiled replay, lazily, in
+    the walk's order: what ``_land_*`` and ``_mark`` append, the scope
+    and collective kind an untraced tracer reports included."""
+    computes, comms, frees = landed.events
+    if not traced:
+        scopes = [repeat("")] * 3
+    sources = (
+        zip(repeat("compute"), shifted[0], map(_SECONDS, computes),
+            map(_AMOUNT, computes), names[0], scopes[0]),
+        zip(repeat("comm"), shifted[1], map(_SECONDS, comms),
+            map(_AMOUNT, comms), map(_OVERLAPPABLE, comms), names[1],
+            scopes[1], map(_KIND, comms) if traced else repeat("collective")),
+        zip(repeat("free"), shifted[2], names[2], map(_AMOUNT, frees),
+            scopes[2]),
+        iter(landed.markers),
+    )
+    return map(next, map(sources.__getitem__, landed.order))
 
 
 class Timeline:
@@ -383,22 +834,23 @@ class Timeline:
         spans it labels share one string.  While a :meth:`capture` is
         open the replay is recorded there and walked with it suspended.
 
-        An :class:`EventStream` skips that walk and lands as per-rank
-        column sums (:meth:`_apply`) iff all four hold: this is an exact
-        ``Timeline`` (a folded one logs and class-maps every event), the
-        tracer is off, no :meth:`capture` is open and no fault injector
-        is attached — then names, scopes and ``renames`` have no
-        observer and only the ledgers and the collective-id counter
-        can tell, which :meth:`_apply` leaves ``==`` to the walk's.
-        Everything else, and every plain list, takes the walk.
+        An :class:`EventStream` skips that walk iff no :meth:`capture`
+        is open and no fault injector is attached: the two observers
+        that see each call as it is made.  It lands from the form
+        compiled for this timeline's signature (:meth:`_land`; a traced
+        or folded timeline walks the signature's first replay, see
+        :meth:`EventStream.compiled`) —
+        ledger columns, span rows with the walk's clocks, splits and
+        collective ids, ``spans.*`` counts and a folded timeline's log
+        entries, each in the walk's order and ``==`` to what the walk
+        leaves.  Every plain list, and every stream under a capture or
+        an injector, takes the walk.
         """
         capture = self._capture
-        if (isinstance(events, EventStream) and type(self) is Timeline
-                and not self.tracer.enabled and capture is None
-                and self.injector is OFF):
-            columns, collectives = events.compiled()
-            if columns is not None:
-                self._apply(columns, collectives, offset)
+        if (capture is None and self.injector is OFF
+                and isinstance(events, EventStream)):
+            form = events.compiled(self, offset)
+            if form is not None and self._land(form, renames, offset):
                 return
         if capture is not None:
             capture.append(("replay", events, offset, renames))
@@ -454,22 +906,83 @@ class Timeline:
                     self.record_free(ranks, name, nbytes)
             i += 1
 
-    def _apply(self, columns, collectives: int, offset: int) -> None:
-        """Add a compiled stream's columns to the ledgers it touches.
+    # -- compiled replay: what the receiver contributes ------------------
+    def _signature(self, offset: int) -> tuple:
+        """What a stream's compiled form depends on besides the stream,
+        ending in the offset to compile at: untraced, an exact timeline
+        reads nothing but rank-shifted ledgers, so one form at offset 0
+        serves every offset."""
+        traced = self.tracer.enabled
+        return (type(self), traced, offset if traced else 0)
 
-        Each field is accumulated left to right from the ledger's
-        current value — bitwise the ``+=`` sequence the walk performs
-        on that rank — and the collective-id counter moves on by the
-        stream's collective count.
+    def _in_fsdp_segment(self) -> bool:
+        return False
+
+    def _landing(self, ranks: tuple, in_fsdp: bool) -> tuple:
+        """The ledgers an event over ``ranks`` lands on, in landing order."""
+        return ranks
+
+    def _ledger_store(self):
+        """Where :meth:`_landing`'s addresses index."""
+        return self._ledgers
+
+    def _row_owner(self, address) -> tuple:
+        """``(rank, members)`` of a ledger's span rows."""
+        return address, None
+
+    def _log_entries(self, entries) -> None:
+        """Keep a compiled replay's log entries (none kept here)."""
+
+    def _land(self, form: _Form, renames: tuple, offset: int) -> bool:
+        """Land a compiled form at ``offset`` (its per-rank ledgers
+        shifted by the difference from the offset it was compiled at);
+        ``False`` (nothing landed) if that names a rank outside this
+        timeline's ledgers, for the walk to raise on (or wrap, as its
+        list indexing does).
+
+        Each ledger field is accumulated left to right from the ledger's
+        current value — bitwise the ``+=`` sequence the walk performs on
+        that ledger — the collective-id counter moves on by the stream's
+        collective count, and the walk's rows and log entries are built
+        column-wise and merged back into its order.
         """
-        ledgers = self._ledgers
-        for (rank, compute_s, flops, comm_s, comm_bytes, program,
-             memo) in columns:
-            led = ledgers[rank + offset]
-            acc = led.compute_s
-            for x in compute_s:
-                acc += x
-            led.compute_s = acc
+        ledgers, collectives, landed, rows, compiled_at, (low, high) = form
+        shift = offset - compiled_at
+        if low + shift < 0 or high + shift >= len(self._ledgers):
+            return False
+        store = self._ledger_store()
+        traced = rows is not None
+        if traced:
+            # The clocks' prefixes as C doubles: no float object outlives
+            # the replay but the clocks made of them.
+            compute_at, exposed_at, hidden_at = array("d"), array("d"), []
+        for columns in ledgers:
+            (address, compute_s, flops, comm_s, comm_bytes, ops,
+             memo) = columns
+            led = store[address + shift if shift else address]
+            budget = led.overlap_budget_s
+            split = memo.get(budget) if memo is not None else None
+            if split is None:
+                split = _run_budget(columns, budget, traced)
+                if memo is not None:
+                    memo[budget] = split
+            exposed, hidden, led.overlap_budget_s = split
+            if traced:  # every prefix, for the clocks
+                compute_at.extend(accumulate(compute_s, initial=led.compute_s))
+                led.compute_s = compute_at[-1]
+                exposed_at.extend(accumulate(exposed, initial=led.exposed_comm_s))
+                led.exposed_comm_s = exposed_at[-1]
+                hidden_at += hidden
+                hidden_at.append(0.0)
+            else:
+                acc = led.compute_s
+                for x in compute_s:
+                    acc += x
+                led.compute_s = acc
+                acc = led.exposed_comm_s
+                for x in exposed:
+                    acc += x
+                led.exposed_comm_s = acc
             acc = led.flops
             for x in flops:
                 acc += x
@@ -482,19 +995,63 @@ class Timeline:
             for x in comm_bytes:
                 acc += x
             led.comm_bytes = acc
-            budget = led.overlap_budget_s
-            split = memo.get(budget) if memo is not None else None
-            if split is None:
-                split = _run_budget(program, budget)
-                if memo is not None:
-                    memo[budget] = split
-            exposed, led.overlap_budget_s = split
-            acc = led.exposed_comm_s
-            for x in exposed:
-                acc += x
-            led.exposed_comm_s = acc
-        self._collective_ids = itertools.count(
-            next(self._collective_ids) + collectives)
+        first_cid = next(self._collective_ids)
+        self._collective_ids = itertools.count(first_cid + collectives)
+        if landed is None:
+            return True
+        text = _renamed_texts(landed, renames).__getitem__
+        names = [list(map(text, ids)) for ids in landed.names]
+        scopes = [list(map(text, ids)) for ids in landed.scopes]
+        ranks = [map(_RANKS, events) if shifted is None else shifted
+                 for events, shifted in zip(landed.events, landed.ranks)]
+        if traced:
+            self._trace(form, first_cid, names, scopes, compute_at, exposed_at,
+                        hidden_at)
+        self._log_entries(_merged(landed, ranks, names, scopes, traced))
+        return True
+
+    def _trace(self, form, first_cid, names, scopes, compute_at, exposed_at,
+               hidden_at) -> None:
+        """The span rows of a compiled replay, and their counts."""
+        landed, rows = form.landed, form.rows
+        owners = [self._row_owner(columns.address) for columns in form.ledgers]
+        rank_of = [rank for rank, _ in owners]
+        members_of = [members for _, members in owners]
+        # Each row's entry, once: its fields are read off it.
+        computes, comms, frees = (list(map(events.__getitem__, at))
+                                  for events, at in zip(landed.events, rows.event))
+
+        def per_event(kind, column):
+            return map(column.__getitem__, rows.event[kind])
+
+        def per_ledger(kind, column):
+            return map(column.__getitem__, rows.ledger[kind])
+
+        computed, exposed = np.frombuffer(compute_at), np.frombuffer(exposed_at)
+
+        def clocks(kind):  # one IEEE addition per row, as the walk's
+            return (computed[_indices(rows.at_compute[kind])]
+                    + exposed[_indices(rows.at_exposed[kind])]).tolist()
+
+        groups = landed.ranks[1]
+        self.tracer.extend_rows(rows.order, rows.counts, compute_rows(
+            per_event(0, names[0]), per_ledger(0, rank_of), clocks(0),
+            map(_SECONDS, computes), map(_AMOUNT, computes),
+            per_event(0, scopes[0]), per_ledger(0, members_of),
+        ), comm_rows(
+            map(_KIND, comms), per_event(1, names[1]), per_ledger(1, rank_of),
+            clocks(1), map(_SECONDS, comms),
+            map(hidden_at.__getitem__, rows.at_exposed[1]), map(_AMOUNT, comms),
+            map(_RANKS, comms) if groups is None else per_event(1, groups),
+            per_event(1, scopes[1]),
+            per_event(1, range(first_cid, first_cid + form.collectives)),
+            per_ledger(1, members_of),
+        ), free_rows(
+            per_event(2, ["free." + name for name in names[2]]),
+            per_ledger(2, rank_of), clocks(2), map(_AMOUNT, frees),
+            per_event(2, scopes[2]),
+        ))
+        self.tracer.set_context(None)
 
     # -- symmetry folding hooks (no-ops on the exact timeline) -------------
     def fold_iter(self, axis: str, iterable):
@@ -718,14 +1275,18 @@ class FoldedTimeline(Timeline):
         first = next(iter(iterable), None)
         if first is None:
             return
-        self._mark(("push", axis, self._axis_count(axis),
-                    self._axis_stride(axis), self._RENAMES.get(axis)))
+        self._mark(self._push_marker(axis))
         self._seg_stack.append(axis)
         try:
             yield first
         finally:
             self._mark(("pop",))
             self._seg_stack.pop()
+
+    def _push_marker(self, axis: str) -> tuple:
+        """The marker opening a folded segment over ``axis``."""
+        return ("push", axis, self._axis_count(axis), self._axis_stride(axis),
+                self._RENAMES.get(axis))
 
     def _mark(self, marker: tuple) -> None:
         """Log a segment marker, and hand it to an open capture."""
@@ -739,16 +1300,18 @@ class FoldedTimeline(Timeline):
         return list(items) + [items[-1]] * (size - len(items))
 
     # -- class coverage ----------------------------------------------------
-    def _covered(self, ranks):
+    def _covered(self, ranks, in_fsdp=None):
         """Class keys an event over ``ranks`` lands on, in rep-rank order.
 
-        Inside a folded FSDP segment the recorded rank stands for every
-        shard index, so its tensor-parallel column covers both the lead
-        (``f == 0``) and non-lead class; outside, a rank covers only its
-        own class (this is what keeps the dense lead-rank all-reduce off
-        the non-lead ledgers).
+        Inside a folded FSDP segment (``in_fsdp``; by default, whether
+        one is open now) the recorded rank stands for every shard index,
+        so its tensor-parallel column covers both the lead (``f == 0``)
+        and non-lead class; outside, a rank covers only its own class
+        (this is what keeps the dense lead-rank all-reduce off the
+        non-lead ledgers).
         """
-        in_fsdp = self.partition.fsdp_size > 1 and "fsdp" in self._seg_stack
+        if in_fsdp is None:
+            in_fsdp = self.partition.fsdp_size > 1 and "fsdp" in self._seg_stack
         cache_key = (tuple(ranks), in_fsdp)
         cached = self._covered_cache.get(cache_key)
         if cached is not None:
@@ -774,6 +1337,28 @@ class FoldedTimeline(Timeline):
             tracked = self._tracked_cache[key] = tuple(
                 r for r in key if r in self._rep_set)
         return tracked
+
+    # -- compiled replay: classes while folded, ranks once unfolded -------
+    def _signature(self, offset):
+        return (type(self), self.partition, self._folded,
+                self._in_fsdp_segment(), self.tracer.enabled, offset)
+
+    def _in_fsdp_segment(self):
+        return self.partition.fsdp_size > 1 and "fsdp" in self._seg_stack
+
+    def _landing(self, ranks, in_fsdp):
+        return self._covered(ranks, in_fsdp) if self._folded else ranks
+
+    def _ledger_store(self):
+        return self._class_ledgers if self._folded else self._ledgers
+
+    def _row_owner(self, address):
+        if self._folded:
+            return self._reps[address], self._sizes[address]
+        return address, None
+
+    def _log_entries(self, entries):
+        self._log.extend(entries)
 
     # -- landing: logged, then per class (folded) or per rank -------------
     _keeps_log = True

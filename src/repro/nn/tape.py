@@ -153,6 +153,9 @@ class _Recording:
         Each kernel output is renumbered onto the slot of a value already
         dead — a handful are live at once — so a replay frees every
         activation at its last use, as nothing will read it again.
+        A kernel is frozen as ``(fn, out, a, b)``: two operand slots, or
+        one and ``None``, or every slot in ``a`` and :data:`_SPREAD`,
+        so :func:`replay` reads its arity without measuring it.
         """
         last_use: dict[int, int] = {}
         for step, (_, args, _) in enumerate(self.program):
@@ -169,7 +172,12 @@ class _Recording:
                 if last_use[slot] == step and slot in renamed:
                     free.append(renamed.pop(slot))
             new = free.pop() if free else out
-            program.append((fn, new, *now))
+            if len(now) == 2:
+                program.append((fn, new, *now))
+            elif len(now) == 1:
+                program.append((fn, new, now[0], None))
+            else:
+                program.append((fn, new, now, _SPREAD))
             if out in last_use:
                 renamed[out] = new
             else:  # never read: its slot is free at once
@@ -181,6 +189,11 @@ class _Recording:
         )
 
 
+#: The second operand of a frozen kernel whose ``a`` holds all of its
+#: operand slots (a kernel of no operand, or of three or more).
+_SPREAD = object()
+
+
 def replay(tape: tuple, inputs) -> list:
     """Run a frozen tape on ``inputs``: its results, FLOPs credited once."""
     template, params, program, results, flops, matmul_flops = tape
@@ -188,16 +201,13 @@ def replay(tape: tuple, inputs) -> list:
     values[: len(inputs)] = inputs
     for slot, read, owner, key in params:
         values[slot] = read(owner, key)
-    for entry in program:  # (fn, out, *operand slots)
-        arity = len(entry)
-        if arity == 4:
-            fn, out, a, b = entry
-            values[out] = fn(values[a], values[b])
-        elif arity == 3:
-            fn, out, a = entry
+    for fn, out, a, b in program:
+        if b is None:
             values[out] = fn(values[a])
+        elif b is _SPREAD:
+            values[out] = fn(*[values[i] for i in a])
         else:
-            values[entry[1]] = entry[0](*[values[i] for i in entry[2:]])
+            values[out] = fn(values[a], values[b])
     record_flops(flops - matmul_flops)
     record_flops(matmul_flops, matmul=True)
     return [values[slot] for slot in results]

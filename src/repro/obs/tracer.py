@@ -40,6 +40,7 @@ import re
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import eq, itemgetter
 
 import numpy as np
@@ -150,6 +151,33 @@ def span_row(kind, name, rank, t0, dur, hidden_s=0.0, nbytes=0.0, flops=0.0,
     cid, members = extras.pop("cid", None), extras.pop("members", None)
     return (kind, name, rank, t0, dur, hidden_s, nbytes, flops, group, scope,
             cid, members, extras or None)
+
+
+# The bulk twins of the three Timeline hooks (``Tracer.on_compute``,
+# ``on_comm`` and ``mark_free``), for :meth:`Tracer.extend_rows`: each
+# spells its hook's row over columns, field for field in the same
+# order, so a field changed in a hook changes in its twin too
+# (``tests/obs/test_tracer.py::test_bulk_rows_are_the_hooks_rows``
+# holds each pair equal).
+def compute_rows(name, rank, t0, dur, flops, scope, members):
+    """:meth:`Tracer.on_compute`'s rows, one per item of its columns."""
+    return zip(repeat("compute"), name, rank, t0, dur, repeat(0.0),
+               repeat(0.0), flops, repeat(None), scope, repeat(None), members,
+               repeat(None))
+
+
+def comm_rows(kind, name, rank, t0, dur, hidden_s, nbytes, group, scope, cid,
+              members):
+    """:meth:`Tracer.on_comm`'s rows, one per item of its columns."""
+    return zip(kind, name, rank, t0, dur, hidden_s, nbytes, repeat(0.0), group,
+               scope, cid, members, repeat(None))
+
+
+def free_rows(name, rank, clock, nbytes, scope):
+    """:meth:`Tracer.mark_free`'s rows (``name`` already ``free.``-prefixed)."""
+    return zip(repeat("gather"), name, rank, clock, repeat(0.0), repeat(0.0),
+               nbytes, repeat(0.0), repeat(None), scope, repeat(None),
+               repeat(None), repeat(None))
 
 
 def _span_of(row: tuple) -> Span:
@@ -458,6 +486,17 @@ class Tracer:
             for rank, clock in zip(ranks, clocks)
         ])
         self._held_counters()["spans.gather"].inc(len(ranks))
+
+    def extend_rows(self, order: bytes, counts, *sources) -> None:
+        """The rows a run of ``on_compute`` / ``on_comm`` / ``mark_free``
+        calls would append, in bulk: the next row of ``sources[code]``
+        for each code of ``order``, and each ``(span kind, rows)`` of
+        ``counts`` added to its counter, in the order those calls would
+        first have touched them."""
+        self._rows.extend(map(next, map(sources.__getitem__, order)))
+        counters = self._held_counters()
+        for kind, rows in counts:
+            counters[_COUNTER[kind]].inc(rows)
 
     def _held_counters(self) -> "_HeldCounters":
         """The counter handles, dropped with the instruments they were

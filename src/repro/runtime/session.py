@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.cluster.cluster import VirtualCluster
-from repro.cluster.timeline import FoldedTimeline
+from repro.cluster.timeline import EventStream, FoldedTimeline
 from repro.cluster.topology import FrontierTopology
 from repro.nn.context import (
     ExecutionContext,
@@ -342,7 +342,7 @@ class Session:
         dense_all, sharded_all = self._flat_parameters()
         dense = tuple(i for i, p in enumerate(dense_all) if p.grad is not None)
         sharded = tuple(i for i, p in enumerate(sharded_all) if p.grad_shards is not None)
-        tape = StepTape(f"step.{step}/", events, rises, flops.matmul_flops,
+        tape = StepTape(f"step.{step}/", EventStream(events), rises, flops.matmul_flops,
                         flops.flops - flops.matmul_flops, dense, sharded)
         if meta:  # frozen shapes: a later write to a shard list puts an equal one there
             tape = tape._replace(grads=(*(dense_all[i].grad for i in dense), *(

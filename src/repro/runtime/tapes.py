@@ -25,7 +25,7 @@ class StepTape(NamedTuple):
 
     #: The ``step.<N>/`` prefix the stream was captured under.
     captured: str
-    events: list
+    events: EventStream
     #: ``(rank, memory Rise)`` of every device over the step.
     rises: tuple
     matmul_flops: float
@@ -48,8 +48,9 @@ class StepTape(NamedTuple):
 #: kernels and events have no cheap byte size).  A numeric tape is about
 #: 1.4 MiB on the ``numeric-train`` spec; a meta tape 0.07-0.3 MiB on
 #: the replan demo, ``exact-step`` and ``tune-4d`` specs, 1.4 MiB for
-#: ``frontier-fold``'s folded 49,152-GCD step.  No bench workload holds
-#: more than four keys (``exact-step``, ``tune-4d``), so none is evicted.
+#: ``frontier-fold``'s folded 49,152-GCD step, whose stream carries a
+#: 1.9 MiB compiled form once replayed.  No bench workload holds more
+#: than four keys (``exact-step``, ``tune-4d``), so none is evicted.
 CAPACITY = 8
 
 

@@ -619,6 +619,17 @@ class AnalyticEstimator:
                 timeline.record_comm(reps[stage], seconds, nbytes,
                                      op="dense_grad_sync")
         if candidate.ddp_size > 1:
+            # A block's shard sizes repeat across its columns and
+            # parameters: each distinct (group, bytes) pair is priced once.
+            prices: dict = {}
+
+            def all_reduce(group: list, nbytes) -> float:
+                key = (tuple(group), nbytes)
+                seconds = prices.get(key)
+                if seconds is None:
+                    seconds = prices[key] = cost_model.all_reduce(group, nbytes)
+                return seconds
+
             # Each representative joins the shard-0 reduction group of
             # every sharded parameter on its column, once per block; the
             # reductions are non-overlappable, so recording depth-scaled
@@ -633,8 +644,7 @@ class AnalyticEstimator:
                     for column in range(K)
                 ]
                 for column, shard_nbytes in probe.shard_columns:
-                    seconds = cost_model.all_reduce(groups[column],
-                                                    shard_nbytes)
+                    seconds = all_reduce(groups[column], shard_nbytes)
                     timeline.record_comm(
                         [reps[s][column]],
                         seconds * stage_depth,
@@ -649,7 +659,7 @@ class AnalyticEstimator:
                     for d in range(candidate.ddp_size)
                 ]
                 for param_nbytes in nbytes_list:
-                    seconds = cost_model.all_reduce(lead_group, param_nbytes)
+                    seconds = all_reduce(lead_group, param_nbytes)
                     timeline.record_comm([lead_group[0]], seconds,
                                          param_nbytes, op="all_reduce")
 

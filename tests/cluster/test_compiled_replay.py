@@ -1,12 +1,19 @@
 """Compiled stream replay against its oracle, the event walk.
 
-``Timeline.replay`` lands an :class:`EventStream` as per-rank column
-sums when nothing but the ledgers can observe the difference; the walk
-through ``record_compute`` / ``record_comm`` (what a plain list of the
-same events takes) is the oracle.  Every comparison here is ``==`` on
-``float.hex()`` — the compiled path has no tolerance — and the routing
-tests count ``record_comm`` calls to pin which replays may skip the
-walk: none that a tracer, a capture, an injector or a fold could see.
+``Timeline.replay`` lands an :class:`EventStream` from the form compiled
+for its receiver whenever no capture is open and no injector is
+attached — from the stream's second replay there on where a tracer or an
+event log observes it (the first walks), from its first elsewhere; the
+walk through ``record_compute`` / ``record_comm`` /
+``record_free`` (what a plain list of the same events takes) is the
+oracle.  The property draws streams with by-reference ``replay``
+entries and folded ``push``/``pop`` segments and lands them on exact
+and folded receivers, traced or not, folded or unfolded; every
+comparison is ``==`` — ledgers by ``float.hex()``, span rows, the
+``spans.*`` counters in creation order and the fold log by ``repr`` —
+and the routing tests count ``record_comm`` calls to pin which replays
+still walk: an observed stream's first on a receiver signature, and
+those a capture or an injector observes.
 """
 
 import itertools
@@ -16,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import timeline as timeline_module
 from repro.cluster.symmetry import RankClassPartition
 from repro.cluster.timeline import (
     EventStream,
@@ -25,9 +33,10 @@ from repro.cluster.timeline import (
     _ledger_values,
 )
 from repro.obs import OFF
+from repro.obs.off import MetricsOnly
 from repro.obs.tracer import Tracer
 
-_WIDTH = 4          # a stream names ranks 0 .. _WIDTH - 1
+_WIDTH = 4          # a flat stream names ranks 0 .. _WIDTH - 1
 _MAX_OFFSET = 5     # ... and lands at offsets 0 .. _MAX_OFFSET
 
 #: Seconds as the cost models produce them, plus the values where the
@@ -41,31 +50,36 @@ _AMOUNTS = st.one_of(
     st.floats(min_value=0.0, max_value=1e15, allow_nan=False),
     st.integers(0, 1 << 40),
 )
-_NAMES = st.sampled_from(["probe.attn.qkv", "probe.mlp.fc1", "all_gather"])
+_NAMES = st.sampled_from(["probe.attn.qkv", "probe.mlp.fc1", "all_gather",
+                          "trunk0.block0.fc", "trunk0.block1.fc"])
+_SCOPES = st.sampled_from(["step.1/forward", "step.1/trunk0.block0", ""])
+
+
+def _entries(ranks):
+    """Compute, comm and free entries over ``ranks`` (a strategy)."""
+    compute = st.tuples(st.just("compute"), ranks, _SECONDS, _AMOUNTS, _NAMES,
+                        _SCOPES)
+    # Multi-rank groups, a rank possibly named twice (the walk then
+    # charges it twice; so must the columns).
+    groups = st.lists(ranks, min_size=1, max_size=_WIDTH).map(tuple)
+    comm = st.tuples(st.just("comm"), groups, _SECONDS, _AMOUNTS,
+                     st.booleans(), _NAMES, _SCOPES,
+                     st.sampled_from(["gather", "collective"]))
+    free = st.tuples(st.just("free"), groups, _NAMES, _AMOUNTS, _SCOPES)
+    return st.one_of(compute, comm, comm, free)
 
 
 @st.composite
 def _events(draw, min_size=0):
     ranks = st.integers(0, draw(st.integers(1, _WIDTH)) - 1)
-    compute = st.tuples(st.just("compute"), ranks, _SECONDS, _AMOUNTS, _NAMES,
-                        st.just("step/forward"))
-    # Multi-rank groups, a rank possibly named twice (the walk then
-    # charges it twice; so must the columns).
-    groups = st.lists(ranks, min_size=1, max_size=_WIDTH).map(tuple)
-    comm = st.tuples(st.just("comm"), groups, _SECONDS, _AMOUNTS,
-                     st.booleans(), _NAMES, st.just("step/forward"),
-                     st.sampled_from(["gather", "collective"]))
-    free = st.tuples(st.just("free"), groups, _NAMES, _AMOUNTS,
-                     st.just("step/forward"))
-    return draw(st.lists(st.one_of(compute, comm, comm, free),
-                         min_size=min_size, max_size=40))
+    return draw(st.lists(_entries(ranks), min_size=min_size, max_size=40))
 
 
 _ENTRY = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
 def _pair(draw):
-    """Two timelines in the same random non-zero state."""
+    """Two exact untraced timelines in the same random non-zero state."""
     world = _WIDTH + _MAX_OFFSET
     states = [[draw(_ENTRY) for _ in range(6)] for _ in range(world)]
     first_cid = draw(st.integers(0, 1000))
@@ -95,28 +109,135 @@ def test_compiled_replay_is_the_event_walk(data):
     for offset in offsets:
         compiled.replay(stream, offset)
         walked.replay(events, offset)   # a plain list takes the walk
-    assert stream.compiled()[0] is not None
+    assert stream.compiled(compiled, offsets[0]) is not None
     assert _state(compiled) == _state(walked)
+
+
+# -- every receiver: traced, folded, nested replays and segments -------------
+#: tp 2 x fsdp 2 x ddp 2: the FSDP axis steps by 2 ranks, DDP by 4.
+_PART = RankClassPartition(tp_size=2, fsdp_size=2, ddp_size=2)
+_SEGMENTS = {"fsdp": (2, 2, None), "ddp": (2, 4, ("trunk0", "trunk{}"))}
+_RENAMES = st.sampled_from([
+    (), (("step.1/", "step.7/"),), (("probe.", "block3."),),
+    (("trunk0.block0.", "trunk0.block2."), ("step.1/", "step.2/")),
+])
+
+
+@st.composite
+def _nested(draw, depth=2, axes=("ddp", "fsdp")):
+    """A stream over ranks 0..1 (a TP pair): entries, by-reference
+    replays of shared inner lists, and segments over the fold axes not
+    yet opened around them, so every landed rank stays in 0..7."""
+    inner = [draw(_nested(depth - 1, axes)) for _ in range(depth and 2)]
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        choice = draw(st.integers(0, 5))
+        if choice == 4 and inner:
+            parts.append([("replay", draw(st.sampled_from(inner)), 0,
+                           draw(_RENAMES))])
+        elif choice == 5 and axes and depth:
+            axis = draw(st.sampled_from(axes))
+            count, stride, rename = _SEGMENTS[axis]
+            body = draw(_nested(depth - 1, tuple(a for a in axes if a != axis)))
+            parts.append([("push", axis, count, stride, rename), *body, ("pop",)])
+        else:
+            parts.append(draw(st.lists(_entries(st.integers(0, 1)), max_size=4)))
+    return [entry for part in parts for entry in part]
+
+
+def _receiver(kind, traced, state):
+    """A timeline of ``kind`` in ``state`` (``(ledger values, first
+    collective id)``), with a tracer, ``MetricsOnly`` or ``OFF``."""
+    tracer = Tracer() if traced else MetricsOnly()
+    if kind == "exact":
+        timeline = Timeline(_PART.num_gpus, tracer=tracer)
+    else:
+        timeline = FoldedTimeline(_PART.num_gpus, _PART, tracer=tracer)
+        if kind == "unfolded":
+            timeline.unfold()
+        timeline._log.append(("compute", 0, 1.0, 0.0, "before", ""))
+    values, first_cid = state
+    if kind == "folded":
+        for key, value in zip(timeline._keys, values):
+            timeline._class_ledgers[key] = RankLedger(*value)
+    else:
+        timeline._ledgers = [RankLedger(*value) for value in values]
+    timeline._collective_ids = itertools.count(first_cid)
+    return timeline
+
+
+def _observed(timeline) -> dict:
+    """Everything a replay leaves that anyone can read."""
+    if isinstance(timeline, FoldedTimeline) and timeline.folded:
+        ledgers = timeline._class_ledgers.values()
+    else:
+        ledgers = timeline._ledgers
+    tracer = timeline.tracer
+    return {
+        "ledgers": [[float(v).hex() for v in _ledger_values(led)]
+                    for led in ledgers],
+        "next_cid": next(timeline._collective_ids),
+        "rows": repr(getattr(tracer, "_rows", None)),
+        "counters": repr([(name, c.value) for name, c
+                          in tracer.metrics._instruments.items()]),
+        "scope": (tracer.current_scope, tracer.current_comm_kind),
+        "log": repr(getattr(timeline, "_log", None)),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_receiver_lands_the_walk(data):
+    """Traced or not, exact, folded or unfolded: the compiled landing of
+    a stream with nested replays and segments leaves what walking the
+    same events as a plain list leaves on an identical receiver, replay
+    after replay (an observed receiver's first replay walks; the form is
+    built once, then reused)."""
+    events = data.draw(_nested())
+    kind = data.draw(st.sampled_from(["exact", "folded", "unfolded"]))
+    traced = data.draw(st.booleans())
+    count = len(_PART.keys) if kind == "folded" else _PART.num_gpus
+    state = ([[data.draw(_ENTRY) for _ in range(6)] for _ in range(count)],
+             data.draw(st.integers(0, 1000)))
+    compiled, walked = (_receiver(kind, traced, state) for _ in range(2))
+    stream = EventStream(events)
+    for renames in data.draw(st.lists(_RENAMES, min_size=2, max_size=3)):
+        compiled.replay(stream, renames=renames)
+        walked.replay(list(events), renames=renames)
+    assert _observed(compiled) == _observed(walked)
+    assert len(stream._forms) == 1
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_trunk_of_copies_hits_the_budget_memo(data):
     """Copies 2...L of a stream ending on a blocking collective enter
-    with the same budget: one program run per rank, then memo hits —
-    and the ledgers still ``==`` the walk's."""
+    with the same budget, 0.0: each ledger runs its budget program on
+    copy 1 and at most once more, then hits the memo (ledgers with one
+    program share one, so some never run it) — and the ledgers still
+    ``==`` the walk's."""
     body = data.draw(_events(min_size=1))
     closing = ("comm", tuple(range(_WIDTH)), data.draw(_SECONDS), 8, False,
                "all_reduce", "step/forward", "collective")
     events = body + [closing]
     compiled, walked = _pair(data.draw)
     stream = EventStream(events)
-    for _ in range(6):
-        compiled.replay(stream)
-        walked.replay(events)
+    runs = Counter()
+    original = timeline_module._run_budget
+
+    def counted(columns, budget, traced):
+        runs[columns.address] += 1
+        return original(columns, budget, traced)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timeline_module, "_run_budget", counted)
+        for _ in range(6):
+            compiled.replay(stream)
+            walked.replay(events)
     assert _state(compiled) == _state(walked)
-    columns, _ = stream.compiled()
-    assert all(1 <= len(rank.exposed_memo) <= 2 for rank in columns)
+    ledgers = stream.compiled(compiled).ledgers
+    assert all(ledger.memo is not None for ledger in ledgers)
+    assert runs and all(n <= 2 for n in runs.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,8 +260,7 @@ def test_negative_seconds_raise_from_both(data):
     assert _state(compiled) == (before[0], before[1] + 1)
 
 
-# -- routing: who may skip the walk ------------------------------------------
-_PART = RankClassPartition(tp_size=2, fsdp_size=2, ddp_size=1)
+# -- routing: who still walks ------------------------------------------------
 _FLAT = (
     ("compute", 0, 1.0, 10.0, "probe.gemm", "step"),
     ("comm", (0, 1), 0.5, 64, True, "all_gather", "step", "gather"),
@@ -154,6 +274,7 @@ _SEGMENTED = (
     ("comm", (0, 1), 0.25, 8, False, "all_reduce", "step", "collective"),
     ("pop",),
 )
+_TP2 = RankClassPartition(tp_size=2, fsdp_size=2, ddp_size=1)
 
 
 @pytest.fixture
@@ -170,7 +291,43 @@ def walked(monkeypatch):
     return calls
 
 
+def _second_replay(timeline, events, walked, **kwargs):
+    """Replay a new stream of ``events`` twice on ``timeline`` (an
+    observed receiver's first replay walks); ``walked`` counts the
+    second alone."""
+    stream = EventStream(events)
+    timeline.replay(stream, **kwargs)
+    walked.clear()
+    timeline.replay(stream, **kwargs)
+    return stream
+
+
+@pytest.mark.parametrize("build", [lambda: _traced(),
+                                   lambda: FoldedTimeline(4, _TP2)],
+                         ids=["traced", "folded"])
+def test_an_observed_stream_walks_once_then_lands_its_form(walked, monkeypatch,
+                                                           build):
+    """Where a tracer or an event log observes a replay, a signature's
+    first replay walks and builds nothing; the second builds the form,
+    and every later one lands it."""
+    builds = Counter()
+    form = timeline_module._Compiler.form
+
+    def counted(compiler, events, offset):
+        builds["form"] += 1
+        return form(compiler, events, offset)
+
+    monkeypatch.setattr(timeline_module._Compiler, "form", counted)
+    timeline, stream = build(), EventStream(_FLAT)
+    timeline.replay(stream)
+    assert walked["record_comm"] == 2 and not builds
+    for _ in range(3):
+        timeline.replay(stream)
+    assert walked["record_comm"] == 2 and builds == {"form": 1}
+
+
 def test_an_untraced_exact_timeline_skips_the_walk(walked):
+    """Its form is ledger columns alone, built at the first replay."""
     timeline, reference = Timeline(4), Timeline(4)
     timeline.replay(EventStream(_FLAT), offset=2)
     assert not walked
@@ -199,19 +356,24 @@ def _injected():
     return timeline
 
 
-_WALKS = {
+_COMPILED = {
     "traced": (_traced, _FLAT),
-    "injector": (_injected, _FLAT),
-    "folded": (lambda: FoldedTimeline(4, _PART), _FLAT),
-    # Segment markers are not unrolled at compile time: an exact
-    # timeline's walk runs both iterations of the folded axis.
+    "folded": (lambda: FoldedTimeline(4, _TP2), _FLAT),
+    "folded-traced": (lambda: FoldedTimeline(4, _TP2, tracer=Tracer()), _FLAT),
+    # An exact timeline unrolls both iterations of the folded axis.
     "segment-markers": (lambda: Timeline(4), _SEGMENTED),
 }
 
 
-@pytest.mark.parametrize("build, events", _WALKS.values(), ids=_WALKS.keys())
-def test_everything_observable_takes_the_event_walk(walked, build, events):
-    build().replay(EventStream(events))
+@pytest.mark.parametrize("build, events", _COMPILED.values(),
+                         ids=_COMPILED.keys())
+def test_tracers_and_folds_land_without_the_walk(walked, build, events):
+    _second_replay(build(), events, walked)
+    assert not walked
+
+
+def test_an_injector_takes_the_event_walk(walked):
+    _second_replay(_injected(), _FLAT, walked)
     assert walked["record_comm"] == 2
 
 
@@ -227,22 +389,46 @@ def test_an_open_capture_takes_the_event_walk(walked):
         timeline.replay(stream, offset=1)
     assert walked["record_comm"] == 2
     # The capture holds the replay as one entry, the stream by
-    # reference, and replaying the capture makes the same calls.
+    # reference; the captured stream compiles through it and lands
+    # what walking it does.
     (entry,) = captured
     assert entry[0] == "replay" and entry[1] is stream and entry[2:] == (1, ())
-    again = Timeline(4)
-    again.replay(captured)
+    again, oracle = Timeline(4), Timeline(4)
+    _second_replay(again, captured, walked)
+    assert not walked
+    for _ in range(2):
+        oracle.replay(captured)
     assert walked["record_comm"] == 4
-    assert _state(again) == _state(timeline)
-    # A compiled stream answers "take the walk" for such an entry.
-    assert EventStream(captured).compiled() == (None, 0)
+    assert _state(again) == _state(oracle)
 
 
 def test_traced_replay_of_a_stream_records_every_span(walked):
     """Names and renames are dropped only where no tracer reads them."""
     tracer = Tracer(metrics=OFF)
     timeline = Timeline(4, tracer=tracer)
-    timeline.replay(EventStream(_FLAT), renames=(("probe.", "block3."),))
-    names = [span.name for span in tracer.spans]
+    _second_replay(timeline, _FLAT, walked, renames=(("probe.", "block3."),))
+    assert not walked
+    compiled = tracer.spans[len(tracer.spans) // 2:]  # the second replay's
+    names = [span.name for span in compiled]
     assert "block3.gemm" in names and "free.block3.weight" in names
     assert not any("probe." in name for name in names)
+
+
+def test_a_form_is_built_once_per_signature():
+    """Replays of one stream share a form per receiver signature and
+    never key it by a ledger value; a new signature builds its own.  An
+    untraced exact timeline reads nothing but rank-shifted ledgers, so
+    its one form serves every offset; a traced one's rows name ranks."""
+    stream = EventStream(_FLAT)
+    first, second = Timeline(4), Timeline(4)
+    second._ledgers[0].compute_s = 3.0
+    first.replay(stream)
+    second.replay(stream)
+    first.replay(stream, offset=1)
+    assert len(stream._forms) == 1
+    traced = _traced()
+    for offset in (0, 0, 1, 1):
+        traced.replay(stream, offset=offset)
+    assert len(stream._forms) == 3
+    assert all(isinstance(form, timeline_module._Form)
+               for form in stream._forms.values())

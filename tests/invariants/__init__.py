@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from repro.cluster.timeline import FoldedTimeline, _ledger_values
+from repro.cluster.timeline import EventStream, FoldedTimeline, _ledger_values
 from repro.core.hybrid_block import HybridSTOPTrunk
 from repro.faults import FaultError, FaultInjector, FaultPlan
 from repro.meta import MetaArray
@@ -131,6 +131,15 @@ def assert_same(got: dict, want: dict, label: str = "") -> None:
     assert got.keys() == want.keys(), label
     for key in want:
         assert got[key] == want[key], f"{label}{key} differs"
+
+
+@contextmanager
+def walked_streams():
+    """Every replay of an ``EventStream`` takes the event walk: the
+    ``compiled-replay`` oracle, with no compiled form built."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EventStream, "compiled", lambda *args, **kwargs: None)
+        yield
 
 
 @contextmanager

@@ -37,6 +37,7 @@ from tests.invariants import (
     expansion,
     left_behind,
     spec,
+    walked_streams,
     wrapper_funnels,
 )
 
@@ -75,11 +76,13 @@ class Draw:
             num_steps=self.steps, seed=0 if self.meta else 3)
 
 
-def run(draw: Draw, step_fn=None, *, observed=True) -> Run:
+def run(draw: Draw, step_fn=None, *, observed=True, injected=True) -> Run:
     """Drive ``draw``; ``observed=False`` turns every observer it can
-    ``OFF`` (the injector too, when the plan is empty)."""
+    ``OFF`` (the injector too, when the plan is empty), and
+    ``injected=False`` attaches no injector when the plan is empty."""
+    injector = (observed and injected) or draw.faults
     return drive(
-        draw.run_spec(), draw.faults if observed or draw.faults else None,
+        draw.run_spec(), draw.faults if injector else None,
         step_fn,
         tracer=Tracer() if observed and draw.traced else OFF,
         monitor=RunMonitor() if observed and draw.monitored else OFF,
@@ -116,6 +119,17 @@ def execute_meta(draw):
 def execute_every_block(draw):
     with every_block():
         return run(draw)
+
+
+def uninjected(draw):
+    """The draw with no injector unless it has faults: a replay the
+    injector does not observe lands from its tape's compiled form."""
+    return run(draw, injected=False)
+
+
+def walk_every_stream(draw):
+    with walked_streams():
+        return uninjected(draw)
 
 
 def execute_numeric(draw):
@@ -283,6 +297,11 @@ PAIRS = (
     Pair("history", lambda d: bool(d.history), run, everything, after_history),
     # The C calls the funnels make on an ndarray are the wrappers' own.
     Pair("lowered-kernels", lambda d: not d.meta, wrapper_calls, everything),
+    # A replayed step lands from its tape's compiled form: what walking
+    # every event of the tape leaves, spans and fold log included.  A
+    # tape's first replay walks and its second is the first to land.
+    Pair("compiled-replay", lambda d: d.steps >= 3, walk_every_stream,
+         everything, uninjected),
     # Activation checkpointing re-runs each block's forward from its
     # saved input in backward: the same numbers, step for step.
     Pair("recompute", lambda d: not d.meta and d.recompute,

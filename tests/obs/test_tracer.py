@@ -416,3 +416,22 @@ class TestWorkDone:
             == [f"step.{n}" for n in range(num_steps)]
         if num_steps == 1:
             assert replace(analysis.steps[0], label="run") == analysis.overall
+
+
+def test_bulk_rows_are_the_hooks_rows():
+    """Each bulk row builder spells its Timeline hook's row: one row of
+    distinct values through both is the same tuple."""
+    from repro.obs.tracer import comm_rows, compute_rows, free_rows
+
+    tracer, scope = Tracer(metrics=MetricsRegistry()), "step.1/forward"
+    tracer.set_context(scope, "gather")
+    tracer.on_compute(3, 1.5, 2.5, 7.0, "fc1", members=4)
+    tracer.on_comm(5, 0.5, 0.75, 0.25, 64.0, "all_gather", (5, 6), cid=9,
+                   members=2)
+    tracer.mark_free((6,), [4.5], "weight", 32.0)
+    assert tracer._rows == [
+        next(compute_rows(["fc1"], [3], [1.5], [2.5], [7.0], [scope], [4])),
+        next(comm_rows(["gather"], ["all_gather"], [5], [0.5], [0.75], [0.25],
+                       [64.0], [(5, 6)], [scope], [9], [2])),
+        next(free_rows(["free.weight"], [6], [4.5], [32.0], [scope])),
+    ]
