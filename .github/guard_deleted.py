@@ -126,6 +126,12 @@ GUARDS = [
     # its per-rank columns are gone.
     ("one compiled replay form", "-wE", "_compile|_apply|_RankColumns|exposed_memo",
      SRC_TESTS_EXAMPLES),
+    # The injector's settled pricing is the one routing predicate of a
+    # compiled landing, and the registry's compiled-replay pair runs on
+    # the shared all-fast run: no injector-off fast side.
+    ("one routing predicate", "-F", "injector is OFF",
+     ("src/repro/cluster/timeline.py",)),
+    ("one routing predicate", "-F", "uninjected(", ("tests/invariants",)),
 ]
 
 

@@ -7,13 +7,18 @@ executes each plan's step once and stores the captured tape
 (``Session.meta_step``, ``repro.runtime.STEP_TAPES``), so every step
 of the timed run replays; a breach here means step replay stopped
 serving the supervised path — a session that re-executes every step
-takes about twice as long.
+takes about twice as long.  The timed run's ``record_comm`` calls are
+pinned exactly: a replay under the Supervisor's fault injector, and a
+degradation-aware estimate under the estimator's profile injector,
+lands from a compiled form wherever the injector's ``pricing`` is
+settled, and a count above the pin means some of them walk again.
 """
 
 import time
 
 import pytest
 
+from repro.cluster.timeline import Timeline
 from repro.faults import Supervisor
 from repro.replan.scenario import (
     DEMO_STEPS,
@@ -27,6 +32,13 @@ from repro.replan.scenario import (
 #: margin ``FULL_MACHINE_WALL_CEILING_S`` leaves a noisy host.
 REPLAN_DEMO_WALL_CEILING_S = 1.1
 
+#: ``Timeline.record_comm`` calls of the timed run: 2,766 closed-form
+#: events of the degradation-aware estimates, and 3,989 of the one
+#: step tape that walks — the straggler window's first step, where the
+#: degradation has not fired yet (75,438 when every replay under an
+#: injector walked).
+REPLAN_DEMO_RECORD_COMM = 6755
+
 
 def _demo(checkpoint_dir):
     supervisor = Supervisor(demo_spec(), demo_plan(),
@@ -37,11 +49,21 @@ def _demo(checkpoint_dir):
 
 @pytest.mark.quick
 @pytest.mark.benchmark(group="replan")
-def test_replan_demo_under_wall_clock_ceiling(once, tmp_path):
+def test_replan_demo_under_wall_clock_ceiling(once, tmp_path, monkeypatch):
     _demo(tmp_path / "warm")  # imports, cost-model and plan caches
+    calls = []
+    record_comm = Timeline.record_comm
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return record_comm(*args, **kwargs)
+
+    monkeypatch.setattr(Timeline, "record_comm", counted)
     start = time.perf_counter()
     supervisor, report = once(_demo, tmp_path / "timed")
     elapsed = time.perf_counter() - start
+    monkeypatch.undo()
+    assert len(calls) == REPLAN_DEMO_RECORD_COMM
     assert elapsed < REPLAN_DEMO_WALL_CEILING_S, (
         f"the replan demo took {elapsed:.2f}s real time "
         f"(ceiling {REPLAN_DEMO_WALL_CEILING_S:.1f}s)"

@@ -35,11 +35,13 @@ That event walk is also the oracle of the one shortcut here: a stream
 wrapped as an :class:`EventStream` compiles, once per receiver
 signature (where a tracer or an event log observes it, on its second
 replay there: the first walks), to per-ledger float columns, span-row
-indices and log entries, and a replay that no capture and no injector
-observes lands them in bulk instead of visiting the events — on an
-exact or a folded timeline, traced or not, nested replays and folded
-segments included (:meth:`Timeline.replay` states the conditions;
-``tests/cluster/test_compiled_replay.py`` holds the two paths ``==``).
+indices and log entries, and a replay that no capture observes and
+whose injector's ``pricing`` is settled lands them in bulk instead of
+visiting the events — on an exact or a folded timeline, traced or not,
+nested replays and folded segments included, and under a stretching
+injector on an untraced exact one (:meth:`Timeline.replay` states the
+conditions; ``tests/cluster/test_compiled_replay.py`` holds the two
+paths ``==``).
 """
 
 from __future__ import annotations
@@ -191,9 +193,11 @@ class EventStream(tuple):
     depend on the receiver, so a form is compiled per signature
     (:meth:`Timeline._signature`: the timeline's kind and partition,
     its fold state, tracer on or off, and the offset — which an untraced
-    exact timeline, reading nothing but rank-shifted ledgers, leaves out)
-    and kept on the stream, never in a module cache: it is freed with
-    the stream.  A form that carries span rows or log entries costs
+    exact timeline, reading nothing but rank-shifted ledgers, leaves out
+    — plus, under an injector whose settled ``pricing`` is not ``()``,
+    that pricing and the offset: its factors name absolute ranks) and
+    kept on the stream, never in a module cache: it is freed with the
+    stream.  A form that carries span rows or log entries costs
     about one walk to build, so where a tracer or an event log observes
     the replay a signature's first replay walks and its second builds
     the form every later one lands: a tape replayed once never pays for
@@ -205,12 +209,16 @@ class EventStream(tuple):
 
     _forms = None
 
-    def compiled(self, timeline, offset: int = 0) -> "_Form | None":
-        """The form for ``timeline`` at ``offset``, compiled on the
-        signature's second use where a tracer or an event log observes
-        the replay and on its first elsewhere; ``None`` where the walk
-        replays it: on an observed signature's first use, and wherever
-        only the walk can (a comm kind the tracer does not know).
+    def compiled(self, timeline, offset: int = 0,
+                 pricing: tuple = ()) -> "_Form | None":
+        """The form for ``timeline`` at ``offset`` under its injector's
+        settled ``pricing``, compiled on the signature's second use
+        where a tracer or an event log observes the replay and on its
+        first elsewhere; ``None`` where the walk replays it: on an
+        observed signature's first use, wherever only the walk can (a
+        comm kind the tracer does not know), and on an observed
+        receiver under a ``pricing`` other than ``()`` (its rows and log
+        would read the recorded seconds, not the stretched ones).
         Seconds are validated at compile time, once: a negative value
         raises the ``ValueError`` the walk would, before anything
         lands."""
@@ -218,12 +226,17 @@ class EventStream(tuple):
         if forms is None:
             forms = self._forms = {}
         signature = timeline._signature(offset)
+        if pricing:
+            if timeline.tracer.enabled or timeline._keeps_log:
+                return None
+            signature += (pricing, offset)
         form = forms.get(signature, _UNSEEN)
         if form is _UNSEEN and (timeline.tracer.enabled or timeline._keeps_log):
             forms[signature] = _WALKED
             return None
         if form is _UNSEEN or form is _WALKED:
-            form = forms[signature] = _Compiler(timeline).form(self, signature[-1])
+            form = forms[signature] = _Compiler(timeline, pricing).form(
+                self, signature[-1])
         return form
 
 
@@ -242,10 +255,19 @@ class _Compiler:
     entry with its ledgers, counts, event indices and rename context
     rebased, so a trunk's L - 1 block copies cost L - 1 splices, not
     L - 1 walks.
+
+    Under a ``pricing`` other than ``()`` (an untraced exact receiver)
+    each compute and collective passes its seconds through the
+    injector's ``before_compute`` / ``before_comm`` here, once, as the
+    walk's ``record_*`` would, after the sign check.
     """
 
-    def __init__(self, timeline, pieces=None):
+    def __init__(self, timeline, pricing=(), pieces=None):
         self.timeline = timeline
+        self.pricing = pricing
+        injector = timeline.injector
+        self.before_compute = injector.before_compute if pricing else None
+        self.before_comm = injector.before_comm if pricing else None
         self.traced = timeline.tracer.enabled
         #: Whether anything past the ledgers reads an event (its name,
         #: scope and release markers): a tracer or an event log.
@@ -368,6 +390,7 @@ class _Compiler:
     def walk(self, events, start, end, offset, prefix, suffix, in_fsdp):
         timeline, observed, traced = self.timeline, self.observed, self.traced
         columns, counts, ledgers = self.columns, self.counts, self._ledgers
+        before_compute, before_comm = self.before_compute, self.before_comm
         landing = self.landing[in_fsdp]
         if observed:
             number, seen = self._context(prefix, suffix)
@@ -386,6 +409,8 @@ class _Compiler:
                 if seconds < 0:
                     raise ValueError("comm seconds must be non-negative")
                 group = tuple(r + offset for r in entry[1]) if offset else entry[1]
+                if before_comm is not None:
+                    seconds = before_comm(group, seconds, entry[5])
                 collectives += 1
                 landed = landing.get(group)
                 if landed is None:
@@ -402,6 +427,8 @@ class _Compiler:
                 if seconds < 0:
                     raise ValueError("compute seconds must be non-negative")
                 group = entry[1] + offset
+                if before_compute is not None:
+                    seconds = before_compute(group, seconds, entry[4])
                 landed = landing.get(group)
                 if landed is None:
                     landed = ledgers(group, (group,), in_fsdp)
@@ -495,7 +522,8 @@ class _Compiler:
         key = (id(inner), offset, in_fsdp)
         piece = self.pieces.get(key)
         if piece is None:
-            piece = self.pieces[key] = _Compiler(self.timeline, self.pieces)
+            piece = self.pieces[key] = _Compiler(self.timeline, self.pricing,
+                                                 self.pieces)
             piece.walk(inner, 0, len(inner), offset, (), (), in_fsdp)
         here = [self._ledger(address) for address in piece.index]
         if self.traced:
@@ -835,23 +863,32 @@ class Timeline:
         open the replay is recorded there and walked with it suspended.
 
         An :class:`EventStream` skips that walk iff no :meth:`capture`
-        is open and no fault injector is attached: the two observers
-        that see each call as it is made.  It lands from the form
-        compiled for this timeline's signature (:meth:`_land`; a traced
-        or folded timeline walks the signature's first replay, see
-        :meth:`EventStream.compiled`) —
+        is open — the one observer that sees each call as it is made —
+        and the injector's ``pricing`` is settled (not ``None``: no hook
+        call can raise or change state; :mod:`repro.faults.injector`).
+        It lands from the form compiled for this timeline's signature
+        (:meth:`_land`; a traced or folded timeline walks the
+        signature's first replay, see :meth:`EventStream.compiled`) —
         ledger columns, span rows with the walk's clocks, splits and
         collective ids, ``spans.*`` counts and a folded timeline's log
         entries, each in the walk's order and ``==`` to what the walk
-        leaves.  Every plain list, and every stream under a capture or
-        an injector, takes the walk.
+        leaves.  Under a ``pricing`` other than ``()`` only an untraced
+        exact timeline lands, from a form whose seconds the hooks
+        stretched at compile time.  Every plain list, every stream under
+        a capture or an unsettled injector, one under an injector that
+        declares no ``pricing`` and one a tracer or log observes under a
+        stretching injector takes the walk.
         """
         capture = self._capture
-        if (capture is None and self.injector is OFF
-                and isinstance(events, EventStream)):
-            form = events.compiled(self, offset)
-            if form is not None and self._land(form, renames, offset):
-                return
+        if capture is None and isinstance(events, EventStream):
+            try:
+                pricing = self.injector.pricing
+            except AttributeError:  # declares none: the walk
+                pricing = None
+            if pricing is not None:
+                form = events.compiled(self, offset, pricing)
+                if form is not None and self._land(form, renames, offset):
+                    return
         if capture is not None:
             capture.append(("replay", events, offset, renames))
             self._capture = None

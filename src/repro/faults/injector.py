@@ -24,6 +24,20 @@ pattern the tracer uses, but on the failure path:
 Each injection fires exactly once: replaying a step after recovery
 does not re-fire the fault that killed it, which is what makes
 crash-and-resume runs bitwise comparable to fault-free ones.
+
+Every timeline injector declares ``pricing``, settled per step, that
+:meth:`~repro.cluster.timeline.Timeline.replay` routes on: ``None``
+while a hook call could raise or change state (a live crash is armed
+for the step, or an in-window degradation has not fired yet), else a
+hashable description of everything the hooks compute — ``()`` where
+they hand the seconds back, as :data:`~repro.obs.off.OFF`'s do.  A
+replay under a settled ``pricing`` lands a compiled form whose seconds
+went through the hooks once, at compile time; under ``None``, or on an
+injector that declares no ``pricing``, it walks every event through
+them.  A priced hook reads ``op`` only through :func:`stretch_compute`'s
+``pipeline.stall`` exemption, a name no replay rename reaches (renames
+swap ``step.<N>/``, block and trunk prefixes), so the form compiled from
+the recorded names serves every rename.
 """
 
 from __future__ import annotations
@@ -94,6 +108,9 @@ class FaultInjector:
         this step can meet — crash-class ones scheduled here,
         degradations whose window covers it, each in plan order.  With
         none, ``before_compute`` / ``before_comm`` hand the seconds back.
+        It settles :attr:`pricing` with them: ``None`` while one of
+        them is live, ``()`` with none, else this type and the
+        ``(kind, rank, factor)`` of each degradation, in plan order.
         """
         self.step = step = int(step)
         self._crashes = [
@@ -109,6 +126,14 @@ class FaultInjector:
             a for a in in_window if a.spec.kind is FaultKind.STRAGGLER]
         self._link_degrades = [
             a for a in in_window if a.spec.kind is FaultKind.LINK_DEGRADE]
+        degradations = [a for a in in_window if a.spec.kind in DEGRADATION_KINDS]
+        if any(a.live for a in self._crashes + degradations):
+            self.pricing = None
+        elif degradations:
+            self.pricing = (type(self), *(
+                (a.spec.kind, a.rank, a.spec.factor) for a in degradations))
+        else:
+            self.pricing = ()
 
     # -- timeline protocol ---------------------------------------------------
     def before_compute(self, rank: int, seconds: float, op: str) -> float:

@@ -27,6 +27,9 @@ class Off:
     generation = 0
     current_scope = ""
     current_comm_kind = "collective"
+    #: The injector's settled pricing: its hooks hand every event's
+    #: seconds back (``Timeline.replay`` lands compiled forms).
+    pricing = ()
 
     def _nothing(self, *args, **kwargs) -> None:
         """A hook whose live result no call site reads."""

@@ -51,12 +51,13 @@ prefetch-off stream is derived from the prefetch-on one
 
 Each probe stream is an :class:`~repro.cluster.timeline.EventStream`,
 which a fresh untraced ``Timeline`` lands as per-rank column sums
-instead of walking its events.  A clean candidate then costs
+instead of walking its events.  A candidate then costs
 ``depth`` column applications of a ``tp``-rank stream plus a few dozen
 closed-form ``record_*`` calls that do not grow with ``depth`` — not
 ``ddp * depth`` executed blocks plus engine construction.  Re-pricing
-under a degradation profile attaches an injector, which puts the same
-replays back on the event walk (every event is stretched on its own).
+under a degradation profile attaches an injector whose ``pricing`` is
+settled, so the replays still land: from a form compiled per profile
+and stage offset, each event's seconds stretched once, at compile time.
 
 Peak memory comes from the closed-form
 :class:`~repro.memory.estimator.MemoryModel` (real-machine bytes:
@@ -133,12 +134,17 @@ class _ProfileInjector:
     filler stays exempt), collectives by the link factor of every
     degraded participant, one after the other — an estimate replayed
     under it predicts what the *injected* engine run would measure.
+    Nothing it does raises or changes state, so its ``pricing`` is
+    settled from the start: its type (the fault injector multiplies
+    link factors in another order) and its sorted factors.
     """
 
     def __init__(self, compute_factors: dict[int, float],
                  link_factors: dict[int, float]):
         self._compute_factors = compute_factors
         self._link_factors = link_factors
+        self.pricing = (type(self), tuple(sorted(compute_factors.items())),
+                        tuple(sorted(link_factors.items())))
 
     def before_compute(self, rank, seconds, op):
         return stretch_compute(seconds, self._compute_factors.get(rank, 1.0), op)

@@ -1,19 +1,22 @@
 """Compiled stream replay against its oracle, the event walk.
 
 ``Timeline.replay`` lands an :class:`EventStream` from the form compiled
-for its receiver whenever no capture is open and no injector is
-attached — from the stream's second replay there on where a tracer or an
-event log observes it (the first walks), from its first elsewhere; the
-walk through ``record_compute`` / ``record_comm`` /
+for its receiver whenever no capture is open and the injector's
+``pricing`` is settled — from the stream's second replay there on where
+a tracer or an event log observes it (the first walks), from its first
+elsewhere; the walk through ``record_compute`` / ``record_comm`` /
 ``record_free`` (what a plain list of the same events takes) is the
 oracle.  The property draws streams with by-reference ``replay``
 entries and folded ``push``/``pop`` segments and lands them on exact
-and folded receivers, traced or not, folded or unfolded; every
-comparison is ``==`` — ledgers by ``float.hex()``, span rows, the
-``spans.*`` counters in creation order and the fold log by ``repr`` —
-and the routing tests count ``record_comm`` calls to pin which replays
-still walk: an observed stream's first on a receiver signature, and
-those a capture or an injector observes.
+and folded receivers, traced or not, folded or unfolded, with no
+injector, a quiet or a fired fault injector or the estimator's profile
+injector; every comparison is ``==`` — ledgers by ``float.hex()``, span
+rows, the ``spans.*`` counters in creation order and the fold log by
+``repr`` — and the routing tests count ``record_comm`` calls to pin
+which replays still walk: an observed stream's first on a receiver
+signature, those a capture observes, those under an injector whose
+``pricing`` is unsettled or undeclared, and an observed one under a
+stretching injector.
 """
 
 import itertools
@@ -32,9 +35,11 @@ from repro.cluster.timeline import (
     Timeline,
     _ledger_values,
 )
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.obs import OFF
 from repro.obs.off import MetricsOnly
 from repro.obs.tracer import Tracer
+from repro.tune.estimator import _ProfileInjector
 
 _WIDTH = 4          # a flat stream names ranks 0 .. _WIDTH - 1
 _MAX_OFFSET = 5     # ... and lands at offsets 0 .. _MAX_OFFSET
@@ -51,7 +56,8 @@ _AMOUNTS = st.one_of(
     st.integers(0, 1 << 40),
 )
 _NAMES = st.sampled_from(["probe.attn.qkv", "probe.mlp.fc1", "all_gather",
-                          "trunk0.block0.fc", "trunk0.block1.fc"])
+                          "trunk0.block0.fc", "trunk0.block1.fc",
+                          "pipeline.stall"])
 _SCOPES = st.sampled_from(["step.1/forward", "step.1/trunk0.block0", ""])
 
 
@@ -78,6 +84,45 @@ def _events(draw, min_size=0):
 _ENTRY = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
+#: Factors whose products round differently in each order.
+_FACTORS = st.sampled_from([1.1, 1.7, 3.0, 1e3 / 3])
+
+
+def _fired(faults) -> FaultInjector:
+    """A fault injector at step 1 of ``faults`` (windows opened at step
+    0), every degradation fired at step 0: its ``pricing`` is settled."""
+    injector = FaultInjector(FaultPlan(faults=tuple(faults)))
+    injector.begin_step(0)
+    for fault in faults:
+        injector.before_compute(fault.rank, 1.0, "gemm")
+        injector.before_comm((fault.rank,), 1.0, "all_reduce")
+    injector.begin_step(1)
+    return injector
+
+
+@st.composite
+def _injectors(draw):
+    """A factory of ``OFF``, a quiet or a fired fault injector, or the
+    estimator's profile injector, over ranks 0..7."""
+    kind = draw(st.sampled_from(["off", "quiet", "fired", "profile"]))
+    ranks = st.integers(0, 7)
+    if kind == "quiet":  # a straggler whose window opens later
+        plan = FaultPlan(faults=(FaultSpec("straggler", step=3, rank=0,
+                                           factor=2.0),))
+        return lambda: FaultInjector(plan)
+    if kind == "fired":
+        faults = draw(st.lists(st.builds(
+            FaultSpec, kind=st.sampled_from(["straggler", "link_degrade"]),
+            step=st.just(0), rank=ranks, factor=_FACTORS,
+            duration_steps=st.just(2)), min_size=1, max_size=4))
+        return lambda: _fired(faults)
+    if kind == "profile":
+        compute, links = (draw(st.dictionaries(ranks, _FACTORS, max_size=4))
+                          for _ in range(2))
+        return lambda: _ProfileInjector(compute, links)
+    return lambda: OFF
+
+
 def _pair(draw):
     """Two exact untraced timelines in the same random non-zero state."""
     world = _WIDTH + _MAX_OFFSET
@@ -101,15 +146,20 @@ def _state(timeline) -> tuple:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_compiled_replay_is_the_event_walk(data):
+    """Under ``OFF`` or any settled injector: a stretching one lands a
+    form compiled per offset, its seconds stretched at compile time."""
     events = data.draw(_events())
     offsets = data.draw(
         st.lists(st.integers(0, _MAX_OFFSET), min_size=1, max_size=8))
     compiled, walked = _pair(data.draw)
+    injector = data.draw(_injectors())
+    compiled.injector, walked.injector = injector(), injector()
     stream = EventStream(events)
     for offset in offsets:
         compiled.replay(stream, offset)
         walked.replay(events, offset)   # a plain list takes the walk
-    assert stream.compiled(compiled, offsets[0]) is not None
+    assert stream.compiled(compiled, offsets[0],
+                           compiled.injector.pricing) is not None
     assert _state(compiled) == _state(walked)
 
 
@@ -188,24 +238,30 @@ def _observed(timeline) -> dict:
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_every_receiver_lands_the_walk(data):
-    """Traced or not, exact, folded or unfolded: the compiled landing of
-    a stream with nested replays and segments leaves what walking the
-    same events as a plain list leaves on an identical receiver, replay
-    after replay (an observed receiver's first replay walks; the form is
-    built once, then reused)."""
+    """Traced or not, exact, folded or unfolded, under any settled
+    injector: the compiled landing of a stream with nested replays and
+    segments leaves what walking the same events as a plain list leaves
+    on an identical receiver, replay after replay (an observed
+    receiver's first replay walks; the form is built once, then reused;
+    an observed receiver under a stretching injector builds none)."""
     events = data.draw(_nested())
     kind = data.draw(st.sampled_from(["exact", "folded", "unfolded"]))
     traced = data.draw(st.booleans())
+    injector = data.draw(_injectors())
     count = len(_PART.keys) if kind == "folded" else _PART.num_gpus
     state = ([[data.draw(_ENTRY) for _ in range(6)] for _ in range(count)],
              data.draw(st.integers(0, 1000)))
     compiled, walked = (_receiver(kind, traced, state) for _ in range(2))
+    compiled.injector, walked.injector = injector(), injector()
+    assert compiled.injector.pricing is not None
     stream = EventStream(events)
     for renames in data.draw(st.lists(_RENAMES, min_size=2, max_size=3)):
         compiled.replay(stream, renames=renames)
         walked.replay(list(events), renames=renames)
     assert _observed(compiled) == _observed(walked)
-    assert len(stream._forms) == 1
+    observed = traced or kind != "exact"
+    assert len(stream._forms) == (0 if compiled.injector.pricing and observed
+                                  else 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -337,7 +393,7 @@ def test_an_untraced_exact_timeline_skips_the_walk(walked):
 
 
 class _Stretch:
-    """An injector that is not ``OFF``, even if it does nothing."""
+    """An injector that declares no ``pricing``, even if it does nothing."""
 
     def before_compute(self, rank, seconds, op):
         return seconds
@@ -372,9 +428,97 @@ def test_tracers_and_folds_land_without_the_walk(walked, build, events):
     assert not walked
 
 
-def test_an_injector_takes_the_event_walk(walked):
+def test_an_injector_that_declares_no_pricing_takes_the_event_walk(walked):
     _second_replay(_injected(), _FLAT, walked)
     assert walked["record_comm"] == 2
+
+
+def _armed(*faults) -> Timeline:
+    """An exact untraced timeline whose fault injector is at step 0."""
+    timeline = Timeline(4)
+    timeline.injector = FaultInjector(FaultPlan(faults=faults))
+    timeline.injector.begin_step(0)
+    return timeline
+
+
+_UNSETTLED = {
+    # on rank 3, which no event of the stream names: it never fires
+    "live-crash": lambda: _armed(FaultSpec("gpu_crash", step=0, rank=3)),
+    # it fires in the first replay, and the step stays unsettled
+    "unfired-degradation": lambda: _armed(
+        FaultSpec("straggler", step=0, rank=0, factor=2.0)),
+}
+
+
+@pytest.mark.parametrize("build", _UNSETTLED.values(), ids=_UNSETTLED.keys())
+def test_an_unsettled_injector_takes_the_event_walk(walked, build):
+    timeline = build()
+    assert timeline.injector.pricing is None
+    _second_replay(timeline, _FLAT, walked)
+    assert walked["record_comm"] == 2
+
+
+_STRETCHED = {
+    "traced": lambda: Timeline(4, tracer=Tracer(metrics=OFF)),
+    "folded": lambda: FoldedTimeline(4, _TP2),
+    "unfolded": lambda: _unfolded(FoldedTimeline(4, _TP2)),
+}
+
+
+def _unfolded(timeline):
+    timeline.unfold()
+    return timeline
+
+
+@pytest.mark.parametrize("build", _STRETCHED.values(), ids=_STRETCHED.keys())
+def test_an_observed_receiver_walks_under_a_stretching_injector(walked, build):
+    """Its rows and log would read the recorded seconds; the walk's
+    read the stretched ones."""
+    timeline = build()
+    timeline.injector = _ProfileInjector({0: 2.0}, {1: 3.0})
+    stream = _second_replay(timeline, _FLAT, walked)
+    assert walked["record_comm"] == 2
+    assert not stream._forms
+
+
+def test_a_settled_injector_lands_without_the_walk(walked):
+    """A quiet step's fault injector lands the stream's ``OFF`` form; a
+    fired window's and the profile injector land their own, built at
+    the first replay from seconds stretched as the walk's are."""
+    stream = EventStream(_FLAT)
+    Timeline(4).replay(stream)
+    quiet = _armed(FaultSpec("straggler", step=1, rank=0, factor=2.0))
+    assert quiet.injector.pricing == ()
+    # at offset 1 the stream's computes land on ranks 1 and 2
+    fired = Timeline(4)
+    fired.injector = _fired([
+        FaultSpec("straggler", step=0, rank=1, factor=2.0, duration_steps=2),
+        FaultSpec("link_degrade", step=0, rank=2, factor=3.0, duration_steps=2)])
+    assert fired.injector.pricing
+    profile = Timeline(4)
+    profile.injector = _ProfileInjector({1: 2.0}, {2: 3.0})
+    for timeline in (quiet, fired, profile):
+        reference = Timeline(4)
+        reference.injector = timeline.injector
+        walked.clear()
+        timeline.replay(stream, offset=1)
+        assert not walked
+        reference.replay(list(_FLAT), offset=1)
+        assert walked["record_comm"] == 2
+        assert _state(timeline) == _state(reference)
+    assert len(stream._forms) == 3
+
+
+def test_a_pricing_and_its_offset_key_a_form():
+    """Factors name absolute ranks, so a stretched form is compiled per
+    pricing and offset; one pricing at one offset shares one."""
+    stream = EventStream(_FLAT)
+    for factors, offset in (({0: 2.0}, 0), ({0: 2.0}, 0), ({0: 2.0}, 1),
+                            ({0: 3.0}, 1)):
+        timeline = Timeline(4)
+        timeline.injector = _ProfileInjector(factors, {})
+        timeline.replay(stream, offset=offset)
+    assert len(stream._forms) == 3
 
 
 def test_a_plain_sequence_takes_the_event_walk(walked):

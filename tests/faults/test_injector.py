@@ -319,25 +319,31 @@ _ACTIONS = st.one_of(
 )
 
 
+def _act(injector, tag, target, op):
+    """One scheduled action on ``injector``: its result, or the raise."""
+    if tag == "compute":
+        return injector.before_compute(target, 0.3, op).hex()
+    if tag == "comm":
+        return injector.before_comm(target, 0.7, op).hex()
+    survivors = [r for r in range(_WORLD) if r not in target]
+    return injector.remap_ranks({old: new for new, old in enumerate(survivors)})
+
+
+def _marks(injector) -> list:
+    return [(a.rank, a.fired, a.fired_step, a.moot) for a in injector._armed]
+
+
 def _drive(injector, schedule):
     """Everything observable about ``injector`` over ``schedule``."""
     seen = []
     for step, actions in schedule:
         injector.begin_step(step)
-        for tag, target, op in actions:
+        for action in actions:
             try:
-                if tag == "compute":
-                    seen.append(injector.before_compute(target, 0.3, op).hex())
-                elif tag == "comm":
-                    seen.append(injector.before_comm(target, 0.7, op).hex())
-                else:
-                    survivors = [r for r in range(_WORLD) if r not in target]
-                    seen.append(injector.remap_ranks(
-                        {old: new for new, old in enumerate(survivors)}))
+                seen.append(_act(injector, *action))
             except FaultError as err:
                 seen.append((type(err), str(err), err.fault))
-        seen.append([(a.rank, a.fired, a.fired_step, a.moot)
-                     for a in injector._armed])
+        seen.append(_marks(injector))
     return seen
 
 
@@ -350,6 +356,46 @@ def test_settled_step_sets_equal_the_per_event_walk(plan, schedule):
     steps revisited (retries) and ranks remapped mid-step included."""
     assert _drive(FaultInjector(plan), schedule) == \
         _drive(_PerEventInjector(plan), schedule)
+
+
+#: Every rank alone, the whole world, and an unordered pair.
+_GROUPS = [(rank,) for rank in range(_WORLD)] + [tuple(range(_WORLD)), (5, 2)]
+
+
+def _every_hook(injector) -> list:
+    """Both hooks' seconds on every rank and op."""
+    return [injector.before_compute(rank, 0.3, op).hex()
+            for rank in range(_WORLD) for op in _OPS] + [
+        injector.before_comm(group, 0.7, op).hex()
+        for group in _GROUPS for op in _OPS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=_plans(), schedules=st.lists(st.lists(
+    st.tuples(st.integers(0, _STEPS), st.lists(_ACTIONS, max_size=12)),
+    max_size=8), min_size=1, max_size=3))
+def test_a_settled_pricing_is_everything_the_hooks_compute(plan, schedules):
+    """Wherever ``pricing`` is settled (not ``None``) — after each
+    ``begin_step`` and each action, remaps included — the hooks raise
+    nothing and change no armed entry on any rank, and injectors (one
+    per schedule) whose ``pricing`` is equal return equal seconds:
+    ``()`` the ones ``OFF`` hands back."""
+    seen = {OFF.pricing: _every_hook(OFF)}
+    for schedule in schedules:
+        injector = FaultInjector(plan)
+        for step, actions in schedule:
+            injector.begin_step(step)
+            for action in (*actions, None):
+                if injector.pricing is not None:
+                    before = _marks(injector)
+                    seconds = _every_hook(injector)
+                    assert _marks(injector) == before
+                    assert seen.setdefault(injector.pricing, seconds) == seconds
+                if action is not None:
+                    try:
+                        _act(injector, *action)
+                    except FaultError:
+                        pass
 
 
 def test_a_step_no_fault_touches_returns_seconds_untouched():

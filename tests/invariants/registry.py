@@ -76,13 +76,11 @@ class Draw:
             num_steps=self.steps, seed=0 if self.meta else 3)
 
 
-def run(draw: Draw, step_fn=None, *, observed=True, injected=True) -> Run:
+def run(draw: Draw, step_fn=None, *, observed=True) -> Run:
     """Drive ``draw``; ``observed=False`` turns every observer it can
-    ``OFF`` (the injector too, when the plan is empty), and
-    ``injected=False`` attaches no injector when the plan is empty."""
-    injector = (observed and injected) or draw.faults
+    ``OFF`` (the injector too, when the plan is empty)."""
     return drive(
-        draw.run_spec(), draw.faults if injector else None,
+        draw.run_spec(), draw.faults if observed or draw.faults else None,
         step_fn,
         tracer=Tracer() if observed and draw.traced else OFF,
         monitor=RunMonitor() if observed and draw.monitored else OFF,
@@ -121,15 +119,9 @@ def execute_every_block(draw):
         return run(draw)
 
 
-def uninjected(draw):
-    """The draw with no injector unless it has faults: a replay the
-    injector does not observe lands from its tape's compiled form."""
-    return run(draw, injected=False)
-
-
 def walk_every_stream(draw):
     with walked_streams():
-        return uninjected(draw)
+        return run(draw)
 
 
 def execute_numeric(draw):
@@ -299,9 +291,11 @@ PAIRS = (
     Pair("lowered-kernels", lambda d: not d.meta, wrapper_calls, everything),
     # A replayed step lands from its tape's compiled form: what walking
     # every event of the tape leaves, spans and fold log included.  A
-    # tape's first replay walks and its second is the first to land.
+    # tape's first replay walks and its second is the first to land; a
+    # quiet step's injector and a fired degradation window's land too
+    # (its settled ``pricing``), a window's unfired first step walks.
     Pair("compiled-replay", lambda d: d.steps >= 3, walk_every_stream,
-         everything, uninjected),
+         everything),
     # Activation checkpointing re-runs each block's forward from its
     # saved input in backward: the same numbers, step for step.
     Pair("recompute", lambda d: not d.meta and d.recompute,

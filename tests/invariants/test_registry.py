@@ -118,6 +118,10 @@ def _after(draw, *earlier):
 # was recorded with every replica built).
 @example(draw=_after(Draw((1, 2, 2, 2), fold="on"), {"faults": (
     FaultSpec("grad_corruption", step=0, rank=3),)}))
+# An untraced exact run's straggler window: its first step walks the
+# tape (the degradation fires there), its second lands the stretched form.
+@example(draw=Draw((1, 2, 2, 2), traced=False, faults=(
+    FaultSpec("straggler", step=1, rank=5, factor=3.0, duration_steps=2),)))
 def test_every_fast_path_meets_its_oracle(draw):
     check(draw)
 

@@ -170,9 +170,11 @@ def test_the_tune_4d_sweep_executes_one_block_per_layout(calls):
         {(c.tp_size, c.micro_batch) for c in candidates}) == 8
 
 
-def test_a_degraded_estimate_still_walks_every_event(calls):
-    """Re-pricing runs through the profile injector, so it stays on the
-    event walk — depth times the block streams — and on its golden."""
+def test_a_repeated_degraded_estimate_records_its_closed_form_only(calls):
+    """Re-pricing runs through the profile injector, whose ``pricing``
+    is settled: the block streams land from forms stretched at compile
+    time, so a repeated degraded estimate records no more than a clean
+    one's closed-form events — and stays on its golden."""
     from tests.tune.test_estimates_golden import GOLDEN, PROFILE, hexes
 
     candidate = enumerate_space(TuneRequest(
@@ -182,12 +184,10 @@ def test_a_degraded_estimate_still_walks_every_event(calls):
     calls.clear()
     clean = estimator.estimate(candidate)
     closed_form = calls["record"]
+    estimator.estimate(candidate, PROFILE)
     calls.clear()
     degraded = estimator.estimate(candidate, PROFILE)
-    probe = estimator._block_probe(candidate)
-    per_block = len(probe.backward) + (
-        1 + candidate.recompute) * len(probe.forward)
-    assert calls["record"] == closed_form + _ORBIT_1B.depth * per_block
+    assert calls["record"] == closed_form
     assert degraded != clean
     golden = json.loads(GOLDEN.read_text())["degraded"]
     assert hexes(degraded) == golden[candidate.label()]
