@@ -132,6 +132,14 @@ GUARDS = [
     ("one routing predicate", "-F", "injector is OFF",
      ("src/repro/cluster/timeline.py",)),
     ("one routing predicate", "-F", "uninjected(", ("tests/invariants",)),
+    # Every injector declares pricing: no fallback for one that does not.
+    ("every injector declares pricing", "-F", "except AttributeError",
+     ("src/repro/cluster/timeline.py",)),
+    # One walk landing: Timeline._land_* land on the receiver hooks'
+    # ledgers, and FoldedTimeline's overrides only log before them.
+    ("one walk landing", "-E", r"on_(compute|comm)\(self\._reps",
+     ("src/repro/cluster/timeline.py",)),
+    ("no FLOP total nothing reads", "-w", "total_flops", SRC_TESTS_EXAMPLES),
 ]
 
 

@@ -212,7 +212,8 @@ class EventStream(tuple):
     def compiled(self, timeline, offset: int = 0,
                  pricing: tuple = ()) -> "_Form | None":
         """The form for ``timeline`` at ``offset`` under its injector's
-        settled ``pricing``, compiled on the signature's second use
+        settled ``pricing`` (never ``None``: a replay under that walks
+        without asking), compiled on the signature's second use
         where a tracer or an event log observes the replay and on its
         first elsewhere; ``None`` where the walk replays it: on an
         observed signature's first use, wherever only the walk can (a
@@ -774,18 +775,24 @@ class Timeline:
     #: folded one logs them for :meth:`FoldedTimeline.expand`).
     _keeps_log = False
 
+    # One body for every receiver, on the ledgers its hooks name: the
+    # arithmetic :func:`_run_budget` and :meth:`_land`'s sums reproduce.
     def _land_compute(self, rank, seconds, flops, op, scope) -> None:
-        led = self._ledgers[rank]
-        t0 = led.walltime_s
-        led.compute_s += seconds
-        led.flops += flops
-        led.overlap_budget_s += seconds
-        self.tracer.on_compute(rank, t0, seconds, flops, op)
+        store, owner = self._ledger_store(), self._row_owner
+        for address in self._landing((rank,), None):
+            led = store[address]
+            t0 = led.walltime_s
+            led.compute_s += seconds
+            led.flops += flops
+            led.overlap_budget_s += seconds
+            at, members = owner(address)
+            self.tracer.on_compute(at, t0, seconds, flops, op, members=members)
 
     def _land_comm(self, ranks, seconds, nbytes, overlappable, op, scope,
                    kind, cid) -> None:
-        for rank in ranks:
-            led = self._ledgers[rank]
+        store, owner = self._ledger_store(), self._row_owner
+        for address in self._landing(ranks, None):
+            led = store[address]
             t0 = led.walltime_s
             led.comm_s += seconds
             led.comm_bytes += nbytes
@@ -796,11 +803,17 @@ class Timeline:
                 hidden = 0.0
                 led.overlap_budget_s = 0.0
             led.exposed_comm_s += seconds - hidden
-            self.tracer.on_comm(rank, t0, seconds, hidden, nbytes, op, ranks, cid=cid)
+            at, members = owner(address)
+            self.tracer.on_comm(at, t0, seconds, hidden, nbytes, op, ranks,
+                                cid=cid, members=members)
 
     def _land_free(self, ranks, name, nbytes, scope) -> None:
+        if not self.tracer.enabled:
+            return
+        store, addresses = self._ledger_store(), self._landing(ranks, None)
         self.tracer.mark_free(
-            ranks, [self._ledgers[r].walltime_s for r in ranks], name, nbytes)
+            [self._row_owner(address)[0] for address in addresses],
+            [store[address].walltime_s for address in addresses], name, nbytes)
 
     # -- event streams: capture and replay ---------------------------------
     @contextmanager
@@ -875,16 +888,13 @@ class Timeline:
         leaves.  Under a ``pricing`` other than ``()`` only an untraced
         exact timeline lands, from a form whose seconds the hooks
         stretched at compile time.  Every plain list, every stream under
-        a capture or an unsettled injector, one under an injector that
-        declares no ``pricing`` and one a tracer or log observes under a
-        stretching injector takes the walk.
+        a capture or an injector whose ``pricing`` is ``None``, and one a
+        tracer or log observes under a stretching injector takes the
+        walk.
         """
         capture = self._capture
         if capture is None and isinstance(events, EventStream):
-            try:
-                pricing = self.injector.pricing
-            except AttributeError:  # declares none: the walk
-                pricing = None
+            pricing = self.injector.pricing
             if pricing is not None:
                 form = events.compiled(self, offset, pricing)
                 if form is not None and self._land(form, renames, offset):
@@ -943,7 +953,7 @@ class Timeline:
                     self.record_free(ranks, name, nbytes)
             i += 1
 
-    # -- compiled replay: what the receiver contributes ------------------
+    # -- the receiver: where the walk and a compiled replay land ----------
     def _signature(self, offset: int) -> tuple:
         """What a stream's compiled form depends on besides the stream,
         ending in the offset to compile at: untraced, an exact timeline
@@ -955,8 +965,10 @@ class Timeline:
     def _in_fsdp_segment(self) -> bool:
         return False
 
-    def _landing(self, ranks: tuple, in_fsdp: bool) -> tuple:
-        """The ledgers an event over ``ranks`` lands on, in landing order."""
+    def _landing(self, ranks: tuple, in_fsdp: bool | None) -> tuple:
+        """The ledgers an event over ``ranks`` lands on, in landing order,
+        inside a folded FSDP segment or not (``None``: as one is open
+        now)."""
         return ranks
 
     def _ledger_store(self):
@@ -1120,10 +1132,6 @@ class Timeline:
         ledgers = self._ledgers if ranks is None else [self._ledgers[r] for r in ranks]
         return max((led.walltime_s for led in ledgers), default=0.0)
 
-    def total_flops(self) -> float:
-        """FLOPs summed over all ranks."""
-        return sum(led.flops for led in self._ledgers)
-
     def reset(self) -> None:
         """Zero every ledger and restart the collective-id sequence."""
         self._ledgers = self._fresh_ledgers()
@@ -1244,8 +1252,9 @@ class FoldedTimeline(Timeline):
     the modules' FSDP shard loops) are *folded*: only their first
     iteration executes, bracketed in the event log by a segment marker
     carrying the iteration count and the rank stride between iterations.
-    Each recorded event updates one ledger per covered class — bitwise
-    the same arithmetic a member rank's ledger would see — and emits one
+    Each recorded event updates one ledger per covered class — through
+    the very ``Timeline._land_*`` code a member rank's ledger sees, its
+    receiver hooks naming class ledgers instead of ranks — and emits one
     class-annotated compact span at the representative rank.
 
     :meth:`expand` runs the log through :meth:`~Timeline.replay` on a
@@ -1375,7 +1384,7 @@ class FoldedTimeline(Timeline):
                 r for r in key if r in self._rep_set)
         return tracked
 
-    # -- compiled replay: classes while folded, ranks once unfolded -------
+    # -- the receiver: classes while folded, ranks once unfolded ---------
     def _signature(self, offset):
         return (type(self), self.partition, self._folded,
                 self._in_fsdp_segment(), self.tracer.enabled, offset)
@@ -1397,55 +1406,23 @@ class FoldedTimeline(Timeline):
     def _log_entries(self, entries):
         self._log.extend(entries)
 
-    # -- landing: logged, then per class (folded) or per rank -------------
+    # -- landing: logged, then the shared landing -------------------------
     _keeps_log = True
 
     def _land_compute(self, rank, seconds, flops, op, scope):
         self._log.append(("compute", rank, seconds, flops, op, scope))
-        if not self._folded:
-            return super()._land_compute(rank, seconds, flops, op, scope)
-        for key in self._covered((rank,)):
-            led = self._class_ledgers[key]
-            t0 = led.walltime_s
-            led.compute_s += seconds
-            led.flops += flops
-            led.overlap_budget_s += seconds
-            self.tracer.on_compute(self._reps[key], t0, seconds, flops, op,
-                                   members=self._sizes[key])
+        super()._land_compute(rank, seconds, flops, op, scope)
 
     def _land_comm(self, ranks, seconds, nbytes, overlappable, op, scope,
                    kind, cid):
         self._log.append(("comm", ranks, seconds, nbytes, overlappable, op,
                           scope, kind))
-        if not self._folded:
-            return super()._land_comm(ranks, seconds, nbytes, overlappable,
-                                      op, scope, kind, cid)
-        for key in self._covered(ranks):
-            led = self._class_ledgers[key]
-            t0 = led.walltime_s
-            led.comm_s += seconds
-            led.comm_bytes += nbytes
-            if overlappable:
-                hidden = min(seconds, led.overlap_budget_s)
-                led.overlap_budget_s -= hidden
-            else:
-                hidden = 0.0
-                led.overlap_budget_s = 0.0
-            led.exposed_comm_s += seconds - hidden
-            self.tracer.on_comm(self._reps[key], t0, seconds, hidden, nbytes,
-                                op, ranks, cid=cid, members=self._sizes[key])
+        super()._land_comm(ranks, seconds, nbytes, overlappable, op, scope,
+                           kind, cid)
 
     def _land_free(self, ranks, name, nbytes, scope):
         self._log.append(("free", ranks, name, nbytes, scope))
-        if not self.tracer.enabled:
-            return
-        if not self._folded:
-            return super()._land_free(ranks, name, nbytes, scope)
-        covered = self._covered(ranks)
-        self.tracer.mark_free(
-            [self._reps[key] for key in covered],
-            [self._class_ledgers[key].walltime_s for key in covered],
-            name, nbytes)
+        super()._land_free(ranks, name, nbytes, scope)
 
     # -- summaries ---------------------------------------------------------
     def ledger(self, rank):
@@ -1462,12 +1439,6 @@ class FoldedTimeline(Timeline):
             keys = {self.partition.class_of(r) for r in ranks}
             ledgers = [self._class_ledgers[key] for key in keys]
         return max((led.walltime_s for led in ledgers), default=0.0)
-
-    def total_flops(self):
-        if not self._folded:
-            return super().total_flops()
-        return sum(self._sizes[key] * led.flops
-                   for key, led in self._class_ledgers.items())
 
     def reset(self):
         super().reset()

@@ -32,12 +32,12 @@ for the step, or an in-window degradation has not fired yet), else a
 hashable description of everything the hooks compute — ``()`` where
 they hand the seconds back, as :data:`~repro.obs.off.OFF`'s do.  A
 replay under a settled ``pricing`` lands a compiled form whose seconds
-went through the hooks once, at compile time; under ``None``, or on an
-injector that declares no ``pricing``, it walks every event through
-them.  A priced hook reads ``op`` only through :func:`stretch_compute`'s
-``pipeline.stall`` exemption, a name no replay rename reaches (renames
-swap ``step.<N>/``, block and trunk prefixes), so the form compiled from
-the recorded names serves every rename.
+went through the hooks once, at compile time; where ``pricing`` is
+``None`` it walks every event through them.  A priced hook reads ``op``
+only through :func:`stretch_compute`'s ``pipeline.stall`` exemption, a
+name no replay rename reaches (renames swap ``step.<N>/``, block and
+trunk prefixes), so the form compiled from the recorded names serves
+every rename.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ rows, the ``spans.*`` counters in creation order and the fold log by
 ``repr`` — and the routing tests count ``record_comm`` calls to pin
 which replays still walk: an observed stream's first on a receiver
 signature, those a capture observes, those under an injector whose
-``pricing`` is unsettled or undeclared, and an observed one under a
-stretching injector.
+``pricing`` is ``None``, and an observed one under a stretching
+injector.
 """
 
 import itertools
@@ -393,7 +393,10 @@ def test_an_untraced_exact_timeline_skips_the_walk(walked):
 
 
 class _Stretch:
-    """An injector that declares no ``pricing``, even if it does nothing."""
+    """An injector whose ``pricing`` is ``None`` — it does not vouch for
+    its hooks, even if they do nothing — so its replays walk."""
+
+    pricing = None
 
     def before_compute(self, rank, seconds, op):
         return seconds
@@ -428,7 +431,7 @@ def test_tracers_and_folds_land_without_the_walk(walked, build, events):
     assert not walked
 
 
-def test_an_injector_that_declares_no_pricing_takes_the_event_walk(walked):
+def test_an_injector_whose_pricing_is_none_takes_the_event_walk(walked):
     _second_replay(_injected(), _FLAT, walked)
     assert walked["record_comm"] == 2
 

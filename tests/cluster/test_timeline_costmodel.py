@@ -56,7 +56,7 @@ class TestTimeline:
         tl.record_compute(0, 1.0, flops=1.0)
         tl.reset()
         assert tl.walltime_s() == 0.0
-        assert tl.total_flops() == 0.0
+        assert tl.ledger(0).flops == 0.0
 
     def test_negative_times_rejected(self):
         tl = Timeline(1)

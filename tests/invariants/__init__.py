@@ -246,7 +246,6 @@ def left_behind(run: Run) -> dict:
         "errors": run.errors,
         "ledgers": ledgers(session),
         "walltime": timeline.walltime_s().hex(),
-        "flops": float(timeline.total_flops()).hex(),
         "next_cid": next_cid,
         "spans": list(getattr(session.tracer.spans, "_rows", ())),
         "memory": {device.rank: (device.memory.peak_bytes,
