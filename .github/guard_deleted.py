@@ -140,6 +140,18 @@ GUARDS = [
     ("one walk landing", "-E", r"on_(compute|comm)\(self\._reps",
      ("src/repro/cluster/timeline.py",)),
     ("no FLOP total nothing reads", "-w", "total_flops", SRC_TESTS_EXAMPLES),
+    # A build registers a module's shards in one batch per FSDP group
+    # (HybridModuleBase._shard, register_shards); a meta array's flat
+    # shard is memoized; a tracker keeps no per-tag dataclass; the
+    # FSDP structure clones are made only while FSDP is not folded.
+    ("one batch per FSDP group", "-F", "group=plan.fsdp_group(", ("src/repro/core",)),
+    ("one batch per FSDP group", "-w", "register_untracked", SRC_TESTS_EXAMPLES),
+    ("one memoized meta shard", "-F", "flat.size // num_shards",
+     ("src/repro/core/sharding.py",)),
+    ("lean tracker bookkeeping", "-E", r"_Category|max\(self\._peak, self\._current\)",
+     ("src/repro/memory/tracker.py",)),
+    ("clones only while FSDP is not folded", "-E",
+     r"clone_module_shared_params\((front|head)\)", ("src/repro/parallel/engine.py",)),
 ]
 
 

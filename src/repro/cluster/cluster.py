@@ -23,30 +23,47 @@ class GroupAllocation:
     it registers whichever tracked ranks do not hold the allocation yet
     — so calling it again once the run has unfolded back-fills the
     skipped members and leaves every tracker as a never-folded run
-    would have it.
+    would have it.  ``fill=False`` leaves the first registration to a
+    :func:`fill_groups` batch.
     """
 
     def __init__(self, cluster: "VirtualCluster", ranks: Sequence[int],
-                 nbytes: int, tag: str):
+                 nbytes: int, tag: str, fill: bool = True):
         self._cluster = cluster
         self.ranks = ranks
         self.nbytes = nbytes
         self.tag = tag
         self._held: dict = {}
-        self.fill()
+        if fill:
+            self.fill()
 
     def fill(self) -> None:
         """Allocate on every tracked rank that holds nothing yet."""
-        cluster, held = self._cluster, self._held
-        for rank in cluster.timeline.tracked_ranks(self.ranks):
-            if rank not in held:
-                held[rank] = cluster.device(rank).memory.allocate(self.nbytes, tag=self.tag)
+        fill_groups((self,))
 
     def release(self) -> None:
         """Free every registered allocation."""
         for rank, alloc in self._held.items():
             self._cluster.device(rank).memory.free(alloc)
         self._held = {}
+
+
+def fill_groups(allocations) -> None:
+    """:meth:`GroupAllocation.fill` of each allocation (``None`` skipped),
+    in one pass over each rank group's tracked ranks.  A device in one
+    of the groups registers them in iteration order, as filling them
+    one by one does."""
+    batches: dict = {}
+    for alloc in allocations:
+        if alloc is not None:
+            batches.setdefault(id(alloc.ranks), []).append(alloc)
+    for batch in batches.values():
+        cluster = batch[0]._cluster
+        for rank in cluster.timeline.tracked_ranks(batch[0].ranks):
+            memory = cluster.device(rank).memory
+            for alloc in batch:
+                if rank not in alloc._held:
+                    alloc._held[rank] = memory.allocate(alloc.nbytes, alloc.tag)
 
 
 class VirtualCluster:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
+from repro.core.sharding import ShardedParameter
 from repro.nn.context import ExecutionContext, execution_context
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,6 +59,11 @@ class HybridModuleBase:
         #: Set False when a trunk accounts gathered memory wholesale
         #: (the no-layer-wrapping mode of Table I).
         self.track_gather_memory = True
+
+    def _shard(self, full, suffix: str, tp: int = 0) -> ShardedParameter:
+        """``full`` on FSDP group ``tp``, for the module's :func:`register_shards`."""
+        return ShardedParameter(full, self.fsdp_size, f"{self.name}.{suffix}",
+                                group=self.fsdp_group(tp))
 
     def _gather(self, param, group):
         """Gather a shard with this module's prefetch/track settings."""

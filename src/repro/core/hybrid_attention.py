@@ -32,7 +32,7 @@ from __future__ import annotations
 from repro.cluster.collectives import all_reduce
 from repro.core.base import HybridModuleBase
 from repro.core.fsdp_ops import reduce_scatter_grads, tensor_parallel_sum
-from repro.core.sharding import ShardedParameter, column_shards
+from repro.core.sharding import ShardedParameter, column_shards, register_shards
 from repro.nn import functional as F
 from repro.nn import ops
 from repro.nn.attention import MultiHeadAttention
@@ -90,7 +90,6 @@ class HybridSTOPAttention(HybridModuleBase):
         self.local_dim = self.dim // K  # columns owned per tensor-parallel rank
         self.local_head_dim = self.local_dim // self.heads_per_rank
 
-        F_ = plan.fsdp_size
         self._params: dict[str, list[ShardedParameter]] = {}
         for pname, weight, bias in (
             ("wq", serial.wq.weight.data, serial.wq.bias.data),
@@ -100,44 +99,20 @@ class HybridSTOPAttention(HybridModuleBase):
             w_shards = column_shards(weight, K)
             b_shards = column_shards(bias, K)
             self._params[pname] = [
-                ShardedParameter(
-                    w_shards[k], F_, f"{name}.{pname}{k}", group=plan.fsdp_group(ddp_index, k)
-                )
-                for k in range(K)
-            ]
+                self._shard(w_shards[k], f"{pname}{k}", k) for k in range(K)]
             self._params[f"{pname}_bias"] = [
-                ShardedParameter(
-                    b_shards[k], F_, f"{name}.{pname}_b{k}", group=plan.fsdp_group(ddp_index, k)
-                )
-                for k in range(K)
-            ]
+                self._shard(b_shards[k], f"{pname}_b{k}", k) for k in range(K)]
         # W_o row shards: rows [k*D/K, (k+1)*D/K) == transposed column shards.
         wo_rows = column_shards(ops.swapaxes(serial.wo.weight.data, -1, -2), K)
         self._params["wo"] = [
-            ShardedParameter(
-                ops.swapaxes(wo_rows[k], -1, -2),
-                F_,
-                f"{name}.wo{k}",
-                group=plan.fsdp_group(ddp_index, k),
-            )
-            for k in range(K)
-        ]
-        self.wo_bias = ShardedParameter(
-            serial.wo.bias.data, F_, f"{name}.wo_bias", group=plan.fsdp_group(ddp_index, 0)
-        )
+            self._shard(ops.swapaxes(wo_rows[k], -1, -2), f"wo{k}", k) for k in range(K)]
+        self.wo_bias = self._shard(serial.wo.bias.data, "wo_bias")
         if self.qk_layernorm:
-            self.ln_q_gamma = ShardedParameter(
-                serial.ln_q.gamma.data, F_, f"{name}.lnq_g", group=plan.fsdp_group(ddp_index, 0)
-            )
-            self.ln_q_beta = ShardedParameter(
-                serial.ln_q.beta.data, F_, f"{name}.lnq_b", group=plan.fsdp_group(ddp_index, 0)
-            )
-            self.ln_k_gamma = ShardedParameter(
-                serial.ln_k.gamma.data, F_, f"{name}.lnk_g", group=plan.fsdp_group(ddp_index, 0)
-            )
-            self.ln_k_beta = ShardedParameter(
-                serial.ln_k.beta.data, F_, f"{name}.lnk_b", group=plan.fsdp_group(ddp_index, 0)
-            )
+            self.ln_q_gamma = self._shard(serial.ln_q.gamma.data, "lnq_g")
+            self.ln_q_beta = self._shard(serial.ln_q.beta.data, "lnq_b")
+            self.ln_k_gamma = self._shard(serial.ln_k.gamma.data, "lnk_g")
+            self.ln_k_beta = self._shard(serial.ln_k.beta.data, "lnk_b")
+        register_shards(self.sharded_parameters())
         self.ln_eps = serial.ln_q.eps if self.qk_layernorm else 1e-5
         self._subhead_groups: dict[int, object] = {}
 

@@ -43,7 +43,7 @@ from repro.core.base import HybridModuleBase
 from repro.core.fsdp_ops import reduce_scatter_grads
 from repro.core.hybrid_attention import HybridSTOPAttention
 from repro.core.hybrid_linear import HybridSTOPMLP
-from repro.core.sharding import ShardedParameter
+from repro.core.sharding import register_shards
 from repro.meta import is_meta, nbytes_of
 from repro.nn import functional as F
 from repro.nn import ops
@@ -57,14 +57,9 @@ class _ShardedLayerNorm(HybridModuleBase):
     def __init__(self, serial_ln, plan, ddp_index=0, prefetch=False, compute_model=None, name="ln"):
         super().__init__(plan, ddp_index, prefetch, compute_model, name)
         self.eps = serial_ln.eps
-        self.gamma = ShardedParameter(
-            serial_ln.gamma.data, plan.fsdp_size, f"{name}.gamma",
-            group=plan.fsdp_group(ddp_index, 0),
-        )
-        self.beta = ShardedParameter(
-            serial_ln.beta.data, plan.fsdp_size, f"{name}.beta",
-            group=plan.fsdp_group(ddp_index, 0),
-        )
+        self.gamma = self._shard(serial_ln.gamma.data, "gamma")
+        self.beta = self._shard(serial_ln.beta.data, "beta")
+        register_shards(self.sharded_parameters())
 
     def sharded_parameters(self):
         return [self.gamma, self.beta]

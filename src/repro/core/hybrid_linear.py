@@ -29,7 +29,7 @@ import math
 
 from repro.core.base import HybridModuleBase
 from repro.core.fsdp_ops import reduce_scatter_grads, tensor_parallel_sum
-from repro.core.sharding import ShardedParameter, column_shards, row_shards
+from repro.core.sharding import ShardedParameter, column_shards, register_shards, row_shards
 from repro.nn import functional as F
 from repro.nn import ops
 from repro.nn.mlp import MLP
@@ -59,25 +59,15 @@ class HybridSTOPMLP(HybridModuleBase):
             )
         self.dim = serial.dim
         self.hidden_dim = serial.hidden_dim
-        K, F_ = plan.tp_size, plan.fsdp_size
+        K = plan.tp_size
         a_cols = column_shards(serial.fc1.weight.data, K)
         b1_cols = column_shards(serial.fc1.bias.data, K)
         b_rows = row_shards(serial.fc2.weight.data, K)
-        self.a = [
-            ShardedParameter(a_cols[k], F_, f"{name}.a{k}", group=plan.fsdp_group(ddp_index, k))
-            for k in range(K)
-        ]
-        self.b1 = [
-            ShardedParameter(b1_cols[k], F_, f"{name}.b1_{k}", group=plan.fsdp_group(ddp_index, k))
-            for k in range(K)
-        ]
-        self.b = [
-            ShardedParameter(b_rows[k], F_, f"{name}.b{k}", group=plan.fsdp_group(ddp_index, k))
-            for k in range(K)
-        ]
-        self.b2 = ShardedParameter(
-            serial.fc2.bias.data, F_, f"{name}.b2", group=plan.fsdp_group(ddp_index, 0)
-        )
+        self.a = [self._shard(a_cols[k], f"a{k}", k) for k in range(K)]
+        self.b1 = [self._shard(b1_cols[k], f"b1_{k}", k) for k in range(K)]
+        self.b = [self._shard(b_rows[k], f"b{k}", k) for k in range(K)]
+        self.b2 = self._shard(serial.fc2.bias.data, "b2")
+        register_shards(self.sharded_parameters())
 
     # -- parameter access (tests / optimizer) ----------------------------------
     def sharded_parameters(self) -> list[ShardedParameter]:

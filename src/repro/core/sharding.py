@@ -13,12 +13,13 @@ Two layouts compose (paper Fig 3):
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
 import numpy as np
 
-from repro.cluster.cluster import GroupAllocation
+from repro.cluster.cluster import GroupAllocation, fill_groups
 from repro.meta import MetaArray, is_meta, nbytes_of
 from repro.nn.ops import kernel
 
@@ -73,12 +74,18 @@ def _pad_flat(array, padded: int):
 def flat_pad_shard(array, num_shards: int) -> list:
     """Flatten, zero-pad to a multiple of ``num_shards``, split evenly.
 
-    The inverse is :func:`flat_unshard` with the original shape.
+    The inverse is :func:`flat_unshard` with the original shape.  Meta
+    shards are one frozen :class:`MetaArray` per ``(size, dtype, num_shards)``.
     """
+    if is_meta(array):
+        return [_meta_shard(array.size, array.dtype, num_shards)] * num_shards
     flat = flat_pad(array, num_shards)
-    if is_meta(flat):
-        return [MetaArray((flat.size // num_shards,), flat.dtype)] * num_shards
     return [np.ascontiguousarray(s) for s in np.split(flat, num_shards)]
+
+
+@functools.cache
+def _meta_shard(size: int, dtype, num_shards: int) -> MetaArray:
+    return MetaArray((padded_size(size, num_shards) // num_shards,), dtype)
 
 
 def flat_unshard(shards: list, shape: tuple[int, ...]):
@@ -100,8 +107,8 @@ class ShardedParameter:
     """One logical matrix stored as flat shards over an FSDP group.
 
     Tracks the logical (unsharded) shape so gathers can restore it, and
-    registers the per-rank shard bytes with the owning devices' memory
-    trackers.
+    holds the per-rank shard bytes that :func:`register_shards` registers
+    with the owning devices' memory trackers.
 
     Parameters
     ----------
@@ -114,8 +121,8 @@ class ShardedParameter:
     group:
         Optional FSDP :class:`~repro.cluster.process_group.ProcessGroup`
         owning the shards (member ``j`` holds shard ``j``).  When given,
-        persistent shard memory is allocated (tag ``params.<name>``) on
-        the members the timeline tracks — see
+        :func:`register_shards` allocates persistent shard memory (tag
+        ``params.<name>``) on the members the timeline tracks — see
         :class:`~repro.cluster.cluster.GroupAllocation`.
     """
 
@@ -131,7 +138,8 @@ class ShardedParameter:
             if group.size != num_shards:
                 raise ValueError(f"need a group of {num_shards} ranks, got {group.size}")
             self._allocation = GroupAllocation(
-                group.cluster, group.ranks, self.shard_nbytes, f"params.{name}"
+                group.cluster, group.ranks, self.shard_nbytes, f"params.{name}",
+                fill=False,
             )
 
     @property
@@ -169,11 +177,6 @@ class ShardedParameter:
             return None
         return flat_unshard(self.grad_shards, self.logical_shape)
 
-    def register_untracked(self) -> None:
-        """Back-fill the shard registrations a folded construction skipped."""
-        if self._allocation is not None:
-            self._allocation.fill()
-
     def free(self) -> None:
         """Release the persistent shard allocations (simulated)."""
         if self._allocation is not None:
@@ -185,3 +188,9 @@ class ShardedParameter:
             f"ShardedParameter({self.name}, logical={self.logical_shape}, "
             f"shards={self.num_shards})"
         )
+
+
+def register_shards(params) -> None:
+    """Register (once unfolded: back-fill) ``params``' shards, one
+    :func:`~repro.cluster.cluster.fill_groups` pass per FSDP group."""
+    fill_groups(param._allocation for param in params)

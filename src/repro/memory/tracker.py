@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.utils.units import format_bytes
 
@@ -36,19 +36,12 @@ class OutOfDeviceMemoryError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Handle for one live allocation; pass back to :meth:`MemoryTracker.free`."""
 
     handle: int
     nbytes: int
     tag: str
-
-
-@dataclass
-class _Category:
-    current: int = 0
-    peak: int = 0
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,8 @@ class MemoryTracker:
         self._live: dict[int, Allocation] = {}
         self._current = 0
         self._peak = 0
-        self._categories: dict[str, _Category] = {}
+        #: tag -> ``[current, peak]`` bytes
+        self._categories: dict[str, list[int]] = {}
 
     # -- queries ---------------------------------------------------------
     @property
@@ -111,19 +105,20 @@ class MemoryTracker:
     def category_peak(self, tag_prefix: str) -> int:
         """Peak bytes among allocations whose tag starts with ``tag_prefix``."""
         return max(
-            (cat.peak for tag, cat in self._categories.items() if tag.startswith(tag_prefix)),
+            (peak for tag, (_, peak) in self._categories.items() if tag.startswith(tag_prefix)),
             default=0,
         )
 
     def category_current(self, tag_prefix: str) -> int:
         """Live bytes among allocations whose tag starts with ``tag_prefix``."""
         return sum(
-            cat.current for tag, cat in self._categories.items() if tag.startswith(tag_prefix)
+            current for tag, (current, _) in self._categories.items()
+            if tag.startswith(tag_prefix)
         )
 
     def breakdown(self) -> dict[str, int]:
         """Current live bytes per tag (zero-byte tags omitted)."""
-        return {tag: cat.current for tag, cat in self._categories.items() if cat.current}
+        return {tag: current for tag, (current, _) in self._categories.items() if current}
 
     # -- mutation --------------------------------------------------------
     def allocate(self, nbytes: int, tag: str = "untagged") -> Allocation:
@@ -131,15 +126,21 @@ class MemoryTracker:
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError(f"cannot allocate negative bytes: {nbytes}")
-        if self.capacity_bytes is not None and self._current + nbytes > self.capacity_bytes:
+        current = self._current + nbytes
+        if self.capacity_bytes is not None and current > self.capacity_bytes:
             raise OutOfDeviceMemoryError(self.name, nbytes, self._current, self.capacity_bytes)
         alloc = Allocation(next(self._counter), nbytes, tag)
         self._live[alloc.handle] = alloc
-        self._current += nbytes
-        self._peak = max(self._peak, self._current)
-        cat = self._categories.setdefault(tag, _Category())
-        cat.current += nbytes
-        cat.peak = max(cat.peak, cat.current)
+        self._current = current
+        if current > self._peak:
+            self._peak = current
+        cat = self._categories.get(tag)
+        if cat is None:
+            self._categories[tag] = [nbytes, nbytes]
+        else:
+            cat[0] += nbytes
+            if cat[0] > cat[1]:
+                cat[1] = cat[0]
         return alloc
 
     def free(self, alloc: Allocation) -> None:
@@ -148,7 +149,7 @@ class MemoryTracker:
         if stored is None:
             raise KeyError(f"allocation {alloc.handle} ({alloc.tag}) is not live")
         self._current -= stored.nbytes
-        self._categories[stored.tag].current -= stored.nbytes
+        self._categories[stored.tag][0] -= stored.nbytes
 
     @contextmanager
     def scoped(self, nbytes: int, tag: str = "scratch") -> Iterator[Allocation]:
@@ -163,13 +164,13 @@ class MemoryTracker:
         """Reset the high-water marks to the current live totals."""
         self._peak = self._current
         for cat in self._categories.values():
-            cat.peak = cat.current
+            cat[1] = cat[0]
 
     def begin_rise(self) -> tuple:
         """Start measuring a :class:`Rise`: the peaks restart at the live
         bytes.  Hand the result to :meth:`end_rise`."""
         start = (self._current, self._peak,
-                 {tag: (cat.current, cat.peak) for tag, cat in self._categories.items()})
+                 {tag: tuple(cat) for tag, cat in self._categories.items()})
         self.reset_peak()
         return start
 
@@ -181,9 +182,9 @@ class MemoryTracker:
         by_tag = []
         for tag, cat in self._categories.items():
             base, old_peak = categories.get(tag, (0, 0))
-            if cat.peak > base:
-                by_tag.append((tag, cat.peak - base))
-            cat.peak = max(cat.peak, old_peak)
+            if cat[1] > base:
+                by_tag.append((tag, cat[1] - base))
+            cat[1] = max(cat[1], old_peak)
         rise = Rise(self._peak - current, tuple(by_tag))
         self._peak = max(self._peak, peak)
         return rise
@@ -193,15 +194,15 @@ class MemoryTracker:
         them from the live bytes now, allocating nothing."""
         self._peak = max(self._peak, self._current + rise.total)
         for tag, excess in rise.by_tag:
-            cat = self._categories.setdefault(tag, _Category())
-            cat.peak = max(cat.peak, cat.current + excess)
+            cat = self._categories.setdefault(tag, [0, 0])
+            cat[1] = max(cat[1], cat[0] + excess)
 
     def free_all(self) -> None:
         """Release every live allocation (used between simulated runs)."""
         self._live.clear()
         self._current = 0
         for cat in self._categories.values():
-            cat.current = 0
+            cat[0] = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         cap = "inf" if self.capacity_bytes is None else format_bytes(self.capacity_bytes)

@@ -10,7 +10,10 @@ Composes the three orthogonal axes of paper Fig 4 around a
   the cross-variable aggregator) and the prediction head are small and
   replicated on every rank of a replica; each FSDP index gets its own
   activation caches via structure clones that *share* the replica's
-  parameters, so micro-batch gradients accumulate naturally;
+  parameters, so micro-batch gradients accumulate naturally.  The
+  clones exist only while FSDP is not folded (a folded step visits
+  ``f = 0`` alone); :meth:`HybridSTOPEngine.materialize_replicas`
+  makes them when a folded run unfolds;
 * DDP replicas are deep copies trained on different data subsets whose
   gradients are summed once per step (:meth:`allreduce_gradients`);
 * the trunk is partitioned contiguously into ``plan.pp_size`` pipeline
@@ -42,6 +45,7 @@ import numpy as np
 from repro.cluster.cluster import GroupAllocation
 from repro.cluster.collectives import all_reduce
 from repro.core.base import compute_on_rank
+from repro.core.sharding import register_shards
 from repro.meta import is_meta, nbytes_of
 from repro.models.climax_vit import ClimaXViT
 from repro.nn.module import Module
@@ -173,15 +177,10 @@ class HybridSTOPEngine:
 
     def _build_replica(self, d: int, replica_model: ClimaXViT) -> None:
         plan = self.plan
-        F = plan.fsdp_size
-        front = _DenseFront(replica_model)
-        head = _DenseHead(replica_model)
-        self.fronts.append(
-            [front] + [clone_module_shared_params(front) for _ in range(F - 1)]
-        )
-        self.heads.append(
-            [head] + [clone_module_shared_params(head) for _ in range(F - 1)]
-        )
+        self.fronts.append([_DenseFront(replica_model)])
+        self.heads.append([_DenseHead(replica_model)])
+        if not plan.cluster.timeline.folds_axis("fsdp"):
+            self._clone_per_fsdp_index((self.fronts[d], self.heads[d]))
         from repro.core.hybrid_block import HybridSTOPTrunk
 
         trunk_kwargs = dict(
@@ -203,31 +202,38 @@ class HybridSTOPEngine:
         # Dense parameters are fully replicated on every rank of the
         # replica's stage that holds them.
         for stage, nbytes in dense_by_stage(
-            plan.pp_size, front.parameter_bytes(), head.parameter_bytes()
+            plan.pp_size, self.fronts[d][0].parameter_bytes(),
+            self.heads[d][0].parameter_bytes()
         ):
             self._dense_allocs.append(GroupAllocation(
                 plan.cluster, self._stage_ranks(stage, d), nbytes, "params.dense"
             ))
 
     def materialize_replicas(self) -> None:
-        """Build the DDP replicas a folded construction skipped.
+        """Build the modules a folded construction skipped.
 
         Called when a folded run drops to exact mode (fault window): the
-        per-replica module structure must exist for every ``d`` before
-        the next unfolded step executes, and the memory registrations of
-        the replicas that do exist — narrowed to the class
-        representatives while folded — are back-filled onto every member
-        device, so the trackers end up as a never-folded run leaves
-        them.  Construction is pure bookkeeping — it records no timeline
-        events.
+        next step visits every ``d`` and ``f``, so each built replica
+        gets its F - 1 front and head structure clones, then the unbuilt
+        DDP replicas are built.  The memory registrations of the built
+        ones — narrowed to the class representatives while folded — are
+        back-filled onto every member device, so the trackers end up as
+        a never-folded run leaves them.  Construction is pure
+        bookkeeping — it records no timeline events.
         """
         for alloc in self._dense_allocs:
             alloc.fill()
         for trunk in self.trunks:
-            for param in trunk.sharded_parameters():
-                param.register_untracked()
+            register_shards(trunk.sharded_parameters())
+        self._clone_per_fsdp_index(self.fronts + self.heads)
         for d in range(len(self.trunks), self.plan.ddp_size):
             self._build_replica(d, clone_module(self._model_template))
+
+    def _clone_per_fsdp_index(self, rows) -> None:
+        """Grow each row to one structure clone of its module per ``f``."""
+        for row in rows:
+            row.extend(clone_module_shared_params(row[0])
+                       for _ in range(self.plan.fsdp_size - len(row)))
 
     # -- accounting helpers -------------------------------------------------------
     def _ranked(self, d: int, f: int, op: str = "dense", plan=None):

@@ -235,33 +235,62 @@ def _observed(timeline) -> dict:
     }
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_every_receiver_lands_the_walk(data):
-    """Traced or not, exact, folded or unfolded, under any settled
-    injector: the compiled landing of a stream with nested replays and
-    segments leaves what walking the same events as a plain list leaves
-    on an identical receiver, replay after replay (an observed
-    receiver's first replay walks; the form is built once, then reused;
-    an observed receiver under a stretching injector builds none)."""
-    events = data.draw(_nested())
-    kind = data.draw(st.sampled_from(["exact", "folded", "unfolded"]))
-    traced = data.draw(st.booleans())
-    injector = data.draw(_injectors())
-    count = len(_PART.keys) if kind == "folded" else _PART.num_gpus
-    state = ([[data.draw(_ENTRY) for _ in range(6)] for _ in range(count)],
-             data.draw(st.integers(0, 1000)))
+def _lands_the_walk(kind, traced, events, injector, state, replays):
+    """Replay ``events`` compiled on one receiver and walked on an
+    identical one; both must leave the same observable state."""
     compiled, walked = (_receiver(kind, traced, state) for _ in range(2))
     compiled.injector, walked.injector = injector(), injector()
     assert compiled.injector.pricing is not None
     stream = EventStream(events)
-    for renames in data.draw(st.lists(_RENAMES, min_size=2, max_size=3)):
+    for renames in replays:
         compiled.replay(stream, renames=renames)
         walked.replay(list(events), renames=renames)
     assert _observed(compiled) == _observed(walked)
     observed = traced or kind != "exact"
     assert len(stream._forms) == (0 if compiled.injector.pricing and observed
                                   else 1)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("kind", ["exact", "folded", "unfolded"])
+@settings(max_examples=17, deadline=None)
+@given(data=st.data())
+def test_every_receiver_lands_the_walk(kind, traced, data):
+    """Traced or not, exact, folded or unfolded, under any settled
+    injector: the compiled landing of a stream with nested replays and
+    segments leaves what walking the same events as a plain list leaves
+    on an identical receiver, replay after replay (an observed
+    receiver's first replay walks; the form is built once, then reused;
+    an observed receiver under a stretching injector builds none).
+    Every receiver is its own case, so each gets 17 of the draws."""
+    events = data.draw(_nested())
+    injector = data.draw(_injectors())
+    count = len(_PART.keys) if kind == "folded" else _PART.num_gpus
+    state = ([[data.draw(_ENTRY) for _ in range(6)] for _ in range(count)],
+             data.draw(st.integers(0, 1000)))
+    _lands_the_walk(kind, traced, events, injector, state,
+                    data.draw(st.lists(_RENAMES, min_size=2, max_size=3)))
+
+
+#: Compute on both ranks of the TP pair, then a gather that hides under it.
+_HIDDEN_GATHER = [
+    ("compute", 0, 1.0, 8.0, "probe.mlp.fc1", "step.1/forward"),
+    ("compute", 1, 1.0, 8.0, "probe.mlp.fc1", "step.1/forward"),
+    ("comm", (0, 1), 0.25, 64, True, "all_gather", "step.1/forward", "gather"),
+]
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("kind", ["exact", "folded", "unfolded"])
+def test_every_receiver_lands_a_hidden_gather_as_the_walk(kind, traced):
+    """The draws above can miss an overlap split on one receiver under
+    some seeds; this stream spends each ledger's overlap budget on every
+    replay, so the compiled landing (replays 2 and 3 of an observed
+    receiver) must spend it as the walk does, whatever the seed."""
+    count = len(_PART.keys) if kind == "folded" else _PART.num_gpus
+    _lands_the_walk(kind, traced, _HIDDEN_GATHER, lambda: OFF,
+                    ([[0.0] * 6 for _ in range(count)], 0),
+                    [(), (("step.1/", "step.7/"),), ()])
 
 
 @settings(max_examples=100, deadline=None)

@@ -107,8 +107,21 @@ def test_unfold_backfills_trackers_to_the_never_folded_state(grid, kind):
         want = exact.session.cluster.device(rank).memory
         got = folded.session.cluster.device(rank).memory
         assert got.category_current("params") == want.category_current("params"), rank
+        assert got.breakdown() == want.breakdown(), rank
         assert got.peak_bytes == want.peak_bytes, rank
         assert got.live_allocations == want.live_allocations, rank
+    # The folded build made one front and one head per replica; the
+    # unfold back-filled a structure clone per FSDP index, each on the
+    # replica's own Parameter objects.
+    engine = folded.session.engine
+    fsdp = engine.plan.fsdp_size
+    for rows in (engine.fronts, engine.heads):
+        assert len(rows) == engine.plan.ddp_size
+        for row in rows:
+            assert len({id(module) for module in row}) == len(row) == fsdp
+            for clone in row[1:]:
+                assert all(mine is own for mine, own in
+                           zip(clone.parameters(), row[0].parameters(), strict=True))
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())

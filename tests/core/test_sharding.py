@@ -16,6 +16,7 @@ from repro.core import (
     row_shards,
     ShardedParameter,
 )
+from repro.core.sharding import register_shards
 from repro.meta import MetaArray, is_meta
 from repro.nn import functional as F
 
@@ -84,6 +85,8 @@ class TestShardedParameter:
     def test_device_allocation_and_free(self):
         cluster = VirtualCluster(num_gpus=2)
         param = ShardedParameter(np.zeros((4, 4), np.float32), 2, "w", group=cluster.world)
+        assert cluster.device(0).memory.current_bytes == 0
+        register_shards([param])
         assert cluster.device(0).memory.current_bytes == 32  # 8 floats
         param.free()
         assert cluster.device(0).memory.current_bytes == 0
