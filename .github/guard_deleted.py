@@ -152,6 +152,10 @@ GUARDS = [
      ("src/repro/memory/tracker.py",)),
     ("clones only while FSDP is not folded", "-E",
      r"clone_module_shared_params\((front|head)\)", ("src/repro/parallel/engine.py",)),
+    # A traced compiled landing appends one SpanBlock: its rows are
+    # built by SpanBlock.rows when first read, not zipped at landing.
+    ("one span block per traced landing", "-wE", "extend_rows|compute_rows|comm_rows|free_rows",
+     SRC_TESTS_EXAMPLES),
 ]
 
 

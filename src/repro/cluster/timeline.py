@@ -34,8 +34,8 @@ step's stream holds its trunk's one executed block once.
 That event walk is also the oracle of the one shortcut here: a stream
 wrapped as an :class:`EventStream` compiles, once per receiver
 signature (where a tracer or an event log observes it, on its second
-replay there: the first walks), to per-ledger float columns, span-row
-indices and log entries, and a replay that no capture observes and
+replay there: the first walks), to per-ledger float columns, span
+columns and log entries, and a replay that no capture observes and
 whose injector's ``pricing`` is settled lands them in bulk instead of
 visiting the events — on an exact or a folded timeline, traced or not,
 nested replays and folded segments included, and under a stretching
@@ -57,7 +57,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.obs.off import OFF
-from repro.obs.tracer import SPAN_KINDS, Tracer, comm_rows, compute_rows, free_rows
+from repro.obs.tracer import (
+    COMPUTE, GATHER, KIND_NAMES, SPAN_KINDS, SpanBlock, SpanColumns, Tracer)
 
 
 def stretch_compute(seconds: float, factor: float, op: str) -> float:
@@ -141,17 +142,20 @@ class _Landed(NamedTuple):
 
 
 class _Rows(NamedTuple):
-    """The span rows of a compiled replay, per kind, in walk order."""
+    """The span rows of a compiled replay, in walk order."""
 
-    #: Per kind and row: its event's index among that kind's events, its
-    #: ledger's index, and where that ledger's clock reads before the
-    #: event in the flat compute and exposed prefixes (which the hidden
-    #: column shares).
-    event: tuple
-    ledger: tuple
-    at_compute: tuple
-    at_exposed: tuple
+    #: Per row: kind (compute, comm, free), event (computes first, then
+    #: collectives, then releases), ledger, and where that ledger's clock
+    #: reads before the event in the flat compute and exposed prefixes.
     order: bytes
+    event: np.ndarray
+    ledger: np.ndarray
+    at_compute: np.ndarray
+    at_exposed: np.ndarray
+    #: Per event, the span columns no landing changes: ``kind``, ``dur``,
+    #: ``amount`` (FLOPs or bytes), ``group_len``, ``name`` and ``scope``
+    #: text ids (a release's name past the texts, at ``free.<name>``).
+    columns: dict
     #: ``((span kind, rows), ...)`` in the order the rows first use them.
     counts: tuple
 
@@ -297,12 +301,11 @@ class _Compiler:
         self.order = bytearray()
         self.markers: list = []
         self.marks: dict = {}     # each distinct marker, kept once
-        #: per kind: each row's event, its ledger, and that ledger's
-        #: computes and collectives before it (made flat prefix indices
-        #: by ``form``)
-        self.rows = tuple(tuple(array("i") for _ in range(4)) for _ in range(3))
+        #: per row, in walk order: its event's index among its kind's,
+        #: its ledger, and that ledger's computes and collectives before
+        #: it (made flat prefix indices by ``form``); and its kind
+        self.rows = tuple(array("i") for _ in range(4))
         self.row_order = bytearray()
-        self.kinds: dict = {}    # span kind -> rows, in first-use order
 
     def form(self, events, offset) -> _Form | None:
         self.walk(events, 0, len(events), offset, (), (),
@@ -312,13 +315,13 @@ class _Compiler:
             return None
         ranks = [a for a in addresses if type(a) is int]
         # Symmetric ledgers see equal columns: each distinct one is kept
-        # once, and ledgers with one budget program share its memo.
-        columns: dict = {}
+        # once per field (a byte count is no seconds column, though
+        # 0 == 0.0), and ledgers with one budget program share its memo.
+        columns = ({}, {}, {}, {})
         memos: dict = {}
         ledgers = []
         for address, fields in zip(addresses, self.columns):
-            compute_s, flops, comm_s, comm_bytes = (
-                _interned(columns, column) for column in fields[:4])
+            compute_s, flops, comm_s, comm_bytes = map(_interned, columns, fields[:4])
             ops = bytes(fields[4])
             memo = memos.setdefault((ops, id(compute_s), id(comm_s)),
                                     {} if _RESET in ops else None)
@@ -329,23 +332,33 @@ class _Compiler:
         if self.observed:
             landed = self._landed()
         if self.traced:
+            order = bytes(self.row_order)
+            event, ledger, computes, collectives = map(_ints, self.rows)
             # Ledger j's prefixes start at the sum of the earlier ones'
             # lengths, each one longer than its column.
-            at_c, at_e, c, e = [], [], 0, 0
-            for computes, collectives in self.counts:
-                at_c.append(c)
-                at_e.append(e)
-                c += computes + 1
-                e += collectives + 1
-            rows = [tuple(map(_ints, per_kind)) for per_kind in self.rows]
-            rows = _Rows(
-                tuple(_compact(per_kind[0], len(events))
-                      for per_kind, events in zip(rows, self.events)),
-                tuple(_compact(per_kind[1], len(at_c)) for per_kind in rows),
-                *(tuple(_compact(np.take(at, per_kind[1]) + per_kind[field], bound)
-                        for per_kind in rows)
-                  for at, field, bound in ((at_c, 2, c), (at_e, 3, e))),
-                bytes(self.row_order), tuple(self.kinds.items()))
+            lengths = np.array(self.counts, np.int32).reshape(-1, 2) + 1
+            starts = (np.cumsum(lengths, axis=0, dtype=np.int32) - lengths)[ledger]
+            (on_compute, on_comm, on_free), names = self.events, landed.names
+            n_compute, n_free = len(on_compute), len(on_free)
+            event = event + np.cumsum([0, n_compute, len(on_comm)], dtype=np.int32)[
+                np.frombuffer(order, np.uint8)]
+            static = {  # per event: computes, then collectives, then releases
+                "kind": np.array([COMPUTE] * n_compute + [KIND_NAMES.index(e[7]) for e
+                                  in on_comm] + [GATHER] * n_free, np.int8),
+                "dur": np.array([*map(_SECONDS, on_compute + on_comm)] + [0.0] * n_free, float),
+                "amount": np.array([*map(_AMOUNT, on_compute + on_comm + on_free)], float),
+                "group_len": np.array([-1] * n_compute + [*map(len, self.ranks[1])]
+                                      + [-1] * n_free, np.int64),
+                "name": np.concatenate([*names[:2], names[2] + len(landed.texts)]),
+                "scope": np.concatenate(landed.scopes),
+            }
+            kinds = static["kind"][event].tolist()
+            rows = _Rows(order, _narrow(event, len(static["kind"])),
+                         _narrow(ledger, len(lengths)),
+                         _narrow(starts[:, 0] + computes, lengths[:, 0].sum()),
+                         _narrow(starts[:, 1] + collectives, lengths[:, 1].sum()),
+                         static, tuple((KIND_NAMES[k], kinds.count(k))
+                                       for k in dict.fromkeys(kinds)))
         return _Form(tuple(ledgers), self.collectives, landed, rows, offset,
                      (min(ranks, default=0), max(ranks, default=-1)))
 
@@ -358,7 +371,7 @@ class _Compiler:
         return _Landed(
             tuple(map(tuple, self.events)),
             tuple(map(tuple, self.ranks)) if self.shifted else (None,) * 3,
-            *(tuple(_compact(np.take(moved, _ints(ids)), len(grouped))
+            *(tuple(np.take(moved, _ints(ids)).astype(np.int32)
                     for ids in per_kind)
               for per_kind in (self.names, self.scopes)),
             tuple(map(self.texts.__getitem__, grouped.tolist())),
@@ -486,8 +499,7 @@ class _Compiler:
             if traced and landed:
                 # Each row, with its ledger's computes and collectives
                 # before it (a rank named twice sees its first landing).
-                row_event, row_ledger, row_computes, row_collectives = \
-                    self.rows[kind]
+                row_event, row_ledger, row_computes, row_collectives = self.rows
                 event = len(self.events[kind])
                 for j in landed:
                     at = counts[j]
@@ -498,11 +510,8 @@ class _Compiler:
                     if kind != _FREE:
                         at[kind] += 1
                 self.row_order.extend(bytes((kind,)) * len(landed))
-                span_kind = ("compute" if kind == _COMPUTE else
-                             entry[7] if kind == _COMM else "gather")
-                if span_kind not in SPAN_KINDS:
+                if kind == _COMM and entry[7] not in SPAN_KINDS:
                     self.valid = False  # the walk raises the tracer's error
-                self.kinds[span_kind] = self.kinds.get(span_kind, 0) + len(landed)
             name_at, scope_at = _NAME_AND_SCOPE[tag]
             name, scope = entry[name_at], entry[scope_at]
             name_id = seen.get(name)
@@ -549,16 +558,15 @@ class _Compiler:
                     for inner_prefix, inner_suffix in piece.contexts]
         self.texts += piece.texts
         _extend(self.text_context, np.take(contexts, _ints(piece.text_context)))
+        if self.traced:
+            row_events, ledgers, computes, collectives = map(_ints, piece.rows)
+            first = np.array([len(events) for events in self.events])
+            for column, more in zip(self.rows, (
+                    row_events + first[np.frombuffer(piece.row_order, np.uint8)],
+                    np.take(here, ledgers), np.take(computes_at, ledgers) + computes,
+                    np.take(collectives_at, ledgers) + collectives)):
+                _extend(column, more)
         for kind in range(3):
-            if self.traced:
-                events, ledgers, computes, collectives = map(_ints, piece.rows[kind])
-                row_event, row_ledger, row_computes, row_collectives = \
-                    self.rows[kind]
-                _extend(row_event, events + len(self.events[kind]))
-                _extend(row_ledger, np.take(here, ledgers))
-                _extend(row_computes, np.take(computes_at, ledgers) + computes)
-                _extend(row_collectives,
-                        np.take(collectives_at, ledgers) + collectives)
             self.events[kind].extend(piece.events[kind])
             self.ranks[kind].extend(piece.ranks[kind])
             _extend(self.names[kind], _ints(piece.names[kind]) + first_text)
@@ -566,8 +574,6 @@ class _Compiler:
         self.order += piece.order
         self.markers += piece.markers
         self.row_order += piece.row_order
-        for span_kind, rows in piece.kinds.items():
-            self.kinds[span_kind] = self.kinds.get(span_kind, 0) + rows
 
     def _text(self, text, context: int) -> int:
         self.texts.append(text)
@@ -595,16 +601,9 @@ def _extend(values: array, more: np.ndarray) -> None:
     values.frombytes(more.astype(np.int32).tobytes())
 
 
-def _indices(values: array) -> np.ndarray:
-    """A :func:`_compact` array as NumPy indices (a view)."""
-    return np.frombuffer(values, values.typecode)
-
-
-def _compact(values: np.ndarray, top: int) -> array:
-    """``values``, ints in ``range(top)``, in the narrowest array that
-    holds them."""
-    code = next(code for code in "BHIL" if top <= 1 << 8 * array(code).itemsize)
-    return array(code, values.astype(code).tobytes())
+def _narrow(values: np.ndarray, top) -> np.ndarray:
+    """``values``, ints in ``range(top)``, in the narrowest unsigned type."""
+    return values.astype(np.min_scalar_type(max(int(top) - 1, 0)))
 
 
 def _run_budget(columns: _LedgerColumns, budget, traced: bool) -> tuple:
@@ -882,7 +881,7 @@ class Timeline:
         It lands from the form compiled for this timeline's signature
         (:meth:`_land`; a traced or folded timeline walks the
         signature's first replay, see :meth:`EventStream.compiled`) —
-        ledger columns, span rows with the walk's clocks, splits and
+        ledger columns, a span block of the walk's clocks, splits and
         collective ids, ``spans.*`` counts and a folded timeline's log
         entries, each in the walk's order and ``==`` to what the walk
         leaves.  Under a ``pricing`` other than ``()`` only an untraced
@@ -992,8 +991,8 @@ class Timeline:
         Each ledger field is accumulated left to right from the ledger's
         current value — bitwise the ``+=`` sequence the walk performs on
         that ledger — the collective-id counter moves on by the stream's
-        collective count, and the walk's rows and log entries are built
-        column-wise and merged back into its order.
+        collective count, and the span block and log entries are built
+        column-wise in the walk's order.
         """
         ledgers, collectives, landed, rows, compiled_at, (low, high) = form
         shift = offset - compiled_at
@@ -1048,58 +1047,59 @@ class Timeline:
         self._collective_ids = itertools.count(first_cid + collectives)
         if landed is None:
             return True
-        text = _renamed_texts(landed, renames).__getitem__
-        names = [list(map(text, ids)) for ids in landed.names]
-        scopes = [list(map(text, ids)) for ids in landed.scopes]
+        texts = np.array(_renamed_texts(landed, renames), object)
+        names = [texts[ids].tolist() for ids in landed.names]
+        scopes = [texts[ids].tolist() for ids in landed.scopes]
         ranks = [map(_RANKS, events) if shifted is None else shifted
                  for events, shifted in zip(landed.events, landed.ranks)]
         if traced:
-            self._trace(form, first_cid, names, scopes, compute_at, exposed_at,
-                        hidden_at)
+            self._trace(form, first_cid, texts, compute_at, exposed_at, hidden_at)
         self._log_entries(_merged(landed, ranks, names, scopes, traced))
         return True
 
-    def _trace(self, form, first_cid, names, scopes, compute_at, exposed_at,
-               hidden_at) -> None:
-        """The span rows of a compiled replay, and their counts."""
-        landed, rows = form.landed, form.rows
-        owners = [self._row_owner(columns.address) for columns in form.ledgers]
-        rank_of = [rank for rank, _ in owners]
-        members_of = [members for _, members in owners]
-        # Each row's entry, once: its fields are read off it.
-        computes, comms, frees = (list(map(events.__getitem__, at))
-                                  for events, at in zip(landed.events, rows.event))
+    def _trace(self, form, first_cid, texts, compute_at, exposed_at, hidden_at) -> None:
+        """A compiled replay's rows as one span block, and their counts: the
+        form's columns per row, with this landing's clocks, owners and ids."""
+        landed, rows, static = form.landed, form.rows, form.rows.columns
+        texts = np.concatenate([texts, "free." + texts])  # a release's, past them
+        owners = [self._row_owner(led.address) for led in form.ledgers]
+        members = [held for _, held in owners]
+        kinds, event = np.frombuffer(rows.order, np.uint8), rows.event
+        compute, comm = kinds == _COMPUTE, kinds == _COMM
+        ordinal = event.astype(np.int64) - len(landed.events[0])  # a collective's
+        amount = static["amount"][event]
+        columns = SpanColumns.of_columns(
+            **{name: static[name][event] for name in ("kind", "dur", "group_len")},
+            name=texts[static["name"][event]], scope=texts[static["scope"][event]],
+            rank=np.array([rank for rank, _ in owners], np.int64)[rows.ledger],
+            # one IEEE addition per row, as the walk's
+            t0=(np.frombuffer(compute_at)[rows.at_compute]
+                + np.frombuffer(exposed_at)[rows.at_exposed]),
+            hidden_s=np.where(comm, np.array(hidden_at, float)[rows.at_exposed], 0.0),
+            nbytes=np.where(compute, 0.0, amount), flops=np.where(compute, amount, 0.0),
+            cid=np.where(comm, ordinal + first_cid, np.nan),
+            members=np.where(kinds == _FREE, 1.0, np.array(  # a release is itself
+                [1.0 if m is None else m for m in members], float)[rows.ledger]))
 
-        def per_event(kind, column):
-            return map(column.__getitem__, rows.event[kind])
+        def fields():
+            """What the columns do not keep of each hook's rows, off the
+            entries (:class:`SpanBlock`)."""
+            at = [np.flatnonzero(kinds == kind) for kind in range(3)]
+            entries = sum(landed.events, ())
+            computes, comms, frees = (list(map(entries.__getitem__, event[rows_of].tolist()))
+                                      for rows_of in at)
+            held, comm_held = (list(map(members.__getitem__, rows.ledger[rows_of].tolist()))
+                               for rows_of in at[:2])
+            nth, groups = ordinal[at[1]].tolist(), landed.ranks[1]
+            return ((map(_SECONDS, computes), map(_AMOUNT, computes), held),
+                    (map(_KIND, comms), map(_SECONDS, comms),
+                     map(hidden_at.__getitem__, rows.at_exposed[at[1]].tolist()),
+                     map(_AMOUNT, comms),
+                     map(_RANKS, comms) if groups is None else map(groups.__getitem__, nth),
+                     [first_cid + k for k in nth], comm_held),
+                    (map(_AMOUNT, frees),))
 
-        def per_ledger(kind, column):
-            return map(column.__getitem__, rows.ledger[kind])
-
-        computed, exposed = np.frombuffer(compute_at), np.frombuffer(exposed_at)
-
-        def clocks(kind):  # one IEEE addition per row, as the walk's
-            return (computed[_indices(rows.at_compute[kind])]
-                    + exposed[_indices(rows.at_exposed[kind])]).tolist()
-
-        groups = landed.ranks[1]
-        self.tracer.extend_rows(rows.order, rows.counts, compute_rows(
-            per_event(0, names[0]), per_ledger(0, rank_of), clocks(0),
-            map(_SECONDS, computes), map(_AMOUNT, computes),
-            per_event(0, scopes[0]), per_ledger(0, members_of),
-        ), comm_rows(
-            map(_KIND, comms), per_event(1, names[1]), per_ledger(1, rank_of),
-            clocks(1), map(_SECONDS, comms),
-            map(hidden_at.__getitem__, rows.at_exposed[1]), map(_AMOUNT, comms),
-            map(_RANKS, comms) if groups is None else per_event(1, groups),
-            per_event(1, scopes[1]),
-            per_event(1, range(first_cid, first_cid + form.collectives)),
-            per_ledger(1, members_of),
-        ), free_rows(
-            per_event(2, ["free." + name for name in names[2]]),
-            per_ledger(2, rank_of), clocks(2), map(_AMOUNT, frees),
-            per_event(2, scopes[2]),
-        ))
+        self.tracer.append_block(SpanBlock(columns, rows.order, fields), rows.counts)
         self.tracer.set_context(None)
 
     # -- symmetry folding hooks (no-ops on the exact timeline) -------------

@@ -72,7 +72,7 @@ def run_traced_spec(spec, out_dir=None) -> TraceRun:
     walltime = cluster.timeline.walltime_s()
     metrics = tracer.metrics
     metrics.gauge("step.exposed_comm_ratio").set(
-        analysis.exposed_comm_ratio(tracer.spans)
+        analysis.exposed_comm_ratio(tracer)
     )
     metrics.gauge("step.loss").set(loss)
     for rank in range(cluster.world_size):

@@ -22,11 +22,14 @@ The invariant suite (``tests/obs/test_invariants.py``) asserts this.
 
 The store is a table with two faces.  **Writing**, a :class:`Tracer`
 appends one plain tuple per event (:data:`ROW_FIELDS`) — no object, no
-dict, nothing the cyclic collector has to keep revisiting.  **Reading**,
+dict, nothing the cyclic collector has to keep revisiting; a compiled
+replay appends one :class:`SpanBlock` of columns instead.  **Reading**,
 ``tracer.spans`` is a :class:`SpanView` that builds a :class:`Span` for
-the element asked for and forgets it, and :class:`SpanColumns` turns
-the rows into NumPy columns once per analysis (:mod:`repro.obs.analysis`,
-:mod:`repro.obs.critical_path`).  Only this module knows the row layout.
+the element asked for and forgets it (and a block's rows when first
+read), and :class:`SpanColumns` is the table as NumPy columns once per
+analysis (:mod:`repro.obs.analysis`, :mod:`repro.obs.critical_path`),
+a block's own joined with the rows' around it.  Only this module knows
+the row layout.
 
 Call sites annotate, they never branch: code holds a tracer handle
 (the cluster's, or :data:`~repro.obs.off.OFF`), and the disabled path
@@ -42,6 +45,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import eq, itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -153,33 +157,6 @@ def span_row(kind, name, rank, t0, dur, hidden_s=0.0, nbytes=0.0, flops=0.0,
             cid, members, extras or None)
 
 
-# The bulk twins of the three Timeline hooks (``Tracer.on_compute``,
-# ``on_comm`` and ``mark_free``), for :meth:`Tracer.extend_rows`: each
-# spells its hook's row over columns, field for field in the same
-# order, so a field changed in a hook changes in its twin too
-# (``tests/obs/test_tracer.py::test_bulk_rows_are_the_hooks_rows``
-# holds each pair equal).
-def compute_rows(name, rank, t0, dur, flops, scope, members):
-    """:meth:`Tracer.on_compute`'s rows, one per item of its columns."""
-    return zip(repeat("compute"), name, rank, t0, dur, repeat(0.0),
-               repeat(0.0), flops, repeat(None), scope, repeat(None), members,
-               repeat(None))
-
-
-def comm_rows(kind, name, rank, t0, dur, hidden_s, nbytes, group, scope, cid,
-              members):
-    """:meth:`Tracer.on_comm`'s rows, one per item of its columns."""
-    return zip(kind, name, rank, t0, dur, hidden_s, nbytes, repeat(0.0), group,
-               scope, cid, members, repeat(None))
-
-
-def free_rows(name, rank, clock, nbytes, scope):
-    """:meth:`Tracer.mark_free`'s rows (``name`` already ``free.``-prefixed)."""
-    return zip(repeat("gather"), name, rank, clock, repeat(0.0), repeat(0.0),
-               nbytes, repeat(0.0), repeat(None), scope, repeat(None),
-               repeat(None), repeat(None))
-
-
 def _span_of(row: tuple) -> Span:
     *fields, cid, members, extras = row
     # key order is part of the exported bytes: cid, members, then extras
@@ -198,13 +175,30 @@ class SpanView(Sequence):
 
     A span is built for the element asked for and not kept: holding
     200k of them next to their rows is what the table exists to avoid.
-    Compares equal to another view or a list holding equal spans.
+    Compares equal to another view or a list holding equal spans.  A
+    :class:`Tracer`'s view builds the rows of its blocks when first read
+    after they land.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_table", "_blocks")
 
-    def __init__(self, rows: list):
-        self._rows = rows
+    def __init__(self, rows: list, blocks: list = ()):
+        self._table = rows
+        self._blocks = blocks
+
+    @property
+    def _rows(self) -> list:
+        """The table, each pending ``(rows before it, block)`` built into
+        it once, in place and in order."""
+        if self._blocks:
+            built, at = [], 0
+            for start, block in self._blocks:
+                built += self._table[at:start]
+                built += block.rows()
+                at = start
+            self._blocks.clear()
+            self._table[:at] = built
+        return self._table
 
     @classmethod
     def of(cls, spans) -> "SpanView":
@@ -238,11 +232,52 @@ class SpanView(Sequence):
         return f"SpanView({len(self._rows)} spans)"
 
 
+class SpanBlock(NamedTuple):
+    """Rows held as the :class:`SpanColumns` they reduce to, until a
+    row reader asks for them: what a compiled replay lands
+    (:meth:`~repro.cluster.timeline.Timeline.replay`).
+
+    ``order`` names each row's hook (0 ``on_compute``, 1 ``on_comm``, 2
+    ``mark_free``), and :meth:`rows` builds the very tuples those calls
+    append (``tests/obs/test_tracer.py::test_bulk_rows_are_the_hooks_rows``):
+    name, rank, t0 and scope off ``columns``, the objects they do not
+    keep (an ``int`` byte count, a group, an absent ``members``) off
+    ``fields()``, per hook over its rows: ``(dur, flops, members)``,
+    ``(kind, dur, hidden_s, nbytes, group, cid, members)``, ``(nbytes,)``.
+    """
+
+    columns: SpanColumns
+    order: bytes
+    fields: Callable
+
+    def rows(self):
+        """The block's rows, in order."""
+        hooks = np.frombuffer(self.order, np.uint8)
+        (name, rank, t0, scope), comm, free = (
+            [getattr(self.columns, column)[hooks == hook].tolist()
+             for column in ("name", "rank", "t0", "scope")] for hook in range(3))
+        (dur, flops, members), (kind, *spent, group, cid, held), (nbytes,) = \
+            self.fields()  # spent: a collective's dur, hidden_s and nbytes
+        sources = (
+            zip(repeat("compute"), name, rank, t0, dur, repeat(0.0), repeat(0.0),
+                flops, repeat(None), scope, repeat(None), members, repeat(None)),
+            zip(kind, *comm[:3], *spent, repeat(0.0), group, comm[3], cid, held,
+                repeat(None)),
+            zip(repeat("gather"), *free[:3], repeat(0.0), repeat(0.0), nbytes,
+                repeat(0.0), repeat(None), free[3], repeat(None), repeat(None),
+                repeat(None)),
+        )
+        return map(next, map(sources.__getitem__, self.order))
+
+
 class SpanColumns:
     """The rows of a span table as NumPy columns, one entry per span.
 
-    Built once per analysis (72k rows take ~45 ms); the analyses are
-    reductions over these.  ``kind`` holds :data:`KIND_NAMES` codes,
+    Made once per analysis; the analyses are reductions over these.  A
+    tracer's are its blocks' own columns, joined with those of the rows
+    the hooks appended around them: a compiled 113B step's 72k rows
+    land as one block and build no row (split from rows, they take
+    ~50 ms).  ``kind`` holds :data:`KIND_NAMES` codes,
     ``busy_s`` is ``dur - hidden_s`` (the same subtraction
     :attr:`Span.busy_s` does), ``group_len`` is -1 without a group,
     ``cid`` is NaN without one (ids stay exact in a float up to 2**53)
@@ -279,21 +314,32 @@ class SpanColumns:
 
     @classmethod
     def of(cls, trace) -> "SpanColumns":
-        """Columns of a :class:`Tracer`, a :class:`SpanView` or any
-        iterable of :class:`Span` (``trace`` itself if already columns)."""
+        """Columns of a :class:`Tracer` (its blocks' rows not built), a
+        :class:`SpanView` or any iterable of :class:`Span` (``trace``
+        itself if already columns)."""
         if isinstance(trace, cls):
             return trace
+        if isinstance(trace, Tracer):
+            return trace._columns()
         return cls(SpanView.of(getattr(trace, "spans", trace))._rows)
+
+    @classmethod
+    def of_columns(cls, **columns) -> "SpanColumns":
+        """Columns given by name (``busy_s`` made here unless given)."""
+        out = object.__new__(cls)
+        for name, column in columns.items():
+            setattr(out, name, column)
+        if "busy_s" not in columns:
+            out.busy_s = out.dur - out.hidden_s
+        return out
 
     def __len__(self) -> int:
         return len(self.rank)
 
     def take(self, rows: np.ndarray) -> "SpanColumns":
         """The columns of the given row indices, in that order."""
-        out = object.__new__(SpanColumns)
-        for column in self.__slots__:
-            setattr(out, column, getattr(self, column)[rows])
-        return out
+        return SpanColumns.of_columns(**{column: getattr(self, column)[rows]
+                                         for column in self.__slots__})
 
 
 class _HeldCounters(dict):
@@ -324,8 +370,11 @@ class Tracer:
 
     def __init__(self, metrics: MetricsRegistry | None = None):
         self._rows: list[tuple] = []
+        #: ``(rows before it, block)`` per :class:`SpanBlock` not built
+        #: yet: its rows follow that many of ``_rows``.
+        self._blocks: list[tuple] = []
         #: The recorded spans, as a read-only view of the table.
-        self.spans = SpanView(self._rows)
+        self.spans = SpanView(self._rows, self._blocks)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._counters = _HeldCounters(self.metrics)
         self._scope_parts: list[str] = []
@@ -487,13 +536,12 @@ class Tracer:
         ])
         self._held_counters()["spans.gather"].inc(len(ranks))
 
-    def extend_rows(self, order: bytes, counts, *sources) -> None:
+    def append_block(self, block: SpanBlock, counts) -> None:
         """The rows a run of ``on_compute`` / ``on_comm`` / ``mark_free``
-        calls would append, in bulk: the next row of ``sources[code]``
-        for each code of ``order``, and each ``(span kind, rows)`` of
-        ``counts`` added to its counter, in the order those calls would
-        first have touched them."""
-        self._rows.extend(map(next, map(sources.__getitem__, order)))
+        calls would append, as one block, and each ``(span kind, rows)``
+        of ``counts`` added to its counter, in the order those calls
+        would first have touched them."""
+        self._blocks.append((len(self._rows), block))
         counters = self._held_counters()
         for kind, rows in counts:
             counters[_COUNTER[kind]].inc(rows)
@@ -505,10 +553,29 @@ class Tracer:
             self._counters = _HeldCounters(self.metrics)
         return self._counters
 
+    # -- the table ----------------------------------------------------------
+    def _columns(self) -> SpanColumns:
+        """The table's columns: each block's own, joined with those of the
+        runs of rows before, between and after the blocks."""
+        parts, at = [], 0
+        for start, block in self._blocks:
+            if start > at:
+                parts.append(SpanColumns(self._rows[at:start]))
+            parts.append(block.columns)
+            at = start
+        if len(self._rows) > at or not parts:
+            parts.append(SpanColumns(self._rows[at:]))
+        if len(parts) == 1:
+            return parts[0]
+        return SpanColumns.of_columns(**{
+            column: np.concatenate([getattr(part, column) for part in parts])
+            for column in SpanColumns.__slots__})
+
     # -- lifecycle ----------------------------------------------------------
     def clear(self) -> None:
         """Drop recorded spans (e.g. between simulated runs)."""
         self._rows.clear()
+        self._blocks.clear()
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._rows) + sum(len(block.order) for _, block in self._blocks)

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import DEFAULT_MATRIX, FRONTIER_MATRIX, run_case
 from repro.cluster import timeline as timeline_module
 from repro.cluster.symmetry import RankClassPartition
 from repro.cluster.timeline import (
@@ -38,8 +39,9 @@ from repro.cluster.timeline import (
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.obs import OFF
 from repro.obs.off import MetricsOnly
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import SpanBlock, Tracer
 from repro.tune.estimator import _ProfileInjector
+from tests.invariants import columns, count_calls, walked_streams
 
 _WIDTH = 4          # a flat stream names ranks 0 .. _WIDTH - 1
 _MAX_OFFSET = 5     # ... and lands at offsets 0 .. _MAX_OFFSET
@@ -227,7 +229,9 @@ def _observed(timeline) -> dict:
         "ledgers": [[float(v).hex() for v in _ledger_values(led)]
                     for led in ledgers],
         "next_cid": next(timeline._collective_ids),
-        "rows": repr(getattr(tracer, "_rows", None)),
+        # the columns first: a compiled landing's until the rows are read
+        "columns": columns(tracer),
+        "rows": repr(getattr(tracer.spans, "_rows", None)),
         "counters": repr([(name, c.value) for name, c
                           in tracer.metrics._instruments.items()]),
         "scope": (tracer.current_scope, tracer.current_comm_kind),
@@ -291,6 +295,20 @@ def test_every_receiver_lands_a_hidden_gather_as_the_walk(kind, traced):
     _lands_the_walk(kind, traced, _HIDDEN_GATHER, lambda: OFF,
                     ([[0.0] * 6 for _ in range(count)], 0),
                     [(), (("step.1/", "step.7/"),), ()])
+
+
+def test_an_int_amount_column_is_no_seconds_column():
+    """Columns are kept once per field: rank 1's FLOPs ``(0,)`` equal
+    its gather seconds ``(0.0,)``, but standing in for them would hand
+    the landed span an ``int`` hidden split where the walk's is a float
+    (the same value, other bytes out)."""
+    inner = [("comm", (1,), 0.0, 0.0, True, "all_gather", "step.1/forward",
+              "gather"),
+             ("compute", 0, 0.0, 0.0, "probe.mlp.fc1", "step.1/forward")]
+    _lands_the_walk("exact", True, [("replay", inner, 0, ()),
+                                    ("compute", 1, 1.0, 0, "probe.mlp.fc1",
+                                     "step.1/forward")], lambda: OFF,
+                    ([[0.0] * 6 for _ in range(_PART.num_gpus)], 0), [(), (), ()])
 
 
 @settings(max_examples=100, deadline=None)
@@ -608,3 +626,29 @@ def test_a_form_is_built_once_per_signature():
     assert len(stream._forms) == 3
     assert all(isinstance(form, timeline_module._Form)
                for form in stream._forms.values())
+
+
+@pytest.mark.parametrize("case", [
+    next(case for case in FRONTIER_MATRIX if case.name == "orbit-113b-6144n"),
+    DEFAULT_MATRIX[0],
+], ids=lambda case: case.name)
+def test_a_warm_traced_step_lands_one_block_and_builds_no_row(monkeypatch, case):
+    """A warm traced ``run_case`` lands its step as one span block: no
+    row through the step and its ``SpanColumns.of`` (72,171 spans on the
+    113B case), whose columns are the walk's; the first read of
+    ``tracer.spans`` builds exactly the walk's rows, and a second builds
+    none."""
+    oracle = Tracer()
+    with walked_streams():
+        run_case(case, tracer=oracle)  # executes, and stores the tape
+    for _ in range(2):  # the tape's first replay walks, the second builds
+        run_case(case)
+    built = count_calls(monkeypatch, (SpanBlock, "rows"))
+    tracer = Tracer()
+    record = run_case(case, tracer=tracer)
+    assert tracer._rows == [] and len(tracer._blocks) == 1 and not built
+    assert len(tracer) == record.spans == len(oracle.spans)
+    assert case.name != "orbit-113b-6144n" or record.spans == 72_171
+    assert columns(tracer) == columns(oracle) and tracer._rows == [] and not built
+    assert repr(tracer.spans._rows) == repr(oracle.spans._rows) and built == {"rows": 1}
+    assert list(tracer.spans) == list(oracle.spans) and built == {"rows": 1}

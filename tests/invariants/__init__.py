@@ -24,6 +24,7 @@ from repro.faults import FaultError, FaultInjector, FaultPlan
 from repro.meta import MetaArray
 from repro.models.configs import OrbitConfig
 from repro.nn import ops
+from repro.obs import SpanColumns
 from repro.runtime import RunSpec, Session, StepLoop
 
 
@@ -208,9 +209,35 @@ def _hexes(ledger) -> list:
 
 def expansion(session) -> tuple:
     """A folded run's ``expand()``: every rank's ledger by
-    ``float.hex()``, and the span rows an exact run records."""
+    ``float.hex()``, the span columns and the span rows an exact run
+    records."""
     expanded, spans = session.cluster.timeline.expand()
-    return list(map(_hexes, expanded)), list(spans._rows)
+    return list(map(_hexes, expanded)), columns(spans), list(spans._rows)
+
+
+#: The span columns of text, compared as lists.
+_TEXT_COLUMNS = ("name", "scope")
+
+
+def columns(trace) -> dict:
+    """Every ``SpanColumns.of(trace)`` column: text as lists, numbers as
+    their dtype and bytes (so ``-0.0`` and NaN compare exactly)."""
+    cols = SpanColumns.of(trace)
+    return {name: getattr(cols, name).tolist() if name in _TEXT_COLUMNS
+            else (str(getattr(cols, name).dtype), getattr(cols, name).tobytes())
+            for name in SpanColumns.__slots__}
+
+
+def keep_rows(left: dict, keep) -> None:
+    """Drop from ``left``'s spans, and from its columns, every row for
+    which ``keep(row)`` is false."""
+    mask = [bool(keep(row)) for row in left["spans"]]
+    left["spans"] = [row for row, kept in zip(left["spans"], mask) if kept]
+    left["columns"] = {
+        name: [value for value, kept in zip(column, mask) if kept]
+        if name in _TEXT_COLUMNS else
+        (column[0], np.frombuffer(column[1], column[0])[mask].tobytes())
+        for name, column in left["columns"].items()}
 
 
 def _digest(arrays) -> str:
@@ -247,6 +274,9 @@ def left_behind(run: Run) -> dict:
         "ledgers": ledgers(session),
         "walltime": timeline.walltime_s().hex(),
         "next_cid": next_cid,
+        # before the rows are read: a compiled landing's columns are
+        # its own until then
+        "columns": columns(session.tracer),
         "spans": list(getattr(session.tracer.spans, "_rows", ())),
         "memory": {device.rank: (device.memory.peak_bytes,
                                  device.memory.live_allocations,

@@ -35,6 +35,7 @@ from tests.invariants import (
     drive,
     every_block,
     expansion,
+    keep_rows,
     left_behind,
     spec,
     walked_streams,
@@ -202,10 +203,10 @@ def expanded(fast, oracle, got, want):
     all of them once it has unfolded — and a run that never unfolded
     must never have built a per-rank ledger.
     """
-    got["expand_ledgers"], spans = expansion(fast.session)
+    got["expand_ledgers"], columns, spans = expansion(fast.session)
     want["expand_ledgers"] = want["ledgers"]
     if fast.session.tracer.enabled:
-        got["spans"] = spans
+        got["columns"], got["spans"] = columns, spans
     del got["folded"], got["log"], got["next_cid"], want["next_cid"]
     if got["journal"] is not None:
         got["journal"] = _journal_lines(got["journal"], drop_kind="fold")
@@ -237,7 +238,7 @@ def simulated(fast, oracle, got, want):
     logs also pin what ``expand()`` rebuilds.
     """
     for left in (got, want):
-        del left["spans"], left["journal"]
+        del left["columns"], left["spans"], left["journal"]
         if "log" in left:
             at = [LABELS_AT.get(entry[0], len(entry)) for entry in left["log"]]
             left["labels"] = [e[i:] for e, i in zip(left["log"], at)]
@@ -315,7 +316,7 @@ def _no_unwind(fast, oracle, got, want) -> bool:
     unwound = [row for row in want["spans"] if row not in mine]
     assert all(kind == "gather" and name.startswith("free.") and dur == 0.0
                for kind, name, _, _, dur, *_ in unwound), unwound
-    want["spans"] = [row for row in want["spans"] if row in mine]
+    keep_rows(want, mine.__contains__)
     plan, faults = fast.session.plan, fast.session.cluster.injector.fired()
     kept = {}
     for rank, theirs in want["memory"].items():

@@ -23,7 +23,7 @@ from repro.obs import (
     critical_path,
 )
 from repro.obs.analysis import exposed_comm_ratio
-from repro.obs.tracer import KIND_NAMES
+from repro.obs.tracer import KIND_NAMES, SpanBlock
 from repro.runtime import RunSpec, Session
 
 import numpy as np
@@ -419,19 +419,21 @@ class TestWorkDone:
 
 
 def test_bulk_rows_are_the_hooks_rows():
-    """Each bulk row builder spells its Timeline hook's row: one row of
-    distinct values through both is the same tuple."""
-    from repro.obs.tracer import comm_rows, compute_rows, free_rows
-
+    """A block's rows spell its Timeline hooks' rows: one row of distinct
+    values per hook is the same tuple through the hook and through a
+    block, and moves the same counters."""
     tracer, scope = Tracer(metrics=MetricsRegistry()), "step.1/forward"
     tracer.set_context(scope, "gather")
     tracer.on_compute(3, 1.5, 2.5, 7.0, "fc1", members=4)
     tracer.on_comm(5, 0.5, 0.75, 0.25, 64.0, "all_gather", (5, 6), cid=9,
                    members=2)
     tracer.mark_free((6,), [4.5], "weight", 32.0)
-    assert tracer._rows == [
-        next(compute_rows(["fc1"], [3], [1.5], [2.5], [7.0], [scope], [4])),
-        next(comm_rows(["gather"], ["all_gather"], [5], [0.5], [0.75], [0.25],
-                       [64.0], [(5, 6)], [scope], [9], [2])),
-        next(free_rows(["free.weight"], [6], [4.5], [32.0], [scope])),
-    ]
+    blocked = Tracer(metrics=MetricsRegistry())
+    blocked.append_block(SpanBlock(SpanColumns(tracer._rows), bytes([0, 1, 2]), lambda: (
+        ([2.5], [7.0], [4]),
+        (["gather"], [0.75], [0.25], [64.0], [(5, 6)], [9], [2]),
+        ([32.0],),
+    )), (("compute", 1), ("gather", 2)))
+    assert blocked._rows == [] and len(blocked) == 3
+    assert blocked.spans._rows == tracer._rows
+    assert blocked.metrics.snapshot() == tracer.metrics.snapshot()
