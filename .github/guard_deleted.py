@@ -156,6 +156,11 @@ GUARDS = [
     # built by SpanBlock.rows when first read, not zipped at landing.
     ("one span block per traced landing", "-wE", "extend_rows|compute_rows|comm_rows|free_rows",
      SRC_TESTS_EXAMPLES),
+    # A signature's first replay builds its form on every receiver: no
+    # walk-first marks, and no compiler that declines to build (an
+    # event the walk would refuse raises at compile time).
+    ("one build rule", "-wE", "_WALKED|_UNSEEN", ("src/repro/cluster",)),
+    ("one build rule", "-F", "self.valid", ("src/repro/cluster/timeline.py",)),
 ]
 
 

@@ -62,11 +62,9 @@ def test_full_machine_meta_step_under_wall_clock_ceiling(once):
                          ids=lambda c: c.name)
 def test_a_repeated_case_lands_its_step_without_the_walk(monkeypatch, case):
     """A repeated ``run_case`` in one process replays the step tape the
-    first stored; the first replay walks it (18,500 ``record_comm``
-    calls for the full machine), and the next lands its compiled form:
+    first stored; from the first replay on, it lands its compiled form:
     not one ``record_comm`` call."""
-    for _ in range(2):
-        run_case(case)
+    run_case(case)
     calls = Counter()
     record_comm = Timeline.record_comm
 

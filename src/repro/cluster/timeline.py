@@ -33,8 +33,7 @@ step's stream holds its trunk's one executed block once.
 
 That event walk is also the oracle of the one shortcut here: a stream
 wrapped as an :class:`EventStream` compiles, once per receiver
-signature (where a tracer or an event log observes it, on its second
-replay there: the first walks), to per-ledger float columns, span
+signature, at its first replay there, to per-ledger float columns, span
 columns and log entries, and a replay that no capture observes and
 whose injector's ``pricing`` is settled lands them in bulk instead of
 visiting the events — on an exact or a folded timeline, traced or not,
@@ -58,7 +57,8 @@ import numpy as np
 
 from repro.obs.off import OFF
 from repro.obs.tracer import (
-    COMPUTE, GATHER, KIND_NAMES, SPAN_KINDS, SpanBlock, SpanColumns, Tracer)
+    COMPUTE, GATHER, KIND_NAMES, SPAN_KINDS, SpanBlock, SpanColumns, Tracer,
+    _unknown_kind)
 
 
 def stretch_compute(seconds: float, factor: float, op: str) -> float:
@@ -201,14 +201,9 @@ class EventStream(tuple):
     — plus, under an injector whose settled ``pricing`` is not ``()``,
     that pricing and the offset: its factors name absolute ranks) and
     kept on the stream, never in a module cache: it is freed with the
-    stream.  A form that carries span rows or log entries costs
-    about one walk to build, so where a tracer or an event log observes
-    the replay a signature's first replay walks and its second builds
-    the form every later one lands: a tape replayed once never pays for
-    a form.  A form of ledger columns alone (an untraced exact
-    timeline) is built at the first replay.
-    :meth:`Timeline.replay` says where a form is applied; the event walk
-    is its oracle.
+    stream.  A signature's first replay builds the form it and every
+    later one lands.  :meth:`Timeline.replay` says where a form is
+    applied; the event walk is its oracle.
     """
 
     _forms = None
@@ -217,16 +212,13 @@ class EventStream(tuple):
                  pricing: tuple = ()) -> "_Form | None":
         """The form for ``timeline`` at ``offset`` under its injector's
         settled ``pricing`` (never ``None``: a replay under that walks
-        without asking), compiled on the signature's second use
-        where a tracer or an event log observes the replay and on its
-        first elsewhere; ``None`` where the walk replays it: on an
-        observed signature's first use, wherever only the walk can (a
-        comm kind the tracer does not know), and on an observed
-        receiver under a ``pricing`` other than ``()`` (its rows and log
-        would read the recorded seconds, not the stretched ones).
-        Seconds are validated at compile time, once: a negative value
-        raises the ``ValueError`` the walk would, before anything
-        lands."""
+        without asking), compiled on the signature's first use; ``None``
+        on an observed receiver (a tracer or an event log) under a
+        ``pricing`` other than ``()``: its rows and log would read the
+        recorded seconds, not the stretched ones.  Events are validated
+        at compile time, once: a negative value, or a comm kind the
+        tracer does not know, raises the ``ValueError`` the walk would,
+        before anything lands."""
         forms = self._forms
         if forms is None:
             forms = self._forms = {}
@@ -235,19 +227,11 @@ class EventStream(tuple):
             if timeline.tracer.enabled or timeline._keeps_log:
                 return None
             signature += (pricing, offset)
-        form = forms.get(signature, _UNSEEN)
-        if form is _UNSEEN and (timeline.tracer.enabled or timeline._keeps_log):
-            forms[signature] = _WALKED
-            return None
-        if form is _UNSEEN or form is _WALKED:
+        form = forms.get(signature)
+        if form is None:
             form = forms[signature] = _Compiler(timeline, pricing).form(
                 self, signature[-1])
         return form
-
-
-#: :meth:`EventStream.compiled`'s marks for a signature not replayed
-#: yet, and for one the walk has replayed once.
-_UNSEEN, _WALKED = object(), object()
 
 
 class _Compiler:
@@ -287,7 +271,6 @@ class _Compiler:
         #: ranks -> the indices of the ledgers they land on
         self.landing = ({}, {})
         self.collectives = 0
-        self.valid = True
         if not self.observed:
             return
         self.texts: list = []
@@ -307,12 +290,10 @@ class _Compiler:
         self.rows = tuple(array("i") for _ in range(4))
         self.row_order = bytearray()
 
-    def form(self, events, offset) -> _Form | None:
+    def form(self, events, offset) -> _Form:
         self.walk(events, 0, len(events), offset, (), (),
                   self.timeline._in_fsdp_segment())
         addresses = list(self.index)
-        if not self.valid:
-            return None
         ranks = [a for a in addresses if type(a) is int]
         # Symmetric ledgers see equal columns: each distinct one is kept
         # once per field (a byte count is no seconds column, though
@@ -497,6 +478,8 @@ class _Compiler:
             if not observed:
                 continue
             if traced and landed:
+                if kind == _COMM and entry[7] not in SPAN_KINDS:
+                    raise _unknown_kind(entry[7])  # as the tracer's on_comm
                 # Each row, with its ledger's computes and collectives
                 # before it (a rank named twice sees its first landing).
                 row_event, row_ledger, row_computes, row_collectives = self.rows
@@ -510,8 +493,6 @@ class _Compiler:
                     if kind != _FREE:
                         at[kind] += 1
                 self.row_order.extend(bytes((kind,)) * len(landed))
-                if kind == _COMM and entry[7] not in SPAN_KINDS:
-                    self.valid = False  # the walk raises the tracer's error
             name_at, scope_at = _NAME_AND_SCOPE[tag]
             name, scope = entry[name_at], entry[scope_at]
             name_id = seen.get(name)
@@ -547,7 +528,6 @@ class _Compiler:
             self.counts[j][0] += computes
             self.counts[j][1] += collectives
         self.collectives += piece.collectives
-        self.valid = self.valid and piece.valid
         if not self.observed:
             return
         self.shifted = self.shifted or piece.shifted
@@ -655,13 +635,17 @@ def _renamed_texts(landed: _Landed, renames: tuple) -> list:
 _RANKS, _SECONDS, _AMOUNT, _OVERLAPPABLE, _KIND = map(itemgetter, (1, 2, 3, 4, 7))
 
 
-def _merged(landed: _Landed, shifted, names, scopes, traced: bool):
+def _merged(landed: _Landed, texts: np.ndarray, traced: bool):
     """A folded timeline's log entries of a compiled replay, lazily, in
-    the walk's order: what ``_land_*`` and ``_mark`` append, the scope
-    and collective kind an untraced tracer reports included."""
+    the walk's order: what ``_land_*`` and ``_mark`` append, with the
+    renamed ``texts``, the scope and collective kind an untraced tracer
+    reports included."""
     computes, comms, frees = landed.events
-    if not traced:
-        scopes = [repeat("")] * 3
+    names = [texts[ids].tolist() for ids in landed.names]
+    scopes = ([texts[ids].tolist() for ids in landed.scopes] if traced
+              else [repeat("")] * 3)
+    shifted = [map(_RANKS, events) if ranks is None else ranks
+               for events, ranks in zip(landed.events, landed.ranks)]
     sources = (
         zip(repeat("compute"), shifted[0], map(_SECONDS, computes),
             map(_AMOUNT, computes), names[0], scopes[0]),
@@ -879,17 +863,15 @@ class Timeline:
         and the injector's ``pricing`` is settled (not ``None``: no hook
         call can raise or change state; :mod:`repro.faults.injector`).
         It lands from the form compiled for this timeline's signature
-        (:meth:`_land`; a traced or folded timeline walks the
-        signature's first replay, see :meth:`EventStream.compiled`) —
-        ledger columns, a span block of the walk's clocks, splits and
-        collective ids, ``spans.*`` counts and a folded timeline's log
-        entries, each in the walk's order and ``==`` to what the walk
-        leaves.  Under a ``pricing`` other than ``()`` only an untraced
-        exact timeline lands, from a form whose seconds the hooks
-        stretched at compile time.  Every plain list, every stream under
-        a capture or an injector whose ``pricing`` is ``None``, and one a
-        tracer or log observes under a stretching injector takes the
-        walk.
+        (:meth:`_land`, :meth:`EventStream.compiled`) — ledger columns,
+        a span block of the walk's clocks, splits and collective ids,
+        ``spans.*`` counts and a folded timeline's log entries, each in
+        the walk's order and ``==`` to what the walk leaves.  Under a
+        ``pricing`` other than ``()`` only an untraced exact timeline
+        lands, from a form whose seconds the hooks stretched at compile
+        time.  Every plain list, every stream under a capture or an
+        injector whose ``pricing`` is ``None``, and one a tracer or log
+        observes under a stretching injector takes the walk.
         """
         capture = self._capture
         if capture is None and isinstance(events, EventStream):
@@ -978,7 +960,7 @@ class Timeline:
         """``(rank, members)`` of a ledger's span rows."""
         return address, None
 
-    def _log_entries(self, entries) -> None:
+    def _log_entries(self, landed: _Landed, texts: np.ndarray) -> None:
         """Keep a compiled replay's log entries (none kept here)."""
 
     def _land(self, form: _Form, renames: tuple, offset: int) -> bool:
@@ -1048,13 +1030,9 @@ class Timeline:
         if landed is None:
             return True
         texts = np.array(_renamed_texts(landed, renames), object)
-        names = [texts[ids].tolist() for ids in landed.names]
-        scopes = [texts[ids].tolist() for ids in landed.scopes]
-        ranks = [map(_RANKS, events) if shifted is None else shifted
-                 for events, shifted in zip(landed.events, landed.ranks)]
         if traced:
             self._trace(form, first_cid, texts, compute_at, exposed_at, hidden_at)
-        self._log_entries(_merged(landed, ranks, names, scopes, traced))
+        self._log_entries(landed, texts)
         return True
 
     def _trace(self, form, first_cid, texts, compute_at, exposed_at, hidden_at) -> None:
@@ -1403,8 +1381,8 @@ class FoldedTimeline(Timeline):
             return self._reps[address], self._sizes[address]
         return address, None
 
-    def _log_entries(self, entries):
-        self._log.extend(entries)
+    def _log_entries(self, landed, texts):
+        self._log.extend(_merged(landed, texts, self.tracer.enabled))
 
     # -- landing: logged, then the shared landing -------------------------
     _keeps_log = True

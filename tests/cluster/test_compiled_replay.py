@@ -1,10 +1,9 @@
 """Compiled stream replay against its oracle, the event walk.
 
 ``Timeline.replay`` lands an :class:`EventStream` from the form compiled
-for its receiver whenever no capture is open and the injector's
-``pricing`` is settled — from the stream's second replay there on where
-a tracer or an event log observes it (the first walks), from its first
-elsewhere; the walk through ``record_compute`` / ``record_comm`` /
+for its receiver, from the stream's first replay there on, whenever no
+capture is open and the injector's ``pricing`` is settled; the walk
+through ``record_compute`` / ``record_comm`` /
 ``record_free`` (what a plain list of the same events takes) is the
 oracle.  The property draws streams with by-reference ``replay``
 entries and folded ``push``/``pop`` segments and lands them on exact
@@ -13,10 +12,9 @@ injector, a quiet or a fired fault injector or the estimator's profile
 injector; every comparison is ``==`` — ledgers by ``float.hex()``, span
 rows, the ``spans.*`` counters in creation order and the fold log by
 ``repr`` — and the routing tests count ``record_comm`` calls to pin
-which replays still walk: an observed stream's first on a receiver
-signature, those a capture observes, those under an injector whose
-``pricing`` is ``None``, and an observed one under a stretching
-injector.
+which replays still walk: those a capture observes, those under an
+injector whose ``pricing`` is ``None``, an observed one under a
+stretching injector, and plain lists.
 """
 
 import itertools
@@ -263,9 +261,9 @@ def test_every_receiver_lands_the_walk(kind, traced, data):
     """Traced or not, exact, folded or unfolded, under any settled
     injector: the compiled landing of a stream with nested replays and
     segments leaves what walking the same events as a plain list leaves
-    on an identical receiver, replay after replay (an observed
-    receiver's first replay walks; the form is built once, then reused;
-    an observed receiver under a stretching injector builds none).
+    on an identical receiver, replay after replay, checked from the
+    first replay (the form is built there once, then reused; an
+    observed receiver under a stretching injector builds none).
     Every receiver is its own case, so each gets 17 of the draws."""
     events = data.draw(_nested())
     injector = data.draw(_injectors())
@@ -289,8 +287,8 @@ _HIDDEN_GATHER = [
 def test_every_receiver_lands_a_hidden_gather_as_the_walk(kind, traced):
     """The draws above can miss an overlap split on one receiver under
     some seeds; this stream spends each ledger's overlap budget on every
-    replay, so the compiled landing (replays 2 and 3 of an observed
-    receiver) must spend it as the walk does, whatever the seed."""
+    replay, so the compiled landing, checked from the first replay,
+    must spend it as the walk does, whatever the seed."""
     count = len(_PART.keys) if kind == "folded" else _PART.num_gpus
     _lands_the_walk(kind, traced, _HIDDEN_GATHER, lambda: OFF,
                     ([[0.0] * 6 for _ in range(count)], 0),
@@ -363,6 +361,36 @@ def test_negative_seconds_raise_from_both(data):
     assert _state(compiled) == (before[0], before[1] + 1)
 
 
+#: A collective kind the tracer does not know, after events that land,
+#: in a nested replay inside a folded segment.
+_UNKNOWN_KIND = [
+    *_HIDDEN_GATHER,
+    ("push", "fsdp", 2, 2, None),
+    ("replay", [_HIDDEN_GATHER[0], ("comm", (0, 1), 0.5, 64, True, "all_gather",
+                                    "step.1/forward", "bogus")], 0, ()),
+    ("pop",),
+]
+
+
+@pytest.mark.parametrize("kind", ["exact", "folded", "unfolded"])
+def test_an_unknown_comm_kind_raises_from_both(kind):
+    """A traced replay of a collective kind the tracer does not know
+    raises the tracer's ``ValueError`` from the walk, which has landed
+    the events before it, and from the first compiled replay, whose form
+    is compiled before anything lands: that receiver is left as it was."""
+    count = len(_PART.keys) if kind == "folded" else _PART.num_gpus
+    state = ([[0.0] * 6 for _ in range(count)], 0)
+    compiled, walked, untouched = (_receiver(kind, True, state) for _ in range(3))
+    before = _observed(untouched)
+    with pytest.raises(ValueError, match="unknown span kind 'bogus'"):
+        walked.replay(list(_UNKNOWN_KIND))
+    assert _observed(walked) != before
+    stream = EventStream(_UNKNOWN_KIND)
+    with pytest.raises(ValueError, match="unknown span kind 'bogus'"):
+        compiled.replay(stream)
+    assert _observed(compiled) == before and not stream._forms
+
+
 # -- routing: who still walks ------------------------------------------------
 _FLAT = (
     ("compute", 0, 1.0, 10.0, "probe.gemm", "step"),
@@ -394,12 +422,10 @@ def walked(monkeypatch):
     return calls
 
 
-def _second_replay(timeline, events, walked, **kwargs):
-    """Replay a new stream of ``events`` twice on ``timeline`` (an
-    observed receiver's first replay walks); ``walked`` counts the
-    second alone."""
+def _replayed(timeline, events, walked, **kwargs):
+    """Replay a new stream of ``events`` once on ``timeline``;
+    ``walked`` counts that replay alone."""
     stream = EventStream(events)
-    timeline.replay(stream, **kwargs)
     walked.clear()
     timeline.replay(stream, **kwargs)
     return stream
@@ -408,11 +434,11 @@ def _second_replay(timeline, events, walked, **kwargs):
 @pytest.mark.parametrize("build", [lambda: _traced(),
                                    lambda: FoldedTimeline(4, _TP2)],
                          ids=["traced", "folded"])
-def test_an_observed_stream_walks_once_then_lands_its_form(walked, monkeypatch,
-                                                           build):
+def test_an_observed_stream_lands_its_form_from_the_first_replay(
+        walked, monkeypatch, build):
     """Where a tracer or an event log observes a replay, a signature's
-    first replay walks and builds nothing; the second builds the form,
-    and every later one lands it."""
+    first replay builds the form and lands it, and every later one
+    lands that form: not one replay walks."""
     builds = Counter()
     form = timeline_module._Compiler.form
 
@@ -423,10 +449,10 @@ def test_an_observed_stream_walks_once_then_lands_its_form(walked, monkeypatch,
     monkeypatch.setattr(timeline_module._Compiler, "form", counted)
     timeline, stream = build(), EventStream(_FLAT)
     timeline.replay(stream)
-    assert walked["record_comm"] == 2 and not builds
+    assert not walked and builds == {"form": 1}
     for _ in range(3):
         timeline.replay(stream)
-    assert walked["record_comm"] == 2 and builds == {"form": 1}
+    assert not walked and builds == {"form": 1}
 
 
 def test_an_untraced_exact_timeline_skips_the_walk(walked):
@@ -474,12 +500,12 @@ _COMPILED = {
 @pytest.mark.parametrize("build, events", _COMPILED.values(),
                          ids=_COMPILED.keys())
 def test_tracers_and_folds_land_without_the_walk(walked, build, events):
-    _second_replay(build(), events, walked)
+    _replayed(build(), events, walked)
     assert not walked
 
 
 def test_an_injector_whose_pricing_is_none_takes_the_event_walk(walked):
-    _second_replay(_injected(), _FLAT, walked)
+    _replayed(_injected(), _FLAT, walked)
     assert walked["record_comm"] == 2
 
 
@@ -504,7 +530,7 @@ _UNSETTLED = {
 def test_an_unsettled_injector_takes_the_event_walk(walked, build):
     timeline = build()
     assert timeline.injector.pricing is None
-    _second_replay(timeline, _FLAT, walked)
+    _replayed(timeline, _FLAT, walked)
     assert walked["record_comm"] == 2
 
 
@@ -526,7 +552,7 @@ def test_an_observed_receiver_walks_under_a_stretching_injector(walked, build):
     read the stretched ones."""
     timeline = build()
     timeline.injector = _ProfileInjector({0: 2.0}, {1: 3.0})
-    stream = _second_replay(timeline, _FLAT, walked)
+    stream = _replayed(timeline, _FLAT, walked)
     assert walked["record_comm"] == 2
     assert not stream._forms
 
@@ -588,7 +614,8 @@ def test_an_open_capture_takes_the_event_walk(walked):
     (entry,) = captured
     assert entry[0] == "replay" and entry[1] is stream and entry[2:] == (1, ())
     again, oracle = Timeline(4), Timeline(4)
-    _second_replay(again, captured, walked)
+    outer = _replayed(again, captured, walked)
+    again.replay(outer)
     assert not walked
     for _ in range(2):
         oracle.replay(captured)
@@ -600,10 +627,9 @@ def test_traced_replay_of_a_stream_records_every_span(walked):
     """Names and renames are dropped only where no tracer reads them."""
     tracer = Tracer(metrics=OFF)
     timeline = Timeline(4, tracer=tracer)
-    _second_replay(timeline, _FLAT, walked, renames=(("probe.", "block3."),))
+    _replayed(timeline, _FLAT, walked, renames=(("probe.", "block3."),))
     assert not walked
-    compiled = tracer.spans[len(tracer.spans) // 2:]  # the second replay's
-    names = [span.name for span in compiled]
+    names = [span.name for span in tracer.spans]
     assert "block3.gemm" in names and "free.block3.weight" in names
     assert not any("probe." in name for name in names)
 
@@ -635,17 +661,19 @@ def test_a_form_is_built_once_per_signature():
 def test_a_warm_traced_step_lands_one_block_and_builds_no_row(monkeypatch, case):
     """A warm traced ``run_case`` lands its step as one span block: no
     row through the step and its ``SpanColumns.of`` (72,171 spans on the
-    113B case), whose columns are the walk's; the first read of
-    ``tracer.spans`` builds exactly the walk's rows, and a second builds
-    none."""
+    113B case), whose columns are the walk's, and no log entry on the
+    exact timeline, which keeps none; the first read of ``tracer.spans``
+    builds exactly the walk's rows, and a second builds none."""
     oracle = Tracer()
     with walked_streams():
         run_case(case, tracer=oracle)  # executes, and stores the tape
-    for _ in range(2):  # the tape's first replay walks, the second builds
-        run_case(case)
-    built = count_calls(monkeypatch, (SpanBlock, "rows"))
+    run_case(case)  # the tape's first replay builds its form
+    built = count_calls(monkeypatch, (SpanBlock, "rows"),
+                        (timeline_module, "_merged"))
     tracer = Tracer()
     record = run_case(case, tracer=tracer)
+    # only a folded timeline keeps a log, so only it builds its entries
+    assert built.pop("_merged", 0) == (case.fold == "on")
     assert tracer._rows == [] and len(tracer._blocks) == 1 and not built
     assert len(tracer) == record.spans == len(oracle.spans)
     assert case.name != "orbit-113b-6144n" or record.spans == 72_171

@@ -152,7 +152,9 @@ def test_one_stage_pays_no_pipeline_bookkeeping(monkeypatch, grid, fold,
                                                 comms_per_step):
     """pp = 1 runs the pipelined engine with one stage: it must not
     read stage clocks (a walk over every rank of every replica), record
-    a stall, or emit one collective more than the 3D engine did."""
+    a stall, or emit one collective more than the 3D engine did (the
+    collective ids two steps issue: the first step alone records them,
+    the second lands its tape's compiled form)."""
     # FoldedTimeline inherits record_comm (it overrides only the landing).
     calls = count_calls(monkeypatch,
                         (HybridSTOPEngine, "_snapshot_stage_clocks"),
@@ -161,7 +163,8 @@ def test_one_stage_pays_no_pipeline_bookkeeping(monkeypatch, grid, fold,
     run = drive(orbit_1b_spec(grid, fold=fold, num_steps=2))
     assert all(run.folded) is (fold == "on")
     session = run.session
-    assert calls["record_comm"] == 2 * comms_per_step
+    assert calls["record_comm"] == comms_per_step
+    assert next(session.cluster.timeline._collective_ids) == 2 * comms_per_step
     assert not calls["_snapshot_stage_clocks"]
     assert not calls["_record_pipeline_stall"]
     assert not session.engine._stall_t0

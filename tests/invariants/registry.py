@@ -291,10 +291,10 @@ PAIRS = (
     # The C calls the funnels make on an ndarray are the wrappers' own.
     Pair("lowered-kernels", lambda d: not d.meta, wrapper_calls, everything),
     # A replayed step lands from its tape's compiled form: what walking
-    # every event of the tape leaves, spans and fold log included.  A
-    # tape's first replay walks and its second is the first to land; a
-    # quiet step's injector and a fired degradation window's land too
-    # (its settled ``pricing``), a window's unfired first step walks.
+    # every event of the tape leaves, spans and fold log included,
+    # checked from the tape's first replay; a quiet step's injector and
+    # a fired degradation window's land too (its settled ``pricing``),
+    # a window's unfired first step walks.
     Pair("compiled-replay", lambda d: d.steps >= 3, walk_every_stream,
          everything),
     # Activation checkpointing re-runs each block's forward from its

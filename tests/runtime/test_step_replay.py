@@ -234,19 +234,16 @@ def calls(monkeypatch):
                          ids=ONE_STAGE_PINS.keys())
 def test_a_replayed_step_runs_no_op(calls, grid, fold, comms_per_step):
     """N steps execute once; the rest reach the timeline and nothing
-    above it, with the collective count the executed step has: the
-    first replay walks the tape, and every later one lands its compiled
-    form — not one ``record_comm``."""
+    above it, with the collective count the executed step has: every
+    replay, the first included, lands the tape's compiled form — not
+    one ``record_comm``."""
     session = Session(orbit_1b_spec(grid, fold=fold))
     session.meta_step(0)
     assert calls.pop("record_comm") == comms_per_step
     assert all(calls[name] for name in
                ("_binary", "all_reduce", "gather_param", "__init__"))
     calls.clear()
-    session.meta_step(1)
-    assert calls == {"record_comm": comms_per_step}
-    calls.clear()
-    for step in (2, 3):
+    for step in (1, 2, 3):
         session.meta_step(step)
     assert calls == {}
     assert next(session.cluster.timeline._collective_ids) == 4 * comms_per_step
